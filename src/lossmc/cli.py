@@ -38,9 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output file (default: report.<fmt> in cwd)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for simulation methods")
-    parser.add_argument("--deterministic-reduction", action="store_true",
-                        default=None,
-                        help="combine per-thread chunks in a fixed order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +70,6 @@ def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
         cfg.seed = int(args.seed)
     if args.threads is not None:
         cfg.threads = int(args.threads)
-    if args.deterministic_reduction is not None:
-        cfg.deterministic_reduction = bool(args.deterministic_reduction)
     if args.out is not None:
         cfg.output = args.out
     return cfg

@@ -12,7 +12,7 @@ stream (see :mod:`lossmc.rng`) so callers control substream layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -22,6 +22,14 @@ from .normal import norm_cdf, norm_pdf, norm_quantile, norm_sf
 from .rng import UniformStream
 
 _TABLE_TAIL = 1e-12  # truncation point for inverse-cdf sampling tables
+
+
+def _require_finite(model) -> None:
+    """Reject NaN or infinite numeric parameters, which pass every range test."""
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{type(model).__name__}.{f.name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +136,7 @@ class PoissonFrequency(FrequencyModel):
     kind: str = field(default="poisson", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam < 0.0:
             raise ValueError("rate must be nonnegative")
 
@@ -188,6 +197,7 @@ class BinomialFrequency(FrequencyModel):
     kind: str = field(default="binomial", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.m < 1 or int(self.m) != self.m:
             raise ValueError("m must be a positive integer")
         if not (0.0 < self.q < 1.0):
@@ -227,6 +237,7 @@ class NegativeBinomialFrequency(FrequencyModel):
     kind: str = field(default="negbinomial", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.r <= 0.0 or self.beta <= 0.0:
             raise ValueError("r and beta must be positive")
 
@@ -270,6 +281,7 @@ class GeneralizedPoissonFrequency(FrequencyModel):
     kind: str = field(default="genpoisson", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lam <= 0.0:
             raise ValueError("rate must be positive")
         if not (self.theta < 1.0):
@@ -389,6 +401,7 @@ class LogNormalSeverity(SeverityModel):
     kind: str = field(default="lognormal", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
 
@@ -461,6 +474,7 @@ class ParetoSeverity(SeverityModel):
     kind: str = field(default="pareto", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.a <= 0.0 or self.s <= 0.0:
             raise ValueError("tail index and scale must be positive")
         self.tail_index = self.a
@@ -531,6 +545,7 @@ class DegenerateSeverity(SeverityModel):
     kind: str = field(default="degenerate", init=False, repr=False)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.atom <= 0.0:
             raise ValueError("atom must be positive")
 

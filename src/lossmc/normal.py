@@ -2,10 +2,8 @@
 
 The cdf and survival function are evaluated through ``erfc`` on the
 side that keeps the argument small, so both tails retain full relative
-accuracy.  The quantile uses Peter Acklam's rational approximation
-polished by a single Newton step on the cdf, which brings the absolute
-error below 1e-10 everywhere in (0, 1); the package's distribution
-layer relies on that tolerance.
+accuracy.  The quantile is ``scipy.special.ndtri`` behind a range
+check.
 """
 from __future__ import annotations
 
@@ -14,17 +12,6 @@ from scipy import special
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-# Acklam rational-approximation coefficients (central and tail branches).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 
 
 def norm_pdf(x):
@@ -45,31 +32,6 @@ def norm_sf(x):
     return out if out.ndim else float(out)
 
 
-def _acklam(p):
-    """Rational first guess for the normal quantile, vectorized."""
-    p = np.asarray(p, dtype=float)
-    x = np.empty_like(p)
-
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = q * num / den
-
-    for mask, sign, pp in ((lo, 1.0, p[lo]), (hi, -1.0, 1.0 - p[hi])):
-        if np.any(mask):
-            q = np.sqrt(-2.0 * np.log(pp))
-            num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-            den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-            x[mask] = sign * num / den
-    return x
-
-
 def norm_quantile(p):
     """Inverse of the standard normal cdf.
 
@@ -79,10 +41,5 @@ def norm_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("normal quantile requires p in (0, 1)")
-    x = _acklam(arr)
-    # One Newton step on the cdf; where the density underflows the
-    # rational guess is already at tail precision, so leave it be.
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    resid = 0.5 * special.erfc(-x / _SQRT2) - arr
-    x = np.where(pdf > 0.0, x - resid / np.where(pdf > 0.0, pdf, 1.0), x)
+    x = special.ndtri(arr)
     return x if x.ndim else float(x)

@@ -11,19 +11,21 @@ weight at a point estimates the density there; weighted atoms over an
 interval estimate the measure, and risk functionals follow from the
 resulting empirical cdf.
 
-Two estimator refinements are available on the sampler config:
-``vr_pointwise`` splits off the analytically known first Neumann term
-and simulates only the remainder (a smaller-space variance reduction,
-default on for point-wise runs), and
-``use_all_states`` accumulates the running weight against every visited
-state rather than only the absorption endpoint, which removes the
-1/P_d inflation of the endpoint estimator while staying unbiased --
-each visited state contributes exactly one Neumann term in expectation.
+Both estimators run one propagator, ``_propagate``, and differ only in
+how a path's running weight w is accumulated:
+
+* endpoint -- w g(x_n) / P_d at the absorption state;
+* all states (``use_all_states``) -- w g(x_j) at every visited state,
+  which removes the 1/P_d inflation while staying unbiased, as each
+  state contributes exactly one Neumann term in expectation;
+* forced first move (``vr_pointwise``, point-wise endpoint runs) -- the
+  known first term g(x0) is added analytically and the paths start
+  after one compulsory move, so only the n >= 1 remainder is simulated.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -489,81 +491,57 @@ def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float,
 # Vectorized estimators
 # ---------------------------------------------------------------------------
 
+def _move(x, kernel: VolterraKernel, proposal, stream: UniformStream, mass: float):
+    """Draw x1 ~ q(x, .) and return it with the ratio k(x, x1) / (mass * q(x, x1))."""
+    x1 = proposal.sample(x, stream)
+    q = proposal.density(x, x1)
+    ratio = np.where(q > 0.0, kernel.k(x, x1) / (mass * np.where(q > 0.0, q, 1.0)), 0.0)
+    return x1, ratio
+
+
+def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
+               stream: UniformStream, all_states: bool) -> None:
+    """Run every particle's path to absorption, updating x, w and acc in place.
+
+    Each step draws one uniform per live particle: it absorbs with
+    probability p_d, else moves by the proposal and multiplies its
+    weight by k / ((1 - p_d) q).  With ``all_states`` the running weight
+    times g is added to ``acc`` at every visited state; otherwise
+    ``acc`` receives w g(x) / p_d at the absorption endpoint.  Particles
+    whose weight or state underflows stop contributing.
+    """
+    pd = cfg.p_d
+    active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
+    while active.size:
+        moving = stream.uniforms(active.size) > pd
+        if not all_states:
+            ended = active[~moving]
+            acc[ended] = w[ended] * kernel.g(x[ended]) / pd
+        active = active[moving]
+        if not active.size:
+            break
+        x1, ratio = _move(x[active], kernel, cfg.proposal, stream, 1.0 - pd)
+        w[active] *= ratio
+        x[active] = x1
+        if all_states:
+            acc[active] += w[active] * kernel.g(x1)
+        active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
+
+
 def _run_point_batch(x0: float, n: int, kernel: VolterraKernel,
                      cfg: PathSamplerConfig, stream: UniformStream) -> np.ndarray:
     """Per-particle density contributions at a single start point."""
-    pd = cfg.p_d
-    contrib = np.zeros(n)
-
-    if cfg.use_all_states:
-        # accumulate the running weight against every visited state;
-        # the n = 0 term g(x0) is deterministic
-        xc = np.full(n, x0)
-        w = np.ones(n)
-        contrib += kernel.g(x0)
-        active = np.arange(n)
-        while active.size:
-            u = stream.uniforms(active.size)
-            active = active[u > pd]
-            if not active.size:
-                break
-            x1 = cfg.proposal.sample(xc[active], stream)
-            q = cfg.proposal.density(xc[active], x1)
-            ratio = np.where(q > 0.0, kernel.k(xc[active], x1) / ((1.0 - pd) * np.where(q > 0.0, q, 1.0)), 0.0)
-            w[active] *= ratio
-            xc[active] = x1
-            contrib[active] += w[active] * kernel.g(x1)
-            alive = (w[active] > 0.0) & (xc[active] > _DEAD_FLOOR)
-            active = active[alive]
-        return contrib
-
-    if cfg.vr_pointwise and pd < 1.0:
+    x, w = np.full(n, x0), np.ones(n)
+    # all-states runs start from the deterministic n = 0 term g(x0)
+    acc = np.full(n, kernel.g(x0)) if cfg.use_all_states else np.zeros(n)
+    forced = not cfg.use_all_states and cfg.vr_pointwise and cfg.p_d < 1.0
+    if forced:
         # simulate only the n >= 1 remainder: force the first move (its
         # ratio is k/q, absorbing the 1 - p_d prefactor) and add the
         # known first term analytically
-        x1 = cfg.proposal.sample(np.full(n, x0), stream)
-        q = cfg.proposal.density(np.full(n, x0), x1)
-        w = np.where(q > 0.0, kernel.k(np.full(n, x0), x1) / np.where(q > 0.0, q, 1.0), 0.0)
-        xc = x1
-        active = np.arange(n)
-        active = active[(w > 0.0) & (xc > _DEAD_FLOOR)]
-        while active.size:
-            u = stream.uniforms(active.size)
-            absorbed = u <= pd
-            idx = active[absorbed]
-            contrib[idx] = w[idx] * kernel.g(xc[idx]) / pd
-            active = active[~absorbed]
-            if not active.size:
-                break
-            x1 = cfg.proposal.sample(xc[active], stream)
-            q = cfg.proposal.density(xc[active], x1)
-            ratio = np.where(q > 0.0, kernel.k(xc[active], x1) / ((1.0 - pd) * np.where(q > 0.0, q, 1.0)), 0.0)
-            w[active] *= ratio
-            xc[active] = x1
-            alive = (w[active] > 0.0) & (xc[active] > _DEAD_FLOOR)
-            active = active[alive]
-        return kernel.g(x0) + contrib
-
-    # plain absorbed-endpoint estimator
-    xc = np.full(n, x0)
-    w = np.ones(n)
-    active = np.arange(n)
-    while active.size:
-        u = stream.uniforms(active.size)
-        absorbed = u <= pd
-        idx = active[absorbed]
-        contrib[idx] = w[idx] * kernel.g(xc[idx]) / pd
-        active = active[~absorbed]
-        if not active.size:
-            break
-        x1 = cfg.proposal.sample(xc[active], stream)
-        q = cfg.proposal.density(xc[active], x1)
-        ratio = np.where(q > 0.0, kernel.k(xc[active], x1) / ((1.0 - pd) * np.where(q > 0.0, q, 1.0)), 0.0)
-        w[active] *= ratio
-        xc[active] = x1
-        alive = (w[active] > 0.0) & (xc[active] > _DEAD_FLOOR)
-        active = active[alive]
-    return contrib
+        x, w = _move(x, kernel, cfg.proposal, stream, 1.0)
+    _propagate(x, w, acc, kernel, cfg, stream, cfg.use_all_states)
+    return kernel.g(x0) + acc if forced else acc
 
 
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
@@ -584,8 +562,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     se = np.empty(len(grid))
     n = int(n_per_point)
     for i, x0 in enumerate(grid):
-        local = replace(cfg, initial=PointMass(x0))
-        contrib = _run_point_batch(float(x0), n, kernel, local, streams[i])
+        contrib = _run_point_batch(float(x0), n, kernel, cfg, streams[i])
         est[i] = contrib.mean()
         se[i] = contrib.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
     return WeightedParticleMeasure(
@@ -608,55 +585,13 @@ def estimate_measure_interval(model: CompoundModel, interval, n_paths: int,
         raise ValueError("need an interval [x_a, x_b] with x_a < x_b")
     kernel = build_volterra_kernel(model)
     initial = UniformInterval(x_a, x_b)
-    pd = cfg.p_d
     n = int(n_paths)
-    stream = rng
-
-    x0 = initial.sample(stream, n)
-    mu0 = initial.density(x0)
-    inv_mu = 1.0 / mu0
-
-    if cfg.use_all_states:
-        w = inv_mu.copy()
-        acc = w * kernel.g(x0)
-        xc = x0.copy()
-        active = np.arange(n)
-        while active.size:
-            u = stream.uniforms(active.size)
-            active = active[u > pd]
-            if not active.size:
-                break
-            x1 = cfg.proposal.sample(xc[active], stream)
-            q = cfg.proposal.density(xc[active], x1)
-            ratio = np.where(q > 0.0, kernel.k(xc[active], x1) / ((1.0 - pd) * np.where(q > 0.0, q, 1.0)), 0.0)
-            w[active] *= ratio
-            xc[active] = x1
-            acc[active] += w[active] * kernel.g(x1)
-            alive = (w[active] > 0.0) & (xc[active] > _DEAD_FLOOR)
-            active = active[alive]
-        weights = acc
-    else:
-        weights = np.zeros(n)
-        w = inv_mu.copy()
-        xc = x0.copy()
-        active = np.arange(n)
-        while active.size:
-            u = stream.uniforms(active.size)
-            absorbed = u <= pd
-            idx = active[absorbed]
-            weights[idx] = w[idx] * kernel.g(xc[idx]) / pd
-            active = active[~absorbed]
-            if not active.size:
-                break
-            x1 = cfg.proposal.sample(xc[active], stream)
-            q = cfg.proposal.density(xc[active], x1)
-            ratio = np.where(q > 0.0, kernel.k(xc[active], x1) / ((1.0 - pd) * np.where(q > 0.0, q, 1.0)), 0.0)
-            w[active] *= ratio
-            xc[active] = x1
-            alive = (w[active] > 0.0) & (xc[active] > _DEAD_FLOOR)
-            active = active[alive]
+    x0 = initial.sample(rng, n)
+    w = 1.0 / initial.density(x0)
+    acc = w * kernel.g(x0) if cfg.use_all_states else np.zeros(n)
+    _propagate(x0.copy(), w, acc, kernel, cfg, rng, cfg.use_all_states)
 
     return WeightedParticleMeasure(
-        locations=x0, weights=weights, mode=INTERVAL,
+        locations=x0, weights=acc, mode=INTERVAL,
         zero_mass=float(model.frequency.pmf(0)), n_paths=n,
     )

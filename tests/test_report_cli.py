@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +91,38 @@ def test_runs_are_deterministic(tmp_path):
         emit_report(report, "csv", str(p))
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_repeated_runs_emit_identical_bytes(tmp_path):
+    """Two runs of one config serialize to the same CSV and JSON bytes; the
+    recursion takes long enough that any wall time in the report shows."""
+    method = {"kind": "panjer", "step": 0.01, "x_max": 120.0}
+    for fmt in ("csv", "json"):
+        paths = [tmp_path / f"run{i}.{fmt}" for i in range(2)]
+        for p in paths:
+            report = run_experiment(_config(method=method, levels=[0.5, 0.99], seed=99))
+            emit_report(report, fmt, str(p))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_particle_interval_top_is_clamped_at_unit_mass():
+    """At this seed the noisy cumulative mass passes 1 below the grid top,
+    so the upper CI level exceeds 1; the bound reads the grid top."""
+    method = {"kind": "particle", "x_max": 400.0, "n_per_point": 200}
+    report = run_experiment(_config(model=SIGMA1_MODEL, method=method,
+                                    levels=[0.5, 0.9, 0.99, 0.999, 0.9995], seed=10))
+    assert len(report.rows) == 5
+    for row in report.rows:
+        assert math.isfinite(row.var) and row.var_lo <= row.var <= row.var_hi
+    assert report.rows[-1].var_hi == 400.0
+
+
+def test_readme_config_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)```", readme, re.S)
+    assert block is not None
+    report = run_experiment(ExperimentConfig(**json.loads(block.group(1))))
+    assert [row.method for row in report.rows] == ["sla"] * 3
 
 
 def test_report_validation_rejects_nonmonotone_var():
@@ -180,8 +215,8 @@ def test_table_rejects_bad_arguments():
 # command line
 # ---------------------------------------------------------------------------
 
-def _write_config(tmp_path, method, levels=(0.5, 0.9)):
-    doc = {"model": SIGMA05_MODEL, "method": method, "levels": list(levels)}
+def _write_config(tmp_path, method, levels=(0.5, 0.9), model=SIGMA05_MODEL):
+    doc = {"model": model, "method": method, "levels": list(levels)}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -232,3 +267,18 @@ def test_cli_seed_override_controls_output(tmp_path, capsys):
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() != paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("block,key", [("frequency", "lambda"), ("severity", "sigma")])
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys, bad, block, key):
+    model = copy.deepcopy(SIGMA05_MODEL)
+    model[block][key] = bad
+    cfg = _write_config(tmp_path, {"kind": "sla"}, model=model)
+    rc = main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "must be finite" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()

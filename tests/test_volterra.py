@@ -196,10 +196,19 @@ def test_path_length_is_geometric():
 # density estimates
 # ---------------------------------------------------------------------------
 
-def test_pointwise_estimator_unbiased_at_benchmark_point():
+ACCUMULATION_RULES = {
+    "all_states": dict(use_all_states=True),
+    "forced_first_move": dict(use_all_states=False, vr_pointwise=True),
+    "endpoint": dict(use_all_states=False, vr_pointwise=False),
+}
+
+
+@pytest.mark.parametrize("rule", ACCUMULATION_RULES)
+def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
     """200 independent particle batches average to the recursion density."""
     model = sigma05_model()
-    cfg = particle_config(model, n_particles=1000)
+    cfg = particle_config(model, n_particles=1000, **ACCUMULATION_RULES[rule])
+    assert cfg.p_d < 1.0
     streams = PcgStream(2121).spawn(200)
     reps = np.array([float(estimate_density_grid(model, [20.0], 1000, cfg, s).weights[0])
                      for s in streams])
@@ -278,14 +287,14 @@ def test_interval_validates_endpoints():
         estimate_measure_interval(model, (-1.0, 5.0), 10, cfg, PcgStream(1))
 
 
-def test_grid_and_interval_estimates_agree():
+def _assert_grid_matches_interval(interval_cfg):
     """Two independent estimator routes match within combined errors."""
     model = sigma05_model()
     grid = np.arange(0.25, 60.01, 0.25)
     mg = estimate_density_grid(model, grid, 1500, particle_config(model),
                                PcgStream(2929))
     mi = estimate_measure_interval(model, (0.0, 60.0), 300_000,
-                                   particle_config(model), PcgStream(3030))
+                                   interval_cfg, PcgStream(3030))
     for z in (20.0, 57.0):
         fg = float(mg.cdf(z))
         keep = mg.locations <= z
@@ -294,6 +303,17 @@ def test_grid_and_interval_estimates_agree():
         fi = math.exp(-2.0) + terms.mean()
         se_i = terms.std(ddof=1) / math.sqrt(len(terms))
         assert abs(fg - fi) <= 3.0 * math.hypot(se_g, se_i)
+
+
+def test_grid_and_interval_estimates_agree():
+    _assert_grid_matches_interval(particle_config(sigma05_model()))
+
+
+def test_grid_and_endpoint_interval_estimates_agree():
+    """The interval endpoint estimator at p_d < 1 matches the grid."""
+    cfg = particle_config(sigma05_model(), use_all_states=False)
+    assert cfg.p_d < 1.0
+    _assert_grid_matches_interval(cfg)
 
 
 # ---------------------------------------------------------------------------
