@@ -10,9 +10,8 @@ and quantiles everywhere else in the package.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class CompoundPmf:
 
     step: float
     masses: np.ndarray
-    model_hash: str
 
     def __post_init__(self):
         self.masses = np.asarray(self.masses, dtype=float)
@@ -88,11 +86,6 @@ class CompoundPmf:
             w.writerow(["x", "pmf", "cdf"])
             for x, m, c in zip(grid, self.masses, cdf):
                 w.writerow([f"{x:.10g}", f"{m:.17g}", f"{c:.17g}"])
-
-
-def _hash_inputs(*parts) -> str:
-    text = "|".join(repr(p) for p in parts)
-    return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
 def discretize_severity(model: SeverityModel, step: float, K: int,
@@ -172,8 +165,7 @@ def panjer_discrete(freq: PanjerParams, sev: DiscreteSeverity, M: int) -> Compou
             conv += af[1:L + 1] @ grev
         fk = f[k] if k <= K else 0.0
         g[k] = (p1_prime * fk + conv) / denom
-    return CompoundPmf(step=sev.step, masses=g,
-                       model_hash=_hash_inputs("abo", a, b, p0, sev.step, K, M))
+    return CompoundPmf(step=sev.step, masses=g)
 
 
 def _borel_batch_masses(theta: float, f: np.ndarray, M: int) -> np.ndarray:
@@ -237,16 +229,10 @@ def gpd_panjer_discrete(lam: float, theta: float, sev: DiscreteSeverity,
     if theta >= 1.0:
         raise ValueError("dispersion must be < 1")
     if theta == 0.0:
-        params = PoissonFrequency(lam).panjer()
-        out = panjer_discrete(params, sev, M)
-        return CompoundPmf(step=out.step, masses=out.masses,
-                           model_hash=_hash_inputs("gpd", lam, theta, sev.step, M))
+        return panjer_discrete(PoissonFrequency(lam).panjer(), sev, M)
     h = _borel_batch_masses(theta, sev.masses, M)
     cluster = DiscreteSeverity(step=sev.step, masses=h, method=sev.method)
-    params = PoissonFrequency(lam).panjer()
-    out = panjer_discrete(params, cluster, M)
-    return CompoundPmf(step=out.step, masses=out.masses,
-                       model_hash=_hash_inputs("gpd", lam, theta, sev.step, M))
+    return panjer_discrete(PoissonFrequency(lam).panjer(), cluster, M)
 
 
 def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):

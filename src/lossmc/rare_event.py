@@ -3,8 +3,13 @@
 Conditioning a base law on a rare set A is handled by a Feynman-Kac
 pipeline: indicator potentials over a nested family of sets, particle
 selection by the Boltzmann-Gibbs transform, and mutation by a
-Metropolis-Hastings kernel restricted to the current set.  The product
-of per-level success fractions is an unbiased estimate of P(A_n).
+Metropolis-Hastings kernel restricted to the current set.  One loop
+(:func:`_split`) runs the levels for both the fixed ladder and the
+adaptively placed one; they differ only in how the next level is
+chosen.  The running product of the first p success fractions is an
+unbiased estimate of P(A_p) at every level p, so
+:func:`replicate_smc` reads every threshold of a ladder off one
+replicated run.
 """
 from __future__ import annotations
 
@@ -268,14 +273,60 @@ def _base_sampler(model):
     raise TypeError("model must be a CompoundModel or a batch sampler")
 
 
-def _trace_row(p, thresholds, frac, n, accepted, proposed):
-    return {
-        "level": p,
-        "threshold": float(thresholds[p]) if thresholds is not None else None,
-        "success_fraction": frac,
-        "ess": n * frac,  # indicator weights: (sum w)^2 / sum w^2 = N * frac
-        "acceptance_rate": accepted / proposed if proposed else None,
-    }
+def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
+           mutation, resampling: str, max_levels: int) -> SmcEstimate:
+    """The one select/mutate loop behind both splitting entry points.
+
+    ``next_level(p, states)`` returns the level's indicator potential
+    G, its threshold (None for predicate levels) and whether it is the
+    last level.  Each level selects on G and, unless it is the last,
+    mutates with proposals accepted where G > 0.
+    """
+    if N < 2:
+        raise ValueError("need at least two particles")
+    sampler = _base_sampler(model)
+    if mutation is None:
+        def mutation(states, level, stream):
+            return sampler(len(states), stream)
+
+    pop = ParticlePopulation(states=np.asarray(sampler(int(N), rng), dtype=float))
+    fractions = []
+    trace = []
+    for p in range(int(max_levels)):
+        G, threshold, final = next_level(p, pop.states)
+        g = G(pop.states)
+        frac = float(np.mean(g))
+        fractions.append(frac)
+        row = {
+            "level": p,
+            "threshold": None if threshold is None else float(threshold),
+            "success_fraction": frac,
+            "ess": N * frac,  # indicator weights: (sum w)^2 / sum w^2 = N * frac
+            "acceptance_rate": None,
+        }
+        trace.append(row)
+        if frac == 0.0:
+            return SmcEstimate(estimate=0.0, level_fractions=fractions,
+                               extinct_level=p, trace=trace)
+        pop.generation = p
+        pop = selection_transition(pop, g, rng, scheme=resampling)
+        assert np.all(G(pop.states) > 0.0), \
+            "selection must confine the population to the level set"
+        if final:
+            return SmcEstimate(estimate=float(np.prod(fractions)),
+                               level_fractions=fractions, trace=trace)
+        accepted = proposed = 0
+        for _ in range(int(mutation_steps)):
+            proposal = np.asarray(mutation(pop.states, p, rng), dtype=float)
+            inside = G(proposal) > 0.0
+            pop.states = np.where(inside, proposal, pop.states)
+            accepted += int(inside.sum())
+            proposed += len(inside)
+        row["acceptance_rate"] = accepted / proposed if proposed else None
+    raise ExtinctionError(
+        f"splitting did not reach its target in {max_levels} levels",
+        level=int(max_levels),
+    )
 
 
 def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
@@ -293,45 +344,17 @@ def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
     Extinction at any level returns a zero estimate carrying the level
     index rather than retrying, so unbiasedness is preserved.
     """
-    if N < 2:
-        raise ValueError("need at least two particles")
-    sampler = _base_sampler(model)
-    if mutation is None:
-        def mutation(states, level, stream):
-            return sampler(len(states), stream)
-
-    states = np.asarray(sampler(int(N), rng), dtype=float)
-    pop = ParticlePopulation(states=states)
-    fractions = []
-    trace = []
+    n_levels = len(levels)
     thresholds = levels.thresholds
 
-    for p in range(len(levels)):
-        g = levels.indicator(p, pop.states)
-        frac = float(np.mean(g))
-        fractions.append(frac)
-        if frac == 0.0:
-            trace.append(_trace_row(p, thresholds, 0.0, N, 0, 0))
-            return SmcEstimate(estimate=0.0, level_fractions=fractions,
-                               thresholds=thresholds, extinct_level=p,
-                               trace=trace)
-        pop.generation = p
-        pop = selection_transition(pop, g, rng, scheme=resampling)
-        assert np.all(levels.indicator(p, pop.states) > 0.0), \
-            "selection must confine the population to the level set"
-        accepted = proposed = 0
-        if p + 1 < len(levels):
-            for _ in range(int(mutation_steps)):
-                proposal = np.asarray(mutation(pop.states, p, rng), dtype=float)
-                inside = levels.indicator(p, proposal) > 0.0
-                pop.states = np.where(inside, proposal, pop.states)
-                accepted += int(inside.sum())
-                proposed += len(inside)
-        trace.append(_trace_row(p, thresholds, frac, N, accepted, proposed))
+    def next_level(p, states):
+        threshold = None if thresholds is None else thresholds[p]
+        return (lambda s: levels.indicator(p, s)), threshold, p + 1 == n_levels
 
-    estimate = float(np.prod(fractions))
-    return SmcEstimate(estimate=estimate, level_fractions=fractions,
-                       thresholds=thresholds, trace=trace)
+    est = _split(model, next_level, mutation_steps, N, rng, mutation,
+                 resampling, n_levels)
+    est.thresholds = thresholds
+    return est
 
 
 def smc_rare_event_adaptive(model, final_threshold: float, mutation_steps: int,
@@ -348,61 +371,23 @@ def smc_rare_event_adaptive(model, final_threshold: float, mutation_steps: int,
     N grows, so adaptive runs are marked and reported separately from
     the fixed-level ones.
     """
-    if N < 2:
-        raise ValueError("need at least two particles")
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie in (0, 1)")
-    sampler = _base_sampler(model)
-    if mutation is None:
-        def mutation(states, level, stream):
-            return sampler(len(states), stream)
+    final_threshold = float(final_threshold)
 
-    pop = ParticlePopulation(states=np.asarray(sampler(int(N), rng), dtype=float))
-    fractions = []
-    chosen = []
-    trace = []
-
-    for p in range(int(max_levels)):
-        t = min(float(np.quantile(pop.states, rho)), float(final_threshold))
-        final = t >= final_threshold
-        chosen.append(t)
-        g = (pop.states > t).astype(float)
-        frac = float(np.mean(g))
-        fractions.append(frac)
-        if frac == 0.0 and not final:
+    def next_level(p, states):
+        t = min(float(np.quantile(states, rho)), final_threshold)
+        if t < final_threshold and not np.any(states > t):
             # the rho-quantile equals the population maximum: no room
             # left to split, so finish against the real target instead
-            chosen[-1] = float(final_threshold)
-            g = (pop.states > final_threshold).astype(float)
-            frac = float(np.mean(g))
-            fractions[-1] = frac
-            final = True
-        if frac == 0.0:
-            trace.append(_trace_row(p, np.asarray(chosen), 0.0, N, 0, 0))
-            return SmcEstimate(estimate=0.0, level_fractions=fractions,
-                               thresholds=np.asarray(chosen), extinct_level=p,
-                               trace=trace, adaptive=True)
-        pop.generation = p
-        pop = selection_transition(pop, g, rng, scheme=resampling)
-        accepted = proposed = 0
-        if not final:
-            thr = chosen[-1]
-            for _ in range(int(mutation_steps)):
-                proposal = np.asarray(mutation(pop.states, p, rng), dtype=float)
-                inside = proposal > thr
-                pop.states = np.where(inside, proposal, pop.states)
-                accepted += int(inside.sum())
-                proposed += len(inside)
-        trace.append(_trace_row(p, np.asarray(chosen), frac, N, accepted, proposed))
-        if final:
-            return SmcEstimate(estimate=float(np.prod(fractions)),
-                               level_fractions=fractions,
-                               thresholds=np.asarray(chosen),
-                               trace=trace, adaptive=True)
-    raise ExtinctionError(
-        f"adaptive splitting did not reach {final_threshold} in {max_levels} levels",
-        level=int(max_levels),
-    )
+            t = final_threshold
+        return (lambda s: (s > t).astype(float)), t, t >= final_threshold
+
+    est = _split(model, next_level, mutation_steps, N, rng, mutation,
+                 resampling, max_levels)
+    est.thresholds = np.asarray([row["threshold"] for row in est.trace])
+    est.adaptive = True
+    return est
 
 
 def trace_to_csv(estimate: SmcEstimate, path) -> None:
@@ -432,18 +417,30 @@ def trace_to_csv(estimate: SmcEstimate, path) -> None:
 
 
 def replicate_smc(model, levels: LevelSequence, mutation_steps: int, N: int,
-                  rng, n_replicates: int, mutation=None) -> SmcEstimate:
-    """Repeat the splitting run and report the mean with its relative SE."""
+                  rng, n_replicates: int, mutation=None) -> list:
+    """Repeat the splitting run; return one estimate per level.
+
+    Element p is the replicate mean of the running product of the first
+    p + 1 success fractions (zero past an extinction), an unbiased
+    estimate of P(A_{p+1}), with its relative SE.  One ladder run thus
+    answers every level, and the estimates are nonincreasing in p.
+    """
     streams = rng.spawn(n_replicates) if hasattr(rng, "spawn") else [rng] * n_replicates
-    values = np.array([
-        smc_rare_event(model, levels, mutation_steps, N, streams[i], mutation=mutation).estimate
-        for i in range(n_replicates)
-    ])
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n_replicates))
-    est = SmcEstimate(estimate=mean, level_fractions=[], thresholds=levels.thresholds,
-                      replicate_rse=(se / mean if mean > 0 else math.inf))
-    return est
+    # one contiguous row per level, so each mean reduces like a 1-d array
+    products = np.zeros((len(levels), n_replicates))
+    for i in range(n_replicates):
+        fractions = smc_rare_event(model, levels, mutation_steps, N, streams[i],
+                                   mutation=mutation).level_fractions
+        products[:len(fractions), i] = np.cumprod(fractions)
+    estimates = []
+    for p, values in enumerate(products):
+        mean = float(values.mean())
+        se = float(values.std(ddof=1) / math.sqrt(n_replicates))
+        thresholds = None if levels.thresholds is None else levels.thresholds[:p + 1]
+        estimates.append(SmcEstimate(
+            estimate=mean, level_fractions=[], thresholds=thresholds,
+            replicate_rse=(se / mean if mean > 0 else math.inf)))
+    return estimates
 
 
 # ---------------------------------------------------------------------------

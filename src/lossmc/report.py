@@ -190,7 +190,6 @@ def _particle_config(model, m: dict) -> PathSamplerConfig:
     p_d = float(m.get("p_d", default_absorption(model)))
     return PathSamplerConfig(
         proposal=proposal, p_d=p_d, initial=None,
-        n_particles=int(m.get("n_per_point", 50_000)),
         use_all_states=bool(m.get("use_all_states", True)),
     )
 
@@ -220,7 +219,7 @@ def _run_particle(model, cfg: ExperimentConfig):
             rows.append(ReportRow(alpha=alpha, method="particle",
                                   var=float(locs[-1])))
             continue
-        _, es, srm = risk_measures_from_measure(measure, alpha, phi=lambda p: np.ones_like(p))
+        _, es, _ = risk_measures_from_measure(measure, alpha)
         i = min(int(np.searchsorted(cum, alpha, side="left")), len(cum) - 1)
         cell_w = widths[max(i - 1, 0)] if i >= 1 else 1.0
         dens = max(w[i] / max(cell_w, 1e-300), 1e-300)
@@ -233,7 +232,7 @@ def _run_particle(model, cfg: ExperimentConfig):
         hi = (quantile_from_measure(measure, hi_level)
               if hi_level < min(float(cum[-1]), 1.0) else float(locs[-1]))
         rows.append(ReportRow(alpha=alpha, method="particle", var=var,
-                              var_lo=lo, var_hi=hi, es=es, srm=srm, stderr=se_q))
+                              var_lo=lo, var_hi=hi, es=es, stderr=se_q))
     return rows, {"grid_width": width, "x_max": x_max, "n_per_point": n_per_point,
                   "p_d": pcfg.p_d}
 
@@ -249,9 +248,8 @@ def _run_rare_event(model, cfg: ExperimentConfig):
     reps = int(m.get("replicates", 16))
     rows = []
     diag = {}
-    for i, z in enumerate(levels.thresholds):
-        sub = LevelSequence(thresholds=levels.thresholds[:i + 1])
-        est = replicate_smc(model, sub, steps, N, PcgStream(cfg.seed + i), reps)
+    estimates = replicate_smc(model, levels, steps, N, PcgStream(cfg.seed), reps)
+    for z, est in zip(levels.thresholds, estimates):
         alpha = 1.0 - est.estimate
         rows.append(ReportRow(alpha=alpha, method="rare-event", var=float(z)))
         diag[f"p_exceed_{z:g}"] = est.estimate

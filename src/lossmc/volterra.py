@@ -263,15 +263,12 @@ class PathSamplerConfig:
     proposal: object
     p_d: float
     initial: object
-    n_particles: int = 10_000
     vr_pointwise: bool = True
     use_all_states: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.p_d <= 1.0):
             raise ValueError("absorption probability must lie in (0, 1]")
-        if self.n_particles < 1:
-            raise ValueError("need at least one particle")
 
 
 def default_absorption(model: CompoundModel) -> float:

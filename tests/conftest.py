@@ -82,7 +82,7 @@ def sigma05_pmf():
 
 def _grid_measure(model, x_max, n_per_point, seed):
     grid = np.arange(1.0, x_max + 0.5, 1.0)
-    cfg = particle_config(model, n_particles=n_per_point)
+    cfg = particle_config(model)
     return estimate_density_grid(model, grid, n_per_point, cfg, PcgStream(seed))
 
 

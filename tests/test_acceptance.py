@@ -160,7 +160,7 @@ def test_criterion_3_particle_reduced_budget_sigma1(sigma1_grid_reduced):
 def test_criterion_4_particle_matches_recursion_oracle(sigma05_pmf):
     model = sigma05_model()
     dens = sigma05_pmf.density()
-    cfg = particle_config(model, n_particles=1000)
+    cfg = particle_config(model)
     root = PcgStream(1313)
     for x0 in (10.0, 20.0, 40.0):
         truth = float(dens[round(x0 / sigma05_pmf.step)])
@@ -180,7 +180,7 @@ def test_criterion_4_particle_matches_recursion_oracle(sigma05_pmf):
 def test_criterion_5_particle_density_bias_and_variance_slope(sigma05_pmf):
     model = sigma05_model()
     truth = float(sigma05_pmf.density()[round(20.0 / sigma05_pmf.step)])
-    cfg = particle_config(model, n_particles=100)
+    cfg = particle_config(model)
     root = PcgStream(1414)
     x0, R = 20.0, 200
     sizes = (100, 1000, 10000)

@@ -248,9 +248,12 @@ def test_predicate_levels_estimate_gaussian_tail():
 
 def test_replicate_runner_reports_relative_error():
     lev = LevelSequence(thresholds=np.array([3.5, 5.5]))
-    rep = replicate_smc(octo_sampler, lev, 3, 100, PcgStream(707), 10)
+    first, rep = replicate_smc(octo_sampler, lev, 3, 100, PcgStream(707), 10)
     assert rep.replicate_rse is not None and rep.replicate_rse > 0.0
     assert abs(rep.estimate - 0.25) <= 3.0 * rep.replicate_rse * rep.estimate
+    # the first level's running product is the crude fraction above 3.5
+    assert list(first.thresholds) == [3.5]
+    assert abs(first.estimate - 0.5) <= 3.0 * first.replicate_rse * first.estimate
 
 
 def test_model_argument_type_is_checked():

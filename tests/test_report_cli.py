@@ -117,6 +117,45 @@ def test_particle_interval_top_is_clamped_at_unit_mass():
     assert report.rows[-1].var_hi == 400.0
 
 
+def test_particle_rows_leave_spectral_measure_unset(tmp_path):
+    """No method config defines a spectrum, so particle rows print srm as
+    n/a, like every other route, instead of the model mean."""
+    method = {"kind": "particle", "x_max": 120.0, "n_per_point": 200}
+    report = run_experiment(_config(method=method, levels=[0.5, 0.9, 0.99], seed=3))
+    assert all(row.srm is None for row in report.rows)
+    path = tmp_path / "particle.csv"
+    emit_report(report, "csv", str(path))
+    assert [line.split(",")[6] for line in path.read_text().splitlines()[1:]] == ["n/a"] * 3
+
+
+RARE_EVENT = {"kind": "rare-event", "n_particles": 1000, "mh_steps": 2, "replicates": 8}
+
+
+def test_rare_event_thresholds_share_one_ladder_run():
+    """Every threshold's estimate comes from one replicated ladder run, so
+    they cannot increase with the threshold.  With one independent run per
+    threshold, P(Z > 50.5) came out above P(Z > 50) at this seed and the
+    report failed its VaR monotonicity check."""
+    method = dict(RARE_EVENT, thresholds=[50.0, 50.5])
+    report = run_experiment(_config(method=method, seed=0))
+    diag = report.meta["diagnostics"]
+    assert 0.0 < diag["p_exceed_50.5"] <= diag["p_exceed_50"]
+    assert [row.var for row in report.rows] == [50.0, 50.5]
+    assert report.rows[0].alpha <= report.rows[1].alpha
+
+
+def test_rare_event_thresholds_match_oracle_tail(sigma05_pmf):
+    thresholds = [40.0, 50.0, 60.0, 70.0]
+    method = dict(RARE_EVENT, thresholds=thresholds, n_particles=2000,
+                  mh_steps=3, replicates=16)
+    diag = run_experiment(_config(method=method, seed=31)).meta["diagnostics"]
+    grid = sigma05_pmf.grid()
+    for z in thresholds:
+        truth = float(sigma05_pmf.masses[grid > z].sum())
+        p_hat, rse = diag[f"p_exceed_{z:g}"], diag[f"rse_{z:g}"]
+        assert abs(p_hat - truth) <= 4.0 * rse * p_hat
+
+
 def test_readme_config_example_runs():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"```json\n(.*?)```", readme, re.S)

@@ -167,8 +167,6 @@ def test_config_and_proposal_validation():
     with pytest.raises(ValueError):
         PathSamplerConfig(proposal=None, p_d=1.2, initial=None)
     with pytest.raises(ValueError):
-        PathSamplerConfig(proposal=None, p_d=0.5, initial=None, n_particles=0)
-    with pytest.raises(ValueError):
         BetaProposal(0.0, 1.0)
     with pytest.raises(ValueError):
         UniformInterval(5.0, 5.0)
@@ -207,7 +205,7 @@ ACCUMULATION_RULES = {
 def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
     """200 independent particle batches average to the recursion density."""
     model = sigma05_model()
-    cfg = particle_config(model, n_particles=1000, **ACCUMULATION_RULES[rule])
+    cfg = particle_config(model, **ACCUMULATION_RULES[rule])
     assert cfg.p_d < 1.0
     streams = PcgStream(2121).spawn(200)
     reps = np.array([float(estimate_density_grid(model, [20.0], 1000, cfg, s).weights[0])
@@ -219,8 +217,7 @@ def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
 def test_certain_absorption_reduces_to_first_term():
     model = sigma05_model()
     kernel = build_volterra_kernel(model)
-    cfg = particle_config(model, p_d=1.0, use_all_states=False, vr_pointwise=False,
-                          n_particles=50)
+    cfg = particle_config(model, p_d=1.0, use_all_states=False, vr_pointwise=False)
     measure = estimate_density_grid(model, [20.0, 30.0], 50, cfg, PcgStream(8))
     assert measure.weights[0] == pytest.approx(kernel.g(20.0), rel=1e-14)
     assert measure.weights[1] == pytest.approx(kernel.g(30.0), rel=1e-14)
