@@ -139,32 +139,31 @@ def _pgf_at(params: PanjerParams, s: float) -> float:
 def panjer_discrete(freq: PanjerParams, sev: DiscreteSeverity, M: int) -> CompoundPmf:
     """Aggregate masses by the discrete (a, b, 0) recursion.
 
-    g_k = [p1' f_k + sum_{j=1..k} (a + b j/k) f_j g_{k-j}] / (1 - a f_0)
-    with p1' = p_1 - (a + b) p_0, which vanishes identically inside the
-    class, and g_0 = pgf_N(f_0).
+    g_k = sum_{j=1..min(k, K)} (a + b j/k) f_j g_{k-j} / (1 - a f_0)
+    with g_0 = pgf_N(f_0).  Inside the (a, b, 0) class p_1 = (a + b) p_0,
+    so the recursion has no separate f_k term.
     """
-    a, b, p0 = freq.a, freq.b, freq.p0
+    a, b = freq.a, freq.b
     f = sev.masses
     K = len(f) - 1
     denom = 1.0 - a * f[0]
     if denom <= 0.0:
         raise RecursionInstabilityError("1 - a f0 must be positive")
-    p1 = (a + b) * p0
-    p1_prime = p1 - (a + b) * p0
 
     g = np.zeros(M + 1)
     g[0] = _pgf_at(freq, f[0])
-    af = a * f
-    jf = np.arange(K + 1) * f
+    # The coefficients are stored reversed (index K - j holds the j-th), so
+    # that the terms j = L..1 against g_{k-L}..g_{k-1} are two forward
+    # slices: numpy hands only positively strided dot products to BLAS.
+    afrev = (a * f)[::-1].copy()
+    jfrev = (np.arange(K + 1) * f)[::-1].copy()
     for k in range(1, M + 1):
         L = min(k, K)
-        # g_{k-1}, g_{k-2}, ..., g_{k-L} as a contiguous reversed view
-        grev = g[k - L:k][::-1]
-        conv = (b / k) * (jf[1:L + 1] @ grev)
+        gk = g[k - L:k]
+        conv = (b / k) * (jfrev[K - L:K] @ gk)
         if a != 0.0:
-            conv += af[1:L + 1] @ grev
-        fk = f[k] if k <= K else 0.0
-        g[k] = (p1_prime * fk + conv) / denom
+            conv += afrev[K - L:K] @ gk
+        g[k] = conv / denom
     return CompoundPmf(step=sev.step, masses=g)
 
 
@@ -193,16 +192,19 @@ def _borel_batch_masses(theta: float, f: np.ndarray, M: int) -> np.ndarray:
             break
         h0 = nxt
     h = np.zeros(M + 1)
-    c = np.zeros(M + 1)
     jh = np.zeros(M + 1)  # theta * j * h_j, filled as the recursion advances
+    # c is stored reversed (crev[M - j] = c_j), so that c_{k-1}, c_{k-2}, ...
+    # is the forward slice crev[M-k+1:] and both dot products below reach
+    # BLAS, which numpy uses for positive strides only.
+    crev = np.zeros(M + 1)
     h[0] = h0
-    c[0] = math.exp(-theta * (1.0 - h0))
+    c0 = crev[M] = math.exp(-theta * (1.0 - h0))
     for k in range(1, M + 1):
         L = min(k, K)
-        a_k = f[1:L + 1] @ c[k - L:k][::-1]
-        b_k = (jh[1:k] @ c[1:k][::-1]) / k
-        h[k] = (a_k + f[0] * b_k) / (1.0 - theta * c[0] * f[0])
-        c[k] = b_k + theta * c[0] * h[k]
+        a_k = f[1:L + 1] @ crev[M - k + 1:M - k + L + 1]
+        b_k = (jh[1:k] @ crev[M - k + 1:M]) / k
+        h[k] = (a_k + f[0] * b_k) / (1.0 - theta * c0 * f[0])
+        crev[M - k] = b_k + theta * c0 * h[k]
         jh[k] = theta * k * h[k]
     return h
 
@@ -246,7 +248,8 @@ def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):
     cdf = pmf.cdf()
     if cdf[-1] < alpha:
         raise TruncationError(
-            f"accumulated mass {cdf[-1]:.6f} < alpha = {alpha}; raise M"
+            f"accumulated mass {cdf[-1]:.6f} < alpha = {alpha}; raise the "
+            f"lattice end x_max (M = {len(cdf) - 1} cells of step {pmf.step})"
         )
     idx = int(np.searchsorted(cdf, alpha, side="left"))
     return cdf, float(idx * pmf.step)

@@ -170,7 +170,7 @@ def _run_panjer(model, cfg: ExperimentConfig):
     step = float(m.get("step", 0.01))
     x_max = m.get("x_max")
     pmf = oracle_compound_pmf(model, step=step,
-                              x_max=float(x_max) if x_max else None,
+                              x_max=None if x_max is None else float(x_max),
                               method=m.get("discretization", LOCAL_MOMENTS))
     rows = []
     for alpha in cfg.levels:

@@ -11,6 +11,7 @@ from lossmc import (
     DegenerateSeverity,
     GeneralizedPoissonFrequency,
     LogNormalSeverity,
+    NegativeBinomialFrequency,
     PoissonFrequency,
     TruncationError,
     UnsupportedModelError,
@@ -72,21 +73,38 @@ def test_discrete_severity_validation():
 # recursion identities
 # ---------------------------------------------------------------------------
 
-def test_recursion_matches_poisson_mixture():
-    """Aggregate masses equal the explicit sum of convolution powers."""
-    f = np.array([0.2, 0.5, 0.3])
-    sev = DiscreteSeverity(step=1.0, masses=f, method=ROUNDING)
-    lam, M = 1.3, 25
-    g = panjer_discrete(PoissonFrequency(lam).panjer(), sev, M)
+# Severities shorter (K = 2) and longer (K = 40) than the M = 25 lattice,
+# so the recursion's slices run both with L = K and with L = k.
+SHORT_SEVERITY = np.array([0.2, 0.5, 0.3])
+LONG_SEVERITY = 0.1 * 0.9 ** np.arange(41)
+MIXTURE_M = 25
+
+
+def _explicit_mixture(freq, f, M, n_max):
+    """sum_{n < n_max} p_n f^{*n} on the lattice points 0..M."""
     direct = np.zeros(M + 1)
     conv = np.array([1.0])
-    for n in range(60):
-        pn = stats.poisson.pmf(n, lam)
-        take = min(len(conv), M + 1)
-        direct[:take] += pn * conv[:take]
-        conv = np.convolve(conv, f)
+    for n in range(n_max):
+        direct[:len(conv)] += freq.pmf(n) * conv
+        conv = np.convolve(conv, f)[:M + 1]
+    return direct
+
+
+@pytest.mark.parametrize("f", [SHORT_SEVERITY, LONG_SEVERITY], ids=["short", "long"])
+@pytest.mark.parametrize("freq", [PoissonFrequency(1.3),
+                                  NegativeBinomialFrequency(2.0, 1.0),
+                                  BinomialFrequency(5, 0.4)],
+                         ids=["poisson", "negbinomial", "binomial"])
+def test_recursion_matches_explicit_mixture(freq, f):
+    """Aggregate masses equal the explicit sum of convolution powers.
+
+    The three frequencies cover a = 0, a > 0 and a < 0.
+    """
+    sev = DiscreteSeverity(step=1.0, masses=f, method=ROUNDING)
+    g = panjer_discrete(freq.panjer(), sev, MIXTURE_M)
+    direct = _explicit_mixture(freq, f, MIXTURE_M, 80)
     assert np.max(np.abs(g.masses - direct)) < 1e-10
-    assert abs(g.masses[0] - math.exp(-lam * (1.0 - f[0]))) < 1e-10
+    assert abs(g.masses[0] - freq.pgf(f[0])) < 1e-10
 
 
 def test_poisson_unit_severity_gives_count_law():
@@ -127,6 +145,15 @@ def test_gpd_unit_severity_gives_count_law():
     freq = GeneralizedPoissonFrequency(2.0, 0.3)
     ref = np.array([freq.pmf(k) for k in range(81)])
     assert np.max(np.abs(g.masses - ref)) < 1e-10
+
+
+def test_gpd_matches_explicit_mixture():
+    """A short non-unit severity (K = 2 < M) against sum_n p_n f^{*n}."""
+    freq = GeneralizedPoissonFrequency(1.3, 0.3)
+    sev = DiscreteSeverity(step=1.0, masses=SHORT_SEVERITY, method=ROUNDING)
+    g = gpd_panjer_discrete(freq.lam, freq.theta, sev, MIXTURE_M)
+    direct = _explicit_mixture(freq, SHORT_SEVERITY, MIXTURE_M, 150)
+    assert np.max(np.abs(g.masses - direct)) < 1e-10
 
 
 def test_gpd_lognormal_mass_accumulates():

@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -321,3 +324,39 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, bad, block, key):
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and "must be finite" in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("x_max", [0, -5.0])
+def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
+    """x_max <= 0 leaves no lattice cell; it must not fall back to the default."""
+    cfg = _write_config(tmp_path, {"kind": "panjer", "step": 0.5, "x_max": x_max})
+    rc = main(["panjer", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError"
+    assert "need at least one lattice cell" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_truncated_panjer_lattice_names_x_max(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"kind": "panjer", "step": 0.5, "x_max": 10.0},
+                        levels=[0.99])
+    rc = main(["panjer", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "TruncationError"
+    assert "x_max" in doc["detail"] and "M = 20" in doc["detail"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg = _write_config(tmp_path, {"kind": "sla"})
+    out = tmp_path / "out.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lossmc", "sla", "--config", cfg, "--path", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(out)
+    assert out.read_text().startswith("alpha,")
