@@ -45,7 +45,17 @@ from .volterra import (
     risk_measures_from_measure,
 )
 
-_METHODS = ("mc", "sla", "panjer", "particle", "rare-event")
+# The keys each method kind reads besides "kind"; any other key is a typo
+# that would otherwise fall back to a default silently.
+_METHOD_KEYS = {
+    "mc": {"T", "ci_level"},
+    "sla": {"order"},
+    "panjer": {"step", "x_max", "discretization"},
+    "particle": {"grid_width", "x_max", "n_per_point", "proposal", "beta_a",
+                 "beta_b", "p_d", "use_all_states"},
+    "rare-event": {"thresholds", "n_particles", "mh_steps", "replicates"},
+}
+_METHODS = tuple(_METHOD_KEYS)
 _LEVELS_TABLE1 = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)
 
 
@@ -67,6 +77,10 @@ class ExperimentConfig:
         kind = self.method.get("kind") if isinstance(self.method, dict) else None
         if kind not in _METHODS:
             raise ValueError(f"method.kind must be one of {_METHODS}, got {kind!r}")
+        unknown = set(self.method) - _METHOD_KEYS[kind] - {"kind"}
+        if unknown:
+            raise ValueError(f"unknown {kind} method keys {sorted(unknown)}; "
+                             f"allowed: {sorted(_METHOD_KEYS[kind])}")
         levels = [float(a) for a in self.levels]
         if not levels or any(not (0.0 < a < 1.0) for a in levels):
             raise ValueError("levels must be probabilities in (0, 1)")

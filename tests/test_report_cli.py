@@ -338,6 +338,27 @@ def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command,method,typo", [
+    ("simulate", {"kind": "mc", "T": 100, "ci_levl": 0.9}, "ci_levl"),
+    ("sla", {"kind": "sla", "ordr": 2}, "ordr"),
+    ("panjer", {"kind": "panjer", "stepp": 0.5, "x_max": 50.0}, "stepp"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
+                  "grid_widht": 0.5}, "grid_widht"),
+    ("rare-event", {"kind": "rare-event", "thresholds": [20.0], "n_particles": 100,
+                    "replicates": 2, "mh_step": 1}, "mh_step"),
+], ids=["mc", "sla", "panjer", "particle", "rare-event"])
+def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, typo):
+    """A misspelled key must not fall back to the key's default."""
+    cfg = _write_config(tmp_path, method)
+    rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and repr(typo) in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_truncated_panjer_lattice_names_x_max(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"kind": "panjer", "step": 0.5, "x_max": 10.0},
                         levels=[0.99])

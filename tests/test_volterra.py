@@ -10,6 +10,7 @@ from lossmc import (
     CompoundModel,
     GeneralizedPoissonFrequency,
     LogNormalSeverity,
+    NegativeBinomialFrequency,
     PathSample,
     PathSamplerConfig,
     PcgStream,
@@ -32,7 +33,7 @@ from lossmc import (
     risk_measures_from_measure,
     simulate_absorbed_path,
 )
-from lossmc.volterra import INTERVAL, POINTWISE_GRID
+from lossmc.volterra import _BLOCK_PARTICLES, _DEAD_FLOOR, INTERVAL, POINTWISE_GRID
 
 from conftest import particle_config, sigma05_model, sigma1_model
 
@@ -121,7 +122,7 @@ def test_zero_length_path_weight_is_first_term():
 
 
 class _UpwardProposal:
-    def sample(self, x, stream):
+    def sample(self, x, u):
         return np.asarray(x, dtype=float) + 1.0
 
     def density(self, x, x1):
@@ -129,7 +130,7 @@ class _UpwardProposal:
 
 
 class _ZeroDensityProposal:
-    def sample(self, x, stream):
+    def sample(self, x, u):
         return np.asarray(x, dtype=float) / 2.0
 
     def density(self, x, x1):
@@ -190,6 +191,30 @@ def test_path_length_is_geometric():
     assert abs(lengths.mean() - 1.0) <= 3.0 * se
 
 
+@pytest.mark.parametrize("frequency", [
+    PoissonFrequency(2.0),                   # a = 0
+    NegativeBinomialFrequency(2.0, 1.5),     # a > 0
+    GeneralizedPoissonFrequency(2.0, 0.3),
+], ids=["poisson", "negbinomial", "genpoisson"])
+@pytest.mark.parametrize("sigma", [0.5, 1.0])
+def test_size_biased_move_ratio_matches_kernel_over_density(frequency, sigma):
+    """The closed-form ratio of the fused move is k / ((1 - p_d) q)."""
+    model = CompoundModel(frequency, LogNormalSeverity(2.0, sigma))
+    kernel = build_volterra_kernel(model)
+    proposal = SizeBiasedProposal(model.severity)
+    mass = 1.0 - default_absorption(model)
+    xs = np.geomspace(1e-3, 400.0, 60)
+    # u = 1 draws the largest decrement, which is capped at x for some x
+    us = np.array([1e-12, 1e-6, 0.01, 0.3, 0.7, 0.999999, 1.0])
+    x, u = (a.ravel() for a in np.meshgrid(xs, us))
+    x1, ratio = proposal.move(x, u, kernel, mass)
+    assert np.array_equal(x1, proposal.sample(x, u))
+    ref = kernel.k(x, x1) / (mass * proposal.density(x, x1))
+    assert np.all(ref > 0.0) and np.all(np.isfinite(ratio))
+    assert np.allclose(ratio, ref, rtol=1e-12, atol=0.0)
+    assert np.any(x1 == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # density estimates
 # ---------------------------------------------------------------------------
@@ -214,6 +239,77 @@ def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
     assert abs(reps.mean() - 0.0246406524) <= 3.0 * se
 
 
+def _single_point_contributions(x0, n, kernel, cfg, stream):
+    """Loop reference: one grid point's particles alone on ``stream``."""
+    pd = cfg.p_d
+    x, w = np.full(n, x0), np.ones(n)
+    acc = np.full(n, kernel.g(x0)) if cfg.use_all_states else np.zeros(n)
+    forced = not cfg.use_all_states and cfg.vr_pointwise and pd < 1.0
+    if forced:
+        x, w = cfg.proposal.move(x, stream.uniforms(n), kernel, 1.0)
+    active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
+    while active.size:
+        moving = stream.uniforms(active.size) > pd
+        if not cfg.use_all_states:
+            ended = active[~moving]
+            acc[ended] = w[ended] * kernel.g(x[ended]) / pd
+        active = active[moving]
+        if not active.size:
+            break
+        x1, ratio = cfg.proposal.move(x[active], stream.uniforms(active.size),
+                                      kernel, 1.0 - pd)
+        w[active] *= ratio
+        x[active] = x1
+        if cfg.use_all_states:
+            acc[active] += w[active] * kernel.g(x1)
+        active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
+    return kernel.g(x0) + acc if forced else acc
+
+
+def _single_point_grid(model, grid, n, cfg, streams):
+    kernel = build_volterra_kernel(model)
+    contrib = [_single_point_contributions(x0, n, kernel, cfg, s)
+               for x0, s in zip(grid, streams)]
+    return (np.array([c.mean() for c in contrib]),
+            np.array([c.std(ddof=1) / math.sqrt(n) for c in contrib]))
+
+
+@pytest.mark.parametrize("rule", ACCUMULATION_RULES)
+@pytest.mark.parametrize("proposal", ["beta", "sizebias"])
+def test_grid_blocks_match_single_points(rule, proposal):
+    """Blocks of grid points give the estimates of one point at a time,
+    each on its own spawned substream."""
+    model = sigma1_model()
+    n = 1500
+    grid = np.arange(2.0, 400.0, 9.0)
+    assert 1 < _BLOCK_PARTICLES // n < len(grid)
+    extra = {"proposal": BetaProposal(1.0, 1.2)} if proposal == "beta" else {}
+    cfg = particle_config(model, **ACCUMULATION_RULES[rule], **extra)
+    measure = estimate_density_grid(model, grid, n, cfg, PcgStream(77))
+    est, se = _single_point_grid(model, grid, n, cfg, PcgStream(77).spawn(len(grid)))
+    if proposal == "beta":
+        assert np.array_equal(measure.weights, est)
+        assert np.array_equal(measure.stderr, se)
+    else:
+        assert np.allclose(measure.weights, est, rtol=1e-13, atol=0.0)
+        assert np.allclose(measure.stderr, se, rtol=1e-13, atol=0.0)
+
+
+def test_shared_stream_runs_grid_points_one_after_another():
+    """A stream that cannot spawn is read point by point, as a loop would."""
+    model = sigma05_model()
+    cfg = particle_config(model, use_all_states=False)
+    grid = [10.0, 20.0, 30.0]
+    values = PcgStream(3).uniforms(400)
+    blocked = SequenceStream(values)
+    measure = estimate_density_grid(model, grid, 5, cfg, blocked)
+    looped = SequenceStream(values)
+    est, se = _single_point_grid(model, grid, 5, cfg, [looped] * len(grid))
+    assert np.array_equal(measure.weights, est)
+    assert np.array_equal(measure.stderr, se)
+    assert blocked.remaining == looped.remaining < len(values)
+
+
 def test_certain_absorption_reduces_to_first_term():
     model = sigma05_model()
     kernel = build_volterra_kernel(model)
@@ -229,6 +325,10 @@ def test_grid_requires_positive_points():
     model = sigma05_model()
     with pytest.raises(ValueError):
         estimate_density_grid(model, [0.0, 1.0], 10, particle_config(model),
+                              PcgStream(1))
+    # zero paths per point would give NaN estimates
+    with pytest.raises(ValueError):
+        estimate_density_grid(model, [1.0, 2.0], 0, particle_config(model),
                               PcgStream(1))
 
 
