@@ -71,7 +71,6 @@ from .panjer import (
     discretize_severity,
     gpd_panjer_discrete,
     oracle_compound_pmf,
-    oracle_quantile,
     oracle_tail_stats,
     panjer_discrete,
 )

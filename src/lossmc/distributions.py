@@ -89,8 +89,13 @@ class FrequencyModel:
         """E[N(N-1)], the ingredient of the second-order constants."""
         raise NotImplementedError
 
-    def pgf(self, s: float) -> float:
+    def pgf(self, s):
+        """E[s^N], elementwise over real or complex numpy input."""
         raise NotImplementedError
+
+    def pgf_radius(self) -> float:
+        """Radius of convergence of the pgf's power series about 0."""
+        return math.inf
 
     def panjer(self) -> PanjerParams:
         raise UnsupportedModelError(
@@ -156,8 +161,8 @@ class PoissonFrequency(FrequencyModel):
     def factorial_moment2(self) -> float:
         return self.lam ** 2
 
-    def pgf(self, s: float) -> float:
-        return math.exp(-self.lam * (1.0 - s))
+    def pgf(self, s):
+        return np.exp(self.lam * (np.asarray(s) - 1.0))
 
     def panjer(self) -> PanjerParams:
         return PanjerParams(0.0, self.lam, math.exp(-self.lam))
@@ -220,8 +225,8 @@ class BinomialFrequency(FrequencyModel):
     def factorial_moment2(self) -> float:
         return self.m * (self.m - 1) * self.q ** 2
 
-    def pgf(self, s: float) -> float:
-        return (1.0 - self.q + self.q * s) ** self.m
+    def pgf(self, s):
+        return (1.0 - self.q + self.q * np.asarray(s)) ** self.m
 
     def panjer(self) -> PanjerParams:
         ratio = self.q / (1.0 - self.q)
@@ -256,8 +261,11 @@ class NegativeBinomialFrequency(FrequencyModel):
     def factorial_moment2(self) -> float:
         return self.r * (self.r + 1.0) * self.beta ** 2
 
-    def pgf(self, s: float) -> float:
-        return (1.0 + self.beta * (1.0 - s)) ** (-self.r)
+    def pgf(self, s):
+        return (1.0 + self.beta * (1.0 - np.asarray(s))) ** (-self.r)
+
+    def pgf_radius(self) -> float:
+        return 1.0 + 1.0 / self.beta
 
     def panjer(self) -> PanjerParams:
         pr = self.beta / (1.0 + self.beta)
@@ -315,18 +323,30 @@ class GeneralizedPoissonFrequency(FrequencyModel):
         var = self.lam / (1.0 - self.theta) ** 3
         return var + mu * mu - mu
 
-    def pgf(self, s: float) -> float:
-        cap = self._support_cap()
-        n_max = cap if cap is not None else 4096
-        n = np.arange(n_max + 1)
-        pm = self.pmf(n)
-        if cap is None:
-            # extend until the pmf tail is negligible
-            while pm[-1] > 1e-18 and n_max < 1_000_000:
-                n_max *= 2
-                n = np.arange(n_max + 1)
-                pm = self.pmf(n)
-        return float(np.dot(pm, s ** n))
+    def pgf(self, s):
+        """exp(lam (B(s) - 1)) for theta in [0, 1): a Poisson(lam) number of
+        Borel(theta) clusters, whose size pgf B solves B = s e^{theta (B - 1)},
+        so B = -W(-theta s e^{-theta}) / theta with W the principal Lambert W.
+        For theta < 0 the support is finite and the pgf is its polynomial."""
+        s = np.asarray(s)
+        lam, th = self.lam, self.theta
+        if th < 0.0:
+            pm = self.pmf(np.arange(self._support_cap() + 1))
+            out = 0.0
+            for p in pm[::-1]:
+                out = out * s + p
+            return out
+        if th == 0.0:
+            return np.exp(lam * (s - 1.0))
+        b = special.lambertw(-th * math.exp(-th) * s) / -th
+        out = np.exp(lam * (b - 1.0))
+        return out if np.iscomplexobj(s) else out.real
+
+    def pgf_radius(self) -> float:
+        # the branch point of W at -1/e: theta s e^{-theta} = 1/e
+        if self.theta <= 0.0:
+            return math.inf
+        return math.exp(self.theta - 1.0) / self.theta
 
 
 def _as_frequency(model) -> FrequencyModel:

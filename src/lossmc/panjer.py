@@ -1,11 +1,18 @@
-"""Discrete recursions: the deterministic oracle for the compound law.
+"""Lattice compound law: the deterministic oracle.
 
-The severity is first forced onto a lattice of step ``step``; the
-compound probability masses then follow from the (a, b, 0) recursion,
-or, for the generalized Poisson frequency, from a two-stage branching
-construction (see :func:`gpd_panjer_discrete`).  On a fine lattice
-these masses serve as ground truth for densities, distribution values
-and quantiles everywhere else in the package.
+The severity is first forced onto a lattice of step ``step``.  The
+compound masses then follow, for every frequency kind, from one discrete
+Fourier transform of the severity masses pushed through the count's
+pgf (:func:`compound_pmf_transform`).  The buffer length L comes from the
+lattice: it doubles from 2(M+1) cells until the wrapped-round mass is
+negligible.  A second pass on exponentially tilted masses keeps deep-tail
+masses (down to 1e-28 on a 1400-unit lattice) to a relative 1e-5; its
+tilt also comes from the lattice, as the largest whose tilted top cell
+stays 1e-8 below the tilted peak, within the pgf's domain.  The (a, b, 0)
+recursion :func:`panjer_discrete` stays as the small reference the
+transform is checked against.  On a fine lattice these masses serve as
+ground truth for densities, distribution values and quantiles everywhere
+else in the package.
 """
 from __future__ import annotations
 
@@ -14,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .distributions import (
     FrequencyModel,
+    GeneralizedPoissonFrequency,
     PanjerParams,
-    PoissonFrequency,
     SeverityModel,
 )
 from .errors import RecursionInstabilityError, TruncationError, UnsupportedModelError
@@ -26,6 +34,15 @@ from .errors import RecursionInstabilityError, TruncationError, UnsupportedModel
 ROUNDING = "rounding"
 LOCAL_MOMENTS = "local_moments"
 DEFAULT_STEP = 0.01
+EPS = np.finfo(float).eps
+# Transform tuning (see compound_pmf_transform): the wrap-round test of the
+# buffer length and its cap, the tilted top-cell share and the pgf-domain
+# margin.
+ALIAS_EPS_MULT = 64.0
+MAX_LENGTH_FACTOR = 16
+TILT_TOP_SHARE = 1e-8
+PGF_DOMAIN_SHARE = 0.9
+PGF_BLOCK = 8192
 
 
 @dataclass
@@ -50,10 +67,15 @@ class DiscreteSeverity:
 
 @dataclass
 class CompoundPmf:
-    """Compound masses g_0..g_M on the same lattice as the severity."""
+    """Compound masses g_0..g_M on the same lattice as the severity.
+
+    ``tilt`` is the exponential tilt per unit loss of the transform's
+    second pass, 0 when the masses came from the untilted pass alone.
+    """
 
     step: float
     masses: np.ndarray
+    tilt: float = 0.0
 
     def __post_init__(self):
         self.masses = np.asarray(self.masses, dtype=float)
@@ -167,59 +189,112 @@ def panjer_discrete(freq: PanjerParams, sev: DiscreteSeverity, M: int) -> Compou
     return CompoundPmf(step=sev.step, masses=g)
 
 
-def _borel_batch_masses(theta: float, f: np.ndarray, M: int) -> np.ndarray:
-    """Lattice masses of one branching cluster's total severity.
+def _tilt(f: np.ndarray, step: float, radius: float) -> float:
+    """Exponential tilt per unit loss for the transform's second pass.
 
-    A generalized Poisson count is a Poisson(lam) number of clusters
-    whose sizes follow a Borel(theta) law -- the total progeny of a
-    branching process with Poisson(theta) offspring.  The cluster's
-    total severity h therefore solves the fixed-point relation
-
-        h = f * CP(theta, h)
-
-    (severity of the root convolved with a compound-Poisson(theta) sum
-    of i.i.d. copies of h).  Writing c for the CP(theta, h) masses and
-    using the Poisson-Panjer step for c_k leaves, at each k, a 2x2
-    linear system in (h_k, c_k) that is solved in closed form.
+    The largest theta whose tilted top cell f_top e^{theta x_top} is at
+    most TILT_TOP_SHARE of the tilted peak max_k f_k e^{theta x_k}, so that
+    the tilted compound law still dies out before the buffer wraps round.
+    The tilted severity mass is also kept below PGF_DOMAIN_SHARE of the
+    pgf's radius of convergence.  Returns 0 when no positive tilt passes.
     """
-    K = len(f) - 1
-    # fixed point for the lattice origin: h0 = f0 * exp(-theta (1 - h0))
-    h0 = f[0] * math.exp(-theta)
-    for _ in range(200):
-        nxt = f[0] * math.exp(-theta * (1.0 - h0))
-        if abs(nxt - h0) < 1e-16:
-            h0 = nxt
+    top = int(np.flatnonzero(f)[-1]) if np.any(f) else 0
+    if top == 0:
+        return 0.0
+    x = step * np.arange(top + 1)
+    with np.errstate(divide="ignore"):
+        logf = np.log(f[:top + 1])
+    theta = float(np.max((math.log(TILT_TOP_SHARE) + logf[:top] - logf[top])
+                         / (x[top] - x[:top])))
+    if not theta > 0.0:
+        return 0.0
+    cap = PGF_DOMAIN_SHARE * radius
+
+    def tilted_mass(t):
+        return float(np.exp(logf + t * x).sum())
+
+    if tilted_mass(theta) < cap:
+        return theta
+    if tilted_mass(0.0) >= cap:
+        return 0.0
+    lo, hi = 0.0, theta           # the tilted mass grows with theta: bisect
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if tilted_mass(mid) < cap else (lo, mid)
+    return lo
+
+
+def _transform_pass(freq: FrequencyModel, f: np.ndarray, x: np.ndarray,
+                    theta: float, L: int):
+    """One pass at tilt ``theta``: irfft(pgf_N(rfft(f e^{theta x}, L))).
+
+    Returns the masses on the lattice x, untilted; their rounding floors
+    eps sum|g_theta| e^{-theta x} (the transform's rounding error scales
+    with its zero-frequency term, the total tilted mass); and whether the
+    top len(x) cells of the circular buffer, where the mass past L wraps
+    to, exceed ALIAS_EPS_MULT rounding units of its peak.  The pgf
+    overwrites the spectrum block by block, so its temporaries stay small.
+    """
+    untilt = None if theta == 0.0 else np.exp(-theta * x)
+    spec = np.fft.rfft(f if untilt is None else f / untilt[:len(f)], L)
+    for i in range(0, len(spec), PGF_BLOCK):
+        spec[i:i + PGF_BLOCK] = freq.pgf(spec[i:i + PGF_BLOCK])
+    buf = np.fft.irfft(spec, L)
+    n = len(x)
+    wrapped = np.max(np.abs(buf[L - n:])) >= ALIAS_EPS_MULT * EPS * np.max(np.abs(buf))
+    floor = EPS * np.abs(buf).sum()
+    if untilt is None:
+        return buf[:n].copy(), np.full(n, floor), wrapped
+    return buf[:n] * untilt, floor * untilt, wrapped
+
+
+def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
+                           M: int) -> CompoundPmf:
+    """Compound masses g_0..g_M by the discrete Fourier transform.
+
+    g = irfft(pgf_N(rfft(f e^{theta x}, L))) e^{-theta x} holds for every
+    theta, because tilting commutes with convolution.  The untilted pass
+    fixes L: starting from 2(M+1) cells, L doubles until nothing
+    measurable wraps round.  A count law so heavy that L reaches
+    MAX_LENGTH_FACTOR (M+1) is damped instead: a tilt of
+    -log(1/eps)/(L step) shrinks the wrapped mass below eps and raises the
+    floor at x_max by at most e^{log(1/eps)/MAX_LENGTH_FACTOR}.
+
+    A second pass at the tilt of :func:`_tilt` then brings the absolute
+    rounding floor far below the untilted one in the deep tail.  Each
+    point takes the pass with the lower floor, and rounding noise below
+    zero is clipped.
+    """
+    f = sev.masses[:M + 1]
+    x = sev.step * np.arange(M + 1)
+    L = sp_fft.next_fast_len(2 * (M + 1), real=True)
+    damp = 0.0
+    g, floor, wrapped = _transform_pass(freq, f, x, 0.0, L)
+    while wrapped:
+        if L >= MAX_LENGTH_FACTOR * (M + 1):
+            damp = -math.log(EPS) / (L * sev.step)
+            g, floor, _ = _transform_pass(freq, f, x, -damp, L)
             break
-        h0 = nxt
-    h = np.zeros(M + 1)
-    jh = np.zeros(M + 1)  # theta * j * h_j, filled as the recursion advances
-    # c is stored reversed (crev[M - j] = c_j), so that c_{k-1}, c_{k-2}, ...
-    # is the forward slice crev[M-k+1:] and both dot products below reach
-    # BLAS, which numpy uses for positive strides only.
-    crev = np.zeros(M + 1)
-    h[0] = h0
-    c0 = crev[M] = math.exp(-theta * (1.0 - h0))
-    for k in range(1, M + 1):
-        L = min(k, K)
-        a_k = f[1:L + 1] @ crev[M - k + 1:M - k + L + 1]
-        b_k = (jh[1:k] @ crev[M - k + 1:M]) / k
-        h[k] = (a_k + f[0] * b_k) / (1.0 - theta * c0 * f[0])
-        crev[M - k] = b_k + theta * c0 * h[k]
-        jh[k] = theta * k * h[k]
-    return h
+        L = sp_fft.next_fast_len(2 * L, real=True)
+        g, floor, wrapped = _transform_pass(freq, f, x, 0.0, L)
+    theta = _tilt(f, sev.step, freq.pgf_radius())
+    if theta > 0.0:
+        g_t, floor_t, _ = _transform_pass(freq, f, x, theta - damp, L)
+        # a pass that overflowed has nan or inf floors and is never taken
+        use = floor_t < floor
+        g[use] = g_t[use]
+    np.maximum(g, 0.0, out=g)
+    return CompoundPmf(step=sev.step, masses=g, tilt=theta)
 
 
 def gpd_panjer_discrete(lam: float, theta: float, sev: DiscreteSeverity,
                         M: int) -> CompoundPmf:
     """Compound masses under a generalized Poisson frequency.
 
-    theta = 0 reduces to the plain Poisson recursion.  For theta in
-    (0, 1) the generalized Poisson count is equivalent in law to a
-    Poisson(lam) number of Borel(theta) clusters, so the compound mass
-    is obtained by first building one cluster's severity lattice via
-    :func:`_borel_batch_masses` and then running the ordinary Poisson
-    recursion over clusters.  Negative dispersion has no such cluster
-    representation and is not supported here.
+    For theta in [0, 1) the count is a Poisson(lam) number of Borel(theta)
+    clusters, whose pgf has the Lambert-W closed form that
+    :func:`compound_pmf_transform` evaluates.  Negative dispersion has no
+    such cluster representation and is not supported here.
     """
     if lam <= 0.0:
         raise ValueError("rate must be positive")
@@ -230,11 +305,7 @@ def gpd_panjer_discrete(lam: float, theta: float, sev: DiscreteSeverity,
         )
     if theta >= 1.0:
         raise ValueError("dispersion must be < 1")
-    if theta == 0.0:
-        return panjer_discrete(PoissonFrequency(lam).panjer(), sev, M)
-    h = _borel_batch_masses(theta, sev.masses, M)
-    cluster = DiscreteSeverity(step=sev.step, masses=h, method=sev.method)
-    return panjer_discrete(PoissonFrequency(lam).panjer(), cluster, M)
+    return compound_pmf_transform(GeneralizedPoissonFrequency(lam, theta), sev, M)
 
 
 def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):
@@ -257,7 +328,7 @@ def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):
 
 def oracle_compound_pmf(model, step: float = DEFAULT_STEP, x_max: float | None = None,
                         method: str = LOCAL_MOMENTS) -> CompoundPmf:
-    """One-call oracle: discretize the severity and run the recursion.
+    """One-call oracle: discretize the severity and transform it.
 
     ``x_max`` defaults to a generous multiple of the mean; raise it (or
     catch TruncationError from the quantile call) for very deep levels.
@@ -267,16 +338,9 @@ def oracle_compound_pmf(model, step: float = DEFAULT_STEP, x_max: float | None =
         x_max = 40.0 * max(model.mean(), 1.0)
     M = int(math.ceil(x_max / step))
     sev = discretize_severity(model.severity, step, M, method=method)
-    if isinstance(freq, FrequencyModel) and freq.kind == "genpoisson":
+    if freq.kind == "genpoisson":
         return gpd_panjer_discrete(freq.lam, freq.theta, sev, M)
-    return panjer_discrete(freq.panjer(), sev, M)
-
-
-def oracle_quantile(model, alpha: float, step: float = DEFAULT_STEP,
-                    x_max: float | None = None) -> float:
-    pmf = oracle_compound_pmf(model, step=step, x_max=x_max)
-    _, q = compound_cdf_quantile(pmf, alpha)
-    return q
+    return compound_pmf_transform(freq, sev, M)
 
 
 def oracle_tail_stats(pmf: CompoundPmf, alpha: float):

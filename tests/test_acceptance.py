@@ -7,9 +7,9 @@ independent sub-claims get one line per sub-claim).  Expensive inputs (the
 recursion pmf) come from the session fixtures in conftest.py.
 
 The two full-budget particle rows at the 99% level are marked strict-xfail:
-with the half-cell grid convention the point estimate lands one unit above
-the printed bracket at both benchmark parameterizations, and no seed choice
-moves it inside without also breaking the neighbouring rows.
+the point estimate lands just above the printed bracket at both benchmark
+parameterizations, but the recursion oracle gives 57.20 and 129.47 there,
+so the grid is right and it is the printed brackets that disagree.
 """
 import math
 
@@ -123,8 +123,8 @@ def test_criterion_3_particle_full_budget_sigma1(sigma1_grid_full):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="half-cell grid convention: the 99% point estimate sits at 57, "
-           "one unit above the printed bracket [54, 56]",
+    reason="the oracle's 99% quantile is 57.20, so the grid's 57 is right "
+           "and the printed bracket [54, 56] disagrees",
 )
 def test_criterion_3_particle_99_row_sigma05(sigma05_grid_full):
     q = quantile_from_measure(sigma05_grid_full, 0.99)
@@ -133,8 +133,8 @@ def test_criterion_3_particle_99_row_sigma05(sigma05_grid_full):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="half-cell grid convention: the 99% point estimate sits just "
-           "above the printed bracket [119, 127]",
+    reason="the oracle's 99% quantile is 129.47, so the grid's estimate "
+           "is right and the printed bracket [119, 127] disagrees",
 )
 def test_criterion_3_particle_99_row_sigma1(sigma1_grid_full):
     q = quantile_from_measure(sigma1_grid_full, 0.99)

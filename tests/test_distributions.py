@@ -198,6 +198,33 @@ def test_generalized_poisson_has_no_panjer_params():
         GeneralizedPoissonFrequency(2.0, 0.3).panjer()
 
 
+# complex points on and inside the unit circle, plus s = 1 and s = -1
+PGF_POINTS = np.concatenate([np.exp(1j * np.linspace(0.0, np.pi, 9)),
+                             0.9 * np.exp(1j * np.linspace(0.3, 3.0, 5)),
+                             [0.0, 0.4 + 0.3j]])
+
+
+@pytest.mark.parametrize("freq", [
+    PoissonFrequency(2.0),
+    BinomialFrequency(5, 0.4),
+    NegativeBinomialFrequency(2.0, 1.0),
+    NegativeBinomialFrequency(2.0, 9.0),
+    GeneralizedPoissonFrequency(1.5, 0.3),
+    GeneralizedPoissonFrequency(2.0, 0.9),
+    GeneralizedPoissonFrequency(2.0, -0.3),
+], ids=["poisson", "binomial", "negbinomial", "negbinomial-beta9",
+        "genpoisson", "genpoisson-theta09", "genpoisson-negative"])
+def test_pgf_matches_power_series(freq):
+    """pgf(s) = sum_n p_n s^n, elementwise on a complex array."""
+    n = np.arange(20_000)      # the slowest tail, theta = 0.9, is below 1e-40
+    pm = freq.pmf(n)
+    series = np.array([np.sum(pm * s ** n) for s in PGF_POINTS])
+    assert np.max(np.abs(freq.pgf(PGF_POINTS) - series)) < 1e-13
+    # a real argument gives a real value: the total mass at s = 1
+    assert np.isrealobj(freq.pgf(1.0))
+    assert freq.pgf(1.0) == pytest.approx(pm.sum(), abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # frequency sampling
 # ---------------------------------------------------------------------------

@@ -174,6 +174,102 @@ def test_gpd_rejects_unusable_parameters():
 
 
 # ---------------------------------------------------------------------------
+# the transform against independent references
+# ---------------------------------------------------------------------------
+
+# x_max of two lattices of step 0.05 under the sigma=0.5 severity: the deep
+# one's tail masses fall to 1e-28, which only the tilted pass resolves; the
+# short one's buffer must double before the wrapped mass is negligible.
+LATTICES = {"deep": 1400.0, "short": 30.0}
+
+
+def _lattice(freq, lattice):
+    """The oracle's pmf on a lattice, and the severity it discretized."""
+    model = CompoundModel(freq, LogNormalSeverity(2.0, 0.5))
+    pmf = oracle_compound_pmf(model, step=0.05, x_max=LATTICES[lattice])
+    M = len(pmf.masses) - 1
+    return pmf, discretize_severity(model.severity, 0.05, M, method=LOCAL_MOMENTS)
+
+
+def _assert_transform_gates(pmf, ref, deep):
+    """<= 1e-15 absolute everywhere; on a deep lattice also <= 5e-5
+    relative from x = 2 on, where the masses reach down to 1e-28."""
+    assert np.all(np.isfinite(pmf.masses)) and np.all(pmf.masses >= 0.0)
+    assert np.max(np.abs(pmf.masses - ref)) <= 1e-15
+    if deep:
+        far = pmf.grid() >= 2.0
+        assert np.max(np.abs(pmf.masses[far] / ref[far] - 1.0)) <= 5e-5
+
+
+@pytest.mark.parametrize("lattice", list(LATTICES))
+@pytest.mark.parametrize("freq", [PoissonFrequency(2.0),
+                                  BinomialFrequency(5, 0.4),
+                                  NegativeBinomialFrequency(2.0, 1.0)],
+                         ids=["poisson", "binomial", "negbinomial"])
+def test_transform_matches_recursion(freq, lattice):
+    pmf, sev = _lattice(freq, lattice)
+    ref = panjer_discrete(freq.panjer(), sev, len(pmf.masses) - 1)
+    _assert_transform_gates(pmf, ref.masses, lattice == "deep")
+    assert (pmf.tilt > 0.0) == (lattice == "deep")
+
+
+def _borel_cluster_reference(lam, theta, sev, M):
+    """Generalized Poisson compound masses by the branching-cluster recursion.
+
+    A Poisson(lam) number of Borel(theta) clusters: one cluster's total
+    severity h solves h = f * CP(theta, h), which leaves a 2x2 linear
+    system in (h_k, c_k) at each k, c being the CP(theta, h) masses.
+    """
+    f = sev.masses
+    h0 = f[0] * math.exp(-theta)
+    for _ in range(200):
+        h0 = f[0] * math.exp(-theta * (1.0 - h0))
+    h, jh, c = np.zeros(M + 1), np.zeros(M + 1), np.zeros(M + 1)
+    h[0], c[0] = h0, math.exp(-theta * (1.0 - h0))
+    for k in range(1, M + 1):
+        a_k = f[1:k + 1] @ c[k - 1::-1]
+        b_k = (jh[1:k] @ c[k - 1:0:-1]) / k
+        h[k] = (a_k + f[0] * b_k) / (1.0 - theta * c[0] * f[0])
+        c[k] = b_k + theta * c[0] * h[k]
+        jh[k] = theta * k * h[k]
+    cluster = DiscreteSeverity(step=sev.step, masses=h, method=sev.method)
+    return panjer_discrete(PoissonFrequency(lam).panjer(), cluster, M).masses
+
+
+@pytest.mark.parametrize("freq", [NegativeBinomialFrequency(2.0, 3.0),
+                                  NegativeBinomialFrequency(2.0, 9.0),
+                                  GeneralizedPoissonFrequency(2.0, 0.9)],
+                         ids=["negbinomial-beta3", "negbinomial-beta9",
+                              "genpoisson-theta09"])
+def test_transform_at_pgf_domain_edge(freq):
+    """Counts whose pgf's domain ends close past s = 1, which caps the tilt.
+
+    The negative binomial's pole at 1.33 leaves a smaller tilt than the
+    severity alone allows; its pole at 1.11 and the Lambert-W branch point
+    at 1.005 leave none.  The generalized Poisson's count tail is so heavy
+    that its buffer is damped.
+    """
+    pmf, sev = _lattice(freq, "deep")
+    M = len(pmf.masses) - 1
+    if freq.kind == "genpoisson":
+        ref = _borel_cluster_reference(freq.lam, freq.theta, sev, M)
+    else:
+        ref = panjer_discrete(freq.panjer(), sev, M).masses
+    _assert_transform_gates(pmf, ref, deep=True)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.9])
+def test_gpd_transform_matches_explicit_mixture(theta):
+    """A 200-cell lognormal lattice against sum_n p_n f^{*n}."""
+    freq = GeneralizedPoissonFrequency(1.5, theta)
+    sev = discretize_severity(LogNormalSeverity(2.0, 0.5), 0.5, 200,
+                              method=LOCAL_MOMENTS)
+    g = gpd_panjer_discrete(freq.lam, theta, sev, 200)
+    direct = _explicit_mixture(freq, sev.masses, 200, 150)
+    _assert_transform_gates(g, direct, deep=False)
+
+
+# ---------------------------------------------------------------------------
 # benchmark values
 # ---------------------------------------------------------------------------
 

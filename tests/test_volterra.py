@@ -339,8 +339,8 @@ def test_reduced_grid_median_in_benchmark_bracket(sigma05_grid_reduced):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="half-cell grid convention lands the 99% quantile one unit-width "
-           "cell above the published bracket at converged budgets",
+    reason="the oracle's 99% quantile is 129.47, so the grid's estimate "
+           "is right and the published bracket [119, 127] disagrees",
 )
 def test_full_grid_99_percent_in_published_bracket(sigma1_grid_full):
     q = quantile_from_measure(sigma1_grid_full, 0.99)
