@@ -20,8 +20,6 @@ from .compound import (
     CompoundModel,
     SampleBatch,
     empirical_quantile_ci,
-    load_batch_csv,
-    save_batch_csv,
     simulate_compound,
     simulate_compound_parallel,
     tail_probability_mc,
@@ -39,12 +37,6 @@ from .distributions import (
     SeverityModel,
     build_frequency,
     build_severity,
-    frequency_pmf,
-    panjer_params,
-    sample_frequency,
-    sample_severity,
-    severity_eval,
-    severity_quantile,
 )
 from .errors import (
     DominationViolationError,
@@ -108,7 +100,6 @@ from .volterra import (
     POINTWISE_GRID,
     PathSample,
     PathSamplerConfig,
-    PointMass,
     SizeBiasedProposal,
     UniformInterval,
     VolterraKernel,

@@ -1,16 +1,13 @@
 """Crude Monte Carlo for the compound annual loss Z = sum of N severities."""
 from __future__ import annotations
 
-import hashlib
-import json
-import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .distributions import FrequencyModel, SeverityModel
-from .rng import PcgStream, UniformStream, spawn_streams
+from .rng import UniformStream, spawn_streams
 
 
 @dataclass
@@ -24,36 +21,24 @@ class CompoundModel:
         """E[Z] = E[N] E[X] (Wald identity)."""
         return self.frequency.mean() * self.severity.mean()
 
-    def fingerprint(self) -> str:
-        """Short stable digest of the model's kind and parameters."""
-        payload = {"frequency": asdict(self.frequency),
-                   "severity": asdict(self.severity)}
-        text = json.dumps(payload, sort_keys=True)
-        return hashlib.sha1(text.encode()).hexdigest()[:12]
-
 
 @dataclass
 class SampleBatch:
-    """A batch of simulated annual losses.
-
-    Fields
-    ------
-    values : array of annual losses, length ``count``
-    seed : entropy of the stream that produced the batch (-1 when the
-        stream does not carry one, e.g. a replayed fixed sequence)
-    count : number of draws
-    """
+    """A batch of simulated annual losses: ``values`` is the vector of
+    losses, and ``count`` its length."""
 
     values: np.ndarray
-    seed: int
-    count: int
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or len(self.values) != self.count:
-            raise ValueError("values must be a vector of length count")
+        if self.values.ndim != 1:
+            raise ValueError("values must be a vector")
         if np.any(self.values < 0.0):
             raise ValueError("annual losses must be nonnegative")
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
 
 
 def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> SampleBatch:
@@ -66,17 +51,16 @@ def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> Sampl
     T = int(T)
     if T < 1:
         raise ValueError("need at least one simulation")
-    counts = np.atleast_1d(model.frequency.sample(rng, size=T))
+    counts = model.frequency.sample(rng, size=T)
     total = int(counts.sum())
     if total:
-        xs = np.atleast_1d(model.severity.sample(rng, size=total))
+        xs = model.severity.sample(rng, size=total)
         cs = np.concatenate(([0.0], np.cumsum(xs)))
         ends = np.cumsum(counts)
         z = cs[ends] - cs[ends - counts]
     else:
         z = np.zeros(T)
-    seed = getattr(rng, "seed", -1)
-    return SampleBatch(values=z, seed=seed if seed is not None else -1, count=T)
+    return SampleBatch(values=z)
 
 
 def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
@@ -100,35 +84,7 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
             parts = list(pool.map(run, range(n_chunks)))
     else:
         parts = [run(i) for i in range(n_chunks)]
-    return SampleBatch(values=np.concatenate(parts), seed=int(seed), count=T)
-
-
-def save_batch_csv(batch: SampleBatch, model: CompoundModel, path) -> None:
-    """Persist a batch as CSV: one loss per line.
-
-    The single header line names the model fingerprint and the seed so
-    a saved batch can be matched back to the run that produced it.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"loss model={model.fingerprint()} seed={batch.seed}\n")
-        for v in batch.values:
-            fh.write(f"{v:.17g}\n")
-
-
-def load_batch_csv(path):
-    """Read a batch written by :func:`save_batch_csv`.
-
-    Returns (batch, model_fingerprint); the seed is recovered from the
-    header so downstream bookkeeping survives the round trip.
-    """
-    with open(path) as fh:
-        header = fh.readline()
-        m = re.match(r"loss model=([0-9a-f]+) seed=(-?\d+)", header)
-        if m is None:
-            raise ValueError(f"unrecognized batch header: {header!r}")
-        values = np.array([float(line) for line in fh if line.strip()])
-    batch = SampleBatch(values=values, seed=int(m.group(2)), count=len(values))
-    return batch, m.group(1)
+    return SampleBatch(values=np.concatenate(parts))
 
 
 def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):

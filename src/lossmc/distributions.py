@@ -55,14 +55,6 @@ class PanjerParams:
         if self.a >= 1.0:
             raise ValueError("a must be < 1 for a summable pmf")
 
-    def pmf_vector(self, n_max: int) -> np.ndarray:
-        """Regenerate p_0..p_n_max through the defining recursion."""
-        p = np.zeros(n_max + 1)
-        p[0] = self.p0
-        for n in range(1, n_max + 1):
-            p[n] = (self.a + self.b / n) * p[n - 1]
-        return p
-
 
 # ---------------------------------------------------------------------------
 # Frequency models
@@ -102,12 +94,9 @@ class FrequencyModel:
             f"{self.kind} frequency is not an (a, b, 0) member"
         )
 
-    def sample(self, stream: UniformStream, size=None):
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
         """Draw counts by inverting a precomputed cdf table."""
         table = self._cdf_table()
-        if size is None:
-            idx = int(np.searchsorted(table, stream.next_uniform()))
-            return min(idx, len(table) - 1)
         u = stream.uniforms(size)
         idx = np.searchsorted(table, u).astype(np.int64)
         # draws landing past the table (tail mass < 1e-12, or the small
@@ -167,12 +156,10 @@ class PoissonFrequency(FrequencyModel):
     def panjer(self) -> PanjerParams:
         return PanjerParams(0.0, self.lam, math.exp(-self.lam))
 
-    def sample(self, stream: UniformStream, size=None):
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
         """Multiplicative-uniform loop: multiply uniforms until the
         running product drops to exp(-lam); the number of factors needed
         minus one is the Poisson draw."""
-        if size is None:
-            return self._sample_one(stream)
         limit = math.exp(-self.lam)
         size = int(size)
         prod = np.ones(size)
@@ -184,15 +171,6 @@ class PoissonFrequency(FrequencyModel):
             counts[active[alive]] += 1
             active = active[alive]
         return counts
-
-    def _sample_one(self, stream: UniformStream) -> int:
-        limit = math.exp(-self.lam)
-        n, p = 0, 1.0
-        while True:
-            p *= stream.next_uniform()
-            if p <= limit:
-                return n
-            n += 1
 
 
 @dataclass
@@ -349,12 +327,6 @@ class GeneralizedPoissonFrequency(FrequencyModel):
         return math.exp(self.theta - 1.0) / self.theta
 
 
-def _as_frequency(model) -> FrequencyModel:
-    if not isinstance(model, FrequencyModel):
-        raise TypeError("expected a FrequencyModel")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Severity models
 # ---------------------------------------------------------------------------
@@ -391,7 +363,7 @@ class SeverityModel:
         """E[X ; X <= x]."""
         raise NotImplementedError
 
-    def sample(self, stream: UniformStream, size=None):
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
         raise NotImplementedError
 
     def integrated_survival(self, x):
@@ -471,13 +443,8 @@ class LogNormalSeverity(SeverityModel):
         out = self.mean() * np.maximum(incr, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, stream: UniformStream, size=None):
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
         """Box-Muller: Y = mu + sigma * sqrt(-2 ln U2) cos(2 pi U1)."""
-        if size is None:
-            u1 = stream.next_uniform()
-            u2 = stream.next_uniform()
-            z = math.sqrt(-2.0 * math.log(u2)) * math.cos(2.0 * math.pi * u1)
-            return math.exp(self.mu + self.sigma * z)
         size = int(size)
         u1 = stream.uniforms(size)
         u2 = stream.uniforms(size)
@@ -547,12 +514,9 @@ class ParetoSeverity(SeverityModel):
         out = np.maximum(out, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, stream: UniformStream, size=None):
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
         # invert the survival function directly: U on (0, 1] is itself a
         # valid survival probability, so draws stay finite
-        if size is None:
-            u = stream.next_uniform()
-            return self.s * (u ** (-1.0 / self.a) - 1.0)
         u = stream.uniforms(size)
         return self.s * (u ** (-1.0 / self.a) - 1.0)
 
@@ -610,45 +574,8 @@ class DegenerateSeverity(SeverityModel):
         out = np.where((lo < self.atom) & (self.atom <= hi), self.atom, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, stream: UniformStream, size=None):
-        if size is None:
-            return self.atom
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
         return np.full(int(size), self.atom)
-
-
-# ---------------------------------------------------------------------------
-# Contract-level operations
-# ---------------------------------------------------------------------------
-
-def severity_eval(model: SeverityModel, x: float):
-    """Return (density, cdf, survival) of the severity at x."""
-    if not np.isfinite(x):
-        raise ValueError("severity evaluation requires finite x")
-    return model.pdf(x), model.cdf(x), model.sf(x)
-
-
-def severity_quantile(model: SeverityModel, p: float) -> float:
-    if not (0.0 < p < 1.0):
-        raise ValueError("quantile level must lie in (0, 1)")
-    return float(model.quantile(p))
-
-
-def sample_severity(model: SeverityModel, rng: UniformStream) -> float:
-    return float(model.sample(rng))
-
-
-def frequency_pmf(model: FrequencyModel, n: int) -> float:
-    if n < 0:
-        raise ValueError("count must be nonnegative")
-    return float(model.pmf(n))
-
-
-def panjer_params(model: FrequencyModel) -> PanjerParams:
-    return _as_frequency(model).panjer()
-
-
-def sample_frequency(model: FrequencyModel, rng: UniformStream) -> int:
-    return int(model.sample(rng))
 
 
 # ---------------------------------------------------------------------------

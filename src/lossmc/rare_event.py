@@ -70,7 +70,6 @@ class LevelSequence:
 class ParticlePopulation:
     states: np.ndarray
     generation: int = 0
-    fractions: list = field(default_factory=list)
     acceptance: list = field(default_factory=list)
 
 
@@ -255,7 +254,6 @@ def selection_transition(population: ParticlePopulation, G_p,
     pop = ParticlePopulation(
         states=new_states,
         generation=population.generation,
-        fractions=list(population.fractions),
         acceptance=list(population.acceptance) + [float(np.mean(keep))],
     )
     return pop
@@ -284,6 +282,8 @@ def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
     """
     if N < 2:
         raise ValueError("need at least two particles")
+    if mutation_steps < 0:
+        raise ValueError("need a nonnegative number of mutation steps")
     sampler = _base_sampler(model)
     if mutation is None:
         def mutation(states, level, stream):
@@ -425,6 +425,8 @@ def replicate_smc(model, levels: LevelSequence, mutation_steps: int, N: int,
     estimate of P(A_{p+1}), with its relative SE.  One ladder run thus
     answers every level, and the estimates are nonincreasing in p.
     """
+    if n_replicates < 2:
+        raise ValueError("need at least two replicates for a standard error")
     streams = rng.spawn(n_replicates) if hasattr(rng, "spawn") else [rng] * n_replicates
     # one contiguous row per level, so each mean reduces like a 1-d array
     products = np.zeros((len(levels), n_replicates))

@@ -20,16 +20,13 @@ from ._version import __version__
 from .asymptotics import sla_var_first_order, sla_var_second_order
 from .compound import (
     CompoundModel,
-    SampleBatch,
     empirical_quantile_ci,
     simulate_compound_parallel,
-    tail_probability_mc,
 )
 from .distributions import build_frequency, build_severity
 from .errors import LevelRangeError, TruncationError
 from .panjer import (
     LOCAL_MOMENTS,
-    compound_cdf_quantile,
     oracle_compound_pmf,
     oracle_tail_stats,
 )
@@ -203,7 +200,7 @@ def _particle_config(model, m: dict) -> PathSamplerConfig:
         raise ValueError(f"unknown proposal {proposal_kind!r}")
     p_d = float(m.get("p_d", default_absorption(model)))
     return PathSamplerConfig(
-        proposal=proposal, p_d=p_d, initial=None,
+        proposal=proposal, p_d=p_d,
         use_all_states=bool(m.get("use_all_states", True)),
     )
 
@@ -211,6 +208,8 @@ def _particle_config(model, m: dict) -> PathSamplerConfig:
 def _run_particle(model, cfg: ExperimentConfig):
     m = cfg.method
     width = float(m.get("grid_width", 1.0))
+    if not (0.0 < width < math.inf):
+        raise ValueError(f"grid_width must be positive and finite, got {width}")
     x_max = float(m.get("x_max", 40.0 * max(model.mean(), 1.0)))
     grid = np.arange(width, x_max + 0.5 * width, width)
     n_per_point = int(m.get("n_per_point", 50_000))

@@ -26,7 +26,7 @@ class UniformStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Return ``n`` uniforms as a 1-d array."""
-        return np.array([self.next_uniform() for _ in range(int(n))])
+        raise NotImplementedError
 
 
 class PcgStream(UniformStream):
@@ -44,7 +44,6 @@ class PcgStream(UniformStream):
             self._seq = seed
         else:
             self._seq = np.random.SeedSequence(int(seed))
-        self.seed = self._seq.entropy
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def next_uniform(self) -> float:
@@ -53,9 +52,6 @@ class PcgStream(UniformStream):
     def uniforms(self, n: int) -> np.ndarray:
         # Generator.random() covers [0, 1); flip to (0, 1].
         return 1.0 - self._gen.random(int(n))
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size=size)
 
     def spawn(self, n: int) -> list["PcgStream"]:
         """Create ``n`` independent child streams."""
@@ -66,21 +62,23 @@ class SequenceStream(UniformStream):
     """Replays a fixed list of uniforms; used for hand-traced tests."""
 
     def __init__(self, values: Sequence[float]):
-        self._values = [float(v) for v in values]
+        self._values = np.array(values, dtype=float)
         self._pos = 0
 
     def next_uniform(self) -> float:
-        if self._pos >= len(self._values):
+        return float(self.uniforms(1)[0])
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` values; asking past the end consumes nothing."""
+        end = self._pos + int(n)
+        if end > len(self._values):
             raise StreamExhaustedError(
                 "fixed uniform sequence exhausted after "
                 f"{len(self._values)} draws"
             )
-        v = self._values[self._pos]
-        self._pos += 1
-        return v
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.next_uniform() for _ in range(int(n))])
+        out = self._values[self._pos:end].copy()
+        self._pos = end
+        return out
 
     @property
     def remaining(self) -> int:

@@ -134,24 +134,6 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PointMass:
-    """Point-wise mode: every path starts at exactly x0."""
-
-    x0: float
-
-    def __post_init__(self):
-        if self.x0 <= 0.0:
-            raise ValueError("start point must be positive")
-
-    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        return np.full(size, self.x0)
-
-    def density(self, x):
-        # delta initialization: the weight formula uses mu(x0) = 1
-        return np.ones_like(np.asarray(x, dtype=float))
-
-
-@dataclass
 class UniformInterval:
     """Interval mode: x0 uniform on [lo, hi]."""
 
@@ -186,8 +168,8 @@ class BetaProposal:
     b: float = 1.2
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError("beta shapes must be positive")
+        if not all(0.0 < v < math.inf for v in (self.a, self.b)):
+            raise ValueError(f"beta shapes must be positive and finite, got {self.a}, {self.b}")
 
     def sample(self, x, u) -> np.ndarray:
         """New states, one per entry of ``x``, from the uniforms ``u``."""
@@ -303,7 +285,6 @@ class PathSamplerConfig:
 
     proposal: object
     p_d: float
-    initial: object
     vr_pointwise: bool = True
     use_all_states: bool = False
 
@@ -335,8 +316,10 @@ class PathSample:
             raise ValueError("weight must be finite and nonnegative")
 
 
-def simulate_absorbed_path(cfg: PathSamplerConfig, rng: UniformStream) -> PathSample:
-    """Reference scalar sampler: absorb w.p. p_d, else move down.
+def simulate_absorbed_path(cfg: PathSamplerConfig, x0: float,
+                           rng: UniformStream) -> PathSample:
+    """Reference scalar sampler: start at x0 > 0, then absorb w.p. p_d,
+    else move down.
 
     Each step draws one uniform to decide absorption and, on a move, one
     more for the proposal.  Returns the path with a zero placeholder
@@ -345,7 +328,9 @@ def simulate_absorbed_path(cfg: PathSamplerConfig, rng: UniformStream) -> PathSa
     uniforms per step from its grid point's own stream, with many grid
     points stepped together in one block.
     """
-    x = float(cfg.initial.sample(rng, 1)[0])
+    x = float(x0)
+    if not (x > 0.0):
+        raise ValueError(f"start point must be positive, got {x0}")
     states = [x]
     while True:
         if rng.next_uniform() <= cfg.p_d:
@@ -362,23 +347,15 @@ def simulate_absorbed_path(cfg: PathSamplerConfig, rng: UniformStream) -> PathSa
 
 def path_weight(path: PathSample, kernel: VolterraKernel,
                 cfg: PathSamplerConfig) -> float:
-    """Importance weight of one absorbed path.
+    """Importance weight of one absorbed path started at x0 = states[0].
 
-    W = [1/mu(x0)] * prod_j k(x_{j-1}, x_j) / M(x_{j-1}, x_j)
-        * g(x_n) / P_d,
+    W = prod_j k(x_{j-1}, x_j) / M(x_{j-1}, x_j) * g(x_n) / P_d,
 
     where M = (1 - P_d) q is the sub-stochastic transition; a path of
-    length zero has W = g(x0) / (mu(x0) P_d).  In point-wise mode the
-    delta initialization sets mu(x0) = 1.
+    length zero has W = g(x0) / P_d.  The start is a point mass, so the
+    initial density mu(x0) = 1 drops out.
     """
-    x0 = path.states[0]
-    if isinstance(cfg.initial, PointMass):
-        mu0 = 1.0
-    else:
-        mu0 = float(cfg.initial.density(x0))
-        if mu0 <= 0.0:
-            raise SupportViolationError("initial density vanishes at x0")
-    w = 1.0 / mu0
+    w = 1.0
     for prev, cur in zip(path.states[:-1], path.states[1:]):
         q = float(cfg.proposal.density(np.array([prev]), np.array([cur]))[0])
         if q <= 0.0:
@@ -413,7 +390,6 @@ class WeightedParticleMeasure:
     locations: np.ndarray
     weights: np.ndarray
     mode: str
-    normalization: str = "raw"
     zero_mass: float = 0.0
     stderr: np.ndarray | None = None
     n_paths: int = 0
@@ -427,10 +403,6 @@ class WeightedParticleMeasure:
             raise ValueError("locations and weights must align")
         if np.any(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
-
-    @property
-    def atoms(self) -> np.ndarray:
-        return np.column_stack([self.locations, self.weights])
 
     def _cell_widths(self) -> np.ndarray:
         if len(self.locations) == 1:

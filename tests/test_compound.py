@@ -11,14 +11,12 @@ from lossmc import (
     PoissonFrequency,
     SampleBatch,
     empirical_quantile_ci,
-    load_batch_csv,
-    save_batch_csv,
     simulate_compound,
     simulate_compound_parallel,
     tail_probability_mc,
 )
 
-from conftest import sigma05_model, sigma1_model
+from conftest import sigma05_model
 
 
 def test_zero_rate_gives_zero_losses():
@@ -46,9 +44,9 @@ def test_compound_mean_wald():
 
 def test_sample_batch_validation():
     with pytest.raises(ValueError):
-        SampleBatch(values=np.array([1.0, 2.0]), seed=0, count=3)
+        SampleBatch(values=np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
-        SampleBatch(values=np.array([1.0, -2.0]), seed=0, count=2)
+        SampleBatch(values=np.array([1.0, -2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +54,14 @@ def test_sample_batch_validation():
 # ---------------------------------------------------------------------------
 
 def test_quantile_on_integer_grid():
-    batch = SampleBatch(values=np.arange(1.0, 101.0), seed=-1, count=100)
+    batch = SampleBatch(values=np.arange(1.0, 101.0))
     point, lo, hi = empirical_quantile_ci(batch, 0.5, 0.95)
     assert point == 50.0
     assert lo <= point <= hi
 
 
 def test_quantile_levels_validated():
-    batch = SampleBatch(values=np.arange(1.0, 11.0), seed=-1, count=10)
+    batch = SampleBatch(values=np.arange(1.0, 11.0))
     with pytest.raises(ValueError):
         empirical_quantile_ci(batch, 1.5, 0.95)
     with pytest.raises(ValueError):
@@ -87,14 +85,14 @@ def test_sigma1_benchmark_quantile(sigma1_batch):
 # ---------------------------------------------------------------------------
 
 def test_tail_probability_certain_event():
-    batch = SampleBatch(values=np.arange(1.0, 11.0), seed=-1, count=10)
+    batch = SampleBatch(values=np.arange(1.0, 11.0))
     est, var = tail_probability_mc(batch, 0.5)
     assert (est, var) == (1.0, 0.0)
 
 
 def test_tail_probability_variance_formula():
     values = np.array([1.0] * 3 + [0.0] * 7)
-    est, var = tail_probability_mc(SampleBatch(values=values, seed=-1, count=10), 0.5)
+    est, var = tail_probability_mc(SampleBatch(values=values), 0.5)
     assert est == pytest.approx(0.3)
     assert var == pytest.approx(0.021)
 
@@ -152,19 +150,8 @@ def test_parallel_reduction_thread_invariant():
     assert np.array_equal(one.values, four.values)
 
 
-def test_batch_csv_roundtrip(tmp_path):
-    model = sigma1_model()
-    batch = simulate_compound(model, 1_000, PcgStream(77))
-    path = tmp_path / "batch.csv"
-    save_batch_csv(batch, model, path)
-    loaded, fingerprint = load_batch_csv(path)
-    assert np.array_equal(loaded.values, batch.values)
-    assert loaded.seed == batch.seed
-    assert fingerprint == model.fingerprint()
-
-
 def test_empty_batch_rejected():
-    batch = SampleBatch(values=np.array([]), seed=-1, count=0)
+    batch = SampleBatch(values=np.array([]))
     with pytest.raises(RuntimeError):
         tail_probability_mc(batch, 1.0)
     with pytest.raises(RuntimeError):

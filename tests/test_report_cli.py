@@ -167,6 +167,23 @@ def test_readme_config_example_runs():
     assert [row.method for row in report.rows] == ["sla"] * 3
 
 
+def test_readme_python_examples_run():
+    """Both python blocks run in order in one namespace, as a reader would.
+
+    Only that they run and answer is checked: the grid's left-cumulative
+    reader puts q9995 at 76 where the recursion oracle gives 82.27, an
+    open defect of that reader.
+    """
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    ns = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), ns)
+    assert ns["lo"] <= ns["q99"] <= ns["hi"]
+    assert ns["q9995"] in ns["grid"]
+
+
 def test_report_validation_rejects_nonmonotone_var():
     rows = [ReportRow(alpha=0.5, method="mc", var=10.0),
             ReportRow(alpha=0.9, method="mc", var=8.0)]
@@ -356,6 +373,31 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     assert err.count("\n") == 1
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and repr(typo) in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command,method,message", [
+    ("rare-event", dict(RARE_EVENT, thresholds=[20.0], n_particles=100, replicates=1),
+     "two replicates"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[20.0], n_particles=100, mh_steps=-1),
+     "mutation steps"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
+                  "proposal": "beta", "beta_a": float("nan")}, "beta shapes"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
+                  "grid_width": 0.0}, "grid_width"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
+                  "grid_width": -1.0}, "grid_width"),
+], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
+        "grid_width-negative"])
+def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
+    """Values no run can use must exit 2, not run quietly or fail deep inside."""
+    cfg = _write_config(tmp_path, method)
+    rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and message in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
 
 

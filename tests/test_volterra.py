@@ -14,7 +14,6 @@ from lossmc import (
     PathSample,
     PathSamplerConfig,
     PcgStream,
-    PointMass,
     PoissonFrequency,
     ProposalSupportError,
     SequenceStream,
@@ -102,8 +101,7 @@ def test_path_sample_validation():
 def test_hand_computed_single_step_weight():
     """One forced move 20 -> 12 under a uniform multiplicative proposal."""
     kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5,
-                            initial=PointMass(20.0))
+    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
     path = PathSample(states=np.array([20.0, 12.0]), n=1)
     w = path_weight(path, kernel, cfg)
     # q(20, 12) = 1/20; W = k/( (1-pd) q ) * g(12)/pd
@@ -114,8 +112,7 @@ def test_hand_computed_single_step_weight():
 
 def test_zero_length_path_weight_is_first_term():
     kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5,
-                            initial=PointMass(20.0))
+    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
     path = PathSample(states=np.array([20.0]), n=0)
     assert path_weight(path, kernel, cfg) == pytest.approx(
         kernel.g(20.0) / 0.5, rel=1e-12)
@@ -138,25 +135,14 @@ class _ZeroDensityProposal:
 
 
 def test_upward_proposal_is_rejected():
-    cfg = PathSamplerConfig(proposal=_UpwardProposal(), p_d=0.5,
-                            initial=PointMass(20.0))
+    cfg = PathSamplerConfig(proposal=_UpwardProposal(), p_d=0.5)
     with pytest.raises(ProposalSupportError):
-        simulate_absorbed_path(cfg, SequenceStream([0.9, 0.9]))
+        simulate_absorbed_path(cfg, 20.0, SequenceStream([0.9, 0.9]))
 
 
 def test_weight_requires_positive_proposal_density():
     kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=_ZeroDensityProposal(), p_d=0.5,
-                            initial=PointMass(20.0))
-    path = PathSample(states=np.array([20.0, 12.0]), n=1)
-    with pytest.raises(SupportViolationError):
-        path_weight(path, kernel, cfg)
-
-
-def test_weight_requires_positive_initial_density():
-    kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5,
-                            initial=UniformInterval(5.0, 10.0))
+    cfg = PathSamplerConfig(proposal=_ZeroDensityProposal(), p_d=0.5)
     path = PathSample(states=np.array([20.0, 12.0]), n=1)
     with pytest.raises(SupportViolationError):
         path_weight(path, kernel, cfg)
@@ -164,15 +150,16 @@ def test_weight_requires_positive_initial_density():
 
 def test_config_and_proposal_validation():
     with pytest.raises(ValueError):
-        PathSamplerConfig(proposal=None, p_d=0.0, initial=None)
+        PathSamplerConfig(proposal=None, p_d=0.0)
     with pytest.raises(ValueError):
-        PathSamplerConfig(proposal=None, p_d=1.2, initial=None)
+        PathSamplerConfig(proposal=None, p_d=1.2)
     with pytest.raises(ValueError):
         BetaProposal(0.0, 1.0)
     with pytest.raises(ValueError):
         UniformInterval(5.0, 5.0)
     with pytest.raises(ValueError):
-        PointMass(0.0)
+        simulate_absorbed_path(PathSamplerConfig(proposal=None, p_d=0.5), 0.0,
+                               SequenceStream([0.9]))
     with pytest.raises(UnsupportedModelError):
         SizeBiasedProposal(severity="not lognormal")
 
@@ -183,10 +170,9 @@ def test_default_absorption_matches_mean_path_length():
 
 def test_path_length_is_geometric():
     """At p_d the number of moves is geometric with mean (1-p_d)/p_d."""
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5,
-                            initial=PointMass(20.0))
+    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
     rng = PcgStream(2020)
-    lengths = np.array([simulate_absorbed_path(cfg, rng).n for _ in range(100_000)])
+    lengths = np.array([simulate_absorbed_path(cfg, 20.0, rng).n for _ in range(100_000)])
     se = lengths.std(ddof=1) / math.sqrt(len(lengths))
     assert abs(lengths.mean() - 1.0) <= 3.0 * se
 
