@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .compound import CompoundModel
 from .errors import LevelRangeError, NumericError, UnsupportedModelError
@@ -173,6 +173,8 @@ def sla_es_srm(model: CompoundModel, alpha: float, phi=None) -> SlaResult:
 
 def srm_multiplier(a: float, phi) -> float:
     """K = integral_1^inf s^(a-2) phi(1 - 1/s) ds by adaptive quadrature."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
@@ -199,6 +201,8 @@ def subexp_tail_ratio(model: SeverityModel, x: float) -> float:
     algebraically identical to 1 - integral F(x-y) dF(y) but free of
     the catastrophic cancellation that form suffers deep in the tail.
     """
+    from scipy import integrate
+
     if x < 0.0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:

@@ -92,8 +92,10 @@ def main(argv=None) -> int:
         path = args.path or f"report.{fmt}"
         emit_report(report, fmt, path)
     except Exception as exc:
+        # run_experiment notes which method kind failed, ahead of the message
+        detail = ": ".join([*getattr(exc, "__notes__", ()), str(exc)])
         sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "detail": str(exc)}) + "\n")
+            {"error": type(exc).__name__, "detail": detail}) + "\n")
         return 2
     print(path)
     return 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .distributions import FrequencyModel, SeverityModel
 from .rng import UniformStream, spawn_streams
@@ -95,6 +94,8 @@ def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
     (Clopper-Pearson style), so it is valid at extreme alpha without
     any normality assumption.
     """
+    from scipy import stats
+
     if batch.count == 0:
         raise RuntimeError("empty batch")
     if not (0.0 < alpha < 1.0) or not (0.0 < level < 1.0):

@@ -211,6 +211,9 @@ def _run_particle(model, cfg: ExperimentConfig):
     if not (0.0 < width < math.inf):
         raise ValueError(f"grid_width must be positive and finite, got {width}")
     x_max = float(m.get("x_max", 40.0 * max(model.mean(), 1.0)))
+    if not (0.5 * width < x_max < math.inf):
+        raise ValueError(f"x_max must be finite and above half the grid_width "
+                         f"({0.5 * width:g}) so the grid has a point, got {x_max}")
     grid = np.arange(width, x_max + 0.5 * width, width)
     n_per_point = int(m.get("n_per_point", 50_000))
     pcfg = _particle_config(model, m)
@@ -271,7 +274,10 @@ def _run_rare_event(model, cfg: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig) -> RiskReport:
-    """Dispatch one configured run and assemble the report."""
+    """Dispatch one configured run and assemble the report.
+
+    A runner's exception propagates as the same object, with an exception
+    note naming the method kind."""
     model = config.build_model()
     kind = config.method["kind"]
     runner = {
@@ -284,7 +290,9 @@ def run_experiment(config: ExperimentConfig) -> RiskReport:
     try:
         rows, diagnostics = runner(model, config)
     except Exception as exc:
-        raise type(exc)(f"{kind} run failed: {exc}") from exc
+        # set by hand: BaseException.add_note is Python 3.11+
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), f"{kind} run failed"]
+        raise
     meta = {
         "model": config.model,
         "method": kind,

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .compound import CompoundModel
 from .distributions import GeneralizedPoissonFrequency, LogNormalSeverity
@@ -173,11 +172,15 @@ class BetaProposal:
 
     def sample(self, x, u) -> np.ndarray:
         """New states, one per entry of ``x``, from the uniforms ``u``."""
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         frac = stats.beta.ppf(u, self.a, self.b)
         return x * frac
 
     def density(self, x, x1) -> np.ndarray:
+        from scipy import stats
+
         x = np.asarray(x, dtype=float)
         x1 = np.asarray(x1, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):

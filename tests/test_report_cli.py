@@ -18,7 +18,9 @@ from lossmc import (
     reproduce_table1,
     run_experiment,
 )
+from lossmc import report as report_module
 from lossmc.cli import main
+from lossmc.errors import ExtinctionError, NumericError
 
 SIGMA05_MODEL = {
     "frequency": {"kind": "poisson", "lambda": 2.0},
@@ -387,8 +389,15 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
                   "grid_width": 0.0}, "grid_width"),
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
                   "grid_width": -1.0}, "grid_width"),
+    ("particle", {"kind": "particle", "x_max": 0.4, "n_per_point": 10}, "x_max"),
+    ("particle", {"kind": "particle", "x_max": -5.0, "n_per_point": 10}, "x_max"),
+    ("particle", {"kind": "particle", "x_max": float("nan"), "n_per_point": 10},
+     "x_max"),
+    ("particle", {"kind": "particle", "x_max": float("inf"), "n_per_point": 10},
+     "x_max"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
-        "grid_width-negative"])
+        "grid_width-negative", "x_max-below-half-width", "x_max-negative",
+        "x_max-nan", "x_max-inf"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)
@@ -399,6 +408,42 @@ def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, messag
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and message in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
+
+
+class _TwoArgumentError(RuntimeError):
+    """An exception whose constructor cannot be called with a message alone."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@pytest.mark.parametrize("make,field,value", [
+    (lambda: _TwoArgumentError("bad block", 7), "code", 7),
+    (lambda: ExtinctionError("every particle died", level=3), "level", 3),
+    (lambda: NumericError("no convergence", achieved=1e-3), "achieved", 1e-3),
+], ids=["two-argument", "extinction-level", "numeric-achieved"])
+def test_runner_errors_keep_class_and_fields(tmp_path, capsys, monkeypatch,
+                                             make, field, value):
+    """run_experiment re-raises the runner's own exception object."""
+    raised = []
+
+    def failing_runner(model, cfg):
+        raised.append(make())
+        raise raised[-1]
+
+    monkeypatch.setattr(report_module, "_run_sla", failing_runner)
+    with pytest.raises(Exception) as info:
+        run_experiment(_config())
+    assert info.value is raised[-1]
+    assert getattr(info.value, field) == value
+
+    rc = main(["sla", "--config", _write_config(tmp_path, {"kind": "sla"}),
+               "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc == {"error": type(raised[-1]).__name__,
+                   "detail": f"sla run failed: {raised[-1]}"}
 
 
 def test_cli_truncated_panjer_lattice_names_x_max(tmp_path, capsys):
