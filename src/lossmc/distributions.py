@@ -8,6 +8,9 @@ the recursive evaluators downstream consume.
 Models are immutable after construction and safe to share across
 threads; every sampler draws from an externally supplied uniform
 stream (see :mod:`lossmc.rng`) so callers control substream layout.
+Every sampler is an inverse transform that reads exactly one uniform
+per draw (a point mass reads none): counts invert a cached cdf table,
+severities their quantile function.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .normal import norm_cdf, norm_pdf, norm_quantile, norm_sf
 from .rng import UniformStream
 
 _TABLE_TAIL = 1e-12  # truncation point for inverse-cdf sampling tables
+_TABLE_MAX = 1_000_000  # entries an inverse-cdf table may hold
 
 
 def _require_finite(model) -> None:
@@ -95,7 +99,11 @@ class FrequencyModel:
         )
 
     def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        """Draw counts by inverting a precomputed cdf table."""
+        """Draw counts by inverse transform, one uniform per count.
+
+        Every law inverts the same precomputed cdf table: the draw for u
+        is the smallest n with F(n) >= u.
+        """
         table = self._cdf_table()
         u = stream.uniforms(size)
         idx = np.searchsorted(table, u).astype(np.int64)
@@ -115,8 +123,14 @@ class FrequencyModel:
                 chunks.append(c)
                 cum = c[-1]
                 n += 256
-                if 1.0 - cum < _TABLE_TAIL or not np.any(pm > 0.0) or n > 1_000_000:
+                # an empty block ends the support only once the bulk is
+                # behind us; before it, the pmf has not started yet
+                if 1.0 - cum < _TABLE_TAIL or (cum > 0.0 and not np.any(pm > 0.0)):
                     break
+                if n >= _TABLE_MAX:
+                    raise ValueError(
+                        f"{self.kind} count table needs more than {_TABLE_MAX} "
+                        f"entries (mass {1.0 - cum:.3g} still missing)")
             cached = np.concatenate(chunks)
             self._table = cached
         return cached
@@ -155,22 +169,6 @@ class PoissonFrequency(FrequencyModel):
 
     def panjer(self) -> PanjerParams:
         return PanjerParams(0.0, self.lam, math.exp(-self.lam))
-
-    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        """Multiplicative-uniform loop: multiply uniforms until the
-        running product drops to exp(-lam); the number of factors needed
-        minus one is the Poisson draw."""
-        limit = math.exp(-self.lam)
-        size = int(size)
-        prod = np.ones(size)
-        counts = np.zeros(size, dtype=np.int64)
-        active = np.arange(size)
-        while active.size:
-            prod[active] *= stream.uniforms(active.size)
-            alive = prod[active] > limit
-            counts[active[alive]] += 1
-            active = active[alive]
-        return counts
 
 
 @dataclass
@@ -444,12 +442,14 @@ class LogNormalSeverity(SeverityModel):
         return out if out.ndim else float(out)
 
     def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        """Box-Muller: Y = mu + sigma * sqrt(-2 ln U2) cos(2 pi U1)."""
-        size = int(size)
-        u1 = stream.uniforms(size)
-        u2 = stream.uniforms(size)
-        z = np.sqrt(-2.0 * np.log(u2)) * np.cos(2.0 * np.pi * u1)
-        return np.exp(self.mu + self.sigma * z)
+        """Inverse transform, one uniform per draw: exp(mu - sigma ndtri(u)).
+
+        U is the survival probability of the draw, so the large draws come
+        from small u, which are finely spaced: every draw is finite.  The
+        endpoint u = 1 maps to exactly 0.
+        """
+        u = stream.uniforms(size)
+        return np.exp(self.mu - self.sigma * special.ndtri(u))
 
 
 @dataclass

@@ -79,6 +79,12 @@ def sigma05_pmf():
     return oracle_compound_pmf(sigma05_model(), step=0.005, x_max=120.0)
 
 
+def oracle_tail(pmf, t):
+    """P(Z > t) from a lattice law: 1 minus the masses at or below t, so
+    the lattice's missing mass counts as tail."""
+    return 1.0 - float(pmf.masses[:round(t / pmf.step) + 1].sum())
+
+
 def _grid_measure(model, x_max, n_per_point, seed):
     grid = np.arange(1.0, x_max + 0.5, 1.0)
     cfg = particle_config(model)

@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 import tracing  # noqa: E402
 
+import lossmc.compound  # noqa: E402
 import lossmc.panjer  # noqa: E402
 
 
@@ -33,3 +34,22 @@ def test_traced_benchmark_hooks_exist_and_restore():
              _enter_and_exit(tracing.instrument(tracing.Tracer()))}
     assert (lossmc.panjer, "panjer_discrete") in hooks
     assert (lossmc.panjer, "gpd_panjer_discrete") in hooks
+
+
+def test_poisson_count_sample_is_one_span_and_namespaces_restore():
+    """Poisson inherits ``FrequencyModel.sample``, which the tracer patches
+    under both class names: one draw must still record exactly one span."""
+    from lossmc import CompoundModel, LogNormalSeverity, PcgStream, PoissonFrequency
+    from lossmc.distributions import FrequencyModel
+
+    before = {cls: dict(vars(cls)) for cls in (PoissonFrequency, FrequencyModel)}
+    model = CompoundModel(PoissonFrequency(2.0), LogNormalSeverity(2.0, 0.5))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        lossmc.compound.simulate_compound(model, 100, PcgStream(5))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("distributions.count_sample") == 1
+    assert names.count("distributions.severity_sample") == 1
+    assert "sample" not in vars(PoissonFrequency)
+    for cls, namespace in before.items():
+        assert dict(vars(cls)) == namespace

@@ -6,17 +6,21 @@ import pytest
 from lossmc import (
     CompoundModel,
     DegenerateSeverity,
+    GeneralizedPoissonFrequency,
     LogNormalSeverity,
+    NegativeBinomialFrequency,
+    ParetoSeverity,
     PcgStream,
     PoissonFrequency,
     SampleBatch,
+    UniformStream,
     empirical_quantile_ci,
     simulate_compound,
     simulate_compound_parallel,
     tail_probability_mc,
 )
 
-from conftest import sigma05_model
+from conftest import oracle_tail, sigma05_model
 
 
 def test_zero_rate_gives_zero_losses():
@@ -40,6 +44,33 @@ def test_compound_mean_wald():
     batch = simulate_compound(model, 1_000_000, PcgStream(23))
     se = batch.values.std(ddof=1) / 1000.0
     assert abs(batch.values.mean() - model.mean()) <= 3.0 * se
+
+
+class _CountingStream(UniformStream):
+    """A PCG stream that counts the uniforms it hands out."""
+
+    def __init__(self, seed):
+        self._inner = PcgStream(seed)
+        self.drawn = 0
+
+    def uniforms(self, n):
+        self.drawn += int(n)
+        return self._inner.uniforms(n)
+
+
+@pytest.mark.parametrize("model", [
+    sigma05_model(),
+    CompoundModel(NegativeBinomialFrequency(2.0, 1.0), ParetoSeverity(a=2.0, s=1.0)),
+    CompoundModel(GeneralizedPoissonFrequency(1.5, 0.3), LogNormalSeverity(2.0, 1.0)),
+], ids=["poisson-lognormal", "negbinomial-pareto", "genpoisson-lognormal"])
+def test_one_uniform_per_count_and_per_severity(model):
+    """T years draw exactly T + sum(counts) uniforms: counts first, then
+    one flat block of severities."""
+    T = 10_000
+    stream = _CountingStream(41)
+    simulate_compound(model, T, stream)
+    counts = model.frequency.sample(PcgStream(41), T)
+    assert stream.drawn == T + int(counts.sum())
 
 
 def test_sample_batch_validation():
@@ -97,9 +128,10 @@ def test_tail_probability_variance_formula():
     assert var == pytest.approx(0.021)
 
 
-def test_sigma05_tail_at_99_row(sigma05_batch):
+def test_sigma05_tail_at_99_row(sigma05_batch, sigma05_pmf):
+    """The 5e6-draw tail at the 99% row agrees with the oracle's P(Z > 57)."""
     est, var = tail_probability_mc(sigma05_batch, 57.0)
-    assert abs(est - 0.01) <= 3.0 * math.sqrt(var)
+    assert abs(est - oracle_tail(sigma05_pmf, 57.0)) <= 3.0 * math.sqrt(var)
 
 
 def test_tail_estimator_unbiased_against_reference():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from lossmc import (
     BinomialFrequency,
@@ -16,6 +17,7 @@ from lossmc import (
     UnsupportedModelError,
     build_frequency,
     build_severity,
+    norm_cdf,
 )
 
 
@@ -85,17 +87,26 @@ def test_degenerate_severity():
 # ---------------------------------------------------------------------------
 
 def test_lognormal_sampler_scripted():
-    """Two hand-traced draws through the polar sampler.
+    """Two hand-traced inverse-transform draws, one uniform each.
 
-    The first uniform drives the angle, the second the radius: angle
-    0.25 puts the cosine at zero (the median), angle 0.5 flips the unit
-    radius to -1 (one sigma below).
+    u is the draw's survival probability: u = 1/2 gives the median e^2,
+    and u = Phi(1) puts the normal score at -1, one sigma below.
     """
     sev = LogNormalSeverity(2.0, 0.5)
-    assert sev.sample(SequenceStream([0.25, math.exp(-2.0)]), 1)[0] == pytest.approx(
-        math.exp(2.0), rel=1e-12)
-    assert sev.sample(SequenceStream([0.5, math.exp(-0.5)]), 1)[0] == pytest.approx(
-        math.exp(2.0 - 0.5), rel=1e-12)
+    stream = SequenceStream([0.5, norm_cdf(1.0)])
+    x = sev.sample(stream, 2)
+    assert stream.remaining == 0
+    assert x[0] == pytest.approx(math.exp(2.0), rel=1e-12)
+    assert x[1] == pytest.approx(math.exp(2.0 - 0.5), rel=1e-12)
+
+
+def test_lognormal_sampler_deep_tail_and_unit_endpoint():
+    """The tiniest uniforms give finite draws; u = 1 gives exactly 0."""
+    sev = LogNormalSeverity(2.0, 1.0)
+    x = sev.sample(SequenceStream([1e-300, 1.0]), 2)
+    assert math.isfinite(x[0])
+    assert x[0] == math.exp(2.0 - 1.0 * ndtri(1e-300))
+    assert x[1] == 0.0
 
 
 def test_lognormal_sampler_moments():
@@ -226,12 +237,15 @@ def test_poisson_sampler_zero_rate():
 
 
 def test_poisson_sampler_hand_trace():
-    """lam = ln 2: the uniform product must undershoot 1/2.
+    """lam = ln 2 by inverse transform, one uniform per count.
 
-    0.6 stays above, 0.6*0.9 = 0.54 stays above, 0.54*0.5 crosses, so
-    exactly two factors survived and the draw is 2.
+    The cdf table starts 0.5, 0.8466, 0.9667: u = 0.6 lands in the second
+    cell and u = 0.9 in the third, so the draws are 1 and 2.
     """
-    assert PoissonFrequency(math.log(2.0)).sample(SequenceStream([0.6, 0.9, 0.5]), 1)[0] == 2
+    stream = SequenceStream([0.6, 0.9])
+    draws = PoissonFrequency(math.log(2.0)).sample(stream, 2)
+    assert list(draws) == [1, 2]
+    assert stream.remaining == 0
 
 
 def test_poisson_sampler_mean():
@@ -250,6 +264,18 @@ def test_generalized_poisson_sampler_mean():
     draws = gp.sample(PcgStream(3333), size=200_000)
     var = 2.0 / 0.7 ** 3
     assert abs(draws.mean() - gp.mean()) <= 3.0 * math.sqrt(var / 200_000)
+
+
+@pytest.mark.parametrize("freq,var", [
+    (PoissonFrequency(800.0), 800.0),
+    (PoissonFrequency(5000.0), 5000.0),
+    (GeneralizedPoissonFrequency(5000.0, 0.1), 5000.0 / 0.9 ** 3),
+], ids=["poisson800", "poisson5000", "genpoisson5000"])
+def test_sampler_mean_when_mass_starts_past_first_table_block(freq, var):
+    """The count table must reach a bulk that starts beyond entry 255, and
+    exp(-lam) underflowing must not cap the draws."""
+    draws = freq.sample(PcgStream(3535), size=100_000)
+    assert abs(draws.mean() - freq.mean()) <= 4.0 * math.sqrt(var / 100_000)
 
 
 # ---------------------------------------------------------------------------

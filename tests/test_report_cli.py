@@ -345,6 +345,19 @@ def test_cli_rejects_non_finite_parameters(tmp_path, capsys, bad, block, key):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_rejects_count_law_past_table_cap(tmp_path, capsys):
+    """A Poisson rate whose count table would pass its cap exits 2 instead of
+    drawing from a truncated table."""
+    model = copy.deepcopy(SIGMA05_MODEL)
+    model["frequency"]["lambda"] = 2e6
+    cfg = _write_config(tmp_path, {"kind": "mc", "T": 100}, model=model)
+    rc = main(["simulate", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError" and "count table" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("x_max", [0, -5.0])
 def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
     """x_max <= 0 leaves no lattice cell; it must not fall back to the default."""
