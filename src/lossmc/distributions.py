@@ -10,7 +10,10 @@ threads; every sampler draws from an externally supplied uniform
 stream (see :mod:`lossmc.rng`) so callers control substream layout.
 Every sampler is an inverse transform that reads exactly one uniform
 per draw (a point mass reads none): counts invert a cached cdf table,
-severities their quantile function.
+severities their quantile function.  A table is inverted through a guide
+table (:func:`_guided_search`), which finds the entry of a draw in O(1)
+expected steps instead of a binary search; the splitting selection step
+uses the same lookup for its ancestors.
 """
 from __future__ import annotations
 
@@ -34,6 +37,38 @@ def _require_finite(model) -> None:
         value = getattr(model, f.name)
         if isinstance(value, (int, float)) and not math.isfinite(value):
             raise ValueError(f"{type(model).__name__}.{f.name} must be finite, got {value}")
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of a nondecreasing cdf cut into m = len(cdf) buckets.
+
+    Entry j (j = 0..m) is the first index i with floor(m cdf[i]) >= j,
+    about the first i with cdf[i] >= j/m; the floor is taken in the same
+    arithmetic as the lookup's, so a key in bucket j never has its entry
+    before guide[j] (Chen & Asau 1974; Devroye 1986, III.2.4).
+    """
+    m = len(cdf)
+    return np.searchsorted(np.floor(cdf * m), np.arange(m + 1))
+
+
+def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.minimum(np.searchsorted(cdf, u), len(cdf) - 1)`` for non-NaN keys,
+    through the guide table of ``cdf``.
+
+    Each key starts at its bucket's guide entry and takes at most two
+    vectorized steps forward; keys still short of their entry (buckets
+    holding many entries, as the top bucket of a heavy-tailed count law
+    does) fall back to a binary search on that subset only.  Keys past
+    ``cdf[-1]`` map to the last entry.
+    """
+    m = len(guide) - 1
+    i = guide.take((u * m).astype(np.intp), mode="clip")
+    for _ in range(2):
+        i += cdf.take(i, mode="clip") < u
+    short = np.flatnonzero(cdf.take(i, mode="clip") < u)
+    if short.size:
+        i[short] = np.searchsorted(cdf, u[short])
+    return np.minimum(i, len(cdf) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +137,16 @@ class FrequencyModel:
         """Draw counts by inverse transform, one uniform per count.
 
         Every law inverts the same precomputed cdf table: the draw for u
-        is the smallest n with F(n) >= u.
+        is the smallest n with F(n) >= u, found through the table's
+        cached guide.  Draws landing past the table (tail mass < 1e-12,
+        or the small deficit of a truncated support) map onto the last
+        entry.
         """
-        table = self._cdf_table()
-        u = stream.uniforms(size)
-        idx = np.searchsorted(table, u).astype(np.int64)
-        # draws landing past the table (tail mass < 1e-12, or the small
-        # deficit of a truncated support) map onto the last entry
-        return np.minimum(idx, len(table) - 1)
+        table, guide = self._cdf_table()
+        return _guided_search(table, guide, stream.uniforms(size))
 
-    # -- inverse-cdf table, built lazily and cached -------------------------
-    def _cdf_table(self) -> np.ndarray:
+    # -- inverse-cdf table and its guide, built lazily and cached -----------
+    def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         cached = getattr(self, "_table", None)
         if cached is None:
             n, cum, chunks = 0, 0.0, []
@@ -131,8 +165,8 @@ class FrequencyModel:
                     raise ValueError(
                         f"{self.kind} count table needs more than {_TABLE_MAX} "
                         f"entries (mass {1.0 - cum:.3g} still missing)")
-            cached = np.concatenate(chunks)
-            self._table = cached
+            table = np.concatenate(chunks)
+            cached = self._table = (table, _guide_table(table))
         return cached
 
 

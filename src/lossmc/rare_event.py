@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compound import CompoundModel, simulate_compound
+from .distributions import _guide_table, _guided_search
 from .errors import (
     DominationViolationError,
     ExtinctionError,
@@ -52,6 +53,8 @@ class LevelSequence:
             self.thresholds = np.asarray(self.thresholds, dtype=float)
             if self.thresholds.ndim != 1 or len(self.thresholds) == 0:
                 raise ValueError("thresholds must be a nonempty vector")
+            if not np.all(np.isfinite(self.thresholds)):
+                raise ValueError(f"thresholds must be finite, got {self.thresholds.tolist()}")
             if np.any(np.diff(self.thresholds) <= 0.0):
                 raise ValueError("thresholds must be strictly increasing")
 
@@ -225,14 +228,21 @@ def selection_transition(population: ParticlePopulation, G_p,
     exactly 1 - eta(G_p) on average.  ``scheme`` picks how the replaced
     particles are redrawn: independent multinomial draws by default, or
     a single stratified sweep ("systematic") for variance comparison.
+
+    A redraw key u in (0, 1] picks the first particle whose normalized
+    cumulative potential reaches u.  That particle always has positive
+    potential, so the search runs, through a guide table built per call,
+    over the positive-potential particles only.  A key above the last
+    cumulative value (which can round below 1 for fractional potentials)
+    picks the last positive-potential particle.
     """
     if scheme not in ("multinomial", "systematic"):
         raise ValueError(f"unknown resampling scheme {scheme!r}")
     states = population.states
     n = len(states)
     g = np.asarray(G_p(states) if callable(G_p) else G_p, dtype=float)
-    if np.any((g < 0.0) | (g > 1.0)):
-        raise ValueError("selection potential must take values in [0, 1]")
+    if not np.all((g >= 0.0) & (g <= 1.0)):
+        raise ValueError("selection potential must take values in [0, 1] (NaN is not)")
     total = g.sum()
     if total <= 0.0:
         raise ExtinctionError(
@@ -241,14 +251,14 @@ def selection_transition(population: ParticlePopulation, G_p,
         )
     u = rng.uniforms(n)
     keep = u <= g
-    cum = np.cumsum(g) / total
     n_redraw = int((~keep).sum())
     if scheme == "systematic" and n_redraw > 0:
-        offsets = (np.arange(n_redraw) + rng.next_uniform()) / n_redraw
-        redraw_idx = np.searchsorted(cum, offsets)
+        keys = (np.arange(n_redraw) + rng.next_uniform()) / n_redraw
     else:
-        redraw_idx = np.searchsorted(cum, rng.uniforms(n_redraw))
-    redraw_idx = np.minimum(redraw_idx, n - 1)
+        keys = rng.uniforms(n_redraw)
+    live = np.flatnonzero(g > 0.0)
+    cum = np.cumsum(g[live]) / total
+    redraw_idx = live[_guided_search(cum, _guide_table(cum), keys)]
     new_states = states.copy()
     new_states[~keep] = states[redraw_idx]
     pop = ParticlePopulation(

@@ -19,6 +19,7 @@ from lossmc import (
     build_severity,
     norm_cdf,
 )
+from lossmc.distributions import _guide_table, _guided_search
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +247,60 @@ def test_poisson_sampler_hand_trace():
     draws = PoissonFrequency(math.log(2.0)).sample(stream, 2)
     assert list(draws) == [1, 2]
     assert stream.remaining == 0
+
+
+def _searchsorted_reference(cdf, u):
+    """The binary-search inverse the guide table replaces."""
+    return np.minimum(np.searchsorted(cdf, u), len(cdf) - 1)
+
+
+def test_guide_table_hand_trace_poisson_ln2():
+    """lam = ln 2: the 256-entry table starts 0.5, 0.8466, 0.9667, 0.9944,
+    0.99925, 0.99991, 0.9999917, 0.9999993, so floor(256 cdf) starts 128,
+    216, 247, 254, 255, 255, ... and never reaches 256 (the table stops
+    short of 1).  Bucket j's guide is the first entry with floor >= j.
+    """
+    table, guide = PoissonFrequency(math.log(2.0))._cdf_table()
+    assert len(table) == 256 and len(guide) == 257
+    assert np.all(guide[:129] == 0)
+    assert np.all(guide[129:217] == 1)
+    assert np.all(guide[217:248] == 2)
+    assert np.all(guide[248:255] == 3)
+    assert guide[255] == 4
+    assert guide[256] == 256  # past the table: no entry reaches 1
+    # 0.5: bucket 128, guide 0, a tie with cdf[0]; 0.6, 0.9, 0.97: the
+    # guide entry itself; 0.9995: bucket 255, one step from 4 to 5;
+    # 0.999995: two steps reach 6, still short, so the binary search
+    # finds 7; 1.0: bucket 256, past the table, clamped to the last entry
+    u = np.array([0.5, 0.6, 0.9, 0.97, 0.9995, 0.999995, 1.0])
+    expected = [0, 1, 2, 3, 5, 7, 255]
+    assert list(_guided_search(table, guide, u)) == expected
+    assert list(_searchsorted_reference(table, u)) == expected
+
+
+@pytest.mark.parametrize("freq", [
+    PoissonFrequency(math.log(2.0)),
+    PoissonFrequency(3.0),
+    PoissonFrequency(800.0),
+    BinomialFrequency(30, 0.4),
+    NegativeBinomialFrequency(2.0, 9.0),
+    GeneralizedPoissonFrequency(5000.0, 0.1),
+    GeneralizedPoissonFrequency(1.5, 0.9),
+    GeneralizedPoissonFrequency(10.0, -0.5),
+], ids=["poisson-ln2", "poisson3", "poisson800", "binomial", "negbinomial-2-9",
+        "genpoisson-5000-0.1", "genpoisson-1.5-0.9", "genpoisson-truncated"])
+def test_guided_search_matches_binary_search_on_count_tables(freq):
+    """The guide lookup returns the binary search's index on random keys,
+    on every table entry and its neighbours, and at the top end."""
+    table, guide = freq._cdf_table()
+    u = np.concatenate([
+        PcgStream(3636).uniforms(50_000),
+        table, np.nextafter(table, 2.0), np.nextafter(table, -1.0),
+        [1.0, table[-1], np.nextafter(table[-1], 2.0)],
+    ])
+    u = u[(u > 0.0) & (u <= 1.0)]
+    assert np.array_equal(_guided_search(table, guide, u),
+                          _searchsorted_reference(table, u))
 
 
 def test_poisson_sampler_mean():

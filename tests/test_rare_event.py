@@ -13,6 +13,7 @@ from lossmc import (
     ParticlePopulation,
     PcgStream,
     RestrictedMhSampler,
+    SequenceStream,
     SmcEstimate,
     StuckKernelWarning,
     TwistedSampler,
@@ -27,6 +28,8 @@ from lossmc import (
     trace_to_csv,
     tv_convergence_check,
 )
+
+from lossmc.distributions import _guide_table, _guided_search
 
 from conftest import gauss_sampler, rw_mutation, sigma05_model
 
@@ -74,6 +77,9 @@ def test_selection_validates_inputs():
     pop = ParticlePopulation(states=np.arange(4.0))
     with pytest.raises(ValueError):
         selection_transition(pop, np.full(4, 1.5), PcgStream(1))
+    # NaN passes a range test written as (g < 0) | (g > 1)
+    with pytest.raises(ValueError, match="NaN"):
+        selection_transition(pop, np.array([np.nan, 1.0, 1.0, 1.0]), PcgStream(1))
     with pytest.raises(ValueError):
         selection_transition(pop, np.ones(4), PcgStream(1), scheme="residual")
     with pytest.raises(ExtinctionError):
@@ -99,6 +105,78 @@ def test_selection_change_rate_matches_coupling():
     assert abs(replaced.mean() - N * 0.5) <= 3.0 * se_r
     se_c = changed.std(ddof=1) / math.sqrt(R)
     assert abs(changed.mean() - 0.5) <= 3.0 * se_c
+
+
+def test_selection_never_picks_a_zero_potential_ancestor():
+    """Fractional potentials can sum, cumulatively, to just below 1; a redraw
+    key of exactly 1.0 must still land on a particle with positive potential.
+    A binary search over the whole population maps every such key to the
+    last particle, here with g = 0."""
+    draws = np.random.default_rng(1)
+    while True:
+        g = draws.random(12)
+        g[-1] = 0.0
+        if (np.cumsum(g) / g.sum())[-1] < 1.0:
+            break
+    pop = ParticlePopulation(states=np.arange(12.0))
+    out = selection_transition(pop, g, SequenceStream([1.0] * 24))
+    # every particle is replaced (u = 1 > g), every key is 1.0
+    assert out.acceptance[-1] == 0.0
+    assert np.all(out.states == 10.0)
+
+
+_POTENTIALS = {
+    "indicator": (np.arange(500) % 7 == 3).astype(float),
+    "fractional": PcgStream(4141).uniforms(500) * (np.arange(500) % 3 != 0),
+    "all-ones": np.ones(500),
+    "single-live": np.eye(1, 500, 317).ravel(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_guided_ancestor_search_matches_binary_search(name):
+    """On the positive-potential cumulative array, the guide lookup returns
+    the binary search's index for random keys, systematic offsets, every
+    entry and its neighbours, u = 1, cum[-1] and the float just above it."""
+    g = _POTENTIALS[name]
+    cum = np.cumsum(g[g > 0.0]) / g.sum()
+    rng = PcgStream(4242)
+    keys = np.concatenate([
+        rng.uniforms(20_000),
+        (np.arange(997) + rng.next_uniform()) / 997,
+        (np.arange(10) + 1.0) / 10,
+        cum, np.nextafter(cum, 2.0), np.nextafter(cum, -1.0),
+        [1.0, cum[-1], np.nextafter(cum[-1], 2.0)],
+    ])
+    keys = keys[(keys > 0.0) & (keys <= 1.0)]
+    found = _guided_search(cum, _guide_table(cum), keys)
+    assert np.array_equal(found, np.minimum(np.searchsorted(cum, keys), len(cum) - 1))
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+@pytest.mark.parametrize("name", sorted(_POTENTIALS))
+def test_selection_matches_whole_population_binary_search(name, scheme):
+    """Searching only the positive-potential particles gives the ancestors
+    the binary search over the whole population's cumulative potential
+    gave, wherever that search lands inside the population."""
+    g = _POTENTIALS[name]
+    n = len(g)
+    states = np.arange(float(n))
+    out = selection_transition(ParticlePopulation(states=states), g,
+                               PcgStream(4343), scheme=scheme)
+    rng = PcgStream(4343)
+    keep = rng.uniforms(n) <= g
+    n_redraw = int((~keep).sum())
+    if scheme == "systematic" and n_redraw > 0:
+        keys = (np.arange(n_redraw) + rng.next_uniform()) / n_redraw
+    else:
+        keys = rng.uniforms(n_redraw)
+    cum = np.cumsum(g) / g.sum()
+    assert np.all(keys <= cum[-1])
+    expected = states.copy()
+    expected[~keep] = states[np.minimum(np.searchsorted(cum, keys), n - 1)]
+    assert np.array_equal(out.states, expected)
+    assert np.all(g[out.states.astype(int)] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +243,10 @@ def test_level_sequence_validation():
         LevelSequence(thresholds=np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         LevelSequence(thresholds=np.array([]))
+    # NaN slips past the increasing check, since NaN <= 0 is False
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LevelSequence(thresholds=np.array([100.0, bad]))
 
 
 def test_smc_estimate_validation():

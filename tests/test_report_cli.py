@@ -408,9 +408,13 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
      "x_max"),
     ("particle", {"kind": "particle", "x_max": float("inf"), "n_per_point": 10},
      "x_max"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[100.0, float("nan")]),
+     "thresholds must be finite"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[100.0, float("inf")]),
+     "thresholds must be finite"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
-        "x_max-nan", "x_max-inf"])
+        "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)
