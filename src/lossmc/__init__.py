@@ -98,20 +98,16 @@ from .volterra import (
     BetaProposal,
     INTERVAL,
     POINTWISE_GRID,
-    PathSample,
     PathSamplerConfig,
     SizeBiasedProposal,
-    UniformInterval,
     VolterraKernel,
     WeightedParticleMeasure,
     build_volterra_kernel,
     default_absorption,
     estimate_density_grid,
     estimate_measure_interval,
-    path_weight,
     quantile_from_measure,
     risk_measures_from_measure,
-    simulate_absorbed_path,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")] + ["__version__"]

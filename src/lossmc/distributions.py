@@ -138,9 +138,9 @@ class FrequencyModel:
 
         Every law inverts the same precomputed cdf table: the draw for u
         is the smallest n with F(n) >= u, found through the table's
-        cached guide.  Draws landing past the table (tail mass < 1e-12,
-        or the small deficit of a truncated support) map onto the last
-        entry.
+        cached guide.  The table ends at the last count with positive
+        mass; draws landing past its total (tail mass < 1e-12, or the
+        small deficit of a truncated support) map onto that count.
         """
         table, guide = self._cdf_table()
         return _guided_search(table, guide, stream.uniforms(size))
@@ -149,23 +149,28 @@ class FrequencyModel:
     def _cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
         cached = getattr(self, "_table", None)
         if cached is None:
-            n, cum, chunks = 0, 0.0, []
+            n, cum, chunks, last = 0, 0.0, [], 0
             while True:
                 block = np.arange(n, n + 256)
                 pm = self.pmf(block)
                 c = cum + np.cumsum(pm)
                 chunks.append(c)
                 cum = c[-1]
+                pos = np.flatnonzero(pm > 0.0)
+                if pos.size:
+                    last = n + int(pos[-1])
                 n += 256
                 # an empty block ends the support only once the bulk is
                 # behind us; before it, the pmf has not started yet
-                if 1.0 - cum < _TABLE_TAIL or (cum > 0.0 and not np.any(pm > 0.0)):
+                if 1.0 - cum < _TABLE_TAIL or (cum > 0.0 and not pos.size):
                     break
                 if n >= _TABLE_MAX:
                     raise ValueError(
                         f"{self.kind} count table needs more than {_TABLE_MAX} "
                         f"entries (mass {1.0 - cum:.3g} still missing)")
-            table = np.concatenate(chunks)
+            # end at the last count with positive mass, so a key above the
+            # total (a truncated support's deficit) draws that count
+            table = np.concatenate(chunks)[:last + 1]
             cached = self._table = (table, _guide_table(table))
         return cached
 

@@ -26,11 +26,12 @@ class TruncationError(RuntimeError):
 
 
 class ProposalSupportError(RuntimeError):
-    """A path proposal left the admissible strictly-decreasing support."""
+    """A path proposal moved to a state that is NaN or outside [0, x]."""
 
 
 class SupportViolationError(RuntimeError):
-    """Proposal density is zero somewhere the kernel is not."""
+    """A path proposal returned a negative or non-finite weight ratio, as
+    k / (mass q) is where its density q is zero and the kernel k is not."""
 
 
 class EmptyTailError(RuntimeError):

@@ -9,7 +9,9 @@ decreasing Markov paths that absorb with probability P_d per step, and
 weight each path by the product of kernel-to-proposal ratios.  The mean
 weight at a point estimates the density there; weighted atoms over an
 interval estimate the measure, and risk functionals follow from the
-resulting empirical cdf.
+resulting empirical cdf.  The route accepts the Poisson and negative
+binomial counts, the (a, b, 0) members whose kernel is nonnegative;
+every other count law is rejected.
 
 Both estimators run one propagator, ``_propagate``, which advances a
 whole set of particles by one absorb-or-move step at a time.  Each
@@ -19,8 +21,11 @@ estimator steps a block of consecutive points together while every
 point sees exactly the draws it would see alone.  A proposal's ``move``
 turns a batch of uniforms into new states and their weight ratios; the
 size-biased one forms its ratio in closed form, as the severity pdf
-cancels from k / q.  The estimators differ only in how a path's running
-weight w is accumulated:
+cancels from k / q.  Every move is checked (``_checked_move``): a new
+state that is NaN or outside [0, x] raises ``ProposalSupportError``, a
+negative or non-finite ratio -- what k / (mass q) gives where q = 0 --
+raises ``SupportViolationError``.  The estimators differ only in how a
+path's running weight w is accumulated:
 
 * endpoint -- w g(x_n) / P_d at the absorption state;
 * all states (``use_all_states``) -- w g(x_j) at every visited state,
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compound import CompoundModel
-from .distributions import GeneralizedPoissonFrequency, LogNormalSeverity
+from .distributions import LogNormalSeverity
 from .errors import (
     EmptyTailError,
     ProposalSupportError,
@@ -78,40 +83,28 @@ class VolterraKernel:
     k: callable
     a: float
     b: float
-    gpd_mode: bool = False
 
 
 def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
-    """Kernel for an (a, b, 0) or overdispersed generalized Poisson count.
+    """Kernel for a Poisson or negative binomial count.
 
-    For (a, b, 0) members k(x, x1) = (a + b (x-x1)/x) f_X(x - x1); the
-    binomial member has a < 0 which makes the kernel change sign and
-    breaks the nonnegative-weight guarantees, so it is rejected here.
-    The generalized Poisson mode uses p1(lam, theta) and the kernel
-    (theta + lam (x-x1)/x) f_X(x-x1) * lam/(lam+theta), that is the same
-    linear form with a = scale * theta and b = scale * lam, valid for
-    dispersion theta >= 0.
+    For (a, b, 0) members k(x, x1) = (a + b (x-x1)/x) f_X(x - x1).  The
+    binomial member has a < 0, which makes the kernel change sign and
+    breaks the nonnegative-weight guarantees, so it is rejected, as is
+    every count outside the (a, b, 0) class.  The generalized Poisson
+    pmf satisfies p_n(lam) = (lam/(lam+theta)) (theta + lam/n)
+    p_{n-1}(lam + theta), whose right side has another rate, so its
+    density solves no equation of this single-function form.
     """
     freq = model.frequency
     sev = model.severity
-    gpd_mode = isinstance(freq, GeneralizedPoissonFrequency)
-
-    if gpd_mode:
-        lam, th = freq.lam, freq.theta
-        if th < 0.0:
-            raise UnsupportedModelError(
-                "negative dispersion gives a sign-changing kernel"
-            )
-        scale = lam / (lam + th)
-        a, b = scale * th, scale * lam
-    else:
-        params = freq.panjer()  # raises UnsupportedModelError for other kinds
-        if params.a < 0.0:
-            raise UnsupportedModelError(
-                "binomial frequency yields a sign-changing Volterra kernel; "
-                "use the discrete recursion oracle instead"
-            )
-        a, b = params.a, params.b
+    params = freq.panjer()  # raises UnsupportedModelError outside (a, b, 0)
+    if params.a < 0.0:
+        raise UnsupportedModelError(
+            "binomial frequency yields a sign-changing Volterra kernel; "
+            "use the discrete recursion oracle instead"
+        )
+    a, b = params.a, params.b
     p1 = float(freq.pmf(1))
 
     def g(x):
@@ -125,42 +118,23 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
         out = np.where(u > 0.0, val, 0.0)
         return out if out.ndim else float(out)
 
-    return VolterraKernel(g=g, k=k, a=a, b=b, gpd_mode=gpd_mode)
+    return VolterraKernel(g=g, k=k, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
-# Initial laws and decrement proposals
+# Decrement proposals
 # ---------------------------------------------------------------------------
-
-@dataclass
-class UniformInterval:
-    """Interval mode: x0 uniform on [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.lo < self.hi):
-            raise ValueError("need 0 <= lo < hi")
-
-    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * stream.uniforms(size)
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
 
 @dataclass
 class BetaProposal:
     """Multiplicative decrement: x1 = x * B with B ~ Beta(a, b).
 
-    The multiplicative form keeps the support (0, x) automatically
-    valid at every state.  Keep a <= 1 so the proposal density stays
-    bounded away from zero where the kernel is not and the weight
-    variance stays finite; the default (1, 1.2) mildly favours large
-    decrements, which suits severity-dominated paths.
+    The multiplicative form keeps every new state in [0, x]; a draw at
+    either end, where q vanishes, gets ratio 0.  Keep a <= 1 so the
+    proposal density stays bounded away from zero where the kernel is
+    not and the weight variance stays finite; the default (1, 1.2)
+    mildly favours large decrements, which suits severity-dominated
+    paths.
     """
 
     a: float = 1.0
@@ -271,7 +245,7 @@ class SizeBiasedProposal:
 
 
 # ---------------------------------------------------------------------------
-# Sampler configuration and paths
+# Sampler configuration
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -279,11 +253,13 @@ class PathSamplerConfig:
     """Everything the absorbed-path sampler needs.
 
     ``proposal`` supplies the conditional move density q(x, .) through
-    ``sample(x, u)`` (new states from uniforms), ``density(x, x1)`` and
-    ``move(x, u, kernel, mass)`` (new states with their weight ratios
-    k / (mass q)); the full transition is M(x, .) = (1 - p_d) q(x, .),
-    which integrates to 1 - p_d over (0, x) with the remaining p_d
-    absorbed.
+    ``move(x, u, kernel, mass)``: new states x1 in [0, x], one per
+    uniform in ``u``, with their weight ratios k(x, x1) / (mass q(x, x1)),
+    zero where q vanishes.  A state that is NaN or outside [0, x] raises
+    ``ProposalSupportError``; a negative or non-finite ratio raises
+    ``SupportViolationError``.  The full transition is
+    M(x, .) = (1 - p_d) q(x, .), which integrates to 1 - p_d over (0, x)
+    with the remaining p_d absorbed.
     """
 
     proposal: object
@@ -299,77 +275,6 @@ class PathSamplerConfig:
 def default_absorption(model: CompoundModel) -> float:
     """P_d = 1/(1 + E[N]): mean Neumann term count matches mean path length."""
     return 1.0 / (1.0 + model.frequency.mean())
-
-
-@dataclass
-class PathSample:
-    """One absorbed path: states x0 > x1 > ... > x_n and its weight."""
-
-    states: np.ndarray
-    n: int
-    weight: float = 0.0
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        if len(self.states) != self.n + 1:
-            raise ValueError("path of length n has n+1 states")
-        if np.any(np.diff(self.states) >= 0.0) or np.any(self.states <= 0.0):
-            raise ValueError("states must be positive and strictly decreasing")
-        if self.weight < 0.0 or not math.isfinite(self.weight):
-            raise ValueError("weight must be finite and nonnegative")
-
-
-def simulate_absorbed_path(cfg: PathSamplerConfig, x0: float,
-                           rng: UniformStream) -> PathSample:
-    """Reference scalar sampler: start at x0 > 0, then absorb w.p. p_d,
-    else move down.
-
-    Each step draws one uniform to decide absorption and, on a move, one
-    more for the proposal.  Returns the path with a zero placeholder
-    weight; pair it with :func:`path_weight`.  The vectorized estimators
-    reproduce this logic batch-wise: a particle there draws the same two
-    uniforms per step from its grid point's own stream, with many grid
-    points stepped together in one block.
-    """
-    x = float(x0)
-    if not (x > 0.0):
-        raise ValueError(f"start point must be positive, got {x0}")
-    states = [x]
-    while True:
-        if rng.next_uniform() <= cfg.p_d:
-            break
-        nxt = float(cfg.proposal.sample(np.array([x]), rng.uniforms(1))[0])
-        if not (0.0 < nxt < x):
-            raise ProposalSupportError(
-                f"proposal moved {x:.6g} -> {nxt:.6g}, outside (0, x)"
-            )
-        states.append(nxt)
-        x = nxt
-    return PathSample(states=np.array(states), n=len(states) - 1, weight=0.0)
-
-
-def path_weight(path: PathSample, kernel: VolterraKernel,
-                cfg: PathSamplerConfig) -> float:
-    """Importance weight of one absorbed path started at x0 = states[0].
-
-    W = prod_j k(x_{j-1}, x_j) / M(x_{j-1}, x_j) * g(x_n) / P_d,
-
-    where M = (1 - P_d) q is the sub-stochastic transition; a path of
-    length zero has W = g(x0) / P_d.  The start is a point mass, so the
-    initial density mu(x0) = 1 drops out.
-    """
-    w = 1.0
-    for prev, cur in zip(path.states[:-1], path.states[1:]):
-        q = float(cfg.proposal.density(np.array([prev]), np.array([cur]))[0])
-        if q <= 0.0:
-            raise SupportViolationError(
-                f"proposal density is zero on the move {prev:.6g} -> {cur:.6g}"
-            )
-        w *= float(kernel.k(prev, cur)) / ((1.0 - cfg.p_d) * q)
-    w *= float(kernel.g(path.states[-1])) / cfg.p_d
-    if w < 0.0:
-        raise ValueError("negative path weight; kernel/proposal mismatch")
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -432,29 +337,6 @@ class WeightedParticleMeasure:
         idx = np.searchsorted(locs, np.asarray(z, dtype=float), side="right") - 1
         out = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
         return out if out.ndim else float(out)
-
-    def to_csv(self, path) -> None:
-        """Write the measure as plot-ready CSV.
-
-        Grid mode emits columns (x, density, stderr); interval mode
-        emits the sorted probability atoms, zero atom included, as
-        columns (x, weight, cumulative).
-        """
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            if self.mode == POINTWISE_GRID:
-                writer.writerow(["x", "density", "stderr"])
-                se = self.stderr if self.stderr is not None else np.zeros(len(self.weights))
-                for x, d, s in zip(self.locations, self.weights, se):
-                    writer.writerow([f"{x:.10g}", f"{d:.17g}", f"{s:.17g}"])
-            else:
-                writer.writerow(["x", "weight", "cumulative"])
-                locs, w = self.probability_atoms()
-                cum = np.cumsum(w)
-                for x, wi, c in zip(locs, w, cum):
-                    writer.writerow([f"{x:.10g}", f"{wi:.17g}", f"{c:.17g}"])
 
 
 def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
@@ -521,20 +403,45 @@ def _uniforms(streams, owner, idx: np.ndarray) -> np.ndarray:
     return np.concatenate([s.uniforms(c) for s, c in zip(streams, counts) if c])
 
 
+def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float):
+    """``proposal.move(x, u, kernel, mass)``, with its output checked.
+
+    One mask per call covers every move: each new state must lie in
+    [0, x] and each ratio must be finite and nonnegative.  Only when the
+    mask fails is the fault classified -- a state that is NaN or outside
+    [0, x] raises ``ProposalSupportError``, a negative or non-finite
+    ratio (k / (mass q) at q = 0) ``SupportViolationError``.
+    """
+    x1, ratio = proposal.move(x, u, kernel, mass)
+    ok = (x1 >= 0.0) & (x1 <= x) & (ratio >= 0.0) & (ratio < math.inf)
+    if not ok.all():
+        x, x1, ratio = np.broadcast_arrays(x, x1, ratio)
+        off = ~((x1 >= 0.0) & (x1 <= x))
+        if off.any():
+            i = np.flatnonzero(off)[0]
+            raise ProposalSupportError(
+                f"proposal moved {x[i]:.6g} -> {x1[i]:.6g}, outside [0, x]")
+        i = np.flatnonzero(~ok)[0]
+        raise SupportViolationError(
+            f"weight ratio {ratio[i]:.6g} on the move {x[i]:.6g} -> {x1[i]:.6g}; "
+            "the proposal density must be positive wherever the kernel is")
+    return x1, ratio
+
+
 def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
-               streams, owner, all_states: bool) -> None:
+               streams, owner) -> None:
     """Run every particle's path to absorption, updating x, w and acc in place.
 
     Each step draws one uniform per live particle from its owner's stream
     (``owner[i]`` indexes ``streams``; None with a single stream): it
     absorbs with probability p_d, else draws a second uniform and moves
     by the proposal, multiplying its weight by k / ((1 - p_d) q).  With
-    ``all_states`` the running weight times g is added to ``acc`` at
-    every visited state; otherwise ``acc`` receives w g(x) / p_d at the
-    absorption endpoint.  Particles whose weight or state underflows
-    stop contributing.
+    ``cfg.use_all_states`` the running weight times g is added to
+    ``acc`` at every visited state; otherwise ``acc`` receives
+    w g(x) / p_d at the absorption endpoint.  Particles whose weight or
+    state underflows stop contributing.
     """
-    pd = cfg.p_d
+    pd, all_states = cfg.p_d, cfg.use_all_states
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     while active.size:
         moving = _uniforms(streams, owner, active) > pd
@@ -544,8 +451,8 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
         active = active[moving]
         if not active.size:
             break
-        x1, ratio = cfg.proposal.move(x[active], _uniforms(streams, owner, active),
-                                      kernel, 1.0 - pd)
+        x1, ratio = _checked_move(cfg.proposal, x[active],
+                                  _uniforms(streams, owner, active), kernel, 1.0 - pd)
         w[active] *= ratio
         x[active] = x1
         if all_states:
@@ -570,9 +477,9 @@ def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
         # simulate only the n >= 1 remainder: force the first move (its
         # ratio is k/q, absorbing the 1 - p_d prefactor) and add the
         # known first term analytically
-        x, w = cfg.proposal.move(x, _uniforms(streams, owner, np.arange(owner.size)),
-                                 kernel, 1.0)
-    _propagate(x, w, acc, kernel, cfg, streams, owner, cfg.use_all_states)
+        x, w = _checked_move(cfg.proposal, x,
+                             _uniforms(streams, owner, np.arange(owner.size)), kernel, 1.0)
+    _propagate(x, w, acc, kernel, cfg, streams, owner)
     return g0 + acc if forced else acc
 
 
@@ -633,12 +540,11 @@ def estimate_measure_interval(model: CompoundModel, interval, n_paths: int,
     if not (0.0 <= x_a < x_b):
         raise ValueError("need an interval [x_a, x_b] with x_a < x_b")
     kernel = build_volterra_kernel(model)
-    initial = UniformInterval(x_a, x_b)
     n = int(n_paths)
-    x0 = initial.sample(rng, n)
-    w = 1.0 / initial.density(x0)
+    x0 = x_a + (x_b - x_a) * rng.uniforms(n)
+    w = np.full(n, x_b - x_a)  # 1 / mu(x0)
     acc = w * kernel.g(x0) if cfg.use_all_states else np.zeros(n)
-    _propagate(x0.copy(), w, acc, kernel, cfg, [rng], None, cfg.use_all_states)
+    _propagate(x0.copy(), w, acc, kernel, cfg, [rng], None)
 
     return WeightedParticleMeasure(
         locations=x0, weights=acc, mode=INTERVAL,

@@ -197,6 +197,18 @@ def test_generalized_poisson_negative_dispersion_truncates():
     assert pm.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_truncated_generalized_poisson_draws_stay_in_support():
+    """The count table ends at the support cap, so keys above its total,
+    the unrenormalized deficit, draw the cap instead of a count past it."""
+    gp = GeneralizedPoissonFrequency(1.5, -0.3)
+    assert gp._support_cap() == 4
+    table, guide = gp._cdf_table()
+    assert len(table) == 5 and table[-1] < 1.0
+    assert gp.sample(PcgStream(1), 1_000_000).max() == 4
+    above = np.array([np.nextafter(table[-1], 2.0), 0.5 * (table[-1] + 1.0), 1.0])
+    assert np.array_equal(_guided_search(table, guide, above), [4, 4, 4])
+
+
 def test_generalized_poisson_has_no_panjer_params():
     with pytest.raises(UnsupportedModelError):
         GeneralizedPoissonFrequency(2.0, 0.3).panjer()
@@ -255,25 +267,25 @@ def _searchsorted_reference(cdf, u):
 
 
 def test_guide_table_hand_trace_poisson_ln2():
-    """lam = ln 2: the 256-entry table starts 0.5, 0.8466, 0.9667, 0.9944,
-    0.99925, 0.99991, 0.9999917, 0.9999993, so floor(256 cdf) starts 128,
-    216, 247, 254, 255, 255, ... and never reaches 256 (the table stops
-    short of 1).  Bucket j's guide is the first entry with floor >= j.
+    """lam = ln 2: the table ends at entry 165, the last count whose pmf
+    does not underflow, and starts 0.5, 0.8466, 0.9667, 0.9944, 0.99925,
+    0.99991, 0.9999917, 0.9999993, so floor(166 cdf) starts 83, 140, 160,
+    165, 165, ... and never reaches 166 (the table stops short of 1).
+    Bucket j's guide is the first entry with floor >= j.
     """
     table, guide = PoissonFrequency(math.log(2.0))._cdf_table()
-    assert len(table) == 256 and len(guide) == 257
-    assert np.all(guide[:129] == 0)
-    assert np.all(guide[129:217] == 1)
-    assert np.all(guide[217:248] == 2)
-    assert np.all(guide[248:255] == 3)
-    assert guide[255] == 4
-    assert guide[256] == 256  # past the table: no entry reaches 1
-    # 0.5: bucket 128, guide 0, a tie with cdf[0]; 0.6, 0.9, 0.97: the
-    # guide entry itself; 0.9995: bucket 255, one step from 4 to 5;
-    # 0.999995: two steps reach 6, still short, so the binary search
-    # finds 7; 1.0: bucket 256, past the table, clamped to the last entry
+    assert len(table) == 166 and len(guide) == 167
+    assert np.all(guide[:84] == 0)
+    assert np.all(guide[84:141] == 1)
+    assert np.all(guide[141:161] == 2)
+    assert np.all(guide[161:166] == 3)
+    assert guide[166] == 166  # past the table: no entry reaches 1
+    # 0.5: bucket 83, guide 0, a tie with cdf[0]; 0.6, 0.9, 0.97: the
+    # guide entry itself; 0.9995: bucket 165, two steps from 3 to 5;
+    # 0.999995: two steps reach 5, still short, so the binary search
+    # finds 7; 1.0: bucket 166, past the table, clamped to the last entry
     u = np.array([0.5, 0.6, 0.9, 0.97, 0.9995, 0.999995, 1.0])
-    expected = [0, 1, 2, 3, 5, 7, 255]
+    expected = [0, 1, 2, 3, 5, 7, 165]
     assert list(_guided_search(table, guide, u)) == expected
     assert list(_searchsorted_reference(table, u)) == expected
 

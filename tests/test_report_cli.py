@@ -358,6 +358,22 @@ def test_cli_rejects_count_law_past_table_cap(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_particle_rejects_generalized_poisson(tmp_path, capsys):
+    """The particle route has no Volterra kernel for a generalized Poisson
+    count, so the CLI exits 2 instead of printing wrong quantiles."""
+    model = copy.deepcopy(SIGMA05_MODEL)
+    model["frequency"] = {"kind": "genpoisson", "lambda": 2.0, "theta": 0.3}
+    cfg = _write_config(tmp_path, {"kind": "particle", "x_max": 40.0, "n_per_point": 10},
+                        model=model)
+    rc = main(["particle", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "UnsupportedModelError" and "genpoisson" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("x_max", [0, -5.0])
 def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
     """x_max <= 0 leaves no lattice cell; it must not fall back to the default."""

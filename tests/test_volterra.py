@@ -11,7 +11,6 @@ from lossmc import (
     GeneralizedPoissonFrequency,
     LogNormalSeverity,
     NegativeBinomialFrequency,
-    PathSample,
     PathSamplerConfig,
     PcgStream,
     PoissonFrequency,
@@ -20,19 +19,18 @@ from lossmc import (
     SizeBiasedProposal,
     SupportViolationError,
     TruncationError,
-    UniformInterval,
+    UniformStream,
     UnsupportedModelError,
     WeightedParticleMeasure,
     build_volterra_kernel,
     default_absorption,
     estimate_density_grid,
     estimate_measure_interval,
-    path_weight,
+    oracle_compound_pmf,
     quantile_from_measure,
     risk_measures_from_measure,
-    simulate_absorbed_path,
 )
-from lossmc.volterra import _BLOCK_PARTICLES, _DEAD_FLOOR, INTERVAL, POINTWISE_GRID
+from lossmc.volterra import _BLOCK_PARTICLES, _DEAD_FLOOR, INTERVAL, _checked_move
 
 from conftest import particle_config, sigma05_model, sigma1_model
 
@@ -47,7 +45,6 @@ def _lognormal_pdf(x, mu=2.0, sigma=0.5):
 
 def test_poisson_kernel_values():
     kernel = build_volterra_kernel(sigma05_model())
-    assert not kernel.gpd_mode
     # k(x, x1) = lam * (x - x1)/x * f_X(x - x1) for the Poisson count
     assert kernel.k(20.0, 12.0) == pytest.approx(2.0 * 0.4 * _lognormal_pdf(8.0),
                                                  rel=1e-12)
@@ -61,23 +58,18 @@ def test_poisson_kernel_values():
     assert kernel.k(20.0, 25.0) == 0.0
 
 
-def test_generalized_poisson_kernel_values():
-    freq = GeneralizedPoissonFrequency(2.0, 0.3)
-    model = CompoundModel(freq, LogNormalSeverity(2.0, 0.5))
-    kernel = build_volterra_kernel(model)
-    assert kernel.gpd_mode
-    expected = (2.0 / 2.3) * (0.3 + 2.0 * 0.4) * _lognormal_pdf(8.0)
-    assert kernel.k(20.0, 12.0) == pytest.approx(expected, rel=1e-12)
-    assert kernel.g(12.0) == pytest.approx(freq.pmf(1) * _lognormal_pdf(12.0),
-                                           rel=1e-12)
+def test_kernel_rejects_generalized_poisson():
+    """Its pmf recursion shifts the rate, p_n(lam) ~ p_{n-1}(lam + theta),
+    so no single-function Volterra equation holds for any theta."""
+    for theta in (0.3, 0.0, -0.2):
+        with pytest.raises(UnsupportedModelError):
+            build_volterra_kernel(CompoundModel(GeneralizedPoissonFrequency(2.0, theta),
+                                                LogNormalSeverity(2.0, 0.5)))
 
 
 def test_kernel_rejects_sign_changing_counts():
     with pytest.raises(UnsupportedModelError):
         build_volterra_kernel(CompoundModel(BinomialFrequency(3, 0.4),
-                                            LogNormalSeverity(2.0, 0.5)))
-    with pytest.raises(UnsupportedModelError):
-        build_volterra_kernel(CompoundModel(GeneralizedPoissonFrequency(2.0, -0.2),
                                             LogNormalSeverity(2.0, 0.5)))
 
 
@@ -85,25 +77,25 @@ def test_kernel_rejects_sign_changing_counts():
 # path mechanics and weights
 # ---------------------------------------------------------------------------
 
-def test_path_sample_validation():
-    with pytest.raises(ValueError):
-        PathSample(states=np.array([20.0, 12.0]), n=2)
-    with pytest.raises(ValueError):
-        PathSample(states=np.array([12.0, 20.0]), n=1)
-    with pytest.raises(ValueError):
-        PathSample(states=np.array([12.0, -1.0]), n=1)
-    with pytest.raises(ValueError):
-        PathSample(states=np.array([20.0]), n=0, weight=-1.0)
-    with pytest.raises(ValueError):
-        PathSample(states=np.array([20.0]), n=0, weight=float("inf"))
+ACCUMULATION_RULES = {
+    "all_states": dict(use_all_states=True),
+    "forced_first_move": dict(use_all_states=False, vr_pointwise=True),
+    "endpoint": dict(use_all_states=False, vr_pointwise=False),
+}
+
+
+def _path_weight(proposal, draws, rule="endpoint"):
+    """Density estimate of one path from x0 = 20 on the sigma = 0.5 model
+    at p_d = 0.5, drawing its uniforms from ``draws``."""
+    cfg = PathSamplerConfig(proposal=proposal, p_d=0.5, **ACCUMULATION_RULES[rule])
+    measure = estimate_density_grid(sigma05_model(), [20.0], 1, cfg, SequenceStream(draws))
+    return float(measure.weights[0])
 
 
 def test_hand_computed_single_step_weight():
-    """One forced move 20 -> 12 under a uniform multiplicative proposal."""
+    """Move 20 -> 12 under a uniform multiplicative proposal, then absorb."""
     kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
-    path = PathSample(states=np.array([20.0, 12.0]), n=1)
-    w = path_weight(path, kernel, cfg)
+    w = _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.6, 0.1])
     # q(20, 12) = 1/20; W = k/( (1-pd) q ) * g(12)/pd
     by_hand = kernel.k(20.0, 12.0) / (0.5 * 0.05) * kernel.g(12.0) / 0.5
     assert w == pytest.approx(by_hand, rel=1e-12)
@@ -112,40 +104,83 @@ def test_hand_computed_single_step_weight():
 
 def test_zero_length_path_weight_is_first_term():
     kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
-    path = PathSample(states=np.array([20.0]), n=0)
-    assert path_weight(path, kernel, cfg) == pytest.approx(
+    assert _path_weight(BetaProposal(1.0, 1.0), [0.1]) == pytest.approx(
         kernel.g(20.0) / 0.5, rel=1e-12)
 
 
 class _UpwardProposal:
-    def sample(self, x, u):
-        return np.asarray(x, dtype=float) + 1.0
-
-    def density(self, x, x1):
-        return np.ones_like(np.asarray(x, dtype=float))
+    def move(self, x, u, kernel, mass):
+        x = np.asarray(x, dtype=float)
+        return x + 1.0, np.ones_like(x)
 
 
 class _ZeroDensityProposal:
-    def sample(self, x, u):
-        return np.asarray(x, dtype=float) / 2.0
+    """Moves to x/2 where its density q is zero, and forms k / (mass q)
+    without zeroing the ratio there."""
 
-    def density(self, x, x1):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    def move(self, x, u, kernel, mass):
+        x1 = np.asarray(x, dtype=float) / 2.0
+        with np.errstate(divide="ignore"):
+            return x1, kernel.k(x, x1) / (mass * np.zeros_like(x1))
+
+
+class _FixedMove:
+    """Moves every state to ``frac * x`` with the weight ratio ``ratio``."""
+
+    def __init__(self, frac, ratio):
+        self.frac, self.ratio = frac, ratio
+
+    def move(self, x, u, kernel, mass):
+        x = np.asarray(x, dtype=float)
+        return self.frac * x, np.full_like(x, self.ratio)
+
+
+def _assert_every_route_raises(proposal, error):
+    """The first move raises ``error`` on every estimator route: the grid
+    under each accumulation rule (the forced first move included) and an
+    interval path."""
+    draws = [0.9, 0.6, 0.1]
+    for rule in ACCUMULATION_RULES:
+        with pytest.raises(error):
+            _path_weight(proposal, draws, rule)
+    cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
+    with pytest.raises(error):
+        estimate_measure_interval(sigma05_model(), (0.0, 40.0), 1, cfg,
+                                  SequenceStream([0.5, *draws]))
 
 
 def test_upward_proposal_is_rejected():
-    cfg = PathSamplerConfig(proposal=_UpwardProposal(), p_d=0.5)
-    with pytest.raises(ProposalSupportError):
-        simulate_absorbed_path(cfg, 20.0, SequenceStream([0.9, 0.9]))
+    _assert_every_route_raises(_UpwardProposal(), ProposalSupportError)
 
 
 def test_weight_requires_positive_proposal_density():
+    _assert_every_route_raises(_ZeroDensityProposal(), SupportViolationError)
+
+
+@pytest.mark.parametrize("frac,ratio,error", [
+    (math.nan, 1.0, ProposalSupportError),
+    (-0.5, 1.0, ProposalSupportError),
+    (math.nan, math.nan, ProposalSupportError),
+    (0.5, -1.0, SupportViolationError),
+    (0.5, math.nan, SupportViolationError),
+    (0.5, math.inf, SupportViolationError),
+], ids=["nan-state", "negative-state", "nan-both", "negative-ratio", "nan-ratio",
+        "inf-ratio"])
+def test_support_check_classifies_the_fault(frac, ratio, error):
+    """A bad state is a support fault whatever its ratio; only a state in
+    [0, x] with a negative or non-finite ratio is a density fault."""
+    _assert_every_route_raises(_FixedMove(frac, ratio), error)
+
+
+def test_moves_to_either_end_with_zero_ratio_pass_the_check():
+    """The library proposals reach x1 = 0 and x1 = x, where q vanishes,
+    with ratio 0; the path then stops with zero weight."""
     kernel = build_volterra_kernel(sigma05_model())
-    cfg = PathSamplerConfig(proposal=_ZeroDensityProposal(), p_d=0.5)
-    path = PathSample(states=np.array([20.0, 12.0]), n=1)
-    with pytest.raises(SupportViolationError):
-        path_weight(path, kernel, cfg)
+    x = np.array([20.0, 20.0])
+    x1, ratio = _checked_move(BetaProposal(1.0, 1.0), x, np.array([0.0, 1.0]), kernel, 0.5)
+    assert np.array_equal(x1, [0.0, 20.0]) and np.array_equal(ratio, [0.0, 0.0])
+    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.0]) == 0.0
+    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 1.0]) == 0.0
 
 
 def test_config_and_proposal_validation():
@@ -155,11 +190,6 @@ def test_config_and_proposal_validation():
         PathSamplerConfig(proposal=None, p_d=1.2)
     with pytest.raises(ValueError):
         BetaProposal(0.0, 1.0)
-    with pytest.raises(ValueError):
-        UniformInterval(5.0, 5.0)
-    with pytest.raises(ValueError):
-        simulate_absorbed_path(PathSamplerConfig(proposal=None, p_d=0.5), 0.0,
-                               SequenceStream([0.9]))
     with pytest.raises(UnsupportedModelError):
         SizeBiasedProposal(severity="not lognormal")
 
@@ -168,20 +198,37 @@ def test_default_absorption_matches_mean_path_length():
     assert default_absorption(sigma05_model()) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+class _CountingStream(UniformStream):
+    """Passes ``inner``'s uniforms through, counting them."""
+
+    def __init__(self, inner):
+        self.inner, self.drawn = inner, 0
+
+    def uniforms(self, n):
+        self.drawn += n
+        return self.inner.uniforms(n)
+
+
 def test_path_length_is_geometric():
-    """At p_d the number of moves is geometric with mean (1-p_d)/p_d."""
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
-    rng = PcgStream(2020)
-    lengths = np.array([simulate_absorbed_path(cfg, 20.0, rng).n for _ in range(100_000)])
-    se = lengths.std(ddof=1) / math.sqrt(len(lengths))
-    assert abs(lengths.mean() - 1.0) <= 3.0 * se
+    """At p_d the number of moves is geometric with mean (1-p_d)/p_d.
+
+    An endpoint-rule path draws one uniform per absorb-or-move step and
+    one per move, 1 + 2 moves in all, so the mean number of moves is
+    (drawn / n - 1) / 2; its standard error is sqrt(2 / n) at p_d = 0.5.
+    """
+    n = 100_000
+    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5,
+                            **ACCUMULATION_RULES["endpoint"])
+    rng = _CountingStream(PcgStream(2020))
+    estimate_density_grid(sigma05_model(), [20.0], n, cfg, rng)
+    moves = (rng.drawn / n - 1.0) / 2.0
+    assert abs(moves - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
 
 @pytest.mark.parametrize("frequency", [
     PoissonFrequency(2.0),                   # a = 0
     NegativeBinomialFrequency(2.0, 1.5),     # a > 0
-    GeneralizedPoissonFrequency(2.0, 0.3),
-], ids=["poisson", "negbinomial", "genpoisson"])
+], ids=["poisson", "negbinomial"])
 @pytest.mark.parametrize("sigma", [0.5, 1.0])
 def test_size_biased_move_ratio_matches_kernel_over_density(frequency, sigma):
     """The closed-form ratio of the fused move is k / ((1 - p_d) q)."""
@@ -199,18 +246,12 @@ def test_size_biased_move_ratio_matches_kernel_over_density(frequency, sigma):
     assert np.all(ref > 0.0) and np.all(np.isfinite(ratio))
     assert np.allclose(ratio, ref, rtol=1e-12, atol=0.0)
     assert np.any(x1 == 0.0)
+    assert np.array_equal(_checked_move(proposal, x, u, kernel, mass)[1], ratio)
 
 
 # ---------------------------------------------------------------------------
 # density estimates
 # ---------------------------------------------------------------------------
-
-ACCUMULATION_RULES = {
-    "all_states": dict(use_all_states=True),
-    "forced_first_move": dict(use_all_states=False, vr_pointwise=True),
-    "endpoint": dict(use_all_states=False, vr_pointwise=False),
-}
-
 
 @pytest.mark.parametrize("rule", ACCUMULATION_RULES)
 def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
@@ -223,6 +264,28 @@ def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
                      for s in streams])
     se = reps.std(ddof=1) / math.sqrt(200)
     assert abs(reps.mean() - 0.0246406524) <= 3.0 * se
+
+
+@pytest.mark.parametrize("frequency", [
+    PoissonFrequency(2.0),
+    NegativeBinomialFrequency(2.0, 1.0),
+    GeneralizedPoissonFrequency(2.0, 0.3),
+], ids=["poisson", "negbinomial", "genpoisson"])
+def test_particle_density_matches_oracle(frequency):
+    """sigma = 1: every count law the route accepts matches the transform
+    oracle within 4 SE at 5, 20, 60 and 150; the generalized Poisson,
+    which it would get wrong, is rejected."""
+    model = CompoundModel(frequency, LogNormalSeverity(2.0, 1.0))
+    xs = np.array([5.0, 20.0, 60.0, 150.0])
+    cfg = particle_config(model)
+    if frequency.kind == "genpoisson":
+        with pytest.raises(UnsupportedModelError):
+            estimate_density_grid(model, xs, 10, cfg, PcgStream(11))
+        return
+    measure = estimate_density_grid(model, xs, 200_000, cfg, PcgStream(11))
+    pmf = oracle_compound_pmf(model, step=0.01, x_max=1500.0)
+    ref = pmf.density()[np.rint(xs / pmf.step).astype(int)]
+    assert np.all(np.abs(measure.weights - ref) <= 4.0 * measure.stderr)
 
 
 def _single_point_contributions(x0, n, kernel, cfg, stream):
@@ -474,30 +537,3 @@ def test_interval_expected_shortfall_matches_recursion(sigma05_pmf):
     sel = x >= var
     se = math.sqrt(np.sum((w[sel] * (x[sel] - es)) ** 2)) / w[sel].sum()
     assert abs(es - ref) <= 3.0 * se
-
-
-def test_measure_csv_round_trip(tmp_path):
-    import csv
-
-    grid_meas = WeightedParticleMeasure(
-        locations=np.array([1.0, 2.0]), weights=np.array([0.3, 0.1]),
-        mode=POINTWISE_GRID, stderr=np.array([0.01, 0.02]), zero_mass=0.2)
-    p1 = tmp_path / "grid.csv"
-    grid_meas.to_csv(p1)
-    with open(p1, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "density", "stderr"]
-    assert [float(r[1]) for r in rows[1:]] == [0.3, 0.1]
-
-    int_meas = WeightedParticleMeasure(
-        locations=np.array([5.0, 2.0]), weights=np.array([0.4, 0.2]),
-        mode=INTERVAL, zero_mass=0.1, n_paths=2)
-    p2 = tmp_path / "interval.csv"
-    int_meas.to_csv(p2)
-    with open(p2, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "weight", "cumulative"]
-    assert [float(r[0]) for r in rows[1:]] == [0.0, 2.0, 5.0]
-    cum = [float(r[2]) for r in rows[1:]]
-    assert cum == sorted(cum)
-    assert cum[-1] == pytest.approx(0.4)
