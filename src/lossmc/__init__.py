@@ -48,7 +48,6 @@ from .errors import (
     ProposalSupportError,
     RecursionInstabilityError,
     StreamExhaustedError,
-    StuckKernelWarning,
     SupportViolationError,
     TruncationError,
     UnsupportedModelError,
@@ -71,7 +70,6 @@ from .rare_event import (
     LevelSequence,
     MixingDiagnostic,
     ParticlePopulation,
-    RestrictedMhSampler,
     SmcEstimate,
     TwistedSampler,
     boltzmann_gibbs,

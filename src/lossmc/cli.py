@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .report import ExperimentConfig, emit_report, reproduce_table1, run_experiment
 
@@ -66,13 +67,9 @@ def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
             f"config method.kind is {cfg.method.get('kind')!r} but the "
             f"{args.command} subcommand runs {kind!r}"
         )
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.threads is not None:
-        cfg.threads = int(args.threads)
-    if args.out is not None:
-        cfg.output = args.out
-    return cfg
+    # replace() re-runs the config's validation on the overridden fields
+    overrides = {"seed": args.seed, "threads": args.threads, "output": args.out}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv=None) -> int:

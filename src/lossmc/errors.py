@@ -73,6 +73,3 @@ class NumericError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
 
-
-class StuckKernelWarning(UserWarning):
-    """Restricted MH chain rejected every proposal for a long stretch."""

@@ -16,7 +16,6 @@ else in the package.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -98,16 +97,6 @@ class CompoundPmf:
         d = self.masses / self.step
         d[0] = self.masses[0]
         return d
-
-    def to_csv(self, path) -> None:
-        """Write the lattice law as CSV with columns x, pmf, cdf."""
-        grid = self.grid()
-        cdf = self.cdf()
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["x", "pmf", "cdf"])
-            for x, m, c in zip(grid, self.masses, cdf):
-                w.writerow([f"{x:.10g}", f"{m:.17g}", f"{c:.17g}"])
 
 
 def discretize_severity(model: SeverityModel, step: float, K: int,

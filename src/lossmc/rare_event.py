@@ -14,7 +14,6 @@ replicated run.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
     DominationViolationError,
     ExtinctionError,
     InvalidTargetError,
-    StuckKernelWarning,
 )
 from .rng import UniformStream
 
@@ -134,51 +132,18 @@ class DiscreteMeasure:
 # Restricted Metropolis-Hastings
 # ---------------------------------------------------------------------------
 
-class RestrictedMhSampler:
-    """M(x, .) = K(x, .) 1_A + (1 - K(x, A)) delta_x, as a step handle.
-
-    ``propose`` performs one unrestricted base-invariant transition;
-    proposals outside A are rejected in place.  If a chain rejects for
-    ``patience`` consecutive steps a stuck-kernel warning is emitted
-    (once) so callers can spot a dead proposal.
-    """
-
-    def __init__(self, propose, predicate, patience: int = 1000):
-        self.propose = propose
-        self.predicate = predicate
-        self.patience = int(patience)
-        self._rejects = 0
-        self._warned = False
-
-    def step(self, x, rng: UniformStream):
-        y = self.propose(x, rng)
-        if self.predicate(y):
-            self._rejects = 0
-            return y
-        self._rejects += 1
-        if self._rejects >= self.patience and not self._warned:
-            warnings.warn(
-                f"restricted chain rejected {self._rejects} proposals in a row",
-                StuckKernelWarning,
-            )
-            self._warned = True
-        return x
-
-
 def restricted_mh_kernel(K, A):
-    """Restrict a proposal transition to the set A.
+    """Restrict a finite proposal transition matrix K to the set A.
 
-    With a finite transition matrix K and a boolean membership vector
-    A, returns the exact restricted matrix.  With a callable proposal,
-    returns a :class:`RestrictedMhSampler` handle.
+    Returns the exact restricted matrix for the boolean membership
+    vector A: moves into A keep their probability, the rest stays put.
+    The splitting loop restricts its proposals the same way, inline.
     """
-    if isinstance(K, np.ndarray):
-        K = np.asarray(K, dtype=float)
-        inside = np.asarray(A, dtype=bool)
-        M = K * inside[None, :]
-        reject = 1.0 - M.sum(axis=1)
-        return M + np.diag(reject)
-    return RestrictedMhSampler(K, A)
+    K = np.asarray(K, dtype=float)
+    inside = np.asarray(A, dtype=bool)
+    M = K * inside[None, :]
+    reject = 1.0 - M.sum(axis=1)
+    return M + np.diag(reject)
 
 
 def tv_convergence_check(M: np.ndarray, eta: np.ndarray, m_max: int) -> MixingDiagnostic:
@@ -218,16 +183,14 @@ def boltzmann_gibbs(measure: DiscreteMeasure, G) -> DiscreteMeasure:
 
 
 def selection_transition(population: ParticlePopulation, G_p,
-                         rng: UniformStream,
-                         scheme: str = "multinomial") -> ParticlePopulation:
+                         rng: UniformStream) -> ParticlePopulation:
     """Keep each particle with probability G_p, else redraw from the
     Boltzmann-Gibbs reweighting of the current population.
 
     This is the acceptance-rejection-with-recycling scheme: it realizes
     the optimal coupling, changing a particle's state with probability
-    exactly 1 - eta(G_p) on average.  ``scheme`` picks how the replaced
-    particles are redrawn: independent multinomial draws by default, or
-    a single stratified sweep ("systematic") for variance comparison.
+    exactly 1 - eta(G_p) on average.  The replaced particles are redrawn
+    by independent multinomial draws.
 
     A redraw key u in (0, 1] picks the first particle whose normalized
     cumulative potential reaches u.  That particle always has positive
@@ -236,8 +199,6 @@ def selection_transition(population: ParticlePopulation, G_p,
     cumulative value (which can round below 1 for fractional potentials)
     picks the last positive-potential particle.
     """
-    if scheme not in ("multinomial", "systematic"):
-        raise ValueError(f"unknown resampling scheme {scheme!r}")
     states = population.states
     n = len(states)
     g = np.asarray(G_p(states) if callable(G_p) else G_p, dtype=float)
@@ -252,10 +213,7 @@ def selection_transition(population: ParticlePopulation, G_p,
     u = rng.uniforms(n)
     keep = u <= g
     n_redraw = int((~keep).sum())
-    if scheme == "systematic" and n_redraw > 0:
-        keys = (np.arange(n_redraw) + rng.next_uniform()) / n_redraw
-    else:
-        keys = rng.uniforms(n_redraw)
+    keys = rng.uniforms(n_redraw)
     live = np.flatnonzero(g > 0.0)
     cum = np.cumsum(g[live]) / total
     redraw_idx = live[_guided_search(cum, _guide_table(cum), keys)]
@@ -282,7 +240,7 @@ def _base_sampler(model):
 
 
 def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
-           mutation, resampling: str, max_levels: int) -> SmcEstimate:
+           mutation, max_levels: int) -> SmcEstimate:
     """The one select/mutate loop behind both splitting entry points.
 
     ``next_level(p, states)`` returns the level's indicator potential
@@ -319,7 +277,7 @@ def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
             return SmcEstimate(estimate=0.0, level_fractions=fractions,
                                extinct_level=p, trace=trace)
         pop.generation = p
-        pop = selection_transition(pop, g, rng, scheme=resampling)
+        pop = selection_transition(pop, g, rng)
         assert np.all(G(pop.states) > 0.0), \
             "selection must confine the population to the level set"
         if final:
@@ -340,8 +298,7 @@ def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
 
 
 def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
-                   N: int, rng: UniformStream, mutation=None,
-                   resampling: str = "multinomial") -> SmcEstimate:
+                   N: int, rng: UniformStream, mutation=None) -> SmcEstimate:
     """Estimate P(A_n) by the multiplicative level-fraction formula.
 
     Alternates indicator selection and restricted-MH mutation through
@@ -361,16 +318,14 @@ def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
         threshold = None if thresholds is None else thresholds[p]
         return (lambda s: levels.indicator(p, s)), threshold, p + 1 == n_levels
 
-    est = _split(model, next_level, mutation_steps, N, rng, mutation,
-                 resampling, n_levels)
+    est = _split(model, next_level, mutation_steps, N, rng, mutation, n_levels)
     est.thresholds = thresholds
     return est
 
 
 def smc_rare_event_adaptive(model, final_threshold: float, mutation_steps: int,
                             N: int, rng: UniformStream, rho: float = 0.5,
-                            mutation=None, resampling: str = "multinomial",
-                            max_levels: int = 64) -> SmcEstimate:
+                            mutation=None, max_levels: int = 64) -> SmcEstimate:
     """Splitting with thresholds chosen on the fly.
 
     Each intermediate threshold is the rho-quantile of the current
@@ -393,8 +348,7 @@ def smc_rare_event_adaptive(model, final_threshold: float, mutation_steps: int,
             t = final_threshold
         return (lambda s: (s > t).astype(float)), t, t >= final_threshold
 
-    est = _split(model, next_level, mutation_steps, N, rng, mutation,
-                 resampling, max_levels)
+    est = _split(model, next_level, mutation_steps, N, rng, mutation, max_levels)
     est.thresholds = np.asarray([row["threshold"] for row in est.trace])
     est.adaptive = True
     return est

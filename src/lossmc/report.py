@@ -49,7 +49,7 @@ _METHOD_KEYS = {
     "sla": {"order"},
     "panjer": {"step", "x_max", "discretization"},
     "particle": {"grid_width", "x_max", "n_per_point", "proposal", "beta_a",
-                 "beta_b", "p_d", "use_all_states"},
+                 "beta_b", "p_d"},
     "rare-event": {"thresholds", "n_particles", "mh_steps", "replicates"},
 }
 _METHODS = tuple(_METHOD_KEYS)
@@ -85,6 +85,8 @@ class ExperimentConfig:
         if self.output not in ("csv", "json"):
             raise ValueError("output must be csv or json")
         self.threads = int(self.threads)
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         self.seed = int(self.seed)
 
     @classmethod
@@ -161,11 +163,13 @@ def _run_mc(model, cfg: ExperimentConfig):
 
 
 def _run_sla(model, cfg: ExperimentConfig):
-    order = int(cfg.method.get("order", 1))
+    order = cfg.method.get("order", 1)
+    if order not in (1, 2):
+        raise ValueError(f"sla order must be 1 or 2, got {order!r}")
     rows = []
     for alpha in cfg.levels:
         try:
-            if order >= 2:
+            if order == 2:
                 res = sla_var_second_order(model, alpha)
                 var = res.var_second if res.var_second is not None else res.var_first
             else:
@@ -173,7 +177,7 @@ def _run_sla(model, cfg: ExperimentConfig):
         except LevelRangeError:
             continue
         rows.append(ReportRow(alpha=alpha, method="sla", var=float(var)))
-    return rows, {"order": order}
+    return rows, {"order": int(order)}
 
 
 def _run_panjer(model, cfg: ExperimentConfig):
@@ -198,11 +202,8 @@ def _particle_config(model, m: dict) -> PathSamplerConfig:
         proposal = BetaProposal(float(m.get("beta_a", 1.0)), float(m.get("beta_b", 1.2)))
     else:
         raise ValueError(f"unknown proposal {proposal_kind!r}")
-    p_d = float(m.get("p_d", default_absorption(model)))
-    return PathSamplerConfig(
-        proposal=proposal, p_d=p_d,
-        use_all_states=bool(m.get("use_all_states", True)),
-    )
+    return PathSamplerConfig(proposal=proposal,
+                             p_d=float(m.get("p_d", default_absorption(model))))
 
 
 def _run_particle(model, cfg: ExperimentConfig):

@@ -24,16 +24,11 @@ size-biased one forms its ratio in closed form, as the severity pdf
 cancels from k / q.  Every move is checked (``_checked_move``): a new
 state that is NaN or outside [0, x] raises ``ProposalSupportError``, a
 negative or non-finite ratio -- what k / (mass q) gives where q = 0 --
-raises ``SupportViolationError``.  The estimators differ only in how a
-path's running weight w is accumulated:
-
-* endpoint -- w g(x_n) / P_d at the absorption state;
-* all states (``use_all_states``) -- w g(x_j) at every visited state,
-  which removes the 1/P_d inflation while staying unbiased, as each
-  state contributes exactly one Neumann term in expectation;
-* forced first move (``vr_pointwise``, point-wise endpoint runs) -- the
-  known first term g(x0) is added analytically and the paths start
-  after one compulsory move, so only the n >= 1 remainder is simulated.
+raises ``SupportViolationError``.  A path adds its running weight times
+g to its estimate at every state it visits, the start included: each
+state contributes exactly one Neumann term in expectation, so the sum is
+unbiased without the 1/P_d inflation of scoring the absorption state
+alone.
 """
 from __future__ import annotations
 
@@ -179,9 +174,9 @@ class SizeBiasedProposal:
     For the Poisson kernel this makes every step's weight ratio
     k/M equal to lam * E[X; X <= x] / ((1 - P_d) x) -- a deterministic
     number -- so all weight randomness collapses into the path length
-    and endpoint.  Implemented for lognormal severities, where the
-    size-biased law is again lognormal (mu + sigma^2) and conditioning
-    to (0, x) is a one-line quantile transform.
+    and the visited states.  Implemented for lognormal severities,
+    where the size-biased law is again lognormal (mu + sigma^2) and
+    conditioning to (0, x) is a one-line quantile transform.
     """
 
     severity: LogNormalSeverity
@@ -259,13 +254,12 @@ class PathSamplerConfig:
     ``ProposalSupportError``; a negative or non-finite ratio raises
     ``SupportViolationError``.  The full transition is
     M(x, .) = (1 - p_d) q(x, .), which integrates to 1 - p_d over (0, x)
-    with the remaining p_d absorbed.
+    with the remaining p_d absorbed.  A path adds w g(x) to its estimate
+    at every state x it visits, where w is its running weight.
     """
 
     proposal: object
     p_d: float
-    vr_pointwise: bool = True
-    use_all_states: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.p_d <= 1.0):
@@ -434,29 +428,22 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
 
     Each step draws one uniform per live particle from its owner's stream
     (``owner[i]`` indexes ``streams``; None with a single stream): it
-    absorbs with probability p_d, else draws a second uniform and moves
-    by the proposal, multiplying its weight by k / ((1 - p_d) q).  With
-    ``cfg.use_all_states`` the running weight times g is added to
-    ``acc`` at every visited state; otherwise ``acc`` receives
-    w g(x) / p_d at the absorption endpoint.  Particles whose weight or
-    state underflows stop contributing.
+    absorbs with probability p_d, else draws a second uniform, moves by
+    the proposal, multiplies its weight by k / ((1 - p_d) q) and adds the
+    new weight times g at the new state to ``acc``.  Particles whose
+    weight or state underflows stop contributing.
     """
-    pd, all_states = cfg.p_d, cfg.use_all_states
+    pd = cfg.p_d
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     while active.size:
-        moving = _uniforms(streams, owner, active) > pd
-        if not all_states:
-            ended = active[~moving]
-            acc[ended] = w[ended] * kernel.g(x[ended]) / pd
-        active = active[moving]
+        active = active[_uniforms(streams, owner, active) > pd]
         if not active.size:
             break
         x1, ratio = _checked_move(cfg.proposal, x[active],
                                   _uniforms(streams, owner, active), kernel, 1.0 - pd)
         w[active] *= ratio
         x[active] = x1
-        if all_states:
-            acc[active] += w[active] * kernel.g(x1)
+        acc[active] += w[active] * kernel.g(x1)
         active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
 
 
@@ -469,18 +456,10 @@ def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
     """
     owner = np.repeat(np.arange(len(x0)), n)
     x, w = np.repeat(x0, n), np.ones(owner.size)
-    g0 = np.repeat(kernel.g(x0), n)
-    # all-states runs start from the deterministic n = 0 term g(x0)
-    acc = g0.copy() if cfg.use_all_states else np.zeros(owner.size)
-    forced = not cfg.use_all_states and cfg.vr_pointwise and cfg.p_d < 1.0
-    if forced:
-        # simulate only the n >= 1 remainder: force the first move (its
-        # ratio is k/q, absorbing the 1 - p_d prefactor) and add the
-        # known first term analytically
-        x, w = _checked_move(cfg.proposal, x,
-                             _uniforms(streams, owner, np.arange(owner.size)), kernel, 1.0)
+    # every path starts from the deterministic n = 0 term g(x0)
+    acc = np.repeat(kernel.g(x0), n)
     _propagate(x, w, acc, kernel, cfg, streams, owner)
-    return g0 + acc if forced else acc
+    return acc
 
 
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
@@ -543,7 +522,7 @@ def estimate_measure_interval(model: CompoundModel, interval, n_paths: int,
     n = int(n_paths)
     x0 = x_a + (x_b - x_a) * rng.uniforms(n)
     w = np.full(n, x_b - x_a)  # 1 / mu(x0)
-    acc = w * kernel.g(x0) if cfg.use_all_states else np.zeros(n)
+    acc = w * kernel.g(x0)
     _propagate(x0.copy(), w, acc, kernel, cfg, [rng], None)
 
     return WeightedParticleMeasure(

@@ -39,7 +39,7 @@ def pareto_poisson_model(a=2.0, s=1.0, lam=2.0):
 def particle_config(model, **overrides):
     """Default particle sampler setup used by the benchmark runs."""
     kw = dict(proposal=SizeBiasedProposal(model.severity),
-              p_d=default_absorption(model), use_all_states=True)
+              p_d=default_absorption(model))
     kw.update(overrides)
     return PathSamplerConfig(**kw)
 

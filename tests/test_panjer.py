@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -346,16 +345,3 @@ def test_zero_atom_kept_as_mass_in_density():
     pmf = oracle_compound_pmf(sigma05_model(), step=0.05, x_max=30.0)
     assert pmf.density()[0] == pmf.masses[0]
     assert pmf.masses[0] == pytest.approx(math.exp(-2.0), abs=1e-12)
-
-
-def test_pmf_csv_round_trip(tmp_path):
-    pmf = oracle_compound_pmf(sigma05_model(), step=0.5, x_max=10.0)
-    path = tmp_path / "pmf.csv"
-    pmf.to_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "pmf", "cdf"]
-    xs = np.array([float(r[0]) for r in rows[1:]])
-    masses = np.array([float(r[1]) for r in rows[1:]])
-    assert np.array_equal(xs, pmf.grid())
-    assert np.array_equal(masses, pmf.masses)

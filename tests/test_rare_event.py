@@ -12,10 +12,8 @@ from lossmc import (
     LevelSequence,
     ParticlePopulation,
     PcgStream,
-    RestrictedMhSampler,
     SequenceStream,
     SmcEstimate,
-    StuckKernelWarning,
     TwistedSampler,
     boltzmann_gibbs,
     is_tail_estimator,
@@ -80,8 +78,6 @@ def test_selection_validates_inputs():
     # NaN passes a range test written as (g < 0) | (g > 1)
     with pytest.raises(ValueError, match="NaN"):
         selection_transition(pop, np.array([np.nan, 1.0, 1.0, 1.0]), PcgStream(1))
-    with pytest.raises(ValueError):
-        selection_transition(pop, np.ones(4), PcgStream(1), scheme="residual")
     with pytest.raises(ExtinctionError):
         selection_transition(pop, np.zeros(4), PcgStream(1))
 
@@ -136,7 +132,7 @@ _POTENTIALS = {
 @pytest.mark.parametrize("name", sorted(_POTENTIALS))
 def test_guided_ancestor_search_matches_binary_search(name):
     """On the positive-potential cumulative array, the guide lookup returns
-    the binary search's index for random keys, systematic offsets, every
+    the binary search's index for random keys, evenly spaced keys, every
     entry and its neighbours, u = 1, cum[-1] and the float just above it."""
     g = _POTENTIALS[name]
     cum = np.cumsum(g[g > 0.0]) / g.sum()
@@ -153,9 +149,8 @@ def test_guided_ancestor_search_matches_binary_search(name):
     assert np.array_equal(found, np.minimum(np.searchsorted(cum, keys), len(cum) - 1))
 
 
-@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
 @pytest.mark.parametrize("name", sorted(_POTENTIALS))
-def test_selection_matches_whole_population_binary_search(name, scheme):
+def test_selection_matches_whole_population_binary_search(name):
     """Searching only the positive-potential particles gives the ancestors
     the binary search over the whole population's cumulative potential
     gave, wherever that search lands inside the population."""
@@ -163,14 +158,10 @@ def test_selection_matches_whole_population_binary_search(name, scheme):
     n = len(g)
     states = np.arange(float(n))
     out = selection_transition(ParticlePopulation(states=states), g,
-                               PcgStream(4343), scheme=scheme)
+                               PcgStream(4343))
     rng = PcgStream(4343)
     keep = rng.uniforms(n) <= g
-    n_redraw = int((~keep).sum())
-    if scheme == "systematic" and n_redraw > 0:
-        keys = (np.arange(n_redraw) + rng.next_uniform()) / n_redraw
-    else:
-        keys = rng.uniforms(n_redraw)
+    keys = rng.uniforms(int((~keep).sum()))
     cum = np.cumsum(g) / g.sum()
     assert np.all(keys <= cum[-1])
     expected = states.copy()
@@ -212,22 +203,6 @@ def test_tv_check_requires_invariance():
     assert diag.eps_a == 1.0
     with pytest.raises(InvalidTargetError):
         tv_convergence_check(M, np.array([0.4, 0.6]), 3)
-
-
-def test_restricted_sampler_steps_and_warns():
-    ok = RestrictedMhSampler(propose=lambda x, r: x + 1.0,
-                             predicate=lambda y: y < 100.0)
-    assert ok.step(1.0, PcgStream(1)) == 2.0
-    stuck = RestrictedMhSampler(propose=lambda x, r: x + 1.0,
-                                predicate=lambda y: y < 0.0, patience=5)
-    with pytest.warns(StuckKernelWarning):
-        x = 1.0
-        for _ in range(5):
-            x = stuck.step(x, PcgStream(1))
-    assert x == 1.0
-    # the callable route of the factory returns the same handle type
-    handle = restricted_mh_kernel(lambda x, r: x, lambda y: True)
-    assert isinstance(handle, RestrictedMhSampler)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +281,6 @@ def test_splitting_hits_compound_tail_benchmark():
                      for s in streams])
     se = vals.std(ddof=1) / math.sqrt(20)
     assert abs(vals.mean() - 0.01) <= 3.0 * se
-
-
-def test_systematic_resampling_stays_unbiased():
-    lev = LevelSequence(thresholds=np.array([1.0, 2.0, 3.0]))
-    streams = PcgStream(2727).spawn(10)
-    vals = np.array([smc_rare_event(gauss_sampler, lev, 5, 10_000, s,
-                                    mutation=rw_mutation(1.0),
-                                    resampling="systematic").estimate
-                     for s in streams])
-    se = vals.std(ddof=1) / math.sqrt(10)
-    assert abs(vals.mean() - 1.3499e-3) <= 3.0 * se
 
 
 def test_predicate_levels_estimate_gaussian_tail():

@@ -276,8 +276,8 @@ def test_table_rejects_bad_arguments():
 # command line
 # ---------------------------------------------------------------------------
 
-def _write_config(tmp_path, method, levels=(0.5, 0.9), model=SIGMA05_MODEL):
-    doc = {"model": model, "method": method, "levels": list(levels)}
+def _write_config(tmp_path, method, levels=(0.5, 0.9), model=SIGMA05_MODEL, **fields):
+    doc = {"model": model, "method": method, "levels": list(levels), **fields}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -428,9 +428,13 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
      "thresholds must be finite"),
     ("rare-event", dict(RARE_EVENT, thresholds=[100.0, float("inf")]),
      "thresholds must be finite"),
+    ("sla", {"kind": "sla", "order": 5}, "order must be 1 or 2"),
+    ("sla", {"kind": "sla", "order": 0}, "order must be 1 or 2"),
+    ("sla", {"kind": "sla", "order": -1}, "order must be 1 or 2"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
-        "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf"])
+        "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
+        "sla-order-5", "sla-order-0", "sla-order-negative"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)
@@ -440,6 +444,21 @@ def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, messag
     assert err.count("\n") == 1
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and message in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("fields,flags", [({}, ["--threads", "0"]), ({"threads": -3}, [])],
+                         ids=["flag-0", "config-negative"])
+def test_cli_rejects_thread_counts_below_one(tmp_path, capsys, fields, flags):
+    """A thread count below 1 exits 2 instead of running serially and
+    writing the bad count into the report meta."""
+    cfg = _write_config(tmp_path, {"kind": "mc", "T": 100}, **fields)
+    rc = main(["simulate", "--config", cfg, *flags, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "threads must be at least 1" in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -77,17 +77,10 @@ def test_kernel_rejects_sign_changing_counts():
 # path mechanics and weights
 # ---------------------------------------------------------------------------
 
-ACCUMULATION_RULES = {
-    "all_states": dict(use_all_states=True),
-    "forced_first_move": dict(use_all_states=False, vr_pointwise=True),
-    "endpoint": dict(use_all_states=False, vr_pointwise=False),
-}
-
-
-def _path_weight(proposal, draws, rule="endpoint"):
+def _path_weight(proposal, draws):
     """Density estimate of one path from x0 = 20 on the sigma = 0.5 model
     at p_d = 0.5, drawing its uniforms from ``draws``."""
-    cfg = PathSamplerConfig(proposal=proposal, p_d=0.5, **ACCUMULATION_RULES[rule])
+    cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
     measure = estimate_density_grid(sigma05_model(), [20.0], 1, cfg, SequenceStream(draws))
     return float(measure.weights[0])
 
@@ -96,16 +89,19 @@ def test_hand_computed_single_step_weight():
     """Move 20 -> 12 under a uniform multiplicative proposal, then absorb."""
     kernel = build_volterra_kernel(sigma05_model())
     w = _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.6, 0.1])
-    # q(20, 12) = 1/20; W = k/( (1-pd) q ) * g(12)/pd
-    by_hand = kernel.k(20.0, 12.0) / (0.5 * 0.05) * kernel.g(12.0) / 0.5
+    # q(20, 12) = 1/20; W = g(20) + k/((1-pd) q) * g(12), a term per visited state
+    by_hand = kernel.g(20.0) + kernel.k(20.0, 12.0) / (0.5 * 0.05) * kernel.g(12.0)
     assert w == pytest.approx(by_hand, rel=1e-12)
-    assert w == pytest.approx(0.0708782638, rel=1e-8)
+    # 0.00148648357 + 0.0787877018 / 0.025 * 0.0112451344
+    assert w == pytest.approx(0.0369256155, rel=1e-8)
 
 
 def test_zero_length_path_weight_is_first_term():
     kernel = build_volterra_kernel(sigma05_model())
-    assert _path_weight(BetaProposal(1.0, 1.0), [0.1]) == pytest.approx(
-        kernel.g(20.0) / 0.5, rel=1e-12)
+    w = _path_weight(BetaProposal(1.0, 1.0), [0.1])
+    assert w == pytest.approx(kernel.g(20.0), rel=1e-12)
+    assert w == pytest.approx(2.0 * math.exp(-2.0) * _lognormal_pdf(20.0), rel=1e-12)
+    assert w == pytest.approx(0.00148648357, rel=1e-8)
 
 
 class _UpwardProposal:
@@ -136,13 +132,11 @@ class _FixedMove:
 
 
 def _assert_every_route_raises(proposal, error):
-    """The first move raises ``error`` on every estimator route: the grid
-    under each accumulation rule (the forced first move included) and an
-    interval path."""
+    """The first move raises ``error`` on both estimator routes: a grid
+    point and an interval path."""
     draws = [0.9, 0.6, 0.1]
-    for rule in ACCUMULATION_RULES:
-        with pytest.raises(error):
-            _path_weight(proposal, draws, rule)
+    with pytest.raises(error):
+        _path_weight(proposal, draws)
     cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
     with pytest.raises(error):
         estimate_measure_interval(sigma05_model(), (0.0, 40.0), 1, cfg,
@@ -174,13 +168,13 @@ def test_support_check_classifies_the_fault(frac, ratio, error):
 
 def test_moves_to_either_end_with_zero_ratio_pass_the_check():
     """The library proposals reach x1 = 0 and x1 = x, where q vanishes,
-    with ratio 0; the path then stops with zero weight."""
+    with ratio 0; the path then stops, keeping only its first term g(20)."""
     kernel = build_volterra_kernel(sigma05_model())
     x = np.array([20.0, 20.0])
     x1, ratio = _checked_move(BetaProposal(1.0, 1.0), x, np.array([0.0, 1.0]), kernel, 0.5)
     assert np.array_equal(x1, [0.0, 20.0]) and np.array_equal(ratio, [0.0, 0.0])
-    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.0]) == 0.0
-    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 1.0]) == 0.0
+    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.0]) == kernel.g(20.0)
+    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 1.0]) == kernel.g(20.0)
 
 
 def test_config_and_proposal_validation():
@@ -212,13 +206,12 @@ class _CountingStream(UniformStream):
 def test_path_length_is_geometric():
     """At p_d the number of moves is geometric with mean (1-p_d)/p_d.
 
-    An endpoint-rule path draws one uniform per absorb-or-move step and
-    one per move, 1 + 2 moves in all, so the mean number of moves is
-    (drawn / n - 1) / 2; its standard error is sqrt(2 / n) at p_d = 0.5.
+    A path draws one uniform per absorb-or-move step and one per move,
+    1 + 2 moves in all, so the mean number of moves is (drawn / n - 1) / 2;
+    its standard error is sqrt(2 / n) at p_d = 0.5.
     """
     n = 100_000
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5,
-                            **ACCUMULATION_RULES["endpoint"])
+    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
     rng = _CountingStream(PcgStream(2020))
     estimate_density_grid(sigma05_model(), [20.0], n, cfg, rng)
     moves = (rng.drawn / n - 1.0) / 2.0
@@ -253,11 +246,10 @@ def test_size_biased_move_ratio_matches_kernel_over_density(frequency, sigma):
 # density estimates
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("rule", ACCUMULATION_RULES)
-def test_pointwise_estimator_unbiased_at_benchmark_point(rule):
+def test_pointwise_estimator_unbiased_at_benchmark_point():
     """200 independent particle batches average to the recursion density."""
     model = sigma05_model()
-    cfg = particle_config(model, **ACCUMULATION_RULES[rule])
+    cfg = particle_config(model)
     assert cfg.p_d < 1.0
     streams = PcgStream(2121).spawn(200)
     reps = np.array([float(estimate_density_grid(model, [20.0], 1000, cfg, s).weights[0])
@@ -292,27 +284,19 @@ def _single_point_contributions(x0, n, kernel, cfg, stream):
     """Loop reference: one grid point's particles alone on ``stream``."""
     pd = cfg.p_d
     x, w = np.full(n, x0), np.ones(n)
-    acc = np.full(n, kernel.g(x0)) if cfg.use_all_states else np.zeros(n)
-    forced = not cfg.use_all_states and cfg.vr_pointwise and pd < 1.0
-    if forced:
-        x, w = cfg.proposal.move(x, stream.uniforms(n), kernel, 1.0)
+    acc = np.full(n, kernel.g(x0))
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     while active.size:
-        moving = stream.uniforms(active.size) > pd
-        if not cfg.use_all_states:
-            ended = active[~moving]
-            acc[ended] = w[ended] * kernel.g(x[ended]) / pd
-        active = active[moving]
+        active = active[stream.uniforms(active.size) > pd]
         if not active.size:
             break
         x1, ratio = cfg.proposal.move(x[active], stream.uniforms(active.size),
                                       kernel, 1.0 - pd)
         w[active] *= ratio
         x[active] = x1
-        if cfg.use_all_states:
-            acc[active] += w[active] * kernel.g(x1)
+        acc[active] += w[active] * kernel.g(x1)
         active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
-    return kernel.g(x0) + acc if forced else acc
+    return acc
 
 
 def _single_point_grid(model, grid, n, cfg, streams):
@@ -323,9 +307,8 @@ def _single_point_grid(model, grid, n, cfg, streams):
             np.array([c.std(ddof=1) / math.sqrt(n) for c in contrib]))
 
 
-@pytest.mark.parametrize("rule", ACCUMULATION_RULES)
 @pytest.mark.parametrize("proposal", ["beta", "sizebias"])
-def test_grid_blocks_match_single_points(rule, proposal):
+def test_grid_blocks_match_single_points(proposal):
     """Blocks of grid points give the estimates of one point at a time,
     each on its own spawned substream."""
     model = sigma1_model()
@@ -333,7 +316,7 @@ def test_grid_blocks_match_single_points(rule, proposal):
     grid = np.arange(2.0, 400.0, 9.0)
     assert 1 < _BLOCK_PARTICLES // n < len(grid)
     extra = {"proposal": BetaProposal(1.0, 1.2)} if proposal == "beta" else {}
-    cfg = particle_config(model, **ACCUMULATION_RULES[rule], **extra)
+    cfg = particle_config(model, **extra)
     measure = estimate_density_grid(model, grid, n, cfg, PcgStream(77))
     est, se = _single_point_grid(model, grid, n, cfg, PcgStream(77).spawn(len(grid)))
     if proposal == "beta":
@@ -347,7 +330,7 @@ def test_grid_blocks_match_single_points(rule, proposal):
 def test_shared_stream_runs_grid_points_one_after_another():
     """A stream that cannot spawn is read point by point, as a loop would."""
     model = sigma05_model()
-    cfg = particle_config(model, use_all_states=False)
+    cfg = particle_config(model)
     grid = [10.0, 20.0, 30.0]
     values = PcgStream(3).uniforms(400)
     blocked = SequenceStream(values)
@@ -362,7 +345,7 @@ def test_shared_stream_runs_grid_points_one_after_another():
 def test_certain_absorption_reduces_to_first_term():
     model = sigma05_model()
     kernel = build_volterra_kernel(model)
-    cfg = particle_config(model, p_d=1.0, use_all_states=False, vr_pointwise=False)
+    cfg = particle_config(model, p_d=1.0)
     measure = estimate_density_grid(model, [20.0, 30.0], 50, cfg, PcgStream(8))
     assert measure.weights[0] == pytest.approx(kernel.g(20.0), rel=1e-14)
     assert measure.weights[1] == pytest.approx(kernel.g(30.0), rel=1e-14)
@@ -433,14 +416,13 @@ def test_interval_validates_endpoints():
         estimate_measure_interval(model, (-1.0, 5.0), 10, cfg, PcgStream(1))
 
 
-def _assert_grid_matches_interval(interval_cfg):
+def test_grid_and_interval_estimates_agree():
     """Two independent estimator routes match within combined errors."""
     model = sigma05_model()
+    cfg = particle_config(model)
     grid = np.arange(0.25, 60.01, 0.25)
-    mg = estimate_density_grid(model, grid, 1500, particle_config(model),
-                               PcgStream(2929))
-    mi = estimate_measure_interval(model, (0.0, 60.0), 300_000,
-                                   interval_cfg, PcgStream(3030))
+    mg = estimate_density_grid(model, grid, 1500, cfg, PcgStream(2929))
+    mi = estimate_measure_interval(model, (0.0, 60.0), 300_000, cfg, PcgStream(3030))
     for z in (20.0, 57.0):
         fg = float(mg.cdf(z))
         keep = mg.locations <= z
@@ -450,16 +432,6 @@ def _assert_grid_matches_interval(interval_cfg):
         se_i = terms.std(ddof=1) / math.sqrt(len(terms))
         assert abs(fg - fi) <= 3.0 * math.hypot(se_g, se_i)
 
-
-def test_grid_and_interval_estimates_agree():
-    _assert_grid_matches_interval(particle_config(sigma05_model()))
-
-
-def test_grid_and_endpoint_interval_estimates_agree():
-    """The interval endpoint estimator at p_d < 1 matches the grid."""
-    cfg = particle_config(sigma05_model(), use_all_states=False)
-    assert cfg.p_d < 1.0
-    _assert_grid_matches_interval(cfg)
 
 
 # ---------------------------------------------------------------------------
