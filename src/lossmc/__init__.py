@@ -93,7 +93,6 @@ from .report import (
 )
 from .rng import PcgStream, SequenceStream, UniformStream, spawn_streams
 from .volterra import (
-    BetaProposal,
     INTERVAL,
     POINTWISE_GRID,
     PathSamplerConfig,
@@ -104,6 +103,7 @@ from .volterra import (
     default_absorption,
     estimate_density_grid,
     estimate_measure_interval,
+    estimate_tail_probability,
     quantile_from_measure,
     risk_measures_from_measure,
 )

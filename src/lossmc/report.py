@@ -34,7 +34,6 @@ from .rare_event import LevelSequence, replicate_smc
 from .rng import PcgStream
 from .volterra import (
     PathSamplerConfig,
-    BetaProposal,
     SizeBiasedProposal,
     default_absorption,
     estimate_density_grid,
@@ -48,8 +47,7 @@ _METHOD_KEYS = {
     "mc": {"T", "ci_level"},
     "sla": {"order"},
     "panjer": {"step", "x_max", "discretization"},
-    "particle": {"grid_width", "x_max", "n_per_point", "proposal", "beta_a",
-                 "beta_b", "p_d"},
+    "particle": {"grid_width", "x_max", "n_per_point", "p_d"},
     "rare-event": {"thresholds", "n_particles", "mh_steps", "replicates"},
 }
 _METHODS = tuple(_METHOD_KEYS)
@@ -195,14 +193,7 @@ def _run_panjer(model, cfg: ExperimentConfig):
 
 
 def _particle_config(model, m: dict) -> PathSamplerConfig:
-    proposal_kind = m.get("proposal", "sizebias")
-    if proposal_kind == "sizebias":
-        proposal = SizeBiasedProposal(model.severity)
-    elif proposal_kind == "beta":
-        proposal = BetaProposal(float(m.get("beta_a", 1.0)), float(m.get("beta_b", 1.2)))
-    else:
-        raise ValueError(f"unknown proposal {proposal_kind!r}")
-    return PathSamplerConfig(proposal=proposal,
+    return PathSamplerConfig(proposal=SizeBiasedProposal(model.severity),
                              p_d=float(m.get("p_d", default_absorption(model))))
 
 
@@ -220,36 +211,34 @@ def _run_particle(model, cfg: ExperimentConfig):
     pcfg = _particle_config(model, m)
     measure = estimate_density_grid(model, grid, n_per_point, pcfg,
                                     PcgStream(cfg.seed))
+    locs, _, se_surv = measure.survival()
+
+    def read(level):
+        try:
+            return quantile_from_measure(measure, min(level, 1.0))
+        except TruncationError:
+            return float(locs[-1])
+
     rows = []
-    locs, w = measure.probability_atoms()
-    cum = np.cumsum(w)
-    widths = measure._cell_widths()
-    # align per-cell mass SEs with the atoms (zero atom contributes no noise)
-    se_mass = np.concatenate([[0.0], measure.stderr * widths])
-    se_cum = np.sqrt(np.cumsum(se_mass ** 2))
     for alpha in cfg.levels:
         try:
             var = quantile_from_measure(measure, alpha)
         except TruncationError:
-            # tiny budgets can leave the accumulated mass below alpha;
-            # report the top of the grid (a lower bound) with no spread
+            # the quantile lies beyond x_max; report the top of the grid
+            # (a lower bound) with no spread
             rows.append(ReportRow(alpha=alpha, method="particle",
                                   var=float(locs[-1])))
             continue
         _, es, _ = risk_measures_from_measure(measure, alpha)
-        i = min(int(np.searchsorted(cum, alpha, side="left")), len(cum) - 1)
-        cell_w = widths[max(i - 1, 0)] if i >= 1 else 1.0
-        dens = max(w[i] / max(cell_w, 1e-300), 1e-300)
-        se_f = float(se_cum[i])
-        # delta-method standard error of the quantile: SE(F_hat)/density
-        se_q = se_f / dens
-        lo = quantile_from_measure(measure, max(alpha - 1.96 * se_f, 1e-9))
-        hi_level = alpha + 1.96 * se_f
-        # the noisy cumulative mass can pass 1 before the grid top
-        hi = (quantile_from_measure(measure, hi_level)
-              if hi_level < min(float(cum[-1]), 1.0) else float(locs[-1]))
+        i = int(np.searchsorted(locs, var))
+        dens = max(float(measure.weights[i - 1]) if i else measure.zero_mass, 1e-300)
+        # delta-method standard error of the quantile: SE of the right-tail
+        # sum P(Z > var) over the density there
+        se_f = float(se_surv[i])
         rows.append(ReportRow(alpha=alpha, method="particle", var=var,
-                              var_lo=lo, var_hi=hi, es=es, stderr=se_q))
+                              var_lo=read(max(alpha - 1.96 * se_f, 1e-9)),
+                              var_hi=read(alpha + 1.96 * se_f),
+                              es=es, stderr=se_f / dens))
     return rows, {"grid_width": width, "x_max": x_max, "n_per_point": n_per_point,
                   "p_d": pcfg.p_d}
 

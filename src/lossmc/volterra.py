@@ -10,25 +10,37 @@ weight each path by the product of kernel-to-proposal ratios.  The mean
 weight at a point estimates the density there; weighted atoms over an
 interval estimate the measure, and risk functionals follow from the
 resulting empirical cdf.  The route accepts the Poisson and negative
-binomial counts, the (a, b, 0) members whose kernel is nonnegative;
-every other count law is rejected.
+binomial counts, the (a, b, 0) members whose kernel is nonnegative, with
+a lognormal severity; every other model is rejected.
 
 Both estimators run one propagator, ``_propagate``, which advances a
-whole set of particles by one absorb-or-move step at a time.  Each
-particle carries the id of the grid point it belongs to, and each point
-draws its uniforms from its own spawned substream, so the grid
-estimator steps a block of consecutive points together while every
-point sees exactly the draws it would see alone.  A proposal's ``move``
-turns a batch of uniforms into new states and their weight ratios; the
-size-biased one forms its ratio in closed form, as the severity pdf
-cancels from k / q.  Every move is checked (``_checked_move``): a new
-state that is NaN or outside [0, x] raises ``ProposalSupportError``, a
-negative or non-finite ratio -- what k / (mass q) gives where q = 0 --
-raises ``SupportViolationError``.  A path adds its running weight times
-g to its estimate at every state it visits, the start included: each
-state contributes exactly one Neumann term in expectation, so the sum is
+whole set of particles by one absorb-or-move step at a time, on one
+uniform per particle and step: u <= P_d absorbs, and otherwise
+(u - P_d) / (1 - P_d) drives the move.  Each particle carries the id of
+the grid point it belongs to, and each point draws its uniforms from
+its own spawned substream, so the grid estimator steps a block of
+consecutive points together while every point sees exactly the draws it
+would see alone.  A proposal's ``move`` turns a batch of uniforms into
+new states and their weight ratios.  The one proposal,
+``SizeBiasedProposal``, is a defensive mixture: a size-biased decrement,
+or with probability ``DEFENSIVE_SHARE`` a new state uniform on [0, x],
+which proposes the single big jump that carries a subexponential tail.
+Its ratio k / q needs the severity pdf at the decrement on every move.
+Every move is checked (``_checked_move``): a new state that is NaN or
+outside [0, x] raises ``ProposalSupportError``, a negative or non-finite
+ratio -- what k / (mass q) gives where q = 0 -- raises
+``SupportViolationError``.  A path adds its running weight times g to
+its estimate at every state it visits, the start included: each state
+contributes exactly one Neumann term in expectation, so the sum is
 unbiased without the 1/P_d inflation of scoring the absorption state
 alone.
+
+Quantiles are read from the right.  The grid estimator also estimates
+the mass beyond its last cell from paths started in the severity tail
+(``estimate_tail_probability``), and ``quantile_from_measure`` sums
+survival down from there, so the noise of the bulk cells stays out of a
+tail quantile.  A ``TruncationError`` then means that the quantile lies
+beyond the grid's x_max.
 """
 from __future__ import annotations
 
@@ -52,6 +64,15 @@ POINTWISE_GRID = "pointwise_grid"
 INTERVAL = "interval"
 
 _DEAD_FLOOR = 1e-120  # states this small carry no representable density
+# Share pi of the proposal's moves that draw the new state uniform on
+# [0, x].  Relative SE of the grid's tail mass at 5000 paths per point,
+# seeds 901 and 902 (pi -> 0 / 0.1 / 0.2 / 0.3 / 0.5): sigma=1 beyond 200,
+# 0.0155 / 0.0074 / 0.0056 / 0.0047 / 0.0037; sigma=0.5 beyond 90,
+# 0.037-0.039 / 0.023 / 0.023 / 0.025-0.027 / 0.034-0.039.  0.2 serves both.
+DEFENSIVE_SHARE = 0.2
+# The tail start runs one path per this many paths of the grid: 1e5 on the
+# sigma=1 grid of 400 points x 5000 paths, about 0.06 s on 2 vCPU.
+_GRID_PATHS_PER_TAIL_PATH = 20
 # Particles one block of grid points starts with, at most.  On the sigma=1
 # grid of 400 points x 5000 paths (2 vCPU, numpy 2.4) one point per block
 # took 1.45 s, 2^15 particles 1.0 s and 2^17 0.9 s; against one point per
@@ -70,18 +91,40 @@ class VolterraKernel:
     ``g(x)`` is the inhomogeneous term p1 * f_X(x); ``k(x, x1)`` is the
     kernel (a + b (x - x1)/x) f_X(x - x1), evaluated with the convention
     k(x, x1) = 0 for x1 >= x, so paths must strictly decrease.  The
-    linear coefficients ``a`` and ``b`` are kept so that a proposal can
-    form its weight ratio in closed form.
+    severity pdf ``f`` and the linear coefficients ``a`` and ``b`` are
+    kept so that a proposal can form its weight ratio without calling
+    ``k``.
     """
 
     g: callable
     k: callable
+    f: callable
     a: float
     b: float
 
 
+def _lognormal_pdf(sev: LogNormalSeverity, factor: float = 1.0):
+    """x -> factor * f_X(x) in one expression.
+
+    With z = (ln x - mu)/sigma, phi(z) / (x sigma) equals
+    exp(sigma^2/2 - mu - (z + sigma)^2/2) / (sigma sqrt(2 pi)), which
+    needs no branch: at x = 0, where numpy's log gives -inf with a divide
+    warning, it is exactly 0.
+    """
+    mu, sigma = sev.mu, sev.sigma
+    scale = factor * math.exp(0.5 * sigma * sigma - mu) / (sigma * math.sqrt(2.0 * math.pi))
+    # h = (z + sigma) / sqrt(2) = slope ln x + shift
+    slope, shift = math.sqrt(0.5) / sigma, math.sqrt(0.5) * (sigma - mu / sigma)
+
+    def pdf(x):
+        h = np.log(x) * slope + shift
+        return scale * np.exp(-h * h)
+
+    return pdf
+
+
 def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
-    """Kernel for a Poisson or negative binomial count.
+    """Kernel for a Poisson or negative binomial count and a lognormal severity.
 
     For (a, b, 0) members k(x, x1) = (a + b (x-x1)/x) f_X(x - x1).  The
     binomial member has a < 0, which makes the kernel change sign and
@@ -89,7 +132,9 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
     every count outside the (a, b, 0) class.  The generalized Poisson
     pmf satisfies p_n(lam) = (lam/(lam+theta)) (theta + lam/n)
     p_{n-1}(lam + theta), whose right side has another rate, so its
-    density solves no equation of this single-function form.
+    density solves no equation of this single-function form.  The
+    proposal and the tail start are lognormal, so every other severity
+    is rejected too.
     """
     freq = model.frequency
     sev = model.severity
@@ -99,83 +144,43 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
             "binomial frequency yields a sign-changing Volterra kernel; "
             "use the discrete recursion oracle instead"
         )
+    if not isinstance(sev, LogNormalSeverity):
+        raise UnsupportedModelError("the particle route is implemented for lognormal severity")
     a, b = params.a, params.b
-    p1 = float(freq.pmf(1))
-
-    def g(x):
-        return p1 * sev.pdf(x)
+    f = _lognormal_pdf(sev)
 
     def k(x, x1):
         x = np.asarray(x, dtype=float)
-        x1 = np.asarray(x1, dtype=float)
-        u = x - x1
-        val = (a + b * u / x) * sev.pdf(u)
-        out = np.where(u > 0.0, val, 0.0)
+        u = x - np.asarray(x1, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(u > 0.0, (a + b * u / x) * f(u), 0.0)
         return out if out.ndim else float(out)
 
-    return VolterraKernel(g=g, k=k, a=a, b=b)
+    return VolterraKernel(g=_lognormal_pdf(sev, float(freq.pmf(1))), k=k, f=f, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
-# Decrement proposals
+# Decrement proposal
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BetaProposal:
-    """Multiplicative decrement: x1 = x * B with B ~ Beta(a, b).
-
-    The multiplicative form keeps every new state in [0, x]; a draw at
-    either end, where q vanishes, gets ratio 0.  Keep a <= 1 so the
-    proposal density stays bounded away from zero where the kernel is
-    not and the weight variance stays finite; the default (1, 1.2)
-    mildly favours large decrements, which suits severity-dominated
-    paths.
-    """
-
-    a: float = 1.0
-    b: float = 1.2
-
-    def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.a, self.b)):
-            raise ValueError(f"beta shapes must be positive and finite, got {self.a}, {self.b}")
-
-    def sample(self, x, u) -> np.ndarray:
-        """New states, one per entry of ``x``, from the uniforms ``u``."""
-        from scipy import stats
-
-        x = np.asarray(x, dtype=float)
-        frac = stats.beta.ppf(u, self.a, self.b)
-        return x * frac
-
-    def density(self, x, x1) -> np.ndarray:
-        from scipy import stats
-
-        x = np.asarray(x, dtype=float)
-        x1 = np.asarray(x1, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(x > 0.0, x1 / x, 0.0)
-            pdf = stats.beta.pdf(frac, self.a, self.b)
-            out = np.where((frac > 0.0) & (frac < 1.0), pdf / x, 0.0)
-        return out
-
-    def move(self, x, u, kernel: VolterraKernel, mass: float):
-        """Draw x1 from the uniforms ``u``; return it with the weight ratio
-        k(x, x1) / (mass q(x, x1)), zero where q vanishes."""
-        x1 = self.sample(x, u)
-        q = self.density(x, x1)
-        ratio = np.where(q > 0.0, kernel.k(x, x1) / (mass * np.where(q > 0.0, q, 1.0)), 0.0)
-        return x1, ratio
-
 
 @dataclass
 class SizeBiasedProposal:
-    """Decrement u = x - x1 drawn proportional to u * f_X(u) on (0, x).
+    """Defensive mixture of a size-biased decrement and a uniform new state.
 
-    For the Poisson kernel this makes every step's weight ratio
-    k/M equal to lam * E[X; X <= x] / ((1 - P_d) x) -- a deterministic
-    number -- so all weight randomness collapses into the path length
-    and the visited states.  Implemented for lognormal severities,
-    where the size-biased law is again lognormal (mu + sigma^2) and
+    With probability 1 - ``DEFENSIVE_SHARE`` the decrement d = x - x1 is
+    drawn proportional to d f_X(d) on (0, x); with probability
+    ``DEFENSIVE_SHARE`` the new state x1 is uniform on [0, x] (a
+    defensive mixture, Hesterberg 1995).  The size-biased share makes
+    the many small steps of a path in the bulk with a nearly constant
+    ratio, but alone it almost never proposes the single jump d ~ x that
+    carries most of a subexponential tail density; the uniform share
+    does.  The mixture density is
+
+        q(x, x1) = (1 - pi) d f_X(d) / E[X; X <= x] + pi / x,
+
+    so the weight ratio k / q needs f_X(d) on every move: the severity
+    pdf no longer cancels.  Implemented for lognormal severities, where
+    the size-biased law is again lognormal (mu + sigma^2) and
     conditioning to (0, x) is a one-line quantile transform.
     """
 
@@ -195,8 +200,9 @@ class SizeBiasedProposal:
         return norm_cdf((np.log(x) - sev.mu - sev.sigma ** 2) / sev.sigma)
 
     def sample(self, x, u, cap=None) -> np.ndarray:
-        """New states, one per entry of ``x``, from the uniforms ``u``;
-        ``cap`` passes in ``_cap(x)`` when the caller has it already."""
+        """New states of the size-biased share, one per entry of ``x``, from
+        the uniforms ``u``; ``cap`` passes in ``_cap(x)`` when the caller
+        has it already."""
         from .normal import norm_quantile
 
         sev = self.severity
@@ -209,34 +215,46 @@ class SizeBiasedProposal:
         return x - np.minimum(decrement, x)
 
     def density(self, x, x1) -> np.ndarray:
+        """The mixture density q(x, x1), zero outside [0, x]."""
         x = np.asarray(x, dtype=float)
         x1 = np.asarray(x1, dtype=float)
-        u = x - x1
+        d = x - x1
         e1 = self.severity.partial_expectation(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where((u > 0.0) & (e1 > 0.0),
-                           u * self.severity.pdf(u) / np.where(e1 > 0.0, e1, 1.0),
-                           0.0)
-        return out
+            sized = np.where((d > 0.0) & (e1 > 0.0), d * self.severity.pdf(d) / e1, 0.0)
+            out = (1.0 - DEFENSIVE_SHARE) * sized + DEFENSIVE_SHARE / x
+        return np.where((x1 >= 0.0) & (d >= 0.0), out, 0.0)
 
     def move(self, x, u, kernel: VolterraKernel, mass: float):
         """Draw x1 from the uniforms ``u``; return it with the weight ratio
         k(x, x1) / (mass q(x, x1)).
 
-        With q = d f_X(d) / E[X; X <= x] for the decrement d = x - x1,
-        the severity pdf cancels: k / q = (a/d + b/x) E[X] cap, where
-        cap = E[X; X <= x] / E[X] is the one the sampler draws with.
-        The ratio is zero where d = 0, as q is.
+        One uniform per move picks the component and is rescaled into its
+        draw: u <= 1 - pi passes u / (1 - pi) to ``sample``, and u > 1 - pi
+        gives x1 = x (u - (1 - pi)) / pi, uniform on [0, x].  With
+        k = (a + b d/x) f_X(d) and E1 = E[X; X <= x] = E[X] cap, the ratio
+        is written through q / f_X(d) = (1 - pi) d / E1 + pi / (x f_X(d)) as
+
+            (a + b d/x) / (mass q / f_X(d)),
+
+        so that where E1 or f_X(d) underflows to 0 it comes out 0, as
+        k / q does to within rounding, not NaN.  At d = 0, where k
+        vanishes, it is 0.
         """
         x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
         cap = self._cap(x)
-        x1 = self.sample(x, u, cap)
+        # every entry is drawn both ways, which is cheaper than splitting the
+        # arrays; ``sample`` clips the uniforms above 1 of the other share
+        x1 = np.where(u <= 1.0 - DEFENSIVE_SHARE,
+                      self.sample(x, u / (1.0 - DEFENSIVE_SHARE), cap),
+                      x * ((u - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE))
         d = x - x1
-        moved = d > 0.0
-        per_mass = self.severity.mean() / mass
-        ratio = np.where(moved, (kernel.a / np.where(moved, d, 1.0) + kernel.b / x)
-                         * per_mass * cap, 0.0)
-        return x1, ratio
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mass_q_per_f = ((mass * (1.0 - DEFENSIVE_SHARE) / self.severity.mean()) * d / cap
+                            + (mass * DEFENSIVE_SHARE) / (x * kernel.f(d)))
+            ratio = (kernel.a + kernel.b * d / x) / mass_q_per_f
+        return x1, np.where(d > 0.0, ratio, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +267,14 @@ class PathSamplerConfig:
 
     ``proposal`` supplies the conditional move density q(x, .) through
     ``move(x, u, kernel, mass)``: new states x1 in [0, x], one per
-    uniform in ``u``, with their weight ratios k(x, x1) / (mass q(x, x1)),
-    zero where q vanishes.  A state that is NaN or outside [0, x] raises
-    ``ProposalSupportError``; a negative or non-finite ratio raises
-    ``SupportViolationError``.  The full transition is
-    M(x, .) = (1 - p_d) q(x, .), which integrates to 1 - p_d over (0, x)
-    with the remaining p_d absorbed.  A path adds w g(x) to its estimate
-    at every state x it visits, where w is its running weight.
+    uniform in ``u`` (uniform on (0, 1]), with their weight ratios
+    k(x, x1) / (mass q(x, x1)), zero where k vanishes.  A state that is
+    NaN or outside [0, x] raises ``ProposalSupportError``; a negative or
+    non-finite ratio raises ``SupportViolationError``.  The full
+    transition is M(x, .) = (1 - p_d) q(x, .), which integrates to
+    1 - p_d over (0, x) with the remaining p_d absorbed.  A path adds
+    w g(x) to its estimate at every state x it visits, where w is its
+    running weight.
     """
 
     proposal: object
@@ -275,18 +294,24 @@ def default_absorption(model: CompoundModel) -> float:
 # Weighted particle measures
 # ---------------------------------------------------------------------------
 
+def _sum_above(v: np.ndarray) -> np.ndarray:
+    """Entry i: the sum of v[j] over j > i, added from the right."""
+    return np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
+
+
 @dataclass
 class WeightedParticleMeasure:
     """Raw weighted atoms produced by the estimators.
 
     In ``pointwise_grid`` mode there is one atom per grid point whose
     weight is the estimated density there (plus its standard error in
-    ``stderr``).  In ``interval`` mode there are n_paths atoms at the
-    sampled start points carrying raw path weights, and cdf values are
-    weight sums divided by n_paths.  ``zero_mass`` carries the genuine
-    atom of the compound law at zero, P(N = 0); distribution-level
-    queries add it on top of the continuous part, without it every
-    cumulative answer would saturate below 1.
+    ``stderr``), and ``tail_mass`` estimates the mass beyond the last
+    cell, with standard error ``tail_stderr``.  In ``interval`` mode
+    there are n_paths atoms at the sampled start points carrying raw
+    path weights, and cdf values are weight sums divided by n_paths.
+    ``zero_mass`` carries the genuine atom of the compound law at zero,
+    P(N = 0); distribution-level queries add it on top of the continuous
+    part, without it every cumulative answer would saturate below 1.
     """
 
     locations: np.ndarray
@@ -295,6 +320,8 @@ class WeightedParticleMeasure:
     zero_mass: float = 0.0
     stderr: np.ndarray | None = None
     n_paths: int = 0
+    tail_mass: float | None = None
+    tail_stderr: float = 0.0
 
     def __post_init__(self):
         self.locations = np.asarray(self.locations, dtype=float)
@@ -324,8 +351,28 @@ class WeightedParticleMeasure:
         order = np.argsort(locs, kind="stable")
         return locs[order], w[order]
 
+    def survival(self):
+        """(locations, P(Z > location), its standard error) over the atoms.
+
+        Survival is summed from the right: ``tail_mass`` plus the atoms
+        above, so a tail answer carries only the noise of the tail.  The
+        standard error adds the variances of the grid cells above and of
+        the tail mass.  Without a ``tail_mass`` the mass beyond the last
+        atom is unknown; the complement of the atoms' mass stands in for
+        it, which reads 1 minus the cumulative mass, and the standard
+        error is None.
+        """
+        locs, w = self.probability_atoms()
+        if self.tail_mass is None:
+            return locs, 1.0 - np.cumsum(w), None
+        surv = self.tail_mass + _sum_above(w)
+        if self.stderr is None:
+            return locs, surv, None
+        var = np.concatenate(([0.0], (self.stderr * self._cell_widths()) ** 2))
+        return locs, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
+
     def cdf(self, z):
-        """Estimated F_Z at z (scalar or array)."""
+        """Estimated F_Z at z (scalar or array), cumulated from the left."""
         locs, w = self.probability_atoms()
         cum = np.cumsum(w)
         idx = np.searchsorted(locs, np.asarray(z, dtype=float), side="right") - 1
@@ -334,23 +381,23 @@ class WeightedParticleMeasure:
 
 
 def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
-    """Generalized inverse of the particle cdf.
+    """The p-quantile read from the right.
 
-    Grid mode: smallest grid point whose width-weighted cumulative sum
-    (plus the zero atom) reaches p.  Interval mode: smallest atom
-    location with cumulative weight fraction >= p.
+    The smallest atom location whose estimated survival P(Z > location)
+    (``WeightedParticleMeasure.survival``) is at most 1 - p.  Raises
+    ``TruncationError`` when the mass beyond the last atom alone exceeds
+    1 - p: the quantile then lies beyond the grid's x_max (or, for an
+    interval measure, the atoms' mass falls short of p).
     """
     if not (0.0 < p <= 1.0):
         raise ValueError("quantile level must lie in (0, 1]")
-    locs, w = measure.probability_atoms()
-    cum = np.cumsum(w)
-    if cum[-1] < p:
+    locs, surv, _ = measure.survival()
+    if surv[-1] > 1.0 - p:
         raise TruncationError(
-            f"accumulated particle mass {cum[-1]:.6f} < p = {p}; "
-            "widen the grid or interval"
+            f"particle mass {surv[-1]:.6g} lies beyond the last point {locs[-1]:.6g}, "
+            f"more than 1 - p for p = {p}; the quantile lies beyond it, widen the grid"
         )
-    idx = int(np.searchsorted(cum, p, side="left"))
-    return float(locs[idx])
+    return float(locs[np.searchsorted(-surv, p - 1.0, side="left")])
 
 
 def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float,
@@ -426,25 +473,29 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
                streams, owner) -> None:
     """Run every particle's path to absorption, updating x, w and acc in place.
 
-    Each step draws one uniform per live particle from its owner's stream
-    (``owner[i]`` indexes ``streams``; None with a single stream): it
-    absorbs with probability p_d, else draws a second uniform, moves by
-    the proposal, multiplies its weight by k / ((1 - p_d) q) and adds the
-    new weight times g at the new state to ``acc``.  Particles whose
-    weight or state underflows stop contributing.
+    Each step draws one uniform u per live particle from its owner's
+    stream (``owner[i]`` indexes ``streams``; None with a single stream):
+    u <= p_d absorbs, and otherwise v = (u - p_d) / (1 - p_d), again
+    uniform on (0, 1], drives the proposal's move.  A moved particle
+    multiplies its weight by k / ((1 - p_d) q) and adds the new weight
+    times g at the new state to ``acc``.  Particles whose weight or state
+    underflows stop contributing.
     """
     pd = cfg.p_d
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
-    while active.size:
-        active = active[_uniforms(streams, owner, active) > pd]
-        if not active.size:
-            break
-        x1, ratio = _checked_move(cfg.proposal, x[active],
-                                  _uniforms(streams, owner, active), kernel, 1.0 - pd)
-        w[active] *= ratio
-        x[active] = x1
-        acc[active] += w[active] * kernel.g(x1)
-        active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
+    with np.errstate(divide="ignore"):  # g(0) = 0 goes through log(0) = -inf
+        while active.size:
+            u = _uniforms(streams, owner, active)
+            moving = u > pd
+            active = active[moving]
+            if not active.size:
+                break
+            x1, ratio = _checked_move(cfg.proposal, x[active], (u[moving] - pd) / (1.0 - pd),
+                                      kernel, 1.0 - pd)
+            w[active] *= ratio
+            x[active] = x1
+            acc[active] += w[active] * kernel.g(x1)
+            active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
 
 
 def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
@@ -462,9 +513,51 @@ def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
     return acc
 
 
+def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
+                              cfg: PathSamplerConfig, rng: UniformStream):
+    """P(Z > t) and its standard error, from paths started beyond t.
+
+    Each path starts at x0 drawn from X | X > t, by inversion from one
+    uniform, with the weight sf_X(t) / f_X(x0), the inverse of that start
+    density.  Its sum estimates f(x0) under the start law, so the mean
+    over paths estimates the integral of the compound density over
+    (t, inf), with no grid past t.  Paths run in chunks of at most
+    ``_BLOCK_PARTICLES``, one chunk after another on ``rng``.
+    """
+    from .normal import norm_quantile
+
+    t = float(t)
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"tail threshold must be positive and finite, got {t}")
+    n = int(n_paths)
+    if n < 1:
+        raise ValueError("need at least one tail path")
+    kernel = build_volterra_kernel(model)
+    sev = model.severity
+    sf_t = float(sev.sf(t))
+    if sf_t == 0.0:
+        return 0.0, 0.0  # no severity mass beyond t in double precision
+    chunks = []  # (paths, mean, sum of squared deviations) of each chunk
+    for lo in range(0, n, _BLOCK_PARTICLES):
+        # the uniform is the draw's survival probability, scaled to (0, sf(t)]
+        x0 = np.exp(sev.mu - sev.sigma * norm_quantile(
+            sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo))))
+        w = sf_t / kernel.f(x0)
+        acc = w * kernel.g(x0)
+        _propagate(x0, w, acc, kernel, cfg, [rng], None)
+        chunks.append((acc.size, acc.mean(), np.sum((acc - acc.mean()) ** 2)))
+    sizes, means, sq_dev = (np.array(c) for c in zip(*chunks))
+    mean = float(np.dot(sizes, means) / n)
+    if n == 1:
+        return mean, 0.0
+    var = (sq_dev.sum() + np.dot(sizes, (means - mean) ** 2)) / (n - 1)
+    return mean, float(math.sqrt(var / n))
+
+
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
                           cfg: PathSamplerConfig, rng: UniformStream) -> WeightedParticleMeasure:
-    """Point-wise density estimates over a grid of evaluation points.
+    """Point-wise density estimates over a grid of evaluation points, and
+    the mass beyond its last cell.
 
     Each grid point gets its own batch of ``n_per_point`` particles and,
     when the stream supports spawning, its own substream, so a point's
@@ -476,7 +569,10 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     single points.  A stream that cannot spawn is shared by all points,
     which then run one at a time, point after point.  Per-point
     accumulation relies on numpy's pairwise summation, which keeps
-    results independent of the blocking.
+    results independent of the blocking.  The mass beyond the upper edge
+    of the last cell comes from ``estimate_tail_probability``, with one
+    path per ``_GRID_PATHS_PER_TAIL_PATH`` paths of the grid, on one more
+    substream (or after the points on a shared stream).
     """
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0):
@@ -486,10 +582,10 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
         raise ValueError("need at least one path per grid point")
     kernel = build_volterra_kernel(model)
     if isinstance(rng, PcgStream):
-        streams = rng.spawn(len(grid))
+        streams = rng.spawn(len(grid) + 1)
         per_block = max(1, _BLOCK_PARTICLES // n)
     else:
-        streams = [rng] * len(grid)
+        streams = [rng] * (len(grid) + 1)
         per_block = 1
     est = np.empty(len(grid))
     se = np.zeros(len(grid))
@@ -500,10 +596,15 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
         est[lo:hi] = contrib.mean(axis=1)
         if n > 1:
             se[lo:hi] = contrib.std(axis=1, ddof=1) / math.sqrt(n)
-    return WeightedParticleMeasure(
+    measure = WeightedParticleMeasure(
         locations=grid, weights=est, mode=POINTWISE_GRID,
         zero_mass=float(model.frequency.pmf(0)), stderr=se, n_paths=n,
     )
+    top = grid[-1] + 0.5 * measure._cell_widths()[-1]
+    n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
+    measure.tail_mass, measure.tail_stderr = estimate_tail_probability(
+        model, top, n_tail, cfg, streams[-1])
+    return measure
 
 
 def estimate_measure_interval(model: CompoundModel, interval, n_paths: int,

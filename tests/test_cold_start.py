@@ -2,9 +2,8 @@
 
 ``scipy.stats`` pulls in ``scipy.optimize``, ``scipy.linalg`` and
 ``scipy.sparse``; with ``scipy.integrate`` they take most of a cold
-import.  Only the MC quantile interval, the Beta proposal and the SRM and
-convolution-tail diagnostics use them, and each imports them where it is
-called.  A fresh interpreter shows both halves: the routes leave the
+import.  Only the MC quantile interval and the SRM and convolution-tail
+diagnostics use them, and each imports them where it is called.  A fresh interpreter shows both halves: the routes leave the
 modules unloaded, and the lazy calls still give the in-process answers.
 """
 import json
@@ -16,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from lossmc import (
-    BetaProposal,
     LogNormalSeverity,
     SampleBatch,
     empirical_quantile_ci,
@@ -46,14 +44,9 @@ loaded = [m for m in ("scipy.stats", "scipy.integrate", "scipy.optimize",
                       "scipy.linalg") if m in sys.modules]
 
 batch = lossmc.SampleBatch(values=np.arange(1.0, 101.0))
-beta = lossmc.BetaProposal()
-x = np.array([2.0, 5.0])
-x1 = beta.sample(x, np.array([0.3, 0.8]))
 print(json.dumps({
     "loaded": loaded,
     "quantile_ci": lossmc.empirical_quantile_ci(batch, 0.9, 0.95),
-    "beta_sample": x1.tolist(),
-    "beta_density": beta.density(x, x1).tolist(),
     "srm": lossmc.srm_multiplier(0.5, lambda u: 1.0 - u),
     "tail_ratio": lossmc.subexp_tail_ratio(lossmc.LogNormalSeverity(2.0, 1.0), 50.0),
 }))
@@ -72,12 +65,7 @@ def test_fresh_process_loads_heavy_scipy_only_on_use():
     assert got["loaded"] == []
 
     # the lazily imported paths give the same numbers as in this process
-    beta = BetaProposal()
-    x = np.array([2.0, 5.0])
-    x1 = beta.sample(x, np.array([0.3, 0.8]))
     assert got["quantile_ci"] == list(empirical_quantile_ci(
         SampleBatch(values=np.arange(1.0, 101.0)), 0.9, 0.95))
-    assert got["beta_sample"] == x1.tolist()
-    assert got["beta_density"] == beta.density(x, x1).tolist()
     assert got["srm"] == srm_multiplier(0.5, lambda u: 1.0 - u)
     assert got["tail_ratio"] == subexp_tail_ratio(LogNormalSeverity(2.0, 1.0), 50.0)

@@ -111,11 +111,12 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
 
 
 def test_particle_interval_top_is_clamped_at_unit_mass():
-    """At this seed the noisy cumulative mass passes 1 below the grid top,
-    so the upper CI level exceeds 1; the bound reads the grid top."""
+    """At this seed the tail start puts more mass beyond x_max than the
+    0.9999 row's upper CI level leaves, so that quantile lies beyond the
+    grid and the bound reads the grid top."""
     method = {"kind": "particle", "x_max": 400.0, "n_per_point": 200}
     report = run_experiment(_config(model=SIGMA1_MODEL, method=method,
-                                    levels=[0.5, 0.9, 0.99, 0.999, 0.9995], seed=10))
+                                    levels=[0.5, 0.9, 0.99, 0.999, 0.9999], seed=10))
     assert len(report.rows) == 5
     for row in report.rows:
         assert math.isfinite(row.var) and row.var_lo <= row.var <= row.var_hi
@@ -412,8 +413,10 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
      "two replicates"),
     ("rare-event", dict(RARE_EVENT, thresholds=[20.0], n_particles=100, mh_steps=-1),
      "mutation steps"),
+    # the particle route has one proposal: its old selector keys are unknown
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
-                  "proposal": "beta", "beta_a": float("nan")}, "beta shapes"),
+                  "proposal": "beta", "beta_a": float("nan")},
+     "unknown particle method keys ['beta_a', 'proposal']"),
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
                   "grid_width": 0.0}, "grid_width"),
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,

@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from lossmc import (
-    BetaProposal,
     BinomialFrequency,
     CompoundModel,
+    ExperimentConfig,
     GeneralizedPoissonFrequency,
     LogNormalSeverity,
     NegativeBinomialFrequency,
@@ -23,16 +23,26 @@ from lossmc import (
     UnsupportedModelError,
     WeightedParticleMeasure,
     build_volterra_kernel,
+    compound_cdf_quantile,
     default_absorption,
     estimate_density_grid,
     estimate_measure_interval,
+    estimate_tail_probability,
     oracle_compound_pmf,
     quantile_from_measure,
     risk_measures_from_measure,
+    run_experiment,
 )
-from lossmc.volterra import _BLOCK_PARTICLES, _DEAD_FLOOR, INTERVAL, _checked_move
+from lossmc.volterra import (
+    _BLOCK_PARTICLES,
+    _DEAD_FLOOR,
+    _GRID_PATHS_PER_TAIL_PATH,
+    DEFENSIVE_SHARE,
+    INTERVAL,
+    _checked_move,
+)
 
-from conftest import particle_config, sigma05_model, sigma1_model
+from conftest import QUANTILE_LEVELS, oracle_tail, particle_config, sigma05_model, sigma1_model
 
 
 def _lognormal_pdf(x, mu=2.0, sigma=0.5):
@@ -79,26 +89,45 @@ def test_kernel_rejects_sign_changing_counts():
 
 def _path_weight(proposal, draws):
     """Density estimate of one path from x0 = 20 on the sigma = 0.5 model
-    at p_d = 0.5, drawing its uniforms from ``draws``."""
+    at p_d = 0.5, drawing its uniforms from ``draws``.  The one tail-start
+    path that follows on the same stream gets uniforms that absorb it at
+    once."""
     cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
-    measure = estimate_density_grid(sigma05_model(), [20.0], 1, cfg, SequenceStream(draws))
+    stream = SequenceStream([*draws, 0.25, 0.25])
+    measure = estimate_density_grid(sigma05_model(), [20.0], 1, cfg, stream)
+    assert stream.remaining == 0
     return float(measure.weights[0])
 
 
+def _mixture_density(x, x1, mu=2.0, sigma=0.5):
+    """q(x, x1) of the defensive mixture, from scipy's lognormal."""
+    d = x - x1
+    sized = d * _lognormal_pdf(d, mu, sigma) / (
+        math.exp(mu + 0.5 * sigma ** 2)
+        * stats.norm.cdf((math.log(x) - mu - sigma ** 2) / sigma))
+    return (1.0 - DEFENSIVE_SHARE) * sized + DEFENSIVE_SHARE / x
+
+
 def test_hand_computed_single_step_weight():
-    """Move 20 -> 12 under a uniform multiplicative proposal, then absorb."""
+    """Move 20 -> 10 through the uniform share of the mixture, then absorb.
+
+    One uniform per step: 0.95 > p_d moves with v = 0.9 > 1 - pi, so
+    x1 = 20 (v - 0.8) / 0.2; 0.1 <= p_d then absorbs."""
     kernel = build_volterra_kernel(sigma05_model())
-    w = _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.6, 0.1])
-    # q(20, 12) = 1/20; W = g(20) + k/((1-pd) q) * g(12), a term per visited state
-    by_hand = kernel.g(20.0) + kernel.k(20.0, 12.0) / (0.5 * 0.05) * kernel.g(12.0)
-    assert w == pytest.approx(by_hand, rel=1e-12)
-    # 0.00148648357 + 0.0787877018 / 0.025 * 0.0112451344
-    assert w == pytest.approx(0.0369256155, rel=1e-8)
+    w = _path_weight(SizeBiasedProposal(LogNormalSeverity(2.0, 0.5)), [0.95, 0.1])
+    x1 = 20.0 * (((0.95 - 0.5) / 0.5 - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE)
+    assert x1 == pytest.approx(10.0, rel=1e-14)
+    # W = g(20) + k/((1-pd) q) * g(x1), a term per visited state
+    by_hand = kernel.g(20.0) + kernel.k(20.0, x1) / (0.5 * _mixture_density(20.0, x1)) \
+        * kernel.g(x1)
+    assert w == pytest.approx(by_hand, rel=1e-13)
+    # 0.00148648357 + 0.0664376130 / (0.5 * 0.0781043644) * g(10)
+    assert w == pytest.approx(0.0320796032, rel=1e-8)
 
 
 def test_zero_length_path_weight_is_first_term():
     kernel = build_volterra_kernel(sigma05_model())
-    w = _path_weight(BetaProposal(1.0, 1.0), [0.1])
+    w = _path_weight(SizeBiasedProposal(LogNormalSeverity(2.0, 0.5)), [0.1])
     assert w == pytest.approx(kernel.g(20.0), rel=1e-12)
     assert w == pytest.approx(2.0 * math.exp(-2.0) * _lognormal_pdf(20.0), rel=1e-12)
     assert w == pytest.approx(0.00148648357, rel=1e-8)
@@ -167,14 +196,25 @@ def test_support_check_classifies_the_fault(frac, ratio, error):
 
 
 def test_moves_to_either_end_with_zero_ratio_pass_the_check():
-    """The library proposals reach x1 = 0 and x1 = x, where q vanishes,
-    with ratio 0; the path then stops, keeping only its first term g(20)."""
-    kernel = build_volterra_kernel(sigma05_model())
+    """The mixture's draws at either end of [0, x] pass the check.  The top
+    uniform moves to just below x, where f_X(d) underflows, and the ratio
+    is exactly 0, so the path keeps only its first term g(20).  The
+    largest size-biased decrement, u = 1 - pi, moves to within rounding
+    of 0, where the uniform share keeps q > 0 and the ratio is
+    k / (mass q)."""
+    model = sigma05_model()
+    kernel = build_volterra_kernel(model)
+    proposal = SizeBiasedProposal(model.severity)
     x = np.array([20.0, 20.0])
-    x1, ratio = _checked_move(BetaProposal(1.0, 1.0), x, np.array([0.0, 1.0]), kernel, 0.5)
-    assert np.array_equal(x1, [0.0, 20.0]) and np.array_equal(ratio, [0.0, 0.0])
-    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 0.0]) == kernel.g(20.0)
-    assert _path_weight(BetaProposal(1.0, 1.0), [0.9, 1.0]) == kernel.g(20.0)
+    x1, ratio = _checked_move(proposal, x, np.array([1.0, 1.0 - DEFENSIVE_SHARE]),
+                              kernel, 0.5)
+    top = 20.0 * ((1.0 - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE)
+    assert 20.0 - 1e-13 < top < 20.0 and x1[0] == top
+    assert ratio[0] == 0.0
+    assert 0.0 <= x1[1] < 1e-13
+    assert np.allclose(ratio[1], kernel.k(20.0, x1[1]) / (0.5 * _mixture_density(20.0, x1[1])),
+                       rtol=1e-13, atol=0.0)
+    assert _path_weight(proposal, [1.0]) == kernel.g(20.0)
 
 
 def test_config_and_proposal_validation():
@@ -182,8 +222,6 @@ def test_config_and_proposal_validation():
         PathSamplerConfig(proposal=None, p_d=0.0)
     with pytest.raises(ValueError):
         PathSamplerConfig(proposal=None, p_d=1.2)
-    with pytest.raises(ValueError):
-        BetaProposal(0.0, 1.0)
     with pytest.raises(UnsupportedModelError):
         SizeBiasedProposal(severity="not lognormal")
 
@@ -206,15 +244,16 @@ class _CountingStream(UniformStream):
 def test_path_length_is_geometric():
     """At p_d the number of moves is geometric with mean (1-p_d)/p_d.
 
-    A path draws one uniform per absorb-or-move step and one per move,
-    1 + 2 moves in all, so the mean number of moves is (drawn / n - 1) / 2;
-    its standard error is sqrt(2 / n) at p_d = 0.5.
+    An interval path draws one uniform for its start and one per
+    absorb-or-move step, 2 + moves in all, so the mean number of moves
+    is drawn / n - 2; its standard error is sqrt(2 / n) at p_d = 0.5.
+    The proposal halves the state at ratio 1, so no path ends early.
     """
     n = 100_000
-    cfg = PathSamplerConfig(proposal=BetaProposal(1.0, 1.0), p_d=0.5)
+    cfg = PathSamplerConfig(proposal=_FixedMove(0.5, 1.0), p_d=0.5)
     rng = _CountingStream(PcgStream(2020))
-    estimate_density_grid(sigma05_model(), [20.0], n, cfg, rng)
-    moves = (rng.drawn / n - 1.0) / 2.0
+    estimate_measure_interval(sigma05_model(), (0.0, 40.0), n, cfg, rng)
+    moves = rng.drawn / n - 2.0
     assert abs(moves - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
 
@@ -224,22 +263,45 @@ def test_path_length_is_geometric():
 ], ids=["poisson", "negbinomial"])
 @pytest.mark.parametrize("sigma", [0.5, 1.0])
 def test_size_biased_move_ratio_matches_kernel_over_density(frequency, sigma):
-    """The closed-form ratio of the fused move is k / ((1 - p_d) q)."""
+    """The ratio of the fused move is k / ((1 - p_d) q) for the mixture
+    density q, and each uniform lands in the share it selects."""
     model = CompoundModel(frequency, LogNormalSeverity(2.0, sigma))
     kernel = build_volterra_kernel(model)
     proposal = SizeBiasedProposal(model.severity)
     mass = 1.0 - default_absorption(model)
     xs = np.geomspace(1e-3, 400.0, 60)
-    # u = 1 draws the largest decrement, which is capped at x for some x
-    us = np.array([1e-12, 1e-6, 0.01, 0.3, 0.7, 0.999999, 1.0])
+    # u = 1 - pi draws the largest size-biased decrement, capped at x for
+    # some x; u above 1 - pi draws from the uniform share
+    us = np.array([1e-12, 1e-6, 0.01, 0.3, 0.7, 0.799999, 0.8, 0.800001, 0.9, 0.999999])
     x, u = (a.ravel() for a in np.meshgrid(xs, us))
     x1, ratio = proposal.move(x, u, kernel, mass)
-    assert np.array_equal(x1, proposal.sample(x, u))
+    sized = u <= 1.0 - DEFENSIVE_SHARE
+    assert np.array_equal(x1[sized],
+                          proposal.sample(x[sized], u[sized] / (1.0 - DEFENSIVE_SHARE)))
+    assert np.array_equal(x1[~sized], x[~sized] * ((u[~sized] - (1.0 - DEFENSIVE_SHARE))
+                                                   / DEFENSIVE_SHARE))
     ref = kernel.k(x, x1) / (mass * proposal.density(x, x1))
-    assert np.all(ref > 0.0) and np.all(np.isfinite(ratio))
-    assert np.allclose(ratio, ref, rtol=1e-12, atol=0.0)
+    # where f_X(d) underflows k / q is 0 or subnormal, and so is the ratio
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(normal[sized])
+    assert np.all(np.isfinite(ratio)) and np.all(ratio[~normal] < np.finfo(float).tiny)
+    assert np.allclose(ratio[normal], ref[normal], rtol=1e-12, atol=0.0)
     assert np.any(x1 == 0.0)
     assert np.array_equal(_checked_move(proposal, x, u, kernel, mass)[1], ratio)
+
+
+@pytest.mark.parametrize("sigma,x", [(0.5, 1e-8), (1.0, 2e-16)])
+def test_mixture_ratio_is_zero_where_its_terms_underflow(sigma, x):
+    """At states this small E[X; X <= x] and f_X(d) underflow to 0; the
+    ratio comes out 0, not NaN, and the move passes the check."""
+    model = CompoundModel(PoissonFrequency(2.0), LogNormalSeverity(2.0, sigma))
+    kernel = build_volterra_kernel(model)
+    proposal = SizeBiasedProposal(model.severity)
+    u = np.array([1e-12, 0.5, 1.0 - DEFENSIVE_SHARE, 0.9, 1.0])
+    assert proposal._cap(x) == 0.0
+    x1, ratio = _checked_move(proposal, np.full(u.size, x), u, kernel, 0.6)
+    assert np.all((x1 >= 0.0) & (x1 <= x))
+    assert np.array_equal(ratio, np.zeros(u.size))
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +342,92 @@ def test_particle_density_matches_oracle(frequency):
     assert np.all(np.abs(measure.weights - ref) <= 4.0 * measure.stderr)
 
 
+# ---------------------------------------------------------------------------
+# the deep tail, where the size-biased proposal alone missed the big jump
+# ---------------------------------------------------------------------------
+
+DEEP_XS = np.array([400.0, 800.0, 1200.0, 2000.0])
+DEEP_TS = (300.0, 1200.0)
+DEEP_FREQUENCIES = {"poisson": PoissonFrequency(2.0),
+                    "negbinomial": NegativeBinomialFrequency(2.0, 1.0)}
+_deep_oracles = {}
+
+
+def _deep_tail_z(kind, n_point, n_tail, seed):
+    """z-scores against the oracle at one seed (sigma = 1): the particle
+    densities at DEEP_XS, then the tail-start P(Z > t) at DEEP_TS."""
+    model = CompoundModel(DEEP_FREQUENCIES[kind], LogNormalSeverity(2.0, 1.0))
+    if kind not in _deep_oracles:
+        pmf = oracle_compound_pmf(model, step=0.02, x_max=4000.0)
+        _deep_oracles[kind] = (pmf.density()[np.rint(DEEP_XS / pmf.step).astype(int)],
+                               [oracle_tail(pmf, t) for t in DEEP_TS])
+    dens, tails = _deep_oracles[kind]
+    cfg = particle_config(model)
+    root = PcgStream(seed)
+    measure = estimate_density_grid(model, DEEP_XS, n_point, cfg, root)
+    z = list((measure.weights - dens) / measure.stderr)
+    for t, ref, stream in zip(DEEP_TS, tails, root.spawn(2)):
+        p, se = estimate_tail_probability(model, t, n_tail, cfg, stream)
+        z.append((p - ref) / se)
+    return np.array(z)
+
+
+@pytest.mark.parametrize("kind", DEEP_FREQUENCIES)
+def test_deep_tail_densities_and_tail_start_match_oracle(kind):
+    """With the defensive mixture the density at 400-2000 and the tail
+    start's P(Z > 300) and P(Z > 1200) lie within 4 SE of the oracle (the
+    size-biased proposal alone read the density at 800 at -51 SE)."""
+    z = _deep_tail_z(kind, 50_000, 100_000, seed=1616)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+@pytest.mark.parametrize("kind", DEEP_FREQUENCIES)
+def test_deep_tail_z_scores_do_not_lean(kind):
+    """Across 20 seeds the mean of those z-scores lies within +-0.6, so an
+    SE that hides a heavy-tailed weight law fails even where each single
+    z-score stays small."""
+    zs = np.array([_deep_tail_z(kind, 20_000, 40_000, seed) for seed in range(20)])
+    assert abs(zs.mean()) <= 0.6, zs.mean(axis=0)
+
+
+@pytest.mark.parametrize("preset", ["sigma05", "sigma1"])
+def test_particle_report_rows_match_oracle(preset):
+    """Every particle report row of the table1 presets, at the benchmark
+    budget of 5000 paths per point, lies within 4 reported SE plus one grid
+    width of the oracle quantile."""
+    sigma, x_max, seed = (0.5, 120.0, 82_106) if preset == "sigma05" else (1.0, 400.0, 82_111)
+    model_block = {"frequency": {"kind": "poisson", "lambda": 2.0},
+                   "severity": {"kind": "lognormal", "mu": 2.0, "sigma": sigma}}
+    report = run_experiment(ExperimentConfig(
+        model=model_block, levels=list(QUANTILE_LEVELS), seed=seed,
+        method={"kind": "particle", "grid_width": 1.0, "x_max": x_max,
+                "n_per_point": 5000}))
+    model = CompoundModel(PoissonFrequency(2.0), LogNormalSeverity(2.0, sigma))
+    pmf = oracle_compound_pmf(model, step=0.01, x_max=x_max)
+    assert [row.alpha for row in report.rows] == list(QUANTILE_LEVELS)
+    for row in report.rows:
+        q = compound_cdf_quantile(pmf, row.alpha)[1]
+        assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr + 1.0, (row, q)
+
+
 def _single_point_contributions(x0, n, kernel, cfg, stream):
-    """Loop reference: one grid point's particles alone on ``stream``."""
+    """Loop reference: one grid point's particles alone on ``stream``, one
+    uniform per absorb-or-move step."""
     pd = cfg.p_d
     x, w = np.full(n, x0), np.ones(n)
     acc = np.full(n, kernel.g(x0))
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     while active.size:
-        active = active[stream.uniforms(active.size) > pd]
+        u = stream.uniforms(active.size)
+        active = active[u > pd]
         if not active.size:
             break
-        x1, ratio = cfg.proposal.move(x[active], stream.uniforms(active.size),
+        x1, ratio = cfg.proposal.move(x[active], (u[u > pd] - pd) / (1.0 - pd),
                                       kernel, 1.0 - pd)
         w[active] *= ratio
         x[active] = x1
-        acc[active] += w[active] * kernel.g(x1)
+        with np.errstate(divide="ignore"):
+            acc[active] += w[active] * kernel.g(x1)
         active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
     return acc
 
@@ -307,39 +440,42 @@ def _single_point_grid(model, grid, n, cfg, streams):
             np.array([c.std(ddof=1) / math.sqrt(n) for c in contrib]))
 
 
-@pytest.mark.parametrize("proposal", ["beta", "sizebias"])
-def test_grid_blocks_match_single_points(proposal):
+def test_grid_blocks_match_single_points():
     """Blocks of grid points give the estimates of one point at a time,
-    each on its own spawned substream."""
+    each on its own spawned substream; the tail start runs on the next
+    substream."""
     model = sigma1_model()
     n = 1500
     grid = np.arange(2.0, 400.0, 9.0)
     assert 1 < _BLOCK_PARTICLES // n < len(grid)
-    extra = {"proposal": BetaProposal(1.0, 1.2)} if proposal == "beta" else {}
-    cfg = particle_config(model, **extra)
+    cfg = particle_config(model)
     measure = estimate_density_grid(model, grid, n, cfg, PcgStream(77))
-    est, se = _single_point_grid(model, grid, n, cfg, PcgStream(77).spawn(len(grid)))
-    if proposal == "beta":
-        assert np.array_equal(measure.weights, est)
-        assert np.array_equal(measure.stderr, se)
-    else:
-        assert np.allclose(measure.weights, est, rtol=1e-13, atol=0.0)
-        assert np.allclose(measure.stderr, se, rtol=1e-13, atol=0.0)
+    streams = PcgStream(77).spawn(len(grid) + 1)
+    est, se = _single_point_grid(model, grid, n, cfg, streams[:-1])
+    assert np.allclose(measure.weights, est, rtol=1e-13, atol=0.0)
+    assert np.allclose(measure.stderr, se, rtol=1e-13, atol=0.0)
+    tail = estimate_tail_probability(model, grid[-1] + 4.5,
+                                     len(grid) * n // _GRID_PATHS_PER_TAIL_PATH, cfg,
+                                     streams[-1])
+    assert (measure.tail_mass, measure.tail_stderr) == tail
 
 
 def test_shared_stream_runs_grid_points_one_after_another():
-    """A stream that cannot spawn is read point by point, as a loop would."""
+    """A stream that cannot spawn is read point by point, as a loop would,
+    and then by the tail start."""
     model = sigma05_model()
     cfg = particle_config(model)
     grid = [10.0, 20.0, 30.0]
-    values = PcgStream(3).uniforms(400)
+    values = PcgStream(3).uniforms(2000)
     blocked = SequenceStream(values)
     measure = estimate_density_grid(model, grid, 5, cfg, blocked)
     looped = SequenceStream(values)
     est, se = _single_point_grid(model, grid, 5, cfg, [looped] * len(grid))
     assert np.array_equal(measure.weights, est)
     assert np.array_equal(measure.stderr, se)
-    assert blocked.remaining == looped.remaining < len(values)
+    tail = estimate_tail_probability(model, 35.0, 1, cfg, looped)
+    assert (measure.tail_mass, measure.tail_stderr) == tail
+    assert blocked.remaining == looped.remaining > 0
 
 
 def test_certain_absorption_reduces_to_first_term():
