@@ -20,6 +20,7 @@ from .compound import (
     CompoundModel,
     SampleBatch,
     empirical_quantile_ci,
+    sample_claims,
     simulate_compound,
     simulate_compound_parallel,
     tail_probability_mc,
@@ -66,6 +67,7 @@ from .panjer import (
     panjer_discrete,
 )
 from .rare_event import (
+    ClaimPopulation,
     DiscreteMeasure,
     LevelSequence,
     MixingDiagnostic,

@@ -40,26 +40,34 @@ class SampleBatch:
         return len(self.values)
 
 
-def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> SampleBatch:
-    """Draw T independent annual losses.
+def sample_claims(model: CompoundModel, T: int, rng: UniformStream):
+    """Draw the claims of T independent years in a ragged layout.
 
-    Counts come first (one block of uniforms), then all severities in
-    one block, and the random sums are assembled by cumulative-sum
-    differencing; N = 0 years contribute a zero loss.
+    Returns ``(counts, severities)``.  Counts come first (one block of T
+    uniforms), then all severities in one block, year after year: year
+    i's claims are ``severities[s:s + counts[i]]`` with s = counts[:i].sum().
     """
+    counts = model.frequency.sample(rng, size=T)
+    total = int(counts.sum())
+    severities = model.severity.sample(rng, size=total) if total else np.zeros(0)
+    return counts, severities
+
+
+def claim_sums(counts: np.ndarray, severities: np.ndarray) -> np.ndarray:
+    """Each year's loss from the ragged claims, by cumulative-sum
+    differencing; N = 0 years contribute a zero loss."""
+    cs = np.concatenate(([0.0], np.cumsum(severities)))
+    ends = np.cumsum(counts)
+    return cs[ends] - cs[ends - counts]
+
+
+def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> SampleBatch:
+    """Draw T independent annual losses: :func:`sample_claims`, summed
+    by :func:`claim_sums`."""
     T = int(T)
     if T < 1:
         raise ValueError("need at least one simulation")
-    counts = model.frequency.sample(rng, size=T)
-    total = int(counts.sum())
-    if total:
-        xs = model.severity.sample(rng, size=total)
-        cs = np.concatenate(([0.0], np.cumsum(xs)))
-        ends = np.cumsum(counts)
-        z = cs[ends] - cs[ends - counts]
-    else:
-        z = np.zeros(T)
-    return SampleBatch(values=z)
+    return SampleBatch(values=claim_sums(*sample_claims(model, T, rng)))
 
 
 def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,

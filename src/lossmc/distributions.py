@@ -10,10 +10,11 @@ threads; every sampler draws from an externally supplied uniform
 stream (see :mod:`lossmc.rng`) so callers control substream layout.
 Every sampler is an inverse transform that reads exactly one uniform
 per draw (a point mass reads none): counts invert a cached cdf table,
-severities their quantile function.  A table is inverted through a guide
-table (:func:`_guided_search`), which finds the entry of a draw in O(1)
-expected steps instead of a binary search; the splitting selection step
-uses the same lookup for its ancestors.
+severities their inverse survival function ``isf``, which the splitting
+route also uses to redraw a claim above a floor.  A table is inverted
+through a guide table (:func:`_guided_search`), which finds the entry of
+a draw in O(1) expected steps instead of a binary search; the splitting
+selection step uses the same lookup for its ancestors.
 """
 from __future__ import annotations
 
@@ -400,8 +401,17 @@ class SeverityModel:
         """E[X ; X <= x]."""
         raise NotImplementedError
 
-    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
+    def isf(self, u):
+        """Inverse survival function: the x with sf(x) = u, for u in (0, 1]."""
         raise NotImplementedError
+
+    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
+        """Inverse transform, one uniform per draw: ``isf(U)``.
+
+        U is the survival probability of the draw, so the large draws come
+        from small u, which are finely spaced: every draw is finite.
+        """
+        return self.isf(stream.uniforms(size))
 
     def integrated_survival(self, x):
         """Integral of the survival function over (0, x]."""
@@ -480,15 +490,11 @@ class LogNormalSeverity(SeverityModel):
         out = self.mean() * np.maximum(incr, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        """Inverse transform, one uniform per draw: exp(mu - sigma ndtri(u)).
-
-        U is the survival probability of the draw, so the large draws come
-        from small u, which are finely spaced: every draw is finite.  The
-        endpoint u = 1 maps to exactly 0.
-        """
-        u = stream.uniforms(size)
-        return np.exp(self.mu - self.sigma * special.ndtri(u))
+    def isf(self, u):
+        """exp(mu - sigma ndtri(u)); the endpoint u = 1 maps to exactly 0."""
+        u = np.asarray(u, dtype=float)
+        out = np.exp(self.mu - self.sigma * special.ndtri(u))
+        return out if out.ndim else float(out)
 
 
 @dataclass
@@ -553,11 +559,10 @@ class ParetoSeverity(SeverityModel):
         out = np.maximum(out, 0.0)
         return out if out.ndim else float(out)
 
-    def sample(self, stream: UniformStream, size: int) -> np.ndarray:
-        # invert the survival function directly: U on (0, 1] is itself a
-        # valid survival probability, so draws stay finite
-        u = stream.uniforms(size)
-        return self.s * (u ** (-1.0 / self.a) - 1.0)
+    def isf(self, u):
+        u = np.asarray(u, dtype=float)
+        out = self.s * (u ** (-1.0 / self.a) - 1.0)
+        return out if out.ndim else float(out)
 
 
 @dataclass
@@ -613,7 +618,13 @@ class DegenerateSeverity(SeverityModel):
         out = np.where((lo < self.atom) & (self.atom <= hi), self.atom, 0.0)
         return out if out.ndim else float(out)
 
+    def isf(self, u):
+        u = np.asarray(u, dtype=float)
+        out = np.full_like(u, self.atom)
+        return out if out.ndim else float(out)
+
     def sample(self, stream: UniformStream, size: int) -> np.ndarray:
+        """The atom ``size`` times, reading no uniform: isf is constant."""
         return np.full(int(size), self.atom)
 
 

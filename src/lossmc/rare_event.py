@@ -2,10 +2,13 @@
 
 Conditioning a base law on a rare set A is handled by a Feynman-Kac
 pipeline: indicator potentials over a nested family of sets, particle
-selection by the Boltzmann-Gibbs transform, and mutation by a
-Metropolis-Hastings kernel restricted to the current set.  One loop
-(:func:`_split`) runs the levels for both the fixed ladder and the
-adaptively placed one; they differ only in how the next level is
+selection by the Boltzmann-Gibbs transform, and mutation by a kernel
+that leaves the base law restricted to the current set invariant.  On
+a compound model each particle carries its claims and the kernel is an
+exact random-scan Gibbs step on one claim (:class:`ClaimPopulation`);
+otherwise it is a Metropolis-Hastings proposal restricted to the set.
+One loop (:func:`_split`) runs the levels for both the fixed ladder and
+the adaptively placed one; they differ only in how the next level is
 chosen.  The running product of the first p success fractions is an
 unbiased estimate of P(A_p) at every level p, so
 :func:`replicate_smc` reads every threshold of a ladder off one
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compound import CompoundModel, simulate_compound
+from .compound import CompoundModel, claim_sums, sample_claims, simulate_compound
 from .distributions import _guide_table, _guided_search
 from .errors import (
     DominationViolationError,
@@ -69,9 +72,86 @@ class LevelSequence:
 
 @dataclass
 class ParticlePopulation:
+    """Particles that are their scores alone: ``states[i]`` is the value
+    the levels test."""
+
     states: np.ndarray
     generation: int = 0
     acceptance: list = field(default_factory=list)
+
+    def take(self, idx: np.ndarray) -> "ParticlePopulation":
+        """The particles at ``idx``, copied."""
+        return ParticlePopulation(states=self.states[idx], generation=self.generation)
+
+
+@dataclass
+class ClaimPopulation:
+    """Particles of a compound model, each carrying its own claims.
+
+    Particle i has ``counts[i]`` claims, stored in
+    ``severities[starts[i]:starts[i] + counts[i]]``, and its loss, the
+    value the levels test, in ``states[i]``.  The layout is ragged, so
+    memory follows the total number of claims, not N times the largest
+    count.
+    """
+
+    counts: np.ndarray
+    severities: np.ndarray
+    states: np.ndarray
+
+    def __post_init__(self):
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    @classmethod
+    def sample(cls, model: CompoundModel, n: int, rng: UniformStream) -> "ClaimPopulation":
+        """n independent particles, drawn as :func:`simulate_compound` draws
+        n years: the same uniforms give the same losses."""
+        counts, severities = sample_claims(model, n, rng)
+        return cls(counts, severities, claim_sums(counts, severities))
+
+    def take(self, idx: np.ndarray) -> "ClaimPopulation":
+        """The particles at ``idx``, whole rows of claims copied."""
+        counts = self.counts[idx]
+        starts = np.cumsum(counts) - counts
+        src = np.repeat(self.starts[idx] - starts, counts) + np.arange(int(counts.sum()))
+        return ClaimPopulation(counts, self.severities[src], self.states[idx])
+
+    def gibbs_step(self, severity, threshold, G, rng: UniformStream) -> int:
+        """Move one claim of every particle; return how many particles moved.
+
+        Reads 2N uniforms, u then v.  Particle i picks claim j uniformly
+        among its ``counts[i]`` by u_i and redraws it by inversion from
+        X | X > c, the claim's exact law given the other claims and
+        Z > t: with c = t - (Z - X_j), X_j' = isf(v_i sf(max(c, 0))).  The
+        move therefore needs no proposal loop and leaves the base law
+        restricted to {Z > t} invariant.  Predicate levels (``threshold``
+        None) redraw X_j from the base law and keep it only where G > 0,
+        a restricted Metropolis-Hastings step.
+
+        A particle keeps its claim when it has none, when v sf(c)
+        underflows to 0, or when rounding puts its new loss outside the
+        level set (G = 0).  Counts never change.
+        """
+        n = len(self.states)
+        u = rng.uniforms(2 * n)
+        if not self.severities.size:
+            return 0
+        # a particle without claims reads a neighbour's claim here (at =
+        # starts - 1) and is left out of ``moved`` below
+        at = np.ceil(u[:n] * self.counts).astype(np.intp)
+        at += self.starts - 1
+        rest = self.states - self.severities[at]
+        q = u[n:]  # v sf(max(c, 0)), and sf(max(c, 0)) = 1 where c <= 0
+        if threshold is not None:
+            above = np.flatnonzero(rest < threshold)
+            q[above] *= severity.sf(threshold - rest[above])
+        drawn = q > 0.0
+        redrawn = severity.isf(np.where(drawn, q, 1.0))
+        states = rest + redrawn
+        moved = drawn & (G(states) > 0.0) & (self.counts > 0)
+        self.severities[at[moved]] = redrawn[moved]
+        np.copyto(self.states, states, where=moved)
+        return int(np.count_nonzero(moved))
 
 
 @dataclass
@@ -82,7 +162,9 @@ class SmcEstimate:
     ``replicate_rse`` is filled by :func:`replicate_smc` when the run
     is repeated.  ``trace`` holds one diagnostic dict per level (see
     :func:`trace_to_csv`), and ``adaptive`` marks runs whose thresholds
-    were chosen on the fly rather than supplied.
+    were chosen on the fly rather than supplied.  ``population`` is the
+    final population, selected into the last level set: a sample of the
+    base law given the rare event (None after extinction).
     """
 
     estimate: float
@@ -92,6 +174,7 @@ class SmcEstimate:
     replicate_rse: float | None = None
     trace: list | None = None
     adaptive: bool = False
+    population: ClaimPopulation | ParticlePopulation | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.estimate <= 1.0):
@@ -239,25 +322,56 @@ def _base_sampler(model):
     raise TypeError("model must be a CompoundModel or a batch sampler")
 
 
+def _confined(G, states: np.ndarray, phase: str) -> None:
+    if not np.all(G(states) > 0.0):
+        raise RuntimeError(f"{phase} left particles outside the level set")
+
+
 def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
            mutation, max_levels: int) -> SmcEstimate:
     """The one select/mutate loop behind both splitting entry points.
 
     ``next_level(p, states)`` returns the level's indicator potential
     G, its threshold (None for predicate levels) and whether it is the
-    last level.  Each level selects on G and, unless it is the last,
-    mutates with proposals accepted where G > 0.
+    last level.  Each level selects on G, copying whole particles by
+    their ancestor indices, and, unless it is the last, runs
+    ``mutation_steps`` moves that leave the base law restricted to the
+    level set invariant.
+
+    A :class:`CompoundModel` without a ``mutation`` is run on its claims
+    (:class:`ClaimPopulation`): each move is one exact Gibbs sweep, one
+    claim per particle redrawn above the level
+    (:meth:`ClaimPopulation.gibbs_step`), so ``mutation_steps`` counts
+    sweeps and a level's ``acceptance_rate`` is near 1.  Otherwise the
+    particles are their scores alone, and ``mutation`` proposals (by
+    default independent redraws from the base law) are kept only inside
+    the level set.  A population found outside the level set after a
+    selection or a move raises ``RuntimeError``.
     """
     if N < 2:
         raise ValueError("need at least two particles")
     if mutation_steps < 0:
         raise ValueError("need a nonnegative number of mutation steps")
-    sampler = _base_sampler(model)
-    if mutation is None:
-        def mutation(states, level, stream):
-            return sampler(len(states), stream)
+    N, mutation_steps = int(N), int(mutation_steps)
+    if isinstance(model, CompoundModel) and mutation is None:
+        pop = ClaimPopulation.sample(model, N, rng)
 
-    pop = ParticlePopulation(states=np.asarray(sampler(int(N), rng), dtype=float))
+        def move(pop, p, threshold, G):
+            return pop.gibbs_step(model.severity, threshold, G, rng)
+    else:
+        sampler = _base_sampler(model)
+        if mutation is None:
+            def mutation(states, level, stream):
+                return sampler(len(states), stream)
+        pop = ParticlePopulation(states=np.asarray(sampler(N, rng), dtype=float))
+
+        def move(pop, p, threshold, G):
+            proposal = np.asarray(mutation(pop.states, p, rng), dtype=float)
+            inside = G(proposal) > 0.0
+            pop.states = np.where(inside, proposal, pop.states)
+            return int(inside.sum())
+
+    index = np.arange(N)
     fractions = []
     trace = []
     for p in range(int(max_levels)):
@@ -276,21 +390,19 @@ def _split(model, next_level, mutation_steps: int, N: int, rng: UniformStream,
         if frac == 0.0:
             return SmcEstimate(estimate=0.0, level_fractions=fractions,
                                extinct_level=p, trace=trace)
-        pop.generation = p
-        pop = selection_transition(pop, g, rng)
-        assert np.all(G(pop.states) > 0.0), \
-            "selection must confine the population to the level set"
+        ancestors = selection_transition(
+            ParticlePopulation(states=index, generation=p), g, rng).states
+        pop = pop.take(ancestors)
+        _confined(G, pop.states, "selection")
         if final:
             return SmcEstimate(estimate=float(np.prod(fractions)),
-                               level_fractions=fractions, trace=trace)
-        accepted = proposed = 0
-        for _ in range(int(mutation_steps)):
-            proposal = np.asarray(mutation(pop.states, p, rng), dtype=float)
-            inside = G(proposal) > 0.0
-            pop.states = np.where(inside, proposal, pop.states)
-            accepted += int(inside.sum())
-            proposed += len(inside)
-        row["acceptance_rate"] = accepted / proposed if proposed else None
+                               level_fractions=fractions, trace=trace,
+                               population=pop)
+        accepted = 0
+        for _ in range(mutation_steps):
+            accepted += move(pop, p, threshold, G)
+            _confined(G, pop.states, "mutation")
+        row["acceptance_rate"] = accepted / (N * mutation_steps) if mutation_steps else None
     raise ExtinctionError(
         f"splitting did not reach its target in {max_levels} levels",
         level=int(max_levels),
@@ -301,15 +413,28 @@ def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
                    N: int, rng: UniformStream, mutation=None) -> SmcEstimate:
     """Estimate P(A_n) by the multiplicative level-fraction formula.
 
-    Alternates indicator selection and restricted-MH mutation through
-    the nested levels; the running product of success fractions is the
-    unbiased normalizing-constant estimate.  ``mutation`` performs one
+    Alternates indicator selection and mutation through the nested
+    levels; the running product of success fractions is the unbiased
+    normalizing-constant estimate.  Each level runs ``mutation_steps``
+    moves, each invariant for the base law restricted to the level set,
+    which is all the product estimator needs.
+
+    On a :class:`CompoundModel` every particle carries its claims, and a
+    move is one sweep of an exact random-scan Gibbs sampler: each
+    particle redraws one uniformly chosen claim X_j from its law given
+    the others and Z > t, by inversion
+    (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's generalized
+    splitting).  ``mutation_steps`` (the report's ``mh_steps``) counts
+    these Gibbs sweeps, each moving one claim of every particle, and a
+    level's ``acceptance_rate`` is near 1.  Counts never change.
+
+    For a callable batch sampler, or when ``mutation`` is given, the
+    particles are their scores alone: ``mutation`` performs one
     base-invariant transition ``(states, level_index, rng) -> states``
-    before restriction; by default it redraws independently from the
-    base law, which makes the restricted step an exact conditional
-    refresh (accepted proposals are precisely those inside the set).
-    Extinction at any level returns a zero estimate carrying the level
-    index rather than retrying, so unbiasedness is preserved.
+    and proposals outside the level set are rejected; by default it
+    redraws independently from the base law.  Extinction at any level
+    returns a zero estimate carrying the level index rather than
+    retrying, so unbiasedness is preserved.
     """
     n_levels = len(levels)
     thresholds = levels.thresholds

@@ -524,8 +524,6 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
     (t, inf), with no grid past t.  Paths run in chunks of at most
     ``_BLOCK_PARTICLES``, one chunk after another on ``rng``.
     """
-    from .normal import norm_quantile
-
     t = float(t)
     if not (0.0 < t < math.inf):
         raise ValueError(f"tail threshold must be positive and finite, got {t}")
@@ -540,8 +538,7 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
     chunks = []  # (paths, mean, sum of squared deviations) of each chunk
     for lo in range(0, n, _BLOCK_PARTICLES):
         # the uniform is the draw's survival probability, scaled to (0, sf(t)]
-        x0 = np.exp(sev.mu - sev.sigma * norm_quantile(
-            sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo))))
+        x0 = sev.isf(sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo)))
         w = sf_t / kernel.f(x0)
         acc = w * kernel.g(x0)
         _propagate(x0, w, acc, kernel, cfg, [rng], None)

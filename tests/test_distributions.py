@@ -121,6 +121,51 @@ def test_lognormal_sampler_moments():
     assert abs(lx.var(ddof=1) - 0.25) <= 4.0 * 0.25 * math.sqrt(2.0 / 1_000_000)
 
 
+_SEVERITIES = {
+    "lognormal": LogNormalSeverity(2.0, 1.0),
+    "pareto": ParetoSeverity(a=3.0, s=2.0),
+    "degenerate": DegenerateSeverity(atom=3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEVERITIES))
+def test_sample_is_isf_of_the_stream(name):
+    """A draw is isf of its uniform; the point mass reads no uniform."""
+    sev = _SEVERITIES[name]
+    stream = PcgStream(3535)
+    x = sev.sample(stream, 1000)
+    u = PcgStream(3535).uniforms(1000)
+    assert np.array_equal(x, sev.isf(u))
+    if name == "degenerate":
+        assert np.array_equal(stream.uniforms(1000), u)
+
+
+@pytest.mark.parametrize("name", ["lognormal", "pareto"])
+def test_isf_inverts_sf(name):
+    """From the median to survival 1e-200, isf(sf(x)) gives x back."""
+    sev = _SEVERITIES[name]
+    x = sev.isf(np.geomspace(0.5, 1e-200, 400))
+    assert np.allclose(sev.isf(sev.sf(x)), x, rtol=1e-12, atol=0.0)
+    assert sev.isf(sev.sf(7.5)) == pytest.approx(7.5, rel=1e-12)
+    deg = _SEVERITIES["degenerate"]
+    assert deg.isf(deg.sf(3.0)) == 3.0
+
+
+@pytest.mark.parametrize("name,c", [("lognormal", 100.0), ("pareto", 20.0)])
+def test_isf_of_scaled_uniform_draws_the_law_above_a_floor(name, c):
+    """isf(v sf(c)) for uniform v has the law of X given X > c: its survival
+    is sf(y) / sf(c) above c and its mean is E[X; X > c] / sf(c)."""
+    sev = _SEVERITIES[name]
+    n = 200_000
+    y = sev.isf(PcgStream(3636).uniforms(n) * sev.sf(c))
+    assert y.min() >= c
+    for ratio in (1.2, 1.5, 2.0, 4.0):
+        p = float(sev.sf(ratio * c) / sev.sf(c))
+        assert abs(np.mean(y > ratio * c) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+    mean = (sev.mean() - sev.partial_expectation(c)) / sev.sf(c)
+    assert abs(y.mean() - mean) <= 4.0 * y.std(ddof=1) / math.sqrt(n)
+
+
 # ---------------------------------------------------------------------------
 # frequency pmfs and Panjer parameters
 # ---------------------------------------------------------------------------

@@ -5,19 +5,26 @@ import numpy as np
 import pytest
 
 from lossmc import (
+    ClaimPopulation,
+    CompoundModel,
+    DegenerateSeverity,
     DiscreteMeasure,
     DominationViolationError,
     ExtinctionError,
     InvalidTargetError,
     LevelSequence,
+    LogNormalSeverity,
+    NegativeBinomialFrequency,
     ParticlePopulation,
     PcgStream,
+    PoissonFrequency,
     SequenceStream,
     SmcEstimate,
     TwistedSampler,
     boltzmann_gibbs,
     is_tail_estimator,
     norm_sf,
+    oracle_compound_pmf,
     replicate_smc,
     restricted_mh_kernel,
     selection_transition,
@@ -29,7 +36,14 @@ from lossmc import (
 
 from lossmc.distributions import _guide_table, _guided_search
 
-from conftest import gauss_sampler, rw_mutation, sigma05_model
+from conftest import (
+    gauss_sampler,
+    oracle_tail,
+    pareto_poisson_model,
+    rw_mutation,
+    sigma05_model,
+    sigma1_model,
+)
 
 
 def octo_sampler(size, rng):
@@ -281,6 +295,127 @@ def test_splitting_hits_compound_tail_benchmark():
                      for s in streams])
     se = vals.std(ddof=1) / math.sqrt(20)
     assert abs(vals.mean() - 0.01) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# compound models: claim populations and the Gibbs step
+# ---------------------------------------------------------------------------
+
+def _ladder_z_scores(model, thresholds, oracle, N, seed, replicates=16):
+    """(estimate - oracle) / SE at every level of one replicated ladder run;
+    the oracle's tail counts its lattice deficit as tail mass."""
+    levels = LevelSequence(thresholds=np.asarray(thresholds, dtype=float))
+    estimates = replicate_smc(model, levels, 5, N, PcgStream(seed), replicates)
+    return [(est.estimate - oracle_tail(oracle, t)) / (est.replicate_rse * est.estimate)
+            for est, t in zip(estimates, thresholds)]
+
+
+def test_claim_gibbs_ladder_matches_oracle_to_1200():
+    """sigma = 1: every level of a ladder down to P(Z > 1200) = 4.0e-7."""
+    model = sigma1_model()
+    oracle = oracle_compound_pmf(model, step=0.05, x_max=1300.0)
+    thresholds = [100, 200, 300, 400, 500, 600, 800, 1000, 1200]
+    z = _ladder_z_scores(model, thresholds, oracle, 2000, 1717)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+@pytest.mark.parametrize("case", ["negbinomial", "pareto"])
+def test_claim_gibbs_deep_level_for_other_laws(case):
+    if case == "negbinomial":
+        model = CompoundModel(NegativeBinomialFrequency(2.0, 1.0), LogNormalSeverity(2.0, 1.0))
+        thresholds, step, x_max = [100, 200, 300, 400], 0.05, 500.0
+    else:
+        model = pareto_poisson_model()
+        thresholds, step, x_max = [5, 10, 20, 50, 100], 0.01, 200.0
+    oracle = oracle_compound_pmf(model, step=step, x_max=x_max)
+    z = _ladder_z_scores(model, thresholds, oracle, 2000, 1818)
+    assert abs(z[-1]) <= 4.0, z
+
+
+def test_degenerate_claims_cannot_move_yet_the_ladder_is_exact():
+    """With unit claims Z = N: the kernel has nowhere to move a claim, the
+    product estimator stays unbiased, and the truth is the Poisson tail."""
+    model = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
+    levels = LevelSequence(thresholds=np.array([2.5, 4.5, 6.5]))
+    est = replicate_smc(model, levels, 5, 1000, PcgStream(1919), 16)[-1]
+    truth = 1.0 - sum(math.exp(-2.0) * 2.0 ** k / math.factorial(k) for k in range(7))
+    assert abs(est.estimate - truth) <= 4.0 * est.replicate_rse * est.estimate
+
+
+def test_claim_scores_stay_the_sums_of_their_own_claims():
+    """Below zero every particle with claims redraws one claim per sweep,
+    unconditionally (c < 0); after selection above 0, each particle's
+    score is still the sum of its own claims."""
+    model = sigma1_model()
+    levels = LevelSequence(thresholds=np.array([-1.0, 0.0]))
+    est = smc_rare_event(model, levels, 5, 500, PcgStream(2020))
+    pop = est.population
+    assert isinstance(pop, ClaimPopulation)
+    assert est.level_fractions[0] == 1.0
+    # every move at t = -1 is accepted, except for particles without claims
+    assert est.trace[0]["acceptance_rate"] >= 0.8
+    assert np.all(pop.counts >= 1) and np.all(pop.states > 0.0)
+    sums = np.add.reduceat(pop.severities, pop.starts)
+    assert np.allclose(pop.states, sums, rtol=1e-12, atol=1e-12)
+
+
+def test_claim_rows_are_copied_whole():
+    pop = ClaimPopulation(counts=np.array([2, 0, 1]),
+                          severities=np.array([1.0, 2.0, 3.0]),
+                          states=np.array([3.0, 0.0, 3.0]))
+    out = pop.take(np.array([2, 0, 0, 1]))
+    assert out.counts.tolist() == [1, 2, 2, 0]
+    assert out.severities.tolist() == [3.0, 1.0, 2.0, 1.0, 2.0]
+    assert out.starts.tolist() == [0, 1, 3, 5]
+    assert out.states.tolist() == [3.0, 3.0, 3.0, 0.0]
+
+
+def test_claim_gibbs_step_redraws_one_claim_above_the_floor():
+    """Hand-traced step at t = 10: particle 0 (claims 4, 8) picks claim 2
+    (u = 0.9) and redraws it above c = 6; particle 1 has no claim; particle
+    2 picks its claim, with c = 10 - 0 = 10."""
+    sev = LogNormalSeverity(2.0, 1.0)
+    pop = ClaimPopulation(counts=np.array([2, 0, 1]),
+                          severities=np.array([4.0, 8.0, 12.0]),
+                          states=np.array([12.0, 0.0, 12.0]))
+    G = lambda s: (s > 10.0).astype(float)
+    moved = pop.gibbs_step(sev, 10.0, G, SequenceStream([0.9, 0.5, 0.3, 0.5, 0.5, 0.25]))
+    assert moved == 2
+    x0, x2 = sev.isf(0.5 * sev.sf(6.0)), sev.isf(0.25 * sev.sf(10.0))
+    assert pop.severities.tolist() == [4.0, x0, x2]
+    assert pop.states.tolist() == [4.0 + x0, 0.0, x2]
+    assert x0 > 6.0 and x2 > 10.0
+
+
+def test_claim_gibbs_step_keeps_a_claim_whose_floor_underflows():
+    """Above about 1e17 the sigma = 1 survival is 0: the claim stays."""
+    sev = LogNormalSeverity(2.0, 1.0)
+    pop = ClaimPopulation(counts=np.array([1]), severities=np.array([1e20]),
+                          states=np.array([1e20]))
+    assert sev.sf(1e19) == 0.0
+    G = lambda s: (s > 1e19).astype(float)
+    assert pop.gibbs_step(sev, 1e19, G, SequenceStream([0.5, 0.5])) == 0
+    assert pop.severities.tolist() == [1e20]
+
+
+def _flaky_level(n_true):
+    """A predicate true for its first ``n_true`` calls, false afterwards."""
+    calls = []
+
+    def predicate(s):
+        calls.append(None)
+        return np.full(len(s), len(calls) <= n_true)
+
+    return LevelSequence(predicates=[predicate, lambda s: s > 0.0])
+
+
+@pytest.mark.parametrize("n_true,phase", [(1, "selection"), (3, "mutation")])
+def test_population_outside_the_level_set_raises(n_true, phase):
+    """Checked by raising, not by assert, so ``python -O`` keeps the check.
+    Calls of the first level's predicate: 1 selects, 2 checks the
+    selection, 3 accepts a move, 4 checks the move."""
+    with pytest.raises(RuntimeError, match=phase):
+        smc_rare_event(gauss_sampler, _flaky_level(n_true), 1, 10, PcgStream(1))
 
 
 def test_predicate_levels_estimate_gaussian_tail():
