@@ -3,7 +3,7 @@
 Engines: crude Monte Carlo, recursive probability-mass oracles, a
 path-space particle solver for the occupation-measure equation,
 single-loss asymptotic approximations, and a level-splitting rare-event
-sampler with restricted Markov kernels.
+sampler that mutates claims by an exact Gibbs step.
 """
 from ._version import __version__
 from .asymptotics import (
@@ -40,10 +40,8 @@ from .distributions import (
     build_severity,
 )
 from .errors import (
-    DominationViolationError,
     EmptyTailError,
     ExtinctionError,
-    InvalidTargetError,
     LevelRangeError,
     NumericError,
     ProposalSupportError,
@@ -68,21 +66,12 @@ from .panjer import (
 )
 from .rare_event import (
     ClaimPopulation,
-    DiscreteMeasure,
     LevelSequence,
-    MixingDiagnostic,
     ParticlePopulation,
     SmcEstimate,
-    TwistedSampler,
-    boltzmann_gibbs,
-    is_tail_estimator,
     replicate_smc,
-    restricted_mh_kernel,
     selection_transition,
     smc_rare_event,
-    smc_rare_event_adaptive,
-    trace_to_csv,
-    tv_convergence_check,
 )
 from .report import (
     ExperimentConfig,
@@ -95,8 +84,6 @@ from .report import (
 )
 from .rng import PcgStream, SequenceStream, UniformStream, spawn_streams
 from .volterra import (
-    INTERVAL,
-    POINTWISE_GRID,
     PathSamplerConfig,
     SizeBiasedProposal,
     VolterraKernel,
@@ -104,7 +91,6 @@ from .volterra import (
     build_volterra_kernel,
     default_absorption,
     estimate_density_grid,
-    estimate_measure_interval,
     estimate_tail_probability,
     quantile_from_measure,
     risk_measures_from_measure,

@@ -20,7 +20,7 @@ class RecursionInstabilityError(RuntimeError):
 class TruncationError(RuntimeError):
     """Accumulated probability mass is insufficient for the requested level.
 
-    Callers should enlarge the support (raise M, widen the interval) and
+    Callers should enlarge the support (raise M, widen the grid) and
     retry.
     """
 
@@ -50,14 +50,6 @@ class ExtinctionError(RuntimeError):
     def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
-
-
-class InvalidTargetError(ValueError):
-    """Claimed invariant measure is not invariant for the kernel."""
-
-
-class DominationViolationError(RuntimeError):
-    """Importance ratio non-finite on a sampled point inside the event."""
 
 
 class NumericError(RuntimeError):

@@ -7,33 +7,34 @@ The compound density solves a second-kind Volterra equation
 whose Neumann series is realized stochastically: simulate strictly
 decreasing Markov paths that absorb with probability P_d per step, and
 weight each path by the product of kernel-to-proposal ratios.  The mean
-weight at a point estimates the density there; weighted atoms over an
-interval estimate the measure, and risk functionals follow from the
-resulting empirical cdf.  The route accepts the Poisson and negative
-binomial counts, the (a, b, 0) members whose kernel is nonnegative, with
-a lognormal severity; every other model is rejected.
+weight at a grid point estimates the density there; the grid's cells,
+with the mass beyond the grid from paths started in the severity tail,
+form the measure that quantiles and risk functionals are read from.
+The route accepts the Poisson and negative binomial counts, the
+(a, b, 0) members whose kernel is nonnegative, with a lognormal
+severity; every other model is rejected.
 
-Both estimators run one propagator, ``_propagate``, which advances a
-whole set of particles by one absorb-or-move step at a time, on one
-uniform per particle and step: u <= P_d absorbs, and otherwise
-(u - P_d) / (1 - P_d) drives the move.  Each particle carries the id of
-the grid point it belongs to, and each point draws its uniforms from
-its own spawned substream, so the grid estimator steps a block of
-consecutive points together while every point sees exactly the draws it
-would see alone.  A proposal's ``move`` turns a batch of uniforms into
-new states and their weight ratios.  The one proposal,
-``SizeBiasedProposal``, is a defensive mixture: a size-biased decrement,
-or with probability ``DEFENSIVE_SHARE`` a new state uniform on [0, x],
-which proposes the single big jump that carries a subexponential tail.
-Its ratio k / q needs the severity pdf at the decrement on every move.
-Every move is checked (``_checked_move``): a new state that is NaN or
-outside [0, x] raises ``ProposalSupportError``, a negative or non-finite
-ratio -- what k / (mass q) gives where q = 0 -- raises
-``SupportViolationError``.  A path adds its running weight times g to
-its estimate at every state it visits, the start included: each state
-contributes exactly one Neumann term in expectation, so the sum is
-unbiased without the 1/P_d inflation of scoring the absorption state
-alone.
+The grid estimator and the tail start run one propagator,
+``_propagate``, which advances a whole set of particles by one
+absorb-or-move step at a time, on one uniform per particle and step:
+u <= P_d absorbs, and otherwise (u - P_d) / (1 - P_d) drives the move.
+Each particle carries the id of the grid point it belongs to, and each
+point draws its uniforms from its own spawned substream, so the grid
+estimator steps a block of consecutive points together while every
+point sees exactly the draws it would see alone.  A proposal's ``move``
+turns a batch of uniforms into new states and their weight ratios.  The
+one proposal, ``SizeBiasedProposal``, is a defensive mixture: a
+size-biased decrement, or with probability ``DEFENSIVE_SHARE`` a new
+state uniform on [0, x], which proposes the single big jump that
+carries a subexponential tail.  Its ratio k / q needs the severity pdf
+at the decrement on every move.  Every move is checked
+(``_checked_move``): a new state that is NaN or outside [0, x] raises
+``ProposalSupportError``, a negative or non-finite ratio -- what
+k / (mass q) gives where q = 0 -- raises ``SupportViolationError``.  A
+path adds its running weight times g to its estimate at every state it
+visits, the start included: each state contributes exactly one Neumann
+term in expectation, so the sum is unbiased without the 1/P_d inflation
+of scoring the absorption state alone.
 
 Quantiles are read from the right.  The grid estimator also estimates
 the mass beyond its last cell from paths started in the severity tail
@@ -59,9 +60,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .rng import PcgStream, UniformStream
-
-POINTWISE_GRID = "pointwise_grid"
-INTERVAL = "interval"
 
 _DEAD_FLOOR = 1e-120  # states this small carry no representable density
 # Share pi of the proposal's moves that draw the new state uniform on
@@ -301,14 +299,12 @@ def _sum_above(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WeightedParticleMeasure:
-    """Raw weighted atoms produced by the estimators.
+    """Point-wise density estimates on a grid, as weighted atoms.
 
-    In ``pointwise_grid`` mode there is one atom per grid point whose
-    weight is the estimated density there (plus its standard error in
-    ``stderr``), and ``tail_mass`` estimates the mass beyond the last
-    cell, with standard error ``tail_stderr``.  In ``interval`` mode
-    there are n_paths atoms at the sampled start points carrying raw
-    path weights, and cdf values are weight sums divided by n_paths.
+    There is one atom per grid point whose weight is the estimated
+    density there (plus its standard error in ``stderr``); times its cell
+    width it is the cell's probability.  ``tail_mass`` estimates the mass
+    beyond the last cell, with standard error ``tail_stderr``.
     ``zero_mass`` carries the genuine atom of the compound law at zero,
     P(N = 0); distribution-level queries add it on top of the continuous
     part, without it every cumulative answer would saturate below 1.
@@ -316,18 +312,14 @@ class WeightedParticleMeasure:
 
     locations: np.ndarray
     weights: np.ndarray
-    mode: str
     zero_mass: float = 0.0
     stderr: np.ndarray | None = None
-    n_paths: int = 0
     tail_mass: float | None = None
     tail_stderr: float = 0.0
 
     def __post_init__(self):
         self.locations = np.asarray(self.locations, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.mode not in (POINTWISE_GRID, INTERVAL):
-            raise ValueError(f"unknown measure mode {self.mode!r}")
         if len(self.locations) != len(self.weights):
             raise ValueError("locations and weights must align")
         if np.any(self.weights < 0.0):
@@ -340,14 +332,8 @@ class WeightedParticleMeasure:
 
     def probability_atoms(self):
         """(locations, probability weights) including the atom at zero."""
-        if self.mode == POINTWISE_GRID:
-            w = self.weights * self._cell_widths()
-        else:
-            if self.n_paths < 1:
-                raise ValueError("interval measure lacks its path count")
-            w = self.weights / self.n_paths
         locs = np.concatenate(([0.0], self.locations))
-        w = np.concatenate(([self.zero_mass], w))
+        w = np.concatenate(([self.zero_mass], self.weights * self._cell_widths()))
         order = np.argsort(locs, kind="stable")
         return locs[order], w[order]
 
@@ -371,14 +357,6 @@ class WeightedParticleMeasure:
         var = np.concatenate(([0.0], (self.stderr * self._cell_widths()) ** 2))
         return locs, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
 
-    def cdf(self, z):
-        """Estimated F_Z at z (scalar or array), cumulated from the left."""
-        locs, w = self.probability_atoms()
-        cum = np.cumsum(w)
-        idx = np.searchsorted(locs, np.asarray(z, dtype=float), side="right") - 1
-        out = np.where(idx >= 0, cum[np.maximum(idx, 0)], 0.0)
-        return out if out.ndim else float(out)
-
 
 def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
     """The p-quantile read from the right.
@@ -386,8 +364,8 @@ def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
     The smallest atom location whose estimated survival P(Z > location)
     (``WeightedParticleMeasure.survival``) is at most 1 - p.  Raises
     ``TruncationError`` when the mass beyond the last atom alone exceeds
-    1 - p: the quantile then lies beyond the grid's x_max (or, for an
-    interval measure, the atoms' mass falls short of p).
+    1 - p: the quantile then lies beyond the grid's x_max (or, for a
+    measure without a ``tail_mass``, the atoms' mass falls short of p).
     """
     if not (0.0 < p <= 1.0):
         raise ValueError("quantile level must lie in (0, 1]")
@@ -594,8 +572,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
         if n > 1:
             se[lo:hi] = contrib.std(axis=1, ddof=1) / math.sqrt(n)
     measure = WeightedParticleMeasure(
-        locations=grid, weights=est, mode=POINTWISE_GRID,
-        zero_mass=float(model.frequency.pmf(0)), stderr=se, n_paths=n,
+        locations=grid, weights=est, zero_mass=float(model.frequency.pmf(0)), stderr=se,
     )
     top = grid[-1] + 0.5 * measure._cell_widths()[-1]
     n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
@@ -603,27 +580,3 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
         model, top, n_tail, cfg, streams[-1])
     return measure
 
-
-def estimate_measure_interval(model: CompoundModel, interval, n_paths: int,
-                              cfg: PathSamplerConfig, rng: UniformStream) -> WeightedParticleMeasure:
-    """Weighted atoms over an interval of start points.
-
-    Start points are drawn from the uniform initial law on the
-    interval; each atom carries the full path weight including the
-    1/mu(x0) factor, so (1/N) sum of weights below z estimates the
-    continuous mass of (0, z].
-    """
-    x_a, x_b = float(interval[0]), float(interval[1])
-    if not (0.0 <= x_a < x_b):
-        raise ValueError("need an interval [x_a, x_b] with x_a < x_b")
-    kernel = build_volterra_kernel(model)
-    n = int(n_paths)
-    x0 = x_a + (x_b - x_a) * rng.uniforms(n)
-    w = np.full(n, x_b - x_a)  # 1 / mu(x0)
-    acc = w * kernel.g(x0)
-    _propagate(x0.copy(), w, acc, kernel, cfg, [rng], None)
-
-    return WeightedParticleMeasure(
-        locations=x0, weights=acc, mode=INTERVAL,
-        zero_mass=float(model.frequency.pmf(0)), n_paths=n,
-    )

@@ -1,4 +1,5 @@
-"""Shared fixtures: benchmark models, big simulation batches, oracle pmfs.
+"""Shared fixtures: benchmark models, big simulation batches, oracle pmfs,
+and the finite-chain and twisted-sampler toys of the Feynman-Kac claims.
 
 The expensive objects (5e6-draw sample batches, the fine-step recursion
 pmf, full-budget particle grids) are session-scoped so the acceptance
@@ -58,6 +59,41 @@ def rw_mutation(width):
         return np.where(accept, prop, states)
 
     return mutate
+
+
+def restricted_matrix(K, inside):
+    """The finite proposal matrix K restricted to the states ``inside``:
+    moves into the set keep their probability, the rest stays put."""
+    M = np.asarray(K, dtype=float) * np.asarray(inside, dtype=bool)[None, :]
+    return M + np.diag(1.0 - M.sum(axis=1))
+
+
+def tv_decay(M, eta, m_max):
+    """(eps, tv, bound) of the finite chain M with invariant law eta: the
+    minorization constant eps = sum_y min_x M(x, y), the worst-start total
+    variation distance to eta after 1..m_max steps, and the geometric
+    bound (1 - eps)^m it implies."""
+    M, eta = np.asarray(M, dtype=float), np.asarray(eta, dtype=float)
+    if np.max(np.abs(eta @ M - eta)) > 1e-12:
+        raise ValueError("eta is not invariant for M")
+    eps = float(M.min(axis=0).sum())
+    powers, tv = np.eye(len(M)), np.empty(m_max)
+    for m in range(m_max):
+        powers = powers @ M
+        tv[m] = (0.5 * np.abs(powers - eta[None, :]).sum(axis=1)).max()
+    return eps, tv, (1.0 - eps) ** np.arange(1, m_max + 1)
+
+
+def twisted_estimate(sample, ratio, in_a, n, rng):
+    """Importance-sampling estimate of P(X in A) from n draws of a twisted
+    law, weighted by the density ratio dP_X/dP_Y, and its plug-in
+    variance (mean of squared terms - estimate^2) / n."""
+    y = np.asarray(sample(n, rng), dtype=float)
+    terms = np.asarray(in_a(y), dtype=float) * np.asarray(ratio(y), dtype=float)
+    if not np.all(np.isfinite(terms)):
+        raise RuntimeError("importance ratio non-finite on a sampled point in A")
+    estimate = float(terms.mean())
+    return estimate, float((np.mean(terms ** 2) - estimate ** 2) / n)
 
 
 QUANTILE_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)

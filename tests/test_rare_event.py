@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -8,10 +7,7 @@ from lossmc import (
     ClaimPopulation,
     CompoundModel,
     DegenerateSeverity,
-    DiscreteMeasure,
-    DominationViolationError,
     ExtinctionError,
-    InvalidTargetError,
     LevelSequence,
     LogNormalSeverity,
     NegativeBinomialFrequency,
@@ -20,29 +16,25 @@ from lossmc import (
     PoissonFrequency,
     SequenceStream,
     SmcEstimate,
-    TwistedSampler,
-    boltzmann_gibbs,
-    is_tail_estimator,
     norm_sf,
     oracle_compound_pmf,
     replicate_smc,
-    restricted_mh_kernel,
     selection_transition,
     smc_rare_event,
-    smc_rare_event_adaptive,
-    trace_to_csv,
-    tv_convergence_check,
 )
 
+import lossmc.rare_event
 from lossmc.distributions import _guide_table, _guided_search
 
 from conftest import (
     gauss_sampler,
     oracle_tail,
     pareto_poisson_model,
-    rw_mutation,
+    restricted_matrix,
     sigma05_model,
     sigma1_model,
+    tv_decay,
+    twisted_estimate,
 )
 
 
@@ -52,29 +44,8 @@ def octo_sampler(size, rng):
 
 
 # ---------------------------------------------------------------------------
-# measures, potentials, selection
+# selection
 # ---------------------------------------------------------------------------
-
-def test_discrete_measure_normalizes_and_validates():
-    m = DiscreteMeasure(points=np.array([0.0, 1.0]), weights=np.array([2.0, 2.0]))
-    assert np.allclose(m.weights, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        DiscreteMeasure(points=np.array([0.0]), weights=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        DiscreteMeasure(points=np.array([0.0]), weights=np.array([-1.0]))
-    with pytest.raises(ValueError):
-        DiscreteMeasure(points=np.array([0.0, 1.0]), weights=np.array([0.0, 0.0]))
-
-
-def test_boltzmann_gibbs_reweighting():
-    m = DiscreteMeasure(points=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]))
-    out = boltzmann_gibbs(m, np.array([1.0 / 3.0, 1.0]))
-    assert np.allclose(out.weights, [0.25, 0.75])
-    same = boltzmann_gibbs(m, lambda pts: np.ones_like(pts))
-    assert np.allclose(same.weights, m.weights)
-    with pytest.raises(ExtinctionError):
-        boltzmann_gibbs(m, np.zeros(2))
-
 
 def test_selection_keeps_certain_particles():
     rng = PcgStream(5)
@@ -185,12 +156,13 @@ def test_selection_matches_whole_population_binary_search(name):
 
 
 # ---------------------------------------------------------------------------
-# restricted Metropolis-Hastings and mixing diagnostics
+# restricted Metropolis-Hastings and mixing on a finite chain (the toys of
+# acceptance criterion 8, in conftest)
 # ---------------------------------------------------------------------------
 
 def test_restricted_matrix_parks_rejected_mass_on_diagonal():
     K = np.full((3, 3), 1.0 / 3.0)
-    M = restricted_mh_kernel(K, np.array([True, True, False]))
+    M = restricted_matrix(K, np.array([True, True, False]))
     expected = np.array([[2 / 3, 1 / 3, 0.0],
                          [1 / 3, 2 / 3, 0.0],
                          [1 / 3, 1 / 3, 1 / 3]])
@@ -200,23 +172,23 @@ def test_restricted_matrix_parks_rejected_mass_on_diagonal():
 
 def test_tv_decay_of_restricted_chain():
     K = np.full((3, 3), 1.0 / 3.0)
-    M = restricted_mh_kernel(K, np.array([True, True, False]))
+    M = restricted_matrix(K, np.array([True, True, False]))
     eta = np.array([0.5, 0.5, 0.0])
-    diag = tv_convergence_check(M, eta, 50)
-    assert diag.eps_a == pytest.approx(2.0 / 3.0, abs=1e-15)
+    eps, tv, bound = tv_decay(M, eta, 50)
+    assert eps == pytest.approx(2.0 / 3.0, abs=1e-15)
     # the worst start is the outside state, which leaks inward at rate 1/3
-    assert diag.tv[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert np.all(diag.tv <= diag.bound + 1e-12)
-    assert diag.tv_by_start.shape == (50, 3)
+    assert tv[0] == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert np.all(tv <= bound + 1e-12)
+    assert tv.shape == (50,)
 
 
 def test_tv_check_requires_invariance():
     M = np.array([[0.5, 0.5], [0.5, 0.5]])
-    diag = tv_convergence_check(M, np.array([0.5, 0.5]), 3)
-    assert np.all(diag.tv == 0.0)
-    assert diag.eps_a == 1.0
-    with pytest.raises(InvalidTargetError):
-        tv_convergence_check(M, np.array([0.4, 0.6]), 3)
+    eps, tv, _ = tv_decay(M, np.array([0.5, 0.5]), 3)
+    assert np.all(tv == 0.0)
+    assert eps == 1.0
+    with pytest.raises(ValueError, match="not invariant"):
+        tv_decay(M, np.array([0.4, 0.6]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +196,6 @@ def test_tv_check_requires_invariance():
 # ---------------------------------------------------------------------------
 
 def test_level_sequence_validation():
-    with pytest.raises(ValueError):
-        LevelSequence()
-    with pytest.raises(ValueError):
-        LevelSequence(thresholds=np.array([1.0]), predicates=[lambda s: s > 1])
     with pytest.raises(ValueError):
         LevelSequence(thresholds=np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
@@ -249,8 +217,6 @@ def test_smc_needs_two_particles():
     lev = LevelSequence(thresholds=np.array([1.0]))
     with pytest.raises(ValueError):
         smc_rare_event(octo_sampler, lev, 1, 1, PcgStream(1))
-    with pytest.raises(ValueError):
-        smc_rare_event_adaptive(octo_sampler, 1.0, 1, 1, PcgStream(1))
 
 
 def test_single_level_equals_crude_fraction():
@@ -265,6 +231,11 @@ def test_estimate_is_product_of_level_fractions():
     est = smc_rare_event(octo_sampler, lev, 3, 500, PcgStream(11))
     assert est.estimate == float(np.prod(est.level_fractions))
     assert est.extinct_level is None
+    # one trace row per level; the last level does not move
+    assert [row["threshold"] for row in est.trace] == [3.5, 5.5]
+    assert [row["ess"] for row in est.trace] == [500 * f for f in est.level_fractions]
+    assert 0.0 < est.trace[0]["acceptance_rate"] <= 1.0
+    assert est.trace[1]["acceptance_rate"] is None
 
 
 def test_extinction_returns_zero_with_level_index():
@@ -294,7 +265,8 @@ def test_splitting_hits_compound_tail_benchmark():
     vals = np.array([smc_rare_event(model, lev, 5, 2000, s).estimate
                      for s in streams])
     se = vals.std(ddof=1) / math.sqrt(20)
-    assert abs(vals.mean() - 0.01) <= 3.0 * se
+    # the oracle's P(Z > 57), as in the acceptance tests
+    assert abs(vals.mean() - 0.010226) <= 3.0 * se
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +350,7 @@ def test_claim_gibbs_step_redraws_one_claim_above_the_floor():
     pop = ClaimPopulation(counts=np.array([2, 0, 1]),
                           severities=np.array([4.0, 8.0, 12.0]),
                           states=np.array([12.0, 0.0, 12.0]))
-    G = lambda s: (s > 10.0).astype(float)
-    moved = pop.gibbs_step(sev, 10.0, G, SequenceStream([0.9, 0.5, 0.3, 0.5, 0.5, 0.25]))
+    moved = pop.gibbs_step(sev, 10.0, SequenceStream([0.9, 0.5, 0.3, 0.5, 0.5, 0.25]))
     assert moved == 2
     x0, x2 = sev.isf(0.5 * sev.sf(6.0)), sev.isf(0.25 * sev.sf(10.0))
     assert pop.severities.tolist() == [4.0, x0, x2]
@@ -393,38 +364,32 @@ def test_claim_gibbs_step_keeps_a_claim_whose_floor_underflows():
     pop = ClaimPopulation(counts=np.array([1]), severities=np.array([1e20]),
                           states=np.array([1e20]))
     assert sev.sf(1e19) == 0.0
-    G = lambda s: (s > 1e19).astype(float)
-    assert pop.gibbs_step(sev, 1e19, G, SequenceStream([0.5, 0.5])) == 0
+    assert pop.gibbs_step(sev, 1e19, SequenceStream([0.5, 0.5])) == 0
     assert pop.severities.tolist() == [1e20]
 
 
-def _flaky_level(n_true):
-    """A predicate true for its first ``n_true`` calls, false afterwards."""
-    calls = []
-
-    def predicate(s):
-        calls.append(None)
-        return np.full(len(s), len(calls) <= n_true)
-
-    return LevelSequence(predicates=[predicate, lambda s: s > 0.0])
+def _select_a_zero_potential_ancestor(population, g, rng):
+    """A broken selection: every particle descends from one outside the level."""
+    return ParticlePopulation(states=np.full(len(g), int(np.argmin(g))))
 
 
-@pytest.mark.parametrize("n_true,phase", [(1, "selection"), (3, "mutation")])
-def test_population_outside_the_level_set_raises(n_true, phase):
-    """Checked by raising, not by assert, so ``python -O`` keeps the check.
-    Calls of the first level's predicate: 1 selects, 2 checks the
-    selection, 3 accepts a move, 4 checks the move."""
+def _push_below_the_level(pop, severity, threshold, rng):
+    """A broken move: the first particle's loss lands on the threshold."""
+    pop.states[0] = threshold
+    return 0
+
+
+@pytest.mark.parametrize("phase", ["selection", "mutation"])
+def test_population_outside_the_level_set_raises(phase, monkeypatch):
+    """Checked by raising, not by assert, so ``python -O`` keeps the check."""
+    if phase == "selection":
+        monkeypatch.setattr(lossmc.rare_event, "selection_transition",
+                            _select_a_zero_potential_ancestor)
+    else:
+        monkeypatch.setattr(ClaimPopulation, "gibbs_step", _push_below_the_level)
+    levels = LevelSequence(thresholds=np.array([20.0, 40.0]))
     with pytest.raises(RuntimeError, match=phase):
-        smc_rare_event(gauss_sampler, _flaky_level(n_true), 1, 10, PcgStream(1))
-
-
-def test_predicate_levels_estimate_gaussian_tail():
-    lev = LevelSequence(predicates=[lambda s: s > 1.0])
-    est = smc_rare_event(gauss_sampler, lev, 1, 500, PcgStream(808))
-    truth = float(norm_sf(1.0))
-    se = math.sqrt(truth * (1.0 - truth) / 500)
-    assert abs(est.estimate - truth) <= 3.0 * se
-    assert est.trace[0]["threshold"] is None
+        smc_rare_event(sigma05_model(), levels, 1, 100, PcgStream(1))
 
 
 def test_replicate_runner_reports_relative_error():
@@ -444,62 +409,14 @@ def test_model_argument_type_is_checked():
 
 
 # ---------------------------------------------------------------------------
-# adaptive thresholds
-# ---------------------------------------------------------------------------
-
-def test_adaptive_splitting_reaches_fixed_target():
-    target = 3.0902
-    est = smc_rare_event_adaptive(gauss_sampler, target, 5, 5000, PcgStream(2626))
-    truth = float(norm_sf(target))
-    assert abs(est.estimate / truth - 1.0) <= 0.2
-    assert np.all(np.diff(est.thresholds) > 0.0)
-    assert est.thresholds[-1] == target
-    assert est.adaptive
-
-
-def test_adaptive_splitting_gives_up_past_max_levels():
-    with pytest.raises(ExtinctionError) as err:
-        smc_rare_event_adaptive(gauss_sampler, 3.0902, 2, 100, PcgStream(42),
-                                max_levels=3)
-    assert err.value.level == 3
-
-
-def test_adaptive_rho_validated():
-    with pytest.raises(ValueError):
-        smc_rare_event_adaptive(gauss_sampler, 1.0, 1, 100, PcgStream(1), rho=1.0)
-
-
-# ---------------------------------------------------------------------------
-# trace output
-# ---------------------------------------------------------------------------
-
-def test_trace_csv_layout(tmp_path):
-    lev = LevelSequence(thresholds=np.array([1.0, 2.0]))
-    est = smc_rare_event(gauss_sampler, lev, 5, 1000, PcgStream(21),
-                         mutation=rw_mutation(1.0))
-    path = tmp_path / "trace.csv"
-    trace_to_csv(est, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["level", "threshold", "success_fraction", "ess",
-                       "acceptance_rate"]
-    assert len(rows) == 3
-    assert float(rows[1][1]) == 1.0
-    assert float(rows[1][3]) == pytest.approx(1000 * est.level_fractions[0])
-    assert rows[2][4] == "n/a"  # no mutation after the final level
-    with pytest.raises(ValueError):
-        trace_to_csv(SmcEstimate(estimate=0.5, level_fractions=[0.5]), path)
-
-
-# ---------------------------------------------------------------------------
-# twisted-measure importance sampling
+# twisted-measure importance sampling (the toy of acceptance criterion 7,
+# in conftest)
 # ---------------------------------------------------------------------------
 
 def test_unit_ratio_twist_reduces_to_crude():
-    unit = TwistedSampler(sample=gauss_sampler,
-                          density_ratio=lambda y: np.ones_like(y))
     in_a = lambda y: y > 1.5
-    est, var = is_tail_estimator(gauss_sampler, unit, in_a, 2000, PcgStream(909))
+    est, var = twisted_estimate(gauss_sampler, lambda y: np.ones_like(y), in_a, 2000,
+                                PcgStream(909))
     crude = float(np.mean(in_a(gauss_sampler(2000, PcgStream(909)))))
     assert est == crude
     assert var > 0.0
@@ -511,10 +428,8 @@ def test_conditional_twist_has_zero_variance():
     def cond_sampler(size, rng):
         return 6.0 + np.ceil(rng.uniforms(size) * 2.0) - 1.0
 
-    twist = TwistedSampler(sample=cond_sampler,
-                           density_ratio=lambda y: np.full_like(y, 0.25))
-    est, var = is_tail_estimator(octo_sampler, twist, lambda y: y >= 6.0,
-                                 1000, PcgStream(1001))
+    est, var = twisted_estimate(cond_sampler, lambda y: np.full_like(y, 0.25),
+                                lambda y: y >= 6.0, 1000, PcgStream(1001))
     assert est == 0.25
     assert var == 0.0
 
@@ -523,11 +438,11 @@ def test_gaussian_tilt_cuts_variance():
     """A mean-3 tilt targets P(X > 3) with a large efficiency gain."""
     truth = float(norm_sf(3.0))
     in_a = lambda y: y > 3.0
-    twist = TwistedSampler(sample=lambda n, r: gauss_sampler(n, r) + 3.0,
-                           density_ratio=lambda y: np.exp(-3.0 * y + 4.5))
+    tilted = lambda n, r: gauss_sampler(n, r) + 3.0
+    ratio = lambda y: np.exp(-3.0 * y + 4.5)
     R, N = 100, 2000
     streams = PcgStream(2525).spawn(2 * R)
-    tilt = np.array([is_tail_estimator(gauss_sampler, twist, in_a, N, streams[i])[0]
+    tilt = np.array([twisted_estimate(tilted, ratio, in_a, N, streams[i])[0]
                      for i in range(R)])
     crude = np.array([np.mean(in_a(gauss_sampler(N, streams[R + i])))
                       for i in range(R)])
@@ -537,9 +452,7 @@ def test_gaussian_tilt_cuts_variance():
 
 
 def test_undominated_twist_is_rejected():
-    twist = TwistedSampler(
-        sample=lambda n, r: gauss_sampler(n, r) + 3.0,
-        density_ratio=lambda y: np.where(y > 3.0, np.inf, 1.0))
-    with pytest.raises(DominationViolationError):
-        is_tail_estimator(gauss_sampler, twist, lambda y: y > 3.0, 100,
-                          PcgStream(31))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        twisted_estimate(lambda n, r: gauss_sampler(n, r) + 3.0,
+                         lambda y: np.where(y > 3.0, np.inf, 1.0),
+                         lambda y: y > 3.0, 100, PcgStream(31))

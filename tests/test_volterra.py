@@ -26,7 +26,6 @@ from lossmc import (
     compound_cdf_quantile,
     default_absorption,
     estimate_density_grid,
-    estimate_measure_interval,
     estimate_tail_probability,
     oracle_compound_pmf,
     quantile_from_measure,
@@ -38,7 +37,6 @@ from lossmc.volterra import (
     _DEAD_FLOOR,
     _GRID_PATHS_PER_TAIL_PATH,
     DEFENSIVE_SHARE,
-    INTERVAL,
     _checked_move,
 )
 
@@ -162,13 +160,14 @@ class _FixedMove:
 
 def _assert_every_route_raises(proposal, error):
     """The first move raises ``error`` on both estimator routes: a grid
-    point and an interval path."""
+    point and a tail-start path, which takes one uniform for its start
+    and then the same draws."""
     draws = [0.9, 0.6, 0.1]
     with pytest.raises(error):
         _path_weight(proposal, draws)
     cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
     with pytest.raises(error):
-        estimate_measure_interval(sigma05_model(), (0.0, 40.0), 1, cfg,
+        estimate_tail_probability(sigma05_model(), 20.0, 1, cfg,
                                   SequenceStream([0.5, *draws]))
 
 
@@ -244,7 +243,7 @@ class _CountingStream(UniformStream):
 def test_path_length_is_geometric():
     """At p_d the number of moves is geometric with mean (1-p_d)/p_d.
 
-    An interval path draws one uniform for its start and one per
+    A tail-start path draws one uniform for its start and one per
     absorb-or-move step, 2 + moves in all, so the mean number of moves
     is drawn / n - 2; its standard error is sqrt(2 / n) at p_d = 0.5.
     The proposal halves the state at ratio 1, so no path ends early.
@@ -252,7 +251,7 @@ def test_path_length_is_geometric():
     n = 100_000
     cfg = PathSamplerConfig(proposal=_FixedMove(0.5, 1.0), p_d=0.5)
     rng = _CountingStream(PcgStream(2020))
-    estimate_measure_interval(sigma05_model(), (0.0, 40.0), n, cfg, rng)
+    estimate_tail_probability(sigma05_model(), 20.0, n, cfg, rng)
     moves = rng.drawn / n - 2.0
     assert abs(moves - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
@@ -516,80 +515,18 @@ def test_full_grid_99_percent_in_published_bracket(sigma1_grid_full):
 
 
 # ---------------------------------------------------------------------------
-# interval estimates
-# ---------------------------------------------------------------------------
-
-def test_interval_with_certain_absorption_recovers_first_term_mass():
-    """With p_d = 1 the mean weight is P(N=1) F_X(x_b) exactly in law."""
-    model = sigma05_model()
-    cfg = particle_config(model, p_d=1.0)
-    meas = estimate_measure_interval(model, (0.0, 120.0), 200_000, cfg,
-                                     PcgStream(4040))
-    p1 = 2.0 * math.exp(-2.0) * float(model.severity.cdf(120.0))
-    est = meas.weights.mean()
-    se = meas.weights.std(ddof=1) / math.sqrt(200_000)
-    assert abs(est - p1) <= 3.0 * se
-
-
-def test_interval_cdf_hits_deep_benchmark_level():
-    model = sigma1_model()
-    cfg = particle_config(model)
-    meas = estimate_measure_interval(model, (0.0, 400.0), 200_000, cfg,
-                                     PcgStream(2828))
-    terms = meas.weights * (meas.locations <= 276.0)
-    est = math.exp(-2.0) + terms.mean()
-    se = terms.std(ddof=1) / math.sqrt(200_000)
-    assert abs(est - 0.9995) <= 3.0 * se
-    assert meas.cdf(276.0) == pytest.approx(est, rel=1e-12)
-
-
-def test_interval_validates_endpoints():
-    model = sigma05_model()
-    cfg = particle_config(model)
-    with pytest.raises(ValueError):
-        estimate_measure_interval(model, (5.0, 5.0), 10, cfg, PcgStream(1))
-    with pytest.raises(ValueError):
-        estimate_measure_interval(model, (-1.0, 5.0), 10, cfg, PcgStream(1))
-
-
-def test_grid_and_interval_estimates_agree():
-    """Two independent estimator routes match within combined errors."""
-    model = sigma05_model()
-    cfg = particle_config(model)
-    grid = np.arange(0.25, 60.01, 0.25)
-    mg = estimate_density_grid(model, grid, 1500, cfg, PcgStream(2929))
-    mi = estimate_measure_interval(model, (0.0, 60.0), 300_000, cfg, PcgStream(3030))
-    for z in (20.0, 57.0):
-        fg = float(mg.cdf(z))
-        keep = mg.locations <= z
-        se_g = math.sqrt(np.sum((mg.stderr[keep] * 0.25) ** 2))
-        terms = mi.weights * (mi.locations <= z)
-        fi = math.exp(-2.0) + terms.mean()
-        se_i = terms.std(ddof=1) / math.sqrt(len(terms))
-        assert abs(fg - fi) <= 3.0 * math.hypot(se_g, se_i)
-
-
-
-# ---------------------------------------------------------------------------
 # measures and risk functionals
 # ---------------------------------------------------------------------------
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        WeightedParticleMeasure(locations=np.array([1.0]), weights=np.array([1.0]),
-                                mode="histogram")
+        WeightedParticleMeasure(locations=np.array([1.0, 2.0]), weights=np.array([1.0]))
     with pytest.raises(ValueError):
-        WeightedParticleMeasure(locations=np.array([1.0, 2.0]),
-                                weights=np.array([1.0]), mode=INTERVAL)
-    with pytest.raises(ValueError):
-        WeightedParticleMeasure(locations=np.array([1.0]), weights=np.array([-1.0]),
-                                mode=INTERVAL)
+        WeightedParticleMeasure(locations=np.array([1.0]), weights=np.array([-1.0]))
 
 
 def test_single_atom_measure_quantile_and_risk():
-    meas = WeightedParticleMeasure(locations=np.array([5.0]),
-                                   weights=np.array([1.0]),
-                                   mode=INTERVAL, n_paths=1)
+    meas = WeightedParticleMeasure(locations=np.array([5.0]), weights=np.array([1.0]))
     assert quantile_from_measure(meas, 0.7) == 5.0
     var, es, srm = risk_measures_from_measure(meas, 0.5)
     assert (var, es, srm) == (5.0, 5.0, None)
@@ -599,15 +536,17 @@ def test_single_atom_measure_quantile_and_risk():
         quantile_from_measure(meas, 1.0001)
 
 
-def test_interval_atoms_include_zero_mass():
-    meas = WeightedParticleMeasure(locations=np.array([5.0, 2.0]),
-                                   weights=np.array([0.4, 0.2]),
-                                   mode=INTERVAL, zero_mass=0.1, n_paths=2)
+def test_grid_atoms_include_zero_mass():
+    """Cells of width 3 at 2 and 5: the atoms are P(N = 0) at zero and
+    density times width at each point; survival sums them from the right,
+    with the mass beyond the grid on top."""
+    meas = WeightedParticleMeasure(locations=np.array([2.0, 5.0]),
+                                   weights=np.array([0.1, 0.05]), zero_mass=0.1,
+                                   tail_mass=0.45)
     locs, w = meas.probability_atoms()
     assert np.array_equal(locs, [0.0, 2.0, 5.0])
-    assert np.allclose(w, [0.1, 0.1, 0.2])
-    assert meas.cdf(1.9) == pytest.approx(0.1)
-    assert meas.cdf(5.0) == pytest.approx(0.4)
+    assert np.allclose(w, [0.1, 0.3, 0.15])
+    assert np.allclose(meas.survival()[1], [0.9, 0.6, 0.45])
     assert quantile_from_measure(meas, 0.15) == 2.0
     with pytest.raises(TruncationError):
         quantile_from_measure(meas, 0.9)
@@ -632,16 +571,17 @@ def test_grid_spectral_mean_matches_model(sigma05_grid_full):
     assert abs(srm - mean_ref) <= 3.0 * se
 
 
-def test_interval_expected_shortfall_matches_recursion(sigma05_pmf):
-    model = sigma05_model()
-    cfg = particle_config(model)
-    meas = estimate_measure_interval(model, (0.0, 120.0), 400_000, cfg,
-                                     PcgStream(4141))
-    var, es, _ = risk_measures_from_measure(meas, 0.99)
+def test_grid_expected_shortfall_matches_recursion(sigma05_grid_full, sigma05_pmf):
+    """The grid's ES at 0.99 averages whole unit cells at and beyond its
+    VaR, so it is checked against the recursion's mean over the lattice
+    from half a cell below the VaR up; the SE is the delta method's over
+    the cells' standard errors."""
+    var, es, _ = risk_measures_from_measure(sigma05_grid_full, 0.99)
     grid, masses = sigma05_pmf.grid(), sigma05_pmf.masses
-    tail = grid >= var
+    tail = grid >= var - 0.5
     ref = float(np.dot(grid[tail], masses[tail]) / masses[tail].sum())
-    x, w = meas.locations, meas.weights
+    x, f, se_f = (sigma05_grid_full.locations, sigma05_grid_full.weights,
+                  sigma05_grid_full.stderr)
     sel = x >= var
-    se = math.sqrt(np.sum((w[sel] * (x[sel] - es)) ** 2)) / w[sel].sum()
+    se = math.sqrt(np.sum((se_f[sel] * (x[sel] - es)) ** 2)) / f[sel].sum()
     assert abs(es - ref) <= 3.0 * se
