@@ -54,6 +54,14 @@ _METHODS = tuple(_METHOD_KEYS)
 _LEVELS_TABLE1 = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int.  A float must be integral (5000.0 passes, 2.7
+    does not), where int() would truncate it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated description of one experiment."""
@@ -82,10 +90,10 @@ class ExperimentConfig:
         self.levels = sorted(levels)
         if self.output not in ("csv", "json"):
             raise ValueError("output must be csv or json")
-        self.threads = int(self.threads)
+        self.threads = _whole(self.threads, "threads")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        self.seed = int(self.seed)
+        self.seed = _whole(self.seed, "seed")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -147,7 +155,7 @@ def _sig6(value):
 
 def _run_mc(model, cfg: ExperimentConfig):
     m = cfg.method
-    T = int(m.get("T", 1_000_000))
+    T = _whole(m.get("T", 1_000_000), "T")
     ci_level = float(m.get("ci_level", 0.95))
     batch = simulate_compound_parallel(model, T, cfg.seed, threads=cfg.threads)
     rows = []
@@ -207,7 +215,7 @@ def _run_particle(model, cfg: ExperimentConfig):
         raise ValueError(f"x_max must be finite and above half the grid_width "
                          f"({0.5 * width:g}) so the grid has a point, got {x_max}")
     grid = np.arange(width, x_max + 0.5 * width, width)
-    n_per_point = int(m.get("n_per_point", 50_000))
+    n_per_point = _whole(m.get("n_per_point", 50_000), "n_per_point")
     pcfg = _particle_config(model, m)
     measure = estimate_density_grid(model, grid, n_per_point, pcfg,
                                     PcgStream(cfg.seed))
@@ -249,9 +257,9 @@ def _run_rare_event(model, cfg: ExperimentConfig):
     if not thresholds:
         raise ValueError("rare-event method requires a thresholds list")
     levels = LevelSequence(thresholds=np.asarray(thresholds, dtype=float))
-    N = int(m.get("n_particles", 10_000))
-    steps = int(m.get("mh_steps", 5))
-    reps = int(m.get("replicates", 16))
+    N = _whole(m.get("n_particles", 10_000), "n_particles")
+    steps = _whole(m.get("mh_steps", 5), "mh_steps")
+    reps = _whole(m.get("replicates", 16), "replicates")
     rows = []
     diag = {}
     estimates = replicate_smc(model, levels, steps, N, PcgStream(cfg.seed), reps)

@@ -21,9 +21,12 @@ u <= P_d absorbs, and otherwise (u - P_d) / (1 - P_d) drives the move.
 Each particle carries the id of the grid point it belongs to, and each
 point draws its uniforms from its own spawned substream, so the grid
 estimator steps a block of consecutive points together while every
-point sees exactly the draws it would see alone.  A proposal's ``move``
-turns a batch of uniforms into new states and their weight ratios.  The
-one proposal, ``SizeBiasedProposal``, is a defensive mixture: a
+point sees exactly the draws it would see alone.  All n paths of a grid
+point start at the point, so their first step is stratified: path r
+uses (r + u) / n, in (r/n, (r+1)/n], and the point's standard error is
+taken from successive differences in rank order.  The tail start's
+draws stay iid.  A proposal's ``move`` turns a batch of uniforms into
+new states and their weight ratios.  The one proposal, ``SizeBiasedProposal``, is a defensive mixture: a
 size-biased decrement, or with probability ``DEFENSIVE_SHARE`` a new
 state uniform on [0, x], which proposes the single big jump that
 carries a subexponential tail.  Its ratio k / q needs the severity pdf
@@ -302,8 +305,11 @@ class WeightedParticleMeasure:
     """Point-wise density estimates on a grid, as weighted atoms.
 
     There is one atom per grid point whose weight is the estimated
-    density there (plus its standard error in ``stderr``); times its cell
-    width it is the cell's probability.  ``tail_mass`` estimates the mass
+    density there; times its cell width it is the cell's probability.
+    ``stderr`` holds each estimate's standard error; on a grid it is the
+    successive-difference estimate over the point's rank-ordered,
+    stratified paths (``estimate_density_grid``), conservative for
+    stratified draws.  ``tail_mass`` estimates the mass
     beyond the last cell, with standard error ``tail_stderr``.
     ``zero_mass`` carries the genuine atom of the compound law at zero,
     P(N = 0); distribution-level queries add it on top of the continuous
@@ -448,7 +454,7 @@ def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float):
 
 
 def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
-               streams, owner) -> None:
+               streams, owner, strata: int) -> None:
     """Run every particle's path to absorption, updating x, w and acc in place.
 
     Each step draws one uniform u per live particle from its owner's
@@ -458,12 +464,22 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
     multiplies its weight by k / ((1 - p_d) q) and adds the new weight
     times g at the new state to ``acc``.  Particles whose weight or state
     underflows stop contributing.
+
+    The first step is stratified over ``strata`` consecutive particles:
+    particle i takes (i mod strata + u) / strata, which lies in
+    (r / strata, (r + 1) / strata] for its rank r = i mod strata and is
+    still one uniform per particle.  The grid passes its paths per point,
+    so each point's first absorb-or-move draws cover (0, 1] evenly; with
+    ``strata`` = 1 every draw is u itself.
     """
     pd = cfg.p_d
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     with np.errstate(divide="ignore"):  # g(0) = 0 goes through log(0) = -inf
         while active.size:
             u = _uniforms(streams, owner, active)
+            if strata > 1:  # the first step only
+                u = (active % strata + u) / strata
+                strata = 1
             moving = u > pd
             active = active[moving]
             if not active.size:
@@ -487,7 +503,8 @@ def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
     x, w = np.repeat(x0, n), np.ones(owner.size)
     # every path starts from the deterministic n = 0 term g(x0)
     acc = np.repeat(kernel.g(x0), n)
-    _propagate(x, w, acc, kernel, cfg, streams, owner)
+    # point j's particles are j*n .. j*n + n - 1, so index mod n is the rank
+    _propagate(x, w, acc, kernel, cfg, streams, owner, n)
     return acc
 
 
@@ -519,7 +536,7 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
         x0 = sev.isf(sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo)))
         w = sf_t / kernel.f(x0)
         acc = w * kernel.g(x0)
-        _propagate(x0, w, acc, kernel, cfg, [rng], None)
+        _propagate(x0, w, acc, kernel, cfg, [rng], None, 1)
         chunks.append((acc.size, acc.mean(), np.sum((acc - acc.mean()) ** 2)))
     sizes, means, sq_dev = (np.array(c) for c in zip(*chunks))
     mean = float(np.dot(sizes, means) / n)
@@ -544,9 +561,19 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     single points.  A stream that cannot spawn is shared by all points,
     which then run one at a time, point after point.  Per-point
     accumulation relies on numpy's pairwise summation, which keeps
-    results independent of the blocking.  The mass beyond the upper edge
-    of the last cell comes from ``estimate_tail_probability``, with one
-    path per ``_GRID_PATHS_PER_TAIL_PATH`` paths of the grid, on one more
+    results independent of the blocking.
+
+    A point's first step is stratified over its paths (``_propagate``):
+    path r draws its first uniform from (r/n, (r+1)/n].  The iid
+    formula std / sqrt(n) would then report the unstratified spread, so
+    the standard error is formed from successive differences of the
+    path sums c_r in rank order, sqrt(sum_r (c_{r+1} - c_r)^2 /
+    (2 n (n - 1))): unbiased for iid sums, conservative for stratified
+    ones, and 0 at n = 1.
+
+    The mass beyond the upper edge of the last cell comes from
+    ``estimate_tail_probability``, with one path per
+    ``_GRID_PATHS_PER_TAIL_PATH`` paths of the grid, on one more
     substream (or after the points on a shared stream).
     """
     grid = np.asarray(grid, dtype=float)
@@ -570,7 +597,9 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
                                    streams[lo:hi]).reshape(hi - lo, n)
         est[lo:hi] = contrib.mean(axis=1)
         if n > 1:
-            se[lo:hi] = contrib.std(axis=1, ddof=1) / math.sqrt(n)
+            # successive differences in rank order: stratum neighbours
+            se[lo:hi] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
+                                / (2.0 * n * (n - 1)))
     measure = WeightedParticleMeasure(
         locations=grid, weights=est, zero_mass=float(model.frequency.pmf(0)), stderr=se,
     )

@@ -434,10 +434,24 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     ("sla", {"kind": "sla", "order": 5}, "order must be 1 or 2"),
     ("sla", {"kind": "sla", "order": 0}, "order must be 1 or 2"),
     ("sla", {"kind": "sla", "order": -1}, "order must be 1 or 2"),
+    # counts are whole numbers; int() used to truncate 2.7 to 2 paths
+    ("simulate", {"kind": "mc", "T": 100.5}, "T must be a whole number"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 2.7},
+     "n_per_point must be a whole number"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[20.0], n_particles=100.5),
+     "n_particles must be a whole number"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[20.0], mh_steps=1.5),
+     "mh_steps must be a whole number"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[20.0], replicates=2.5),
+     "replicates must be a whole number"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": float("nan")},
+     "n_per_point must be a whole number"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
         "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
-        "sla-order-5", "sla-order-0", "sla-order-negative"])
+        "sla-order-5", "sla-order-0", "sla-order-negative", "T-fraction",
+        "n_per_point-fraction", "n_particles-fraction", "mh_steps-fraction",
+        "replicates-fraction", "n_per_point-nan"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)
@@ -448,6 +462,27 @@ def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, messag
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and message in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [("seed", 3.5), ("threads", 1.5)])
+def test_cli_rejects_non_integral_seed_and_threads(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, {"kind": "mc", "T": 100}, **{field: value})
+    rc = main(["simulate", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ValueError" and f"{field} must be a whole number" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_accepts_integral_float_counts(tmp_path, capsys):
+    """5000.0 is a whole number: it runs as 5000, as before."""
+    method = {"kind": "particle", "x_max": 5.0, "n_per_point": 20.0}
+    cfg = _write_config(tmp_path, method, seed=7.0, threads=1.0)
+    out = tmp_path / "x.json"
+    assert main(["particle", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert meta["seed"] == 7 and meta["threads"] == 1
+    assert meta["diagnostics"]["n_per_point"] == 20
 
 
 @pytest.mark.parametrize("fields,flags", [({}, ["--threads", "0"]), ({"threads": -3}, [])],
