@@ -67,7 +67,6 @@ from .panjer import (
 from .rare_event import (
     ClaimPopulation,
     LevelSequence,
-    ParticlePopulation,
     SmcEstimate,
     replicate_smc,
     selection_transition,
@@ -82,7 +81,7 @@ from .report import (
     reproduce_table1,
     run_experiment,
 )
-from .rng import PcgStream, SequenceStream, UniformStream, spawn_streams
+from .rng import PcgStream, SequenceStream, UniformStream
 from .volterra import (
     PathSamplerConfig,
     SizeBiasedProposal,

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FrequencyModel, SeverityModel
-from .rng import UniformStream, spawn_streams
+from .rng import PcgStream, UniformStream
 
 
 @dataclass
@@ -79,7 +79,7 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
     """
     T = int(T)
     n_chunks = max(1, (T + chunk - 1) // chunk)
-    streams = spawn_streams(seed, n_chunks)
+    streams = PcgStream(seed).spawn(n_chunks)
     sizes = [chunk] * (n_chunks - 1) + [T - chunk * (n_chunks - 1)]
 
     def run(i):

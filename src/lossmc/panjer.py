@@ -25,7 +25,6 @@ from scipy import fft as sp_fft
 from .distributions import (
     FrequencyModel,
     GeneralizedPoissonFrequency,
-    PanjerParams,
     SeverityModel,
 )
 from .errors import RecursionInstabilityError, TruncationError, UnsupportedModelError
@@ -134,27 +133,16 @@ def discretize_severity(model: SeverityModel, step: float, K: int,
     raise ValueError(f"unknown discretization method {method!r}")
 
 
-def _pgf_at(params: PanjerParams, s: float) -> float:
-    """Probability generating function of an (a, b, 0) member at s."""
-    a, b = params.a, params.b
-    if a == 0.0:
-        return math.exp(-b * (1.0 - s))
-    if a > 0.0:
-        r = b / a + 1.0
-        return ((1.0 - a) / (1.0 - a * s)) ** r
-    m = round(-b / a - 1.0)
-    q = a / (a - 1.0)
-    return (1.0 + q * (s - 1.0)) ** m
-
-
-def panjer_discrete(freq: PanjerParams, sev: DiscreteSeverity, M: int) -> CompoundPmf:
+def panjer_discrete(freq: FrequencyModel, sev: DiscreteSeverity, M: int) -> CompoundPmf:
     """Aggregate masses by the discrete (a, b, 0) recursion.
 
     g_k = sum_{j=1..min(k, K)} (a + b j/k) f_j g_{k-j} / (1 - a f_0)
-    with g_0 = pgf_N(f_0).  Inside the (a, b, 0) class p_1 = (a + b) p_0,
-    so the recursion has no separate f_k term.
+    with g_0 = pgf_N(f_0) and (a, b) from ``freq.panjer()``, which raises
+    ``UnsupportedModelError`` outside the (a, b, 0) class.  Inside it
+    p_1 = (a + b) p_0, so the recursion has no separate f_k term.
     """
-    a, b = freq.a, freq.b
+    params = freq.panjer()
+    a, b = params.a, params.b
     f = sev.masses
     K = len(f) - 1
     denom = 1.0 - a * f[0]
@@ -162,7 +150,7 @@ def panjer_discrete(freq: PanjerParams, sev: DiscreteSeverity, M: int) -> Compou
         raise RecursionInstabilityError("1 - a f0 must be positive")
 
     g = np.zeros(M + 1)
-    g[0] = _pgf_at(freq, f[0])
+    g[0] = freq.pgf(f[0])
     # The coefficients are stored reversed (index K - j holds the j-th), so
     # that the terms j = L..1 against g_{k-L}..g_{k-1} are two forward
     # slices: numpy hands only positively strided dot products to BLAS.

@@ -1,29 +1,29 @@
-"""Multilevel splitting for rare tail events.
+"""Multilevel splitting for rare tail events of a compound loss.
 
-Conditioning a base law on a rare set {Z > t} is handled by a
+Conditioning the compound law on a rare set {Z > t} is handled by a
 Feynman-Kac pipeline over a fixed ladder of increasing thresholds:
 indicator potentials, particle selection by the Boltzmann-Gibbs
-transform, and mutation by a kernel that leaves the base law restricted
-to the current level set invariant.  On a compound model each particle
-carries its claims and the kernel is an exact random-scan Gibbs step on
-one claim (:class:`ClaimPopulation`; Botev & Kroese's generalized
-splitting); otherwise the particles are their scores alone and a
-proposal is kept only inside the level set.  The running product of the
-first p success fractions is an unbiased estimate of P(Z > t_p) at every
-level p, so :func:`replicate_smc` reads every threshold of a ladder off
-one replicated run.
+transform, and mutation by a kernel that leaves the law restricted to
+the current level set invariant.  Each particle carries its claims and
+the kernel is an exact random-scan Gibbs step on one claim
+(:class:`ClaimPopulation`; Botev & Kroese's generalized splitting).  The
+running product of the first p success fractions is an unbiased
+estimate of P(Z > t_p) at every level p, so :func:`replicate_smc` reads
+every threshold of a ladder off one replicated run.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compound import CompoundModel, claim_sums, sample_claims, simulate_compound
+from .compound import CompoundModel, claim_sums, sample_claims
+# no caller here: benchmarks/tracing.py patches rare_event.simulate_compound by name
+from .compound import simulate_compound  # noqa: F401
 from .distributions import _guide_table, _guided_search
 from .errors import ExtinctionError
-from .rng import UniformStream
+from .rng import PcgStream, UniformStream
 
 
 # ---------------------------------------------------------------------------
@@ -48,20 +48,6 @@ class LevelSequence:
 
     def __len__(self) -> int:
         return len(self.thresholds)
-
-
-@dataclass
-class ParticlePopulation:
-    """Particles that are their scores alone: ``states[i]`` is the value
-    the levels test."""
-
-    states: np.ndarray
-    generation: int = 0
-    acceptance: list = field(default_factory=list)
-
-    def take(self, idx: np.ndarray) -> "ParticlePopulation":
-        """The particles at ``idx``, copied."""
-        return ParticlePopulation(states=self.states[idx], generation=self.generation)
 
 
 @dataclass
@@ -140,9 +126,9 @@ class SmcEstimate:
     is repeated.  ``trace`` holds one diagnostic dict per level reached:
     its level, threshold, success fraction, ess and the acceptance rate
     of its moves (None at the last level, which does not move).
-    ``population`` is the final population, selected into the last level
-    set: a sample of the base law given the rare event (None after
-    extinction).
+    ``population`` is the final claim population, selected into the last
+    level set: a sample of the compound law given the rare event (None
+    after extinction).
     """
 
     estimate: float
@@ -151,7 +137,7 @@ class SmcEstimate:
     extinct_level: int | None = None
     replicate_rse: float | None = None
     trace: list | None = None
-    population: ClaimPopulation | ParticlePopulation | None = None
+    population: ClaimPopulation | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.estimate <= 1.0):
@@ -162,15 +148,15 @@ class SmcEstimate:
 # Selection
 # ---------------------------------------------------------------------------
 
-def selection_transition(population: ParticlePopulation, G_p,
-                         rng: UniformStream) -> ParticlePopulation:
-    """Keep each particle with probability G_p, else redraw from the
-    Boltzmann-Gibbs reweighting of the current population.
+def selection_transition(g, rng: UniformStream) -> np.ndarray:
+    """Ancestor indices of one selection on the potentials ``g``: particle
+    i keeps itself with probability g_i, else draws its ancestor from the
+    Boltzmann-Gibbs reweighting of the population.
 
     This is the acceptance-rejection-with-recycling scheme: it realizes
-    the optimal coupling, changing a particle's state with probability
-    exactly 1 - eta(G_p) on average.  The replaced particles are redrawn
-    by independent multinomial draws.
+    the optimal coupling, changing a particle with probability exactly
+    1 - eta(g) on average.  Reads n keep uniforms, then one redraw key
+    per replaced particle; the redraws are independent multinomial draws.
 
     A redraw key u in (0, 1] picks the first particle whose normalized
     cumulative potential reaches u.  That particle always has positive
@@ -179,106 +165,65 @@ def selection_transition(population: ParticlePopulation, G_p,
     cumulative value (which can round below 1 for fractional potentials)
     picks the last positive-potential particle.
     """
-    states = population.states
-    n = len(states)
-    g = np.asarray(G_p(states) if callable(G_p) else G_p, dtype=float)
+    g = np.asarray(g, dtype=float)
     if not np.all((g >= 0.0) & (g <= 1.0)):
         raise ValueError("selection potential must take values in [0, 1] (NaN is not)")
     total = g.sum()
     if total <= 0.0:
-        raise ExtinctionError(
-            f"population extinct at level {population.generation}",
-            level=population.generation,
-        )
-    u = rng.uniforms(n)
-    keep = u <= g
-    n_redraw = int((~keep).sum())
-    keys = rng.uniforms(n_redraw)
+        raise ExtinctionError("population extinct: every selection potential is zero")
+    n = len(g)
+    keep = rng.uniforms(n) <= g
+    keys = rng.uniforms(int((~keep).sum()))
     live = np.flatnonzero(g > 0.0)
     cum = np.cumsum(g[live]) / total
-    redraw_idx = live[_guided_search(cum, _guide_table(cum), keys)]
-    new_states = states.copy()
-    new_states[~keep] = states[redraw_idx]
-    pop = ParticlePopulation(
-        states=new_states,
-        generation=population.generation,
-        acceptance=list(population.acceptance) + [float(np.mean(keep))],
-    )
-    return pop
+    ancestors = np.arange(n)
+    ancestors[~keep] = live[_guided_search(cum, _guide_table(cum), keys)]
+    return ancestors
 
 
 # ---------------------------------------------------------------------------
 # The multilevel splitting pipeline
 # ---------------------------------------------------------------------------
 
-def _base_sampler(model):
-    if isinstance(model, CompoundModel):
-        return lambda size, rng: simulate_compound(model, size, rng).values
-    if callable(model):
-        return model
-    raise TypeError("model must be a CompoundModel or a batch sampler")
-
-
 def _confined(states: np.ndarray, threshold: float, phase: str) -> None:
     if not np.all(states > threshold):
         raise RuntimeError(f"{phase} left particles outside the level set")
 
 
-def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
-                   N: int, rng: UniformStream, mutation=None) -> SmcEstimate:
+def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: int,
+                   N: int, rng: UniformStream) -> SmcEstimate:
     """Estimate P(Z > t) at the last threshold t of ``levels`` by the
     multiplicative level-fraction formula.
 
-    Each level p selects on the indicator of {Z > t_p}, copying whole
-    particles by their ancestor indices; the running product of success
-    fractions is the unbiased normalizing-constant estimate.  Every level
-    but the last then runs ``mutation_steps`` moves, each invariant for
-    the base law restricted to the level set, which is all the product
-    estimator needs.
+    Every particle carries its claims (:class:`ClaimPopulation`, drawn as
+    crude Monte Carlo draws years).  Each level p selects on the
+    indicator of {Z > t_p}, copying whole particles by their ancestor
+    indices (:func:`selection_transition`); the running product of
+    success fractions is the unbiased normalizing-constant estimate.
+    Every level but the last then runs ``mutation_steps`` sweeps of an
+    exact random-scan Gibbs sampler: each particle redraws one uniformly
+    chosen claim X_j from its law given the others and Z > t, by
+    inversion (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's
+    generalized splitting).  Each sweep leaves the compound law
+    restricted to the level set invariant, which is all the product
+    estimator needs; a level's ``acceptance_rate`` is near 1 and counts
+    never change.
 
-    On a :class:`CompoundModel` every particle carries its claims, and a
-    move is one sweep of an exact random-scan Gibbs sampler: each
-    particle redraws one uniformly chosen claim X_j from its law given
-    the others and Z > t, by inversion
-    (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's generalized
-    splitting).  ``mutation_steps`` (the report's ``mh_steps``) counts
-    these Gibbs sweeps, each moving one claim of every particle, and a
-    level's ``acceptance_rate`` is near 1.  Counts never change.
-
-    For a callable batch sampler, or when ``mutation`` is given, the
-    particles are their scores alone: ``mutation`` performs one
-    base-invariant transition ``(states, level_index, rng) -> states``
-    and proposals outside the level set are rejected; by default it
-    redraws independently from the base law.  Extinction at any level
-    returns a zero estimate carrying the level index rather than
-    retrying, so unbiasedness is preserved.  A population found outside
-    the level set after a selection or a move raises ``RuntimeError``.
+    Extinction at any level returns a zero estimate carrying the level
+    index rather than retrying, so unbiasedness is preserved.  A model
+    other than a :class:`CompoundModel` raises ``TypeError``; a
+    population found outside the level set after a selection or a sweep
+    raises ``RuntimeError``.
     """
+    if not isinstance(model, CompoundModel):
+        raise TypeError(f"model must be a CompoundModel, got {type(model).__name__}")
     if N < 2:
         raise ValueError("need at least two particles")
     if mutation_steps < 0:
         raise ValueError("need a nonnegative number of mutation steps")
     N, mutation_steps = int(N), int(mutation_steps)
-    if isinstance(model, CompoundModel) and mutation is None:
-        pop = ClaimPopulation.sample(model, N, rng)
-
-        def move(pop, p, threshold):
-            return pop.gibbs_step(model.severity, threshold, rng)
-    else:
-        sampler = _base_sampler(model)
-        if mutation is None:
-            def mutation(states, level, stream):
-                return sampler(len(states), stream)
-        pop = ParticlePopulation(states=np.asarray(sampler(N, rng), dtype=float))
-
-        def move(pop, p, threshold):
-            proposal = np.asarray(mutation(pop.states, p, rng), dtype=float)
-            inside = proposal > threshold
-            pop.states = np.where(inside, proposal, pop.states)
-            return int(inside.sum())
-
+    pop = ClaimPopulation.sample(model, N, rng)
     thresholds = levels.thresholds
-    index = np.arange(N)
     fractions = []
     trace = []
     for p, threshold in enumerate(thresholds):
@@ -296,24 +241,23 @@ def smc_rare_event(model, levels: LevelSequence, mutation_steps: int,
         if frac == 0.0:
             return SmcEstimate(estimate=0.0, level_fractions=fractions,
                                thresholds=thresholds, extinct_level=p, trace=trace)
-        ancestors = selection_transition(
-            ParticlePopulation(states=index, generation=p), g, rng).states
-        pop = pop.take(ancestors)
+        pop = pop.take(selection_transition(g, rng))
         _confined(pop.states, threshold, "selection")
         if p + 1 == len(thresholds):
             break
         accepted = 0
         for _ in range(mutation_steps):
-            accepted += move(pop, p, threshold)
+            accepted += pop.gibbs_step(model.severity, threshold, rng)
             _confined(pop.states, threshold, "mutation")
         row["acceptance_rate"] = accepted / (N * mutation_steps) if mutation_steps else None
     return SmcEstimate(estimate=float(np.prod(fractions)), level_fractions=fractions,
                        thresholds=thresholds, trace=trace, population=pop)
 
 
-def replicate_smc(model, levels: LevelSequence, mutation_steps: int, N: int,
-                  rng, n_replicates: int, mutation=None) -> list:
-    """Repeat the splitting run; return one estimate per level.
+def replicate_smc(model: CompoundModel, levels: LevelSequence, mutation_steps: int, N: int,
+                  rng: PcgStream, n_replicates: int) -> list:
+    """Repeat the splitting run, replicate i on the i-th child stream of
+    ``rng``; return one estimate per level.
 
     Element p is the replicate mean of the running product of the first
     p + 1 success fractions (zero past an extinction), an unbiased
@@ -322,12 +266,11 @@ def replicate_smc(model, levels: LevelSequence, mutation_steps: int, N: int,
     """
     if n_replicates < 2:
         raise ValueError("need at least two replicates for a standard error")
-    streams = rng.spawn(n_replicates) if hasattr(rng, "spawn") else [rng] * n_replicates
+    streams = rng.spawn(n_replicates)
     # one contiguous row per level, so each mean reduces like a 1-d array
     products = np.zeros((len(levels), n_replicates))
     for i in range(n_replicates):
-        fractions = smc_rare_event(model, levels, mutation_steps, N, streams[i],
-                                   mutation=mutation).level_fractions
+        fractions = smc_rare_event(model, levels, mutation_steps, N, streams[i]).level_fractions
         products[:len(fractions), i] = np.cumprod(fractions)
     estimates = []
     for p, values in enumerate(products):

@@ -56,8 +56,9 @@ _LEVELS_TABLE1 = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)
 
 def _whole(value, name: str) -> int:
     """``value`` as an int.  A float must be integral (5000.0 passes, 2.7
-    does not), where int() would truncate it."""
-    if isinstance(value, float) and not value.is_integer():
+    does not), where int() would truncate it, and a bool is no count,
+    where int() would read true as 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -170,7 +171,7 @@ def _run_mc(model, cfg: ExperimentConfig):
 
 def _run_sla(model, cfg: ExperimentConfig):
     order = cfg.method.get("order", 1)
-    if order not in (1, 2):
+    if isinstance(order, bool) or order not in (1, 2):
         raise ValueError(f"sla order must be 1 or 2, got {order!r}")
     rows = []
     for alpha in cfg.levels:

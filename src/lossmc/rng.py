@@ -84,13 +84,3 @@ class SequenceStream(UniformStream):
     def remaining(self) -> int:
         return len(self._values) - self._pos
 
-
-def spawn_streams(seed: int, n: int) -> list[PcgStream]:
-    """Split ``seed`` into ``n`` independent child streams.
-
-    Chunked simulations give chunk ``i`` the ``i``-th child, and always
-    combine chunk outputs in index order, so the result is invariant to
-    how chunks are scheduled across threads.
-    """
-    root = np.random.SeedSequence(int(seed))
-    return [PcgStream(s) for s in root.spawn(int(n))]

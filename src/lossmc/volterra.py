@@ -300,12 +300,20 @@ def _sum_above(v: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
 
 
+def _check_grid(locations: np.ndarray) -> None:
+    """Cells between grid points have positive widths only when the points
+    are positive and strictly increasing (NaN fails both tests)."""
+    if not (np.all(locations > 0.0) and np.all(np.diff(locations) > 0.0)):
+        raise ValueError("grid points must be positive and strictly increasing")
+
+
 @dataclass
 class WeightedParticleMeasure:
     """Point-wise density estimates on a grid, as weighted atoms.
 
-    There is one atom per grid point whose weight is the estimated
-    density there; times its cell width it is the cell's probability.
+    There is one atom per grid point (the points positive and strictly
+    increasing) whose weight is the estimated density there; times its
+    cell width it is the cell's probability.
     ``stderr`` holds each estimate's standard error; on a grid it is the
     successive-difference estimate over the point's rank-ordered,
     stratified paths (``estimate_density_grid``), conservative for
@@ -328,6 +336,7 @@ class WeightedParticleMeasure:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.locations) != len(self.weights):
             raise ValueError("locations and weights must align")
+        _check_grid(self.locations)
         if np.any(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
 
@@ -340,8 +349,7 @@ class WeightedParticleMeasure:
         """(locations, probability weights) including the atom at zero."""
         locs = np.concatenate(([0.0], self.locations))
         w = np.concatenate(([self.zero_mass], self.weights * self._cell_widths()))
-        order = np.argsort(locs, kind="stable")
-        return locs[order], w[order]
+        return locs, w
 
     def survival(self):
         """(locations, P(Z > location), its standard error) over the atoms.
@@ -548,8 +556,8 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
 
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
                           cfg: PathSamplerConfig, rng: UniformStream) -> WeightedParticleMeasure:
-    """Point-wise density estimates over a grid of evaluation points, and
-    the mass beyond its last cell.
+    """Point-wise density estimates over a grid of positive, strictly
+    increasing evaluation points, and the mass beyond its last cell.
 
     Each grid point gets its own batch of ``n_per_point`` particles and,
     when the stream supports spawning, its own substream, so a point's
@@ -577,8 +585,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     substream (or after the points on a shared stream).
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise ValueError("grid points must be positive")
+    _check_grid(grid)
     n = int(n_per_point)
     if n < 1:
         raise ValueError("need at least one path per grid point")

@@ -50,17 +50,6 @@ def gauss_sampler(size, rng):
     return norm_quantile(rng.uniforms(size))
 
 
-def rw_mutation(width):
-    """Random-walk Metropolis step leaving the standard normal invariant."""
-
-    def mutate(states, level, rng):
-        prop = states + width * (2.0 * rng.uniforms(len(states)) - 1.0)
-        accept = rng.uniforms(len(states)) <= np.exp(-0.5 * (prop ** 2 - states ** 2))
-        return np.where(accept, prop, states)
-
-    return mutate
-
-
 def restricted_matrix(K, inside):
     """The finite proposal matrix K restricted to the states ``inside``:
     moves into the set keep their probability, the rest stays put."""
@@ -113,6 +102,13 @@ def sigma1_batch():
 def sigma05_pmf():
     """Fine-step recursion distribution for the sigma=0.5 benchmark."""
     return oracle_compound_pmf(sigma05_model(), step=0.005, x_max=120.0)
+
+
+@pytest.fixture(scope="session")
+def sigma1_pmf():
+    """Recursion distribution for the sigma=1 benchmark, deep enough for
+    the splitting ladder to 1200 (P(Z > 1200) = 4.0e-7)."""
+    return oracle_compound_pmf(sigma1_model(), step=0.05, x_max=1300.0)
 
 
 def oracle_tail(pmf, t):

@@ -24,7 +24,6 @@ from lossmc import (
     compound_cdf_quantile,
     empirical_quantile_ci,
     estimate_density_grid,
-    norm_sf,
     oracle_compound_pmf,
     quantile_from_measure,
     second_order_constants,
@@ -36,11 +35,9 @@ from lossmc import (
 
 from conftest import (
     QUANTILE_LEVELS,
-    gauss_sampler,
     oracle_tail,
     particle_config,
     restricted_matrix,
-    rw_mutation,
     sigma05_model,
     sigma1_model,
     tv_decay,
@@ -209,10 +206,10 @@ def test_criterion_5_particle_density_bias_and_variance_slope(sigma05_pmf):
     assert abs(slope + 1.0) <= 0.15
 
 
-def test_criterion_5_splitting_bias_and_variance_slope():
-    truth = float(norm_sf(2.0))
-    levels = LevelSequence(thresholds=np.array([1.0, 2.0]))
-    mutate = rw_mutation(1.0)
+def test_criterion_5_splitting_bias_and_variance_slope(sigma05_pmf):
+    model = sigma05_model()
+    truth = oracle_tail(sigma05_pmf, 40.0)
+    levels = LevelSequence(thresholds=np.array([20.0, 40.0]))
     root = PcgStream(1515)
     R = 200
     sizes = (250, 1000, 4000)
@@ -220,8 +217,7 @@ def test_criterion_5_splitting_bias_and_variance_slope():
     for N in sizes:
         streams = root.spawn(R)
         reps = np.array([
-            smc_rare_event(gauss_sampler, levels, 5, N, streams[r],
-                           mutation=mutate).estimate
+            smc_rare_event(model, levels, 5, N, streams[r]).estimate
             for r in range(R)])
         se = reps.std(ddof=1) / math.sqrt(R)
         variances.append(reps.var(ddof=1))
@@ -234,29 +230,27 @@ def test_criterion_5_splitting_bias_and_variance_slope():
 # criterion 6: rare-event engine accuracy and efficiency
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_gaussian_tail_level_product():
-    truth = 1.3499e-3
-    levels = LevelSequence(thresholds=np.array([1.0, 2.0, 3.0]))
-    mutate = rw_mutation(1.0)
+def test_criterion_6_compound_tail_level_product(sigma1_pmf):
+    """The benchmark ladder 100/200/300 at sigma = 1: P(Z > 300) = 1.4e-3."""
+    truth = oracle_tail(sigma1_pmf, 300.0)
+    levels = LevelSequence(thresholds=np.array([100.0, 200.0, 300.0]))
     streams = PcgStream(1616).spawn(20)
     reps = np.array([
-        smc_rare_event(gauss_sampler, levels, 5, 10_000, streams[r],
-                       mutation=mutate).estimate
+        smc_rare_event(sigma1_model(), levels, 5, 10_000, streams[r]).estimate
         for r in range(20)])
     se = reps.std(ddof=1) / math.sqrt(20)
     assert abs(reps.mean() - truth) <= 3.0 * se
 
 
-def test_criterion_6_splitting_beats_crude_at_equal_budget():
-    truth = float(norm_sf(4.75))
-    thresholds = np.array([1.2816, 2.3263, 3.0902, 3.7190, 4.2649, 4.75])
+def test_criterion_6_splitting_beats_crude_at_equal_budget(sigma1_pmf):
+    """P(Z > 1200) = 4.0e-7 at sigma = 1, nine levels deep."""
+    truth = oracle_tail(sigma1_pmf, 1200.0)
+    thresholds = np.array([100, 200, 300, 400, 500, 600, 800, 1000, 1200], dtype=float)
     levels = LevelSequence(thresholds=thresholds)
-    N, steps, n_rep = 20_000, 5, 10
-    mutate = rw_mutation(1.0)
+    N, steps, n_rep = 2000, 5, 10
     streams = PcgStream(1717).spawn(n_rep)
     vals = np.array([
-        smc_rare_event(gauss_sampler, levels, steps, N, streams[r],
-                       mutation=mutate).estimate
+        smc_rare_event(sigma1_model(), levels, steps, N, streams[r]).estimate
         for r in range(n_rep)])
     mean = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(n_rep)

@@ -100,7 +100,7 @@ def test_recursion_matches_explicit_mixture(freq, f):
     The three frequencies cover a = 0, a > 0 and a < 0.
     """
     sev = DiscreteSeverity(step=1.0, masses=f, method=ROUNDING)
-    g = panjer_discrete(freq.panjer(), sev, MIXTURE_M)
+    g = panjer_discrete(freq, sev, MIXTURE_M)
     direct = _explicit_mixture(freq, f, MIXTURE_M, 80)
     assert np.max(np.abs(g.masses - direct)) < 1e-10
     assert abs(g.masses[0] - freq.pgf(f[0])) < 1e-10
@@ -108,7 +108,7 @@ def test_recursion_matches_explicit_mixture(freq, f):
 
 def test_poisson_unit_severity_gives_count_law():
     sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]), method=ROUNDING)
-    g = panjer_discrete(PoissonFrequency(2.0).panjer(), sev, 40)
+    g = panjer_discrete(PoissonFrequency(2.0), sev, 40)
     ref = stats.poisson.pmf(np.arange(41), 2.0)
     assert np.max(np.abs(g.masses - ref)) < 1e-12
 
@@ -133,7 +133,7 @@ def test_gpd_zero_dispersion_equals_poisson():
     sev = discretize_severity(LogNormalSeverity(2.0, 0.5), 0.05, 400,
                               method=LOCAL_MOMENTS)
     g = gpd_panjer_discrete(2.0, 0.0, sev, 400)
-    p = panjer_discrete(PoissonFrequency(2.0).panjer(), sev, 400)
+    p = panjer_discrete(PoissonFrequency(2.0), sev, 400)
     assert np.max(np.abs(g.masses - p.masses)) < 1e-12
 
 
@@ -207,7 +207,7 @@ def _assert_transform_gates(pmf, ref, deep):
                          ids=["poisson", "binomial", "negbinomial"])
 def test_transform_matches_recursion(freq, lattice):
     pmf, sev = _lattice(freq, lattice)
-    ref = panjer_discrete(freq.panjer(), sev, len(pmf.masses) - 1)
+    ref = panjer_discrete(freq, sev, len(pmf.masses) - 1)
     _assert_transform_gates(pmf, ref.masses, lattice == "deep")
     assert (pmf.tilt > 0.0) == (lattice == "deep")
 
@@ -232,7 +232,7 @@ def _borel_cluster_reference(lam, theta, sev, M):
         c[k] = b_k + theta * c[0] * h[k]
         jh[k] = theta * k * h[k]
     cluster = DiscreteSeverity(step=sev.step, masses=h, method=sev.method)
-    return panjer_discrete(PoissonFrequency(lam).panjer(), cluster, M).masses
+    return panjer_discrete(PoissonFrequency(lam), cluster, M).masses
 
 
 @pytest.mark.parametrize("freq", [NegativeBinomialFrequency(2.0, 3.0),
@@ -253,7 +253,7 @@ def test_transform_at_pgf_domain_edge(freq):
     if freq.kind == "genpoisson":
         ref = _borel_cluster_reference(freq.lam, freq.theta, sev, M)
     else:
-        ref = panjer_discrete(freq.panjer(), sev, M).masses
+        ref = panjer_discrete(freq, sev, M).masses
     _assert_transform_gates(pmf, ref, deep=True)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lossmc import (
+    BinomialFrequency,
     ClaimPopulation,
     CompoundModel,
     DegenerateSeverity,
@@ -11,7 +12,6 @@ from lossmc import (
     LevelSequence,
     LogNormalSeverity,
     NegativeBinomialFrequency,
-    ParticlePopulation,
     PcgStream,
     PoissonFrequency,
     SequenceStream,
@@ -20,6 +20,7 @@ from lossmc import (
     oracle_compound_pmf,
     replicate_smc,
     selection_transition,
+    simulate_compound,
     smc_rare_event,
 )
 
@@ -38,9 +39,10 @@ from conftest import (
 )
 
 
-def octo_sampler(size, rng):
-    """Uniform draws on the eight integers 0..7."""
-    return np.ceil(rng.uniforms(size) * 8.0) - 1.0
+def coin_model():
+    """Z = N with N ~ Binomial(2, 1/2): P(Z > 0.5) = 3/4, P(Z > 1.5) = 1/4
+    and P(Z > 2.5) = 0.  Unit claims cannot move, so only selection acts."""
+    return CompoundModel(BinomialFrequency(2, 0.5), DegenerateSeverity(atom=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -48,23 +50,18 @@ def octo_sampler(size, rng):
 # ---------------------------------------------------------------------------
 
 def test_selection_keeps_certain_particles():
-    rng = PcgStream(5)
-    states = np.arange(10.0)
-    pop = ParticlePopulation(states=states.copy())
-    out = selection_transition(pop, np.ones(10), rng)
-    assert np.array_equal(out.states, states)
-    assert out.acceptance[-1] == 1.0
+    ancestors = selection_transition(np.ones(10), PcgStream(5))
+    assert np.array_equal(ancestors, np.arange(10))
 
 
 def test_selection_validates_inputs():
-    pop = ParticlePopulation(states=np.arange(4.0))
     with pytest.raises(ValueError):
-        selection_transition(pop, np.full(4, 1.5), PcgStream(1))
+        selection_transition(np.full(4, 1.5), PcgStream(1))
     # NaN passes a range test written as (g < 0) | (g > 1)
     with pytest.raises(ValueError, match="NaN"):
-        selection_transition(pop, np.array([np.nan, 1.0, 1.0, 1.0]), PcgStream(1))
+        selection_transition(np.array([np.nan, 1.0, 1.0, 1.0]), PcgStream(1))
     with pytest.raises(ExtinctionError):
-        selection_transition(pop, np.zeros(4), PcgStream(1))
+        selection_transition(np.zeros(4), PcgStream(1))
 
 
 def test_selection_change_rate_matches_coupling():
@@ -75,11 +72,10 @@ def test_selection_change_rate_matches_coupling():
     changed = []
     for _ in range(R):
         states = np.ceil(rng.uniforms(N) * 4.0) - 1.0
-        pop = ParticlePopulation(states=states.copy())
         g = (states >= 2.0).astype(float)
-        out = selection_transition(pop, g, rng)
-        replaced.append(np.sum(out.states != states))
-        changed.append(np.mean(out.states != states))
+        selected = states[selection_transition(g, rng)]
+        replaced.append(np.sum(selected != states))
+        changed.append(np.mean(selected != states))
     replaced = np.array(replaced, dtype=float)
     changed = np.array(changed)
     se_r = replaced.std(ddof=1) / math.sqrt(R)
@@ -99,11 +95,9 @@ def test_selection_never_picks_a_zero_potential_ancestor():
         g[-1] = 0.0
         if (np.cumsum(g) / g.sum())[-1] < 1.0:
             break
-    pop = ParticlePopulation(states=np.arange(12.0))
-    out = selection_transition(pop, g, SequenceStream([1.0] * 24))
     # every particle is replaced (u = 1 > g), every key is 1.0
-    assert out.acceptance[-1] == 0.0
-    assert np.all(out.states == 10.0)
+    ancestors = selection_transition(g, SequenceStream([1.0] * 24))
+    assert np.all(ancestors == 10)
 
 
 _POTENTIALS = {
@@ -141,18 +135,16 @@ def test_selection_matches_whole_population_binary_search(name):
     gave, wherever that search lands inside the population."""
     g = _POTENTIALS[name]
     n = len(g)
-    states = np.arange(float(n))
-    out = selection_transition(ParticlePopulation(states=states), g,
-                               PcgStream(4343))
+    ancestors = selection_transition(g, PcgStream(4343))
     rng = PcgStream(4343)
     keep = rng.uniforms(n) <= g
     keys = rng.uniforms(int((~keep).sum()))
     cum = np.cumsum(g) / g.sum()
     assert np.all(keys <= cum[-1])
-    expected = states.copy()
-    expected[~keep] = states[np.minimum(np.searchsorted(cum, keys), n - 1)]
-    assert np.array_equal(out.states, expected)
-    assert np.all(g[out.states.astype(int)] > 0.0)
+    expected = np.arange(n)
+    expected[~keep] = np.minimum(np.searchsorted(cum, keys), n - 1)
+    assert np.array_equal(ancestors, expected)
+    assert np.all(g[ancestors] > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,42 +208,45 @@ def test_smc_estimate_validation():
 def test_smc_needs_two_particles():
     lev = LevelSequence(thresholds=np.array([1.0]))
     with pytest.raises(ValueError):
-        smc_rare_event(octo_sampler, lev, 1, 1, PcgStream(1))
+        smc_rare_event(sigma05_model(), lev, 1, 1, PcgStream(1))
 
 
 def test_single_level_equals_crude_fraction():
-    lev = LevelSequence(thresholds=np.array([3.5]))
-    est = smc_rare_event(octo_sampler, lev, 3, 400, PcgStream(606))
-    crude = float(np.mean(octo_sampler(400, PcgStream(606)) > 3.5))
+    """The population is drawn as crude Monte Carlo draws years."""
+    model = sigma05_model()
+    lev = LevelSequence(thresholds=np.array([20.0]))
+    est = smc_rare_event(model, lev, 3, 400, PcgStream(606))
+    crude = float(np.mean(simulate_compound(model, 400, PcgStream(606)).values > 20.0))
     assert est.estimate == crude
 
 
 def test_estimate_is_product_of_level_fractions():
-    lev = LevelSequence(thresholds=np.array([3.5, 5.5]))
-    est = smc_rare_event(octo_sampler, lev, 3, 500, PcgStream(11))
+    lev = LevelSequence(thresholds=np.array([20.0, 40.0]))
+    est = smc_rare_event(sigma05_model(), lev, 3, 500, PcgStream(11))
     assert est.estimate == float(np.prod(est.level_fractions))
     assert est.extinct_level is None
     # one trace row per level; the last level does not move
-    assert [row["threshold"] for row in est.trace] == [3.5, 5.5]
+    assert [row["threshold"] for row in est.trace] == [20.0, 40.0]
     assert [row["ess"] for row in est.trace] == [500 * f for f in est.level_fractions]
     assert 0.0 < est.trace[0]["acceptance_rate"] <= 1.0
     assert est.trace[1]["acceptance_rate"] is None
 
 
 def test_extinction_returns_zero_with_level_index():
-    lev = LevelSequence(thresholds=np.array([8.5]))
-    est = smc_rare_event(octo_sampler, lev, 3, 100, PcgStream(13))
+    lev = LevelSequence(thresholds=np.array([0.5, 2.5]))
+    est = smc_rare_event(coin_model(), lev, 3, 100, PcgStream(13))
     assert est.estimate == 0.0
-    assert est.extinct_level == 0
-    assert est.level_fractions == [0.0]
-    assert len(est.trace) == 1
+    assert est.extinct_level == 1
+    assert est.level_fractions[1] == 0.0 and est.level_fractions[0] > 0.0
+    assert len(est.trace) == 2
+    assert est.population is None
 
 
 def test_splitting_unbiased_on_enumerable_toy():
-    """500 runs against the exactly known P(X > 5.5) = 1/4."""
-    lev = LevelSequence(thresholds=np.array([3.5, 5.5]))
+    """500 runs against the exactly known P(Z > 1.5) = 1/4."""
+    lev = LevelSequence(thresholds=np.array([0.5, 1.5]))
     streams = PcgStream(2323).spawn(500)
-    vals = np.array([smc_rare_event(octo_sampler, lev, 3, 100, s).estimate
+    vals = np.array([smc_rare_event(coin_model(), lev, 3, 100, s).estimate
                      for s in streams])
     se = vals.std(ddof=1) / math.sqrt(500)
     assert abs(vals.mean() - 0.25) <= 4.0 * se
@@ -282,12 +277,10 @@ def _ladder_z_scores(model, thresholds, oracle, N, seed, replicates=16):
             for est, t in zip(estimates, thresholds)]
 
 
-def test_claim_gibbs_ladder_matches_oracle_to_1200():
+def test_claim_gibbs_ladder_matches_oracle_to_1200(sigma1_pmf):
     """sigma = 1: every level of a ladder down to P(Z > 1200) = 4.0e-7."""
-    model = sigma1_model()
-    oracle = oracle_compound_pmf(model, step=0.05, x_max=1300.0)
     thresholds = [100, 200, 300, 400, 500, 600, 800, 1000, 1200]
-    z = _ladder_z_scores(model, thresholds, oracle, 2000, 1717)
+    z = _ladder_z_scores(sigma1_model(), thresholds, sigma1_pmf, 2000, 1717)
     assert np.all(np.abs(z) <= 4.0), z
 
 
@@ -368,9 +361,9 @@ def test_claim_gibbs_step_keeps_a_claim_whose_floor_underflows():
     assert pop.severities.tolist() == [1e20]
 
 
-def _select_a_zero_potential_ancestor(population, g, rng):
+def _select_a_zero_potential_ancestor(g, rng):
     """A broken selection: every particle descends from one outside the level."""
-    return ParticlePopulation(states=np.full(len(g), int(np.argmin(g))))
+    return np.full(len(g), int(np.argmin(g)))
 
 
 def _push_below_the_level(pop, severity, threshold, rng):
@@ -393,19 +386,23 @@ def test_population_outside_the_level_set_raises(phase, monkeypatch):
 
 
 def test_replicate_runner_reports_relative_error():
-    lev = LevelSequence(thresholds=np.array([3.5, 5.5]))
-    first, rep = replicate_smc(octo_sampler, lev, 3, 100, PcgStream(707), 10)
+    lev = LevelSequence(thresholds=np.array([0.5, 1.5]))
+    first, rep = replicate_smc(coin_model(), lev, 3, 100, PcgStream(707), 10)
     assert rep.replicate_rse is not None and rep.replicate_rse > 0.0
     assert abs(rep.estimate - 0.25) <= 3.0 * rep.replicate_rse * rep.estimate
-    # the first level's running product is the crude fraction above 3.5
-    assert list(first.thresholds) == [3.5]
-    assert abs(first.estimate - 0.5) <= 3.0 * first.replicate_rse * first.estimate
+    # the first level's running product is the crude fraction above 0.5
+    assert list(first.thresholds) == [0.5]
+    assert abs(first.estimate - 0.75) <= 3.0 * first.replicate_rse * first.estimate
 
 
 def test_model_argument_type_is_checked():
+    """Only a compound model splits: a batch sampler has no claims to move."""
     lev = LevelSequence(thresholds=np.array([1.0]))
-    with pytest.raises(TypeError):
-        smc_rare_event("not a model", lev, 1, 10, PcgStream(1))
+    for model in ("not a model", gauss_sampler):
+        with pytest.raises(TypeError, match="CompoundModel"):
+            smc_rare_event(model, lev, 1, 10, PcgStream(1))
+        with pytest.raises(TypeError, match="CompoundModel"):
+            replicate_smc(model, lev, 1, 10, PcgStream(1), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -446,12 +446,18 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
      "replicates must be a whole number"),
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": float("nan")},
      "n_per_point must be a whole number"),
+    # int(True) is 1: a 1-draw report, or SLA order 1, used to run
+    ("simulate", {"kind": "mc", "T": True}, "T must be a whole number"),
+    ("rare-event", dict(RARE_EVENT, thresholds=[20.0], mh_steps=True),
+     "mh_steps must be a whole number"),
+    ("sla", {"kind": "sla", "order": True}, "order must be 1 or 2"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
         "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
         "sla-order-5", "sla-order-0", "sla-order-negative", "T-fraction",
         "n_per_point-fraction", "n_particles-fraction", "mh_steps-fraction",
-        "replicates-fraction", "n_per_point-nan"])
+        "replicates-fraction", "n_per_point-nan", "T-bool", "mh_steps-bool",
+        "sla-order-bool"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)

@@ -579,6 +579,25 @@ def test_measure_validation():
         WeightedParticleMeasure(locations=np.array([1.0]), weights=np.array([-1.0]))
 
 
+@pytest.mark.parametrize("locations", [[30.0, 10.0, 20.0], [10.0, 10.0, 20.0],
+                                       [0.0, 10.0, 20.0], [10.0, np.nan, 20.0]],
+                         ids=["unsorted", "duplicate", "zero", "nan"])
+def test_measure_rejects_grids_without_positive_cells(locations):
+    """Unsorted points gave cell widths [-20, -5, 10] and negative atoms,
+    duplicates a zero-width cell; both are refused."""
+    with pytest.raises(ValueError, match="strictly increasing"):
+        WeightedParticleMeasure(locations=np.array(locations), weights=np.ones(3))
+
+
+def test_density_grid_rejects_unsorted_points():
+    """Refused before any path runs: the run used to return negative
+    atoms and a median of 0.0."""
+    model = sigma05_model()
+    with pytest.raises(ValueError, match="strictly increasing"):
+        estimate_density_grid(model, [30.0, 10.0, 20.0], 10, particle_config(model),
+                              PcgStream(3))
+
+
 def test_single_atom_measure_quantile_and_risk():
     meas = WeightedParticleMeasure(locations=np.array([5.0]), weights=np.array([1.0]))
     assert quantile_from_measure(meas, 0.7) == 5.0
