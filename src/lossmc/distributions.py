@@ -49,7 +49,12 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     before guide[j] (Chen & Asau 1974; Devroye 1986, III.2.4).
     """
     m = len(cdf)
-    return np.searchsorted(np.floor(cdf * m), np.arange(m + 1))
+    # guide[j] counts the entries whose bucket lies below j; an entry past
+    # bucket m (a cdf rounding above 1) counts for no guide entry
+    buckets = np.minimum(np.floor(cdf * m), m).astype(np.intp)
+    guide = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(buckets, minlength=m + 1)[:m], out=guide[1:])
+    return guide
 
 
 def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -493,7 +498,11 @@ class LogNormalSeverity(SeverityModel):
     def isf(self, u):
         """exp(mu - sigma ndtri(u)); the endpoint u = 1 maps to exactly 0."""
         u = np.asarray(u, dtype=float)
-        out = np.exp(self.mu - self.sigma * special.ndtri(u))
+        # in place: (-sigma) x + mu rounds as mu - sigma x does
+        out = special.ndtri(u, out=np.empty(u.shape))
+        out *= -self.sigma
+        out += self.mu
+        np.exp(out, out=out)
         return out if out.ndim else float(out)
 
 

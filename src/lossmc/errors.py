@@ -39,17 +39,7 @@ class EmptyTailError(RuntimeError):
 
 
 class ExtinctionError(RuntimeError):
-    """Every particle died at one selection level.
-
-    Attributes
-    ----------
-    level : int
-        Index of the level at which the population went extinct.
-    """
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
+    """Every selection potential is zero, so no particle can be selected."""
 
 
 class NumericError(RuntimeError):

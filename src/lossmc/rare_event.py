@@ -2,11 +2,16 @@
 
 Conditioning the compound law on a rare set {Z > t} is handled by a
 Feynman-Kac pipeline over a fixed ladder of increasing thresholds:
-indicator potentials, particle selection by the Boltzmann-Gibbs
-transform, and mutation by a kernel that leaves the law restricted to
-the current level set invariant.  Each particle carries its claims and
-the kernel is an exact random-scan Gibbs step on one claim
-(:class:`ClaimPopulation`; Botev & Kroese's generalized splitting).  The
+potentials whose mean is the level's conditional probability, particle
+selection by the Boltzmann-Gibbs transform, and mutation by a kernel
+that leaves the law restricted to the current level set invariant.  Each
+particle carries its claims and the kernel is an exact random-scan Gibbs
+step on one claim (:class:`ClaimPopulation`; Botev & Kroese's
+generalized splitting).  The first level's potential looks ahead: it is
+the chance that a Gibbs move of the particle's largest claim clears the
+level (the fully adapted construction; Del Moral 2004), which replaces
+the crude fraction above t_0 by a conditional Monte Carlo mean (Asmussen
+& Kroese 2006).  Later levels select on the indicator of {Z > t_p}.  The
 running product of the first p success fractions is an unbiased
 estimate of P(Z > t_p) at every level p, so :func:`replicate_smc` reads
 every threshold of a ladder off one replicated run.
@@ -67,6 +72,7 @@ class ClaimPopulation:
 
     def __post_init__(self):
         self.starts = np.cumsum(self.counts) - self.counts
+        self.has_claims = self.counts > 0
 
     @classmethod
     def sample(cls, model: CompoundModel, n: int, rng: UniformStream) -> "ClaimPopulation":
@@ -109,10 +115,94 @@ class ClaimPopulation:
         above = np.flatnonzero(rest < threshold)
         q[above] *= severity.sf(threshold - rest[above])
         drawn = q > 0.0
-        redrawn = severity.isf(np.where(drawn, q, 1.0))
+        moved = self.has_claims
+        if not drawn.all():
+            q = np.where(drawn, q, 1.0)
+            moved = moved & drawn
+        redrawn = severity.isf(q)
         states = rest + redrawn
-        moved = drawn & (states > threshold) & (self.counts > 0)
-        self.severities[at[moved]] = redrawn[moved]
+        return self._write(at, redrawn, states, moved & (states > threshold))
+
+    def largest_claim_potential(self, severity, threshold: float):
+        """The chance that a Gibbs move of each particle's largest claim
+        clears ``threshold``, with what the move needs.
+
+        Given its other claims, particle i's largest claim has the law
+        X | X > M, where M is the largest other claim (0 for a single
+        claim).  With R = Z - X_max and M- = nextafter(M, -inf), so that
+        a claim tied with M stays admissible (M- is 0 where M is 0: a
+        positive severity has sf(0) = 1 as well),
+
+            G_i = sf(max(t - R, M-)) / sf(M-),
+
+        the mean of which over the base law is P(Z > t).  G_i is the
+        indicator 1{Z > t} for a particle without claims or where sf(M-)
+        underflows to 0; a point mass gives the indicator too, since its
+        ties make sf(M-) = 1.
+
+        Returns ``(g, tail, rest, offset)``, each of length N: the
+        potentials, the numerator sf(max(t - R, M-)) (0 where G is the
+        indicator), R, and the largest claim's position in its row.
+        Reads no uniform.
+        """
+        n = len(self.states)
+        sev = self.severities
+        row = np.repeat(np.arange(n), self.counts)
+        top = np.zeros(n)
+        np.maximum.at(top, row, sev)
+        # one of a row's largest claims moves; a tie stays among the others
+        at = np.zeros(n, dtype=np.intp)
+        tops = np.flatnonzero(sev == top[row])
+        at[row[tops]] = tops
+        others = sev.copy()
+        others[at[self.has_claims]] = 0.0
+        runner_up = np.zeros(n)
+        np.maximum.at(runner_up, row, others)
+        # M- where there is a runner-up; elsewhere 0, where sf is 1 as at M-
+        two = np.flatnonzero(runner_up)
+        below = np.nextafter(runner_up[two], -np.inf)
+        floor = np.zeros(n)
+        floor[two] = below
+        den = np.ones(n)
+        den[two] = severity.sf(below)
+        rest = self.states - top
+        tail = np.minimum(severity.sf(np.maximum(threshold - rest, floor)), den)
+        adapted = self.has_claims & (den > 0.0)
+        tail *= adapted
+        g = (self.states > threshold).astype(float)
+        np.divide(tail, den, out=g, where=adapted)
+        return g, tail, rest, at - self.starts
+
+    def redraw_largest_claims(self, severity, threshold: float, tail: np.ndarray,
+                              rest: np.ndarray, offset: np.ndarray,
+                              rng: UniformStream) -> int:
+        """After selection on :meth:`largest_claim_potential`, whose outputs
+        ``tail``, ``rest`` and ``offset`` were taken along with the
+        particles: redraw each particle's largest claim from
+        X | X > max(t - R, M) and return how many particles moved.
+
+        Reads N uniforms u; the new claim is isf(u tail), a Gibbs move
+        that leaves the base law invariant and, given the selection, puts
+        the population in {Z > t}.  A particle keeps its claims where
+        u tail is 0 (its potential was the indicator) or where rounding
+        puts its new loss at or below t.
+        """
+        q = rng.uniforms(len(self.states))
+        q *= tail
+        drawn = q > 0.0
+        if not drawn.all():
+            q = np.where(drawn, q, 1.0)
+        redrawn = severity.isf(q)
+        states = rest + redrawn
+        return self._write(self.starts + offset, redrawn, states, drawn & (states > threshold))
+
+    def _write(self, at, claims, states, moved) -> int:
+        """Put the moved particles' new claims at ``at`` and their new
+        losses in place; return how many moved."""
+        if moved.all():
+            self.severities[at] = claims
+        else:
+            self.severities[at[moved]] = claims[moved]
         np.copyto(self.states, states, where=moved)
         return int(np.count_nonzero(moved))
 
@@ -124,11 +214,9 @@ class SmcEstimate:
     ``estimate`` is the product of per-level success fractions;
     ``replicate_rse`` is filled by :func:`replicate_smc` when the run
     is repeated.  ``trace`` holds one diagnostic dict per level reached:
-    its level, threshold, success fraction, ess and the acceptance rate
-    of its moves (None at the last level, which does not move).
-    ``population`` is the final claim population, selected into the last
-    level set: a sample of the compound law given the rare event (None
-    after extinction).
+    its level, threshold, success fraction (the mean potential), ess =
+    (sum g)^2 / sum g^2 and the acceptance rate of its moves (None at
+    the last level, which does not move).
     """
 
     estimate: float
@@ -137,7 +225,6 @@ class SmcEstimate:
     extinct_level: int | None = None
     replicate_rse: float | None = None
     trace: list | None = None
-    population: ClaimPopulation | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.estimate <= 1.0):
@@ -196,18 +283,27 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     multiplicative level-fraction formula.
 
     Every particle carries its claims (:class:`ClaimPopulation`, drawn as
-    crude Monte Carlo draws years).  Each level p selects on the
-    indicator of {Z > t_p}, copying whole particles by their ancestor
-    indices (:func:`selection_transition`); the running product of
-    success fractions is the unbiased normalizing-constant estimate.
-    Every level but the last then runs ``mutation_steps`` sweeps of an
-    exact random-scan Gibbs sampler: each particle redraws one uniformly
-    chosen claim X_j from its law given the others and Z > t, by
-    inversion (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's
-    generalized splitting).  Each sweep leaves the compound law
-    restricted to the level set invariant, which is all the product
-    estimator needs; a level's ``acceptance_rate`` is near 1 and counts
-    never change.
+    crude Monte Carlo draws years).  Level p's success fraction is the
+    mean of its potentials, and the running product of the fractions is
+    the unbiased normalizing-constant estimate.  The first level's
+    potential is the chance that a Gibbs move of each particle's largest
+    claim clears t_0 (:meth:`ClaimPopulation.largest_claim_potential`, a
+    look-ahead potential, or fully adapted selection); every later level
+    selects on the indicator of {Z > t_p}.  Each level but the last
+    copies whole particles by their ancestor indices
+    (:func:`selection_transition`) and makes ``mutation_steps`` moves
+    that leave the compound law restricted to the level set invariant.
+    At the first level the first move is the redraw of each selected
+    particle's largest claim above its floor
+    (:meth:`ClaimPopulation.redraw_largest_claims`), which the selection
+    needs to land in the level set, so that level makes it even with
+    ``mutation_steps`` 0.  Every other move is a sweep of an exact
+    random-scan Gibbs sampler: each particle redraws one uniformly chosen
+    claim X_j from its law given the others and Z > t, by inversion
+    (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's generalized
+    splitting).  A level's ``acceptance_rate`` is near 1 and counts never
+    change.  The last level's fraction is read with no selection, and no
+    population is returned.
 
     Extinction at any level returns a zero estimate carrying the level
     index rather than retrying, so unbiasedness is preserved.  A model
@@ -222,36 +318,47 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     if mutation_steps < 0:
         raise ValueError("need a nonnegative number of mutation steps")
     N, mutation_steps = int(N), int(mutation_steps)
+    severity = model.severity
     pop = ClaimPopulation.sample(model, N, rng)
     thresholds = levels.thresholds
     fractions = []
     trace = []
     for p, threshold in enumerate(thresholds):
-        g = (pop.states > threshold).astype(float)
-        frac = float(np.mean(g))
+        if p == 0:
+            g, tail, rest, offset = pop.largest_claim_potential(severity, threshold)
+        else:
+            g = (pop.states > threshold).astype(float)
+        total = float(g.sum())
+        frac = total / N
         fractions.append(frac)
         row = {
             "level": p,
             "threshold": float(threshold),
             "success_fraction": frac,
-            "ess": N * frac,  # indicator weights: (sum w)^2 / sum w^2 = N * frac
+            "ess": total * total / float(g @ g) if total else 0.0,
             "acceptance_rate": None,
         }
         trace.append(row)
         if frac == 0.0:
             return SmcEstimate(estimate=0.0, level_fractions=fractions,
                                thresholds=thresholds, extinct_level=p, trace=trace)
-        pop = pop.take(selection_transition(g, rng))
-        _confined(pop.states, threshold, "selection")
         if p + 1 == len(thresholds):
             break
-        accepted = 0
-        for _ in range(mutation_steps):
-            accepted += pop.gibbs_step(model.severity, threshold, rng)
+        ancestors = selection_transition(g, rng)
+        pop = pop.take(ancestors)
+        accepted, sweeps = 0, mutation_steps
+        if p == 0:
+            accepted = pop.redraw_largest_claims(severity, threshold, tail[ancestors],
+                                                 rest[ancestors], offset[ancestors], rng)
+            sweeps = max(mutation_steps - 1, 0)
+        _confined(pop.states, threshold, "selection")
+        for _ in range(sweeps):
+            accepted += pop.gibbs_step(severity, threshold, rng)
             _confined(pop.states, threshold, "mutation")
-        row["acceptance_rate"] = accepted / (N * mutation_steps) if mutation_steps else None
+        moves = sweeps + (p == 0)
+        row["acceptance_rate"] = accepted / (N * moves) if moves else None
     return SmcEstimate(estimate=float(np.prod(fractions)), level_fractions=fractions,
-                       thresholds=thresholds, trace=trace, population=pop)
+                       thresholds=thresholds, trace=trace)
 
 
 def replicate_smc(model: CompoundModel, levels: LevelSequence, mutation_steps: int, N: int,

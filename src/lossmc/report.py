@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,11 +57,21 @@ _LEVELS_TABLE1 = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)
 
 def _whole(value, name: str) -> int:
     """``value`` as an int.  A float must be integral (5000.0 passes, 2.7
-    does not), where int() would truncate it, and a bool is no count,
-    where int() would read true as 1."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    does not), where int() would truncate it; a bool or a string is no
+    count, where int() would read true as 1 and "1000" as 1000."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not integral:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float.  A bool or a string is no number, where
+    float() would read true as 1.0 and "0.5" as 0.5."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -157,7 +168,7 @@ def _sig6(value):
 def _run_mc(model, cfg: ExperimentConfig):
     m = cfg.method
     T = _whole(m.get("T", 1_000_000), "T")
-    ci_level = float(m.get("ci_level", 0.95))
+    ci_level = _real(m.get("ci_level", 0.95), "ci_level")
     batch = simulate_compound_parallel(model, T, cfg.seed, threads=cfg.threads)
     rows = []
     for alpha in cfg.levels:
@@ -189,10 +200,10 @@ def _run_sla(model, cfg: ExperimentConfig):
 
 def _run_panjer(model, cfg: ExperimentConfig):
     m = cfg.method
-    step = float(m.get("step", 0.01))
+    step = _real(m.get("step", 0.01), "step")
     x_max = m.get("x_max")
     pmf = oracle_compound_pmf(model, step=step,
-                              x_max=None if x_max is None else float(x_max),
+                              x_max=None if x_max is None else _real(x_max, "x_max"),
                               method=m.get("discretization", LOCAL_MOMENTS))
     rows = []
     for alpha in cfg.levels:
@@ -203,15 +214,15 @@ def _run_panjer(model, cfg: ExperimentConfig):
 
 def _particle_config(model, m: dict) -> PathSamplerConfig:
     return PathSamplerConfig(proposal=SizeBiasedProposal(model.severity),
-                             p_d=float(m.get("p_d", default_absorption(model))))
+                             p_d=_real(m.get("p_d", default_absorption(model)), "p_d"))
 
 
 def _run_particle(model, cfg: ExperimentConfig):
     m = cfg.method
-    width = float(m.get("grid_width", 1.0))
+    width = _real(m.get("grid_width", 1.0), "grid_width")
     if not (0.0 < width < math.inf):
         raise ValueError(f"grid_width must be positive and finite, got {width}")
-    x_max = float(m.get("x_max", 40.0 * max(model.mean(), 1.0)))
+    x_max = _real(m.get("x_max", 40.0 * max(model.mean(), 1.0)), "x_max")
     if not (0.5 * width < x_max < math.inf):
         raise ValueError(f"x_max must be finite and above half the grid_width "
                          f"({0.5 * width:g}) so the grid has a point, got {x_max}")

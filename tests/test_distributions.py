@@ -335,6 +335,42 @@ def test_guide_table_hand_trace_poisson_ln2():
     assert list(_searchsorted_reference(table, u)) == expected
 
 
+def _heavy_top_cdf():
+    """Most of the mass in the top bucket: one entry at 0.9, then 999
+    tiny ones."""
+    g = np.concatenate([[0.9], np.full(999, 0.1 / 999)])
+    return np.cumsum(g) / g.sum()
+
+
+def _rounds_above_one_cdf():
+    """A cdf whose last entries round above 1, so floor(m cdf) passes m."""
+    cdf = np.cumsum(np.full(300, 1.0 / 300))
+    cdf[-5:] = [np.nextafter(1.0, 2.0), 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.0 + 1e-3]
+    return cdf
+
+
+def _skewed_cdf():
+    """Random masses u^30: a few large steps among many tiny ones."""
+    g = PcgStream(3737).uniforms(1000) ** 30
+    return np.cumsum(g) / g.sum()
+
+
+@pytest.mark.parametrize("cdf", [
+    _heavy_top_cdf(),
+    _rounds_above_one_cdf(),
+    _skewed_cdf(),
+    np.array([1.0]),
+    np.array([0.25, 0.5, 0.5, 0.5, 1.0]),
+], ids=["heavy-top", "rounds-above-1", "random-skewed", "single", "flat-runs"])
+def test_guide_table_matches_searchsorted_construction(cdf):
+    """Counting bucket indices gives the guide the m binary searches gave:
+    entry j is the first index whose floor(m cdf) reaches j."""
+    m = len(cdf)
+    expected = np.searchsorted(np.floor(cdf * m), np.arange(m + 1))
+    guide = _guide_table(cdf)
+    assert guide.dtype == expected.dtype and np.array_equal(guide, expected)
+
+
 @pytest.mark.parametrize("freq", [
     PoissonFrequency(math.log(2.0)),
     PoissonFrequency(3.0),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,23 +212,52 @@ def test_smc_needs_two_particles():
         smc_rare_event(sigma05_model(), lev, 1, 1, PcgStream(1))
 
 
+def _look_ahead_reference(pop, severity, threshold):
+    """G of :meth:`ClaimPopulation.largest_claim_potential`, row by row."""
+    g = []
+    for count, start, z in zip(pop.counts, pop.starts, pop.states):
+        claims = sorted(pop.severities[start:start + count])
+        floor = np.nextafter(claims[-2] if count > 1 else 0.0, -np.inf)
+        den = severity.sf(floor) if count else 0.0
+        if den == 0.0:
+            g.append(float(z > threshold))
+        else:
+            rest = z - claims[-1]
+            g.append(min(severity.sf(max(threshold - rest, floor)), den) / den)
+    return np.array(g)
+
+
 def test_single_level_equals_crude_fraction():
-    """The population is drawn as crude Monte Carlo draws years."""
+    """The population is drawn as crude Monte Carlo draws years, and one
+    level's estimate is the mean look-ahead potential over those draws."""
     model = sigma05_model()
     lev = LevelSequence(thresholds=np.array([20.0]))
     est = smc_rare_event(model, lev, 3, 400, PcgStream(606))
-    crude = float(np.mean(simulate_compound(model, 400, PcgStream(606)).values > 20.0))
-    assert est.estimate == crude
+    pop = ClaimPopulation.sample(model, 400, PcgStream(606))
+    assert np.array_equal(pop.states, simulate_compound(model, 400, PcgStream(606)).values)
+    g = _look_ahead_reference(pop, model.severity, 20.0)
+    assert est.estimate == pytest.approx(g.mean(), rel=1e-12)
+    assert np.allclose(pop.largest_claim_potential(model.severity, 20.0)[0], g,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_estimate_is_product_of_level_fractions():
+    model = sigma05_model()
     lev = LevelSequence(thresholds=np.array([20.0, 40.0]))
-    est = smc_rare_event(sigma05_model(), lev, 3, 500, PcgStream(11))
+    est = smc_rare_event(model, lev, 3, 500, PcgStream(11))
     assert est.estimate == float(np.prod(est.level_fractions))
     assert est.extinct_level is None
     # one trace row per level; the last level does not move
     assert [row["threshold"] for row in est.trace] == [20.0, 40.0]
-    assert [row["ess"] for row in est.trace] == [500 * f for f in est.level_fractions]
+    # ess = (sum g)^2 / sum g^2: the look-ahead potentials of the first
+    # level, drawn from the same stream, then an indicator level, whose
+    # ess is its success count
+    g = ClaimPopulation.sample(model, 500, PcgStream(11)).largest_claim_potential(
+        model.severity, 20.0)[0]
+    assert est.trace[0]["ess"] == pytest.approx(g.sum() ** 2 / (g @ g), rel=1e-12)
+    # g <= 1 gives sum g^2 <= sum g, so ess >= N * fraction
+    assert 500 * est.level_fractions[0] <= est.trace[0]["ess"] <= 500
+    assert est.trace[1]["ess"] == round(500 * est.level_fractions[1])
     assert 0.0 < est.trace[0]["acceptance_rate"] <= 1.0
     assert est.trace[1]["acceptance_rate"] is None
 
@@ -239,7 +269,7 @@ def test_extinction_returns_zero_with_level_index():
     assert est.extinct_level == 1
     assert est.level_fractions[1] == 0.0 and est.level_fractions[0] > 0.0
     assert len(est.trace) == 2
-    assert est.population is None
+    assert est.trace[1]["ess"] == 0.0
 
 
 def test_splitting_unbiased_on_enumerable_toy():
@@ -309,17 +339,18 @@ def test_degenerate_claims_cannot_move_yet_the_ladder_is_exact():
 
 def test_claim_scores_stay_the_sums_of_their_own_claims():
     """Below zero every particle with claims redraws one claim per sweep,
-    unconditionally (c < 0); after selection above 0, each particle's
-    score is still the sum of its own claims."""
+    unconditionally (c < 0); after a selection into Z > 20 and more
+    sweeps there, each particle's score is still the sum of its own
+    claims."""
     model = sigma1_model()
-    levels = LevelSequence(thresholds=np.array([-1.0, 0.0]))
-    est = smc_rare_event(model, levels, 5, 500, PcgStream(2020))
-    pop = est.population
-    assert isinstance(pop, ClaimPopulation)
-    assert est.level_fractions[0] == 1.0
-    # every move at t = -1 is accepted, except for particles without claims
-    assert est.trace[0]["acceptance_rate"] >= 0.8
-    assert np.all(pop.counts >= 1) and np.all(pop.states > 0.0)
+    rng = PcgStream(2020)
+    pop = ClaimPopulation.sample(model, 500, rng)
+    moved = [pop.gibbs_step(model.severity, -1.0, rng) for _ in range(5)]
+    assert moved == [np.count_nonzero(pop.counts)] * 5
+    pop = pop.take(np.flatnonzero(pop.states > 20.0))
+    for _ in range(5):
+        pop.gibbs_step(model.severity, 20.0, rng)
+    assert len(pop.states) > 0 and np.all(pop.states > 20.0)
     sums = np.add.reduceat(pop.severities, pop.starts)
     assert np.allclose(pop.states, sums, rtol=1e-12, atol=1e-12)
 
@@ -361,6 +392,71 @@ def test_claim_gibbs_step_keeps_a_claim_whose_floor_underflows():
     assert pop.severities.tolist() == [1e20]
 
 
+def test_largest_claim_look_ahead_hand_trace():
+    """t = 10.  Particle 0 has no claim: G = 1{0 > 10} = 0.  Particle 1
+    has one claim, so R = 0 and no runner-up: G = sf(10).  Particle 2
+    has claims 2, 6, 1 (Z = 9): its largest claim 6 moves above
+    max(10 - 3, 2) = 7, so G = sf(7) / sf(2-).  Selecting 2, 1, 2 and
+    redrawing by u = 0.5, 0.25, 0.75 puts isf(u tail) in each row's
+    largest slot."""
+    sev = LogNormalSeverity(2.0, 1.0)
+    pop = ClaimPopulation(counts=np.array([0, 1, 3]),
+                          severities=np.array([4.0, 2.0, 6.0, 1.0]),
+                          states=np.array([0.0, 4.0, 9.0]))
+    g, tail, rest, offset = pop.largest_claim_potential(sev, 10.0)
+    below_2 = np.nextafter(2.0, -np.inf)
+    assert g[0] == 0.0 and g[1] == sev.sf(10.0)
+    assert g[2] == sev.sf(7.0) / sev.sf(below_2) and 0.0 < g[2] < 1.0
+    assert tail.tolist() == [0.0, sev.sf(10.0), sev.sf(7.0)]
+    assert rest.tolist() == [0.0, 0.0, 3.0] and offset[1:].tolist() == [0, 1]
+
+    idx = np.array([2, 1, 2])
+    out = pop.take(idx)
+    moved = out.redraw_largest_claims(sev, 10.0, tail[idx], rest[idx], offset[idx],
+                                      SequenceStream([0.5, 0.25, 0.75]))
+    assert moved == 3
+    x0, x1, x2 = (sev.isf(u * sev.sf(c)) for u, c in ((0.5, 7.0), (0.25, 10.0), (0.75, 7.0)))
+    assert out.severities.tolist() == [2.0, x0, 1.0, x1, 2.0, x2, 1.0]
+    assert out.states.tolist() == [3.0 + x0, x1, 3.0 + x2]
+    assert np.all(out.states > 10.0)
+
+
+def test_atom_ties_give_indicator_potentials():
+    """With a point mass every claim ties with the runner-up, sf(M-) = 1
+    and G = 1{Z > t}: the coin toy and the Z = N ladder stay exact, and
+    the redraw returns the atom."""
+    for model, t in ((coin_model(), 0.5), (coin_model(), 1.5),
+                     (CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0)), 2.5)):
+        pop = ClaimPopulation.sample(model, 1000, PcgStream(2121))
+        g, tail, rest, offset = pop.largest_claim_potential(model.severity, t)
+        assert np.array_equal(g, (pop.states > t).astype(float))
+        live = np.flatnonzero(g)
+        out = pop.take(live)
+        out.redraw_largest_claims(model.severity, t, tail[live], rest[live], offset[live],
+                                  PcgStream(2222))
+        assert np.array_equal(out.severities, np.ones(out.severities.size))
+        assert np.array_equal(out.states, pop.states[live])
+
+
+def test_runner_up_survival_underflow_gives_the_indicator():
+    """Above about 1e17 the sigma = 1 survival is 0: a particle whose
+    runner-up claim is there selects on 1{Z > t} and keeps its claims;
+    no division by the zero survival warns."""
+    sev = LogNormalSeverity(2.0, 1.0)
+    pop = ClaimPopulation(counts=np.array([2, 2, 1]),
+                          severities=np.array([1e20, 1e20, 1e20, 3e20, 5.0]),
+                          states=np.array([2e20, 4e20, 5.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, tail, rest, offset = pop.largest_claim_potential(sev, 3e20)
+        assert g.tolist() == [0.0, 1.0, sev.sf(3e20)]
+        assert tail[:2].tolist() == [0.0, 0.0]
+        out = pop.take(np.array([1]))
+        assert out.redraw_largest_claims(sev, 3e20, tail[[1]], rest[[1]], offset[[1]],
+                                         SequenceStream([0.5])) == 0
+    assert out.severities.tolist() == [1e20, 3e20]
+
+
 def _select_a_zero_potential_ancestor(g, rng):
     """A broken selection: every particle descends from one outside the level."""
     return np.full(len(g), int(np.argmin(g)))
@@ -381,8 +477,9 @@ def test_population_outside_the_level_set_raises(phase, monkeypatch):
     else:
         monkeypatch.setattr(ClaimPopulation, "gibbs_step", _push_below_the_level)
     levels = LevelSequence(thresholds=np.array([20.0, 40.0]))
+    # two moves, so one ordinary sweep follows the first level's redraw
     with pytest.raises(RuntimeError, match=phase):
-        smc_rare_event(sigma05_model(), levels, 1, 100, PcgStream(1))
+        smc_rare_event(sigma05_model(), levels, 2, 100, PcgStream(1))
 
 
 def test_replicate_runner_reports_relative_error():

@@ -451,13 +451,25 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     ("rare-event", dict(RARE_EVENT, thresholds=[20.0], mh_steps=True),
      "mh_steps must be a whole number"),
     ("sla", {"kind": "sla", "order": True}, "order must be 1 or 2"),
+    # float() read true as 1.0: a unit lattice, or p_d = 1 (every path absorbed)
+    ("simulate", {"kind": "mc", "T": 100, "ci_level": True}, "ci_level must be a number"),
+    ("panjer", {"kind": "panjer", "step": True, "x_max": 10.0}, "step must be a number"),
+    ("panjer", {"kind": "panjer", "step": 0.5, "x_max": True}, "x_max must be a number"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10, "p_d": True},
+     "p_d must be a number"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10, "grid_width": True},
+     "grid_width must be a number"),
+    ("particle", {"kind": "particle", "x_max": True, "n_per_point": 10}, "x_max must be a number"),
+    # int("100") is 100: a count must be a JSON number
+    ("simulate", {"kind": "mc", "T": "100"}, "T must be a whole number"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
         "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
         "sla-order-5", "sla-order-0", "sla-order-negative", "T-fraction",
         "n_per_point-fraction", "n_particles-fraction", "mh_steps-fraction",
         "replicates-fraction", "n_per_point-nan", "T-bool", "mh_steps-bool",
-        "sla-order-bool"])
+        "sla-order-bool", "ci_level-bool", "step-bool", "panjer-x_max-bool", "p_d-bool",
+        "grid_width-bool", "particle-x_max-bool", "T-string"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)
@@ -470,7 +482,7 @@ def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, messag
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("field,value", [("seed", 3.5), ("threads", 1.5)])
+@pytest.mark.parametrize("field,value", [("seed", 3.5), ("threads", 1.5), ("seed", "7")])
 def test_cli_rejects_non_integral_seed_and_threads(tmp_path, capsys, field, value):
     cfg = _write_config(tmp_path, {"kind": "mc", "T": 100}, **{field: value})
     rc = main(["simulate", "--config", cfg, "--path", str(tmp_path / "x.csv")])
@@ -516,9 +528,9 @@ class _TwoArgumentError(RuntimeError):
 
 @pytest.mark.parametrize("make,field,value", [
     (lambda: _TwoArgumentError("bad block", 7), "code", 7),
-    (lambda: ExtinctionError("every particle died", level=3), "level", 3),
+    (lambda: ExtinctionError("every particle died"), "args", ("every particle died",)),
     (lambda: NumericError("no convergence", achieved=1e-3), "achieved", 1e-3),
-], ids=["two-argument", "extinction-level", "numeric-achieved"])
+], ids=["two-argument", "extinction", "numeric-achieved"])
 def test_runner_errors_keep_class_and_fields(tmp_path, capsys, monkeypatch,
                                              make, field, value):
     """run_experiment re-raises the runner's own exception object."""
