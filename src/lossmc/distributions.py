@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy import special
 
+from .config import COUNT, REAL, REQUIRED, read_block
 from .errors import UnsupportedModelError
 from .normal import norm_cdf, norm_pdf, norm_quantile, norm_sf
 from .rng import UniformStream
@@ -641,35 +642,34 @@ class DegenerateSeverity(SeverityModel):
 # Construction from config fragments
 # ---------------------------------------------------------------------------
 
-_FREQ_BUILDERS = {
-    "poisson": lambda d: PoissonFrequency(lam=float(d["lambda"])),
-    "binomial": lambda d: BinomialFrequency(m=int(d["m"]), q=float(d["q"])),
-    "negbinomial": lambda d: NegativeBinomialFrequency(r=float(d["r"]), beta=float(d["beta"])),
-    "genpoisson": lambda d: GeneralizedPoissonFrequency(lam=float(d["lambda"]), theta=float(d["theta"])),
+# kind -> (model class, {config key: (argument, value kind)})
+_FREQUENCIES = {
+    "poisson": (PoissonFrequency, {"lambda": ("lam", REAL)}),
+    "binomial": (BinomialFrequency, {"m": ("m", COUNT), "q": ("q", REAL)}),
+    "negbinomial": (NegativeBinomialFrequency, {"r": ("r", REAL), "beta": ("beta", REAL)}),
+    "genpoisson": (GeneralizedPoissonFrequency,
+                   {"lambda": ("lam", REAL), "theta": ("theta", REAL)}),
+}
+_SEVERITIES = {
+    "lognormal": (LogNormalSeverity, {"mu": ("mu", REAL), "sigma": ("sigma", REAL)}),
+    "pareto": (ParetoSeverity, {"a": ("a", REAL), "s": ("s", REAL)}),
+    "degenerate": (DegenerateSeverity, {"atom": ("atom", REAL)}),
 }
 
-_SEV_BUILDERS = {
-    "lognormal": lambda d: LogNormalSeverity(mu=float(d["mu"]), sigma=float(d["sigma"])),
-    "pareto": lambda d: ParetoSeverity(a=float(d["a"]), s=float(d["s"])),
-    "degenerate": lambda d: DegenerateSeverity(atom=float(d["atom"])),
-}
+
+def _build(fragment, laws: dict, block: str):
+    kind = str(fragment.get("kind", "")).lower() if isinstance(fragment, dict) else None
+    if kind not in laws:
+        raise ValueError(f"{block}.kind must be one of {sorted(laws)}, got {kind!r}")
+    cls, args = laws[kind]
+    values = read_block(fragment, {key: (vkind, REQUIRED) for key, (_, vkind) in args.items()},
+                        f"{kind} {block}", kinded=True)
+    return cls(**{args[key][0]: value for key, value in values.items()})
 
 
 def build_frequency(fragment: dict) -> FrequencyModel:
-    kind = str(fragment.get("kind", "")).lower()
-    if kind not in _FREQ_BUILDERS:
-        raise ValueError(f"frequency.kind must be one of {sorted(_FREQ_BUILDERS)}, got {kind!r}")
-    try:
-        return _FREQ_BUILDERS[kind](fragment)
-    except KeyError as exc:
-        raise ValueError(f"frequency config missing field {exc}") from exc
+    return _build(fragment, _FREQUENCIES, "frequency")
 
 
 def build_severity(fragment: dict) -> SeverityModel:
-    kind = str(fragment.get("kind", "")).lower()
-    if kind not in _SEV_BUILDERS:
-        raise ValueError(f"severity.kind must be one of {sorted(_SEV_BUILDERS)}, got {kind!r}")
-    try:
-        return _SEV_BUILDERS[kind](fragment)
-    except KeyError as exc:
-        raise ValueError(f"severity config missing field {exc}") from exc
+    return _build(fragment, _SEVERITIES, "severity")

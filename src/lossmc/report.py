@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +23,12 @@ from .compound import (
     empirical_quantile_ci,
     simulate_compound_parallel,
 )
+from .config import COUNT, REAL, REALS, REQUIRED, check_keys, read_block, read_value
 from .distributions import build_frequency, build_severity
 from .errors import LevelRangeError, TruncationError
 from .panjer import (
     LOCAL_MOMENTS,
+    ROUNDING,
     oracle_compound_pmf,
     oracle_tail_stats,
 )
@@ -42,36 +43,22 @@ from .volterra import (
     risk_measures_from_measure,
 )
 
-# The keys each method kind reads besides "kind"; any other key is a typo
-# that would otherwise fall back to a default silently.
-_METHOD_KEYS = {
-    "mc": {"T", "ci_level"},
-    "sla": {"order"},
-    "panjer": {"step", "x_max", "discretization"},
-    "particle": {"grid_width", "x_max", "n_per_point", "p_d"},
-    "rare-event": {"thresholds", "n_particles", "mh_steps", "replicates"},
+# key -> (kind, default) of each method block besides "kind"; a default of
+# None is the model's own (see the runner)
+_METHODS = {
+    "mc": {"T": (COUNT, 1_000_000), "ci_level": (REAL, 0.95)},
+    "sla": {"order": ((1, 2), 1)},
+    "panjer": {"step": (REAL, 0.01), "x_max": (REAL, None),
+               "discretization": ((LOCAL_MOMENTS, ROUNDING), LOCAL_MOMENTS)},
+    "particle": {"grid_width": (REAL, 1.0), "x_max": (REAL, None),
+                 "n_per_point": (COUNT, 50_000), "p_d": (REAL, None)},
+    "rare-event": {"thresholds": (REALS, REQUIRED), "n_particles": (COUNT, 10_000),
+                   "mh_steps": (COUNT, 5), "replicates": (COUNT, 16)},
 }
-_METHODS = tuple(_METHOD_KEYS)
+_MODEL = {"frequency": (build_frequency, REQUIRED), "severity": (build_severity, REQUIRED)}
+# kind of each top-level config value besides the model and method blocks
+_CONFIG = {"levels": REALS, "seed": COUNT, "output": ("csv", "json"), "threads": COUNT}
 _LEVELS_TABLE1 = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)
-
-
-def _whole(value, name: str) -> int:
-    """``value`` as an int.  A float must be integral (5000.0 passes, 2.7
-    does not), where int() would truncate it; a bool or a string is no
-    count, where int() would read true as 1 and "1000" as 1000."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """``value`` as a float.  A bool or a string is no number, where
-    float() would read true as 1.0 and "0.5" as 0.5."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -86,42 +73,31 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.model, dict) or "frequency" not in self.model \
-                or "severity" not in self.model:
-            raise ValueError("model block must contain frequency and severity")
+        check_keys(self.model, _MODEL, "model")
         kind = self.method.get("kind") if isinstance(self.method, dict) else None
         if kind not in _METHODS:
-            raise ValueError(f"method.kind must be one of {_METHODS}, got {kind!r}")
-        unknown = set(self.method) - _METHOD_KEYS[kind] - {"kind"}
-        if unknown:
-            raise ValueError(f"unknown {kind} method keys {sorted(unknown)}; "
-                             f"allowed: {sorted(_METHOD_KEYS[kind])}")
-        levels = [float(a) for a in self.levels]
-        if not levels or any(not (0.0 < a < 1.0) for a in levels):
+            raise ValueError(f"method.kind must be one of {tuple(_METHODS)}, got {kind!r}")
+        # values are read when the run starts (_method_values)
+        check_keys(self.method, _METHODS[kind], f"{kind} method", kinded=True)
+        for key, vkind in _CONFIG.items():
+            setattr(self, key, read_value(getattr(self, key), vkind, key))
+        if any(not (0.0 < a < 1.0) for a in self.levels):
             raise ValueError("levels must be probabilities in (0, 1)")
-        self.levels = sorted(levels)
-        if self.output not in ("csv", "json"):
-            raise ValueError("output must be csv or json")
-        self.threads = _whole(self.threads, "threads")
+        self.levels.sort()
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        self.seed = _whole(self.seed, "seed")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             doc = json.load(fh)
-        known = {"model", "method", "levels", "seed", "output", "threads"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {"model", "method", *_CONFIG}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)
 
     def build_model(self) -> CompoundModel:
-        return CompoundModel(
-            frequency=build_frequency(self.model["frequency"]),
-            severity=build_severity(self.model["severity"]),
-        )
+        return CompoundModel(**read_block(self.model, _MODEL, "model"))
 
 
 @dataclass
@@ -165,29 +141,30 @@ def _sig6(value):
 # Method runners
 # ---------------------------------------------------------------------------
 
+def _method_values(cfg: ExperimentConfig) -> dict:
+    kind = cfg.method["kind"]
+    return read_block(cfg.method, _METHODS[kind], f"{kind} method", kinded=True)
+
+
 def _run_mc(model, cfg: ExperimentConfig):
-    m = cfg.method
-    T = _whole(m.get("T", 1_000_000), "T")
-    ci_level = _real(m.get("ci_level", 0.95), "ci_level")
-    batch = simulate_compound_parallel(model, T, cfg.seed, threads=cfg.threads)
+    m = _method_values(cfg)
+    batch = simulate_compound_parallel(model, m["T"], cfg.seed, threads=cfg.threads)
     rows = []
     for alpha in cfg.levels:
-        point, lo, hi = empirical_quantile_ci(batch, alpha, ci_level)
+        point, lo, hi = empirical_quantile_ci(batch, alpha, m["ci_level"])
         tail = batch.values[batch.values >= point]
         es = float(tail.mean()) if tail.size else None
         rows.append(ReportRow(alpha=alpha, method="mc", var=point,
                               var_lo=lo, var_hi=hi, es=es))
-    return rows, {"T": T, "ci_level": ci_level}
+    return rows, m
 
 
 def _run_sla(model, cfg: ExperimentConfig):
-    order = cfg.method.get("order", 1)
-    if isinstance(order, bool) or order not in (1, 2):
-        raise ValueError(f"sla order must be 1 or 2, got {order!r}")
+    m = _method_values(cfg)
     rows = []
     for alpha in cfg.levels:
         try:
-            if order == 2:
+            if m["order"] == 2:
                 res = sla_var_second_order(model, alpha)
                 var = res.var_second if res.var_second is not None else res.var_first
             else:
@@ -195,41 +172,31 @@ def _run_sla(model, cfg: ExperimentConfig):
         except LevelRangeError:
             continue
         rows.append(ReportRow(alpha=alpha, method="sla", var=float(var)))
-    return rows, {"order": int(order)}
+    return rows, m
 
 
 def _run_panjer(model, cfg: ExperimentConfig):
-    m = cfg.method
-    step = _real(m.get("step", 0.01), "step")
-    x_max = m.get("x_max")
-    pmf = oracle_compound_pmf(model, step=step,
-                              x_max=None if x_max is None else _real(x_max, "x_max"),
-                              method=m.get("discretization", LOCAL_MOMENTS))
+    m = _method_values(cfg)
+    pmf = oracle_compound_pmf(model, step=m["step"], x_max=m["x_max"],
+                              method=m["discretization"])
     rows = []
     for alpha in cfg.levels:
         q, es = oracle_tail_stats(pmf, alpha)
         rows.append(ReportRow(alpha=alpha, method="panjer", var=q, es=es))
-    return rows, {"step": step, "masses": len(pmf.masses)}
-
-
-def _particle_config(model, m: dict) -> PathSamplerConfig:
-    return PathSamplerConfig(proposal=SizeBiasedProposal(model.severity),
-                             p_d=_real(m.get("p_d", default_absorption(model)), "p_d"))
+    return rows, {"step": m["step"], "masses": len(pmf.masses)}
 
 
 def _run_particle(model, cfg: ExperimentConfig):
-    m = cfg.method
-    width = _real(m.get("grid_width", 1.0), "grid_width")
-    if not (0.0 < width < math.inf):
-        raise ValueError(f"grid_width must be positive and finite, got {width}")
-    x_max = _real(m.get("x_max", 40.0 * max(model.mean(), 1.0)), "x_max")
-    if not (0.5 * width < x_max < math.inf):
-        raise ValueError(f"x_max must be finite and above half the grid_width "
-                         f"({0.5 * width:g}) so the grid has a point, got {x_max}")
+    m = _method_values(cfg)
+    width = m["grid_width"]
+    x_max = 40.0 * max(model.mean(), 1.0) if m["x_max"] is None else m["x_max"]
+    if not (0.0 < 0.5 * width < x_max):
+        raise ValueError(f"need 0 < grid_width/2 < x_max so the grid has a point, "
+                         f"got grid_width {width}, x_max {x_max}")
     grid = np.arange(width, x_max + 0.5 * width, width)
-    n_per_point = _whole(m.get("n_per_point", 50_000), "n_per_point")
-    pcfg = _particle_config(model, m)
-    measure = estimate_density_grid(model, grid, n_per_point, pcfg,
+    p_d = default_absorption(model) if m["p_d"] is None else m["p_d"]
+    pcfg = PathSamplerConfig(proposal=SizeBiasedProposal(model.severity), p_d=p_d)
+    measure = estimate_density_grid(model, grid, m["n_per_point"], pcfg,
                                     PcgStream(cfg.seed))
     locs, _, se_surv = measure.survival()
 
@@ -249,7 +216,7 @@ def _run_particle(model, cfg: ExperimentConfig):
             rows.append(ReportRow(alpha=alpha, method="particle",
                                   var=float(locs[-1])))
             continue
-        _, es, _ = risk_measures_from_measure(measure, alpha)
+        _, es = risk_measures_from_measure(measure, alpha)
         i = int(np.searchsorted(locs, var))
         dens = max(float(measure.weights[i - 1]) if i else measure.zero_mass, 1e-300)
         # delta-method standard error of the quantile: SE of the right-tail
@@ -259,22 +226,17 @@ def _run_particle(model, cfg: ExperimentConfig):
                               var_lo=read(max(alpha - 1.96 * se_f, 1e-9)),
                               var_hi=read(alpha + 1.96 * se_f),
                               es=es, stderr=se_f / dens))
-    return rows, {"grid_width": width, "x_max": x_max, "n_per_point": n_per_point,
-                  "p_d": pcfg.p_d}
+    return rows, {"grid_width": width, "x_max": x_max, "n_per_point": m["n_per_point"],
+                  "p_d": p_d}
 
 
 def _run_rare_event(model, cfg: ExperimentConfig):
-    m = cfg.method
-    thresholds = m.get("thresholds")
-    if not thresholds:
-        raise ValueError("rare-event method requires a thresholds list")
-    levels = LevelSequence(thresholds=np.asarray(thresholds, dtype=float))
-    N = _whole(m.get("n_particles", 10_000), "n_particles")
-    steps = _whole(m.get("mh_steps", 5), "mh_steps")
-    reps = _whole(m.get("replicates", 16), "replicates")
+    m = _method_values(cfg)
+    levels = LevelSequence(thresholds=m["thresholds"])
     rows = []
     diag = {}
-    estimates = replicate_smc(model, levels, steps, N, PcgStream(cfg.seed), reps)
+    estimates = replicate_smc(model, levels, m["mh_steps"], m["n_particles"],
+                              PcgStream(cfg.seed), m["replicates"])
     for z, est in zip(levels.thresholds, estimates):
         alpha = 1.0 - est.estimate
         rows.append(ReportRow(alpha=alpha, method="rare-event", var=float(z)))
@@ -336,24 +298,18 @@ def reproduce_table1(preset: str, scale: float = 1.0) -> RiskReport:
     levels = list(_LEVELS_TABLE1)
     seed = 821_05 if preset == "sigma05" else 821_10
 
-    rows = []
     mc_cfg = ExperimentConfig(model=model_block,
                               method={"kind": "mc", "T": max(1000, int(5e7 * scale))},
                               levels=levels, seed=seed)
-    mc_report = run_experiment(mc_cfg)
-    rows.extend(mc_report.rows)
-
     particle_cfg = ExperimentConfig(
         model=model_block,
         method={"kind": "particle", "grid_width": 1.0, "x_max": x_max,
                 "n_per_point": max(100, int(5e4 * scale))},
         levels=levels, seed=seed + 1,
     )
-    rows.extend(run_experiment(particle_cfg).rows)
-
     sla_cfg = ExperimentConfig(model=model_block, method={"kind": "sla"},
                                levels=levels, seed=seed)
-    rows.extend(run_experiment(sla_cfg).rows)
+    rows = [row for cfg in (mc_cfg, particle_cfg, sla_cfg) for row in run_experiment(cfg).rows]
 
     meta = {
         "model": model_block,
@@ -422,25 +378,13 @@ def parse_report(path: str, format: str) -> RiskReport:
             return None
         return float(v)
 
-    rows = []
-    if format == "csv":
-        with open(path) as fh:
-            reader = csv.DictReader(fh)
-            for rec in reader:
-                rows.append(ReportRow(
-                    alpha=float(rec["alpha"]), method=rec["method"],
-                    var=float(rec["var"]), var_lo=undo(rec["var_lo"]),
-                    var_hi=undo(rec["var_hi"]), es=undo(rec["es"]),
-                    srm=undo(rec["srm"]), stderr=undo(rec["stderr"]),
-                ))
-        return RiskReport(rows=rows, meta={})
+    def row(rec):
+        return ReportRow(alpha=float(rec["alpha"]), method=rec["method"],
+                         var=float(rec["var"]),
+                         **{k: undo(rec[k]) for k in ("var_lo", "var_hi", "es", "srm", "stderr")})
+
     with open(path) as fh:
+        if format == "csv":
+            return RiskReport(rows=[row(rec) for rec in csv.DictReader(fh)], meta={})
         doc = json.load(fh)
-    for rec in doc["rows"]:
-        rows.append(ReportRow(
-            alpha=float(rec["alpha"]), method=rec["method"],
-            var=float(rec["var"]), var_lo=undo(rec["var_lo"]),
-            var_hi=undo(rec["var_hi"]), es=undo(rec["es"]),
-            srm=undo(rec["srm"]), stderr=undo(rec["stderr"]),
-        ))
-    return RiskReport(rows=rows, meta=doc.get("meta", {}))
+    return RiskReport(rows=[row(rec) for rec in doc["rows"]], meta=doc.get("meta", {}))

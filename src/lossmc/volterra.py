@@ -392,15 +392,13 @@ def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
     return float(locs[np.searchsorted(-surv, p - 1.0, side="left")])
 
 
-def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float,
-                               phi=None):
-    """(VaR, ES, SRM) read off the particle measure.
+def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float):
+    """(VaR, ES) read off the particle measure.
 
     ES is self-normalized over the tail atoms at and beyond the VaR --
     the raw weights target a density, so without renormalization the
     tail sum would estimate an unnormalized integral rather than a
-    conditional mean.  The SRM weights each ordered atom's probability
-    increment by phi evaluated at the cumulative probability.
+    conditional mean.
     """
     var = quantile_from_measure(measure, alpha)
     locs, w = measure.probability_atoms()
@@ -408,14 +406,7 @@ def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float,
     wt = w[tail]
     if wt.sum() <= 0.0:
         raise EmptyTailError(f"no particle mass at or beyond the {alpha} quantile")
-    es = float(np.dot(locs[tail], wt) / wt.sum())
-    srm = None
-    if phi is not None:
-        total = w.sum()
-        wn = w / total
-        cum = np.cumsum(wn)
-        srm = float(np.dot(locs * np.asarray(phi(cum), dtype=float), wn))
-    return var, es, srm
+    return var, float(np.dot(locs[tail], wt) / wt.sum())
 
 
 # ---------------------------------------------------------------------------

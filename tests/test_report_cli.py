@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -18,8 +19,10 @@ from lossmc import (
     reproduce_table1,
     run_experiment,
 )
+from lossmc import distributions
 from lossmc import report as report_module
 from lossmc.cli import main
+from lossmc.config import REQUIRED
 from lossmc.errors import ExtinctionError, NumericError
 
 SIGMA05_MODEL = {
@@ -168,6 +171,48 @@ def test_readme_config_example_runs():
     assert block is not None
     report = run_experiment(ExperimentConfig(**json.loads(block.group(1))))
     assert [row.method for row in report.rows] == ["sla"] * 3
+
+
+def _readme_kind(kind):
+    """A value kind as the README's config table prints it."""
+    if isinstance(kind, tuple):
+        return " or ".join(f"`{json.dumps(v)}`" for v in kind)
+    return kind
+
+
+def _readme_default(default):
+    """A default as the README's config table prints it; None for one the
+    run derives from the model, which the table describes in words."""
+    if default is REQUIRED or default is dataclasses.MISSING:
+        return "required"
+    return None if default is None else f"`{json.dumps(default)}`"
+
+
+def test_readme_config_table_lists_the_reader_tables():
+    """The README's config table lists exactly the keys, kinds and defaults
+    the reader's tables hold: top-level, model, method and law blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme[readme.index("| block | key | kind | default |"):].split("\n\n")[0]
+    rows = []
+    for line in table.splitlines()[2:]:
+        block, key, kind, default = (c.strip() for c in line.strip("|").split("|"))
+        # a derived default is described in words, not printed as a value
+        derived = not default.startswith("`") and default != "required"
+        rows.append((block, key, kind, None if derived else default))
+
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    expected = [("config", "model", "model block", "required"),
+                ("config", "method", "method block", "required")]
+    expected += [("config", key, _readme_kind(kind), _readme_default(defaults[key]))
+                 for key, kind in report_module._CONFIG.items()]
+    expected += [("model", key, f"{key} block", "required") for key in report_module._MODEL]
+    expected += [(method, key, _readme_kind(kind), _readme_default(default))
+                 for method, table in report_module._METHODS.items()
+                 for key, (kind, default) in table.items()]
+    expected += [(law, key, kind, "required")
+                 for laws in (distributions._FREQUENCIES, distributions._SEVERITIES)
+                 for law, (_, args) in laws.items() for key, (_, kind) in args.items()]
+    assert rows == expected
 
 
 def test_readme_python_examples_run():
@@ -462,6 +507,18 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     ("particle", {"kind": "particle", "x_max": True, "n_per_point": 10}, "x_max must be a number"),
     # int("100") is 100: a count must be a JSON number
     ("simulate", {"kind": "mc", "T": "100"}, "T must be a whole number"),
+    # np.asarray(..., dtype=float) read [true] as a ladder at 1 and ["20"] at 20
+    ("rare-event", dict(RARE_EVENT, thresholds=[True]), "thresholds must be a number"),
+    ("rare-event", dict(RARE_EVENT, thresholds=["20"]), "thresholds must be a number"),
+    # int(nan) used to fail with "cannot convert float NaN to integer"
+    ("simulate", {"kind": "mc", "T": 100, "ci_level": float("nan")}, "ci_level must be finite"),
+    ("panjer", {"kind": "panjer", "step": float("nan"), "x_max": 10.0}, "step must be finite"),
+    # math.ceil(inf) used to raise OverflowError
+    ("panjer", {"kind": "panjer", "step": 0.5, "x_max": float("inf")}, "x_max must be finite"),
+    ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10, "p_d": float("nan")},
+     "p_d must be finite"),
+    ("panjer", {"kind": "panjer", "step": 0.5, "x_max": 10.0, "discretization": True},
+     "discretization must be 'local_moments' or 'rounding'"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
         "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
@@ -469,11 +526,89 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
         "n_per_point-fraction", "n_particles-fraction", "mh_steps-fraction",
         "replicates-fraction", "n_per_point-nan", "T-bool", "mh_steps-bool",
         "sla-order-bool", "ci_level-bool", "step-bool", "panjer-x_max-bool", "p_d-bool",
-        "grid_width-bool", "particle-x_max-bool", "T-string"])
+        "grid_width-bool", "particle-x_max-bool", "T-string", "thresholds-bool",
+        "thresholds-string", "ci_level-nan", "step-nan", "panjer-x_max-inf", "p_d-nan",
+        "discretization-bool"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)
     rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and message in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+# a valid method block of each kind and the subcommand that runs it
+_VALID_METHODS = {
+    "simulate": {"kind": "mc", "T": 100},
+    "sla": {"kind": "sla"},
+    "panjer": {"kind": "panjer", "step": 0.5, "x_max": 50.0},
+    "particle": {"kind": "particle", "x_max": 5.0, "n_per_point": 10},
+    "rare-event": dict(RARE_EVENT, thresholds=[20.0]),
+}
+
+
+@pytest.mark.parametrize("command,key,bad", [
+    pytest.param(command, key, bad, id=f"{command}-{key}-{json.dumps(bad)}")
+    for command, method in _VALID_METHODS.items()
+    for key, (kind, _) in report_module._METHODS[method["kind"]].items()
+    for bad in ([[True], ["20"], [float("nan")]] if kind == "reals"
+                else [True, "1", float("nan")])
+])
+def test_cli_rejects_bool_string_and_nan_for_every_method_key(tmp_path, capsys,
+                                                              command, key, bad):
+    """No method value is read by int() or float(): true, "1" and NaN exit 2
+    for every key the method table lists."""
+    cfg = _write_config(tmp_path, dict(_VALID_METHODS[command], **{key: bad}))
+    rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and f"{key} must be" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("model,message", [
+    # float(true) is 1.0 and float("2") is 2.0: both used to run
+    ({"frequency": {"kind": "poisson", "lambda": True}}, "lambda must be a number"),
+    ({"frequency": {"kind": "poisson", "lambda": "2"}}, "lambda must be a number"),
+    # int(2.7) used to run as m = 2
+    ({"frequency": {"kind": "binomial", "m": 2.7, "q": 0.3}}, "m must be a whole number"),
+    # keys the law does not read used to be dropped without a word
+    ({"frequency": {"kind": "poisson", "lambda": 2.0, "theta": 0.3}},
+     "unknown poisson frequency keys ['theta']"),
+    ({"severity": {"kind": "lognormal", "mu": 2.0, "sigm": 0.5}},
+     "unknown lognormal severity keys ['sigm']"),
+    ({"copula": "gumbel"}, "unknown model keys ['copula']"),
+], ids=["lambda-bool", "lambda-string", "binomial-m-fraction", "poisson-theta",
+        "sigma-typo", "model-extra-key"])
+def test_cli_rejects_bad_model_values(tmp_path, capsys, model, message):
+    cfg = _write_config(tmp_path, {"kind": "sla"}, model={**SIGMA05_MODEL, **model})
+    rc = main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and message in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    # float("0.9") used to run the level as 0.9
+    ("levels", ["0.9"], "levels must be a number"),
+    ("levels", [True], "levels must be a number"),
+    ("levels", 0.9, "levels must be a nonempty list"),
+    ("output", True, "output must be 'csv' or 'json'"),
+], ids=["levels-string", "levels-bool", "levels-scalar", "output-bool"])
+def test_cli_rejects_bad_config_values(tmp_path, capsys, field, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": SIGMA05_MODEL, "method": {"kind": "sla"},
+                               "levels": [0.5], field: value}))
+    rc = main(["sla", "--config", str(cfg), "--path", str(tmp_path / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1

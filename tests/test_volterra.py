@@ -601,8 +601,7 @@ def test_density_grid_rejects_unsorted_points():
 def test_single_atom_measure_quantile_and_risk():
     meas = WeightedParticleMeasure(locations=np.array([5.0]), weights=np.array([1.0]))
     assert quantile_from_measure(meas, 0.7) == 5.0
-    var, es, srm = risk_measures_from_measure(meas, 0.5)
-    assert (var, es, srm) == (5.0, 5.0, None)
+    assert risk_measures_from_measure(meas, 0.5) == (5.0, 5.0)
     with pytest.raises(ValueError):
         quantile_from_measure(meas, 0.0)
     with pytest.raises(ValueError):
@@ -634,14 +633,14 @@ def test_short_grid_cannot_answer_deep_quantiles():
         quantile_from_measure(meas, 0.9995)
 
 
-def test_grid_spectral_mean_matches_model(sigma05_grid_full):
-    """phi == 1 turns the spectral measure into the plain mean."""
-    _, _, srm = risk_measures_from_measure(sigma05_grid_full, 0.5,
-                                           phi=lambda p: np.ones_like(p))
+def test_grid_mean_matches_model(sigma05_grid_full):
+    """The mean of the grid's probability atoms is the model mean."""
+    locs, w = sigma05_grid_full.probability_atoms()
+    mean = float(np.dot(locs, w) / w.sum())
     mean_ref = 2.0 * math.exp(2.125)
-    se = math.sqrt(np.sum(((sigma05_grid_full.locations - srm)
+    se = math.sqrt(np.sum(((sigma05_grid_full.locations - mean)
                            * sigma05_grid_full.stderr) ** 2))
-    assert abs(srm - mean_ref) <= 3.0 * se
+    assert abs(mean - mean_ref) <= 3.0 * se
 
 
 def test_grid_expected_shortfall_matches_recursion(sigma05_grid_full, sigma05_pmf):
@@ -649,7 +648,7 @@ def test_grid_expected_shortfall_matches_recursion(sigma05_grid_full, sigma05_pm
     VaR, so it is checked against the recursion's mean over the lattice
     from half a cell below the VaR up; the SE is the delta method's over
     the cells' standard errors."""
-    var, es, _ = risk_measures_from_measure(sigma05_grid_full, 0.99)
+    var, es = risk_measures_from_measure(sigma05_grid_full, 0.99)
     grid, masses = sigma05_pmf.grid(), sigma05_pmf.masses
     tail = grid >= var - 0.5
     ref = float(np.dot(grid[tail], masses[tail]) / masses[tail].sum())
