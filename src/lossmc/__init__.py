@@ -83,7 +83,6 @@ from .report import (
 )
 from .rng import PcgStream, SequenceStream, UniformStream
 from .volterra import (
-    PathSamplerConfig,
     SizeBiasedProposal,
     VolterraKernel,
     WeightedParticleMeasure,

@@ -27,7 +27,7 @@ from .distributions import (
     GeneralizedPoissonFrequency,
     SeverityModel,
 )
-from .errors import RecursionInstabilityError, TruncationError, UnsupportedModelError
+from .errors import RecursionInstabilityError, TruncationError
 
 ROUNDING = "rounding"
 LOCAL_MOMENTS = "local_moments"
@@ -49,14 +49,11 @@ class DiscreteSeverity:
 
     step: float
     masses: np.ndarray
-    method: str
 
     def __post_init__(self):
         self.masses = np.asarray(self.masses, dtype=float)
         if self.step <= 0.0:
             raise ValueError("step must be positive")
-        if self.method not in (ROUNDING, LOCAL_MOMENTS):
-            raise ValueError(f"unknown discretization method {self.method!r}")
         if np.any(self.masses < 0.0):
             raise ValueError("severity masses must be nonnegative")
         if self.masses.sum() > 1.0 + 1e-9:
@@ -119,7 +116,7 @@ def discretize_severity(model: SeverityModel, step: float, K: int,
         f = np.empty(K + 1)
         f[0] = model.cdf(edges[0])
         f[1:] = model.interval_masses(edges)
-        return DiscreteSeverity(step=step, masses=f, method=method)
+        return DiscreteSeverity(step=step, masses=f)
     if method == LOCAL_MOMENTS:
         edges = step * np.arange(K + 1)
         m0 = model.interval_masses(edges)
@@ -129,7 +126,7 @@ def discretize_severity(model: SeverityModel, step: float, K: int,
         f = np.zeros(K + 1)
         f[:-1] += np.maximum(w_left, 0.0)
         f[1:] += np.maximum(w_right, 0.0)
-        return DiscreteSeverity(step=step, masses=f, method=method)
+        return DiscreteSeverity(step=step, masses=f)
     raise ValueError(f"unknown discretization method {method!r}")
 
 
@@ -268,20 +265,12 @@ def gpd_panjer_discrete(lam: float, theta: float, sev: DiscreteSeverity,
                         M: int) -> CompoundPmf:
     """Compound masses under a generalized Poisson frequency.
 
-    For theta in [0, 1) the count is a Poisson(lam) number of Borel(theta)
-    clusters, whose pgf has the Lambert-W closed form that
-    :func:`compound_pmf_transform` evaluates.  Negative dispersion has no
-    such cluster representation and is not supported here.
+    :func:`compound_pmf_transform` evaluates the law's pgf: for theta in
+    [0, 1) the Lambert-W closed form of a Poisson(lam) number of
+    Borel(theta) clusters, for theta < 0 the polynomial of its finite
+    support.  The law itself rejects parameters outside its admissible
+    region.
     """
-    if lam <= 0.0:
-        raise ValueError("rate must be positive")
-    if theta < 0.0:
-        raise UnsupportedModelError(
-            "underdispersed generalized Poisson has no cluster "
-            "representation; only theta in [0, 1) is supported"
-        )
-    if theta >= 1.0:
-        raise ValueError("dispersion must be < 1")
     return compound_pmf_transform(GeneralizedPoissonFrequency(lam, theta), sev, M)
 
 
@@ -305,19 +294,17 @@ def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):
 
 def oracle_compound_pmf(model, step: float = DEFAULT_STEP, x_max: float | None = None,
                         method: str = LOCAL_MOMENTS) -> CompoundPmf:
-    """One-call oracle: discretize the severity and transform it.
+    """One-call oracle: discretize the severity and transform it, for
+    every frequency kind.
 
     ``x_max`` defaults to a generous multiple of the mean; raise it (or
     catch TruncationError from the quantile call) for very deep levels.
     """
-    freq = model.frequency
     if x_max is None:
         x_max = 40.0 * max(model.mean(), 1.0)
     M = int(math.ceil(x_max / step))
     sev = discretize_severity(model.severity, step, M, method=method)
-    if freq.kind == "genpoisson":
-        return gpd_panjer_discrete(freq.lam, freq.theta, sev, M)
-    return compound_pmf_transform(freq, sev, M)
+    return compound_pmf_transform(model.frequency, sev, M)
 
 
 def oracle_tail_stats(pmf: CompoundPmf, alpha: float):

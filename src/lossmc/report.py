@@ -35,8 +35,6 @@ from .panjer import (
 from .rare_event import LevelSequence, replicate_smc
 from .rng import PcgStream
 from .volterra import (
-    PathSamplerConfig,
-    SizeBiasedProposal,
     default_absorption,
     estimate_density_grid,
     quantile_from_measure,
@@ -195,9 +193,7 @@ def _run_particle(model, cfg: ExperimentConfig):
                          f"got grid_width {width}, x_max {x_max}")
     grid = np.arange(width, x_max + 0.5 * width, width)
     p_d = default_absorption(model) if m["p_d"] is None else m["p_d"]
-    pcfg = PathSamplerConfig(proposal=SizeBiasedProposal(model.severity), p_d=p_d)
-    measure = estimate_density_grid(model, grid, m["n_per_point"], pcfg,
-                                    PcgStream(cfg.seed))
+    measure = estimate_density_grid(model, grid, m["n_per_point"], p_d, PcgStream(cfg.seed))
     locs, _, se_surv = measure.survival()
 
     def read(level):
@@ -209,14 +205,13 @@ def _run_particle(model, cfg: ExperimentConfig):
     rows = []
     for alpha in cfg.levels:
         try:
-            var = quantile_from_measure(measure, alpha)
+            var, es = risk_measures_from_measure(measure, alpha)
         except TruncationError:
             # the quantile lies beyond x_max; report the top of the grid
             # (a lower bound) with no spread
             rows.append(ReportRow(alpha=alpha, method="particle",
                                   var=float(locs[-1])))
             continue
-        _, es = risk_measures_from_measure(measure, alpha)
         i = int(np.searchsorted(locs, var))
         dens = max(float(measure.weights[i - 1]) if i else measure.zero_mass, 1e-300)
         # delta-method standard error of the quantile: SE of the right-tail

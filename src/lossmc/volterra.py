@@ -25,14 +25,15 @@ point sees exactly the draws it would see alone.  All n paths of a grid
 point start at the point, so their first step is stratified: path r
 uses (r + u) / n, in (r/n, (r+1)/n], and the point's standard error is
 taken from successive differences in rank order.  The tail start's
-draws stay iid.  A proposal's ``move`` turns a batch of uniforms into
-new states and their weight ratios.  The one proposal, ``SizeBiasedProposal``, is a defensive mixture: a
-size-biased decrement, or with probability ``DEFENSIVE_SHARE`` a new
-state uniform on [0, x], which proposes the single big jump that
-carries a subexponential tail.  Its ratio k / q needs the severity pdf
-at the decrement on every move.  Every move is checked
-(``_checked_move``): a new state that is NaN or outside [0, x] raises
-``ProposalSupportError``, a negative or non-finite ratio -- what
+draws stay iid.  The estimators take the move from the model's
+severity: ``SizeBiasedProposal``, whose ``move`` turns a batch of
+uniforms into new states and their weight ratios, is a defensive
+mixture of a size-biased decrement and, with probability
+``DEFENSIVE_SHARE``, a new state uniform on [0, x], which proposes the
+single big jump that carries a subexponential tail.  Its ratio k / q
+needs the severity pdf at the decrement on every move.  Every move is
+checked (``_checked_move``): a new state that is NaN or outside [0, x]
+raises ``ProposalSupportError``, a negative or non-finite ratio -- what
 k / (mass q) gives where q = 0 -- raises ``SupportViolationError``.  A
 path adds its running weight times g to its estimate at every state it
 visits, the start included: each state contributes exactly one Neumann
@@ -200,16 +201,13 @@ class SizeBiasedProposal:
         sev = self.severity
         return norm_cdf((np.log(x) - sev.mu - sev.sigma ** 2) / sev.sigma)
 
-    def sample(self, x, u, cap=None) -> np.ndarray:
+    def sample(self, x, u, cap) -> np.ndarray:
         """New states of the size-biased share, one per entry of ``x``, from
-        the uniforms ``u``; ``cap`` passes in ``_cap(x)`` when the caller
-        has it already."""
+        the uniforms ``u``, where ``cap`` is ``_cap(x)``."""
         from .normal import norm_quantile
 
         sev = self.severity
         x = np.asarray(x, dtype=float)
-        if cap is None:
-            cap = self._cap(x)
         p = np.clip(u * cap, 1e-300, 1.0 - 1e-16)
         z = norm_quantile(p)
         decrement = np.exp(sev.mu + sev.sigma ** 2 + sev.sigma * z)
@@ -258,34 +256,6 @@ class SizeBiasedProposal:
         return x1, np.where(d > 0.0, ratio, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# Sampler configuration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PathSamplerConfig:
-    """Everything the absorbed-path sampler needs.
-
-    ``proposal`` supplies the conditional move density q(x, .) through
-    ``move(x, u, kernel, mass)``: new states x1 in [0, x], one per
-    uniform in ``u`` (uniform on (0, 1]), with their weight ratios
-    k(x, x1) / (mass q(x, x1)), zero where k vanishes.  A state that is
-    NaN or outside [0, x] raises ``ProposalSupportError``; a negative or
-    non-finite ratio raises ``SupportViolationError``.  The full
-    transition is M(x, .) = (1 - p_d) q(x, .), which integrates to
-    1 - p_d over (0, x) with the remaining p_d absorbed.  A path adds
-    w g(x) to its estimate at every state x it visits, where w is its
-    running weight.
-    """
-
-    proposal: object
-    p_d: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p_d <= 1.0):
-            raise ValueError("absorption probability must lie in (0, 1]")
-
-
 def default_absorption(model: CompoundModel) -> float:
     """P_d = 1/(1 + E[N]): mean Neumann term count matches mean path length."""
     return 1.0 / (1.0 + model.frequency.mean())
@@ -298,6 +268,13 @@ def default_absorption(model: CompoundModel) -> float:
 def _sum_above(v: np.ndarray) -> np.ndarray:
     """Entry i: the sum of v[j] over j > i, added from the right."""
     return np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
+
+
+def _cell_widths(locations: np.ndarray) -> np.ndarray:
+    """Width of each grid point's cell; a single point gets width 1."""
+    if len(locations) == 1:
+        return np.array([1.0])
+    return np.gradient(locations)
 
 
 def _check_grid(locations: np.ndarray) -> None:
@@ -326,29 +303,25 @@ class WeightedParticleMeasure:
 
     locations: np.ndarray
     weights: np.ndarray
+    stderr: np.ndarray
+    tail_mass: float
+    tail_stderr: float
     zero_mass: float = 0.0
-    stderr: np.ndarray | None = None
-    tail_mass: float | None = None
-    tail_stderr: float = 0.0
 
     def __post_init__(self):
         self.locations = np.asarray(self.locations, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if len(self.locations) != len(self.weights):
-            raise ValueError("locations and weights must align")
+        self.stderr = np.asarray(self.stderr, dtype=float)
+        if not len(self.locations) == len(self.weights) == len(self.stderr):
+            raise ValueError("locations, weights and stderr must align")
         _check_grid(self.locations)
         if np.any(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
 
-    def _cell_widths(self) -> np.ndarray:
-        if len(self.locations) == 1:
-            return np.array([1.0])
-        return np.gradient(self.locations)
-
     def probability_atoms(self):
         """(locations, probability weights) including the atom at zero."""
         locs = np.concatenate(([0.0], self.locations))
-        w = np.concatenate(([self.zero_mass], self.weights * self._cell_widths()))
+        w = np.concatenate(([self.zero_mass], self.weights * _cell_widths(self.locations)))
         return locs, w
 
     def survival(self):
@@ -357,18 +330,11 @@ class WeightedParticleMeasure:
         Survival is summed from the right: ``tail_mass`` plus the atoms
         above, so a tail answer carries only the noise of the tail.  The
         standard error adds the variances of the grid cells above and of
-        the tail mass.  Without a ``tail_mass`` the mass beyond the last
-        atom is unknown; the complement of the atoms' mass stands in for
-        it, which reads 1 minus the cumulative mass, and the standard
-        error is None.
+        the tail mass.
         """
         locs, w = self.probability_atoms()
-        if self.tail_mass is None:
-            return locs, 1.0 - np.cumsum(w), None
         surv = self.tail_mass + _sum_above(w)
-        if self.stderr is None:
-            return locs, surv, None
-        var = np.concatenate(([0.0], (self.stderr * self._cell_widths()) ** 2))
+        var = np.concatenate(([0.0], (self.stderr * _cell_widths(self.locations)) ** 2))
         return locs, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
 
 
@@ -378,8 +344,7 @@ def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
     The smallest atom location whose estimated survival P(Z > location)
     (``WeightedParticleMeasure.survival``) is at most 1 - p.  Raises
     ``TruncationError`` when the mass beyond the last atom alone exceeds
-    1 - p: the quantile then lies beyond the grid's x_max (or, for a
-    measure without a ``tail_mass``, the atoms' mass falls short of p).
+    1 - p: the quantile then lies beyond the grid's x_max.
     """
     if not (0.0 < p <= 1.0):
         raise ValueError("quantile level must lie in (0, 1]")
@@ -452,8 +417,8 @@ def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float):
     return x1, ratio
 
 
-def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
-               streams, owner, strata: int) -> None:
+def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
+               p_d: float, streams, owner, strata: int) -> None:
     """Run every particle's path to absorption, updating x, w and acc in place.
 
     Each step draws one uniform u per live particle from its owner's
@@ -471,7 +436,6 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
     so each point's first absorb-or-move draws cover (0, 1] evenly; with
     ``strata`` = 1 every draw is u itself.
     """
-    pd = cfg.p_d
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     with np.errstate(divide="ignore"):  # g(0) = 0 goes through log(0) = -inf
         while active.size:
@@ -479,12 +443,12 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
             if strata > 1:  # the first step only
                 u = (active % strata + u) / strata
                 strata = 1
-            moving = u > pd
+            moving = u > p_d
             active = active[moving]
             if not active.size:
                 break
-            x1, ratio = _checked_move(cfg.proposal, x[active], (u[moving] - pd) / (1.0 - pd),
-                                      kernel, 1.0 - pd)
+            x1, ratio = _checked_move(proposal, x[active], (u[moving] - p_d) / (1.0 - p_d),
+                                      kernel, 1.0 - p_d)
             w[active] *= ratio
             x[active] = x1
             acc[active] += w[active] * kernel.g(x1)
@@ -492,7 +456,7 @@ def _propagate(x, w, acc, kernel: VolterraKernel, cfg: PathSamplerConfig,
 
 
 def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
-                     cfg: PathSamplerConfig, streams) -> np.ndarray:
+                     proposal: SizeBiasedProposal, p_d: float, streams) -> np.ndarray:
     """Per-particle density contributions for a block of start points.
 
     Point ``j`` owns particles ``j*n`` to ``(j+1)*n - 1`` and draws from
@@ -503,20 +467,33 @@ def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
     # every path starts from the deterministic n = 0 term g(x0)
     acc = np.repeat(kernel.g(x0), n)
     # point j's particles are j*n .. j*n + n - 1, so index mod n is the rank
-    _propagate(x, w, acc, kernel, cfg, streams, owner, n)
+    _propagate(x, w, acc, kernel, proposal, p_d, streams, owner, n)
     return acc
 
 
+def _path_sampler(model: CompoundModel, p_d: float):
+    """The kernel and the proposal of ``model``, once p_d is checked.
+
+    Paths absorb with probability p_d per step and otherwise move by the
+    defensive mixture over the model's severity, so the transition is
+    M(x, .) = (1 - p_d) q(x, .).
+    """
+    if not (0.0 < p_d <= 1.0):
+        raise ValueError(f"absorption probability must lie in (0, 1], got {p_d}")
+    return build_volterra_kernel(model), SizeBiasedProposal(model.severity)
+
+
 def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
-                              cfg: PathSamplerConfig, rng: UniformStream):
+                              p_d: float, rng: UniformStream):
     """P(Z > t) and its standard error, from paths started beyond t.
 
     Each path starts at x0 drawn from X | X > t, by inversion from one
     uniform, with the weight sf_X(t) / f_X(x0), the inverse of that start
     density.  Its sum estimates f(x0) under the start law, so the mean
     over paths estimates the integral of the compound density over
-    (t, inf), with no grid past t.  Paths run in chunks of at most
-    ``_BLOCK_PARTICLES``, one chunk after another on ``rng``.
+    (t, inf), with no grid past t.  Paths absorb with probability
+    ``p_d`` per step and run in chunks of at most ``_BLOCK_PARTICLES``,
+    one chunk after another on ``rng``.
     """
     t = float(t)
     if not (0.0 < t < math.inf):
@@ -524,7 +501,7 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
     n = int(n_paths)
     if n < 1:
         raise ValueError("need at least one tail path")
-    kernel = build_volterra_kernel(model)
+    kernel, proposal = _path_sampler(model, p_d)
     sev = model.severity
     sf_t = float(sev.sf(t))
     if sf_t == 0.0:
@@ -535,7 +512,7 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
         x0 = sev.isf(sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo)))
         w = sf_t / kernel.f(x0)
         acc = w * kernel.g(x0)
-        _propagate(x0, w, acc, kernel, cfg, [rng], None, 1)
+        _propagate(x0, w, acc, kernel, proposal, p_d, [rng], None, 1)
         chunks.append((acc.size, acc.mean(), np.sum((acc - acc.mean()) ** 2)))
     sizes, means, sq_dev = (np.array(c) for c in zip(*chunks))
     mean = float(np.dot(sizes, means) / n)
@@ -546,9 +523,12 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
 
 
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
-                          cfg: PathSamplerConfig, rng: UniformStream) -> WeightedParticleMeasure:
+                          p_d: float, rng: UniformStream) -> WeightedParticleMeasure:
     """Point-wise density estimates over a grid of positive, strictly
     increasing evaluation points, and the mass beyond its last cell.
+
+    Paths absorb with probability ``p_d`` per step and otherwise move by
+    ``SizeBiasedProposal`` over the model's severity.
 
     Each grid point gets its own batch of ``n_per_point`` particles and,
     when the stream supports spawning, its own substream, so a point's
@@ -580,7 +560,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     n = int(n_per_point)
     if n < 1:
         raise ValueError("need at least one path per grid point")
-    kernel = build_volterra_kernel(model)
+    kernel, proposal = _path_sampler(model, p_d)
     if isinstance(rng, PcgStream):
         streams = rng.spawn(len(grid) + 1)
         per_block = max(1, _BLOCK_PARTICLES // n)
@@ -591,19 +571,17 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     se = np.zeros(len(grid))
     for lo in range(0, len(grid), per_block):
         hi = min(lo + per_block, len(grid))
-        contrib = _run_point_block(grid[lo:hi], n, kernel, cfg,
+        contrib = _run_point_block(grid[lo:hi], n, kernel, proposal, p_d,
                                    streams[lo:hi]).reshape(hi - lo, n)
         est[lo:hi] = contrib.mean(axis=1)
         if n > 1:
             # successive differences in rank order: stratum neighbours
             se[lo:hi] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
                                 / (2.0 * n * (n - 1)))
-    measure = WeightedParticleMeasure(
-        locations=grid, weights=est, zero_mass=float(model.frequency.pmf(0)), stderr=se,
-    )
-    top = grid[-1] + 0.5 * measure._cell_widths()[-1]
+    top = grid[-1] + 0.5 * _cell_widths(grid)[-1]
     n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
-    measure.tail_mass, measure.tail_stderr = estimate_tail_probability(
-        model, top, n_tail, cfg, streams[-1])
-    return measure
+    tail_mass, tail_stderr = estimate_tail_probability(model, top, n_tail, p_d, streams[-1])
+    return WeightedParticleMeasure(locations=grid, weights=est, stderr=se, tail_mass=tail_mass,
+                                   tail_stderr=tail_stderr,
+                                   zero_mass=float(model.frequency.pmf(0)))
 

@@ -11,10 +11,8 @@ import pytest
 from lossmc import (
     CompoundModel,
     LogNormalSeverity,
-    PathSamplerConfig,
     PcgStream,
     PoissonFrequency,
-    SizeBiasedProposal,
     default_absorption,
     estimate_density_grid,
     norm_quantile,
@@ -35,14 +33,6 @@ def pareto_poisson_model(a=2.0, s=1.0, lam=2.0):
     from lossmc import ParetoSeverity
 
     return CompoundModel(PoissonFrequency(lam), ParetoSeverity(a=a, s=s))
-
-
-def particle_config(model, **overrides):
-    """Default particle sampler setup used by the benchmark runs."""
-    kw = dict(proposal=SizeBiasedProposal(model.severity),
-              p_d=default_absorption(model))
-    kw.update(overrides)
-    return PathSamplerConfig(**kw)
 
 
 def gauss_sampler(size, rng):
@@ -119,8 +109,8 @@ def oracle_tail(pmf, t):
 
 def _grid_measure(model, x_max, n_per_point, seed):
     grid = np.arange(1.0, x_max + 0.5, 1.0)
-    cfg = particle_config(model)
-    return estimate_density_grid(model, grid, n_per_point, cfg, PcgStream(seed))
+    return estimate_density_grid(model, grid, n_per_point, default_absorption(model),
+                                 PcgStream(seed))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from lossmc import (
     ParetoSeverity,
     PcgStream,
     compound_cdf_quantile,
+    default_absorption,
     empirical_quantile_ci,
     estimate_density_grid,
     oracle_compound_pmf,
@@ -36,7 +37,6 @@ from lossmc import (
 from conftest import (
     QUANTILE_LEVELS,
     oracle_tail,
-    particle_config,
     restricted_matrix,
     sigma05_model,
     sigma1_model,
@@ -168,13 +168,13 @@ def test_criterion_3_particle_reduced_budget_sigma1(sigma1_grid_reduced):
 def test_criterion_4_particle_matches_recursion_oracle(sigma05_pmf):
     model = sigma05_model()
     dens = sigma05_pmf.density()
-    cfg = particle_config(model)
+    p_d = default_absorption(model)
     root = PcgStream(1313)
     for x0 in (10.0, 20.0, 40.0):
         truth = float(dens[round(x0 / sigma05_pmf.step)])
         streams = root.spawn(200)
         reps = np.array([
-            float(estimate_density_grid(model, [x0], 1000, cfg,
+            float(estimate_density_grid(model, [x0], 1000, p_d,
                                         streams[r]).weights[0])
             for r in range(200)])
         se = reps.std(ddof=1) / math.sqrt(200)
@@ -188,7 +188,7 @@ def test_criterion_4_particle_matches_recursion_oracle(sigma05_pmf):
 def test_criterion_5_particle_density_bias_and_variance_slope(sigma05_pmf):
     model = sigma05_model()
     truth = float(sigma05_pmf.density()[round(20.0 / sigma05_pmf.step)])
-    cfg = particle_config(model)
+    p_d = default_absorption(model)
     root = PcgStream(1414)
     x0, R = 20.0, 200
     sizes = (100, 1000, 10000)
@@ -196,7 +196,7 @@ def test_criterion_5_particle_density_bias_and_variance_slope(sigma05_pmf):
     for N in sizes:
         streams = root.spawn(R)
         reps = np.array([
-            float(estimate_density_grid(model, [x0], N, cfg,
+            float(estimate_density_grid(model, [x0], N, p_d,
                                         streams[r]).weights[0])
             for r in range(R)])
         se = reps.std(ddof=1) / math.sqrt(R)

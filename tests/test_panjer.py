@@ -13,7 +13,6 @@ from lossmc import (
     NegativeBinomialFrequency,
     PoissonFrequency,
     TruncationError,
-    UnsupportedModelError,
     compound_cdf_quantile,
     discretize_severity,
     gpd_panjer_discrete,
@@ -58,14 +57,14 @@ def test_local_moments_preserve_truncated_mean():
 
 def test_discrete_severity_validation():
     good = np.array([0.5, 0.5])
+    with pytest.raises(ValueError, match="unknown discretization method"):
+        discretize_severity(LogNormalSeverity(2.0, 0.5), 1.0, 4, method="midpoint")
     with pytest.raises(ValueError):
-        DiscreteSeverity(step=0.0, masses=good, method=ROUNDING)
+        DiscreteSeverity(step=0.0, masses=good)
     with pytest.raises(ValueError):
-        DiscreteSeverity(step=1.0, masses=good, method="midpoint")
+        DiscreteSeverity(step=1.0, masses=np.array([-0.1, 1.1]))
     with pytest.raises(ValueError):
-        DiscreteSeverity(step=1.0, masses=np.array([-0.1, 1.1]), method=ROUNDING)
-    with pytest.raises(ValueError):
-        DiscreteSeverity(step=1.0, masses=np.array([0.9, 0.9]), method=ROUNDING)
+        DiscreteSeverity(step=1.0, masses=np.array([0.9, 0.9]))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +98,7 @@ def test_recursion_matches_explicit_mixture(freq, f):
 
     The three frequencies cover a = 0, a > 0 and a < 0.
     """
-    sev = DiscreteSeverity(step=1.0, masses=f, method=ROUNDING)
+    sev = DiscreteSeverity(step=1.0, masses=f)
     g = panjer_discrete(freq, sev, MIXTURE_M)
     direct = _explicit_mixture(freq, f, MIXTURE_M, 80)
     assert np.max(np.abs(g.masses - direct)) < 1e-10
@@ -107,7 +106,7 @@ def test_recursion_matches_explicit_mixture(freq, f):
 
 
 def test_poisson_unit_severity_gives_count_law():
-    sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]), method=ROUNDING)
+    sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]))
     g = panjer_discrete(PoissonFrequency(2.0), sev, 40)
     ref = stats.poisson.pmf(np.arange(41), 2.0)
     assert np.max(np.abs(g.masses - ref)) < 1e-12
@@ -139,17 +138,20 @@ def test_gpd_zero_dispersion_equals_poisson():
 
 def test_gpd_unit_severity_gives_count_law():
     """Branching-cluster aggregation reproduces the exact count pmf."""
-    sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]), method=ROUNDING)
+    sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]))
     g = gpd_panjer_discrete(2.0, 0.3, sev, 80)
     freq = GeneralizedPoissonFrequency(2.0, 0.3)
     ref = np.array([freq.pmf(k) for k in range(81)])
     assert np.max(np.abs(g.masses - ref)) < 1e-10
 
 
-def test_gpd_matches_explicit_mixture():
-    """A short non-unit severity (K = 2 < M) against sum_n p_n f^{*n}."""
-    freq = GeneralizedPoissonFrequency(1.3, 0.3)
-    sev = DiscreteSeverity(step=1.0, masses=SHORT_SEVERITY, method=ROUNDING)
+@pytest.mark.parametrize("freq", [GeneralizedPoissonFrequency(1.3, 0.3),
+                                  GeneralizedPoissonFrequency(2.0, -0.3)],
+                         ids=["theta03", "theta-03"])
+def test_gpd_matches_explicit_mixture(freq):
+    """A short non-unit severity (K = 2 < M) against sum_n p_n f^{*n}; at
+    theta < 0 the count's support ends at n = 6."""
+    sev = DiscreteSeverity(step=1.0, masses=SHORT_SEVERITY)
     g = gpd_panjer_discrete(freq.lam, freq.theta, sev, MIXTURE_M)
     direct = _explicit_mixture(freq, SHORT_SEVERITY, MIXTURE_M, 150)
     assert np.max(np.abs(g.masses - direct)) < 1e-10
@@ -163,9 +165,9 @@ def test_gpd_lognormal_mass_accumulates():
 
 
 def test_gpd_rejects_unusable_parameters():
-    sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]), method=ROUNDING)
-    with pytest.raises(UnsupportedModelError):
-        gpd_panjer_discrete(2.0, -0.2, sev, 10)
+    sev = DiscreteSeverity(step=1.0, masses=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="admissible"):
+        gpd_panjer_discrete(2.0, -0.6, sev, 10)
     with pytest.raises(ValueError):
         gpd_panjer_discrete(2.0, 1.0, sev, 10)
     with pytest.raises(ValueError):
@@ -231,7 +233,7 @@ def _borel_cluster_reference(lam, theta, sev, M):
         h[k] = (a_k + f[0] * b_k) / (1.0 - theta * c[0] * f[0])
         c[k] = b_k + theta * c[0] * h[k]
         jh[k] = theta * k * h[k]
-    cluster = DiscreteSeverity(step=sev.step, masses=h, method=sev.method)
+    cluster = DiscreteSeverity(step=sev.step, masses=h)
     return panjer_discrete(PoissonFrequency(lam), cluster, M).masses
 
 

@@ -14,6 +14,7 @@ from lossmc import (
     ExperimentConfig,
     ReportRow,
     RiskReport,
+    compound_cdf_quantile,
     emit_report,
     parse_report,
     reproduce_table1,
@@ -216,12 +217,9 @@ def test_readme_config_table_lists_the_reader_tables():
 
 
 def test_readme_python_examples_run():
-    """Both python blocks run in order in one namespace, as a reader would.
-
-    Only that they run and answer is checked: the grid's left-cumulative
-    reader puts q9995 at 76 where the recursion oracle gives 82.27, an
-    open defect of that reader.
-    """
+    """Both python blocks run in order in one namespace, as a reader would,
+    and the particle quick start's 0.9995 quantile lies within one grid
+    width of the recursion oracle's."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 2
@@ -230,6 +228,7 @@ def test_readme_python_examples_run():
         exec(compile(block, "README.md", "exec"), ns)
     assert ns["lo"] <= ns["q99"] <= ns["hi"]
     assert ns["q9995"] in ns["grid"]
+    assert abs(ns["q9995"] - compound_cdf_quantile(ns["pmf"], 0.9995)[1]) <= 1.0
 
 
 def test_report_validation_rejects_nonmonotone_var():
@@ -418,6 +417,21 @@ def test_cli_particle_rejects_generalized_poisson(tmp_path, capsys):
     doc = json.loads(err)
     assert doc["error"] == "UnsupportedModelError" and "genpoisson" in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_panjer_serves_underdispersed_generalized_poisson(tmp_path, capsys):
+    """theta < 0 goes through the transform like every other count law,
+    on the polynomial pgf of its finite support."""
+    model = copy.deepcopy(SIGMA05_MODEL)
+    model["frequency"] = {"kind": "genpoisson", "lambda": 2.0, "theta": -0.3}
+    cfg = _write_config(tmp_path, {"kind": "panjer", "step": 0.05, "x_max": 200.0},
+                        levels=[0.5, 0.99], model=model)
+    out = tmp_path / "x.json"
+    assert main(["panjer", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == str(out)
+    rows = parse_report(str(out), "json").rows
+    assert [row.alpha for row in rows] == [0.5, 0.99]
+    assert 0.0 < rows[0].var < rows[1].var < rows[1].es < 200.0
 
 
 @pytest.mark.parametrize("x_max", [0, -5.0])

@@ -11,7 +11,6 @@ from lossmc import (
     GeneralizedPoissonFrequency,
     LogNormalSeverity,
     NegativeBinomialFrequency,
-    PathSamplerConfig,
     PcgStream,
     PoissonFrequency,
     ProposalSupportError,
@@ -40,7 +39,7 @@ from lossmc.volterra import (
     _checked_move,
 )
 
-from conftest import QUANTILE_LEVELS, oracle_tail, particle_config, sigma05_model, sigma1_model
+from conftest import QUANTILE_LEVELS, oracle_tail, sigma05_model, sigma1_model
 
 
 def _lognormal_pdf(x, mu=2.0, sigma=0.5):
@@ -85,14 +84,13 @@ def test_kernel_rejects_sign_changing_counts():
 # path mechanics and weights
 # ---------------------------------------------------------------------------
 
-def _path_weight(proposal, draws):
+def _path_weight(draws):
     """Density estimate of one path from x0 = 20 on the sigma = 0.5 model
     at p_d = 0.5, drawing its uniforms from ``draws``.  The one tail-start
     path that follows on the same stream gets uniforms that absorb it at
     once."""
-    cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
     stream = SequenceStream([*draws, 0.25, 0.25])
-    measure = estimate_density_grid(sigma05_model(), [20.0], 1, cfg, stream)
+    measure = estimate_density_grid(sigma05_model(), [20.0], 1, 0.5, stream)
     assert stream.remaining == 0
     return float(measure.weights[0])
 
@@ -112,7 +110,7 @@ def test_hand_computed_single_step_weight():
     One uniform per step: 0.95 > p_d moves with v = 0.9 > 1 - pi, so
     x1 = 20 (v - 0.8) / 0.2; 0.1 <= p_d then absorbs."""
     kernel = build_volterra_kernel(sigma05_model())
-    w = _path_weight(SizeBiasedProposal(LogNormalSeverity(2.0, 0.5)), [0.95, 0.1])
+    w = _path_weight([0.95, 0.1])
     x1 = 20.0 * (((0.95 - 0.5) / 0.5 - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE)
     assert x1 == pytest.approx(10.0, rel=1e-14)
     # W = g(20) + k/((1-pd) q) * g(x1), a term per visited state
@@ -125,58 +123,56 @@ def test_hand_computed_single_step_weight():
 
 def test_zero_length_path_weight_is_first_term():
     kernel = build_volterra_kernel(sigma05_model())
-    w = _path_weight(SizeBiasedProposal(LogNormalSeverity(2.0, 0.5)), [0.1])
+    w = _path_weight([0.1])
     assert w == pytest.approx(kernel.g(20.0), rel=1e-12)
     assert w == pytest.approx(2.0 * math.exp(-2.0) * _lognormal_pdf(20.0), rel=1e-12)
     assert w == pytest.approx(0.00148648357, rel=1e-8)
 
 
-class _UpwardProposal:
-    def move(self, x, u, kernel, mass):
-        x = np.asarray(x, dtype=float)
-        return x + 1.0, np.ones_like(x)
+def _upward_move(self, x, u, kernel, mass):
+    x = np.asarray(x, dtype=float)
+    return x + 1.0, np.ones_like(x)
 
 
-class _ZeroDensityProposal:
+def _zero_density_move(self, x, u, kernel, mass):
     """Moves to x/2 where its density q is zero, and forms k / (mass q)
     without zeroing the ratio there."""
-
-    def move(self, x, u, kernel, mass):
-        x1 = np.asarray(x, dtype=float) / 2.0
-        with np.errstate(divide="ignore"):
-            return x1, kernel.k(x, x1) / (mass * np.zeros_like(x1))
+    x1 = np.asarray(x, dtype=float) / 2.0
+    with np.errstate(divide="ignore"):
+        return x1, kernel.k(x, x1) / (mass * np.zeros_like(x1))
 
 
-class _FixedMove:
-    """Moves every state to ``frac * x`` with the weight ratio ``ratio``."""
-
-    def __init__(self, frac, ratio):
-        self.frac, self.ratio = frac, ratio
+def _fixed_move(frac, ratio):
+    """A move that takes every state to ``frac * x`` with the weight ratio
+    ``ratio``."""
 
     def move(self, x, u, kernel, mass):
         x = np.asarray(x, dtype=float)
-        return self.frac * x, np.full_like(x, self.ratio)
+        return frac * x, np.full_like(x, ratio)
+
+    return move
 
 
-def _assert_every_route_raises(proposal, error):
-    """The first move raises ``error`` on both estimator routes: a grid
-    point and a tail-start path, which takes one uniform for its start
-    and then the same draws."""
+def _assert_every_route_raises(monkeypatch, move, error):
+    """With ``move`` in place of the proposal's, the first move raises
+    ``error`` on both estimator routes: a grid point and a tail-start
+    path, which takes one uniform for its start and then the same
+    draws."""
+    monkeypatch.setattr(SizeBiasedProposal, "move", move)
     draws = [0.9, 0.6, 0.1]
     with pytest.raises(error):
-        _path_weight(proposal, draws)
-    cfg = PathSamplerConfig(proposal=proposal, p_d=0.5)
+        _path_weight(draws)
     with pytest.raises(error):
-        estimate_tail_probability(sigma05_model(), 20.0, 1, cfg,
+        estimate_tail_probability(sigma05_model(), 20.0, 1, 0.5,
                                   SequenceStream([0.5, *draws]))
 
 
-def test_upward_proposal_is_rejected():
-    _assert_every_route_raises(_UpwardProposal(), ProposalSupportError)
+def test_upward_proposal_is_rejected(monkeypatch):
+    _assert_every_route_raises(monkeypatch, _upward_move, ProposalSupportError)
 
 
-def test_weight_requires_positive_proposal_density():
-    _assert_every_route_raises(_ZeroDensityProposal(), SupportViolationError)
+def test_weight_requires_positive_proposal_density(monkeypatch):
+    _assert_every_route_raises(monkeypatch, _zero_density_move, SupportViolationError)
 
 
 @pytest.mark.parametrize("frac,ratio,error", [
@@ -188,10 +184,10 @@ def test_weight_requires_positive_proposal_density():
     (0.5, math.inf, SupportViolationError),
 ], ids=["nan-state", "negative-state", "nan-both", "negative-ratio", "nan-ratio",
         "inf-ratio"])
-def test_support_check_classifies_the_fault(frac, ratio, error):
+def test_support_check_classifies_the_fault(monkeypatch, frac, ratio, error):
     """A bad state is a support fault whatever its ratio; only a state in
     [0, x] with a negative or non-finite ratio is a density fault."""
-    _assert_every_route_raises(_FixedMove(frac, ratio), error)
+    _assert_every_route_raises(monkeypatch, _fixed_move(frac, ratio), error)
 
 
 def test_moves_to_either_end_with_zero_ratio_pass_the_check():
@@ -213,14 +209,19 @@ def test_moves_to_either_end_with_zero_ratio_pass_the_check():
     assert 0.0 <= x1[1] < 1e-13
     assert np.allclose(ratio[1], kernel.k(20.0, x1[1]) / (0.5 * _mixture_density(20.0, x1[1])),
                        rtol=1e-13, atol=0.0)
-    assert _path_weight(proposal, [1.0]) == kernel.g(20.0)
+    assert _path_weight([1.0]) == kernel.g(20.0)
 
 
-def test_config_and_proposal_validation():
-    with pytest.raises(ValueError):
-        PathSamplerConfig(proposal=None, p_d=0.0)
-    with pytest.raises(ValueError):
-        PathSamplerConfig(proposal=None, p_d=1.2)
+@pytest.mark.parametrize("p_d", [0.0, 1.2, math.nan])
+def test_estimators_reject_absorption_outside_unit_interval(p_d):
+    model = sigma05_model()
+    with pytest.raises(ValueError, match="absorption probability"):
+        estimate_density_grid(model, [20.0], 10, p_d, PcgStream(1))
+    with pytest.raises(ValueError, match="absorption probability"):
+        estimate_tail_probability(model, 20.0, 10, p_d, PcgStream(1))
+
+
+def test_proposal_requires_lognormal_severity():
     with pytest.raises(UnsupportedModelError):
         SizeBiasedProposal(severity="not lognormal")
 
@@ -240,7 +241,7 @@ class _CountingStream(UniformStream):
         return self.inner.uniforms(n)
 
 
-def test_path_length_is_geometric():
+def test_path_length_is_geometric(monkeypatch):
     """At p_d the number of moves is geometric with mean (1-p_d)/p_d.
 
     A tail-start path draws one uniform for its start and one per
@@ -249,9 +250,9 @@ def test_path_length_is_geometric():
     The proposal halves the state at ratio 1, so no path ends early.
     """
     n = 100_000
-    cfg = PathSamplerConfig(proposal=_FixedMove(0.5, 1.0), p_d=0.5)
+    monkeypatch.setattr(SizeBiasedProposal, "move", _fixed_move(0.5, 1.0))
     rng = _CountingStream(PcgStream(2020))
-    estimate_tail_probability(sigma05_model(), 20.0, n, cfg, rng)
+    estimate_tail_probability(sigma05_model(), 20.0, n, 0.5, rng)
     moves = rng.drawn / n - 2.0
     assert abs(moves - 1.0) <= 3.0 * math.sqrt(2.0 / n)
 
@@ -276,7 +277,8 @@ def test_size_biased_move_ratio_matches_kernel_over_density(frequency, sigma):
     x1, ratio = proposal.move(x, u, kernel, mass)
     sized = u <= 1.0 - DEFENSIVE_SHARE
     assert np.array_equal(x1[sized],
-                          proposal.sample(x[sized], u[sized] / (1.0 - DEFENSIVE_SHARE)))
+                          proposal.sample(x[sized], u[sized] / (1.0 - DEFENSIVE_SHARE),
+                                          proposal._cap(x[sized])))
     assert np.array_equal(x1[~sized], x[~sized] * ((u[~sized] - (1.0 - DEFENSIVE_SHARE))
                                                    / DEFENSIVE_SHARE))
     ref = kernel.k(x, x1) / (mass * proposal.density(x, x1))
@@ -310,10 +312,10 @@ def test_mixture_ratio_is_zero_where_its_terms_underflow(sigma, x):
 def test_pointwise_estimator_unbiased_at_benchmark_point():
     """200 independent particle batches average to the recursion density."""
     model = sigma05_model()
-    cfg = particle_config(model)
-    assert cfg.p_d < 1.0
+    p_d = default_absorption(model)
+    assert p_d < 1.0
     streams = PcgStream(2121).spawn(200)
-    reps = np.array([float(estimate_density_grid(model, [20.0], 1000, cfg, s).weights[0])
+    reps = np.array([float(estimate_density_grid(model, [20.0], 1000, p_d, s).weights[0])
                      for s in streams])
     se = reps.std(ddof=1) / math.sqrt(200)
     assert abs(reps.mean() - 0.0246406524) <= 3.0 * se
@@ -330,12 +332,12 @@ def test_particle_density_matches_oracle(frequency):
     which it would get wrong, is rejected."""
     model = CompoundModel(frequency, LogNormalSeverity(2.0, 1.0))
     xs = np.array([5.0, 20.0, 60.0, 150.0])
-    cfg = particle_config(model)
+    p_d = default_absorption(model)
     if frequency.kind == "genpoisson":
         with pytest.raises(UnsupportedModelError):
-            estimate_density_grid(model, xs, 10, cfg, PcgStream(11))
+            estimate_density_grid(model, xs, 10, p_d, PcgStream(11))
         return
-    measure = estimate_density_grid(model, xs, 200_000, cfg, PcgStream(11))
+    measure = estimate_density_grid(model, xs, 200_000, p_d, PcgStream(11))
     pmf = oracle_compound_pmf(model, step=0.01, x_max=1500.0)
     ref = pmf.density()[np.rint(xs / pmf.step).astype(int)]
     assert np.all(np.abs(measure.weights - ref) <= 4.0 * measure.stderr)
@@ -361,12 +363,12 @@ def _deep_tail_z(kind, n_point, n_tail, seed):
         _deep_oracles[kind] = (pmf.density()[np.rint(DEEP_XS / pmf.step).astype(int)],
                                [oracle_tail(pmf, t) for t in DEEP_TS])
     dens, tails = _deep_oracles[kind]
-    cfg = particle_config(model)
+    p_d = default_absorption(model)
     root = PcgStream(seed)
-    measure = estimate_density_grid(model, DEEP_XS, n_point, cfg, root)
+    measure = estimate_density_grid(model, DEEP_XS, n_point, p_d, root)
     z = list((measure.weights - dens) / measure.stderr)
     for t, ref, stream in zip(DEEP_TS, tails, root.spawn(2)):
-        p, se = estimate_tail_probability(model, t, n_tail, cfg, stream)
+        p, se = estimate_tail_probability(model, t, n_tail, p_d, stream)
         z.append((p - ref) / se)
     return np.array(z)
 
@@ -409,11 +411,10 @@ def test_particle_report_rows_match_oracle(preset):
         assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr + 1.0, (row, q)
 
 
-def _single_point_contributions(x0, n, kernel, cfg, stream):
+def _single_point_contributions(x0, n, kernel, proposal, pd, stream):
     """Loop reference: one grid point's particles alone on ``stream``, one
     uniform per absorb-or-move step; on the first step particle r takes
     (r + u) / n."""
-    pd = cfg.p_d
     x, w = np.full(n, x0), np.ones(n)
     acc = np.full(n, kernel.g(x0))
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
@@ -425,8 +426,8 @@ def _single_point_contributions(x0, n, kernel, cfg, stream):
         active = active[u > pd]
         if not active.size:
             break
-        x1, ratio = cfg.proposal.move(x[active], (u[u > pd] - pd) / (1.0 - pd),
-                                      kernel, 1.0 - pd)
+        x1, ratio = proposal.move(x[active], (u[u > pd] - pd) / (1.0 - pd),
+                                  kernel, 1.0 - pd)
         w[active] *= ratio
         x[active] = x1
         with np.errstate(divide="ignore"):
@@ -435,9 +436,10 @@ def _single_point_contributions(x0, n, kernel, cfg, stream):
     return acc
 
 
-def _single_point_grid(model, grid, n, cfg, streams):
+def _single_point_grid(model, grid, n, streams):
     kernel = build_volterra_kernel(model)
-    contrib = [_single_point_contributions(x0, n, kernel, cfg, s)
+    proposal, pd = SizeBiasedProposal(model.severity), default_absorption(model)
+    contrib = [_single_point_contributions(x0, n, kernel, proposal, pd, s)
                for x0, s in zip(grid, streams)]
     return (np.array([c.mean() for c in contrib]),
             np.array([math.sqrt(np.sum(np.diff(c) ** 2) / (2.0 * n * (n - 1)))
@@ -452,14 +454,14 @@ def test_grid_blocks_match_single_points():
     n = 1500
     grid = np.arange(2.0, 400.0, 9.0)
     assert 1 < _BLOCK_PARTICLES // n < len(grid)
-    cfg = particle_config(model)
-    measure = estimate_density_grid(model, grid, n, cfg, PcgStream(77))
+    p_d = default_absorption(model)
+    measure = estimate_density_grid(model, grid, n, p_d, PcgStream(77))
     streams = PcgStream(77).spawn(len(grid) + 1)
-    est, se = _single_point_grid(model, grid, n, cfg, streams[:-1])
+    est, se = _single_point_grid(model, grid, n, streams[:-1])
     assert np.allclose(measure.weights, est, rtol=1e-13, atol=0.0)
     assert np.allclose(measure.stderr, se, rtol=1e-13, atol=0.0)
     tail = estimate_tail_probability(model, grid[-1] + 4.5,
-                                     len(grid) * n // _GRID_PATHS_PER_TAIL_PATH, cfg,
+                                     len(grid) * n // _GRID_PATHS_PER_TAIL_PATH, p_d,
                                      streams[-1])
     assert (measure.tail_mass, measure.tail_stderr) == tail
 
@@ -468,44 +470,38 @@ def test_shared_stream_runs_grid_points_one_after_another():
     """A stream that cannot spawn is read point by point, as a loop would,
     and then by the tail start."""
     model = sigma05_model()
-    cfg = particle_config(model)
+    p_d = default_absorption(model)
     grid = [10.0, 20.0, 30.0]
     values = PcgStream(3).uniforms(2000)
     blocked = SequenceStream(values)
-    measure = estimate_density_grid(model, grid, 5, cfg, blocked)
+    measure = estimate_density_grid(model, grid, 5, p_d, blocked)
     looped = SequenceStream(values)
-    est, se = _single_point_grid(model, grid, 5, cfg, [looped] * len(grid))
+    est, se = _single_point_grid(model, grid, 5, [looped] * len(grid))
     assert np.array_equal(measure.weights, est)
     assert np.array_equal(measure.stderr, se)
-    tail = estimate_tail_probability(model, 35.0, 1, cfg, looped)
+    tail = estimate_tail_probability(model, 35.0, 1, p_d, looped)
     assert (measure.tail_mass, measure.tail_stderr) == tail
     assert blocked.remaining == looped.remaining > 0
 
 
-class _RecordingProposal:
-    """Ends every path at its first move (x1 = 0, ratio 0) and records the
-    uniforms each call is given."""
+def test_first_step_is_stratified_by_rank(monkeypatch):
+    """Particle r of every grid point takes its first uniform from
+    (r/n, (r+1)/n], one draw of the point's substream each; the tail
+    start's draws are the stream's own.  The move ends every path at its
+    first step (x1 = 0, ratio 0) and records the uniforms it is given."""
+    seen = []
 
-    def __init__(self):
-        self.seen = []
-
-    def move(self, x, u, kernel, mass):
-        self.seen.append(np.array(u))
+    def recording_move(self, x, u, kernel, mass):
+        seen.append(np.array(u))
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x), np.zeros_like(x)
 
-
-def test_first_step_is_stratified_by_rank():
-    """Particle r of every grid point takes its first uniform from
-    (r/n, (r+1)/n], one draw of the point's substream each; the tail
-    start's draws are the stream's own."""
+    monkeypatch.setattr(SizeBiasedProposal, "move", recording_move)
     model = sigma05_model()
     n, grid, pd = 7, [10.0, 20.0, 30.0], 2.0 ** -40
-    proposal = _RecordingProposal()
-    estimate_density_grid(model, grid, n, PathSamplerConfig(proposal=proposal, p_d=pd),
-                          PcgStream(5))
+    estimate_density_grid(model, grid, n, pd, PcgStream(5))
     # one block holds every point, then one tail-start batch of 2 paths
-    grid_v, tail_v = proposal.seen
+    grid_v, tail_v = seen
     streams = PcgStream(5).spawn(len(grid) + 1)
     rank = np.arange(n)
     u = (rank + np.array([s.uniforms(n) for s in streams[:-1]])) / n
@@ -523,8 +519,8 @@ def test_stratified_stderr_is_calibrated(sigma, x0):
     gain (the iid formula reads about 10x too wide at sigma = 0.5, x = 10)
     nor understates the spread."""
     model = CompoundModel(PoissonFrequency(2.0), LogNormalSeverity(2.0, sigma))
-    cfg = particle_config(model)
-    runs = [estimate_density_grid(model, [x0], 5000, cfg, s)
+    p_d = default_absorption(model)
+    runs = [estimate_density_grid(model, [x0], 5000, p_d, s)
             for s in PcgStream(2323).spawn(60)]
     est = np.array([m.weights[0] for m in runs])
     se = np.array([m.stderr[0] for m in runs])
@@ -534,8 +530,7 @@ def test_stratified_stderr_is_calibrated(sigma, x0):
 def test_certain_absorption_reduces_to_first_term():
     model = sigma05_model()
     kernel = build_volterra_kernel(model)
-    cfg = particle_config(model, p_d=1.0)
-    measure = estimate_density_grid(model, [20.0, 30.0], 50, cfg, PcgStream(8))
+    measure = estimate_density_grid(model, [20.0, 30.0], 50, 1.0, PcgStream(8))
     assert measure.weights[0] == pytest.approx(kernel.g(20.0), rel=1e-14)
     assert measure.weights[1] == pytest.approx(kernel.g(30.0), rel=1e-14)
     assert np.all(measure.stderr < 1e-15)
@@ -545,11 +540,11 @@ def test_certain_absorption_reduces_to_first_term():
 def test_grid_requires_positive_points():
     model = sigma05_model()
     with pytest.raises(ValueError):
-        estimate_density_grid(model, [0.0, 1.0], 10, particle_config(model),
+        estimate_density_grid(model, [0.0, 1.0], 10, default_absorption(model),
                               PcgStream(1))
     # zero paths per point would give NaN estimates
     with pytest.raises(ValueError):
-        estimate_density_grid(model, [1.0, 2.0], 0, particle_config(model),
+        estimate_density_grid(model, [1.0, 2.0], 0, default_absorption(model),
                               PcgStream(1))
 
 
@@ -572,11 +567,21 @@ def test_full_grid_99_percent_in_published_bracket(sigma1_grid_full):
 # measures and risk functionals
 # ---------------------------------------------------------------------------
 
+def _measure(locations, weights, stderr=None, tail_mass=0.0, tail_stderr=0.0, zero_mass=0.0):
+    """A hand-built measure; the standard errors default to zero."""
+    stderr = np.zeros(len(locations)) if stderr is None else stderr
+    return WeightedParticleMeasure(locations=locations, weights=weights, stderr=stderr,
+                                   tail_mass=tail_mass, tail_stderr=tail_stderr,
+                                   zero_mass=zero_mass)
+
+
 def test_measure_validation():
+    with pytest.raises(ValueError, match="must align"):
+        _measure([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="must align"):
+        _measure([1.0, 2.0], [1.0, 1.0], stderr=[0.1])
     with pytest.raises(ValueError):
-        WeightedParticleMeasure(locations=np.array([1.0, 2.0]), weights=np.array([1.0]))
-    with pytest.raises(ValueError):
-        WeightedParticleMeasure(locations=np.array([1.0]), weights=np.array([-1.0]))
+        _measure([1.0], [-1.0])
 
 
 @pytest.mark.parametrize("locations", [[30.0, 10.0, 20.0], [10.0, 10.0, 20.0],
@@ -586,7 +591,7 @@ def test_measure_rejects_grids_without_positive_cells(locations):
     """Unsorted points gave cell widths [-20, -5, 10] and negative atoms,
     duplicates a zero-width cell; both are refused."""
     with pytest.raises(ValueError, match="strictly increasing"):
-        WeightedParticleMeasure(locations=np.array(locations), weights=np.ones(3))
+        _measure(np.array(locations), np.ones(3))
 
 
 def test_density_grid_rejects_unsorted_points():
@@ -594,12 +599,12 @@ def test_density_grid_rejects_unsorted_points():
     atoms and a median of 0.0."""
     model = sigma05_model()
     with pytest.raises(ValueError, match="strictly increasing"):
-        estimate_density_grid(model, [30.0, 10.0, 20.0], 10, particle_config(model),
+        estimate_density_grid(model, [30.0, 10.0, 20.0], 10, default_absorption(model),
                               PcgStream(3))
 
 
 def test_single_atom_measure_quantile_and_risk():
-    meas = WeightedParticleMeasure(locations=np.array([5.0]), weights=np.array([1.0]))
+    meas = _measure([5.0], [1.0])
     assert quantile_from_measure(meas, 0.7) == 5.0
     assert risk_measures_from_measure(meas, 0.5) == (5.0, 5.0)
     with pytest.raises(ValueError):
@@ -611,14 +616,16 @@ def test_single_atom_measure_quantile_and_risk():
 def test_grid_atoms_include_zero_mass():
     """Cells of width 3 at 2 and 5: the atoms are P(N = 0) at zero and
     density times width at each point; survival sums them from the right,
-    with the mass beyond the grid on top."""
-    meas = WeightedParticleMeasure(locations=np.array([2.0, 5.0]),
-                                   weights=np.array([0.1, 0.05]), zero_mass=0.1,
-                                   tail_mass=0.45)
+    with the mass beyond the grid on top, and its variance sums the
+    cells' (3 SE)^2 above and the tail's SE^2."""
+    meas = _measure([2.0, 5.0], [0.1, 0.05], stderr=[0.01, 0.02], tail_mass=0.45,
+                    tail_stderr=0.04, zero_mass=0.1)
     locs, w = meas.probability_atoms()
     assert np.array_equal(locs, [0.0, 2.0, 5.0])
     assert np.allclose(w, [0.1, 0.3, 0.15])
-    assert np.allclose(meas.survival()[1], [0.9, 0.6, 0.45])
+    _, surv, se = meas.survival()
+    assert np.allclose(surv, [0.9, 0.6, 0.45])
+    assert np.allclose(se, np.sqrt([0.0016 + 0.0009 + 0.0036, 0.0016 + 0.0036, 0.0016]))
     assert quantile_from_measure(meas, 0.15) == 2.0
     with pytest.raises(TruncationError):
         quantile_from_measure(meas, 0.9)
@@ -627,7 +634,7 @@ def test_grid_atoms_include_zero_mass():
 def test_short_grid_cannot_answer_deep_quantiles():
     model = sigma05_model()
     grid = np.arange(1.0, 31.0, 1.0)
-    meas = estimate_density_grid(model, grid, 200, particle_config(model),
+    meas = estimate_density_grid(model, grid, 200, default_absorption(model),
                                  PcgStream(17))
     with pytest.raises(TruncationError):
         quantile_from_measure(meas, 0.9995)
