@@ -40,7 +40,6 @@ from .distributions import (
     build_severity,
 )
 from .errors import (
-    EmptyTailError,
     ExtinctionError,
     LevelRangeError,
     NumericError,

@@ -41,6 +41,23 @@ def _require_finite(model) -> None:
             raise ValueError(f"{type(model).__name__}.{f.name} must be finite, got {value}")
 
 
+def _cell_increments(u: np.ndarray, pivot: float, cdf, sf) -> np.ndarray:
+    """Increments of a law over the cells [u[i], u[i+1]], tail-safe.
+
+    A cell at or below the pivot (the law's median) takes cdf(u[i+1]) -
+    cdf(u[i]), any other sf(u[i]) - sf(u[i+1]), clipped at 0.  Each point
+    is evaluated once: by the cdf at or below the pivot, by the sf above
+    it; the lower end of the cell that straddles the pivot takes both.
+    """
+    low = u <= pivot
+    need_sf = ~low
+    need_sf[:-1] |= ~low[1:]
+    c, s = np.zeros(u.shape), np.zeros(u.shape)
+    c[low] = cdf(u[low])
+    s[need_sf] = sf(u[need_sf])
+    return np.maximum(np.where(low[1:], c[1:] - c[:-1], s[:-1] - s[1:]), 0.0)
+
+
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
     """Guide table of a nondecreasing cdf cut into m = len(cdf) buckets.
 
@@ -424,18 +441,15 @@ class SeverityModel:
         return x * self.sf(x) + self.partial_expectation(x)
 
     def interval_masses(self, edges: np.ndarray) -> np.ndarray:
-        """P(edges[i] < X <= edges[i+1]) without tail cancellation."""
+        """P(edges[i] < X <= edges[i+1]) for increasing ``edges``, without
+        tail cancellation: cdf differences below the median, sf
+        differences above it, each edge evaluated once."""
         edges = np.asarray(edges, dtype=float)
-        med = self.quantile(0.5)
-        lo, hi = edges[:-1], edges[1:]
-        below = hi <= med
-        out = np.where(below,
-                       self.cdf(hi) - self.cdf(lo),
-                       self.sf(lo) - self.sf(hi))
-        return np.maximum(out, 0.0)
+        return _cell_increments(edges, self.quantile(0.5), self.cdf, self.sf)
 
-    def interval_partial_expectation(self, lo, hi):
-        """E[X ; lo < X <= hi], tail-safe."""
+    def interval_partial_expectation(self, edges: np.ndarray) -> np.ndarray:
+        """E[X ; edges[i] < X <= edges[i+1]] for increasing ``edges``,
+        tail-safe."""
         raise NotImplementedError
 
 
@@ -482,19 +496,12 @@ class LogNormalSeverity(SeverityModel):
         out = np.where(x > 0, self.mean() * norm_cdf(shifted), 0.0)
         return out if out.ndim else float(out)
 
-    def interval_partial_expectation(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        zlo = np.where(lo > 0, self._z(np.where(lo > 0, lo, 1.0)), -np.inf) - self.sigma
-        zhi = self._z(np.where(hi > 0, hi, 1.0)) - self.sigma
-        # same piecewise cdf/sf trick as interval_masses, on the shifted
-        # normal whose median sits at exp(mu + sigma^2)
-        below = zhi <= 0.0
-        incr = np.where(below,
-                        norm_cdf(zhi) - norm_cdf(zlo),
-                        norm_sf(zlo) - norm_sf(zhi))
-        out = self.mean() * np.maximum(incr, 0.0)
-        return out if out.ndim else float(out)
+    def interval_partial_expectation(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        z = np.where(edges > 0, self._z(np.where(edges > 0, edges, 1.0)), -np.inf) - self.sigma
+        # E[X; X <= x] = E[X] Phi(z(x) - sigma): the increments of the
+        # shifted normal, whose median sits at x = exp(mu + sigma^2)
+        return self.mean() * _cell_increments(z, 0.0, norm_cdf, norm_sf)
 
     def isf(self, u):
         """exp(mu - sigma ndtri(u)); the endpoint u = 1 maps to exactly 0."""
@@ -561,13 +568,10 @@ class ParetoSeverity(SeverityModel):
         out = self.integrated_survival(x) - x * self.sf(x)
         return out if out.ndim else float(out)
 
-    def interval_partial_expectation(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        integ = self.integrated_survival(hi) - self.integrated_survival(lo)
-        out = integ + lo * self.sf(lo) - hi * self.sf(hi)
-        out = np.maximum(out, 0.0)
-        return out if out.ndim else float(out)
+    def interval_partial_expectation(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        integ, xsf = self.integrated_survival(edges), edges * self.sf(edges)
+        return np.maximum(integ[1:] - integ[:-1] + xsf[:-1] - xsf[1:], 0.0)
 
     def isf(self, u):
         u = np.asarray(u, dtype=float)
@@ -617,16 +621,8 @@ class DegenerateSeverity(SeverityModel):
         out = np.where(x >= self.atom, self.atom, 0.0)
         return out if out.ndim else float(out)
 
-    def interval_masses(self, edges):
-        edges = np.asarray(edges, dtype=float)
-        lo, hi = edges[:-1], edges[1:]
-        return np.where((lo < self.atom) & (self.atom <= hi), 1.0, 0.0)
-
-    def interval_partial_expectation(self, lo, hi):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        out = np.where((lo < self.atom) & (self.atom <= hi), self.atom, 0.0)
-        return out if out.ndim else float(out)
+    def interval_partial_expectation(self, edges):
+        return self.atom * self.interval_masses(edges)
 
     def isf(self, u):
         u = np.asarray(u, dtype=float)

@@ -34,10 +34,6 @@ class SupportViolationError(RuntimeError):
     k / (mass q) is where its density q is zero and the kernel k is not."""
 
 
-class EmptyTailError(RuntimeError):
-    """No particle mass beyond the requested quantile."""
-
-
 class ExtinctionError(RuntimeError):
     """Every selection potential is zero, so no particle can be selected."""
 

@@ -5,10 +5,13 @@ compound masses then follow, for every frequency kind, from one discrete
 Fourier transform of the severity masses pushed through the count's
 pgf (:func:`compound_pmf_transform`).  The buffer length L comes from the
 lattice: it doubles from 2(M+1) cells until the wrapped-round mass is
-negligible.  A second pass on exponentially tilted masses keeps deep-tail
-masses (down to 1e-28 on a 1400-unit lattice) to a relative 1e-5; its
-tilt also comes from the lattice, as the largest whose tilted top cell
-stays 1e-8 below the tilted peak, within the pgf's domain.  The (a, b, 0)
+negligible, and a length whose buffer a lower bound shows to wrap (k
+claims whose sum must land in its top cells) is skipped without a pass,
+so L and the masses are those of running every pass.  A second pass on
+exponentially tilted masses keeps deep-tail masses (down to 1e-28 on a
+1400-unit lattice) to a relative 1e-5; its tilt also comes from the
+lattice, as the largest whose tilted top cell stays 1e-8 below the
+tilted peak, within the pgf's domain.  The (a, b, 0)
 recursion :func:`panjer_discrete` stays as the small reference the
 transform is checked against.  On a fine lattice these masses serve as
 ground truth for densities, distribution values and quantiles everywhere
@@ -34,9 +37,11 @@ LOCAL_MOMENTS = "local_moments"
 DEFAULT_STEP = 0.01
 EPS = np.finfo(float).eps
 # Transform tuning (see compound_pmf_transform): the wrap-round test of the
-# buffer length and its cap, the tilted top-cell share and the pgf-domain
-# margin.
+# buffer length, the margin by which a certain wrap must clear it before a
+# length is skipped, the length cap, the tilted top-cell share and the
+# pgf-domain margin.
 ALIAS_EPS_MULT = 64.0
+WRAP_SKIP_MARGIN = 4.0
 MAX_LENGTH_FACTOR = 16
 TILT_TOP_SHARE = 1e-8
 PGF_DOMAIN_SHARE = 0.9
@@ -105,7 +110,8 @@ def discretize_severity(model: SeverityModel, step: float, K: int,
     cell-wise zeroth and first moments are preserved, which roughly
     squares the discretization accuracy at equal step.  Cell masses are
     taken from survival-function differences above the severity median,
-    so they stay meaningful arbitrarily deep in the tail.
+    so they stay meaningful arbitrarily deep in the tail; each lattice
+    edge is evaluated once.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -120,7 +126,7 @@ def discretize_severity(model: SeverityModel, step: float, K: int,
     if method == LOCAL_MOMENTS:
         edges = step * np.arange(K + 1)
         m0 = model.interval_masses(edges)
-        m1 = model.interval_partial_expectation(edges[:-1], edges[1:])
+        m1 = model.interval_partial_expectation(edges)
         w_left = (edges[1:] * m0 - m1) / step
         w_right = (m1 - edges[:-1] * m0) / step
         f = np.zeros(K + 1)
@@ -198,6 +204,33 @@ def _tilt(f: np.ndarray, step: float, radius: float) -> float:
     return lo
 
 
+def _certain_to_wrap(freq: FrequencyModel, cum: np.ndarray, L: int, n: int) -> bool:
+    """Whether an untilted pass at length L would certainly fail the wrap
+    test of :func:`_transform_pass` on its top n cells.
+
+    ``cum`` holds the severity's cumulative masses, 0 first.  k claims,
+    all in the severity cells [lo, hi), sum to a cell in [k lo,
+    k (hi - 1)]; when that lies in [L - n, L) they put at least
+    P(N = k) (f_lo + ... + f_{hi-1})^k into the top n cells, on at most
+    k (hi - lo) of them, and every other term of the buffer is
+    nonnegative.  Its peak is at most its total mass, pgf_N(sum f) <= 1.
+    So a mean over those cells above WRAP_SKIP_MARGIN times the test's
+    threshold fails the test with room for rounding.  Each claim count
+    from the least whose widest band fits up to four times it is tried,
+    with its widest band: a lower bound need not try them all, and on
+    the lattices of the tests the largest bound came at most at twice
+    the least count.
+    """
+    k_min = max(2, -(-(L - n) // max(1, len(cum) - 2)))
+    k = np.arange(k_min, 4 * k_min + 1)
+    lo = -(-(L - n) // k)
+    hi = np.minimum((L - 1) // k + 1, len(cum) - 1)
+    fits = hi > lo
+    k, lo, hi = k[fits], lo[fits], hi[fits]
+    mean_top = freq.pmf(k) * (cum[hi] - cum[lo]) ** k / (k * (hi - lo))
+    return bool(np.any(mean_top > WRAP_SKIP_MARGIN * ALIAS_EPS_MULT * EPS))
+
+
 def _transform_pass(freq: FrequencyModel, f: np.ndarray, x: np.ndarray,
                     theta: float, L: int):
     """One pass at tilt ``theta``: irfft(pgf_N(rfft(f e^{theta x}, L))).
@@ -229,8 +262,10 @@ def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
     g = irfft(pgf_N(rfft(f e^{theta x}, L))) e^{-theta x} holds for every
     theta, because tilting commutes with convolution.  The untilted pass
     fixes L: starting from 2(M+1) cells, L doubles until nothing
-    measurable wraps round.  A count law so heavy that L reaches
-    MAX_LENGTH_FACTOR (M+1) is damped instead: a tilt of
+    measurable wraps round.  A length whose pass would certainly wrap
+    (:func:`_certain_to_wrap`) is skipped without a pass, so L and the
+    masses are those of running every pass.  A count law so heavy that
+    L reaches MAX_LENGTH_FACTOR (M+1) is damped instead: a tilt of
     -log(1/eps)/(L step) shrinks the wrapped mass below eps and raises the
     floor at x_max by at most e^{log(1/eps)/MAX_LENGTH_FACTOR}.
 
@@ -241,16 +276,19 @@ def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
     """
     f = sev.masses[:M + 1]
     x = sev.step * np.arange(M + 1)
+    cum = np.concatenate(([0.0], np.cumsum(f)))
     L = sp_fft.next_fast_len(2 * (M + 1), real=True)
     damp = 0.0
-    g, floor, wrapped = _transform_pass(freq, f, x, 0.0, L)
-    while wrapped:
+    while True:
+        if not _certain_to_wrap(freq, cum, L, M + 1):
+            g, floor, wrapped = _transform_pass(freq, f, x, 0.0, L)
+            if not wrapped:
+                break
         if L >= MAX_LENGTH_FACTOR * (M + 1):
             damp = -math.log(EPS) / (L * sev.step)
             g, floor, _ = _transform_pass(freq, f, x, -damp, L)
             break
         L = sp_fft.next_fast_len(2 * L, real=True)
-        g, floor, wrapped = _transform_pass(freq, f, x, 0.0, L)
     theta = _tilt(f, sev.step, freq.pgf_radius())
     if theta > 0.0:
         g_t, floor_t, _ = _transform_pass(freq, f, x, theta - damp, L)
@@ -280,16 +318,21 @@ def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):
     Returns (cdf grid, quantile); the quantile is the smallest lattice
     point whose cumulative mass reaches alpha.
     """
+    cdf = pmf.cdf()
+    return cdf, float(_quantile_index(cdf, alpha, pmf.step) * pmf.step)
+
+
+def _quantile_index(cdf: np.ndarray, alpha: float, step: float) -> int:
+    """Index of the smallest lattice point whose cumulative mass reaches
+    alpha."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    cdf = pmf.cdf()
     if cdf[-1] < alpha:
         raise TruncationError(
             f"accumulated mass {cdf[-1]:.6f} < alpha = {alpha}; raise the "
-            f"lattice end x_max (M = {len(cdf) - 1} cells of step {pmf.step})"
+            f"lattice end x_max (M = {len(cdf) - 1} cells of step {step})"
         )
-    idx = int(np.searchsorted(cdf, alpha, side="left"))
-    return cdf, float(idx * pmf.step)
+    return int(np.searchsorted(cdf, alpha, side="left"))
 
 
 def oracle_compound_pmf(model, step: float = DEFAULT_STEP, x_max: float | None = None,
@@ -307,10 +350,13 @@ def oracle_compound_pmf(model, step: float = DEFAULT_STEP, x_max: float | None =
     return compound_pmf_transform(model.frequency, sev, M)
 
 
-def oracle_tail_stats(pmf: CompoundPmf, alpha: float):
-    """(quantile, tail mean) of the discrete compound law at level alpha."""
-    cdf, q = compound_cdf_quantile(pmf, alpha)
-    grid = pmf.grid()
-    tail = grid >= q
-    w = pmf.masses[tail]
-    return q, float(np.dot(grid[tail], w) / w.sum())
+def oracle_tail_stats(pmf: CompoundPmf, levels):
+    """[(quantile, tail mean)] of the discrete compound law, one pair per
+    level, all read from one cumulative sum."""
+    cdf, grid = pmf.cdf(), pmf.grid()
+    out = []
+    for alpha in levels:
+        i = _quantile_index(cdf, alpha, pmf.step)
+        w = pmf.masses[i:]
+        out.append((float(i * pmf.step), float(np.dot(grid[i:], w) / w.sum())))
+    return out

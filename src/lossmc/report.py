@@ -177,10 +177,8 @@ def _run_panjer(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
     pmf = oracle_compound_pmf(model, step=m["step"], x_max=m["x_max"],
                               method=m["discretization"])
-    rows = []
-    for alpha in cfg.levels:
-        q, es = oracle_tail_stats(pmf, alpha)
-        rows.append(ReportRow(alpha=alpha, method="panjer", var=q, es=es))
+    rows = [ReportRow(alpha=alpha, method="panjer", var=q, es=es)
+            for alpha, (q, es) in zip(cfg.levels, oracle_tail_stats(pmf, cfg.levels))]
     return rows, {"step": m["step"], "masses": len(pmf.masses)}
 
 

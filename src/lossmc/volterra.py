@@ -57,7 +57,6 @@ import numpy as np
 from .compound import CompoundModel
 from .distributions import LogNormalSeverity
 from .errors import (
-    EmptyTailError,
     ProposalSupportError,
     SupportViolationError,
     TruncationError,
@@ -277,6 +276,11 @@ def _cell_widths(locations: np.ndarray) -> np.ndarray:
     return np.gradient(locations)
 
 
+def _grid_top(locations: np.ndarray) -> float:
+    """Upper edge of the last cell, where the tail start begins."""
+    return float(locations[-1] + 0.5 * _cell_widths(locations)[-1])
+
+
 def _check_grid(locations: np.ndarray) -> None:
     """Cells between grid points have positive widths only when the points
     are positive and strictly increasing (NaN fails both tests)."""
@@ -295,7 +299,9 @@ class WeightedParticleMeasure:
     successive-difference estimate over the point's rank-ordered,
     stratified paths (``estimate_density_grid``), conservative for
     stratified draws.  ``tail_mass`` estimates the mass
-    beyond the last cell, with standard error ``tail_stderr``.
+    beyond the last cell, with standard error ``tail_stderr``, and
+    ``tail_excess`` the stop-loss E[(Z - top)+] past the cell's upper edge
+    ``top``, with standard error ``tail_excess_stderr``.
     ``zero_mass`` carries the genuine atom of the compound law at zero,
     P(N = 0); distribution-level queries add it on top of the continuous
     part, without it every cumulative answer would saturate below 1.
@@ -306,6 +312,8 @@ class WeightedParticleMeasure:
     stderr: np.ndarray
     tail_mass: float
     tail_stderr: float
+    tail_excess: float
+    tail_excess_stderr: float
     zero_mass: float = 0.0
 
     def __post_init__(self):
@@ -358,20 +366,22 @@ def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
 
 
 def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float):
-    """(VaR, ES) read off the particle measure.
+    """(VaR, ES) read off the particle measure, both from the right.
 
-    ES is self-normalized over the tail atoms at and beyond the VaR --
-    the raw weights target a density, so without renormalization the
-    tail sum would estimate an unnormalized integral rather than a
-    conditional mean.
+    ES_alpha = v + E[(Z - v)+] / (1 - alpha) at the VaR v, where the
+    stop-loss E[(Z - v)+] sums (z - v) times the atoms above v, (top - v)
+    times the mass beyond the grid's upper edge ``top``, and the tail
+    start's E[(Z - top)+].  Raises ``TruncationError`` as
+    ``quantile_from_measure`` does.
     """
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("ES level must lie in (0, 1)")
     var = quantile_from_measure(measure, alpha)
     locs, w = measure.probability_atoms()
-    tail = locs >= var
-    wt = w[tail]
-    if wt.sum() <= 0.0:
-        raise EmptyTailError(f"no particle mass at or beyond the {alpha} quantile")
-    return var, float(np.dot(locs[tail], wt) / wt.sum())
+    above = locs > var
+    stop_loss = (float(np.dot(locs[above] - var, w[above]))
+                 + (_grid_top(measure.locations) - var) * measure.tail_mass + measure.tail_excess)
+    return var, var + stop_loss / (1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +493,33 @@ def _path_sampler(model: CompoundModel, p_d: float):
     return build_volterra_kernel(model), SizeBiasedProposal(model.severity)
 
 
+def _chunk_stats(v: np.ndarray):
+    """(size, mean, sum of squared deviations) of one chunk of values."""
+    return v.size, v.mean(), np.sum((v - v.mean()) ** 2)
+
+
+def _pooled_mean_se(chunks, n: int):
+    """Mean and standard error of n values from their chunks' stats."""
+    sizes, means, sq_dev = (np.array(c) for c in zip(*chunks))
+    mean = float(np.dot(sizes, means) / n)
+    if n == 1:
+        return mean, 0.0
+    var = (sq_dev.sum() + np.dot(sizes, (means - mean) ** 2)) / (n - 1)
+    return mean, float(math.sqrt(var / n))
+
+
 def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
                               p_d: float, rng: UniformStream):
-    """P(Z > t) and its standard error, from paths started beyond t.
+    """P(Z > t) and E[(Z - t)+], each with its standard error, from paths
+    started beyond t: (P, SE, E, SE).
 
     Each path starts at x0 drawn from X | X > t, by inversion from one
     uniform, with the weight sf_X(t) / f_X(x0), the inverse of that start
     density.  Its sum estimates f(x0) under the start law, so the mean
     over paths estimates the integral of the compound density over
-    (t, inf), with no grid past t.  Paths absorb with probability
+    (t, inf), with no grid past t, and the mean of each sum times
+    (x0 - t) the stop-loss integral of (z - t) f(z) over it, with no
+    further draws.  Paths absorb with probability
     ``p_d`` per step and run in chunks of at most ``_BLOCK_PARTICLES``,
     one chunk after another on ``rng``.
     """
@@ -505,21 +533,19 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
     sev = model.severity
     sf_t = float(sev.sf(t))
     if sf_t == 0.0:
-        return 0.0, 0.0  # no severity mass beyond t in double precision
-    chunks = []  # (paths, mean, sum of squared deviations) of each chunk
+        return 0.0, 0.0, 0.0, 0.0  # no severity mass beyond t in double precision
+    mass, excess = [], []  # _chunk_stats of each chunk
     for lo in range(0, n, _BLOCK_PARTICLES):
         # the uniform is the draw's survival probability, scaled to (0, sf(t)]
         x0 = sev.isf(sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo)))
+        over = x0 - t  # before _propagate moves x0
         w = sf_t / kernel.f(x0)
         acc = w * kernel.g(x0)
         _propagate(x0, w, acc, kernel, proposal, p_d, [rng], None, 1)
-        chunks.append((acc.size, acc.mean(), np.sum((acc - acc.mean()) ** 2)))
-    sizes, means, sq_dev = (np.array(c) for c in zip(*chunks))
-    mean = float(np.dot(sizes, means) / n)
-    if n == 1:
-        return mean, 0.0
-    var = (sq_dev.sum() + np.dot(sizes, (means - mean) ** 2)) / (n - 1)
-    return mean, float(math.sqrt(var / n))
+        mass.append(_chunk_stats(acc))
+        over *= acc
+        excess.append(_chunk_stats(over))
+    return (*_pooled_mean_se(mass, n), *_pooled_mean_se(excess, n))
 
 
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
@@ -578,10 +604,12 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
             # successive differences in rank order: stratum neighbours
             se[lo:hi] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
                                 / (2.0 * n * (n - 1)))
-    top = grid[-1] + 0.5 * _cell_widths(grid)[-1]
+    top = _grid_top(grid)
     n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
-    tail_mass, tail_stderr = estimate_tail_probability(model, top, n_tail, p_d, streams[-1])
+    tail_mass, tail_stderr, tail_excess, tail_excess_stderr = estimate_tail_probability(
+        model, top, n_tail, p_d, streams[-1])
     return WeightedParticleMeasure(locations=grid, weights=est, stderr=se, tail_mass=tail_mass,
-                                   tail_stderr=tail_stderr,
+                                   tail_stderr=tail_stderr, tail_excess=tail_excess,
+                                   tail_excess_stderr=tail_excess_stderr,
                                    zero_mass=float(model.frequency.pmf(0)))
 

@@ -18,6 +18,7 @@ from lossmc import (
     build_frequency,
     build_severity,
     norm_cdf,
+    norm_sf,
 )
 from lossmc.distributions import _guide_table, _guided_search
 
@@ -81,6 +82,47 @@ def test_degenerate_severity():
     assert sev.mean() == 3.0
     assert sev.cdf(2.9) == 0.0
     assert sev.cdf(3.0) == 1.0
+
+
+def _per_cell_masses(sev, edges):
+    """Each cell's mass from both ends' cdf (below the median) or sf."""
+    lo, hi = edges[:-1], edges[1:]
+    return np.maximum(np.where(hi <= sev.quantile(0.5), sev.cdf(hi) - sev.cdf(lo),
+                               sev.sf(lo) - sev.sf(hi)), 0.0)
+
+
+def _per_cell_partial_expectation(sev, edges):
+    """Each cell's E[X; lo < X <= hi] from both of its ends."""
+    lo, hi = edges[:-1], edges[1:]
+    if isinstance(sev, LogNormalSeverity):
+        def z(x):
+            return np.where(x > 0, sev._z(np.where(x > 0, x, 1.0)), -np.inf) - sev.sigma
+        zlo, zhi = z(lo), z(hi)
+        incr = np.where(zhi <= 0.0, norm_cdf(zhi) - norm_cdf(zlo), norm_sf(zlo) - norm_sf(zhi))
+        return sev.mean() * np.maximum(incr, 0.0)
+    if isinstance(sev, ParetoSeverity):
+        integ = sev.integrated_survival(hi) - sev.integrated_survival(lo)
+        return np.maximum(integ + lo * sev.sf(lo) - hi * sev.sf(hi), 0.0)
+    return np.where((lo < sev.atom) & (sev.atom <= hi), sev.atom, 0.0)
+
+
+@pytest.mark.parametrize("sev, edges", [
+    # the median e^2 = 7.389 and e^{mu + sigma^2} = 9.488 inside cells
+    (LogNormalSeverity(2.0, 0.5), 0.05 * np.arange(401)),
+    (LogNormalSeverity(2.0, 1.0), 0.01 * np.arange(40001)),
+    (LogNormalSeverity(2.0, 0.5), 0.25 * (np.arange(201) + 0.5)),
+    # the median 10 (2^0.4 - 1) = 3.195 inside a cell
+    (ParetoSeverity(2.5, 10.0), 0.05 * np.arange(2001)),
+    (DegenerateSeverity(2.0), 0.5 * np.arange(9)),
+    (DegenerateSeverity(2.03), 0.05 * np.arange(81)),
+], ids=["lognormal", "lognormal-benchmark", "lognormal-rounding", "pareto",
+        "degenerate-on-edge", "degenerate-in-cell"])
+def test_shared_edge_cells_match_per_cell_differences(sev, edges):
+    """Evaluating each edge once gives the per-cell masses and partial
+    expectations bit for bit, the cells straddling a median included."""
+    assert np.array_equal(sev.interval_masses(edges), _per_cell_masses(sev, edges))
+    assert np.array_equal(sev.interval_partial_expectation(edges),
+                          _per_cell_partial_expectation(sev, edges))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from lossmc import (
     oracle_tail_stats,
     panjer_discrete,
 )
+from lossmc import panjer
 from lossmc.panjer import LOCAL_MOMENTS, ROUNDING, DiscreteSeverity
 
 from conftest import sigma05_model, sigma1_model
@@ -270,6 +271,66 @@ def test_gpd_transform_matches_explicit_mixture(theta):
     _assert_transform_gates(g, direct, deep=False)
 
 
+def _oracle_passes(monkeypatch, model, step, x_max, skip):
+    """The oracle's pmf and its transform passes as (L, tilt, wrapped),
+    with the length skip on or patched off."""
+    passes = []
+    run_pass = panjer._transform_pass
+
+    def counted(freq, f, x, theta, L):
+        out = run_pass(freq, f, x, theta, L)
+        passes.append((L, theta, bool(out[2])))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(panjer, "_transform_pass", counted)
+        if not skip:
+            patch.setattr(panjer, "_certain_to_wrap", lambda *args: False)
+        pmf = oracle_compound_pmf(model, step=step, x_max=x_max)
+    return pmf, passes
+
+
+BENCHMARK_FREQUENCIES = {"poisson": PoissonFrequency(2.0),
+                         "negbinomial": NegativeBinomialFrequency(2.0, 1.0),
+                         "genpoisson": GeneralizedPoissonFrequency(1.5, 0.3)}
+
+
+# (frequency, severity sigma, step, x_max, untilted passes skipped)
+SKIP_CASES = {
+    **{f"benchmark-{k}": (freq, 1.0, 0.01, 400.0, 1)
+       for k, freq in BENCHMARK_FREQUENCIES.items()},
+    **{f"{lattice}-{freq.kind}": (freq, 0.5, 0.05, LATTICES[lattice], skipped)
+       for lattice, skipped in (("short", 2), ("deep", 0))
+       for freq in (PoissonFrequency(2.0), BinomialFrequency(5, 0.4),
+                    NegativeBinomialFrequency(2.0, 1.0))},
+    # its count tail damps the buffer at 9720 cells, after skipping two lengths
+    "short-genpoisson-damped": (GeneralizedPoissonFrequency(2.0, 0.9), 0.5, 0.05, 30.0, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SKIP_CASES))
+def test_length_skip_is_exact(monkeypatch, case):
+    """Skipping lengths that are certain to wrap leaves the masses, the
+    tilt and L as they are with every pass run; each skipped pass is an
+    untilted one that wrapped.  On the benchmark lattice one untilted pass
+    runs per law, where 81000 cells used to run first and wrap."""
+    freq, sigma, step, x_max, skipped = SKIP_CASES[case]
+    model = CompoundModel(freq, LogNormalSeverity(2.0, sigma))
+    pmf, passes = _oracle_passes(monkeypatch, model, step, x_max, skip=True)
+    ref, all_passes = _oracle_passes(monkeypatch, model, step, x_max, skip=False)
+    assert np.array_equal(pmf.masses, ref.masses)
+    assert pmf.tilt == ref.tilt
+    assert passes == [p for p in all_passes if p in passes]
+    dropped = [p for p in all_passes if p not in passes]
+    assert len(dropped) == skipped
+    assert all(theta == 0.0 and wrapped for _, theta, wrapped in dropped)
+    assert passes[-1][0] == all_passes[-1][0]
+    if case.startswith("benchmark"):
+        assert [L for L, theta, _ in passes if theta == 0.0] == [162000]
+    if case.endswith("damped"):
+        assert passes[-1][1] < 0.0
+
+
 # ---------------------------------------------------------------------------
 # benchmark values
 # ---------------------------------------------------------------------------
@@ -314,9 +375,14 @@ def test_sigma1_99_percent_quantile():
 
 def test_sigma05_expected_shortfall():
     pmf = oracle_compound_pmf(sigma05_model(), step=0.01, x_max=400.0)
-    q, tail_mean = oracle_tail_stats(pmf, 0.99)
+    [(q, tail_mean)] = oracle_tail_stats(pmf, [0.99])
     assert q == pytest.approx(57.2, abs=0.02)
     assert tail_mean == pytest.approx(65.731173, abs=0.02)
+    # several levels read from one cumulative sum, each as if alone
+    levels = [0.5, 0.99, 0.9995]
+    stats = oracle_tail_stats(pmf, levels)
+    assert [q for q, _ in stats] == [compound_cdf_quantile(pmf, a)[1] for a in levels]
+    assert stats[1] == (q, tail_mean)
 
 
 def test_oracle_agrees_with_monte_carlo(sigma05_pmf, sigma05_batch):

@@ -27,6 +27,7 @@ from lossmc import (
     estimate_density_grid,
     estimate_tail_probability,
     oracle_compound_pmf,
+    oracle_tail_stats,
     quantile_from_measure,
     risk_measures_from_measure,
     run_experiment,
@@ -368,7 +369,7 @@ def _deep_tail_z(kind, n_point, n_tail, seed):
     measure = estimate_density_grid(model, DEEP_XS, n_point, p_d, root)
     z = list((measure.weights - dens) / measure.stderr)
     for t, ref, stream in zip(DEEP_TS, tails, root.spawn(2)):
-        p, se = estimate_tail_probability(model, t, n_tail, p_d, stream)
+        p, se, _, _ = estimate_tail_probability(model, t, n_tail, p_d, stream)
         z.append((p - ref) / se)
     return np.array(z)
 
@@ -463,7 +464,8 @@ def test_grid_blocks_match_single_points():
     tail = estimate_tail_probability(model, grid[-1] + 4.5,
                                      len(grid) * n // _GRID_PATHS_PER_TAIL_PATH, p_d,
                                      streams[-1])
-    assert (measure.tail_mass, measure.tail_stderr) == tail
+    assert (measure.tail_mass, measure.tail_stderr,
+            measure.tail_excess, measure.tail_excess_stderr) == tail
 
 
 def test_shared_stream_runs_grid_points_one_after_another():
@@ -480,7 +482,8 @@ def test_shared_stream_runs_grid_points_one_after_another():
     assert np.array_equal(measure.weights, est)
     assert np.array_equal(measure.stderr, se)
     tail = estimate_tail_probability(model, 35.0, 1, p_d, looped)
-    assert (measure.tail_mass, measure.tail_stderr) == tail
+    assert (measure.tail_mass, measure.tail_stderr,
+            measure.tail_excess, measure.tail_excess_stderr) == tail
     assert blocked.remaining == looped.remaining > 0
 
 
@@ -567,11 +570,13 @@ def test_full_grid_99_percent_in_published_bracket(sigma1_grid_full):
 # measures and risk functionals
 # ---------------------------------------------------------------------------
 
-def _measure(locations, weights, stderr=None, tail_mass=0.0, tail_stderr=0.0, zero_mass=0.0):
+def _measure(locations, weights, stderr=None, tail_mass=0.0, tail_stderr=0.0,
+             tail_excess=0.0, zero_mass=0.0):
     """A hand-built measure; the standard errors default to zero."""
     stderr = np.zeros(len(locations)) if stderr is None else stderr
     return WeightedParticleMeasure(locations=locations, weights=weights, stderr=stderr,
                                    tail_mass=tail_mass, tail_stderr=tail_stderr,
+                                   tail_excess=tail_excess, tail_excess_stderr=0.0,
                                    zero_mass=zero_mass)
 
 
@@ -650,17 +655,50 @@ def test_grid_mean_matches_model(sigma05_grid_full):
     assert abs(mean - mean_ref) <= 3.0 * se
 
 
-def test_grid_expected_shortfall_matches_recursion(sigma05_grid_full, sigma05_pmf):
-    """The grid's ES at 0.99 averages whole unit cells at and beyond its
-    VaR, so it is checked against the recursion's mean over the lattice
-    from half a cell below the VaR up; the SE is the delta method's over
-    the cells' standard errors."""
-    var, es = risk_measures_from_measure(sigma05_grid_full, 0.99)
-    grid, masses = sigma05_pmf.grid(), sigma05_pmf.masses
-    tail = grid >= var - 0.5
-    ref = float(np.dot(grid[tail], masses[tail]) / masses[tail].sum())
-    x, f, se_f = (sigma05_grid_full.locations, sigma05_grid_full.weights,
-                  sigma05_grid_full.stderr)
-    sel = x >= var
-    se = math.sqrt(np.sum((se_f[sel] * (x[sel] - es)) ** 2)) / f[sel].sum()
-    assert abs(es - ref) <= 3.0 * se
+@pytest.fixture(scope="module")
+def sigma1_deep_pmf():
+    """The sigma=1 oracle to 5000, where the mass left out moves ES at
+    0.9995 by about 1e-3."""
+    return oracle_compound_pmf(sigma1_model(), step=0.05, x_max=5000.0)
+
+
+def _es_stderr(measure, var, alpha):
+    """Standard error of the right-read ES: the cells above the VaR are
+    independent of the tail start, whose mass and stop-loss terms come
+    from the same paths and are added as if fully correlated, an upper
+    bound."""
+    x, se_w = measure.locations, measure.stderr * np.gradient(measure.locations)
+    cells = math.sqrt(np.sum(((x - var) * se_w)[x > var] ** 2))
+    top = x[-1] + 0.5 * (x[-1] - x[-2])
+    tail = (top - var) * measure.tail_stderr + measure.tail_excess_stderr
+    return math.hypot(cells, tail) / (1.0 - alpha)
+
+
+@pytest.mark.parametrize("preset, alpha", [("sigma1", 0.99), ("sigma1", 0.999),
+                                           ("sigma1", 0.9995), ("sigma05", 0.99)])
+def test_grid_expected_shortfall_matches_oracle(request, preset, alpha):
+    """ES read from the right, v + E[(Z - v)+] / (1 - alpha), lies within
+    4 SE plus half a grid cell of the oracle's; the stop-loss counts the
+    mass and the excess beyond the grid.  Averaging the grid cells at and
+    beyond the VaR alone read 2.5-10 % low at sigma = 1."""
+    if preset == "sigma1":
+        measure, pmf = (request.getfixturevalue("sigma1_grid_full"),
+                        request.getfixturevalue("sigma1_deep_pmf"))
+    else:
+        measure, pmf = (request.getfixturevalue("sigma05_grid_full"),
+                        request.getfixturevalue("sigma05_pmf"))
+    var, es = risk_measures_from_measure(measure, alpha)
+    [(_, ref)] = oracle_tail_stats(pmf, [alpha])
+    assert abs(es - ref) <= 4.0 * _es_stderr(measure, var, alpha) + 0.5, (es, ref)
+
+
+def test_expected_shortfall_adds_the_mass_beyond_the_grid():
+    """Cells of width 1 at 1, 2 and 3 with masses 0.5, 0.3 and 0.15, and
+    0.05 beyond the upper edge 3.5 with stop-loss 0.1 there: the 0.75-VaR
+    is 2 and E[(Z - 2)+] = 1 x 0.15 + 1.5 x 0.05 + 0.1."""
+    meas = _measure([1.0, 2.0, 3.0], [0.5, 0.3, 0.15], tail_mass=0.05, tail_excess=0.1)
+    var, es = risk_measures_from_measure(meas, 0.75)
+    assert var == 2.0
+    assert es == pytest.approx(2.0 + (0.15 + 0.075 + 0.1) / 0.25, rel=1e-12)
+    with pytest.raises(ValueError):
+        risk_measures_from_measure(meas, 1.0)
