@@ -54,8 +54,6 @@ from .normal import norm_cdf, norm_pdf, norm_quantile, norm_sf
 from .panjer import (
     CompoundPmf,
     DiscreteSeverity,
-    LOCAL_MOMENTS,
-    ROUNDING,
     compound_cdf_quantile,
     discretize_severity,
     gpd_panjer_discrete,

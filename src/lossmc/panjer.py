@@ -32,9 +32,6 @@ from .distributions import (
 )
 from .errors import RecursionInstabilityError, TruncationError
 
-ROUNDING = "rounding"
-LOCAL_MOMENTS = "local_moments"
-DEFAULT_STEP = 0.01
 EPS = np.finfo(float).eps
 # Transform tuning (see compound_pmf_transform): the wrap-round test of the
 # buffer length, the margin by which a certain wrap must clear it before a
@@ -100,40 +97,30 @@ class CompoundPmf:
         return d
 
 
-def discretize_severity(model: SeverityModel, step: float, K: int,
-                        method: str = LOCAL_MOMENTS) -> DiscreteSeverity:
-    """Put the severity on the lattice {0, step, ..., K*step}.
+def discretize_severity(model: SeverityModel, step: float, K: int) -> DiscreteSeverity:
+    """Put the severity on the lattice {0, step, ..., K*step} by local
+    moment matching.
 
-    Rounding assigns each lattice point the probability of the cell of
-    width ``step`` centred on it (f_0 = F(step/2)).  Local moment
-    matching splits each cell's mass between its two endpoints so that
+    Each cell's mass is split between its two endpoints so that the
     cell-wise zeroth and first moments are preserved, which roughly
-    squares the discretization accuracy at equal step.  Cell masses are
-    taken from survival-function differences above the severity median,
-    so they stay meaningful arbitrarily deep in the tail; each lattice
-    edge is evaluated once.
+    squares the accuracy of rounding to the nearest point at equal step.
+    Cell masses are taken from survival-function differences above the
+    severity median, so they stay meaningful arbitrarily deep in the
+    tail; each lattice edge is evaluated once.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if K < 1:
         raise ValueError("need at least one lattice cell")
-    if method == ROUNDING:
-        edges = step * (np.arange(K + 1) + 0.5)
-        f = np.empty(K + 1)
-        f[0] = model.cdf(edges[0])
-        f[1:] = model.interval_masses(edges)
-        return DiscreteSeverity(step=step, masses=f)
-    if method == LOCAL_MOMENTS:
-        edges = step * np.arange(K + 1)
-        m0 = model.interval_masses(edges)
-        m1 = model.interval_partial_expectation(edges)
-        w_left = (edges[1:] * m0 - m1) / step
-        w_right = (m1 - edges[:-1] * m0) / step
-        f = np.zeros(K + 1)
-        f[:-1] += np.maximum(w_left, 0.0)
-        f[1:] += np.maximum(w_right, 0.0)
-        return DiscreteSeverity(step=step, masses=f)
-    raise ValueError(f"unknown discretization method {method!r}")
+    edges = step * np.arange(K + 1)
+    m0 = model.interval_masses(edges)
+    m1 = model.interval_partial_expectation(edges)
+    w_left = (edges[1:] * m0 - m1) / step
+    w_right = (m1 - edges[:-1] * m0) / step
+    f = np.zeros(K + 1)
+    f[:-1] += np.maximum(w_left, 0.0)
+    f[1:] += np.maximum(w_right, 0.0)
+    return DiscreteSeverity(step=step, masses=f)
 
 
 def panjer_discrete(freq: FrequencyModel, sev: DiscreteSeverity, M: int) -> CompoundPmf:
@@ -335,18 +322,17 @@ def _quantile_index(cdf: np.ndarray, alpha: float, step: float) -> int:
     return int(np.searchsorted(cdf, alpha, side="left"))
 
 
-def oracle_compound_pmf(model, step: float = DEFAULT_STEP, x_max: float | None = None,
-                        method: str = LOCAL_MOMENTS) -> CompoundPmf:
-    """One-call oracle: discretize the severity and transform it, for
-    every frequency kind.
+def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
+    """One-call oracle: discretize the severity on the lattice of step
+    ``step`` up to ``x_max`` and transform it, for every frequency kind.
 
-    ``x_max`` defaults to a generous multiple of the mean; raise it (or
-    catch TruncationError from the quantile call) for very deep levels.
+    Raise ``x_max`` (or catch TruncationError from the quantile call) for
+    very deep levels.
     """
-    if x_max is None:
-        x_max = 40.0 * max(model.mean(), 1.0)
+    if step <= 0.0:
+        raise ValueError("step must be positive")
     M = int(math.ceil(x_max / step))
-    sev = discretize_severity(model.severity, step, M, method=method)
+    sev = discretize_severity(model.severity, step, M)
     return compound_pmf_transform(model.frequency, sev, M)
 
 

@@ -114,14 +114,7 @@ class ClaimPopulation:
         q = u[n:]  # v sf(max(c, 0)), and sf(max(c, 0)) = 1 where c <= 0
         above = np.flatnonzero(rest < threshold)
         q[above] *= severity.sf(threshold - rest[above])
-        drawn = q > 0.0
-        moved = self.has_claims
-        if not drawn.all():
-            q = np.where(drawn, q, 1.0)
-            moved = moved & drawn
-        redrawn = severity.isf(q)
-        states = rest + redrawn
-        return self._write(at, redrawn, states, moved & (states > threshold))
+        return self._redraw(severity, threshold, at, rest, q)
 
     def largest_claim_potential(self, severity, threshold: float):
         """The chance that a Gibbs move of each particle's largest claim
@@ -189,16 +182,22 @@ class ClaimPopulation:
         """
         q = rng.uniforms(len(self.states))
         q *= tail
+        return self._redraw(severity, threshold, self.starts + offset, rest, q)
+
+    def _redraw(self, severity, threshold: float, at, rest, q) -> int:
+        """Give each particle the claim isf(q) at ``at`` and the loss
+        ``rest`` plus it; return how many particles moved.
+
+        A particle keeps its claims where it has none, where q is 0 or
+        where its new loss is at or below ``threshold``."""
         drawn = q > 0.0
+        moved = self.has_claims
         if not drawn.all():
             q = np.where(drawn, q, 1.0)
-        redrawn = severity.isf(q)
-        states = rest + redrawn
-        return self._write(self.starts + offset, redrawn, states, drawn & (states > threshold))
-
-    def _write(self, at, claims, states, moved) -> int:
-        """Put the moved particles' new claims at ``at`` and their new
-        losses in place; return how many moved."""
+            moved = moved & drawn
+        claims = severity.isf(q)
+        states = rest + claims
+        moved = moved & (states > threshold)
         if moved.all():
             self.severities[at] = claims
         else:
@@ -211,19 +210,16 @@ class ClaimPopulation:
 class SmcEstimate:
     """Output of the multilevel splitting run.
 
-    ``estimate`` is the product of per-level success fractions;
-    ``replicate_rse`` is filled by :func:`replicate_smc` when the run
-    is repeated.  ``trace`` holds one diagnostic dict per level reached:
-    its level, threshold, success fraction (the mean potential), ess =
-    (sum g)^2 / sum g^2 and the acceptance rate of its moves (None at
-    the last level, which does not move).
+    ``estimate`` is the product of per-level success fractions.  ``trace``
+    holds one diagnostic dict per level reached: its level, threshold,
+    success fraction (the mean potential), ess = (sum g)^2 / sum g^2 and
+    the acceptance rate of its moves (None at the last level, which does
+    not move).
     """
 
     estimate: float
     level_fractions: list
-    thresholds: np.ndarray | None = None
     extinct_level: int | None = None
-    replicate_rse: float | None = None
     trace: list | None = None
 
     def __post_init__(self):
@@ -340,8 +336,8 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
         }
         trace.append(row)
         if frac == 0.0:
-            return SmcEstimate(estimate=0.0, level_fractions=fractions,
-                               thresholds=thresholds, extinct_level=p, trace=trace)
+            return SmcEstimate(estimate=0.0, level_fractions=fractions, extinct_level=p,
+                               trace=trace)
         if p + 1 == len(thresholds):
             break
         ancestors = selection_transition(g, rng)
@@ -358,18 +354,18 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
         moves = sweeps + (p == 0)
         row["acceptance_rate"] = accepted / (N * moves) if moves else None
     return SmcEstimate(estimate=float(np.prod(fractions)), level_fractions=fractions,
-                       thresholds=thresholds, trace=trace)
+                       trace=trace)
 
 
 def replicate_smc(model: CompoundModel, levels: LevelSequence, mutation_steps: int, N: int,
                   rng: PcgStream, n_replicates: int) -> list:
     """Repeat the splitting run, replicate i on the i-th child stream of
-    ``rng``; return one estimate per level.
+    ``rng``; return one (estimate, relative SE) pair per level.
 
-    Element p is the replicate mean of the running product of the first
-    p + 1 success fractions (zero past an extinction), an unbiased
-    estimate of P(Z > t_{p+1}), with its relative SE.  One ladder run thus
-    answers every level, and the estimates are nonincreasing in p.
+    Element p's estimate is the replicate mean of the running product of
+    the first p + 1 success fractions (zero past an extinction), an
+    unbiased estimate of P(Z > t_p), and its relative SE is inf at 0.  One
+    ladder run thus answers every level; the estimates fall with p.
     """
     if n_replicates < 2:
         raise ValueError("need at least two replicates for a standard error")
@@ -380,10 +376,8 @@ def replicate_smc(model: CompoundModel, levels: LevelSequence, mutation_steps: i
         fractions = smc_rare_event(model, levels, mutation_steps, N, streams[i]).level_fractions
         products[:len(fractions), i] = np.cumprod(fractions)
     estimates = []
-    for p, values in enumerate(products):
+    for values in products:
         mean = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(n_replicates))
-        estimates.append(SmcEstimate(
-            estimate=mean, level_fractions=[], thresholds=levels.thresholds[:p + 1],
-            replicate_rse=(se / mean if mean > 0 else math.inf)))
+        estimates.append((mean, se / mean if mean > 0 else math.inf))
     return estimates

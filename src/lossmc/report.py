@@ -26,12 +26,7 @@ from .compound import (
 from .config import COUNT, REAL, REALS, REQUIRED, check_keys, read_block, read_value
 from .distributions import build_frequency, build_severity
 from .errors import LevelRangeError, TruncationError
-from .panjer import (
-    LOCAL_MOMENTS,
-    ROUNDING,
-    oracle_compound_pmf,
-    oracle_tail_stats,
-)
+from .panjer import oracle_compound_pmf, oracle_tail_stats
 from .rare_event import LevelSequence, replicate_smc
 from .rng import PcgStream
 from .volterra import (
@@ -46,8 +41,7 @@ from .volterra import (
 _METHODS = {
     "mc": {"T": (COUNT, 1_000_000), "ci_level": (REAL, 0.95)},
     "sla": {"order": ((1, 2), 1)},
-    "panjer": {"step": (REAL, 0.01), "x_max": (REAL, None),
-               "discretization": ((LOCAL_MOMENTS, ROUNDING), LOCAL_MOMENTS)},
+    "panjer": {"step": (REAL, 0.01), "x_max": (REAL, None)},
     "particle": {"grid_width": (REAL, 1.0), "x_max": (REAL, None),
                  "n_per_point": (COUNT, 50_000), "p_d": (REAL, None)},
     "rare-event": {"thresholds": (REALS, REQUIRED), "n_particles": (COUNT, 10_000),
@@ -144,6 +138,10 @@ def _method_values(cfg: ExperimentConfig) -> dict:
     return read_block(cfg.method, _METHODS[kind], f"{kind} method", kinded=True)
 
 
+def _x_max(model, m: dict) -> float:
+    return 40.0 * max(model.mean(), 1.0) if m["x_max"] is None else m["x_max"]
+
+
 def _run_mc(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
     batch = simulate_compound_parallel(model, m["T"], cfg.seed, threads=cfg.threads)
@@ -175,8 +173,7 @@ def _run_sla(model, cfg: ExperimentConfig):
 
 def _run_panjer(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
-    pmf = oracle_compound_pmf(model, step=m["step"], x_max=m["x_max"],
-                              method=m["discretization"])
+    pmf = oracle_compound_pmf(model, m["step"], _x_max(model, m))
     rows = [ReportRow(alpha=alpha, method="panjer", var=q, es=es)
             for alpha, (q, es) in zip(cfg.levels, oracle_tail_stats(pmf, cfg.levels))]
     return rows, {"step": m["step"], "masses": len(pmf.masses)}
@@ -185,7 +182,7 @@ def _run_panjer(model, cfg: ExperimentConfig):
 def _run_particle(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
     width = m["grid_width"]
-    x_max = 40.0 * max(model.mean(), 1.0) if m["x_max"] is None else m["x_max"]
+    x_max = _x_max(model, m)
     if not (0.0 < 0.5 * width < x_max):
         raise ValueError(f"need 0 < grid_width/2 < x_max so the grid has a point, "
                          f"got grid_width {width}, x_max {x_max}")
@@ -230,11 +227,10 @@ def _run_rare_event(model, cfg: ExperimentConfig):
     diag = {}
     estimates = replicate_smc(model, levels, m["mh_steps"], m["n_particles"],
                               PcgStream(cfg.seed), m["replicates"])
-    for z, est in zip(levels.thresholds, estimates):
-        alpha = 1.0 - est.estimate
-        rows.append(ReportRow(alpha=alpha, method="rare-event", var=float(z)))
-        diag[f"p_exceed_{z:g}"] = est.estimate
-        diag[f"rse_{z:g}"] = est.replicate_rse
+    for z, (p_exceed, rse) in zip(levels.thresholds, estimates):
+        rows.append(ReportRow(alpha=1.0 - p_exceed, method="rare-event", var=float(z)))
+        diag[f"p_exceed_{z:g}"] = p_exceed
+        diag[f"rse_{z:g}"] = rse
     return rows, diag
 
 

@@ -549,22 +549,20 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
 
 
 def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
-                          p_d: float, rng: UniformStream) -> WeightedParticleMeasure:
+                          p_d: float, rng: PcgStream) -> WeightedParticleMeasure:
     """Point-wise density estimates over a grid of positive, strictly
     increasing evaluation points, and the mass beyond its last cell.
 
     Paths absorb with probability ``p_d`` per step and otherwise move by
     ``SizeBiasedProposal`` over the model's severity.
 
-    Each grid point gets its own batch of ``n_per_point`` particles and,
-    when the stream supports spawning, its own substream, so a point's
-    estimate depends only on its position in the grid and the seed.
-    Points run in blocks of consecutive points holding at most
-    ``_BLOCK_PARTICLES`` particles, all advanced by one propagation step
-    at a time; within a step each point draws its uniforms from its own
-    substream, so the draws and the estimates are those of a loop over
-    single points.  A stream that cannot spawn is shared by all points,
-    which then run one at a time, point after point.  Per-point
+    Each grid point gets its own batch of ``n_per_point`` particles and
+    its own substream spawned from ``rng``, so a point's estimate depends
+    only on its position in the grid and the seed.  Points run in blocks
+    of consecutive points holding at most ``_BLOCK_PARTICLES`` particles,
+    all advanced by one propagation step at a time; within a step each
+    point draws its uniforms from its own substream, so the draws and the
+    estimates are those of a loop over single points.  Per-point
     accumulation relies on numpy's pairwise summation, which keeps
     results independent of the blocking.
 
@@ -579,7 +577,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     The mass beyond the upper edge of the last cell comes from
     ``estimate_tail_probability``, with one path per
     ``_GRID_PATHS_PER_TAIL_PATH`` paths of the grid, on one more
-    substream (or after the points on a shared stream).
+    substream.
     """
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid)
@@ -587,12 +585,8 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     if n < 1:
         raise ValueError("need at least one path per grid point")
     kernel, proposal = _path_sampler(model, p_d)
-    if isinstance(rng, PcgStream):
-        streams = rng.spawn(len(grid) + 1)
-        per_block = max(1, _BLOCK_PARTICLES // n)
-    else:
-        streams = [rng] * (len(grid) + 1)
-        per_block = 1
+    streams = rng.spawn(len(grid) + 1)
+    per_block = max(1, _BLOCK_PARTICLES // n)
     est = np.empty(len(grid))
     se = np.zeros(len(grid))
     for lo in range(0, len(grid), per_block):

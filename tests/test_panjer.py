@@ -21,7 +21,7 @@ from lossmc import (
     panjer_discrete,
 )
 from lossmc import panjer
-from lossmc.panjer import LOCAL_MOMENTS, ROUNDING, DiscreteSeverity
+from lossmc.panjer import DiscreteSeverity
 
 from conftest import sigma05_model, sigma1_model
 
@@ -30,25 +30,10 @@ from conftest import sigma05_model, sigma1_model
 # discretization
 # ---------------------------------------------------------------------------
 
-def test_rounding_puts_point_mass_on_nearest_lattice_cell():
-    d = discretize_severity(DegenerateSeverity(atom=0.5), 0.5, 4, method=ROUNDING)
-    assert d.masses[1] == 1.0
-    assert d.masses.sum() == 1.0
-
-
-def test_rounding_cdf_telescopes_to_cell_edges():
-    """Cumulative rounded masses hit the severity cdf at half-step edges."""
-    sev = LogNormalSeverity(2.0, 0.5)
-    d = discretize_severity(sev, 0.25, 200, method=ROUNDING)
-    cum = np.cumsum(d.masses)
-    edges = 0.25 * (np.arange(201) + 0.5)
-    assert np.max(np.abs(cum - sev.cdf(edges))) < 1e-12
-
-
 def test_local_moments_preserve_truncated_mean():
     sev = LogNormalSeverity(2.0, 0.5)
     step, K = 0.01, 6000
-    d = discretize_severity(sev, step, K, method=LOCAL_MOMENTS)
+    d = discretize_severity(sev, step, K)
     lattice_mean = float(np.dot(step * np.arange(K + 1), d.masses))
     C = K * step
     capped = math.exp(2.125) * stats.norm.cdf((math.log(C) - 2.25) / 0.5) \
@@ -56,10 +41,38 @@ def test_local_moments_preserve_truncated_mean():
     assert abs(lattice_mean - capped) / capped < 1e-3
 
 
+@pytest.mark.parametrize("atom,expected", [
+    (0.5, {1: 1.0}),
+    (0.6, {1: 0.8, 2: 0.2}),
+], ids=["on-lattice", "between-points"])
+def test_local_moments_split_an_atom_between_its_cell_ends(atom, expected):
+    """A point mass keeps its mass and its mean: on a lattice point it stays
+    there, between two points it splits by its distance to each."""
+    d = discretize_severity(DegenerateSeverity(atom=atom), 0.5, 4)
+    want = np.zeros(5)
+    for i, w in expected.items():
+        want[i] = w
+    assert np.max(np.abs(d.masses - want)) < 1e-12
+    assert abs(float(np.dot(0.5 * np.arange(5), d.masses)) - atom) < 1e-12
+
+
+def test_local_moments_keep_the_mass_below_the_last_edge():
+    """Each cell hands all its mass to its two ends, so the lattice holds
+    exactly the severity's mass up to K*step."""
+    sev = LogNormalSeverity(2.0, 0.5)
+    d = discretize_severity(sev, 0.25, 200)
+    assert abs(d.masses.sum() - sev.cdf(50.0)) < 1e-12
+
+
+@pytest.mark.parametrize("step", [0.0, -0.5])
+def test_oracle_checks_the_step_before_sizing_the_lattice(step):
+    """x_max / step must not run on a step the lattice cannot use."""
+    with pytest.raises(ValueError, match="step must be positive"):
+        oracle_compound_pmf(sigma05_model(), step=step, x_max=10.0)
+
+
 def test_discrete_severity_validation():
     good = np.array([0.5, 0.5])
-    with pytest.raises(ValueError, match="unknown discretization method"):
-        discretize_severity(LogNormalSeverity(2.0, 0.5), 1.0, 4, method="midpoint")
     with pytest.raises(ValueError):
         DiscreteSeverity(step=0.0, masses=good)
     with pytest.raises(ValueError):
@@ -118,8 +131,7 @@ def test_bernoulli_claim_mixes_atom_and_severity():
     q = 0.4
     model = CompoundModel(BinomialFrequency(1, q), LogNormalSeverity(2.0, 0.5))
     pmf = oracle_compound_pmf(model, step=0.05, x_max=80.0)
-    d = discretize_severity(model.severity, 0.05, len(pmf.masses) - 1,
-                            method=LOCAL_MOMENTS)
+    d = discretize_severity(model.severity, 0.05, len(pmf.masses) - 1)
     expected = q * d.masses
     expected[0] += 1.0 - q
     assert np.max(np.abs(pmf.masses - expected)) < 1e-12
@@ -130,8 +142,7 @@ def test_bernoulli_claim_mixes_atom_and_severity():
 # ---------------------------------------------------------------------------
 
 def test_gpd_zero_dispersion_equals_poisson():
-    sev = discretize_severity(LogNormalSeverity(2.0, 0.5), 0.05, 400,
-                              method=LOCAL_MOMENTS)
+    sev = discretize_severity(LogNormalSeverity(2.0, 0.5), 0.05, 400)
     g = gpd_panjer_discrete(2.0, 0.0, sev, 400)
     p = panjer_discrete(PoissonFrequency(2.0), sev, 400)
     assert np.max(np.abs(g.masses - p.masses)) < 1e-12
@@ -190,7 +201,7 @@ def _lattice(freq, lattice):
     model = CompoundModel(freq, LogNormalSeverity(2.0, 0.5))
     pmf = oracle_compound_pmf(model, step=0.05, x_max=LATTICES[lattice])
     M = len(pmf.masses) - 1
-    return pmf, discretize_severity(model.severity, 0.05, M, method=LOCAL_MOMENTS)
+    return pmf, discretize_severity(model.severity, 0.05, M)
 
 
 def _assert_transform_gates(pmf, ref, deep):
@@ -264,8 +275,7 @@ def test_transform_at_pgf_domain_edge(freq):
 def test_gpd_transform_matches_explicit_mixture(theta):
     """A 200-cell lognormal lattice against sum_n p_n f^{*n}."""
     freq = GeneralizedPoissonFrequency(1.5, theta)
-    sev = discretize_severity(LogNormalSeverity(2.0, 0.5), 0.5, 200,
-                              method=LOCAL_MOMENTS)
+    sev = discretize_severity(LogNormalSeverity(2.0, 0.5), 0.5, 200)
     g = gpd_panjer_discrete(freq.lam, theta, sev, 200)
     direct = _explicit_mixture(freq, sev.masses, 200, 150)
     _assert_transform_gates(g, direct, deep=False)

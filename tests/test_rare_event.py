@@ -303,8 +303,8 @@ def _ladder_z_scores(model, thresholds, oracle, N, seed, replicates=16):
     the oracle's tail counts its lattice deficit as tail mass."""
     levels = LevelSequence(thresholds=np.asarray(thresholds, dtype=float))
     estimates = replicate_smc(model, levels, 5, N, PcgStream(seed), replicates)
-    return [(est.estimate - oracle_tail(oracle, t)) / (est.replicate_rse * est.estimate)
-            for est, t in zip(estimates, thresholds)]
+    return [(p - oracle_tail(oracle, t)) / (rse * p)
+            for (p, rse), t in zip(estimates, thresholds)]
 
 
 def test_claim_gibbs_ladder_matches_oracle_to_1200(sigma1_pmf):
@@ -332,9 +332,9 @@ def test_degenerate_claims_cannot_move_yet_the_ladder_is_exact():
     product estimator stays unbiased, and the truth is the Poisson tail."""
     model = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
     levels = LevelSequence(thresholds=np.array([2.5, 4.5, 6.5]))
-    est = replicate_smc(model, levels, 5, 1000, PcgStream(1919), 16)[-1]
+    p, rse = replicate_smc(model, levels, 5, 1000, PcgStream(1919), 16)[-1]
     truth = 1.0 - sum(math.exp(-2.0) * 2.0 ** k / math.factorial(k) for k in range(7))
-    assert abs(est.estimate - truth) <= 4.0 * est.replicate_rse * est.estimate
+    assert abs(p - truth) <= 4.0 * rse * p
 
 
 def test_claim_scores_stay_the_sums_of_their_own_claims():
@@ -484,12 +484,12 @@ def test_population_outside_the_level_set_raises(phase, monkeypatch):
 
 def test_replicate_runner_reports_relative_error():
     lev = LevelSequence(thresholds=np.array([0.5, 1.5]))
-    first, rep = replicate_smc(coin_model(), lev, 3, 100, PcgStream(707), 10)
-    assert rep.replicate_rse is not None and rep.replicate_rse > 0.0
-    assert abs(rep.estimate - 0.25) <= 3.0 * rep.replicate_rse * rep.estimate
+    (p_first, rse_first), (p, rse) = replicate_smc(coin_model(), lev, 3, 100,
+                                                   PcgStream(707), 10)
+    assert 0.0 < rse < math.inf
+    assert abs(p - 0.25) <= 3.0 * rse * p
     # the first level's running product is the crude fraction above 0.5
-    assert list(first.thresholds) == [0.5]
-    assert abs(first.estimate - 0.75) <= 3.0 * first.replicate_rse * first.estimate
+    assert abs(p_first - 0.75) <= 3.0 * rse_first * p_first
 
 
 def test_model_argument_type_is_checked():

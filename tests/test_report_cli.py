@@ -434,6 +434,22 @@ def test_cli_panjer_serves_underdispersed_generalized_poisson(tmp_path, capsys):
     assert 0.0 < rows[0].var < rows[1].var < rows[1].es < 200.0
 
 
+@pytest.mark.parametrize("method", [
+    {"kind": "panjer", "step": 0.5},
+    {"kind": "particle", "n_per_point": 2},
+], ids=["panjer", "particle"])
+def test_unset_x_max_defaults_to_forty_model_means(method):
+    """The recursion lattice and the particle grid end at the same
+    40 * max(E[Z], 1) when the config leaves x_max out."""
+    cfg = _config(method=method, levels=[0.5])
+    x_max = 40.0 * max(cfg.build_model().mean(), 1.0)
+    diagnostics = run_experiment(cfg).meta["diagnostics"]
+    if method["kind"] == "panjer":
+        assert diagnostics["masses"] == math.ceil(x_max / 0.5) + 1
+    else:
+        assert diagnostics["x_max"] == x_max
+
+
 @pytest.mark.parametrize("x_max", [0, -5.0])
 def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
     """x_max <= 0 leaves no lattice cell; it must not fall back to the default."""
@@ -531,8 +547,11 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     ("panjer", {"kind": "panjer", "step": 0.5, "x_max": float("inf")}, "x_max must be finite"),
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10, "p_d": float("nan")},
      "p_d must be finite"),
-    ("panjer", {"kind": "panjer", "step": 0.5, "x_max": 10.0, "discretization": True},
-     "discretization must be 'local_moments' or 'rounding'"),
+    # x_max / step used to raise ZeroDivisionError before the step was checked
+    ("panjer", {"kind": "panjer", "step": 0, "x_max": 10.0}, "step must be positive"),
+    # local moments is the only lattice, so the key that chose it is gone
+    ("panjer", {"kind": "panjer", "step": 0.5, "x_max": 10.0,
+                "discretization": "local_moments"}, "unknown panjer method keys"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
         "grid_width-negative", "x_max-below-half-width", "x_max-negative",
         "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
@@ -542,7 +561,7 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
         "sla-order-bool", "ci_level-bool", "step-bool", "panjer-x_max-bool", "p_d-bool",
         "grid_width-bool", "particle-x_max-bool", "T-string", "thresholds-bool",
         "thresholds-string", "ci_level-nan", "step-nan", "panjer-x_max-inf", "p_d-nan",
-        "discretization-bool"])
+        "step-0", "discretization-key"])
 def test_cli_rejects_bad_method_values(tmp_path, capsys, command, method, message):
     """Values no run can use must exit 2, not run quietly or fail deep inside."""
     cfg = _write_config(tmp_path, method)

@@ -85,12 +85,20 @@ def test_kernel_rejects_sign_changing_counts():
 # path mechanics and weights
 # ---------------------------------------------------------------------------
 
+class _SelfSpawningStream(SequenceStream):
+    """A fixed sequence whose every spawned child is itself, so the grid
+    point and then the tail start read one list of draws in turn."""
+
+    def spawn(self, n):
+        return [self] * n
+
+
 def _path_weight(draws):
     """Density estimate of one path from x0 = 20 on the sigma = 0.5 model
     at p_d = 0.5, drawing its uniforms from ``draws``.  The one tail-start
     path that follows on the same stream gets uniforms that absorb it at
     once."""
-    stream = SequenceStream([*draws, 0.25, 0.25])
+    stream = _SelfSpawningStream([*draws, 0.25, 0.25])
     measure = estimate_density_grid(sigma05_model(), [20.0], 1, 0.5, stream)
     assert stream.remaining == 0
     return float(measure.weights[0])
@@ -466,25 +474,6 @@ def test_grid_blocks_match_single_points():
                                      streams[-1])
     assert (measure.tail_mass, measure.tail_stderr,
             measure.tail_excess, measure.tail_excess_stderr) == tail
-
-
-def test_shared_stream_runs_grid_points_one_after_another():
-    """A stream that cannot spawn is read point by point, as a loop would,
-    and then by the tail start."""
-    model = sigma05_model()
-    p_d = default_absorption(model)
-    grid = [10.0, 20.0, 30.0]
-    values = PcgStream(3).uniforms(2000)
-    blocked = SequenceStream(values)
-    measure = estimate_density_grid(model, grid, 5, p_d, blocked)
-    looped = SequenceStream(values)
-    est, se = _single_point_grid(model, grid, 5, [looped] * len(grid))
-    assert np.array_equal(measure.weights, est)
-    assert np.array_equal(measure.stderr, se)
-    tail = estimate_tail_probability(model, 35.0, 1, p_d, looped)
-    assert (measure.tail_mass, measure.tail_stderr,
-            measure.tail_excess, measure.tail_excess_stderr) == tail
-    assert blocked.remaining == looped.remaining > 0
 
 
 def test_first_step_is_stratified_by_rank(monkeypatch):
