@@ -10,10 +10,8 @@ from .asymptotics import (
     SlaResult,
     c_beta_constant,
     second_order_constants,
-    sla_es_srm,
     sla_var_first_order,
     sla_var_second_order,
-    srm_multiplier,
     subexp_tail_ratio,
 )
 from .compound import (
@@ -23,7 +21,6 @@ from .compound import (
     sample_claims,
     simulate_compound,
     simulate_compound_parallel,
-    tail_probability_mc,
 )
 from .distributions import (
     BinomialFrequency,
@@ -54,7 +51,6 @@ from .normal import norm_cdf, norm_pdf, norm_quantile, norm_sf
 from .panjer import (
     CompoundPmf,
     DiscreteSeverity,
-    compound_cdf_quantile,
     discretize_severity,
     gpd_panjer_discrete,
     oracle_compound_pmf,

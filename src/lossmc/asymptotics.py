@@ -1,9 +1,8 @@
 """Closed-form tail approximations for the compound loss.
 
 First- and second-order single-loss approximations of the annual-loss
-quantile, the asymptotic ES/SRM ratios available under regularly
-varying severities, and the sub-exponentiality diagnostic based on the
-two-fold convolution tail.
+quantile, and the sub-exponentiality diagnostic based on the two-fold
+convolution tail.
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
 from scipy import special
 
 from .compound import CompoundModel
@@ -31,8 +29,6 @@ class SlaResult:
     alpha: float
     var_first: float
     var_second: float | None = None
-    es: float | None = None
-    srm: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -140,53 +136,6 @@ def sla_var_second_order(model: CompoundModel, alpha: float) -> SlaResult:
     var2 = float(sev.quantile(level))
     return SlaResult(alpha=alpha, var_first=var1, var_second=var2,
                      diagnostics=diag)
-
-
-def sla_es_srm(model: CompoundModel, alpha: float, phi=None) -> SlaResult:
-    """Asymptotic expected shortfall and spectral risk measure.
-
-    Both ratios hold for regularly varying severity tails: ES/VaR is
-    a/(a-1) with a the survival's tail index, and the SRM multiplier is
-    K = integral over s in (1, inf) of s^(a-2) phi(1 - 1/s) ds.  For
-    rapidly varying severities (lognormal) there is no such ratio and
-    the caller should integrate an oracle distribution instead.  When
-    phi is omitted only the shortfall is filled in.
-    """
-    a = model.severity.tail_index
-    if a is None:
-        raise UnsupportedModelError(
-            "ES/SRM ratios require a regularly varying severity"
-        )
-    if a <= 1.0:
-        raise UnsupportedModelError("ES ratio requires tail index > 1")
-    var = sla_var_first_order(model, alpha)
-    es = var * a / (a - 1.0)
-    diag = {"tail_index": a, "es_over_var": a / (a - 1.0)}
-    srm = None
-    if phi is not None:
-        k = srm_multiplier(a, phi)
-        srm = var * k
-        diag["srm_multiplier"] = k
-    return SlaResult(alpha=alpha, var_first=var, es=es, srm=srm,
-                     diagnostics=diag)
-
-
-def srm_multiplier(a: float, phi) -> float:
-    """K = integral_1^inf s^(a-2) phi(1 - 1/s) ds by adaptive quadrature."""
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(
-                lambda s: s ** (a - 2.0) * phi(1.0 - 1.0 / s),
-                1.0, np.inf, epsrel=1e-8, limit=200,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise NumericError(f"SRM weight integral did not converge: {exc}") from exc
-    if not math.isfinite(val):
-        raise NumericError("SRM weight integral diverges")
-    return float(val)
 
 
 def subexp_tail_ratio(model: SeverityModel, x: float) -> float:

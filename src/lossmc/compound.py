@@ -118,15 +118,3 @@ def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
     lo_rank = min(max(lo_rank, 1), T)
     hi_rank = min(max(hi_rank, 1), T)
     return float(point), float(s[lo_rank - 1]), float(s[hi_rank - 1])
-
-
-def tail_probability_mc(batch: SampleBatch, threshold: float):
-    """Fraction of the batch above the threshold, with its variance.
-
-    The estimator is unbiased for P(Z > threshold) and its variance is
-    estimate * (1 - estimate) / T.
-    """
-    if batch.count == 0:
-        raise RuntimeError("empty batch")
-    est = float(np.mean(batch.values > threshold))
-    return est, est * (1.0 - est) / batch.count

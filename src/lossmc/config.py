@@ -1,12 +1,12 @@
 """One typed reader for the values of a JSON experiment config.
 
 A table maps each key a config block may hold to ``(kind, default)``.  A
-kind is ``COUNT`` (a whole JSON number: 5000.0 passes, 2.7 does not),
-``REAL`` (a finite JSON number), ``REALS`` (a nonempty list of reals), a
-tuple of the allowed values, or a function that reads a nested block.  A
-bool or a string is never a number, where int() and float() would read
-true as 1 and "1000" as 1000.  Range checks stay with the code that uses
-a value.
+kind is ``COUNT`` (a whole JSON number within int64: 5000.0 passes, 2.7
+and 1e300 do not), ``REAL`` (a finite JSON number), ``REALS`` (a nonempty
+list of reals), a tuple of the allowed values, or a function that reads a
+nested block.  A bool or a string is never a number, where int() and
+float() would read true as 1 and "1000" as 1000.  Range checks stay with
+the code that uses a value.
 """
 from __future__ import annotations
 
@@ -56,6 +56,8 @@ def read_value(value, kind, name: str):
     if kind == COUNT:
         if not (number and float(value).is_integer()):
             raise ValueError(f"{name} must be a whole number, got {value!r}")
+        if not -2 ** 63 <= value < 2 ** 63:
+            raise ValueError(f"{name} must be a whole number within int64, got {value!r}")
         return int(value)
     if not number:
         raise ValueError(f"{name} must be a number, got {value!r}")

@@ -43,6 +43,7 @@ MAX_LENGTH_FACTOR = 16
 TILT_TOP_SHARE = 1e-8
 PGF_DOMAIN_SHARE = 0.9
 PGF_BLOCK = 8192
+LOG_MASS_MAX = 709.0  # log of a tilted-mass bound below the largest float
 
 
 @dataclass
@@ -163,7 +164,9 @@ def _tilt(f: np.ndarray, step: float, radius: float) -> float:
     most TILT_TOP_SHARE of the tilted peak max_k f_k e^{theta x_k}, so that
     the tilted compound law still dies out before the buffer wraps round.
     The tilted severity mass is also kept below PGF_DOMAIN_SHARE of the
-    pgf's radius of convergence.  Returns 0 when no positive tilt passes.
+    pgf's radius of convergence, and each of its terms below e^LOG_MASS_MAX
+    divided by their number, so that their sum cannot overflow.  Returns 0
+    when no positive tilt passes.
     """
     top = int(np.flatnonzero(f)[-1]) if np.any(f) else 0
     if top == 0:
@@ -176,9 +179,11 @@ def _tilt(f: np.ndarray, step: float, radius: float) -> float:
     if not theta > 0.0:
         return 0.0
     cap = PGF_DOMAIN_SHARE * radius
+    log_n = math.log(top + 1)
 
     def tilted_mass(t):
-        return float(np.exp(logf + t * x).sum())
+        v = logf + t * x  # a term past the bound reads as an infinite mass
+        return math.inf if v.max() + log_n > LOG_MASS_MAX else float(np.exp(v).sum())
 
     if tilted_mass(theta) < cap:
         return theta
@@ -259,7 +264,8 @@ def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
     A second pass at the tilt of :func:`_tilt` then brings the absolute
     rounding floor far below the untilted one in the deep tail.  Each
     point takes the pass with the lower floor, and rounding noise below
-    zero is clipped.
+    zero is clipped.  A tilt whose e^{-theta x} underflows to 0 on the
+    lattice is dropped, since its pass would divide by 0.
     """
     f = sev.masses[:M + 1]
     x = sev.step * np.arange(M + 1)
@@ -277,6 +283,8 @@ def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
             break
         L = sp_fft.next_fast_len(2 * L, real=True)
     theta = _tilt(f, sev.step, freq.pgf_radius())
+    if math.exp(-(theta - damp) * x[-1]) == 0.0:
+        theta = 0.0
     if theta > 0.0:
         g_t, floor_t, _ = _transform_pass(freq, f, x, theta - damp, L)
         # a pass that overflowed has nan or inf floors and is never taken
@@ -299,35 +307,12 @@ def gpd_panjer_discrete(lam: float, theta: float, sev: DiscreteSeverity,
     return compound_pmf_transform(GeneralizedPoissonFrequency(lam, theta), sev, M)
 
 
-def compound_cdf_quantile(pmf: CompoundPmf, alpha: float):
-    """Cumulative masses and the generalized-inverse quantile.
-
-    Returns (cdf grid, quantile); the quantile is the smallest lattice
-    point whose cumulative mass reaches alpha.
-    """
-    cdf = pmf.cdf()
-    return cdf, float(_quantile_index(cdf, alpha, pmf.step) * pmf.step)
-
-
-def _quantile_index(cdf: np.ndarray, alpha: float, step: float) -> int:
-    """Index of the smallest lattice point whose cumulative mass reaches
-    alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if cdf[-1] < alpha:
-        raise TruncationError(
-            f"accumulated mass {cdf[-1]:.6f} < alpha = {alpha}; raise the "
-            f"lattice end x_max (M = {len(cdf) - 1} cells of step {step})"
-        )
-    return int(np.searchsorted(cdf, alpha, side="left"))
-
-
 def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
     """One-call oracle: discretize the severity on the lattice of step
     ``step`` up to ``x_max`` and transform it, for every frequency kind.
 
-    Raise ``x_max`` (or catch TruncationError from the quantile call) for
-    very deep levels.
+    Raise ``x_max`` (or catch TruncationError from
+    :func:`oracle_tail_stats`) for very deep levels.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -338,11 +323,19 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
 
 def oracle_tail_stats(pmf: CompoundPmf, levels):
     """[(quantile, tail mean)] of the discrete compound law, one pair per
-    level, all read from one cumulative sum."""
+    level, all read from one cumulative sum.  The quantile is the smallest
+    lattice point whose cumulative mass reaches the level."""
     cdf, grid = pmf.cdf(), pmf.grid()
     out = []
     for alpha in levels:
-        i = _quantile_index(cdf, alpha, pmf.step)
+        if not (0.0 < alpha < 1.0):
+            raise ValueError("alpha must lie in (0, 1)")
+        if cdf[-1] < alpha:
+            raise TruncationError(
+                f"accumulated mass {cdf[-1]:.6f} < alpha = {alpha}; raise the "
+                f"lattice end x_max (M = {len(cdf) - 1} cells of step {pmf.step})"
+            )
+        i = int(np.searchsorted(cdf, alpha, side="left"))
         w = pmf.masses[i:]
         out.append((float(i * pmf.step), float(np.dot(grid[i:], w) / w.sum())))
     return out

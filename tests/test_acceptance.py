@@ -21,17 +21,16 @@ from lossmc import (
     LogNormalSeverity,
     ParetoSeverity,
     PcgStream,
-    compound_cdf_quantile,
     default_absorption,
     empirical_quantile_ci,
     estimate_density_grid,
     oracle_compound_pmf,
+    oracle_tail_stats,
     quantile_from_measure,
     second_order_constants,
     sla_var_first_order,
     smc_rare_event,
     subexp_tail_ratio,
-    tail_probability_mc,
 )
 
 from conftest import (
@@ -84,8 +83,9 @@ def test_criterion_2_mc_column_sigma05(sigma05_batch, sigma05_pmf):
         assert abs(q - printed) <= 2.0
     assert 56.0 <= qs[4] <= 58.0
     # the 99% row's tail is the oracle's P(Z > 57) = 0.010226, not 0.01
-    est, var = tail_probability_mc(sigma05_batch, 57.0)
-    assert abs(est - oracle_tail(sigma05_pmf, 57.0)) <= 3.0 * math.sqrt(var)
+    est = np.mean(sigma05_batch.values > 57.0)
+    se = math.sqrt(est * (1.0 - est) / sigma05_batch.count)
+    assert abs(est - oracle_tail(sigma05_pmf, 57.0)) <= 3.0 * se
 
 
 def test_criterion_2_mc_column_sigma1(sigma1_batch):
@@ -156,7 +156,7 @@ def test_criterion_3_particle_reduced_budget_sigma1(sigma1_grid_reduced):
         lo, hi = brackets[row]
         assert lo - 2.0 <= qs[row] <= hi + 2.0
     pmf = oracle_compound_pmf(sigma1_model(), step=0.01, x_max=400.0)
-    oracle_q = compound_cdf_quantile(pmf, 0.99)[1]
+    oracle_q = oracle_tail_stats(pmf, [0.99])[0][0]
     assert abs(oracle_q - 129.47) <= 0.01
     assert abs(qs[4] - oracle_q) <= 1.0
 

@@ -8,17 +8,14 @@ from lossmc import (
     LevelRangeError,
     LogNormalSeverity,
     NegativeBinomialFrequency,
-    NumericError,
     ParetoSeverity,
     PoissonFrequency,
     UnsupportedModelError,
     c_beta_constant,
-    compound_cdf_quantile,
+    oracle_tail_stats,
     second_order_constants,
-    sla_es_srm,
     sla_var_first_order,
     sla_var_second_order,
-    srm_multiplier,
     subexp_tail_ratio,
 )
 
@@ -131,49 +128,9 @@ def test_second_order_degenerate_correction_flagged():
 
 
 def test_second_order_improves_deep_benchmark_level(sigma05_pmf):
-    _, oracle = compound_cdf_quantile(sigma05_pmf, 0.9995)
+    oracle = oracle_tail_stats(sigma05_pmf, [0.9995])[0][0]
     res = sla_var_second_order(sigma05_model(), 0.9995)
     assert abs(res.var_second - oracle) < abs(res.var_first - oracle)
-
-
-# ---------------------------------------------------------------------------
-# shortfall and spectral ratios
-# ---------------------------------------------------------------------------
-
-def test_shortfall_ratio_for_power_tail():
-    res = sla_es_srm(pareto_poisson_model(), 0.999)
-    assert res.diagnostics["es_over_var"] == pytest.approx(2.0, rel=1e-12)
-    assert res.es == pytest.approx(2.0 * res.var_first, rel=1e-12)
-    assert res.srm is None
-
-
-def test_spectral_ratio_with_power_weight():
-    phi = lambda u: 3.0 * (1.0 - u) ** 2
-    res = sla_es_srm(pareto_poisson_model(), 0.999, phi=phi)
-    assert res.diagnostics["srm_multiplier"] == pytest.approx(3.0, rel=1e-9)
-    assert res.srm == pytest.approx(3.0 * res.var_first, rel=1e-9)
-
-
-def test_ratios_require_power_tails():
-    with pytest.raises(UnsupportedModelError):
-        sla_es_srm(sigma05_model(), 0.999)
-    with pytest.raises(UnsupportedModelError):
-        sla_es_srm(CompoundModel(PoissonFrequency(2.0), ParetoSeverity(1.0, 1.0)),
-                   0.999)
-
-
-def test_srm_multiplier_reference_integrals():
-    assert srm_multiplier(0.5, lambda u: 0.7 * np.ones_like(u)) == pytest.approx(
-        1.4, rel=1e-9)
-    assert srm_multiplier(0.5, lambda u: 1.0 - u) == pytest.approx(2.0 / 3.0,
-                                                                   rel=1e-8)
-    assert srm_multiplier(2.0, lambda u: 3.0 * (1.0 - u) ** 2) == pytest.approx(
-        3.0, rel=1e-9)
-
-
-def test_flat_weight_diverges_at_unit_excess_index():
-    with pytest.raises(NumericError):
-        srm_multiplier(2.0, lambda u: np.ones_like(u))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +179,7 @@ def test_convolution_tail_ratio_lognormal_settles():
            "compound quantile; the survival ratio there is ~3e2, not ~1",
 )
 def test_single_loss_tail_equivalence_at_deep_quantile(sigma05_pmf):
-    cdf, q = compound_cdf_quantile(sigma05_pmf, 0.9999)
+    cdf, q = sigma05_pmf.cdf(), oracle_tail_stats(sigma05_pmf, [0.9999])[0][0]
     sev = sigma05_model().severity
     ratio = (1.0 - cdf[round(q / sigma05_pmf.step)]) / (2.0 * float(sev.sf(q)))
     assert 0.9 < ratio < 1.1

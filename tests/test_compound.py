@@ -17,7 +17,6 @@ from lossmc import (
     empirical_quantile_ci,
     simulate_compound,
     simulate_compound_parallel,
-    tail_probability_mc,
 )
 
 from conftest import oracle_tail, sigma05_model
@@ -115,34 +114,21 @@ def test_sigma1_benchmark_quantile(sigma1_batch):
 # tail probabilities
 # ---------------------------------------------------------------------------
 
-def test_tail_probability_certain_event():
-    batch = SampleBatch(values=np.arange(1.0, 11.0))
-    est, var = tail_probability_mc(batch, 0.5)
-    assert (est, var) == (1.0, 0.0)
-
-
-def test_tail_probability_variance_formula():
-    values = np.array([1.0] * 3 + [0.0] * 7)
-    est, var = tail_probability_mc(SampleBatch(values=values), 0.5)
-    assert est == pytest.approx(0.3)
-    assert var == pytest.approx(0.021)
-
-
 def test_sigma05_tail_at_99_row(sigma05_batch, sigma05_pmf):
     """The 5e6-draw tail at the 99% row agrees with the oracle's P(Z > 57)."""
-    est, var = tail_probability_mc(sigma05_batch, 57.0)
-    assert abs(est - oracle_tail(sigma05_pmf, 57.0)) <= 3.0 * math.sqrt(var)
+    est = np.mean(sigma05_batch.values > 57.0)
+    se = math.sqrt(est * (1.0 - est) / sigma05_batch.count)
+    assert abs(est - oracle_tail(sigma05_pmf, 57.0)) <= 3.0 * se
 
 
 def test_tail_estimator_unbiased_against_reference():
     """100 small batches agree with a ten-million-draw reference run."""
     model = sigma05_model()
     streams = PcgStream(3101).spawn(100)
-    reps = np.array([tail_probability_mc(simulate_compound(model, 10_000, s), 57.0)[0]
+    reps = np.array([np.mean(simulate_compound(model, 10_000, s).values > 57.0)
                      for s in streams])
-    ref, ref_var = tail_probability_mc(
-        simulate_compound(model, 10_000_000, PcgStream(3102)), 57.0)
-    se = math.sqrt(reps.var(ddof=1) / 100 + ref_var)
+    ref = np.mean(simulate_compound(model, 10_000_000, PcgStream(3102)).values > 57.0)
+    se = math.sqrt(reps.var(ddof=1) / 100 + ref * (1.0 - ref) / 10_000_000)
     assert abs(reps.mean() - ref) <= 4.0 * se
 
 
@@ -154,7 +140,7 @@ def test_tail_estimator_variance_scaling():
     variances = []
     for T in sizes:
         streams = root.spawn(100)
-        ests = np.array([tail_probability_mc(simulate_compound(model, T, s), 20.0)[0]
+        ests = np.array([np.mean(simulate_compound(model, T, s).values > 20.0)
                          for s in streams])
         variances.append(ests.var(ddof=1))
     slope = np.polyfit(np.log(sizes), np.log(variances), 1)[0]
@@ -184,7 +170,5 @@ def test_parallel_reduction_thread_invariant():
 
 def test_empty_batch_rejected():
     batch = SampleBatch(values=np.array([]))
-    with pytest.raises(RuntimeError):
-        tail_probability_mc(batch, 1.0)
     with pytest.raises(RuntimeError):
         empirical_quantile_ci(batch, 0.5, 0.95)

@@ -13,7 +13,6 @@ from lossmc import (
     NegativeBinomialFrequency,
     PoissonFrequency,
     TruncationError,
-    compound_cdf_quantile,
     discretize_severity,
     gpd_panjer_discrete,
     oracle_compound_pmf,
@@ -281,6 +280,21 @@ def test_gpd_transform_matches_explicit_mixture(theta):
     _assert_transform_gates(g, direct, deep=False)
 
 
+@pytest.mark.parametrize("sigma,var50,var99", [(0.1, 14.41, 44.73),
+                                               (0.05, 14.58, 44.48),
+                                               (0.01, 14.74, 44.36)])
+def test_narrow_severity_skips_underflowing_tilt(sigma, var50, var99):
+    """A narrow severity's tilt is so steep that e^{-theta x_max} underflows
+    to 0: the pass is skipped rather than run into 0/0, and at sigma 0.01
+    the tilt is found without overflowing the tilted mass.  Either fault
+    would raise under the suite's RuntimeWarning filter."""
+    model = CompoundModel(PoissonFrequency(2.0), LogNormalSeverity(2.0, sigma))
+    pmf = oracle_compound_pmf(model, step=0.01, x_max=40.0 * model.mean())
+    assert pmf.tilt == 0.0
+    [(q50, _), (q99, _)] = oracle_tail_stats(pmf, [0.5, 0.99])
+    assert (q50, q99) == pytest.approx((var50, var99), abs=1e-9)
+
+
 def _oracle_passes(monkeypatch, model, step, x_max, skip):
     """The oracle's pmf and its transform passes as (L, tilt, wrapped),
     with the length skip on or patched off."""
@@ -349,7 +363,7 @@ def test_sigma05_reference_quantiles(sigma05_pmf):
     expected = {0.5: 14.410, 0.8: 27.085, 0.9: 34.970, 0.95: 42.135,
                 0.99: 57.200, 0.999: 76.685, 0.9995: 82.270}
     for alpha, q_ref in expected.items():
-        _, q = compound_cdf_quantile(sigma05_pmf, alpha)
+        [(q, _)] = oracle_tail_stats(sigma05_pmf, [alpha])
         assert q == pytest.approx(q_ref, abs=1e-9)
 
 
@@ -368,18 +382,18 @@ def test_sigma05_reference_density_and_cdf(sigma05_pmf):
 def test_sigma05_quantiles_stable_under_step_halving(sigma05_pmf):
     coarse = oracle_compound_pmf(sigma05_model(), step=0.01, x_max=120.0)
     for alpha in (0.99, 0.9995):
-        _, qc = compound_cdf_quantile(coarse, alpha)
-        _, qf = compound_cdf_quantile(sigma05_pmf, alpha)
+        [(qc, _)] = oracle_tail_stats(coarse, [alpha])
+        [(qf, _)] = oracle_tail_stats(sigma05_pmf, [alpha])
         assert abs(qc - qf) <= 0.02
-    _, q99 = compound_cdf_quantile(coarse, 0.99)
+    [(q99, _)] = oracle_tail_stats(coarse, [0.99])
     assert abs(q99 - 57.0) <= 1.0
-    _, q9995 = compound_cdf_quantile(coarse, 0.9995)
+    [(q9995, _)] = oracle_tail_stats(coarse, [0.9995])
     assert abs(q9995 - 83.0) <= 2.0
 
 
 def test_sigma1_99_percent_quantile():
     pmf = oracle_compound_pmf(sigma1_model(), step=0.01, x_max=400.0)
-    _, q = compound_cdf_quantile(pmf, 0.99)
+    [(q, _)] = oracle_tail_stats(pmf, [0.99])
     assert abs(q - 129.0) <= 2.0
 
 
@@ -391,7 +405,7 @@ def test_sigma05_expected_shortfall():
     # several levels read from one cumulative sum, each as if alone
     levels = [0.5, 0.99, 0.9995]
     stats = oracle_tail_stats(pmf, levels)
-    assert [q for q, _ in stats] == [compound_cdf_quantile(pmf, a)[1] for a in levels]
+    assert stats == [oracle_tail_stats(pmf, [a])[0] for a in levels]
     assert stats[1] == (q, tail_mean)
 
 
@@ -412,11 +426,11 @@ def test_oracle_agrees_with_monte_carlo(sigma05_pmf, sigma05_batch):
 def test_quantile_validates_level_and_truncation():
     pmf = oracle_compound_pmf(sigma05_model(), step=0.05, x_max=20.0)
     with pytest.raises(TruncationError):
-        compound_cdf_quantile(pmf, 0.999)
+        oracle_tail_stats(pmf, [0.999])
     with pytest.raises(ValueError):
-        compound_cdf_quantile(pmf, 0.0)
+        oracle_tail_stats(pmf, [0.0])
     with pytest.raises(ValueError):
-        compound_cdf_quantile(pmf, 1.0)
+        oracle_tail_stats(pmf, [1.0])
 
 
 def test_zero_atom_kept_as_mass_in_density():

@@ -14,8 +14,8 @@ from lossmc import (
     ExperimentConfig,
     ReportRow,
     RiskReport,
-    compound_cdf_quantile,
     emit_report,
+    oracle_tail_stats,
     parse_report,
     reproduce_table1,
     run_experiment,
@@ -228,7 +228,7 @@ def test_readme_python_examples_run():
         exec(compile(block, "README.md", "exec"), ns)
     assert ns["lo"] <= ns["q99"] <= ns["hi"]
     assert ns["q9995"] in ns["grid"]
-    assert abs(ns["q9995"] - compound_cdf_quantile(ns["pmf"], 0.9995)[1]) <= 1.0
+    assert abs(ns["q9995"] - oracle_tail_stats(ns["pmf"], [0.9995])[0][0]) <= 1.0
 
 
 def test_report_validation_rejects_nonmonotone_var():
@@ -589,12 +589,13 @@ _VALID_METHODS = {
     for command, method in _VALID_METHODS.items()
     for key, (kind, _) in report_module._METHODS[method["kind"]].items()
     for bad in ([[True], ["20"], [float("nan")]] if kind == "reals"
-                else [True, "1", float("nan")])
+                else [True, "1", float("nan")] + ([1e300] if kind == "count" else []))
 ])
 def test_cli_rejects_bool_string_and_nan_for_every_method_key(tmp_path, capsys,
                                                               command, key, bad):
     """No method value is read by int() or float(): true, "1" and NaN exit 2
-    for every key the method table lists."""
+    for every key the method table lists, and so does a count past int64,
+    which would make mh_steps loop without end."""
     cfg = _write_config(tmp_path, dict(_VALID_METHODS[command], **{key: bad}))
     rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
     assert rc == 2

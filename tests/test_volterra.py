@@ -22,7 +22,6 @@ from lossmc import (
     UnsupportedModelError,
     WeightedParticleMeasure,
     build_volterra_kernel,
-    compound_cdf_quantile,
     default_absorption,
     estimate_density_grid,
     estimate_tail_probability,
@@ -416,7 +415,7 @@ def test_particle_report_rows_match_oracle(preset):
     pmf = oracle_compound_pmf(model, step=0.01, x_max=x_max)
     assert [row.alpha for row in report.rows] == list(QUANTILE_LEVELS)
     for row in report.rows:
-        q = compound_cdf_quantile(pmf, row.alpha)[1]
+        [(q, _)] = oracle_tail_stats(pmf, [row.alpha])
         assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr + 1.0, (row, q)
 
 
