@@ -1,6 +1,7 @@
 """Crude Monte Carlo for the compound annual loss Z = sum of N severities."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,15 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
     """Chunked simulation with one child stream per chunk.
 
     Chunk i always uses substream i and outputs are concatenated in
-    chunk order, so the batch is identical for any thread count.
+    chunk order, so the batch is identical for any thread count.  A T
+    whose float64 losses would not fit in physical memory raises
+    ``ValueError`` before any stream is spawned.
     """
     T = int(T)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * T > memory:
+        raise ValueError(f"T = {T} losses need {8 * T:.3g} bytes as float64, more than the "
+                         f"{memory:.3g} bytes of physical memory")
     n_chunks = max(1, (T + chunk - 1) // chunk)
     streams = PcgStream(seed).spawn(n_chunks)
     sizes = [chunk] * (n_chunks - 1) + [T - chunk * (n_chunks - 1)]

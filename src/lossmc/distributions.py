@@ -481,8 +481,11 @@ class LogNormalSeverity(SeverityModel):
 
     def sf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, norm_sf(self._z(np.where(x > 0, x, 1.0))), 1.0)
-        return out if out.ndim else float(out)
+        if np.all(x > 0):
+            out = norm_sf(self._z(x))
+        else:
+            out = np.where(x > 0, norm_sf(self._z(np.where(x > 0, x, 1.0))), 1.0)
+        return out if np.ndim(out) else float(out)
 
     def quantile(self, p):
         return np.exp(self.mu + self.sigma * norm_quantile(p))

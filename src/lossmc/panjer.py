@@ -312,10 +312,17 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
     ``step`` up to ``x_max`` and transform it, for every frequency kind.
 
     Raise ``x_max`` (or catch TruncationError from
-    :func:`oracle_tail_stats`) for very deep levels.
+    :func:`oracle_tail_stats`) for very deep levels.  A step above the
+    severity median, which would put more than half the severity mass in
+    the first cell, raises ``ValueError``: such a lattice cannot resolve
+    the severity.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    median = float(model.severity.quantile(0.5))
+    if step > median:
+        raise ValueError(f"step {step:g} exceeds the severity median {median:.6g}; "
+                         "the lattice would not resolve the severity")
     M = int(math.ceil(x_max / step))
     sev = discretize_severity(model.severity, step, M)
     return compound_pmf_transform(model.frequency, sev, M)

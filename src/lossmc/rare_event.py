@@ -7,14 +7,17 @@ selection by the Boltzmann-Gibbs transform, and mutation by a kernel
 that leaves the law restricted to the current level set invariant.  Each
 particle carries its claims and the kernel is an exact random-scan Gibbs
 step on one claim (:class:`ClaimPopulation`; Botev & Kroese's
-generalized splitting).  The first level's potential looks ahead: it is
-the chance that a Gibbs move of the particle's largest claim clears the
-level (the fully adapted construction; Del Moral 2004), which replaces
-the crude fraction above t_0 by a conditional Monte Carlo mean (Asmussen
-& Kroese 2006).  Later levels select on the indicator of {Z > t_p}.  The
-running product of the first p success fractions is an unbiased
-estimate of P(Z > t_p) at every level p, so :func:`replicate_smc` reads
-every threshold of a ladder off one replicated run.
+generalized splitting).  The first level, and every level followed by a
+selection, weighs its particles by a look-ahead potential: the chance
+that a Gibbs move of the particle's largest claim, confined to the
+previous level set, clears the level (the fully adapted construction;
+Pitt & Shephard 1999, Del Moral 2004).  It replaces the crude fraction
+of survivors by a conditional Monte Carlo mean (Asmussen & Kroese 2006),
+and the move it looks ahead to is the level's first mutation.  A last
+level p >= 1 is read as the fraction of particles above it.  The running product of the first p success
+fractions is an unbiased estimate of P(Z > t_p) at every level p, so
+:func:`replicate_smc` reads every threshold of a ladder off one
+replicated run.
 """
 from __future__ import annotations
 
@@ -116,22 +119,26 @@ class ClaimPopulation:
         q[above] *= severity.sf(threshold - rest[above])
         return self._redraw(severity, threshold, at, rest, q)
 
-    def largest_claim_potential(self, severity, threshold: float):
+    def largest_claim_potential(self, severity, threshold: float,
+                                previous: float = -math.inf):
         """The chance that a Gibbs move of each particle's largest claim
-        clears ``threshold``, with what the move needs.
+        clears ``threshold``, the move being confined to {Z > previous},
+        with what the move needs.
 
-        Given its other claims, particle i's largest claim has the law
-        X | X > M, where M is the largest other claim (0 for a single
-        claim).  With R = Z - X_max and M- = nextafter(M, -inf), so that
-        a claim tied with M stays admissible (M- is 0 where M is 0: a
-        positive severity has sf(0) = 1 as well),
+        Given its other claims and Z > t', particle i's largest claim has
+        the law X | X > max(t' - R, M), where R = Z - X_max and M is the
+        largest other claim (0 for a single claim).  With t = ``threshold``,
+        t' = ``previous`` (-inf at the first level) and M- the largest
+        double below M, so that a claim tied with M stays admissible (M-
+        is 0 where M is 0: a positive severity has sf(x) = 1 for x <= 0),
 
-            G_i = sf(max(t - R, M-)) / sf(M-),
+            G_i = sf(max(t - R, M-)) / sf(max(t' - R, M-)).
 
-        the mean of which over the base law is P(Z > t).  G_i is the
-        indicator 1{Z > t} for a particle without claims or where sf(M-)
-        underflows to 0; a point mass gives the indicator too, since its
-        ties make sf(M-) = 1.
+        The move leaves the base law restricted to {Z > t'} invariant, so
+        the mean of G over that law is P(Z > t | Z > t').  G_i is the
+        indicator 1{Z > t} for a particle without claims or where the
+        denominator underflows to 0; a point mass gives the indicator
+        too, since its ties make the denominator 1.
 
         Returns ``(g, tail, rest, offset)``, each of length N: the
         potentials, the numerator sf(max(t - R, M-)) (0 where G is the
@@ -147,18 +154,21 @@ class ClaimPopulation:
         at = np.zeros(n, dtype=np.intp)
         tops = np.flatnonzero(sev == top[row])
         at[row[tops]] = tops
-        others = sev.copy()
-        others[at[self.has_claims]] = 0.0
+        # the runner-up is the row maximum with the moving claim set to 0,
+        # which is put back at once
+        moving = at[self.has_claims]
+        sev[moving] = 0.0
         runner_up = np.zeros(n)
-        np.maximum.at(runner_up, row, others)
+        np.maximum.at(runner_up, row, sev)
+        sev[moving] = top[self.has_claims]
         # M- where there is a runner-up; elsewhere 0, where sf is 1 as at M-
-        two = np.flatnonzero(runner_up)
-        below = np.nextafter(runner_up[two], -np.inf)
-        floor = np.zeros(n)
-        floor[two] = below
-        den = np.ones(n)
-        den[two] = severity.sf(below)
+        floor = np.nextafter(runner_up, 0.0)
         rest = self.states - top
+        low = np.maximum(previous - rest, floor)
+        # sf is 1 at or below 0
+        inside = np.flatnonzero(low > 0.0)
+        den = np.ones(n)
+        den[inside] = severity.sf(low[inside])
         tail = np.minimum(severity.sf(np.maximum(threshold - rest, floor)), den)
         adapted = self.has_claims & (den > 0.0)
         tail *= adapted
@@ -281,25 +291,26 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     Every particle carries its claims (:class:`ClaimPopulation`, drawn as
     crude Monte Carlo draws years).  Level p's success fraction is the
     mean of its potentials, and the running product of the fractions is
-    the unbiased normalizing-constant estimate.  The first level's
-    potential is the chance that a Gibbs move of each particle's largest
-    claim clears t_0 (:meth:`ClaimPopulation.largest_claim_potential`, a
-    look-ahead potential, or fully adapted selection); every later level
-    selects on the indicator of {Z > t_p}.  Each level but the last
+    the unbiased normalizing-constant estimate.  The first level, and
+    every level followed by a selection, uses the look-ahead potential:
+    the chance that a Gibbs move of each particle's largest claim, confined
+    to {Z > t_{p-1}}, clears t_p
+    (:meth:`ClaimPopulation.largest_claim_potential`, fully adapted
+    selection), whose mean is P(Z > t_p | Z > t_{p-1}).  A last level
+    p >= 1 is read as the fraction of particles above t_p, with no
+    selection, and no population is returned.  Each level but the last
     copies whole particles by their ancestor indices
     (:func:`selection_transition`) and makes ``mutation_steps`` moves
     that leave the compound law restricted to the level set invariant.
-    At the first level the first move is the redraw of each selected
-    particle's largest claim above its floor
-    (:meth:`ClaimPopulation.redraw_largest_claims`), which the selection
-    needs to land in the level set, so that level makes it even with
-    ``mutation_steps`` 0.  Every other move is a sweep of an exact
-    random-scan Gibbs sampler: each particle redraws one uniformly chosen
-    claim X_j from its law given the others and Z > t, by inversion
-    (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's generalized
-    splitting).  A level's ``acceptance_rate`` is near 1 and counts never
-    change.  The last level's fraction is read with no selection, and no
-    population is returned.
+    The first move is the redraw of each selected particle's largest
+    claim above its floor (:meth:`ClaimPopulation.redraw_largest_claims`),
+    which the selection needs to land in the level set, so a level makes
+    it even with ``mutation_steps`` 0.  Every other move is a sweep of an
+    exact random-scan Gibbs sampler: each particle redraws one uniformly
+    chosen claim X_j from its law given the others and Z > t, by
+    inversion (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's
+    generalized splitting).  A level's ``acceptance_rate`` counts the
+    redraw with the sweeps; it is near 1, and counts never change.
 
     Extinction at any level returns a zero estimate carrying the level
     index rather than retrying, so unbiasedness is preserved.  A model
@@ -319,9 +330,11 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     thresholds = levels.thresholds
     fractions = []
     trace = []
+    previous = -math.inf
     for p, threshold in enumerate(thresholds):
-        if p == 0:
-            g, tail, rest, offset = pop.largest_claim_potential(severity, threshold)
+        last = p + 1 == len(thresholds)
+        if p == 0 or not last:
+            g, tail, rest, offset = pop.largest_claim_potential(severity, threshold, previous)
         else:
             g = (pop.states > threshold).astype(float)
         total = float(g.sum())
@@ -338,21 +351,19 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
         if frac == 0.0:
             return SmcEstimate(estimate=0.0, level_fractions=fractions, extinct_level=p,
                                trace=trace)
-        if p + 1 == len(thresholds):
+        if last:
             break
         ancestors = selection_transition(g, rng)
         pop = pop.take(ancestors)
-        accepted, sweeps = 0, mutation_steps
-        if p == 0:
-            accepted = pop.redraw_largest_claims(severity, threshold, tail[ancestors],
-                                                 rest[ancestors], offset[ancestors], rng)
-            sweeps = max(mutation_steps - 1, 0)
+        accepted = pop.redraw_largest_claims(severity, threshold, tail[ancestors],
+                                             rest[ancestors], offset[ancestors], rng)
         _confined(pop.states, threshold, "selection")
+        sweeps = max(mutation_steps - 1, 0)
         for _ in range(sweeps):
             accepted += pop.gibbs_step(severity, threshold, rng)
             _confined(pop.states, threshold, "mutation")
-        moves = sweeps + (p == 0)
-        row["acceptance_rate"] = accepted / (N * moves) if moves else None
+        row["acceptance_rate"] = accepted / (N * (sweeps + 1))
+        previous = threshold
     return SmcEstimate(estimate=float(np.prod(fractions)), level_fractions=fractions,
                        trace=trace)
 

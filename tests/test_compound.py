@@ -168,6 +168,16 @@ def test_parallel_reduction_thread_invariant():
     assert np.array_equal(one.values, four.values)
 
 
+def test_parallel_refuses_more_losses_than_memory(monkeypatch):
+    """T = 9e18, a valid int64 count, used to spawn substreams without end;
+    its float64 losses cannot fit, so it is refused before any spawn."""
+    spawned = []
+    monkeypatch.setattr(PcgStream, "spawn", lambda self, n: spawned.append(n))
+    with pytest.raises(ValueError, match=r"T = 9000000000000000000 .*physical memory"):
+        simulate_compound_parallel(sigma05_model(), 9 * 10**18, seed=1)
+    assert spawned == []
+
+
 def test_empty_batch_rejected():
     batch = SampleBatch(values=np.array([]))
     with pytest.raises(RuntimeError):

@@ -70,6 +70,16 @@ def test_oracle_checks_the_step_before_sizing_the_lattice(step):
         oracle_compound_pmf(sigma05_model(), step=step, x_max=10.0)
 
 
+@pytest.mark.parametrize("step", [7.4, 1e300])
+def test_oracle_refuses_a_step_above_the_severity_median(step):
+    """LN(2, 0.5) has median e^2 = 7.389: a coarser step puts more than
+    half the severity mass in the first cell (1e300 left one cell and read
+    VaR 0)."""
+    with pytest.raises(ValueError, match="step .* exceeds the severity median 7.389"):
+        oracle_compound_pmf(sigma05_model(), step=step, x_max=200.0)
+    assert oracle_compound_pmf(sigma05_model(), step=7.38, x_max=200.0).masses.size == 29
+
+
 def test_discrete_severity_validation():
     good = np.array([0.5, 0.5])
     with pytest.raises(ValueError):

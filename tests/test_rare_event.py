@@ -212,17 +212,19 @@ def test_smc_needs_two_particles():
         smc_rare_event(sigma05_model(), lev, 1, 1, PcgStream(1))
 
 
-def _look_ahead_reference(pop, severity, threshold):
-    """G of :meth:`ClaimPopulation.largest_claim_potential`, row by row."""
+def _look_ahead_reference(pop, severity, threshold, previous=-math.inf):
+    """G of :meth:`ClaimPopulation.largest_claim_potential`, row by row: the
+    chance that the largest claim, redrawn given the other claims and
+    Z > ``previous``, clears ``threshold``."""
     g = []
     for count, start, z in zip(pop.counts, pop.starts, pop.states):
         claims = sorted(pop.severities[start:start + count])
         floor = np.nextafter(claims[-2] if count > 1 else 0.0, -np.inf)
-        den = severity.sf(floor) if count else 0.0
+        rest = z - claims[-1] if count else z
+        den = severity.sf(max(previous - rest, floor)) if count else 0.0
         if den == 0.0:
             g.append(float(z > threshold))
         else:
-            rest = z - claims[-1]
             g.append(min(severity.sf(max(threshold - rest, floor)), den) / den)
     return np.array(g)
 
@@ -260,6 +262,34 @@ def test_estimate_is_product_of_level_fractions():
     assert est.trace[1]["ess"] == round(500 * est.level_fractions[1])
     assert 0.0 < est.trace[0]["acceptance_rate"] <= 1.0
     assert est.trace[1]["acceptance_rate"] is None
+
+    # Three levels: the middle one weighs its particles by the chance that
+    # a move of the largest claim, confined to Z > 20, clears 40; the last
+    # is read as the fraction above 57.  The middle level's population is
+    # rebuilt by hand from the same stream: selection, the redraw of the
+    # largest claims and two sweeps.
+    sev = model.severity
+    lev = LevelSequence(thresholds=np.array([20.0, 40.0, 57.0]))
+    est = smc_rare_event(model, lev, 3, 500, PcgStream(11))
+    assert est.estimate == float(np.prod(est.level_fractions))
+    rng = PcgStream(11)
+    pop = ClaimPopulation.sample(model, 500, rng)
+    g, tail, rest, offset = pop.largest_claim_potential(sev, 20.0)
+    idx = selection_transition(g, rng)
+    pop = pop.take(idx)
+    pop.redraw_largest_claims(sev, 20.0, tail[idx], rest[idx], offset[idx], rng)
+    for _ in range(2):
+        pop.gibbs_step(sev, 20.0, rng)
+    g = pop.largest_claim_potential(sev, 40.0, 20.0)[0]
+    assert np.allclose(g, _look_ahead_reference(pop, sev, 40.0, 20.0), rtol=1e-12, atol=0.0)
+    assert est.level_fractions[1] == pytest.approx(g.mean(), rel=1e-12)
+    assert est.trace[1]["ess"] == pytest.approx(g.sum() ** 2 / (g @ g), rel=1e-12)
+    # fractional potentials: the ess lies strictly between the success
+    # count an indicator would give and N
+    assert 500 * est.level_fractions[1] < est.trace[1]["ess"] < 500
+    assert est.trace[2]["ess"] == round(500 * est.level_fractions[2])
+    assert 0.0 < est.trace[1]["acceptance_rate"] <= 1.0
+    assert est.trace[2]["acceptance_rate"] is None
 
 
 def test_extinction_returns_zero_with_level_index():
@@ -311,6 +341,19 @@ def test_claim_gibbs_ladder_matches_oracle_to_1200(sigma1_pmf):
     """sigma = 1: every level of a ladder down to P(Z > 1200) = 4.0e-7."""
     thresholds = [100, 200, 300, 400, 500, 600, 800, 1000, 1200]
     z = _ladder_z_scores(sigma1_model(), thresholds, sigma1_pmf, 2000, 1717)
+    assert np.all(np.abs(z) <= 4.0), z
+
+
+@pytest.mark.parametrize("case", ["sigma1", "sigma05"])
+def test_look_ahead_ladder_matches_oracle_at_every_level(case, request):
+    """Every level selects on the look-ahead but the last: the running
+    product stays unbiased at each level, against the oracle within 4 SE
+    (sigma = 1 on the benchmark ladder, sigma = 0.5 to its 1 % tail)."""
+    if case == "sigma1":
+        model, thresholds, pmf, seed = sigma1_model(), [100, 200, 300], "sigma1_pmf", 2424
+    else:
+        model, thresholds, pmf, seed = sigma05_model(), [20, 40, 57], "sigma05_pmf", 2525
+    z = _ladder_z_scores(model, thresholds, request.getfixturevalue(pmf), 2000, seed)
     assert np.all(np.abs(z) <= 4.0), z
 
 
@@ -421,15 +464,40 @@ def test_largest_claim_look_ahead_hand_trace():
     assert np.all(out.states > 10.0)
 
 
+@pytest.mark.parametrize("case", ["sigma1", "sigma05", "pareto"])
+def test_look_ahead_past_the_first_level_matches_the_reference(case):
+    """On a population confined to Z > t', row by row: G = sf(max(t - R,
+    M-)) / sf(max(t' - R, M-)), single-claim rows included."""
+    model, previous, threshold = {
+        "sigma1": (sigma1_model(), 100.0, 200.0),
+        "sigma05": (sigma05_model(), 20.0, 40.0),
+        "pareto": (pareto_poisson_model(), 10.0, 20.0),
+    }[case]
+    pop = ClaimPopulation.sample(model, 20000, PcgStream(3131))
+    pop = pop.take(np.flatnonzero(pop.states > previous))
+    assert np.any(pop.counts == 1) and np.any(pop.counts > 1)
+    g = pop.largest_claim_potential(model.severity, threshold, previous)[0]
+    ref = _look_ahead_reference(pop, model.severity, threshold, previous)
+    assert np.allclose(g, ref, rtol=1e-12, atol=0.0)
+    assert np.all((g > 0.0) & (g <= 1.0))
+    # not the indicator: a move can take a particle above t below it
+    assert np.any((pop.states > threshold) & (g < 1.0))
+
+
 def test_atom_ties_give_indicator_potentials():
-    """With a point mass every claim ties with the runner-up, sf(M-) = 1
-    and G = 1{Z > t}: the coin toy and the Z = N ladder stay exact, and
-    the redraw returns the atom."""
-    for model, t in ((coin_model(), 0.5), (coin_model(), 1.5),
-                     (CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0)), 2.5)):
+    """With a point mass every claim ties with the runner-up, the
+    denominator is 1 and G = 1{Z > t} at every level, the population
+    confined to Z > t' past the first: the coin toy and the Z = N ladder
+    stay exact, and the redraw returns the atom."""
+    poisson_units = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
+    for model, previous, t in ((coin_model(), -math.inf, 0.5), (coin_model(), -math.inf, 1.5),
+                               (coin_model(), 0.5, 1.5), (poisson_units, -math.inf, 2.5),
+                               (poisson_units, 2.5, 4.5), (poisson_units, 0.5, 1.5)):
         pop = ClaimPopulation.sample(model, 1000, PcgStream(2121))
-        g, tail, rest, offset = pop.largest_claim_potential(model.severity, t)
+        pop = pop.take(np.flatnonzero(pop.states > previous))
+        g, tail, rest, offset = pop.largest_claim_potential(model.severity, t, previous)
         assert np.array_equal(g, (pop.states > t).astype(float))
+        assert np.array_equal(g, _look_ahead_reference(pop, model.severity, t, previous))
         live = np.flatnonzero(g)
         out = pop.take(live)
         out.redraw_largest_claims(model.severity, t, tail[live], rest[live], offset[live],

@@ -12,6 +12,7 @@ import pytest
 
 from lossmc import (
     ExperimentConfig,
+    PcgStream,
     ReportRow,
     RiskReport,
     emit_report,
@@ -459,6 +460,34 @@ def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
     doc = json.loads(capsys.readouterr().err)
     assert doc["error"] == "ValueError"
     assert "need at least one lattice cell" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_refuses_a_panjer_step_above_the_severity_median(tmp_path, capsys):
+    """step 1e300 left a one-cell lattice and reported VaR 0 with exit 0."""
+    cfg = _write_config(tmp_path, {"kind": "panjer", "step": 1e300, "x_max": 200.0})
+    rc = main(["panjer", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "step 1e+300 exceeds the severity median" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_refuses_more_losses_than_memory(tmp_path, capsys, monkeypatch):
+    """T = 9e18 ran without end while it spawned substreams; it exits 2 at
+    once, before any spawn (a spawn here fails the run with another error)."""
+    def no_spawn(self, n):
+        raise AssertionError(f"spawned {n} streams")
+    monkeypatch.setattr(PcgStream, "spawn", no_spawn)
+    cfg = _write_config(tmp_path, {"kind": "mc", "T": 9 * 10**18})
+    rc = main(["simulate", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "T = 9000000000000000000" in doc["detail"]
     assert not (tmp_path / "x.csv").exists()
 
 
