@@ -7,17 +7,20 @@ selection by the Boltzmann-Gibbs transform, and mutation by a kernel
 that leaves the law restricted to the current level set invariant.  Each
 particle carries its claims and the kernel is an exact random-scan Gibbs
 step on one claim (:class:`ClaimPopulation`; Botev & Kroese's
-generalized splitting).  The first level, and every level followed by a
-selection, weighs its particles by a look-ahead potential: the chance
-that a Gibbs move of the particle's largest claim, confined to the
-previous level set, clears the level (the fully adapted construction;
-Pitt & Shephard 1999, Del Moral 2004).  It replaces the crude fraction
-of survivors by a conditional Monte Carlo mean (Asmussen & Kroese 2006),
-and the move it looks ahead to is the level's first mutation.  A last
-level p >= 1 is read as the fraction of particles above it.  The running product of the first p success
-fractions is an unbiased estimate of P(Z > t_p) at every level p, so
-:func:`replicate_smc` reads every threshold of a ladder off one
-replicated run.
+generalized splitting).  Every level p >= 1 weighs its particles by a
+look-ahead potential: the chance that a Gibbs move of the particle's
+largest claim, confined to the previous level set, clears the level
+(the fully adapted construction; Pitt & Shephard 1999, Del Moral 2004).
+It replaces the crude fraction of survivors by a conditional Monte Carlo
+mean (Asmussen & Kroese 2006), and the move it looks ahead to is the
+level's first mutation; the last level is read by it too, with no move
+after it.  The first level uses either that potential or the
+random-claim one, the Asmussen-Kroese estimator as the fully adapted
+potential of the Gibbs move of one uniformly picked claim, whichever a
+pilot population finds sharper (:func:`pilot_first_potential`).  The
+running product of the first p success fractions is an unbiased
+estimate of P(Z > t_p) at every level p, so :func:`replicate_smc` reads
+every threshold of a ladder off one replicated run.
 """
 from __future__ import annotations
 
@@ -56,6 +59,14 @@ class LevelSequence:
 
     def __len__(self) -> int:
         return len(self.thresholds)
+
+
+def _below(x: np.ndarray) -> np.ndarray:
+    """np.nextafter(x, 0) for nonnegative x, by one step of the bit
+    pattern (several times faster): the largest double below a positive
+    x, and 0 at 0."""
+    bits = np.ascontiguousarray(x).view(np.int64)
+    return (bits - (bits > 0)).view(np.float64)
 
 
 @dataclass
@@ -162,7 +173,7 @@ class ClaimPopulation:
         np.maximum.at(runner_up, row, sev)
         sev[moving] = top[self.has_claims]
         # M- where there is a runner-up; elsewhere 0, where sf is 1 as at M-
-        floor = np.nextafter(runner_up, 0.0)
+        floor = _below(runner_up)
         rest = self.states - top
         low = np.maximum(previous - rest, floor)
         # sf is 1 at or below 0
@@ -176,13 +187,65 @@ class ClaimPopulation:
         np.divide(tail, den, out=g, where=adapted)
         return g, tail, rest, at - self.starts
 
-    def redraw_largest_claims(self, severity, threshold: float, tail: np.ndarray,
-                              rest: np.ndarray, offset: np.ndarray,
-                              rng: UniformStream) -> int:
-        """After selection on :meth:`largest_claim_potential`, whose outputs
-        ``tail``, ``rest`` and ``offset`` were taken along with the
-        particles: redraw each particle's largest claim from
-        X | X > max(t - R, M) and return how many particles moved.
+    def random_claim_potential(self, severity, threshold: float, rng: UniformStream):
+        """N_i times the chance that a redraw of a uniformly picked claim of
+        each particle makes it the row's first maximum and lifts Z over
+        ``threshold``, with what the redraw needs.
+
+        Reads N uniforms u.  Particle i picks claim j = ceil(u_i N_i) of
+        its N_i claims, as :meth:`gibbs_step` picks.  With R = Z - X_j, A
+        the largest claim before j in its row, B the largest after it (0
+        where there is none) and B- the largest double below B,
+
+            G_i = N_i sf(max(A, B-, t - R)):
+
+        a redrawn X_j is the row's first maximum exactly when it exceeds
+        A and is at least B.  j is uniform and independent of the
+        redrawn row, and exactly one claim of a row is its first maximum,
+        so the mean of G over the base law is P(Z > t), point masses and
+        their ties included; it is the Asmussen-Kroese conditional
+        estimator written as the fully adapted potential of the Gibbs
+        move.  G can exceed 1.  A particle without claims gets
+        1{Z > t}.
+
+        Returns ``(g, tail, rest, offset)`` as
+        :meth:`largest_claim_potential` does: the numerator
+        sf(max(A, B-, t - R)) (0 for a particle without claims), R and the
+        picked claim's position in its row.
+        """
+        n = len(self.states)
+        u = rng.uniforms(n)
+        sev = self.severities
+        indicator = (self.states > threshold).astype(float)
+        if not sev.size:
+            return indicator, np.zeros(n), self.states.copy(), np.zeros(n, dtype=np.intp)
+        offset = np.ceil(u * self.counts).astype(np.intp) - 1
+        # a particle without claims reads a neighbour's claim here (at =
+        # starts - 1); its tail is set to 0 below
+        at = self.starts + offset
+        rest = self.states - sev[at]
+        # one maximum over 2N + 1 bins: the claims before j in row i go to
+        # bin 2i, those after it to 2i + 1, and each picked claim to 2N
+        row = np.repeat(np.arange(n), self.counts)
+        bins = 2 * row
+        bins += np.arange(sev.size) > at[row]
+        bins[at[self.has_claims]] = 2 * n
+        split = np.zeros(2 * n + 1)
+        np.maximum.at(split, bins, sev)
+        floor = np.maximum(split[:-1:2], _below(split[1::2]))
+        tail = severity.sf(np.maximum(threshold - rest, floor))
+        tail *= self.has_claims
+        g = np.where(self.has_claims, self.counts * tail, indicator)
+        return g, tail, rest, offset
+
+    def redraw_picked_claims(self, severity, threshold: float, tail: np.ndarray,
+                             rest: np.ndarray, offset: np.ndarray,
+                             rng: UniformStream) -> int:
+        """After selection on :meth:`largest_claim_potential` or
+        :meth:`random_claim_potential`, whose outputs ``tail``, ``rest``
+        and ``offset`` were taken along with the particles: redraw each
+        particle's picked claim, at ``offset`` in its row, above the
+        potential's floor, and return how many particles moved.
 
         Reads N uniforms u; the new claim is isf(u tail), a Gibbs move
         that leaves the base law invariant and, given the selection, puts
@@ -233,8 +296,10 @@ class SmcEstimate:
     trace: list | None = None
 
     def __post_init__(self):
-        if not (0.0 <= self.estimate <= 1.0):
-            raise ValueError("probability estimate must lie in [0, 1]")
+        # finite and nonnegative, not capped at 1: the random-claim
+        # potential is unbiased but can average above 1 where P(Z > t) ~ 1
+        if not (0.0 <= self.estimate < math.inf):
+            raise ValueError("probability estimate must be finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -283,27 +348,40 @@ def _confined(states: np.ndarray, threshold: float, phase: str) -> None:
         raise RuntimeError(f"{phase} left particles outside the level set")
 
 
+def _check_run(model, N: int, mutation_steps: int) -> None:
+    if not isinstance(model, CompoundModel):
+        raise TypeError(f"model must be a CompoundModel, got {type(model).__name__}")
+    if N < 2:
+        raise ValueError("need at least two particles")
+    if mutation_steps < 0:
+        raise ValueError("need a nonnegative number of mutation steps")
+
+
 def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: int,
-                   N: int, rng: UniformStream) -> SmcEstimate:
+                   N: int, rng: UniformStream, first_potential: str = "largest") -> SmcEstimate:
     """Estimate P(Z > t) at the last threshold t of ``levels`` by the
     multiplicative level-fraction formula.
 
     Every particle carries its claims (:class:`ClaimPopulation`, drawn as
     crude Monte Carlo draws years).  Level p's success fraction is the
     mean of its potentials, and the running product of the fractions is
-    the unbiased normalizing-constant estimate.  The first level, and
-    every level followed by a selection, uses the look-ahead potential:
-    the chance that a Gibbs move of each particle's largest claim, confined
-    to {Z > t_{p-1}}, clears t_p
+    the unbiased normalizing-constant estimate.  Every level p >= 1 uses
+    the look-ahead potential: the chance that a Gibbs move of each
+    particle's largest claim, confined to {Z > t_{p-1}}, clears t_p
     (:meth:`ClaimPopulation.largest_claim_potential`, fully adapted
-    selection), whose mean is P(Z > t_p | Z > t_{p-1}).  A last level
-    p >= 1 is read as the fraction of particles above t_p, with no
-    selection, and no population is returned.  Each level but the last
-    copies whole particles by their ancestor indices
-    (:func:`selection_transition`) and makes ``mutation_steps`` moves
-    that leave the compound law restricted to the level set invariant.
-    The first move is the redraw of each selected particle's largest
-    claim above its floor (:meth:`ClaimPopulation.redraw_largest_claims`),
+    selection), whose mean is P(Z > t_p | Z > t_{p-1}).  The first level
+    uses it too when ``first_potential`` is ``"largest"``; with
+    ``"random"`` it uses the random-claim potential
+    (:meth:`ClaimPopulation.random_claim_potential`, the Asmussen-Kroese
+    conditional estimator), whose mean is P(Z > t_0).  A last level
+    p >= 1 is read by the look-ahead with no selection after it, and no
+    population is returned.  Each level but the last copies whole
+    particles by their ancestor indices (:func:`selection_transition`, on
+    the potentials divided by max(1, max g), since the random-claim
+    potential can exceed 1) and makes ``mutation_steps`` moves that leave
+    the compound law restricted to the level set invariant.  The first
+    move is the redraw of each selected particle's picked claim above the
+    potential's floor (:meth:`ClaimPopulation.redraw_picked_claims`),
     which the selection needs to land in the level set, so a level makes
     it even with ``mutation_steps`` 0.  Every other move is a sweep of an
     exact random-scan Gibbs sampler: each particle redraws one uniformly
@@ -318,12 +396,10 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     population found outside the level set after a selection or a sweep
     raises ``RuntimeError``.
     """
-    if not isinstance(model, CompoundModel):
-        raise TypeError(f"model must be a CompoundModel, got {type(model).__name__}")
-    if N < 2:
-        raise ValueError("need at least two particles")
-    if mutation_steps < 0:
-        raise ValueError("need a nonnegative number of mutation steps")
+    _check_run(model, N, mutation_steps)
+    if first_potential not in ("largest", "random"):
+        raise ValueError(f"first_potential must be 'largest' or 'random', "
+                         f"got {first_potential!r}")
     N, mutation_steps = int(N), int(mutation_steps)
     severity = model.severity
     pop = ClaimPopulation.sample(model, N, rng)
@@ -333,10 +409,10 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     previous = -math.inf
     for p, threshold in enumerate(thresholds):
         last = p + 1 == len(thresholds)
-        if p == 0 or not last:
-            g, tail, rest, offset = pop.largest_claim_potential(severity, threshold, previous)
+        if p == 0 and first_potential == "random":
+            g, tail, rest, offset = pop.random_claim_potential(severity, threshold, rng)
         else:
-            g = (pop.states > threshold).astype(float)
+            g, tail, rest, offset = pop.largest_claim_potential(severity, threshold, previous)
         total = float(g.sum())
         frac = total / N
         fractions.append(frac)
@@ -353,10 +429,11 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
                                trace=trace)
         if last:
             break
-        ancestors = selection_transition(g, rng)
+        top = float(g.max())
+        ancestors = selection_transition(g / top if top > 1.0 else g, rng)
         pop = pop.take(ancestors)
-        accepted = pop.redraw_largest_claims(severity, threshold, tail[ancestors],
-                                             rest[ancestors], offset[ancestors], rng)
+        accepted = pop.redraw_picked_claims(severity, threshold, tail[ancestors],
+                                            rest[ancestors], offset[ancestors], rng)
         _confined(pop.states, threshold, "selection")
         sweeps = max(mutation_steps - 1, 0)
         for _ in range(sweeps):
@@ -368,27 +445,60 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
                        trace=trace)
 
 
+def _relative_variance(g: np.ndarray) -> float:
+    """var(g) / mean(g)^2 over the population; inf at a zero mean."""
+    mean = float(g.mean())
+    return float(g.var()) / (mean * mean) if mean > 0.0 else math.inf
+
+
+def pilot_first_potential(model: CompoundModel, threshold: float, N: int,
+                          rng: UniformStream) -> dict:
+    """Pick the sharper first-level potential on N base-law particles.
+
+    Draws a population from ``rng`` and evaluates both first-level
+    potentials at ``threshold`` on it.  Returns ``{"potential": name,
+    "relvar_largest": .., "relvar_random": ..}``: the relative variances
+    var(g) / mean(g)^2, inf at a zero mean, and ``"random"`` only where
+    its relative variance is strictly the lower, else ``"largest"``.
+    """
+    pop = ClaimPopulation.sample(model, N, rng)
+    largest = _relative_variance(pop.largest_claim_potential(model.severity, threshold)[0])
+    random = _relative_variance(pop.random_claim_potential(model.severity, threshold, rng)[0])
+    return {"potential": "random" if random < largest else "largest",
+            "relvar_largest": largest, "relvar_random": random}
+
+
 def replicate_smc(model: CompoundModel, levels: LevelSequence, mutation_steps: int, N: int,
-                  rng: PcgStream, n_replicates: int) -> list:
+                  rng: PcgStream, n_replicates: int) -> tuple[list, dict]:
     """Repeat the splitting run, replicate i on the i-th child stream of
-    ``rng``; return one (estimate, relative SE) pair per level.
+    ``rng``; return one (estimate, relative SE) pair per level, and the
+    pilot that chose the first-level potential.
+
+    The first-level potential is chosen once, before any replicate, by
+    :func:`pilot_first_potential` on N particles of child stream
+    ``n_replicates`` (an extra child: the replicates' streams are those
+    of ``rng.spawn(n_replicates)``).  The choice does not depend on the
+    replicates, so each replicate stays unbiased.
 
     Element p's estimate is the replicate mean of the running product of
     the first p + 1 success fractions (zero past an extinction), an
     unbiased estimate of P(Z > t_p), and its relative SE is inf at 0.  One
     ladder run thus answers every level; the estimates fall with p.
     """
+    _check_run(model, N, mutation_steps)
     if n_replicates < 2:
         raise ValueError("need at least two replicates for a standard error")
-    streams = rng.spawn(n_replicates)
+    streams = rng.spawn(n_replicates + 1)
+    pilot = pilot_first_potential(model, levels.thresholds[0], int(N), streams[-1])
     # one contiguous row per level, so each mean reduces like a 1-d array
     products = np.zeros((len(levels), n_replicates))
     for i in range(n_replicates):
-        fractions = smc_rare_event(model, levels, mutation_steps, N, streams[i]).level_fractions
+        fractions = smc_rare_event(model, levels, mutation_steps, N, streams[i],
+                                   first_potential=pilot["potential"]).level_fractions
         products[:len(fractions), i] = np.cumprod(fractions)
     estimates = []
     for values in products:
         mean = float(values.mean())
         se = float(values.std(ddof=1) / math.sqrt(n_replicates))
         estimates.append((mean, se / mean if mean > 0 else math.inf))
-    return estimates
+    return estimates, pilot

@@ -198,9 +198,10 @@ def _run_particle(model, cfg: ExperimentConfig):
             return float(locs[-1])
 
     rows = []
+    diag = {"grid_width": width, "x_max": x_max, "n_per_point": m["n_per_point"], "p_d": p_d}
     for alpha in cfg.levels:
         try:
-            var, es = risk_measures_from_measure(measure, alpha)
+            var, es, es_se = risk_measures_from_measure(measure, alpha)
         except TruncationError:
             # the quantile lies beyond x_max; report the top of the grid
             # (a lower bound) with no spread
@@ -216,8 +217,9 @@ def _run_particle(model, cfg: ExperimentConfig):
                               var_lo=read(max(alpha - 1.96 * se_f, 1e-9)),
                               var_hi=read(alpha + 1.96 * se_f),
                               es=es, stderr=se_f / dens))
-    return rows, {"grid_width": width, "x_max": x_max, "n_per_point": m["n_per_point"],
-                  "p_d": p_d}
+        # ``stderr`` is the VaR's; the ES's goes with the diagnostics
+        diag[f"es_stderr_{alpha:g}"] = es_se
+    return rows, diag
 
 
 def _run_rare_event(model, cfg: ExperimentConfig):
@@ -225,8 +227,9 @@ def _run_rare_event(model, cfg: ExperimentConfig):
     levels = LevelSequence(thresholds=m["thresholds"])
     rows = []
     diag = {}
-    estimates = replicate_smc(model, levels, m["mh_steps"], m["n_particles"],
-                              PcgStream(cfg.seed), m["replicates"])
+    estimates, pilot = replicate_smc(model, levels, m["mh_steps"], m["n_particles"],
+                                     PcgStream(cfg.seed), m["replicates"])
+    diag.update({f"pilot_{key}": value for key, value in pilot.items()})
     for z, (p_exceed, rse) in zip(levels.thresholds, estimates):
         rows.append(ReportRow(alpha=1.0 - p_exceed, method="rare-event", var=float(z)))
         diag[f"p_exceed_{z:g}"] = p_exceed

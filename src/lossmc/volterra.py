@@ -366,22 +366,32 @@ def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
 
 
 def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float):
-    """(VaR, ES) read off the particle measure, both from the right.
+    """(VaR, ES, ES standard error) read off the particle measure, all
+    from the right.
 
     ES_alpha = v + E[(Z - v)+] / (1 - alpha) at the VaR v, where the
     stop-loss E[(Z - v)+] sums (z - v) times the atoms above v, (top - v)
     times the mass beyond the grid's upper edge ``top``, and the tail
-    start's E[(Z - top)+].  Raises ``TruncationError`` as
-    ``quantile_from_measure`` does.
+    start's E[(Z - top)+].  The standard error holds v fixed: the grid
+    points run on their own substreams, so the cells' variances
+    (z - v)^2 (width SE)^2 add, while the two tail-start terms come from
+    the same paths and are bounded as fully correlated,
+    (top - v) ``tail_stderr`` + ``tail_excess_stderr``.  Raises
+    ``TruncationError`` as ``quantile_from_measure`` does.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("ES level must lie in (0, 1)")
     var = quantile_from_measure(measure, alpha)
     locs, w = measure.probability_atoms()
     above = locs > var
+    over = _grid_top(measure.locations) - var
     stop_loss = (float(np.dot(locs[above] - var, w[above]))
-                 + (_grid_top(measure.locations) - var) * measure.tail_mass + measure.tail_excess)
-    return var, var + stop_loss / (1.0 - alpha)
+                 + over * measure.tail_mass + measure.tail_excess)
+    # the atom at zero is exact and never above a VaR
+    cell_se = (locs[above] - var) * (measure.stderr * _cell_widths(measure.locations))[above[1:]]
+    tail_se = over * measure.tail_stderr + measure.tail_excess_stderr
+    stop_loss_se = math.sqrt(float(cell_se @ cell_se) + tail_se * tail_se)
+    return var, var + stop_loss / (1.0 - alpha), stop_loss_se / (1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,11 @@ def test_level_sequence_validation():
 
 
 def test_smc_estimate_validation():
-    with pytest.raises(ValueError):
-        SmcEstimate(estimate=1.2, level_fractions=[])
-    with pytest.raises(ValueError):
-        SmcEstimate(estimate=-0.1, level_fractions=[])
+    # the random-claim potential is unbiased, not bounded by 1
+    assert SmcEstimate(estimate=1.2, level_fractions=[1.2]).estimate == 1.2
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SmcEstimate(estimate=bad, level_fractions=[])
 
 
 def test_smc_needs_two_particles():
@@ -244,52 +245,45 @@ def test_single_level_equals_crude_fraction():
 
 
 def test_estimate_is_product_of_level_fractions():
+    """Every level, the last included, weighs its particles by the chance
+    that a move of the largest claim, confined to the previous level set,
+    clears it.  The populations are rebuilt by hand from the same stream:
+    selection, the redraw of the largest claims and two sweeps per level."""
     model = sigma05_model()
-    lev = LevelSequence(thresholds=np.array([20.0, 40.0]))
-    est = smc_rare_event(model, lev, 3, 500, PcgStream(11))
-    assert est.estimate == float(np.prod(est.level_fractions))
-    assert est.extinct_level is None
-    # one trace row per level; the last level does not move
-    assert [row["threshold"] for row in est.trace] == [20.0, 40.0]
-    # ess = (sum g)^2 / sum g^2: the look-ahead potentials of the first
-    # level, drawn from the same stream, then an indicator level, whose
-    # ess is its success count
-    g = ClaimPopulation.sample(model, 500, PcgStream(11)).largest_claim_potential(
-        model.severity, 20.0)[0]
-    assert est.trace[0]["ess"] == pytest.approx(g.sum() ** 2 / (g @ g), rel=1e-12)
-    # g <= 1 gives sum g^2 <= sum g, so ess >= N * fraction
-    assert 500 * est.level_fractions[0] <= est.trace[0]["ess"] <= 500
-    assert est.trace[1]["ess"] == round(500 * est.level_fractions[1])
-    assert 0.0 < est.trace[0]["acceptance_rate"] <= 1.0
-    assert est.trace[1]["acceptance_rate"] is None
-
-    # Three levels: the middle one weighs its particles by the chance that
-    # a move of the largest claim, confined to Z > 20, clears 40; the last
-    # is read as the fraction above 57.  The middle level's population is
-    # rebuilt by hand from the same stream: selection, the redraw of the
-    # largest claims and two sweeps.
     sev = model.severity
-    lev = LevelSequence(thresholds=np.array([20.0, 40.0, 57.0]))
-    est = smc_rare_event(model, lev, 3, 500, PcgStream(11))
-    assert est.estimate == float(np.prod(est.level_fractions))
+    thresholds = [20.0, 40.0, 57.0]
     rng = PcgStream(11)
     pop = ClaimPopulation.sample(model, 500, rng)
-    g, tail, rest, offset = pop.largest_claim_potential(sev, 20.0)
-    idx = selection_transition(g, rng)
-    pop = pop.take(idx)
-    pop.redraw_largest_claims(sev, 20.0, tail[idx], rest[idx], offset[idx], rng)
-    for _ in range(2):
-        pop.gibbs_step(sev, 20.0, rng)
-    g = pop.largest_claim_potential(sev, 40.0, 20.0)[0]
-    assert np.allclose(g, _look_ahead_reference(pop, sev, 40.0, 20.0), rtol=1e-12, atol=0.0)
-    assert est.level_fractions[1] == pytest.approx(g.mean(), rel=1e-12)
-    assert est.trace[1]["ess"] == pytest.approx(g.sum() ** 2 / (g @ g), rel=1e-12)
-    # fractional potentials: the ess lies strictly between the success
-    # count an indicator would give and N
-    assert 500 * est.level_fractions[1] < est.trace[1]["ess"] < 500
-    assert est.trace[2]["ess"] == round(500 * est.level_fractions[2])
-    assert 0.0 < est.trace[1]["acceptance_rate"] <= 1.0
-    assert est.trace[2]["acceptance_rate"] is None
+    potentials = []
+    previous = -math.inf
+    for t in thresholds:
+        g, tail, rest, offset = pop.largest_claim_potential(sev, t, previous)
+        assert np.allclose(g, _look_ahead_reference(pop, sev, t, previous),
+                           rtol=1e-12, atol=0.0)
+        potentials.append(g)
+        idx = selection_transition(g, rng)
+        pop = pop.take(idx)
+        pop.redraw_picked_claims(sev, t, tail[idx], rest[idx], offset[idx], rng)
+        for _ in range(2):
+            pop.gibbs_step(sev, t, rng)
+        previous = t
+    for levels in (2, 3):
+        lev = LevelSequence(thresholds=np.array(thresholds[:levels]))
+        est = smc_rare_event(model, lev, 3, 500, PcgStream(11))
+        assert est.estimate == float(np.prod(est.level_fractions))
+        assert est.extinct_level is None
+        # one trace row per level; the last level does not move
+        assert [row["threshold"] for row in est.trace] == thresholds[:levels]
+        for row, frac, g in zip(est.trace, est.level_fractions, potentials):
+            assert frac == pytest.approx(g.mean(), rel=1e-12)
+            # ess = (sum g)^2 / sum g^2; g <= 1 gives sum g^2 <= sum g, so
+            # the ess lies between the success count an indicator would
+            # give and N, strictly for fractional potentials
+            assert row["ess"] == pytest.approx(g.sum() ** 2 / (g @ g), rel=1e-12)
+            assert 500 * frac < row["ess"] < 500
+        for row in est.trace[:-1]:
+            assert 0.0 < row["acceptance_rate"] <= 1.0
+        assert est.trace[-1]["acceptance_rate"] is None
 
 
 def test_extinction_returns_zero_with_level_index():
@@ -302,11 +296,14 @@ def test_extinction_returns_zero_with_level_index():
     assert est.trace[1]["ess"] == 0.0
 
 
-def test_splitting_unbiased_on_enumerable_toy():
-    """500 runs against the exactly known P(Z > 1.5) = 1/4."""
+@pytest.mark.parametrize("first_potential", ["largest", "random"])
+def test_splitting_unbiased_on_enumerable_toy(first_potential):
+    """500 runs against the exactly known P(Z > 1.5) = 1/4, with either
+    first-level potential."""
     lev = LevelSequence(thresholds=np.array([0.5, 1.5]))
     streams = PcgStream(2323).spawn(500)
-    vals = np.array([smc_rare_event(coin_model(), lev, 3, 100, s).estimate
+    vals = np.array([smc_rare_event(coin_model(), lev, 3, 100, s,
+                                    first_potential=first_potential).estimate
                      for s in streams])
     se = vals.std(ddof=1) / math.sqrt(500)
     assert abs(vals.mean() - 0.25) <= 4.0 * se
@@ -332,7 +329,7 @@ def _ladder_z_scores(model, thresholds, oracle, N, seed, replicates=16):
     """(estimate - oracle) / SE at every level of one replicated ladder run;
     the oracle's tail counts its lattice deficit as tail mass."""
     levels = LevelSequence(thresholds=np.asarray(thresholds, dtype=float))
-    estimates = replicate_smc(model, levels, 5, N, PcgStream(seed), replicates)
+    estimates, _ = replicate_smc(model, levels, 5, N, PcgStream(seed), replicates)
     return [(p - oracle_tail(oracle, t)) / (rse * p)
             for (p, rse), t in zip(estimates, thresholds)]
 
@@ -375,9 +372,8 @@ def test_degenerate_claims_cannot_move_yet_the_ladder_is_exact():
     product estimator stays unbiased, and the truth is the Poisson tail."""
     model = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
     levels = LevelSequence(thresholds=np.array([2.5, 4.5, 6.5]))
-    p, rse = replicate_smc(model, levels, 5, 1000, PcgStream(1919), 16)[-1]
-    truth = 1.0 - sum(math.exp(-2.0) * 2.0 ** k / math.factorial(k) for k in range(7))
-    assert abs(p - truth) <= 4.0 * rse * p
+    p, rse = replicate_smc(model, levels, 5, 1000, PcgStream(1919), 16)[0][-1]
+    assert abs(p - _exact_poisson_tail(2.0, 6)) <= 4.0 * rse * p
 
 
 def test_claim_scores_stay_the_sums_of_their_own_claims():
@@ -455,7 +451,7 @@ def test_largest_claim_look_ahead_hand_trace():
 
     idx = np.array([2, 1, 2])
     out = pop.take(idx)
-    moved = out.redraw_largest_claims(sev, 10.0, tail[idx], rest[idx], offset[idx],
+    moved = out.redraw_picked_claims(sev, 10.0, tail[idx], rest[idx], offset[idx],
                                       SequenceStream([0.5, 0.25, 0.75]))
     assert moved == 3
     x0, x1, x2 = (sev.isf(u * sev.sf(c)) for u, c in ((0.5, 7.0), (0.25, 10.0), (0.75, 7.0)))
@@ -500,7 +496,7 @@ def test_atom_ties_give_indicator_potentials():
         assert np.array_equal(g, _look_ahead_reference(pop, model.severity, t, previous))
         live = np.flatnonzero(g)
         out = pop.take(live)
-        out.redraw_largest_claims(model.severity, t, tail[live], rest[live], offset[live],
+        out.redraw_picked_claims(model.severity, t, tail[live], rest[live], offset[live],
                                   PcgStream(2222))
         assert np.array_equal(out.severities, np.ones(out.severities.size))
         assert np.array_equal(out.states, pop.states[live])
@@ -520,9 +516,189 @@ def test_runner_up_survival_underflow_gives_the_indicator():
         assert g.tolist() == [0.0, 1.0, sev.sf(3e20)]
         assert tail[:2].tolist() == [0.0, 0.0]
         out = pop.take(np.array([1]))
-        assert out.redraw_largest_claims(sev, 3e20, tail[[1]], rest[[1]], offset[[1]],
+        assert out.redraw_picked_claims(sev, 3e20, tail[[1]], rest[[1]], offset[[1]],
                                          SequenceStream([0.5])) == 0
     assert out.severities.tolist() == [1e20, 3e20]
+
+
+def test_random_claim_potential_hand_trace():
+    """t = 10.  Particle 0 has no claim: G = 1{0 > 10} = 0.  Particle 1
+    picks its only claim (u = 0.9): R = 0, no claim before or after it, so
+    G = 1 x sf(10).  Particle 2 (claims 2, 6, 1, 6; Z = 15) picks the 6 in
+    slot 1 (u = 0.5): A = 2, B = 6, R = 9, so G = 4 sf(max(2, 6-, 1)) =
+    4 sf(6-).  Particle 3 (claims 7, 3, 2; Z = 12) picks slot 2 (u = 1):
+    A = 7, R = 10, so G = 3 sf(7).  Redrawing by u = 0.5, 0.25, 0.75 puts
+    isf(u tail) in each picked slot, which becomes the row's first maximum
+    with Z > 10."""
+    sev = LogNormalSeverity(2.0, 1.0)
+    pop = ClaimPopulation(counts=np.array([0, 1, 4, 3]),
+                          severities=np.array([4.0, 2.0, 6.0, 1.0, 6.0, 7.0, 3.0, 2.0]),
+                          states=np.array([0.0, 4.0, 15.0, 12.0]))
+    g, tail, rest, offset = pop.random_claim_potential(
+        sev, 10.0, SequenceStream([0.3, 0.9, 0.5, 1.0]))
+    below_6 = np.nextafter(6.0, 0.0)
+    assert tail.tolist() == [0.0, sev.sf(10.0), sev.sf(below_6), sev.sf(7.0)]
+    assert g.tolist() == [0.0, sev.sf(10.0), 4 * sev.sf(below_6), 3 * sev.sf(7.0)]
+    assert g[2] > 1.0
+    assert rest[1:].tolist() == [0.0, 9.0, 10.0] and offset[1:].tolist() == [0, 1, 2]
+
+    idx = np.array([1, 2, 3])
+    out = pop.take(idx)
+    moved = out.redraw_picked_claims(sev, 10.0, tail[idx], rest[idx], offset[idx],
+                                     SequenceStream([0.5, 0.25, 0.75]))
+    assert moved == 3
+    x1, x2, x3 = (sev.isf(u * t) for u, t in zip((0.5, 0.25, 0.75), tail[idx]))
+    assert out.severities.tolist() == [x1, 2.0, x2, 1.0, 6.0, 7.0, 3.0, x3]
+    assert out.states.tolist() == [x1, 9.0 + x2, 10.0 + x3]
+    assert np.all(out.states > 10.0)
+    # particle i of ``out`` picked slot i
+    for i in range(3):
+        claims = out.severities[out.starts[i]:out.starts[i] + out.counts[i]]
+        assert int(np.argmax(claims)) == i
+    # no claim in the whole population: the indicator, and nothing to redraw
+    empty = ClaimPopulation(counts=np.array([0, 0]), severities=np.array([]),
+                            states=np.array([0.0, 0.0]))
+    g, tail, _, _ = empty.random_claim_potential(sev, -1.0, SequenceStream([0.5, 0.5]))
+    assert g.tolist() == [1.0, 1.0] and tail.tolist() == [0.0, 0.0]
+
+
+def test_random_claim_potential_keeps_first_maximum_ties():
+    """A point mass ties every claim: only the first claim can be the row's
+    first maximum, so G = N 1{j = 1} 1{Z > t}, and the redraw returns the
+    atom."""
+    model = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
+    pop = ClaimPopulation.sample(model, 2000, PcgStream(77))
+    rng = PcgStream(78)
+    g, tail, rest, offset = pop.random_claim_potential(model.severity, 2.5, rng)
+    picks = np.ceil(PcgStream(78).uniforms(2000) * pop.counts)
+    assert np.array_equal(g, pop.counts * ((picks == 1) & (pop.states > 2.5)))
+    live = np.flatnonzero(g)
+    out = pop.take(live)
+    out.redraw_picked_claims(model.severity, 2.5, tail[live], rest[live], offset[live], rng)
+    assert np.array_equal(out.severities, np.ones(out.severities.size))
+
+
+def _random_claim_reference(pop, severity, threshold, u):
+    """G of :meth:`ClaimPopulation.random_claim_potential`, row by row, for
+    the picking uniforms ``u``."""
+    g = []
+    for count, start, z, ui in zip(pop.counts, pop.starts, pop.states, u):
+        if not count:
+            g.append(float(z > threshold))
+            continue
+        claims = list(pop.severities[start:start + count])
+        j = math.ceil(ui * count) - 1
+        before, after = max(claims[:j], default=0.0), max(claims[j + 1:], default=0.0)
+        floor = max(before, np.nextafter(after, 0.0), threshold - (z - claims[j]))
+        g.append(count * severity.sf(floor))
+    return np.array(g)
+
+
+def _exact_poisson_tail(lam, k):
+    """P(N > k) for N ~ Poisson(lam)."""
+    return 1.0 - sum(math.exp(-lam) * lam ** i / math.factorial(i) for i in range(k + 1))
+
+
+_RANDOM_CLAIM_CASES = {
+    "sigma1": (sigma1_model, 100.0,
+               lambda m: oracle_tail(oracle_compound_pmf(m, step=0.05, x_max=300.0), 100.0)),
+    "negbinomial": (lambda: CompoundModel(NegativeBinomialFrequency(2.0, 1.0),
+                                          LogNormalSeverity(2.0, 1.0)), 100.0,
+                    lambda m: oracle_tail(oracle_compound_pmf(m, step=0.05, x_max=300.0), 100.0)),
+    "pareto": (pareto_poisson_model, 5.0,
+               lambda m: oracle_tail(oracle_compound_pmf(m, step=0.01, x_max=100.0), 5.0)),
+    # Z = N: ties everywhere, against the exact tail
+    "point-mass": (lambda: CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0)),
+                   2.5, lambda m: _exact_poisson_tail(2.0, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RANDOM_CLAIM_CASES))
+def test_random_claim_potential_is_unbiased(case):
+    """The mean of G over 2e5 base-law particles is P(Z > t) within 4 SE
+    (the Asmussen-Kroese identity), and the first 2000 rows match the
+    row-by-row reference."""
+    build, t, truth = _RANDOM_CLAIM_CASES[case]
+    model = build()
+    pop = ClaimPopulation.sample(model, 200_000, PcgStream(4545))
+    g = pop.random_claim_potential(model.severity, t, PcgStream(4546))[0]
+    head = pop.take(np.arange(2000))
+    ref = _random_claim_reference(head, model.severity, t, PcgStream(4546).uniforms(2000))
+    assert np.allclose(g[:2000], ref, rtol=1e-12, atol=0.0)
+    assert abs(g.mean() - truth(model)) <= 4.0 * g.std(ddof=1) / math.sqrt(g.size), \
+        (g.mean(), truth(model))
+
+
+def test_pilot_picks_the_sharper_first_potential():
+    """Where the largest claim carries the event the random-claim
+    potential is sharper; where the count carries it (sigma = 0.5) or
+    claims tie (a point mass) the largest-claim one is."""
+    cases = [
+        (sigma1_model(), 100.0, "random"),
+        (CompoundModel(NegativeBinomialFrequency(2.0, 1.0), LogNormalSeverity(2.0, 1.0)),
+         100.0, "random"),
+        (pareto_poisson_model(), 5.0, "random"),
+        (sigma05_model(), 20.0, "largest"),
+        (CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0)), 2.5, "largest"),
+    ]
+    for model, t, expected in cases:
+        pilot = lossmc.rare_event.pilot_first_potential(model, t, 10_000, PcgStream(4747))
+        assert pilot["potential"] == expected, pilot
+        sharper = min(pilot["relvar_largest"], pilot["relvar_random"])
+        assert pilot[f"relvar_{expected}"] == sharper
+
+
+def test_random_first_potential_may_average_above_one():
+    """Poisson(10) unit claims at t = 0.5, where P(Z > t) is nearly 1: the
+    random-claim potential N 1{j = 1} is unbiased but its mean can exceed
+    1, and the run returns it, also through a selection into the next
+    level."""
+    model = CompoundModel(PoissonFrequency(10.0), DegenerateSeverity(atom=1.0))
+    for thresholds in ([0.5], [0.5, 5.5]):
+        lev = LevelSequence(thresholds=np.array(thresholds))
+        est = smc_rare_event(model, lev, 2, 200, PcgStream(4), first_potential="random")
+        assert est.level_fractions[0] > 1.0
+        assert 0.0 < est.estimate < math.inf
+    with pytest.raises(ValueError, match="first_potential"):
+        smc_rare_event(model, lev, 2, 200, PcgStream(3), first_potential="largest-claim")
+
+
+def test_random_first_potential_locks_in_the_benchmark_gain():
+    """Benchmark ladder (sigma = 1, 100/200/300), N 2000, 64 replicates:
+    the pilot picks the random-claim potential and the relative SE at 300
+    is below 0.007.  With the largest-claim potential at the first level
+    and the last level read as the fraction above it, 12 seeds read
+    0.0091-0.0129; with this ladder 0.0033-0.0057."""
+    levels = LevelSequence(thresholds=np.array([100.0, 200.0, 300.0]))
+    estimates, pilot = replicate_smc(sigma1_model(), levels, 5, 2000, PcgStream(2600), 64)
+    assert pilot["potential"] == "random"
+    assert estimates[-1][1] < 0.007, estimates
+
+
+def test_point_mass_ladder_is_unchanged():
+    """The pilot keeps the largest-claim potential for a point mass, whose
+    look-ahead is the indicator, so the ladder's estimates are those of
+    the indicator read, bit for bit."""
+    model = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
+    levels = LevelSequence(thresholds=np.array([2.5, 4.5, 6.5]))
+    estimates, pilot = replicate_smc(model, levels, 5, 1000, PcgStream(1919), 16)
+    assert pilot["potential"] == "largest"
+    assert estimates == [(0.3233125, 0.008421961518805346),
+                         (0.053358499999999996, 0.03702569082665122),
+                         (0.003668865875, 0.14245843559525373)]
+
+
+def test_replicate_runner_validates_before_it_draws():
+    """Bad arguments raise before the pilot touches the stream: this one
+    has no spawn to call."""
+    lev = LevelSequence(thresholds=np.array([1.0]))
+    untouchable = object()
+    for model, N, steps, replicates, error in (("not a model", 10, 1, 2, TypeError),
+                                               (sigma05_model(), 1, 1, 2, ValueError),
+                                               (sigma05_model(), 10, -1, 2, ValueError),
+                                               (sigma05_model(), 10, 1, 1, ValueError)):
+        with pytest.raises(error):
+            replicate_smc(model, lev, steps, N, untouchable, replicates)
 
 
 def _select_a_zero_potential_ancestor(g, rng):
@@ -552,8 +728,8 @@ def test_population_outside_the_level_set_raises(phase, monkeypatch):
 
 def test_replicate_runner_reports_relative_error():
     lev = LevelSequence(thresholds=np.array([0.5, 1.5]))
-    (p_first, rse_first), (p, rse) = replicate_smc(coin_model(), lev, 3, 100,
-                                                   PcgStream(707), 10)
+    [(p_first, rse_first), (p, rse)], _ = replicate_smc(coin_model(), lev, 3, 100,
+                                                        PcgStream(707), 10)
     assert 0.0 < rse < math.inf
     assert abs(p - 0.25) <= 3.0 * rse * p
     # the first level's running product is the crude fraction above 0.5

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lossmc import (
@@ -16,9 +17,11 @@ from lossmc import (
     ReportRow,
     RiskReport,
     emit_report,
+    estimate_density_grid,
     oracle_tail_stats,
     parse_report,
     reproduce_table1,
+    risk_measures_from_measure,
     run_experiment,
 )
 from lossmc import distributions
@@ -139,7 +142,40 @@ def test_particle_rows_leave_spectral_measure_unset(tmp_path):
     assert [line.split(",")[6] for line in path.read_text().splitlines()[1:]] == ["n/a"] * 3
 
 
+def test_particle_diagnostics_carry_the_es_stderr():
+    """Each particle row's ES has its standard error in the diagnostics,
+    as ``risk_measures_from_measure`` reads it, since ``stderr`` is the
+    VaR's; a row whose quantile lies beyond the grid has no ES and no
+    entry."""
+    method = {"kind": "particle", "x_max": 400.0, "n_per_point": 200}
+    cfg = _config(model=SIGMA1_MODEL, method=method, levels=[0.5, 0.99, 0.99999], seed=10)
+    report = run_experiment(cfg)
+    diag = report.meta["diagnostics"]
+    assert [row.es is None for row in report.rows] == [False, False, True]
+    assert sorted(k for k in diag if k.startswith("es_stderr")) == ["es_stderr_0.5",
+                                                                    "es_stderr_0.99"]
+    measure = estimate_density_grid(cfg.build_model(), np.arange(1.0, 400.5),
+                                    200, diag["p_d"], PcgStream(10))
+    for row, alpha in zip(report.rows, (0.5, 0.99)):
+        var, es, es_se = risk_measures_from_measure(measure, alpha)
+        assert (row.var, row.es, diag[f"es_stderr_{alpha:g}"]) == (var, es, es_se)
+        assert 0.0 < es_se < math.inf
+    # the tail's ES is the noisier
+    assert diag["es_stderr_0.99"] > diag["es_stderr_0.5"]
+
+
 RARE_EVENT = {"kind": "rare-event", "n_particles": 1000, "mh_steps": 2, "replicates": 8}
+
+
+def test_rare_event_diagnostics_name_the_pilot():
+    """The report records the first-level potential the pilot chose and
+    both pilot relative variances, the same for the same seed."""
+    method = dict(RARE_EVENT, thresholds=[100.0, 200.0])
+    first, again = (run_experiment(_config(model=SIGMA1_MODEL, method=method, seed=5))
+                    .meta["diagnostics"] for _ in range(2))
+    assert first == again
+    assert first["pilot_potential"] == "random"
+    assert 0.0 < first["pilot_relvar_random"] < first["pilot_relvar_largest"] < math.inf
 
 
 def test_rare_event_thresholds_share_one_ladder_run():

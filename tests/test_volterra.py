@@ -559,12 +559,13 @@ def test_full_grid_99_percent_in_published_bracket(sigma1_grid_full):
 # ---------------------------------------------------------------------------
 
 def _measure(locations, weights, stderr=None, tail_mass=0.0, tail_stderr=0.0,
-             tail_excess=0.0, zero_mass=0.0):
+             tail_excess=0.0, tail_excess_stderr=0.0, zero_mass=0.0):
     """A hand-built measure; the standard errors default to zero."""
     stderr = np.zeros(len(locations)) if stderr is None else stderr
     return WeightedParticleMeasure(locations=locations, weights=weights, stderr=stderr,
                                    tail_mass=tail_mass, tail_stderr=tail_stderr,
-                                   tail_excess=tail_excess, tail_excess_stderr=0.0,
+                                   tail_excess=tail_excess,
+                                   tail_excess_stderr=tail_excess_stderr,
                                    zero_mass=zero_mass)
 
 
@@ -599,7 +600,7 @@ def test_density_grid_rejects_unsorted_points():
 def test_single_atom_measure_quantile_and_risk():
     meas = _measure([5.0], [1.0])
     assert quantile_from_measure(meas, 0.7) == 5.0
-    assert risk_measures_from_measure(meas, 0.5) == (5.0, 5.0)
+    assert risk_measures_from_measure(meas, 0.5) == (5.0, 5.0, 0.0)
     with pytest.raises(ValueError):
         quantile_from_measure(meas, 0.0)
     with pytest.raises(ValueError):
@@ -675,9 +676,10 @@ def test_grid_expected_shortfall_matches_oracle(request, preset, alpha):
     else:
         measure, pmf = (request.getfixturevalue("sigma05_grid_full"),
                         request.getfixturevalue("sigma05_pmf"))
-    var, es = risk_measures_from_measure(measure, alpha)
+    var, es, es_se = risk_measures_from_measure(measure, alpha)
+    assert es_se == pytest.approx(_es_stderr(measure, var, alpha), rel=1e-12)
     [(_, ref)] = oracle_tail_stats(pmf, [alpha])
-    assert abs(es - ref) <= 4.0 * _es_stderr(measure, var, alpha) + 0.5, (es, ref)
+    assert abs(es - ref) <= 4.0 * es_se + 0.5, (es, ref)
 
 
 def test_expected_shortfall_adds_the_mass_beyond_the_grid():
@@ -685,8 +687,22 @@ def test_expected_shortfall_adds_the_mass_beyond_the_grid():
     0.05 beyond the upper edge 3.5 with stop-loss 0.1 there: the 0.75-VaR
     is 2 and E[(Z - 2)+] = 1 x 0.15 + 1.5 x 0.05 + 0.1."""
     meas = _measure([1.0, 2.0, 3.0], [0.5, 0.3, 0.15], tail_mass=0.05, tail_excess=0.1)
-    var, es = risk_measures_from_measure(meas, 0.75)
+    var, es, _ = risk_measures_from_measure(meas, 0.75)
     assert var == 2.0
     assert es == pytest.approx(2.0 + (0.15 + 0.075 + 0.1) / 0.25, rel=1e-12)
     with pytest.raises(ValueError):
         risk_measures_from_measure(meas, 1.0)
+
+
+def test_expected_shortfall_stderr_hand_trace():
+    """The measure above with density SEs 0.1, 0.2, 0.3, tail-mass SE 0.01
+    and stop-loss SE 0.02: only the cell at 3 lies above the VaR 2, giving
+    (3 - 2) x 0.3, and the tail start's terms add as fully correlated,
+    (3.5 - 2) x 0.01 + 0.02; the sum in quadrature over 1 - 0.75."""
+    meas = _measure([1.0, 2.0, 3.0], [0.5, 0.3, 0.15], stderr=np.array([0.1, 0.2, 0.3]),
+                    tail_mass=0.05, tail_stderr=0.01, tail_excess=0.1,
+                    tail_excess_stderr=0.02)
+    var, _, es_se = risk_measures_from_measure(meas, 0.75)
+    assert var == 2.0
+    assert es_se == pytest.approx(math.hypot(0.3, 1.5 * 0.01 + 0.02) / 0.25, rel=1e-12)
+    assert es_se == pytest.approx(_es_stderr(meas, var, 0.75), rel=1e-12)
