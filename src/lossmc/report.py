@@ -189,7 +189,7 @@ def _run_particle(model, cfg: ExperimentConfig):
     grid = np.arange(width, x_max + 0.5 * width, width)
     p_d = default_absorption(model) if m["p_d"] is None else m["p_d"]
     measure = estimate_density_grid(model, grid, m["n_per_point"], p_d, PcgStream(cfg.seed))
-    locs, _, se_surv = measure.survival()
+    locs, surv, se_surv = measure.survival()
 
     def read(level):
         try:
@@ -198,7 +198,11 @@ def _run_particle(model, cfg: ExperimentConfig):
             return float(locs[-1])
 
     rows = []
-    diag = {"grid_width": width, "x_max": x_max, "n_per_point": m["n_per_point"], "p_d": p_d}
+    # zero mass + cells + tail mass, 1 for a measure that holds the whole
+    # law; its SE is that of the survival above the atom at zero
+    diag = {"grid_width": width, "x_max": x_max, "n_per_point": m["n_per_point"], "p_d": p_d,
+            "mass_balance": measure.zero_mass + float(surv[0]),
+            "mass_balance_stderr": float(se_surv[0])}
     for alpha in cfg.levels:
         try:
             var, es, es_se = risk_measures_from_measure(measure, alpha)

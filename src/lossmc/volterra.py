@@ -31,14 +31,27 @@ uniforms into new states and their weight ratios, is a defensive
 mixture of a size-biased decrement and, with probability
 ``DEFENSIVE_SHARE``, a new state uniform on [0, x], which proposes the
 single big jump that carries a subexponential tail.  Its ratio k / q
-needs the severity pdf at the decrement on every move.  Every move is
-checked (``_checked_move``): a new state that is NaN or outside [0, x]
-raises ``ProposalSupportError``, a negative or non-finite ratio -- what
-k / (mass q) gives where q = 0 -- raises ``SupportViolationError``.  A
-path adds its running weight times g to its estimate at every state it
-visits, the start included: each state contributes exactly one Neumann
-term in expectation, so the sum is unbiased without the 1/P_d inflation
-of scoring the absorption state alone.
+needs the severity pdf at the decrement on every move.  A grid point's
+first move mixes in, with probability ``TABLE_SHARE``, a table built for
+that point (``FirstMoveTable``): piecewise constant on ``TABLE_CELLS``
+equal cells of [0, x0], proportional to k(x0, x1) h(x1), where h is a
+lognormal with the first two moments of the compound law given a claim.
+The zero-variance first move is proportional to k(x0, x1) f(x1)
+(Spanier & Gelbard 1969); the default mixture alone lands the paths that
+carry most of a tail point's estimate by its uniform share, and the
+table lands them where f is.  A table depends only on its point and the
+model, so estimates stay unbiased and blocks still equal single points;
+its ratio keeps the default mixture's share, which bounds the weights
+(Owen & Zhou 2000).  Later moves and the tail start take no table.
+
+Every move is checked (``_checked_move``): a new state that is NaN or
+outside [0, x] raises ``ProposalSupportError``, a negative or
+non-finite ratio -- what k / (mass q) gives where q = 0 -- raises
+``SupportViolationError``.  A path adds its running weight times g to
+its estimate at every state it visits, the start included: each state
+contributes exactly one Neumann term in expectation, so the sum is
+unbiased without the 1/P_d inflation of scoring the absorption state
+alone.
 
 Quantiles are read from the right.  The grid estimator also estimates
 the mass beyond its last cell from paths started in the severity tail
@@ -71,6 +84,13 @@ _DEAD_FLOOR = 1e-120  # states this small carry no representable density
 # 0.0155 / 0.0074 / 0.0056 / 0.0047 / 0.0037; sigma=0.5 beyond 90,
 # 0.037-0.039 / 0.023 / 0.023 / 0.025-0.027 / 0.034-0.039.  0.2 serves both.
 DEFENSIVE_SHARE = 0.2
+# A grid point's first move lands with probability TABLE_SHARE by its own
+# table (``FirstMoveTable``) of TABLE_CELLS equal cells.  Relative SE of the
+# sigma=1 grid's mass beyond 233 at 5000 paths per point, seeds 83111 and
+# 83112: 0.0043 with no table; 0.0028 for 64 to 1024 cells at shares 0.5
+# and 0.7; 0.0030 at a share of 0.3.
+TABLE_SHARE = 0.5
+TABLE_CELLS = 256
 # The tail start runs one path per this many paths of the grid: 1e5 on the
 # sigma=1 grid of 400 points x 5000 paths, about 0.06 s on 2 vCPU.
 _GRID_PATHS_PER_TAIL_PATH = 20
@@ -183,6 +203,10 @@ class SizeBiasedProposal:
     pdf no longer cancels.  Implemented for lognormal severities, where
     the size-biased law is again lognormal (mu + sigma^2) and
     conditioning to (0, x) is a one-line quantile transform.
+
+    A grid point's first move passes a ``FirstMoveTable`` to ``move``,
+    which then mixes the point's table, with weight ``TABLE_SHARE``, and
+    the mixture above: the density is pi_t q_t + (1 - pi_t) q.
     """
 
     severity: LogNormalSeverity
@@ -223,36 +247,168 @@ class SizeBiasedProposal:
             out = (1.0 - DEFENSIVE_SHARE) * sized + DEFENSIVE_SHARE / x
         return np.where((x1 >= 0.0) & (d >= 0.0), out, 0.0)
 
-    def move(self, x, u, kernel: VolterraKernel, mass: float):
+    def _draw(self, x, u, cap) -> np.ndarray:
+        """New states of the mixture from the uniforms ``u``: u <= 1 - pi
+        passes u / (1 - pi) to ``sample``, and u > 1 - pi gives
+        x (u - (1 - pi)) / pi, uniform on [0, x]."""
+        # every entry is drawn both ways, which is cheaper than splitting the
+        # arrays; ``sample`` clips the uniforms above 1 of the other share
+        return np.where(u <= 1.0 - DEFENSIVE_SHARE,
+                        self.sample(x, u / (1.0 - DEFENSIVE_SHARE), cap),
+                        x * ((u - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE))
+
+    def move(self, x, u, kernel: VolterraKernel, mass: float,
+             table: FirstMoveTable | None = None):
         """Draw x1 from the uniforms ``u``; return it with the weight ratio
         k(x, x1) / (mass q(x, x1)).
 
         One uniform per move picks the component and is rescaled into its
-        draw: u <= 1 - pi passes u / (1 - pi) to ``sample``, and u > 1 - pi
-        gives x1 = x (u - (1 - pi)) / pi, uniform on [0, x].  With
-        k = (a + b d/x) f_X(d) and E1 = E[X; X <= x] = E[X] cap, the ratio
-        is written through q / f_X(d) = (1 - pi) d / E1 + pi / (x f_X(d)) as
+        draw (``_draw``).  With k = (a + b d/x) f_X(d) and E1 = E[X; X <= x]
+        = E[X] cap, the ratio is written through q / f_X(d) =
+        (1 - pi) d / E1 + pi / (x f_X(d)) as
 
             (a + b d/x) / (mass q / f_X(d)),
 
         so that where E1 or f_X(d) underflows to 0 it comes out 0, as
         k / q does to within rounding, not NaN.  At d = 0, where k
         vanishes, it is 0.
+
+        With a ``table`` (a grid point's first move, every entry at its
+        row's start point) the move mixes the table, with the weight
+        pi_t = ``table.share`` of the entry's row, and the move above:
+        u <= pi_t inverts the table with u / pi_t, and u > pi_t passes
+        (u - pi_t) / (1 - pi_t) to ``_draw``, so no entry is drawn both
+        ways.  The density becomes pi_t q_t + (1 - pi_t) q, and the ratio
+        is formed as above, with pi_t q_t / f_X(d) added to (1 - pi_t)
+        times the denominator; that term is 0 where q_t is.
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         cap = self._cap(x)
-        # every entry is drawn both ways, which is cheaper than splitting the
-        # arrays; ``sample`` clips the uniforms above 1 of the other share
-        x1 = np.where(u <= 1.0 - DEFENSIVE_SHARE,
-                      self.sample(x, u / (1.0 - DEFENSIVE_SHARE), cap),
-                      x * ((u - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE))
+        if table is None:
+            x1 = self._draw(x, u, cap)
+        else:
+            share = table.share[table.rows]
+            tabled = u <= share
+            rest = ~tabled
+            x1, q_t = np.empty_like(x), np.empty_like(x)
+            x1[tabled], q_t[tabled] = table.draw(u[tabled] / share[tabled],
+                                                 table.rows[tabled], x[tabled])
+            x1[rest] = self._draw(x[rest], (u[rest] - share[rest]) / (1.0 - share[rest]),
+                                  cap[rest])
+            q_t[rest] = table.density_at(x1[rest], table.rows[rest], x[rest])
         d = x - x1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f_d = kernel.f(d)
             mass_q_per_f = ((mass * (1.0 - DEFENSIVE_SHARE) / self.severity.mean()) * d / cap
-                            + (mass * DEFENSIVE_SHARE) / (x * kernel.f(d)))
+                            + (mass * DEFENSIVE_SHARE) / (x * f_d))
+            if table is not None:
+                mass_q_per_f *= 1.0 - share
+                mass_q_per_f += mass * np.where(q_t > 0.0, q_t / f_d, 0.0)
             ratio = (kernel.a + kernel.b * d / x) / mass_q_per_f
         return x1, np.where(d > 0.0, ratio, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# First-move tables
+# ---------------------------------------------------------------------------
+
+def _positive_sum_moments(model: CompoundModel):
+    """(E[Z | N > 0], E[Z^2 | N > 0]) for a lognormal severity.
+
+    E[Z^2] = E[N] Var X + Var N E[X]^2 + (E[N] E[X])^2, with Var N from
+    the second factorial moment; both are divided by 1 - P(N = 0), which
+    is NaN for a count that is 0 almost surely.
+    """
+    freq, sev = model.frequency, model.severity
+    en, ex = freq.mean(), sev.mean()
+    var_n = freq.factorial_moment2() + en - en * en
+    var_x = math.exp(2.0 * sev.mu + 2.0 * sev.sigma ** 2) - ex * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        positive = np.float64(1.0 - float(freq.pmf(0)))
+        return (en * ex / positive,
+                (en * var_x + var_n * ex * ex + (en * ex) ** 2) / positive)
+
+
+def _sum_proxy(model: CompoundModel):
+    """y -> h(y), the unnormalized lognormal density with the mean m1 and
+    second moment m2 of Z given N > 0: with s^2 = ln(m2 / m1^2),
+    h(y) = exp(-(ln y - ln m1 + s^2/2)^2 / (2 s^2)) / y."""
+    m1, m2 = _positive_sum_moments(model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s2 = np.log(m2 / (m1 * m1))
+        centre = np.log(m1) - 0.5 * s2
+
+    def h(y):
+        t = np.log(y) - centre
+        return np.exp(-t * t / (2.0 * s2)) / y
+
+    return h
+
+
+@dataclass
+class FirstMoveTable:
+    """Piecewise-constant first-move densities, one row per start point x0.
+
+    Row r splits [0, x0] into ``TABLE_CELLS`` equal cells; ``edges[r]``
+    holds the cumulative cell probabilities from 0 to exactly 1,
+    ``density[r]`` each cell's density times ``share[r]``, the row's
+    weight in the move's mixture: ``TABLE_SHARE``, or 0 for a point whose
+    table weights all vanish, which then moves by the default mixture
+    alone.  ``rows`` names each entry's row when the table is handed to
+    a move (``at``).
+    """
+
+    edges: np.ndarray
+    density: np.ndarray
+    share: np.ndarray
+    rows: np.ndarray | None = None
+
+    def at(self, rows: np.ndarray) -> "FirstMoveTable":
+        """The same table, for move entries whose rows are ``rows``."""
+        return FirstMoveTable(self.edges, self.density, self.share, rows)
+
+    def draw(self, s: np.ndarray, rows: np.ndarray, x: np.ndarray):
+        """(x1, density) from the uniforms s in (0, 1] of entries at x: the
+        row's first cell j with edges[row, j + 1] >= s, by inversion of its
+        cell probabilities, and x1 linear in s inside it."""
+        # one search across rows, each row's upper edges offset by its index
+        keys = (self.edges[:, 1:] + np.arange(len(self.edges))[:, None]).ravel()
+        j = np.clip(np.searchsorted(keys, s + rows) - rows * TABLE_CELLS, 0, TABLE_CELLS - 1)
+        # s + rows rounds, which can land a cell off: step to the exact cell,
+        # so that a point's draws do not depend on its row in the block
+        edges, base = self.edges.ravel(), rows * (TABLE_CELLS + 1)
+        while True:
+            lo, hi = edges[base + j], edges[base + j + 1]
+            step = (hi < s).astype(np.intp) - (lo >= s)
+            if not step.any():
+                break
+            j += step
+        frac = np.minimum((s - lo) / (hi - lo), 1.0)
+        return x * ((j + frac) / TABLE_CELLS), self.density.ravel()[rows * TABLE_CELLS + j]
+
+    def density_at(self, x1: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The table density times the share at x1 in [0, x]."""
+        cell = np.minimum((x1 / x * TABLE_CELLS).astype(np.intp), TABLE_CELLS - 1)
+        return self.density.ravel()[rows * TABLE_CELLS + cell]
+
+
+def _first_move_tables(kernel: VolterraKernel, proxy, x0: np.ndarray) -> FirstMoveTable:
+    """One table per start point: cell j of [0, x0] gets weight
+    k(x0, y_j) h(y_j) at its midpoint y_j, for the proxy h (``_sum_proxy``)
+    of the density the path goes on to estimate, normalized per row."""
+    x0 = np.asarray(x0, dtype=float)[:, None]
+    y = x0 * ((np.arange(TABLE_CELLS) + 0.5) / TABLE_CELLS)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cum = np.cumsum(kernel.k(x0, y) * proxy(y), axis=1)
+    total = cum[:, -1:]
+    usable = (total > 0.0) & (total < math.inf)
+    edges = np.zeros((len(x0), TABLE_CELLS + 1))
+    # cum / cum[-1] makes the last edge exactly 1
+    np.divide(cum, total, out=edges[:, 1:], where=usable)
+    share = np.where(usable[:, 0], TABLE_SHARE, 0.0)
+    density = np.diff(edges, axis=1) * (share[:, None] * TABLE_CELLS / x0)
+    return FirstMoveTable(edges, density, share)
 
 
 def default_absorption(model: CompoundModel) -> float:
@@ -412,8 +568,8 @@ def _uniforms(streams, owner, idx: np.ndarray) -> np.ndarray:
     return np.concatenate([s.uniforms(c) for s, c in zip(streams, counts) if c])
 
 
-def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float):
-    """``proposal.move(x, u, kernel, mass)``, with its output checked.
+def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float, table=None):
+    """``proposal.move(x, u, kernel, mass, table)``, with its output checked.
 
     One mask per call covers every move: each new state must lie in
     [0, x] and each ratio must be finite and nonnegative.  Only when the
@@ -421,7 +577,7 @@ def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float):
     [0, x] raises ``ProposalSupportError``, a negative or non-finite
     ratio (k / (mass q) at q = 0) ``SupportViolationError``.
     """
-    x1, ratio = proposal.move(x, u, kernel, mass)
+    x1, ratio = proposal.move(x, u, kernel, mass, table)
     ok = (x1 >= 0.0) & (x1 <= x) & (ratio >= 0.0) & (ratio < math.inf)
     if not ok.all():
         x, x1, ratio = np.broadcast_arrays(x, x1, ratio)
@@ -438,7 +594,8 @@ def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float):
 
 
 def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
-               p_d: float, streams, owner, strata: int) -> None:
+               p_d: float, streams, owner, strata: int,
+               tables: FirstMoveTable | None = None) -> None:
     """Run every particle's path to absorption, updating x, w and acc in place.
 
     Each step draws one uniform u per live particle from its owner's
@@ -454,7 +611,9 @@ def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
     (r / strata, (r + 1) / strata] for its rank r = i mod strata and is
     still one uniform per particle.  The grid passes its paths per point,
     so each point's first absorb-or-move draws cover (0, 1] evenly; with
-    ``strata`` = 1 every draw is u itself.
+    ``strata`` = 1 every draw is u itself.  The first move also takes
+    ``tables`` (``FirstMoveTable``), whose row ``owner[i]`` belongs to
+    particle i; later moves take none.
     """
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
     with np.errstate(divide="ignore"):  # g(0) = 0 goes through log(0) = -inf
@@ -468,7 +627,9 @@ def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
             if not active.size:
                 break
             x1, ratio = _checked_move(proposal, x[active], (u[moving] - p_d) / (1.0 - p_d),
-                                      kernel, 1.0 - p_d)
+                                      kernel, 1.0 - p_d,
+                                      None if tables is None else tables.at(owner[active]))
+            tables = None
             w[active] *= ratio
             x[active] = x1
             acc[active] += w[active] * kernel.g(x1)
@@ -476,18 +637,20 @@ def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
 
 
 def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
-                     proposal: SizeBiasedProposal, p_d: float, streams) -> np.ndarray:
+                     proposal: SizeBiasedProposal, p_d: float, streams, proxy) -> np.ndarray:
     """Per-particle density contributions for a block of start points.
 
-    Point ``j`` owns particles ``j*n`` to ``(j+1)*n - 1`` and draws from
-    ``streams[j]``; the result has the same layout.
+    Point ``j`` owns particles ``j*n`` to ``(j+1)*n - 1``, draws from
+    ``streams[j]`` and makes its first move with row ``j`` of the block's
+    tables, built with ``proxy``; the result has the same layout.
     """
     owner = np.repeat(np.arange(len(x0)), n)
     x, w = np.repeat(x0, n), np.ones(owner.size)
     # every path starts from the deterministic n = 0 term g(x0)
     acc = np.repeat(kernel.g(x0), n)
     # point j's particles are j*n .. j*n + n - 1, so index mod n is the rank
-    _propagate(x, w, acc, kernel, proposal, p_d, streams, owner, n)
+    _propagate(x, w, acc, kernel, proposal, p_d, streams, owner, n,
+               _first_move_tables(kernel, proxy, x0))
     return acc
 
 
@@ -584,6 +747,9 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     (2 n (n - 1))): unbiased for iid sums, conservative for stratified
     ones, and 0 at n = 1.
 
+    A point's first move also draws, with probability ``TABLE_SHARE``,
+    from a table built for the point (``FirstMoveTable``).
+
     The mass beyond the upper edge of the last cell comes from
     ``estimate_tail_probability``, with one path per
     ``_GRID_PATHS_PER_TAIL_PATH`` paths of the grid, on one more
@@ -596,13 +762,15 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
         raise ValueError("need at least one path per grid point")
     kernel, proposal = _path_sampler(model, p_d)
     streams = rng.spawn(len(grid) + 1)
-    per_block = max(1, _BLOCK_PARTICLES // n)
+    proxy = _sum_proxy(model)
+    # a block's tables hold TABLE_CELLS entries per point
+    per_block = max(1, _BLOCK_PARTICLES // max(n, TABLE_CELLS))
     est = np.empty(len(grid))
     se = np.zeros(len(grid))
     for lo in range(0, len(grid), per_block):
         hi = min(lo + per_block, len(grid))
         contrib = _run_point_block(grid[lo:hi], n, kernel, proposal, p_d,
-                                   streams[lo:hi]).reshape(hi - lo, n)
+                                   streams[lo:hi], proxy).reshape(hi - lo, n)
         est[lo:hi] = contrib.mean(axis=1)
         if n > 1:
             # successive differences in rank order: stratum neighbours

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lossmc import (
     ExperimentConfig,
@@ -162,6 +163,34 @@ def test_particle_diagnostics_carry_the_es_stderr():
         assert 0.0 < es_se < math.inf
     # the tail's ES is the noisier
     assert diag["es_stderr_0.99"] > diag["es_stderr_0.5"]
+
+
+def test_particle_mass_balance_hand_trace():
+    """At p_d = 1 every path is its first term, so a cell holds
+    g(x) = P(N = 1) f_X(x) times its width and the tail start
+    P(N = 1) sf_X(top), each without spread: the balance is P(N = 0) +
+    P(N = 1) (sum of f_X(x) w + sf_X(61)), and its SE is rounding."""
+    method = {"kind": "particle", "grid_width": 2.0, "x_max": 60.0, "n_per_point": 10,
+              "p_d": 1.0}
+    diag = run_experiment(_config(method=method, seed=4)).meta["diagnostics"]
+    severity = stats.lognorm(0.5, scale=math.exp(2.0))
+    p0, p1 = math.exp(-2.0), 2.0 * math.exp(-2.0)
+    by_hand = p0 + p1 * (2.0 * severity.pdf(np.arange(2.0, 61.0, 2.0)).sum() + severity.sf(61.0))
+    assert diag["mass_balance"] == pytest.approx(by_hand, rel=1e-12)
+    # near P(N <= 1) = 0.4060, less what the midpoint sum misses
+    assert diag["mass_balance"] == pytest.approx(0.4056696962, rel=1e-9)
+    assert 0.0 <= diag["mass_balance_stderr"] <= 1e-15
+
+
+def test_particle_mass_balance_of_benchmark_op():
+    """The benchmark's particle op at its seed 83111 (sigma = 1, grid
+    1..400, 5000 paths per point) holds its whole law: the balance lies
+    within 4 SE of 1."""
+    method = {"kind": "particle", "grid_width": 1.0, "x_max": 400.0, "n_per_point": 5000}
+    diag = run_experiment(_config(model=SIGMA1_MODEL, method=method, levels=[0.5],
+                                  seed=83_111)).meta["diagnostics"]
+    assert 0.0 < diag["mass_balance_stderr"] < 0.01
+    assert abs(diag["mass_balance"] - 1.0) <= 4.0 * diag["mass_balance_stderr"]
 
 
 RARE_EVENT = {"kind": "rare-event", "n_particles": 1000, "mh_steps": 2, "replicates": 8}

@@ -36,7 +36,12 @@ from lossmc.volterra import (
     _DEAD_FLOOR,
     _GRID_PATHS_PER_TAIL_PATH,
     DEFENSIVE_SHARE,
+    TABLE_CELLS,
+    TABLE_SHARE,
     _checked_move,
+    _first_move_tables,
+    _positive_sum_moments,
+    _sum_proxy,
 )
 
 from conftest import QUANTILE_LEVELS, oracle_tail, sigma05_model, sigma1_model
@@ -112,21 +117,60 @@ def _mixture_density(x, x1, mu=2.0, sigma=0.5):
     return (1.0 - DEFENSIVE_SHARE) * sized + DEFENSIVE_SHARE / x
 
 
-def test_hand_computed_single_step_weight():
-    """Move 20 -> 10 through the uniform share of the mixture, then absorb.
+def _table_probabilities(x0, mu=2.0, sigma=0.5, lam=2.0):
+    """Cell probabilities of the first-move table at x0 for a Poisson(lam)
+    count and an LN(mu, sigma) severity, from scipy: k(x0, y) h(y) at
+    each of the 256 cell midpoints y, where h is the lognormal with the
+    mean m1 and second moment m2 of Z given N > 0 (for a Poisson count
+    E[Z^2] = lam E[X^2] + lam^2 E[X]^2)."""
+    ex, ex2, p0 = math.exp(mu + 0.5 * sigma ** 2), math.exp(2.0 * mu + 2.0 * sigma ** 2), \
+        math.exp(-lam)
+    m1, m2 = lam * ex / (1.0 - p0), (lam * ex2 + lam ** 2 * ex ** 2) / (1.0 - p0)
+    s2 = math.log(m2 / m1 ** 2)
+    y = x0 * (np.arange(TABLE_CELLS) + 0.5) / TABLE_CELLS
+    w = (lam * (x0 - y) / x0 * _lognormal_pdf(x0 - y, mu, sigma)
+         * stats.lognorm.pdf(y, math.sqrt(s2), scale=m1 * math.exp(-0.5 * s2)))
+    return w / w.sum()
 
-    One uniform per step: 0.95 > p_d moves with v = 0.9 > 1 - pi, so
-    x1 = 20 (v - 0.8) / 0.2; 0.1 <= p_d then absorbs."""
+
+def _first_move_density(x0, x1):
+    """pi_t q_t(x1) + (1 - pi_t) q(x0, x1): the first move's density."""
+    q_t = _table_probabilities(x0)[int(x1 / x0 * TABLE_CELLS)] * TABLE_CELLS / x0
+    return TABLE_SHARE * q_t + (1.0 - TABLE_SHARE) * _mixture_density(x0, x1)
+
+
+def test_hand_computed_single_step_weight():
+    """Two paths of one move from 20 each, by either share of the first
+    move, then absorbed by 0.1 <= p_d.
+
+    0.965 > p_d moves with v = 0.93 > pi_t, so the default mixture gets
+    (v - pi_t) / (1 - pi_t) = 0.86 > 1 - pi and draws x1 = 20 (0.86 - 0.8)
+    / 0.2 = 6 by its uniform share.  0.625 moves with v = 0.25 <= pi_t,
+    so the table inverts v / pi_t = 0.5: x1 lies in the cell where the
+    cumulative probability reaches 0.5, linearly placed.  Either way the
+    ratio is k / ((1 - p_d)(pi_t q_t + (1 - pi_t) q))."""
     kernel = build_volterra_kernel(sigma05_model())
-    w = _path_weight([0.95, 0.1])
-    x1 = 20.0 * (((0.95 - 0.5) / 0.5 - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE)
-    assert x1 == pytest.approx(10.0, rel=1e-14)
-    # W = g(20) + k/((1-pd) q) * g(x1), a term per visited state
-    by_hand = kernel.g(20.0) + kernel.k(20.0, x1) / (0.5 * _mixture_density(20.0, x1)) \
-        * kernel.g(x1)
-    assert w == pytest.approx(by_hand, rel=1e-13)
-    # 0.00148648357 + 0.0664376130 / (0.5 * 0.0781043644) * g(10)
-    assert w == pytest.approx(0.0320796032, rel=1e-8)
+
+    def by_hand(x1):
+        # W = g(20) + k/((1-pd) q) * g(x1), a term per visited state
+        return kernel.g(20.0) + kernel.k(20.0, x1) / (0.5 * _first_move_density(20.0, x1)) \
+            * kernel.g(x1)
+
+    v = ((0.965 - 0.5) / 0.5 - TABLE_SHARE) / (1.0 - TABLE_SHARE)
+    x1 = 20.0 * ((v - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE)
+    assert x1 == pytest.approx(6.0, rel=1e-13)
+    w = _path_weight([0.965, 0.1])
+    assert w == pytest.approx(by_hand(x1), rel=1e-13)
+    assert w == pytest.approx(0.0620252019, rel=1e-8)
+
+    prob = _table_probabilities(20.0)
+    cum = np.cumsum(prob)
+    j = int(np.searchsorted(cum, 0.5))
+    x1 = 20.0 * (j + (0.5 - cum[j - 1]) / prob[j]) / TABLE_CELLS
+    assert (j, x1) == (149, pytest.approx(11.6543375582, rel=1e-10))
+    w = _path_weight([0.625, 0.1])
+    assert w == pytest.approx(by_hand(x1), rel=1e-13)
+    assert w == pytest.approx(0.0192455030, rel=1e-8)
 
 
 def test_zero_length_path_weight_is_first_term():
@@ -137,12 +181,12 @@ def test_zero_length_path_weight_is_first_term():
     assert w == pytest.approx(0.00148648357, rel=1e-8)
 
 
-def _upward_move(self, x, u, kernel, mass):
+def _upward_move(self, x, u, kernel, mass, table=None):
     x = np.asarray(x, dtype=float)
     return x + 1.0, np.ones_like(x)
 
 
-def _zero_density_move(self, x, u, kernel, mass):
+def _zero_density_move(self, x, u, kernel, mass, table=None):
     """Moves to x/2 where its density q is zero, and forms k / (mass q)
     without zeroing the ratio there."""
     x1 = np.asarray(x, dtype=float) / 2.0
@@ -154,7 +198,7 @@ def _fixed_move(frac, ratio):
     """A move that takes every state to ``frac * x`` with the weight ratio
     ``ratio``."""
 
-    def move(self, x, u, kernel, mass):
+    def move(self, x, u, kernel, mass, table=None):
         x = np.asarray(x, dtype=float)
         return frac * x, np.full_like(x, ratio)
 
@@ -314,6 +358,79 @@ def test_mixture_ratio_is_zero_where_its_terms_underflow(sigma, x):
 
 
 # ---------------------------------------------------------------------------
+# the first move's table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("frequency", [
+    PoissonFrequency(2.0),
+    NegativeBinomialFrequency(2.0, 1.0),
+], ids=["poisson", "negbinomial"])
+def test_proxy_moments_match_oracle(frequency):
+    """The proxy's m1 and m2 are the oracle's E[Z | Z > 0] and
+    E[Z^2 | Z > 0] (sigma = 1), to within the lattice's rounding."""
+    model = CompoundModel(frequency, LogNormalSeverity(2.0, 1.0))
+    pmf = oracle_compound_pmf(model, step=0.02, x_max=4000.0)
+    z, m = pmf.grid()[1:], pmf.masses[1:]
+    m1, m2 = _positive_sum_moments(model)
+    assert m1 == pytest.approx(z @ m / m.sum(), rel=1e-5)
+    assert m2 == pytest.approx((z * z) @ m / m.sum(), rel=1e-4)
+
+
+def test_first_move_table_integrates_to_one_and_its_draws_follow_it():
+    """Each row's density integrates to its share of the move, and its
+    fixed-seed draws follow the table's cdf, linear between the cell
+    edges, and increase with their uniforms (inversion)."""
+    model = sigma1_model()
+    x0 = np.array([5.0, 60.0, 300.0])
+    table = _first_move_tables(build_volterra_kernel(model), _sum_proxy(model), x0)
+    assert np.array_equal(table.share, np.full(x0.size, TABLE_SHARE))
+    assert np.all(table.edges[:, 0] == 0.0) and np.all(table.edges[:, -1] == 1.0)
+    assert np.allclose(table.density.sum(axis=1) * x0 / TABLE_CELLS, TABLE_SHARE,
+                       rtol=1e-13, atol=0.0)
+    n = 20_000
+    rows = np.repeat(np.arange(x0.size), n)
+    s = PcgStream(4242).uniforms(rows.size)
+    x1, density = table.draw(s, rows, x0[rows])
+    assert np.array_equal(density, table.density_at(x1, rows, x0[rows]))
+    for r, x in enumerate(x0):
+        mine = rows == r
+        assert np.all(np.diff(x1[mine][np.argsort(s[mine])]) >= 0.0)
+        edges = np.linspace(0.0, x, TABLE_CELLS + 1)
+        assert stats.kstest(x1[mine], lambda y: np.interp(y, edges, table.edges[r])).pvalue > 0.05
+
+
+def test_first_move_is_finite_where_table_or_severity_underflows():
+    """sigma = 0.5, x0 -> 0: up to about 3e-6 every table weight underflows
+    and the point moves by the default mixture alone; above it some cells
+    hold density 0, and a move where f_X(d) underflows gives ratio 0.
+    Every ratio passes the check, and the estimates are finite."""
+    model = sigma05_model()
+    kernel = build_volterra_kernel(model)
+    x0 = np.geomspace(1e-9, 1.0, 19)
+    table = _first_move_tables(kernel, _sum_proxy(model), x0)
+    assert table.share[0] == 0.0 and table.share[-1] == TABLE_SHARE
+    assert np.all(np.isfinite(table.density))
+    assert np.any(table.density[table.share > 0.0] == 0.0)
+    u = np.array([1e-12, 0.1, 0.25, 0.5, 0.6, 0.8, 0.9, 1.0 - 1e-6, 1.0])
+    rows = np.repeat(np.arange(x0.size), u.size)
+    x1, ratio = _checked_move(SizeBiasedProposal(model.severity), x0[rows],
+                              np.tile(u, x0.size), kernel, 0.6, table.at(rows))
+    under = (x1 < x0[rows]) & (kernel.f(x0[rows] - x1) == 0.0) & (table.share[rows] > 0.0)
+    assert np.any(under) and np.all(ratio[under] == 0.0)
+    measure = estimate_density_grid(model, x0, 200, default_absorption(model), PcgStream(3))
+    assert np.all(np.isfinite(measure.weights)) and np.all(np.isfinite(measure.stderr))
+
+
+def test_first_move_table_cuts_tail_point_rse():
+    """sigma = 1, x0 = 300, 5000 paths: relative SE 0.028-0.030 with the
+    table, 0.043-0.051 with the default mixture alone (12 seeds each)."""
+    model = sigma1_model()
+    measure = estimate_density_grid(model, [300.0], 5000, default_absorption(model),
+                                    PcgStream(2929))
+    assert measure.stderr[0] / measure.weights[0] <= 0.036
+
+
+# ---------------------------------------------------------------------------
 # density estimates
 # ---------------------------------------------------------------------------
 
@@ -419,10 +536,10 @@ def test_particle_report_rows_match_oracle(preset):
         assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr + 1.0, (row, q)
 
 
-def _single_point_contributions(x0, n, kernel, proposal, pd, stream):
+def _single_point_contributions(x0, n, kernel, proposal, pd, stream, table):
     """Loop reference: one grid point's particles alone on ``stream``, one
     uniform per absorb-or-move step; on the first step particle r takes
-    (r + u) / n."""
+    (r + u) / n, and the move takes the point's one-row ``table``."""
     x, w = np.full(n, x0), np.ones(n)
     acc = np.full(n, kernel.g(x0))
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
@@ -430,12 +547,13 @@ def _single_point_contributions(x0, n, kernel, proposal, pd, stream):
     while active.size:
         u = stream.uniforms(active.size)
         if first:
-            u, first = (np.arange(n) + u) / n, False
+            u = (np.arange(n) + u) / n
         active = active[u > pd]
         if not active.size:
             break
-        x1, ratio = proposal.move(x[active], (u[u > pd] - pd) / (1.0 - pd),
-                                  kernel, 1.0 - pd)
+        x1, ratio = proposal.move(x[active], (u[u > pd] - pd) / (1.0 - pd), kernel, 1.0 - pd,
+                                  table.at(np.zeros(active.size, dtype=int)) if first else None)
+        first = False
         w[active] *= ratio
         x[active] = x1
         with np.errstate(divide="ignore"):
@@ -447,7 +565,9 @@ def _single_point_contributions(x0, n, kernel, proposal, pd, stream):
 def _single_point_grid(model, grid, n, streams):
     kernel = build_volterra_kernel(model)
     proposal, pd = SizeBiasedProposal(model.severity), default_absorption(model)
-    contrib = [_single_point_contributions(x0, n, kernel, proposal, pd, s)
+    proxy = _sum_proxy(model)
+    contrib = [_single_point_contributions(x0, n, kernel, proposal, pd, s,
+                                           _first_move_tables(kernel, proxy, np.array([x0])))
                for x0, s in zip(grid, streams)]
     return (np.array([c.mean() for c in contrib]),
             np.array([math.sqrt(np.sum(np.diff(c) ** 2) / (2.0 * n * (n - 1)))
@@ -456,8 +576,8 @@ def _single_point_grid(model, grid, n, streams):
 
 def test_grid_blocks_match_single_points():
     """Blocks of grid points give the estimates of one point at a time,
-    each on its own spawned substream; the tail start runs on the next
-    substream."""
+    each on its own spawned substream and with its own first-move table;
+    the tail start runs on the next substream."""
     model = sigma1_model()
     n = 1500
     grid = np.arange(2.0, 400.0, 9.0)
@@ -479,11 +599,13 @@ def test_first_step_is_stratified_by_rank(monkeypatch):
     """Particle r of every grid point takes its first uniform from
     (r/n, (r+1)/n], one draw of the point's substream each; the tail
     start's draws are the stream's own.  The move ends every path at its
-    first step (x1 = 0, ratio 0) and records the uniforms it is given."""
+    first step (x1 = 0, ratio 0) and records the uniforms and the table it
+    is given: the grid's names each particle's point, the tail start's is
+    None."""
     seen = []
 
-    def recording_move(self, x, u, kernel, mass):
-        seen.append(np.array(u))
+    def recording_move(self, x, u, kernel, mass, table=None):
+        seen.append((np.array(u), table))
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x), np.zeros_like(x)
 
@@ -492,7 +614,10 @@ def test_first_step_is_stratified_by_rank(monkeypatch):
     n, grid, pd = 7, [10.0, 20.0, 30.0], 2.0 ** -40
     estimate_density_grid(model, grid, n, pd, PcgStream(5))
     # one block holds every point, then one tail-start batch of 2 paths
-    grid_v, tail_v = seen
+    (grid_v, grid_table), (tail_v, tail_table) = seen
+    assert tail_table is None
+    assert np.array_equal(grid_table.rows, np.repeat(np.arange(len(grid)), n))
+    assert np.array_equal(grid_table.share, np.full(len(grid), TABLE_SHARE))
     streams = PcgStream(5).spawn(len(grid) + 1)
     rank = np.arange(n)
     u = (rank + np.array([s.uniforms(n) for s in streams[:-1]])) / n
