@@ -12,7 +12,6 @@ from .asymptotics import (
     second_order_constants,
     sla_var_first_order,
     sla_var_second_order,
-    subexp_tail_ratio,
 )
 from .compound import (
     CompoundModel,
@@ -39,10 +38,8 @@ from .distributions import (
 from .errors import (
     ExtinctionError,
     LevelRangeError,
-    NumericError,
     ProposalSupportError,
     RecursionInstabilityError,
-    StreamExhaustedError,
     SupportViolationError,
     TruncationError,
     UnsupportedModelError,
@@ -74,7 +71,7 @@ from .report import (
     reproduce_table1,
     run_experiment,
 )
-from .rng import PcgStream, SequenceStream, UniformStream
+from .rng import PcgStream, UniformStream
 from .volterra import (
     SizeBiasedProposal,
     VolterraKernel,

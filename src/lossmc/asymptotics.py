@@ -1,20 +1,17 @@
 """Closed-form tail approximations for the compound loss.
 
 First- and second-order single-loss approximations of the annual-loss
-quantile, and the sub-exponentiality diagnostic based on the two-fold
-convolution tail.
+quantile.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from scipy import special
 
 from .compound import CompoundModel
-from .errors import LevelRangeError, NumericError, UnsupportedModelError
-from .distributions import SeverityModel
+from .errors import LevelRangeError, UnsupportedModelError
 
 
 @dataclass
@@ -137,44 +134,3 @@ def sla_var_second_order(model: CompoundModel, alpha: float) -> SlaResult:
     return SlaResult(alpha=alpha, var_first=var1, var_second=var2,
                      diagnostics=diag)
 
-
-def subexp_tail_ratio(model: SeverityModel, x: float) -> float:
-    """Two-fold convolution tail over the single tail at x.
-
-    Evaluates survival_{X1+X2}(x) / survival_X(x); for sub-exponential
-    severities it tends to 2 as x grows.  The two-fold survival is
-    computed in its survival form
-
-        sf2(x) = sf(x) + integral_0^x sf(x - y) pdf(y) dy,
-
-    algebraically identical to 1 - integral F(x-y) dF(y) but free of
-    the catastrophic cancellation that form suffers deep in the tail.
-    """
-    from scipy import integrate
-
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            # epsabs=0 forces the relative criterion; the integral is of
-            # the order of sf(x) and can sit far below quad's default
-            # absolute floor deep in the tail
-            integral, abserr = integrate.quad(
-                lambda y: model.sf(x - y) * model.pdf(y),
-                0.0, x, points=[0.5 * x], epsrel=1e-6, epsabs=0.0, limit=200,
-            )
-        except integrate.IntegrationWarning as exc:
-            raise NumericError(
-                f"convolution-tail quadrature did not converge at x={x}",
-            ) from exc
-    sfx = float(model.sf(x))
-    if sfx <= 0.0:
-        raise NumericError("single tail underflows at this x")
-    if abserr > 2e-6 * max(abs(integral), sfx):
-        raise NumericError(
-            "convolution-tail quadrature above tolerance", achieved=abserr
-        )
-    return 1.0 + integral / sfx

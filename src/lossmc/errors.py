@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class StreamExhaustedError(RuntimeError):
-    """A fixed-sequence uniform stream ran out of values."""
-
-
 class LevelRangeError(ValueError):
     """A quantile level is outside the range an approximation can serve."""
 
@@ -36,18 +32,4 @@ class SupportViolationError(RuntimeError):
 
 class ExtinctionError(RuntimeError):
     """Every selection potential is zero, so no particle can be selected."""
-
-
-class NumericError(RuntimeError):
-    """A quadrature or root solve failed to reach its tolerance.
-
-    Attributes
-    ----------
-    achieved : float or None
-        Error estimate actually achieved, when available.
-    """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
 

@@ -11,18 +11,11 @@ endpoint is excluded so logarithms of uniforms are always finite.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
-
-from .errors import StreamExhaustedError
 
 
 class UniformStream:
     """Interface: a source of i.i.d. uniforms on (0, 1]."""
-
-    def next_uniform(self) -> float:
-        raise NotImplementedError
 
     def uniforms(self, n: int) -> np.ndarray:
         """Return ``n`` uniforms as a 1-d array."""
@@ -46,6 +39,7 @@ class PcgStream(UniformStream):
             self._seq = np.random.SeedSequence(int(seed))
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
+    # no caller here: benchmarks/tracing.py patches PcgStream.next_uniform by name
     def next_uniform(self) -> float:
         return 1.0 - self._gen.random()
 
@@ -56,31 +50,4 @@ class PcgStream(UniformStream):
     def spawn(self, n: int) -> list["PcgStream"]:
         """Create ``n`` independent child streams."""
         return [PcgStream(s) for s in self._seq.spawn(int(n))]
-
-
-class SequenceStream(UniformStream):
-    """Replays a fixed list of uniforms; used for hand-traced tests."""
-
-    def __init__(self, values: Sequence[float]):
-        self._values = np.array(values, dtype=float)
-        self._pos = 0
-
-    def next_uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """The next ``n`` values; asking past the end consumes nothing."""
-        end = self._pos + int(n)
-        if end > len(self._values):
-            raise StreamExhaustedError(
-                "fixed uniform sequence exhausted after "
-                f"{len(self._values)} draws"
-            )
-        out = self._values[self._pos:end].copy()
-        self._pos = end
-        return out
-
-    @property
-    def remaining(self) -> int:
-        return len(self._values) - self._pos
 

@@ -90,7 +90,7 @@ DEFENSIVE_SHARE = 0.2
 # 83112: 0.0043 with no table; 0.0028 for 64 to 1024 cells at shares 0.5
 # and 0.7; 0.0030 at a share of 0.3.
 TABLE_SHARE = 0.5
-TABLE_CELLS = 256
+TABLE_CELLS = 256  # a power of two: ``FirstMoveTable.draw`` searches by halving
 # The tail start runs one path per this many paths of the grid: 1e5 on the
 # sigma=1 grid of 400 points x 5000 paths, about 0.06 s on 2 vCPU.
 _GRID_PATHS_PER_TAIL_PATH = 20
@@ -372,18 +372,15 @@ class FirstMoveTable:
         """(x1, density) from the uniforms s in (0, 1] of entries at x: the
         row's first cell j with edges[row, j + 1] >= s, by inversion of its
         cell probabilities, and x1 linear in s inside it."""
-        # one search across rows, each row's upper edges offset by its index
-        keys = (self.edges[:, 1:] + np.arange(len(self.edges))[:, None]).ravel()
-        j = np.clip(np.searchsorted(keys, s + rows) - rows * TABLE_CELLS, 0, TABLE_CELLS - 1)
-        # s + rows rounds, which can land a cell off: step to the exact cell,
-        # so that a point's draws do not depend on its row in the block
+        # halving search within each entry's own row for the last edge
+        # below s, so that a point's draws do not depend on its row
         edges, base = self.edges.ravel(), rows * (TABLE_CELLS + 1)
-        while True:
-            lo, hi = edges[base + j], edges[base + j + 1]
-            step = (hi < s).astype(np.intp) - (lo >= s)
-            if not step.any():
-                break
-            j += step
+        j = np.zeros(len(s), dtype=np.intp)
+        half = TABLE_CELLS // 2
+        while half:
+            j += half * (edges[base + j + half] < s)
+            half //= 2
+        lo, hi = edges[base + j], edges[base + j + 1]
         frac = np.minimum((s - lo) / (hi - lo), 1.0)
         return x * ((j + frac) / TABLE_CELLS), self.density.ravel()[rows * TABLE_CELLS + j]
 

@@ -1,10 +1,14 @@
 """Shared fixtures: benchmark models, big simulation batches, oracle pmfs,
-and the finite-chain and twisted-sampler toys of the Feynman-Kac claims.
+the finite-chain and twisted-sampler toys of the Feynman-Kac claims, a
+stream that replays fixed uniforms, and the convolution-tail ratio of the
+heavy-tail diagnostics.
 
 The expensive objects (5e6-draw sample batches, the fine-step recursion
 pmf, full-budget particle grids) are session-scoped so the acceptance
 tests and the per-module tests reuse one computation.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,12 +17,97 @@ from lossmc import (
     LogNormalSeverity,
     PcgStream,
     PoissonFrequency,
+    UniformStream,
     default_absorption,
     estimate_density_grid,
     norm_quantile,
     oracle_compound_pmf,
     simulate_compound,
 )
+
+
+class StreamExhaustedError(RuntimeError):
+    """A fixed-sequence uniform stream ran out of values."""
+
+
+class SequenceStream(UniformStream):
+    """Replays a fixed list of uniforms; used for hand-traced tests."""
+
+    def __init__(self, values):
+        self._values = np.array(values, dtype=float)
+        self._pos = 0
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` values; asking past the end consumes nothing."""
+        end = self._pos + int(n)
+        if end > len(self._values):
+            raise StreamExhaustedError(
+                "fixed uniform sequence exhausted after "
+                f"{len(self._values)} draws"
+            )
+        out = self._values[self._pos:end].copy()
+        self._pos = end
+        return out
+
+    @property
+    def remaining(self) -> int:
+        return len(self._values) - self._pos
+
+
+class NumericError(RuntimeError):
+    """A quadrature failed to reach its tolerance.
+
+    Attributes
+    ----------
+    achieved : float or None
+        Error estimate actually achieved, when available.
+    """
+
+    def __init__(self, message, achieved=None):
+        super().__init__(message)
+        self.achieved = achieved
+
+
+def subexp_tail_ratio(model, x: float) -> float:
+    """Two-fold convolution tail over the single tail at x.
+
+    Evaluates survival_{X1+X2}(x) / survival_X(x); for sub-exponential
+    severities it tends to 2 as x grows.  The two-fold survival is
+    computed in its survival form
+
+        sf2(x) = sf(x) + integral_0^x sf(x - y) pdf(y) dy,
+
+    algebraically identical to 1 - integral F(x-y) dF(y) but free of
+    the catastrophic cancellation that form suffers deep in the tail.
+    """
+    from scipy import integrate
+
+    if x < 0.0:
+        raise ValueError("x must be nonnegative")
+    if x == 0.0:
+        return 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            # epsabs=0 forces the relative criterion; the integral is of
+            # the order of sf(x) and can sit far below quad's default
+            # absolute floor deep in the tail
+            integral, abserr = integrate.quad(
+                lambda y: model.sf(x - y) * model.pdf(y),
+                0.0, x, points=[0.5 * x], epsrel=1e-6, epsabs=0.0, limit=200,
+            )
+        except integrate.IntegrationWarning as exc:
+            raise NumericError(
+                f"convolution-tail quadrature did not converge at x={x}",
+            ) from exc
+    sfx = float(model.sf(x))
+    if sfx <= 0.0:
+        raise NumericError("single tail underflows at this x")
+    if abserr > 2e-6 * max(abs(integral), sfx):
+        raise NumericError(
+            "convolution-tail quadrature above tolerance", achieved=abserr
+        )
+    return 1.0 + integral / sfx
 
 
 def sigma05_model():

@@ -30,7 +30,6 @@ from lossmc import (
     second_order_constants,
     sla_var_first_order,
     smc_rare_event,
-    subexp_tail_ratio,
 )
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     restricted_matrix,
     sigma05_model,
     sigma1_model,
+    subexp_tail_ratio,
     tv_decay,
     twisted_estimate,
 )

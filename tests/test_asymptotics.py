@@ -16,7 +16,6 @@ from lossmc import (
     second_order_constants,
     sla_var_first_order,
     sla_var_second_order,
-    subexp_tail_ratio,
 )
 
 from conftest import (
@@ -24,6 +23,7 @@ from conftest import (
     pareto_poisson_model,
     sigma05_model,
     sigma1_model,
+    subexp_tail_ratio,
 )
 
 

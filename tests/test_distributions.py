@@ -13,7 +13,6 @@ from lossmc import (
     ParetoSeverity,
     PcgStream,
     PoissonFrequency,
-    SequenceStream,
     UnsupportedModelError,
     build_frequency,
     build_severity,
@@ -21,6 +20,8 @@ from lossmc import (
     norm_sf,
 )
 from lossmc.distributions import _guide_table, _guided_search
+
+from conftest import SequenceStream
 
 
 # ---------------------------------------------------------------------------

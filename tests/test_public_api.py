@@ -6,8 +6,7 @@ top level of a module under ``src/lossmc`` other than ``__init__.py``, or
 inside a top-level function or class that is itself reached, or it is
 referenced anywhere in ``benchmarks/``, string names included, since the
 benchmark's tracer patches functions by name.  A definition's references
-to itself do not reach it.  The allow-list holds the only public names
-kept for the tests alone; each entry says why.
+to itself do not reach it.  No public name is kept for the tests alone.
 """
 import ast
 from pathlib import Path
@@ -15,12 +14,6 @@ from pathlib import Path
 import lossmc
 
 ROOT = Path(__file__).resolve().parents[1]
-
-ALLOWED = {
-    "SequenceStream": "the tests' fake stream, which replays fixed uniforms",
-    "subexp_tail_ratio": "the heavy-tail diagnostic of the acceptance "
-                         "scoreboard, which its strict xfails rest on",
-}
 
 
 def _references(tree, strings=False):
@@ -40,9 +33,9 @@ def _references(tree, strings=False):
 
 
 def _reached():
-    """Names reached from the modules' top levels, the benchmarks and the
-    allow-list, following top-level definitions to what they reference."""
-    reached = set(ALLOWED)
+    """Names reached from the modules' top levels and the benchmarks,
+    following top-level definitions to what they reference."""
+    reached = set()
     defs = {}
     for path in (ROOT / "src" / "lossmc").glob("*.py"):
         if path.name == "__init__.py":
@@ -62,6 +55,5 @@ def _reached():
 
 
 def test_every_public_name_is_reached():
-    assert set(ALLOWED) <= set(lossmc.__all__)
     reached = _reached()
     assert [name for name in lossmc.__all__ if name not in reached] == []

@@ -15,7 +15,6 @@ from lossmc import (
     NegativeBinomialFrequency,
     PcgStream,
     PoissonFrequency,
-    SequenceStream,
     SmcEstimate,
     norm_sf,
     oracle_compound_pmf,
@@ -29,6 +28,7 @@ import lossmc.rare_event
 from lossmc.distributions import _guide_table, _guided_search
 
 from conftest import (
+    SequenceStream,
     gauss_sampler,
     oracle_tail,
     pareto_poisson_model,

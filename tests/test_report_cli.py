@@ -29,7 +29,9 @@ from lossmc import distributions
 from lossmc import report as report_module
 from lossmc.cli import main
 from lossmc.config import REQUIRED
-from lossmc.errors import ExtinctionError, NumericError
+from lossmc.errors import ExtinctionError
+
+from conftest import NumericError
 
 SIGMA05_MODEL = {
     "frequency": {"kind": "poisson", "lambda": 2.0},

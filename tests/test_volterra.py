@@ -14,7 +14,6 @@ from lossmc import (
     PcgStream,
     PoissonFrequency,
     ProposalSupportError,
-    SequenceStream,
     SizeBiasedProposal,
     SupportViolationError,
     TruncationError,
@@ -44,7 +43,13 @@ from lossmc.volterra import (
     _sum_proxy,
 )
 
-from conftest import QUANTILE_LEVELS, oracle_tail, sigma05_model, sigma1_model
+from conftest import (
+    QUANTILE_LEVELS,
+    SequenceStream,
+    oracle_tail,
+    sigma05_model,
+    sigma1_model,
+)
 
 
 def _lognormal_pdf(x, mu=2.0, sigma=0.5):
@@ -397,6 +402,26 @@ def test_first_move_table_integrates_to_one_and_its_draws_follow_it():
         assert np.all(np.diff(x1[mine][np.argsort(s[mine])]) >= 0.0)
         edges = np.linspace(0.0, x, TABLE_CELLS + 1)
         assert stats.kstest(x1[mine], lambda y: np.interp(y, edges, table.edges[r])).pvalue > 0.05
+
+
+def test_first_move_table_draws_do_not_depend_on_the_row():
+    """A point's draws, x1 and density, are bit-identical whether its table
+    is row 0 of its own or row k of the sigma=1 grid's, uniforms on the
+    cell edges and one ulp above them included: s + k would round those
+    onto the edge."""
+    model = sigma1_model()
+    kernel, proxy = build_volterra_kernel(model), _sum_proxy(model)
+    grid = np.arange(1.0, 401.0)
+    own = _first_move_tables(kernel, proxy, grid[[299]])
+    big = _first_move_tables(kernel, proxy, grid)
+    edges = own.edges[0, 1:]
+    s = np.concatenate([PcgStream(17).uniforms(50_000), edges,
+                        np.nextafter(edges[:-1], 2.0)])
+    x = np.full(s.size, 300.0)
+    assert np.array_equal(own.edges[0], big.edges[299])
+    x1, density = own.draw(s, np.zeros(s.size, dtype=np.intp), x)
+    got = big.draw(s, np.full(s.size, 299), x)
+    assert np.array_equal(got[0], x1) and np.array_equal(got[1], density)
 
 
 def test_first_move_is_finite_where_table_or_severity_underflows():
