@@ -7,9 +7,7 @@ sampler that mutates claims by an exact Gibbs step.
 """
 from ._version import __version__
 from .asymptotics import (
-    SlaResult,
     c_beta_constant,
-    second_order_constants,
     sla_var_first_order,
     sla_var_second_order,
 )

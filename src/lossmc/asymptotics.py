@@ -6,27 +6,11 @@ quantile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from scipy import special
 
 from .compound import CompoundModel
 from .errors import LevelRangeError, UnsupportedModelError
-
-
-@dataclass
-class SlaResult:
-    """Outcome of a single-loss approximation at one level.
-
-    ``diagnostics`` collects the intermediate quantities (the shifted
-    level, the hazard-style correction g1, both correction constants
-    and the severity tail index) so reports can expose them.
-    """
-
-    alpha: float
-    var_first: float
-    var_second: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def sla_var_first_order(model: CompoundModel, alpha: float) -> float:
@@ -61,76 +45,41 @@ def c_beta_constant(beta: float) -> float:
     return float((1.0 - beta) * g1 * g1 / (2.0 * g2))
 
 
-def second_order_constants(model: CompoundModel):
-    """Return (c_beta, c_tilde_beta, limit_constant).
-
-    The limit constant E[X] E[(N-1)N] is the finite-mean second-order
-    limit of (survival_Z(x) - E[N] survival_X(x)) / density_X(x).
-    c_beta only enters the infinite-mean branch, so for severities with
-    finite mean and no power tail it is reported as NaN.
-    """
+def _c_tilde(model: CompoundModel) -> float:
+    """The second-order constant: E[X] E[(N-1)N] / E[N] for a finite-mean
+    severity, c_{1/a} E[(N-1)N] / E[N] for a power tail of index a < 1."""
     ex = model.severity.mean()
     fm2 = model.frequency.factorial_moment2()
     en = model.frequency.mean()
-    a = model.severity.tail_index
-
     if math.isfinite(ex):
-        c_tilde = ex * fm2 / en
-        limit_constant = ex * fm2
-    else:
-        if a is None or a >= 1.0:
-            raise UnsupportedModelError(
-                "infinite-mean branch requires a power tail with index < 1"
-            )
-        c_tilde = c_beta_constant(1.0 / a) * fm2 / en
-        limit_constant = math.inf
-
-    if a is not None and a < 1.0:
-        c_beta = c_beta_constant(1.0 / a)
-    elif a == 1.0:
-        c_beta = 1.0
-    else:
-        c_beta = math.nan
-    return c_beta, c_tilde, limit_constant
+        return ex * fm2 / en
+    a = model.severity.tail_index
+    if a is None or a >= 1.0:
+        raise UnsupportedModelError("infinite-mean branch requires a power tail "
+                                    "with index < 1")
+    return c_beta_constant(1.0 / a) * fm2 / en
 
 
-def sla_var_second_order(model: CompoundModel, alpha: float) -> SlaResult:
+def sla_var_second_order(model: CompoundModel, alpha: float) -> float:
     """Second-order refinement of the single-loss VaR.
 
-    Shifts the severity level by the factor 1/(1 + c_tilde * g1) with
-    g1 evaluated at the first-order point; the unquantified remainder
-    of the expansion is dropped.  If the correction factor degenerates
-    (<= 0) the result carries the first-order value only, with a
-    diagnostic flag.
+    Shifts the severity level by the factor 1/(1 + c_tilde * g1), with g1
+    at the first-order point q1, and drops the unquantified remainder of
+    the expansion.  Where the factor is not positive it returns q1.
     """
     sev = model.severity
-    en = model.frequency.mean()
-    var1 = sla_var_first_order(model, alpha)
-    alpha_tilde = 1.0 - (1.0 - alpha) / en
-    q1 = float(sev.quantile(alpha_tilde))
-
-    c_beta, c_tilde, _ = second_order_constants(model)
+    q1 = sla_var_first_order(model, alpha)
+    c_tilde = _c_tilde(model)
     sf_q1 = float(sev.sf(q1))
+    if sf_q1 <= 0.0:
+        raise UnsupportedModelError("second-order SLA needs severity survival above the "
+                                    f"first-order VaR {q1:g}; a point mass has none")
     pdf_q1 = float(sev.pdf(q1))
     if math.isfinite(sev.mean()):
         g1 = pdf_q1 / sf_q1
     else:
         g1 = pdf_q1 * float(sev.integrated_survival(q1)) / sf_q1
-
-    diag = {
-        "alpha_tilde": alpha_tilde,
-        "g1": g1,
-        "c_tilde_beta": c_tilde,
-        "c_beta": c_beta,
-        "tail_index": sev.tail_index,
-    }
     factor = 1.0 + c_tilde * g1
     if factor <= 0.0:
-        diag["degenerate_correction"] = True
-        return SlaResult(alpha=alpha, var_first=var1, var_second=None,
-                         diagnostics=diag)
-    level = 1.0 - (1.0 - alpha) / en / factor
-    var2 = float(sev.quantile(level))
-    return SlaResult(alpha=alpha, var_first=var1, var_second=var2,
-                     diagnostics=diag)
-
+        return q1
+    return float(sev.quantile(1.0 - (1.0 - alpha) / model.frequency.mean() / factor))

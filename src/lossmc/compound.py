@@ -1,10 +1,12 @@
 """Crude Monte Carlo for the compound annual loss Z = sum of N severities."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .distributions import FrequencyModel, SeverityModel
 from .rng import PcgStream, UniformStream
@@ -101,6 +103,19 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
     return SampleBatch(values=np.concatenate(parts))
 
 
+def _binom_ppf(q: float, n: int, p: float) -> int:
+    """Smallest k with P(Binomial(n, p) <= k) >= q, for q in (0, 1): the
+    rank ``scipy.stats.binom.ppf`` gives, from ``scipy.special`` alone.
+
+    ceil(bdtrik) can overshoot the rank by one, so one step down is
+    tested.  The test reads P(X <= k - 1) as I_{1-p}(n - k + 1, k) by
+    ``betainc``: ``bdtr`` is off by about 1e-3 near the median once n
+    reaches 1e7, and steps down one rank too far there.
+    """
+    k = math.ceil(special.bdtrik(q, n, p))
+    return k - 1 if k > 0 and special.betainc(n - k + 1, k, 1.0 - p) >= q else k
+
+
 def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
     """Generalized-inverse sample quantile with order-statistic bounds.
 
@@ -109,8 +124,6 @@ def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
     (Clopper-Pearson style), so it is valid at extreme alpha without
     any normality assumption.
     """
-    from scipy import stats
-
     if batch.count == 0:
         raise RuntimeError("empty batch")
     if not (0.0 < alpha < 1.0) or not (0.0 < level < 1.0):
@@ -120,8 +133,8 @@ def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
     k = int(np.ceil(alpha * T))
     point = s[max(k, 1) - 1]
     tail = 0.5 * (1.0 - level)
-    lo_rank = int(stats.binom.ppf(tail, T, alpha))
-    hi_rank = int(stats.binom.ppf(1.0 - tail, T, alpha)) + 1
+    lo_rank = _binom_ppf(tail, T, alpha)
+    hi_rank = _binom_ppf(1.0 - tail, T, alpha) + 1
     lo_rank = min(max(lo_rank, 1), T)
     hi_rank = min(max(hi_rank, 1), T)
     return float(point), float(s[lo_rank - 1]), float(s[hi_rank - 1])

@@ -157,17 +157,14 @@ def _run_mc(model, cfg: ExperimentConfig):
 
 def _run_sla(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
+    sla = sla_var_second_order if m["order"] == 2 else sla_var_first_order
     rows = []
     for alpha in cfg.levels:
         try:
-            if m["order"] == 2:
-                res = sla_var_second_order(model, alpha)
-                var = res.var_second if res.var_second is not None else res.var_first
-            else:
-                var = sla_var_first_order(model, alpha)
+            var = sla(model, alpha)
         except LevelRangeError:
             continue
-        rows.append(ReportRow(alpha=alpha, method="sla", var=float(var)))
+        rows.append(ReportRow(alpha=alpha, method="sla", var=var))
     return rows, m
 
 

@@ -27,7 +27,6 @@ from lossmc import (
     oracle_compound_pmf,
     oracle_tail_stats,
     quantile_from_measure,
-    second_order_constants,
     sla_var_first_order,
     smc_rare_event,
 )
@@ -322,7 +321,7 @@ def test_criterion_9_convolution_tail_ratios():
 def test_criterion_9_second_order_limit_trend():
     model = sigma05_model()
     sev = model.severity
-    _, _, limit = second_order_constants(model)
+    limit = sev.mean() * model.frequency.factorial_moment2()
     pmf = oracle_compound_pmf(model, step=0.05, x_max=1400.0)
     # sum the tail from the right: 1 - cumsum loses the deep tail to rounding
     tail = np.cumsum(pmf.masses[::-1])[::-1]

@@ -13,10 +13,10 @@ from lossmc import (
     UnsupportedModelError,
     c_beta_constant,
     oracle_tail_stats,
-    second_order_constants,
     sla_var_first_order,
     sla_var_second_order,
 )
+from lossmc.asymptotics import _c_tilde
 
 from conftest import (
     QUANTILE_LEVELS,
@@ -75,25 +75,19 @@ def test_c_beta_reference_values():
 
 
 def test_constants_finite_mean_branch():
-    c_beta, c_tilde, limit = second_order_constants(sigma05_model())
-    assert math.isnan(c_beta)
-    assert c_tilde == pytest.approx(16.74579497625453, rel=1e-12)
-    assert limit == pytest.approx(33.49158995250906, rel=1e-12)
+    assert _c_tilde(sigma05_model()) == pytest.approx(16.74579497625453, rel=1e-12)
 
 
 def test_constants_infinite_mean_branch():
     model = CompoundModel(NegativeBinomialFrequency(0.5, 10.0),
                           ParetoSeverity(a=0.25, s=1.0))
-    c_beta, c_tilde, limit = second_order_constants(model)
-    assert c_beta == pytest.approx(-1.2708196271909682, rel=1e-12)
-    assert c_tilde == pytest.approx(-19.06229440786452, rel=1e-12)
-    assert limit == math.inf
+    assert _c_tilde(model) == pytest.approx(-19.06229440786452, rel=1e-12)
 
 
 def test_constants_reject_unit_index_infinite_mean():
     model = CompoundModel(PoissonFrequency(2.0), ParetoSeverity(a=1.0, s=1.0))
     with pytest.raises(UnsupportedModelError):
-        second_order_constants(model)
+        _c_tilde(model)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +95,11 @@ def test_constants_reject_unit_index_infinite_mean():
 # ---------------------------------------------------------------------------
 
 def test_second_order_pareto_poisson_values():
-    res = sla_var_second_order(pareto_poisson_model(), 0.999)
-    assert res.var_first == pytest.approx(math.sqrt(2000.0) - 1.0, rel=1e-12)
-    assert res.var_second == pytest.approx(45.67853294824316, rel=1e-6)
-    assert res.diagnostics["g1"] == pytest.approx(0.04472135954999334, rel=1e-9)
-    assert res.diagnostics["c_tilde_beta"] == pytest.approx(2.0, rel=1e-12)
+    model = pareto_poisson_model()
+    assert sla_var_first_order(model, 0.999) == pytest.approx(math.sqrt(2000.0) - 1.0,
+                                                              rel=1e-12)
+    assert sla_var_second_order(model, 0.999) == pytest.approx(45.67853294824316, rel=1e-6)
+    assert _c_tilde(model) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_second_order_collapses_without_contagion():
@@ -113,24 +107,24 @@ def test_second_order_collapses_without_contagion():
     from lossmc import BinomialFrequency
 
     model = CompoundModel(BinomialFrequency(1, 0.8), LogNormalSeverity(2.0, 0.5))
-    res = sla_var_second_order(model, 0.9)
-    assert res.var_second == res.var_first
+    assert sla_var_second_order(model, 0.9) == sla_var_first_order(model, 0.9)
 
 
-def test_second_order_degenerate_correction_flagged():
+def test_second_order_degenerate_correction_returns_first_order():
+    """1 + c_tilde * g1 <= 0 here, so the first-order value comes back."""
     model = CompoundModel(NegativeBinomialFrequency(0.5, 10.0),
                           ParetoSeverity(a=0.25, s=1.0))
-    res = sla_var_second_order(model, 0.15)
-    assert res.var_second is None
-    assert res.diagnostics["degenerate_correction"]
-    assert res.var_first == pytest.approx(0.17 ** -4 - 1.0, rel=1e-10)
-    assert res.diagnostics["g1"] == pytest.approx(0.056388263, rel=1e-6)
+    var = sla_var_second_order(model, 0.15)
+    assert var == sla_var_first_order(model, 0.15)
+    assert var == pytest.approx(0.17 ** -4 - 1.0, rel=1e-10)
 
 
 def test_second_order_improves_deep_benchmark_level(sigma05_pmf):
     oracle = oracle_tail_stats(sigma05_pmf, [0.9995])[0][0]
-    res = sla_var_second_order(sigma05_model(), 0.9995)
-    assert abs(res.var_second - oracle) < abs(res.var_first - oracle)
+    model = sigma05_model()
+    var1 = sla_var_first_order(model, 0.9995)
+    var2 = sla_var_second_order(model, 0.9995)
+    assert abs(var2 - oracle) < abs(var1 - oracle)
 
 
 # ---------------------------------------------------------------------------

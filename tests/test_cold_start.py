@@ -1,11 +1,11 @@
-"""Importing lossmc and running the default routes loads no heavy scipy module.
+"""Importing lossmc and running every route loads no heavy scipy module.
 
-``scipy.stats`` pulls in ``scipy.optimize``, ``scipy.linalg`` and
-``scipy.sparse``, and ``scipy.integrate`` too; they take most of a cold
-import.  Only the MC quantile interval uses ``scipy.stats``, and it imports
-it where it is called; no package module imports ``scipy.integrate``.  A
-fresh interpreter shows both halves: the routes leave the modules unloaded,
-and the lazy call loads them and still gives the in-process answer.
+``scipy.stats`` pulls in ``scipy.optimize``, ``scipy.linalg``,
+``scipy.sparse`` and ``scipy.integrate``; they take most of a cold import.
+No package module imports ``scipy.stats`` or ``scipy.integrate``: the MC
+quantile interval takes its binomial ranks from ``scipy.special``.  A fresh
+interpreter runs the other four routes and then the interval, finds none of
+those modules loaded after either, and gets the in-process interval.
 """
 import ast
 import json
@@ -49,7 +49,7 @@ print(json.dumps(got))
 """
 
 
-def test_fresh_process_loads_heavy_scipy_only_on_use():
+def test_fresh_process_loads_no_heavy_scipy_module():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -59,10 +59,9 @@ def test_fresh_process_loads_heavy_scipy_only_on_use():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["loaded"] == []
-    # scipy.integrate comes with scipy.stats, which imports it itself
-    assert got["loaded_after"] == ["scipy.stats", "scipy.integrate"]
+    assert got["loaded_after"] == []
 
-    # the lazily imported path gives the same numbers as in this process
+    # the fresh process gives the same numbers as this one
     assert got["quantile_ci"] == list(empirical_quantile_ci(
         SampleBatch(values=np.arange(1.0, 101.0)), 0.9, 0.95))
 
@@ -73,5 +72,5 @@ def test_fresh_process_loads_heavy_scipy_only_on_use():
                 imported |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported |= {f"{node.module}.{alias.name}" for alias in node.names}
-    assert "scipy.stats" in imported
+    assert "scipy.stats" not in imported
     assert "scipy.integrate" not in imported

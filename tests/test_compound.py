@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from lossmc import compound
 from lossmc import (
     CompoundModel,
     DegenerateSeverity,
@@ -88,6 +90,23 @@ def test_quantile_on_integer_grid():
     point, lo, hi = empirical_quantile_ci(batch, 0.5, 0.95)
     assert point == 50.0
     assert lo <= point <= hi
+
+
+def test_interval_ranks_match_scipy_stats_binom_ppf():
+    """The interval's two ranks come from scipy.special alone; they are the
+    ranks scipy.stats.binom.ppf gives, both tails, on small and huge T,
+    extreme alpha and CI levels from 0.01 to 0.999999.  T = 1e7 and up
+    at CI level 0.01 is where a bdtr step-down test went one rank low."""
+    Ts = list(range(1, 60)) + [100, 101, 999, 1000, 12345, 10**5, 10**6, 10**7,
+                               10**8, 10**9]
+    alphas = [1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9995, 1.0 - 1e-6]
+    levels = [0.01, 0.05, 0.5, 0.9, 0.95, 0.99, 0.999, 0.999999]
+    cases = [(q, T, a) for T in Ts for a in alphas for level in levels
+             for q in (0.5 * (1.0 - level), 1.0 - 0.5 * (1.0 - level))]
+    q, T, a = map(np.array, zip(*cases))
+    want = stats.binom.ppf(q, T, a)
+    got = np.array([compound._binom_ppf(*case) for case in cases])
+    assert np.array_equal(got, want)
 
 
 def test_quantile_levels_validated():

@@ -487,6 +487,26 @@ def test_cli_particle_rejects_generalized_poisson(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_second_order_sla_refuses_a_point_mass(tmp_path, capsys):
+    """A point mass has no survival above the first-order VaR, so the
+    second-order g1 has no value: exit 2 naming the cause, where a
+    ZeroDivisionError used to escape.  Order 1 still reads the atom."""
+    model = dict(SIGMA05_MODEL, severity={"kind": "degenerate", "atom": 3})
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": 2}, model=model)
+    rc = main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "UnsupportedModelError" and "point mass" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": 1}, model=model)
+    out = tmp_path / "x.json"
+    assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["3", "3"]
+
+
 def test_cli_panjer_serves_underdispersed_generalized_poisson(tmp_path, capsys):
     """theta < 0 goes through the transform like every other count law,
     on the polynomial pgf of its finite support."""
