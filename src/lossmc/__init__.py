@@ -26,7 +26,6 @@ from .distributions import (
     GeneralizedPoissonFrequency,
     LogNormalSeverity,
     NegativeBinomialFrequency,
-    PanjerParams,
     ParetoSeverity,
     PoissonFrequency,
     SeverityModel,

@@ -7,10 +7,11 @@ Subcommands map one-to-one onto the report methods:
     lossmc panjer     --config cfg.json ...
     lossmc particle   --config cfg.json ...
     lossmc rare-event --config cfg.json ...
-    lossmc table1     --preset sigma05 [--scale 0.01] ...
+    lossmc table1     --preset sigma05 [--scale 0.01] [--out csv --path t.csv]
 
-Failures print a single JSON object on stderr ({"error": ..., "detail": ...})
-and exit nonzero, so wrappers can parse the outcome either way.
+Failures, usage errors included, print a single JSON object on stderr
+({"error": ..., "detail": ...}) and exit 2, so wrappers can parse the
+outcome either way.
 """
 from __future__ import annotations
 
@@ -30,31 +31,38 @@ _SUBCOMMAND_KIND = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so that ``main`` reports them as JSON."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", choices=("csv", "json"), default=None,
                         help="report format (default: config output, else csv)")
     parser.add_argument("--path", default=None,
                         help="output file (default: report.<fmt> in cwd)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for simulation methods")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lossmc",
         description="Compound-loss quantile estimation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMAND_KIND:
         p = sub.add_parser(name, help=f"run the {name} method")
-        _add_common(p)
+        p.add_argument("--config", help="path to a JSON experiment config")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        _add_output(p)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads for simulation methods")
     t1 = sub.add_parser("table1", help="three-method benchmark comparison")
     t1.add_argument("--preset", choices=("sigma05", "sigma1"), required=True)
     t1.add_argument("--scale", type=float, default=1.0,
                     help="budget multiplier in (0, 1]")
-    _add_common(t1)
+    _add_output(t1)
     return parser
 
 
@@ -73,12 +81,8 @@ def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "table1":
             report = reproduce_table1(args.preset, args.scale)
             fmt = args.out or "csv"
@@ -88,6 +92,8 @@ def main(argv=None) -> int:
             fmt = cfg.output
         path = args.path or f"report.{fmt}"
         emit_report(report, fmt, path)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except Exception as exc:
         # run_experiment notes which method kind failed, ahead of the message
         detail = ": ".join([*getattr(exc, "__notes__", ()), str(exc)])

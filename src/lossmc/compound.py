@@ -116,8 +116,9 @@ def _binom_ppf(q: float, n: int, p: float) -> int:
     return k - 1 if k > 0 and special.betainc(n - k + 1, k, 1.0 - p) >= q else k
 
 
-def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
-    """Generalized-inverse sample quantile with order-statistic bounds.
+def empirical_quantile_ci(batch: SampleBatch, alphas, level: float) -> list:
+    """Generalized-inverse sample quantiles with order-statistic bounds,
+    one (point, lo, hi) per level in ``alphas``, all read off one sort.
 
     The point estimate is inf{x in the sorted sample : F_hat(x) >=
     alpha}.  The interval inverts the binomial law of the rank count
@@ -126,15 +127,15 @@ def empirical_quantile_ci(batch: SampleBatch, alpha: float, level: float):
     """
     if batch.count == 0:
         raise RuntimeError("empty batch")
-    if not (0.0 < alpha < 1.0) or not (0.0 < level < 1.0):
+    if not all(0.0 < alpha < 1.0 for alpha in alphas) or not (0.0 < level < 1.0):
         raise ValueError("alpha and level must lie in (0, 1)")
     s = np.sort(batch.values)
     T = batch.count
-    k = int(np.ceil(alpha * T))
-    point = s[max(k, 1) - 1]
     tail = 0.5 * (1.0 - level)
-    lo_rank = _binom_ppf(tail, T, alpha)
-    hi_rank = _binom_ppf(1.0 - tail, T, alpha) + 1
-    lo_rank = min(max(lo_rank, 1), T)
-    hi_rank = min(max(hi_rank, 1), T)
-    return float(point), float(s[lo_rank - 1]), float(s[hi_rank - 1])
+    out = []
+    for alpha in alphas:
+        k = int(np.ceil(alpha * T))
+        lo_rank = min(max(_binom_ppf(tail, T, alpha), 1), T)
+        hi_rank = min(max(_binom_ppf(1.0 - tail, T, alpha) + 1, 1), T)
+        out.append((float(s[max(k, 1) - 1]), float(s[lo_rank - 1]), float(s[hi_rank - 1])))
+    return out

@@ -96,30 +96,6 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Panjer (a, b, 0) parameters
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PanjerParams:
-    """Parameters of an (a, b, 0)-class counting law.
-
-    Members satisfy p_n = (a + b/n) p_{n-1} for n >= 1 with the stated
-    p0, which is what makes the compound distribution computable by a
-    convolution-free recursion.
-    """
-
-    a: float
-    b: float
-    p0: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p0 <= 1.0):
-            raise ValueError("p0 must be a probability")
-        if self.a >= 1.0:
-            raise ValueError("a must be < 1 for a summable pmf")
-
-
-# ---------------------------------------------------------------------------
 # Frequency models
 # ---------------------------------------------------------------------------
 
@@ -152,7 +128,9 @@ class FrequencyModel:
         """Radius of convergence of the pgf's power series about 0."""
         return math.inf
 
-    def panjer(self) -> PanjerParams:
+    def panjer(self) -> tuple[float, float]:
+        """(a, b) of an (a, b, 0) member, whose pmf has p_n = (a + b/n) p_{n-1}
+        for n >= 1."""
         raise UnsupportedModelError(
             f"{self.kind} frequency is not an (a, b, 0) member"
         )
@@ -230,8 +208,8 @@ class PoissonFrequency(FrequencyModel):
     def pgf(self, s):
         return np.exp(self.lam * (np.asarray(s) - 1.0))
 
-    def panjer(self) -> PanjerParams:
-        return PanjerParams(0.0, self.lam, math.exp(-self.lam))
+    def panjer(self) -> tuple[float, float]:
+        return 0.0, self.lam
 
 
 @dataclass
@@ -267,9 +245,9 @@ class BinomialFrequency(FrequencyModel):
     def pgf(self, s):
         return (1.0 - self.q + self.q * np.asarray(s)) ** self.m
 
-    def panjer(self) -> PanjerParams:
+    def panjer(self) -> tuple[float, float]:
         ratio = self.q / (1.0 - self.q)
-        return PanjerParams(-ratio, (self.m + 1) * ratio, (1.0 - self.q) ** self.m)
+        return -ratio, (self.m + 1) * ratio
 
 
 @dataclass
@@ -306,9 +284,9 @@ class NegativeBinomialFrequency(FrequencyModel):
     def pgf_radius(self) -> float:
         return 1.0 + 1.0 / self.beta
 
-    def panjer(self) -> PanjerParams:
+    def panjer(self) -> tuple[float, float]:
         pr = self.beta / (1.0 + self.beta)
-        return PanjerParams(pr, (self.r - 1.0) * pr, (1.0 + self.beta) ** (-self.r))
+        return pr, (self.r - 1.0) * pr
 
 
 @dataclass

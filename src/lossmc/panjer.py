@@ -84,19 +84,6 @@ class CompoundPmf:
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.masses)
 
-    def mean(self) -> float:
-        return float(np.dot(self.grid(), self.masses))
-
-    def density(self) -> np.ndarray:
-        """Masses rescaled to lattice density values (mass / step).
-
-        The k = 0 entry is left as a mass: it carries the genuine atom
-        of the compound law at zero, not a density value.
-        """
-        d = self.masses / self.step
-        d[0] = self.masses[0]
-        return d
-
 
 def discretize_severity(model: SeverityModel, step: float, K: int) -> DiscreteSeverity:
     """Put the severity on the lattice {0, step, ..., K*step} by local
@@ -132,8 +119,7 @@ def panjer_discrete(freq: FrequencyModel, sev: DiscreteSeverity, M: int) -> Comp
     ``UnsupportedModelError`` outside the (a, b, 0) class.  Inside it
     p_1 = (a + b) p_0, so the recursion has no separate f_k term.
     """
-    params = freq.panjer()
-    a, b = params.a, params.b
+    a, b = freq.panjer()
     f = sev.masses
     K = len(f) - 1
     denom = 1.0 - a * f[0]

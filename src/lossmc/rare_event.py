@@ -283,7 +283,8 @@ class ClaimPopulation:
 class SmcEstimate:
     """Output of the multilevel splitting run.
 
-    ``estimate`` is the product of per-level success fractions.  ``trace``
+    ``estimate`` is the product of per-level success fractions; a run
+    that dies out stops at the level whose fraction is 0.  ``trace``
     holds one diagnostic dict per level reached: its level, threshold,
     success fraction (the mean potential), ess = (sum g)^2 / sum g^2 and
     the acceptance rate of its moves (None at the last level, which does
@@ -292,7 +293,6 @@ class SmcEstimate:
 
     estimate: float
     level_fractions: list
-    extinct_level: int | None = None
     trace: list | None = None
 
     def __post_init__(self):
@@ -425,8 +425,7 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
         }
         trace.append(row)
         if frac == 0.0:
-            return SmcEstimate(estimate=0.0, level_fractions=fractions, extinct_level=p,
-                               trace=trace)
+            return SmcEstimate(estimate=0.0, level_fractions=fractions, trace=trace)
         if last:
             break
         top = float(g.max())

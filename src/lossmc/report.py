@@ -146,8 +146,8 @@ def _run_mc(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
     batch = simulate_compound_parallel(model, m["T"], cfg.seed, threads=cfg.threads)
     rows = []
-    for alpha in cfg.levels:
-        point, lo, hi = empirical_quantile_ci(batch, alpha, m["ci_level"])
+    stats = empirical_quantile_ci(batch, cfg.levels, m["ci_level"])
+    for alpha, (point, lo, hi) in zip(cfg.levels, stats):
         tail = batch.values[batch.values >= point]
         es = float(tail.mean()) if tail.size else None
         rows.append(ReportRow(alpha=alpha, method="mc", var=point,

@@ -159,15 +159,14 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
     """
     freq = model.frequency
     sev = model.severity
-    params = freq.panjer()  # raises UnsupportedModelError outside (a, b, 0)
-    if params.a < 0.0:
+    a, b = freq.panjer()  # raises UnsupportedModelError outside (a, b, 0)
+    if a < 0.0:
         raise UnsupportedModelError(
             "binomial frequency yields a sign-changing Volterra kernel; "
             "use the discrete recursion oracle instead"
         )
     if not isinstance(sev, LogNormalSeverity):
         raise UnsupportedModelError("the particle route is implemented for lognormal severity")
-    a, b = params.a, params.b
     f = _lognormal_pdf(sev)
 
     def k(x, x1):

@@ -1,7 +1,7 @@
-"""Shared fixtures: benchmark models, big simulation batches, oracle pmfs,
-the finite-chain and twisted-sampler toys of the Feynman-Kac claims, a
-stream that replays fixed uniforms, and the convolution-tail ratio of the
-heavy-tail diagnostics.
+"""Shared fixtures: benchmark models, big simulation batches, oracle pmfs
+and their lattice densities, the finite-chain and twisted-sampler toys of
+the Feynman-Kac claims, a stream that replays fixed uniforms, and the
+convolution-tail ratio of the heavy-tail diagnostics.
 
 The expensive objects (5e6-draw sample batches, the fine-step recursion
 pmf, full-budget particle grids) are session-scoped so the acceptance
@@ -194,6 +194,17 @@ def oracle_tail(pmf, t):
     """P(Z > t) from a lattice law: 1 minus the masses at or below t, so
     the lattice's missing mass counts as tail."""
     return 1.0 - float(pmf.masses[:round(t / pmf.step) + 1].sum())
+
+
+def lattice_density(pmf):
+    """Masses rescaled to lattice density values (mass / step).
+
+    The k = 0 entry is left as a mass: it carries the genuine atom of the
+    compound law at zero, not a density value.
+    """
+    d = pmf.masses / pmf.step
+    d[0] = pmf.masses[0]
+    return d
 
 
 def _grid_measure(model, x_max, n_per_point, seed):

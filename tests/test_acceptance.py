@@ -33,6 +33,7 @@ from lossmc import (
 
 from conftest import (
     QUANTILE_LEVELS,
+    lattice_density,
     oracle_tail,
     restricted_matrix,
     sigma05_model,
@@ -76,8 +77,7 @@ def test_criterion_1_sla_column_matches_printed_integers():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_mc_column_sigma05(sigma05_batch, sigma05_pmf):
-    qs = [empirical_quantile_ci(sigma05_batch, a, 0.95)[0]
-          for a in QUANTILE_LEVELS]
+    qs = [q for q, _, _ in empirical_quantile_ci(sigma05_batch, QUANTILE_LEVELS, 0.95)]
     for q, printed in zip(qs, MC_PRINTED["sigma05"]):
         assert abs(q - printed) <= 2.0
     assert 56.0 <= qs[4] <= 58.0
@@ -88,8 +88,7 @@ def test_criterion_2_mc_column_sigma05(sigma05_batch, sigma05_pmf):
 
 
 def test_criterion_2_mc_column_sigma1(sigma1_batch):
-    qs = [empirical_quantile_ci(sigma1_batch, a, 0.95)[0]
-          for a in QUANTILE_LEVELS]
+    qs = [q for q, _, _ in empirical_quantile_ci(sigma1_batch, QUANTILE_LEVELS, 0.95)]
     for q, printed in zip(qs, MC_PRINTED["sigma1"]):
         assert abs(q - printed) <= 2.0
     assert 273.0 <= qs[6] <= 279.0
@@ -166,7 +165,7 @@ def test_criterion_3_particle_reduced_budget_sigma1(sigma1_grid_reduced):
 
 def test_criterion_4_particle_matches_recursion_oracle(sigma05_pmf):
     model = sigma05_model()
-    dens = sigma05_pmf.density()
+    dens = lattice_density(sigma05_pmf)
     p_d = default_absorption(model)
     root = PcgStream(1313)
     for x0 in (10.0, 20.0, 40.0):
@@ -186,7 +185,7 @@ def test_criterion_4_particle_matches_recursion_oracle(sigma05_pmf):
 
 def test_criterion_5_particle_density_bias_and_variance_slope(sigma05_pmf):
     model = sigma05_model()
-    truth = float(sigma05_pmf.density()[round(20.0 / sigma05_pmf.step)])
+    truth = float(lattice_density(sigma05_pmf)[round(20.0 / sigma05_pmf.step)])
     p_d = default_absorption(model)
     root = PcgStream(1414)
     x0, R = 20.0, 200

@@ -87,7 +87,7 @@ def test_sample_batch_validation():
 
 def test_quantile_on_integer_grid():
     batch = SampleBatch(values=np.arange(1.0, 101.0))
-    point, lo, hi = empirical_quantile_ci(batch, 0.5, 0.95)
+    [(point, lo, hi)] = empirical_quantile_ci(batch, [0.5], 0.95)
     assert point == 50.0
     assert lo <= point <= hi
 
@@ -112,20 +112,20 @@ def test_interval_ranks_match_scipy_stats_binom_ppf():
 def test_quantile_levels_validated():
     batch = SampleBatch(values=np.arange(1.0, 11.0))
     with pytest.raises(ValueError):
-        empirical_quantile_ci(batch, 1.5, 0.95)
+        empirical_quantile_ci(batch, [0.5, 1.5], 0.95)
     with pytest.raises(ValueError):
-        empirical_quantile_ci(batch, 0.5, 0.0)
+        empirical_quantile_ci(batch, [0.5], 0.0)
 
 
 def test_sigma05_benchmark_quantile(sigma05_batch):
-    point, lo, hi = empirical_quantile_ci(sigma05_batch, 0.99, 0.95)
+    [(point, lo, hi)] = empirical_quantile_ci(sigma05_batch, [0.99], 0.95)
     assert abs(point - 57.0) <= 1.0
     assert lo <= point <= hi
     assert hi - lo < 1.0
 
 
 def test_sigma1_benchmark_quantile(sigma1_batch):
-    point, _, _ = empirical_quantile_ci(sigma1_batch, 0.9995, 0.95)
+    [(point, _, _)] = empirical_quantile_ci(sigma1_batch, [0.9995], 0.95)
     assert abs(point - 276.0) <= 3.0
 
 
@@ -200,4 +200,4 @@ def test_parallel_refuses_more_losses_than_memory(monkeypatch):
 def test_empty_batch_rejected():
     batch = SampleBatch(values=np.array([]))
     with pytest.raises(RuntimeError):
-        empirical_quantile_ci(batch, 0.5, 0.95)
+        empirical_quantile_ci(batch, [0.5], 0.95)

@@ -214,39 +214,45 @@ def test_isf_of_scaled_uniform_draws_the_law_above_a_floor(name, c):
 # ---------------------------------------------------------------------------
 
 def test_poisson_panjer_params():
-    p = PoissonFrequency(3.0).panjer()
-    assert (p.a, p.b) == (0.0, 3.0)
-    assert p.p0 == pytest.approx(math.exp(-3.0), rel=1e-14)
+    freq = PoissonFrequency(3.0)
+    a, b = freq.panjer()
+    assert (a, b) == (0.0, 3.0)
+    # p_{n+1} = (a + b/(n+1)) p_n from p_0 = e^-3 walks out the Poisson pmf
+    pmf = [freq.pmf(0)]
+    for n in range(10):
+        pmf.append((a + b / (n + 1)) * pmf[-1])
+    assert pmf == pytest.approx([math.exp(-3.0) * 3.0 ** n / math.factorial(n)
+                                 for n in range(11)], rel=1e-12)
 
 
 def test_binomial_panjer_params_regenerate_pmf():
     freq = BinomialFrequency(2, 0.5)
-    p = freq.panjer()
-    assert (p.a, p.b, p.p0) == (-1.0, 3.0, 0.25)
+    a, b = freq.panjer()
+    assert (a, b, freq.pmf(0)) == (-1.0, 3.0, 0.25)
     # p_{n+1} = (a + b/(n+1)) p_n walks out the exact binomial pmf
-    pmf = [p.p0]
+    pmf = [freq.pmf(0)]
     for n in range(3):
-        pmf.append((p.a + p.b / (n + 1)) * pmf[-1])
+        pmf.append((a + b / (n + 1)) * pmf[-1])
     assert pmf[:3] == pytest.approx([0.25, 0.5, 0.25], abs=1e-14)
     assert pmf[3] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_negbinomial_is_geometric_at_r_one():
     freq = NegativeBinomialFrequency(r=1.0, beta=1.0)
-    p = freq.panjer()
-    assert (p.a, p.b, p.p0) == (0.5, 0.0, 0.5)
+    assert freq.panjer() == (0.5, 0.0)
+    assert freq.pmf(0) == 0.5
     n = np.arange(12)
     assert freq.pmf(n) == pytest.approx(0.5 ** (n + 1), rel=1e-12)
 
 
 def test_panjer_recursion_reproduces_pmfs():
-    """(a, b, p0) regeneration matches each member's pmf up to n = 50."""
+    """(a, b) regeneration from p_0 matches each member's pmf up to n = 50."""
     for freq in (PoissonFrequency(2.0), BinomialFrequency(7, 0.35),
                  NegativeBinomialFrequency(r=2.5, beta=0.8)):
-        p = freq.panjer()
-        vals = [p.p0]
+        a, b = freq.panjer()
+        vals = [freq.pmf(0)]
         for n in range(50):
-            vals.append((p.a + p.b / (n + 1)) * vals[-1])
+            vals.append((a + b / (n + 1)) * vals[-1])
         vals = np.array(vals)
         assert np.max(np.abs(vals - freq.pmf(np.arange(51)))) < 1e-10
 

@@ -271,7 +271,8 @@ def test_estimate_is_product_of_level_fractions():
         lev = LevelSequence(thresholds=np.array(thresholds[:levels]))
         est = smc_rare_event(model, lev, 3, 500, PcgStream(11))
         assert est.estimate == float(np.prod(est.level_fractions))
-        assert est.extinct_level is None
+        # no level died out: every fraction is positive
+        assert len(est.level_fractions) == levels and min(est.level_fractions) > 0.0
         # one trace row per level; the last level does not move
         assert [row["threshold"] for row in est.trace] == thresholds[:levels]
         for row, frac, g in zip(est.trace, est.level_fractions, potentials):
@@ -290,7 +291,8 @@ def test_extinction_returns_zero_with_level_index():
     lev = LevelSequence(thresholds=np.array([0.5, 2.5]))
     est = smc_rare_event(coin_model(), lev, 3, 100, PcgStream(13))
     assert est.estimate == 0.0
-    assert est.extinct_level == 1
+    # the run died at level 1: it holds two fractions and the last is 0
+    assert len(est.level_fractions) == 2
     assert est.level_fractions[1] == 0.0 and est.level_fractions[0] > 0.0
     assert len(est.trace) == 2
     assert est.trace[1]["ess"] == 0.0

@@ -18,12 +18,14 @@ from lossmc import (
     ReportRow,
     RiskReport,
     emit_report,
+    empirical_quantile_ci,
     estimate_density_grid,
     oracle_tail_stats,
     parse_report,
     reproduce_table1,
     risk_measures_from_measure,
     run_experiment,
+    simulate_compound_parallel,
 )
 from lossmc import distributions
 from lossmc import report as report_module
@@ -95,6 +97,28 @@ def test_mc_run_with_zero_rate_is_all_zero():
     report = run_experiment(_config(model=model, method={"kind": "mc", "T": 10},
                                     levels=[0.5, 0.9, 0.99]))
     assert all(row.var == 0.0 for row in report.rows)
+
+
+def test_mc_rows_read_every_level_off_one_call(monkeypatch):
+    """The MC runner sorts its sample once: one quantile call serves every
+    level, and each row is bitwise what a call for its level alone gives,
+    with the ES the mean of the unsorted batch at or above the VaR."""
+    levels, T, seed = [0.5, 0.9, 0.99, 0.999], 12345, 7
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return empirical_quantile_ci(*args)
+
+    monkeypatch.setattr(report_module, "empirical_quantile_ci", counted)
+    cfg = _config(method={"kind": "mc", "T": T, "ci_level": 0.9}, levels=levels, seed=seed)
+    rows = run_experiment(cfg).rows
+    assert len(calls) == 1
+    batch = simulate_compound_parallel(cfg.build_model(), T, seed)
+    for row, alpha in zip(rows, levels):
+        [(point, lo, hi)] = empirical_quantile_ci(batch, [alpha], 0.9)
+        es = float(batch.values[batch.values >= point].mean())
+        assert (row.alpha, row.var, row.var_lo, row.var_hi, row.es) == (alpha, point, lo, hi, es)
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -415,6 +439,39 @@ def test_cli_table1_smoke(tmp_path, capsys):
     assert out.read_text().count("\n") == 22  # header + 21 rows
 
 
+@pytest.mark.parametrize("flags", [["--seed", "3"], ["--threads", "2"],
+                                   ["--config", "cfg.json"]])
+def test_cli_table1_refuses_the_flags_it_ignores(tmp_path, capsys, flags):
+    """table1 runs fixed presets: a config, seed or thread count would be
+    dropped, so each is a usage error that writes no report."""
+    out = tmp_path / "t1.csv"
+    rc = main(["table1", "--preset", "sigma05", "--scale", "1e-4", *flags,
+               "--path", str(out)])
+    assert rc == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "ArgumentError" and flags[0] in doc["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,detail", [
+    (["simulate", "--bogus"], "unrecognized arguments: --bogus"),
+    (["simulate", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["table1"], "the following arguments are required: --preset"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-flag", "bad-int", "missing-preset", "no-command"])
+def test_cli_usage_errors_print_one_json_line(capsys, argv, detail):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "ArgumentError", "detail": detail}
+
+
+def test_cli_help_exits_zero(capsys):
+    assert main(["table1", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: lossmc table1") and captured.err == ""
+
+
 def test_cli_requires_config(capsys):
     rc = main(["sla"])
     assert rc == 2
@@ -502,6 +559,33 @@ def test_cli_second_order_sla_refuses_a_point_mass(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
     cfg = _write_config(tmp_path, {"kind": "sla", "order": 1}, model=model)
+    out = tmp_path / "x.json"
+    assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["3", "3"]
+
+
+@pytest.mark.parametrize("frequency,alpha,orders", [
+    ({"kind": "poisson", "lambda": 2.0}, 0.9999999999999999, (1, 2)),
+    # E[N] = 1000 and a large second-order factor: only order 2 rounds
+    ({"kind": "negbinomial", "r": 1.0, "beta": 1000.0}, 0.99999999999, (2,)),
+], ids=["both-orders", "second-order-only"])
+def test_cli_sla_names_a_level_whose_severity_level_rounds_to_one(tmp_path, capsys,
+                                                                  frequency, alpha, orders):
+    """1 - (1 - alpha)/E[N] (divided by the second-order factor) rounds to 1:
+    exit 2 with a detail that names the level.  A point mass still reads
+    its atom there at order 1."""
+    model = dict(SIGMA05_MODEL, frequency=frequency)
+    for order in orders:
+        cfg = _write_config(tmp_path, {"kind": "sla", "order": order},
+                            levels=(0.5, alpha), model=model)
+        assert main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValueError"
+        assert f"level {alpha!r}" in doc["detail"] and "rounds to 1" in doc["detail"]
+        assert not (tmp_path / "x.csv").exists()
+
+    model = dict(model, severity={"kind": "degenerate", "atom": 3})
+    cfg = _write_config(tmp_path, {"kind": "sla"}, levels=(0.5, alpha), model=model)
     out = tmp_path / "x.json"
     assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
     assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["3", "3"]

@@ -46,6 +46,7 @@ from lossmc.volterra import (
 from conftest import (
     QUANTILE_LEVELS,
     SequenceStream,
+    lattice_density,
     oracle_tail,
     sigma05_model,
     sigma1_model,
@@ -489,7 +490,7 @@ def test_particle_density_matches_oracle(frequency):
         return
     measure = estimate_density_grid(model, xs, 200_000, p_d, PcgStream(11))
     pmf = oracle_compound_pmf(model, step=0.01, x_max=1500.0)
-    ref = pmf.density()[np.rint(xs / pmf.step).astype(int)]
+    ref = lattice_density(pmf)[np.rint(xs / pmf.step).astype(int)]
     assert np.all(np.abs(measure.weights - ref) <= 4.0 * measure.stderr)
 
 
@@ -510,7 +511,7 @@ def _deep_tail_z(kind, n_point, n_tail, seed):
     model = CompoundModel(DEEP_FREQUENCIES[kind], LogNormalSeverity(2.0, 1.0))
     if kind not in _deep_oracles:
         pmf = oracle_compound_pmf(model, step=0.02, x_max=4000.0)
-        _deep_oracles[kind] = (pmf.density()[np.rint(DEEP_XS / pmf.step).astype(int)],
+        _deep_oracles[kind] = (lattice_density(pmf)[np.rint(DEEP_XS / pmf.step).astype(int)],
                                [oracle_tail(pmf, t) for t in DEEP_TS])
     dens, tails = _deep_oracles[kind]
     p_d = default_absorption(model)
