@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the report methods:
 
-    lossmc simulate   --config cfg.json [--seed S] [--out csv --path r.csv]
+    lossmc simulate   --config cfg.json [--seed S] [--threads K] [--out csv --path r.csv]
     lossmc sla        --config cfg.json ...
     lossmc panjer     --config cfg.json ...
     lossmc particle   --config cfg.json ...
@@ -56,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, help="override the config seed")
         _add_output(p)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for simulation methods")
+        # only crude Monte Carlo reads a thread count
+        if name == "simulate":
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads for the simulation")
     t1 = sub.add_parser("table1", help="three-method benchmark comparison")
     t1.add_argument("--preset", choices=("sigma05", "sigma1"), required=True)
     t1.add_argument("--scale", type=float, default=1.0,
@@ -76,7 +78,8 @@ def _load_config(args: argparse.Namespace, kind: str) -> ExperimentConfig:
             f"{args.command} subcommand runs {kind!r}"
         )
     # replace() re-runs the config's validation on the overridden fields
-    overrides = {"seed": args.seed, "threads": args.threads, "output": args.out}
+    overrides = {"seed": args.seed, "threads": getattr(args, "threads", None),
+                 "output": args.out}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 

@@ -18,9 +18,12 @@ after it.  The first level uses either that potential or the
 random-claim one, the Asmussen-Kroese estimator as the fully adapted
 potential of the Gibbs move of one uniformly picked claim, whichever a
 pilot population finds sharper (:func:`pilot_first_potential`).  The
-running product of the first p success fractions is an unbiased
-estimate of P(Z > t_p) at every level p, so :func:`replicate_smc` reads
-every threshold of a ladder off one replicated run.
+first population stratifies its claim counts and selection draws its
+ancestors by stratified keys: neither changes a particle's expected
+share, so the running product of the first p success fractions is an
+unbiased estimate of P(Z > t_p) at every level p, and
+:func:`replicate_smc` reads every threshold of a ladder off one
+replicated run.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compound import CompoundModel, claim_sums, sample_claims
+from .compound import CompoundModel, claim_sums
 # no caller here: benchmarks/tracing.py patches rare_event.simulate_compound by name
 from .compound import simulate_compound  # noqa: F401
 from .distributions import _guide_table, _guided_search
@@ -61,6 +64,24 @@ class LevelSequence:
         return len(self.thresholds)
 
 
+def _stratify(u: np.ndarray) -> np.ndarray:
+    """(i + u_i) / n for a block of n uniforms on (0, 1], in place: key i
+    lies in (i/n, (i + 1)/n]."""
+    u += np.arange(len(u))
+    u /= len(u)
+    return u
+
+
+class _Stratified(UniformStream):
+    """A stream whose every block of n uniforms is stratified over (0, 1]."""
+
+    def __init__(self, rng: UniformStream):
+        self._rng = rng
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return _stratify(self._rng.uniforms(n))
+
+
 def _below(x: np.ndarray) -> np.ndarray:
     """np.nextafter(x, 0) for nonnegative x, by one step of the bit
     pattern (several times faster): the largest double below a positive
@@ -90,9 +111,19 @@ class ClaimPopulation:
 
     @classmethod
     def sample(cls, model: CompoundModel, n: int, rng: UniformStream) -> "ClaimPopulation":
-        """n independent particles, drawn as :func:`simulate_compound` draws
-        n years: the same uniforms give the same losses."""
-        counts, severities = sample_claims(model, n, rng)
+        """n particles of the compound law, their counts stratified.
+
+        Reads n + sum(counts) uniforms, in the order :func:`sample_claims`
+        reads them: one block of n for the counts, then every severity.
+        Particle i inverts its count from (i + u_i) / n instead of u_i, so
+        the population holds each count about n p_k times.  Averaged over
+        i, that uniform is uniform on (0, 1]: the particles are not
+        independent, but their empirical measure has the compound law as
+        its mean, which is all the product estimator needs.
+        """
+        counts = model.frequency.sample(_Stratified(rng), size=n)
+        total = int(counts.sum())
+        severities = model.severity.sample(rng, size=total) if total else np.zeros(0)
         return cls(counts, severities, claim_sums(counts, severities))
 
     def take(self, idx: np.ndarray) -> "ClaimPopulation":
@@ -313,8 +344,13 @@ def selection_transition(g, rng: UniformStream) -> np.ndarray:
 
     This is the acceptance-rejection-with-recycling scheme: it realizes
     the optimal coupling, changing a particle with probability exactly
-    1 - eta(g) on average.  Reads n keep uniforms, then one redraw key
-    per replaced particle; the redraws are independent multinomial draws.
+    1 - eta(g) on average.  Reads n keep uniforms, then one uniform u_j
+    per replaced particle.  The k replaced particles draw their ancestors
+    by stratified resampling: redraw j uses the key (j + u_j) / k, so
+    particle i is drawn k g_i / sum(g) times on average, as by k
+    independent draws, and within two of that (Douc, Cappe & Moulines
+    2005).  The selected population's empirical measure therefore still
+    has the Boltzmann-Gibbs transform of the population as its mean.
 
     A redraw key u in (0, 1] picks the first particle whose normalized
     cumulative potential reaches u.  That particle always has positive
@@ -331,7 +367,7 @@ def selection_transition(g, rng: UniformStream) -> np.ndarray:
         raise ExtinctionError("population extinct: every selection potential is zero")
     n = len(g)
     keep = rng.uniforms(n) <= g
-    keys = rng.uniforms(int((~keep).sum()))
+    keys = _stratify(rng.uniforms(int((~keep).sum())))
     live = np.flatnonzero(g > 0.0)
     cum = np.cumsum(g[live]) / total
     ancestors = np.arange(n)
@@ -362,8 +398,8 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     """Estimate P(Z > t) at the last threshold t of ``levels`` by the
     multiplicative level-fraction formula.
 
-    Every particle carries its claims (:class:`ClaimPopulation`, drawn as
-    crude Monte Carlo draws years).  Level p's success fraction is the
+    Every particle carries its claims (:class:`ClaimPopulation`, drawn
+    with stratified counts).  Level p's success fraction is the
     mean of its potentials, and the running product of the fractions is
     the unbiased normalizing-constant estimate.  Every level p >= 1 uses
     the look-ahead potential: the chance that a Gibbs move of each

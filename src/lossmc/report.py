@@ -78,6 +78,9 @@ class ExperimentConfig:
         self.levels.sort()
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if kind != "mc" and self.threads != 1:
+            raise ValueError(f"threads applies to the mc method only, got {self.threads} "
+                             f"for {kind}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

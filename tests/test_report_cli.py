@@ -887,6 +887,38 @@ def test_cli_rejects_thread_counts_below_one(tmp_path, capsys, fields, flags):
     assert not (tmp_path / "x.csv").exists()
 
 
+_NOT_MC = ["sla", "panjer", "particle", "rare-event"]
+
+
+@pytest.mark.parametrize("command", _NOT_MC)
+def test_cli_threads_flag_is_simulate_only(tmp_path, capsys, command):
+    """Only crude Monte Carlo reads a thread count: on any other method
+    --threads is a usage error that writes no report."""
+    cfg = _write_config(tmp_path, _VALID_METHODS[command])
+    rc = main([command, "--config", cfg, "--threads", "2", "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ArgumentError",
+                               "detail": "unrecognized arguments: --threads 2"}
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", _NOT_MC)
+def test_cli_rejects_threads_in_a_non_mc_config(tmp_path, capsys, command):
+    """A thread count other than 1 in a config that no thread reads exits 2
+    instead of being written into the report meta."""
+    cfg = _write_config(tmp_path, _VALID_METHODS[command], threads=4)
+    rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "threads applies to the mc method only" \
+        in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 class _TwoArgumentError(RuntimeError):
     """An exception whose constructor cannot be called with a message alone."""
 
