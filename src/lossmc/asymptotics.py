@@ -14,7 +14,7 @@ from .errors import LevelRangeError, UnsupportedModelError
 
 
 def sla_var_first_order(model: CompoundModel, alpha: float) -> float:
-    """Severity quantile at 1 - (1 - alpha)/E[N].
+    """Severity quantile at 1 - (1 - alpha)/E[N]: its ``isf`` at (1 - alpha)/E[N].
 
     Valid when the shifted level stays in (0, 1); below that the
     approximation has no meaning and a LevelRangeError is raised.
@@ -27,20 +27,7 @@ def sla_var_first_order(model: CompoundModel, alpha: float) -> float:
         raise LevelRangeError(
             f"(1-alpha)/E[N] = {shifted:.3g} >= 1; level too low for the SLA"
         )
-    return _severity_quantile(model, alpha, shifted)
-
-
-def _severity_quantile(model: CompoundModel, alpha: float, shifted: float) -> float:
-    """The severity quantile at 1 - shifted.  A law whose quantile is not
-    defined at 1 raises a ValueError naming alpha where the level rounds
-    to 1; a point mass reads its atom there."""
-    try:
-        return float(model.severity.quantile(1.0 - shifted))
-    except ValueError as exc:
-        if 1.0 - shifted < 1.0:
-            raise
-        raise ValueError(f"level {float(alpha)!r} is too close to 1 for the SLA: the severity "
-                         f"level 1 - {shifted:.3g} rounds to 1") from exc
+    return float(model.severity.isf(shifted))
 
 
 def c_beta_constant(beta: float) -> float:
@@ -95,4 +82,4 @@ def sla_var_second_order(model: CompoundModel, alpha: float) -> float:
     factor = 1.0 + c_tilde * g1
     if factor <= 0.0:
         return q1
-    return _severity_quantile(model, alpha, (1.0 - alpha) / model.frequency.mean() / factor)
+    return float(sev.isf((1.0 - alpha) / model.frequency.mean() / factor))

@@ -11,6 +11,8 @@ from scipy import special
 from .distributions import FrequencyModel, SeverityModel
 from .rng import PcgStream, UniformStream
 
+_CHUNK = 1_000_000  # losses per substream of simulate_compound_parallel
+
 
 @dataclass
 class CompoundModel:
@@ -74,8 +76,8 @@ def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> Sampl
 
 
 def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
-                               threads: int = 1, chunk: int = 1_000_000) -> SampleBatch:
-    """Chunked simulation with one child stream per chunk.
+                               threads: int = 1) -> SampleBatch:
+    """Chunked simulation with one child stream per chunk of ``_CHUNK`` losses.
 
     Chunk i always uses substream i and outputs are concatenated in
     chunk order, so the batch is identical for any thread count.  A T
@@ -87,9 +89,9 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
     if 8 * T > memory:
         raise ValueError(f"T = {T} losses need {8 * T:.3g} bytes as float64, more than the "
                          f"{memory:.3g} bytes of physical memory")
-    n_chunks = max(1, (T + chunk - 1) // chunk)
+    n_chunks = max(1, (T + _CHUNK - 1) // _CHUNK)
     streams = PcgStream(seed).spawn(n_chunks)
-    sizes = [chunk] * (n_chunks - 1) + [T - chunk * (n_chunks - 1)]
+    sizes = [_CHUNK] * (n_chunks - 1) + [T - _CHUNK * (n_chunks - 1)]
 
     def run(i):
         return simulate_compound(model, sizes[i], streams[i]).values

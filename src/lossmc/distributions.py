@@ -11,7 +11,9 @@ stream (see :mod:`lossmc.rng`) so callers control substream layout.
 Every sampler is an inverse transform that reads exactly one uniform
 per draw (a point mass reads none): counts invert a cached cdf table,
 severities their inverse survival function ``isf``, which the splitting
-route also uses to redraw a claim above a floor.  A table is inverted
+route also uses to redraw a claim above a floor.  ``isf`` is a severity's
+only inverse: the single-loss approximation, the lattice's median pivot
+and the oracle's step check read it too.  A table is inverted
 through a guide table (:func:`_guided_search`), which finds the entry of
 a draw in O(1) expected steps instead of a binary search; the splitting
 selection step uses the same lookup for its ancestors.
@@ -26,7 +28,9 @@ from scipy import special
 
 from .config import COUNT, REAL, REQUIRED, read_block
 from .errors import UnsupportedModelError
-from .normal import norm_cdf, norm_pdf, norm_quantile, norm_sf
+from .normal import norm_cdf, norm_pdf, norm_sf
+# no caller here: benchmarks/tracing.py patches distributions.norm_quantile by name
+from .normal import norm_quantile  # noqa: F401
 from .rng import UniformStream
 
 _TABLE_TAIL = 1e-12  # truncation point for inverse-cdf sampling tables
@@ -380,7 +384,6 @@ class SeverityModel:
     on.
     """
 
-    kind: str = "abstract"
     tail_index = None  # regular-variation index of the survival, if any
 
     def pdf(self, x):
@@ -392,14 +395,7 @@ class SeverityModel:
     def sf(self, x):
         raise NotImplementedError
 
-    def quantile(self, p):
-        raise NotImplementedError
-
     def mean(self) -> float:
-        raise NotImplementedError
-
-    def partial_expectation(self, x):
-        """E[X ; X <= x]."""
         raise NotImplementedError
 
     def isf(self, u):
@@ -414,16 +410,12 @@ class SeverityModel:
         """
         return self.isf(stream.uniforms(size))
 
-    def integrated_survival(self, x):
-        """Integral of the survival function over (0, x]."""
-        return x * self.sf(x) + self.partial_expectation(x)
-
     def interval_masses(self, edges: np.ndarray) -> np.ndarray:
         """P(edges[i] < X <= edges[i+1]) for increasing ``edges``, without
         tail cancellation: cdf differences below the median, sf
         differences above it, each edge evaluated once."""
         edges = np.asarray(edges, dtype=float)
-        return _cell_increments(edges, self.quantile(0.5), self.cdf, self.sf)
+        return _cell_increments(edges, self.isf(0.5), self.cdf, self.sf)
 
     def interval_partial_expectation(self, edges: np.ndarray) -> np.ndarray:
         """E[X ; edges[i] < X <= edges[i+1]] for increasing ``edges``,
@@ -435,7 +427,6 @@ class SeverityModel:
 class LogNormalSeverity(SeverityModel):
     mu: float
     sigma: float
-    kind: str = field(default="lognormal", init=False, repr=False)
 
     def __post_init__(self):
         _require_finite(self)
@@ -464,9 +455,6 @@ class LogNormalSeverity(SeverityModel):
         else:
             out = np.where(x > 0, norm_sf(self._z(np.where(x > 0, x, 1.0))), 1.0)
         return out if np.ndim(out) else float(out)
-
-    def quantile(self, p):
-        return np.exp(self.mu + self.sigma * norm_quantile(p))
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma ** 2)
@@ -501,7 +489,6 @@ class ParetoSeverity(SeverityModel):
 
     a: float
     s: float
-    kind: str = field(default="pareto", init=False, repr=False)
 
     def __post_init__(self):
         _require_finite(self)
@@ -524,29 +511,18 @@ class ParetoSeverity(SeverityModel):
         out = np.where(x >= 0, (1.0 + np.maximum(x, 0.0) / self.s) ** (-self.a), 1.0)
         return out if out.ndim else float(out)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
-            raise ValueError("quantile requires p in (0, 1)")
-        out = self.s * ((1.0 - p) ** (-1.0 / self.a) - 1.0)
-        return out if out.ndim else float(out)
-
     def mean(self) -> float:
         if self.a <= 1.0:
             return math.inf
         return self.s / (self.a - 1.0)
 
     def integrated_survival(self, x):
+        """Integral of the survival function over (0, x]."""
         x = np.asarray(x, dtype=float)
         if self.a == 1.0:
             out = self.s * np.log1p(x / self.s)
         else:
             out = self.s / (self.a - 1.0) * (1.0 - (1.0 + x / self.s) ** (1.0 - self.a))
-        return out if out.ndim else float(out)
-
-    def partial_expectation(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.integrated_survival(x) - x * self.sf(x)
         return out if out.ndim else float(out)
 
     def interval_partial_expectation(self, edges):
@@ -565,17 +541,11 @@ class DegenerateSeverity(SeverityModel):
     """Point mass at a fixed positive atom; handy for exact checks."""
 
     atom: float
-    kind: str = field(default="degenerate", init=False, repr=False)
 
     def __post_init__(self):
         _require_finite(self)
         if self.atom <= 0.0:
             raise ValueError("atom must be positive")
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x == self.atom, np.inf, 0.0)
-        return out if out.ndim else float(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -587,20 +557,8 @@ class DegenerateSeverity(SeverityModel):
         out = np.where(x >= self.atom, 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p > 1.0):
-            raise ValueError("quantile requires p in (0, 1]")
-        out = np.full_like(p, self.atom)
-        return out if out.ndim else float(out)
-
     def mean(self) -> float:
         return self.atom
-
-    def partial_expectation(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.atom, self.atom, 0.0)
-        return out if out.ndim else float(out)
 
     def interval_partial_expectation(self, edges):
         return self.atom * self.interval_masses(edges)

@@ -305,7 +305,7 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    median = float(model.severity.quantile(0.5))
+    median = float(model.severity.isf(0.5))
     if step > median:
         raise ValueError(f"step {step:g} exceeds the severity median {median:.6g}; "
                          "the lattice would not resolve the severity")

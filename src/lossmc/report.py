@@ -76,6 +76,8 @@ class ExperimentConfig:
         if any(not (0.0 < a < 1.0) for a in self.levels):
             raise ValueError("levels must be probabilities in (0, 1)")
         self.levels.sort()
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if kind != "mc" and self.threads != 1:

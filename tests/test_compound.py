@@ -177,14 +177,18 @@ def test_single_stream_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-def test_parallel_reduction_thread_invariant():
+def test_parallel_reduction_thread_invariant(monkeypatch):
     """Chunked runs combine in chunk order, so thread count is irrelevant."""
+    monkeypatch.setattr(compound, "_CHUNK", 50_000)
+    spawned = []
+    spawn = PcgStream.spawn
+    monkeypatch.setattr(PcgStream, "spawn",
+                        lambda self, n: spawned.append(n) or spawn(self, n))
     model = sigma05_model()
-    one = simulate_compound_parallel(model, 200_000, seed=55, chunk=50_000,
-                                     threads=1)
-    four = simulate_compound_parallel(model, 200_000, seed=55, chunk=50_000,
-                                      threads=4)
-    assert np.array_equal(one.values, four.values)
+    runs = [simulate_compound_parallel(model, 200_000, seed=55, threads=k).values
+            for k in (1, 2, 4)]
+    assert spawned == [4, 4, 4]
+    assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
 
 def test_parallel_refuses_more_losses_than_memory(monkeypatch):

@@ -50,26 +50,24 @@ def test_lognormal_pdf_matches_cdf_derivative():
 def test_pareto_survival_and_quantile():
     sev = ParetoSeverity(a=2.0, s=1.0)
     assert sev.sf(9.0) == pytest.approx(0.01, rel=1e-12)
-    assert sev.quantile(0.99) == pytest.approx(9.0, rel=1e-10)
+    assert sev.isf(1.0 - 0.99) == pytest.approx(9.0, rel=1e-10)
     assert sev.mean() == pytest.approx(1.0)
     assert sev.tail_index == 2.0
 
 
 def test_lognormal_quantiles():
-    assert LogNormalSeverity(2.0, 0.5).quantile(0.5) == pytest.approx(math.exp(2.0),
-                                                                      rel=1e-10)
-    q = LogNormalSeverity(2.0, 1.0).quantile(0.975)
+    assert LogNormalSeverity(2.0, 0.5).isf(0.5) == pytest.approx(math.exp(2.0), rel=1e-10)
+    q = LogNormalSeverity(2.0, 1.0).isf(1.0 - 0.975)
     assert q == pytest.approx(math.exp(2.0 + 1.9599639845400545), rel=1e-8)
 
 
-def test_quantile_cdf_roundtrip():
-    """quantile and cdf invert each other across the body of each law."""
-    ps = np.linspace(0.01, 0.99, 99)
+def test_isf_sf_roundtrip_into_the_deep_tail():
+    """sf(isf(u)) gives u back to relative 1e-12 from u = 0.99 down to
+    1e-12, where 1 - u as a cdf level keeps only a few digits of u."""
+    us = np.geomspace(0.99, 1e-12, 400)
     for sev in (LogNormalSeverity(2.0, 0.5), LogNormalSeverity(2.0, 1.0),
-                ParetoSeverity(a=2.0, s=1.0)):
-        qs = np.array([sev.quantile(p) for p in ps])
-        back = np.array([sev.cdf(q) for q in qs])
-        assert np.max(np.abs(back - ps)) < 1e-9
+                ParetoSeverity(a=2.0, s=1.0), ParetoSeverity(a=0.5, s=3.0)):
+        assert np.allclose(sev.sf(sev.isf(us)), us, rtol=1e-12, atol=0.0)
 
 
 def test_cdf_plus_sf_is_one():
@@ -88,7 +86,7 @@ def test_degenerate_severity():
 def _per_cell_masses(sev, edges):
     """Each cell's mass from both ends' cdf (below the median) or sf."""
     lo, hi = edges[:-1], edges[1:]
-    return np.maximum(np.where(hi <= sev.quantile(0.5), sev.cdf(hi) - sev.cdf(lo),
+    return np.maximum(np.where(hi <= sev.isf(0.5), sev.cdf(hi) - sev.cdf(lo),
                                sev.sf(lo) - sev.sf(hi)), 0.0)
 
 
@@ -197,7 +195,8 @@ def test_isf_inverts_sf(name):
 @pytest.mark.parametrize("name,c", [("lognormal", 100.0), ("pareto", 20.0)])
 def test_isf_of_scaled_uniform_draws_the_law_above_a_floor(name, c):
     """isf(v sf(c)) for uniform v has the law of X given X > c: its survival
-    is sf(y) / sf(c) above c and its mean is E[X; X > c] / sf(c)."""
+    is sf(y) / sf(c) above c and its mean is E[X; X > c] / sf(c), for the
+    Pareto c + (s + c)/(a - 1)."""
     sev = _SEVERITIES[name]
     n = 200_000
     y = sev.isf(PcgStream(3636).uniforms(n) * sev.sf(c))
@@ -205,7 +204,10 @@ def test_isf_of_scaled_uniform_draws_the_law_above_a_floor(name, c):
     for ratio in (1.2, 1.5, 2.0, 4.0):
         p = float(sev.sf(ratio * c) / sev.sf(c))
         assert abs(np.mean(y > ratio * c) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
-    mean = (sev.mean() - sev.partial_expectation(c)) / sev.sf(c)
+    if name == "pareto":
+        mean = c + (sev.s + c) / (sev.a - 1.0)
+    else:
+        mean = (sev.mean() - sev.partial_expectation(c)) / sev.sf(c)
     assert abs(y.mean() - mean) <= 4.0 * y.std(ddof=1) / math.sqrt(n)
 
 

@@ -29,6 +29,7 @@ from lossmc import (
 )
 from lossmc import distributions
 from lossmc import report as report_module
+from lossmc.asymptotics import _c_tilde
 from lossmc.cli import main
 from lossmc.config import REQUIRED
 from lossmc.errors import ExtinctionError
@@ -566,23 +567,35 @@ def test_cli_second_order_sla_refuses_a_point_mass(tmp_path, capsys):
 
 @pytest.mark.parametrize("frequency,alpha,orders", [
     ({"kind": "poisson", "lambda": 2.0}, 0.9999999999999999, (1, 2)),
-    # E[N] = 1000 and a large second-order factor: only order 2 rounds
+    # E[N] = 1000 and a large second-order factor
     ({"kind": "negbinomial", "r": 1.0, "beta": 1000.0}, 0.99999999999, (2,)),
 ], ids=["both-orders", "second-order-only"])
-def test_cli_sla_names_a_level_whose_severity_level_rounds_to_one(tmp_path, capsys,
-                                                                  frequency, alpha, orders):
-    """1 - (1 - alpha)/E[N] (divided by the second-order factor) rounds to 1:
-    exit 2 with a detail that names the level.  A point mass still reads
-    its atom there at order 1."""
+def test_cli_sla_serves_a_level_whose_cdf_level_rounds_to_one(tmp_path, capsys,
+                                                              frequency, alpha, orders):
+    """1 - (1 - alpha)/E[N] (divided by the second-order factor) rounds to 1,
+    but the SLA reads isf at the survival level, which does not: each row
+    is isf at its shifted level and no lower than the row below it.  A
+    point mass reads its atom there at order 1."""
     model = dict(SIGMA05_MODEL, frequency=frequency)
+    built = ExperimentConfig(model=model, method={"kind": "sla"}, levels=[0.5]).build_model()
+    sev, en = built.severity, built.frequency.mean()
     for order in orders:
         cfg = _write_config(tmp_path, {"kind": "sla", "order": order},
                             levels=(0.5, alpha), model=model)
-        assert main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")]) == 2
-        doc = json.loads(capsys.readouterr().err)
-        assert doc["error"] == "ValueError"
-        assert f"level {alpha!r}" in doc["detail"] and "rounds to 1" in doc["detail"]
-        assert not (tmp_path / "x.csv").exists()
+        out = tmp_path / "x.json"
+        assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+        capsys.readouterr()
+        expected = []
+        for level in (0.5, alpha):
+            shifted = (1.0 - level) / en
+            if order == 2:
+                q1 = sev.isf(shifted)
+                shifted /= 1.0 + _c_tilde(built) * sev.pdf(q1) / sev.sf(q1)
+            assert level == 0.5 or 1.0 - shifted == 1.0
+            expected.append(f"{float(sev.isf(shifted)):.6g}")
+        rows = [row["var"] for row in json.loads(out.read_text())["rows"]]
+        assert rows == expected
+        assert float(rows[1]) >= float(rows[0])
 
     model = dict(model, severity={"kind": "degenerate", "atom": 3})
     cfg = _write_config(tmp_path, {"kind": "sla"}, levels=(0.5, alpha), model=model)
@@ -884,6 +897,23 @@ def test_cli_rejects_thread_counts_below_one(tmp_path, capsys, fields, flags):
     assert err.count("\n") == 1
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and "threads must be at least 1" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(_VALID_METHODS))
+@pytest.mark.parametrize("fields,flags", [({"seed": -5}, []), ({}, ["--seed", "-5"])],
+                         ids=["config", "flag"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, command, fields, flags):
+    """A negative seed exits 2 naming the key on every method, where sla
+    and panjer wrote it into the report meta and the sampling routes
+    failed on a message that named no key."""
+    cfg = _write_config(tmp_path, _VALID_METHODS[command], **fields)
+    rc = main([command, "--config", cfg, *flags, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "detail": "seed must be nonnegative, got -5"}
     assert not (tmp_path / "x.csv").exists()
 
 
