@@ -195,12 +195,10 @@ class PoissonFrequency(FrequencyModel):
 
     def pmf(self, n):
         n = np.asarray(n)
-        if self.lam == 0.0:
-            out = np.where(n == 0, 1.0, 0.0)
-            return out if out.ndim else float(out)
         nn = np.where(n >= 0, n, 0)
-        out = np.exp(nn * math.log(self.lam) - self.lam - special.gammaln(nn + 1.0))
-        out = np.where(n < 0, 0.0, out)
+        # xlogy(0, 0) = 0: lam = 0 puts unit mass at n = 0
+        out = np.where(n < 0, 0.0, np.exp(special.xlogy(nn, self.lam) - self.lam
+                                          - special.gammaln(nn + 1.0)))
         return out if out.ndim else float(out)
 
     def mean(self) -> float:
@@ -352,11 +350,7 @@ class GeneralizedPoissonFrequency(FrequencyModel):
         s = np.asarray(s)
         lam, th = self.lam, self.theta
         if th < 0.0:
-            pm = self.pmf(np.arange(self._support_cap() + 1))
-            out = 0.0
-            for p in pm[::-1]:
-                out = out * s + p
-            return out
+            return np.polyval(self.pmf(np.arange(self._support_cap() + 1))[::-1], s)
         if th == 0.0:
             return np.exp(lam * (s - 1.0))
         b = special.lambertw(-th * math.exp(-th) * s) / -th

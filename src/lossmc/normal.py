@@ -1,17 +1,17 @@
-"""Standard normal density, distribution and quantile helpers.
+"""Standard normal helpers, bound to ``scipy.special``.
 
-The cdf and survival function are evaluated through ``erfc`` on the
-side that keeps the argument small, so both tails retain full relative
-accuracy.  The quantile is ``scipy.special.ndtri`` behind a range
-check.
+``norm_cdf`` is ``ndtr`` and ``norm_sf(x)`` is ``ndtr(-x)``: full relative
+accuracy in both tails, and a numpy float (a ``float``) for a scalar.
+``norm_quantile`` is ``ndtri`` behind a range check.  The module stays
+only for the names that ``benchmarks/tracing.py`` patches to time them.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
 
-_SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+norm_cdf = special.ndtr
 
 
 def norm_pdf(x):
@@ -20,16 +20,8 @@ def norm_pdf(x):
     return out if out.ndim else float(out)
 
 
-def norm_cdf(x):
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-x / _SQRT2)
-    return out if out.ndim else float(out)
-
-
 def norm_sf(x):
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(x / _SQRT2)
-    return out if out.ndim else float(out)
+    return special.ndtr(np.negative(x))
 
 
 def norm_quantile(p):
