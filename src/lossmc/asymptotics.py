@@ -7,27 +7,42 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special
 
 from .compound import CompoundModel
 from .errors import LevelRangeError, UnsupportedModelError
 
 
+def _finite_isf(model: CompoundModel, alpha: float, level: float) -> float:
+    """The severity's ``isf`` at the survival level ``level``; a ValueError
+    where it is not finite (a level that underflows to 0, or an isf that
+    overflows)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        var = float(model.severity.isf(level))
+    if not math.isfinite(var):
+        raise ValueError(f"the SLA VaR at alpha {alpha!r} is not finite: E[N] = "
+                         f"{model.frequency.mean():g}, severity survival level {level:g}")
+    return var
+
+
 def sla_var_first_order(model: CompoundModel, alpha: float) -> float:
     """Severity quantile at 1 - (1 - alpha)/E[N]: its ``isf`` at (1 - alpha)/E[N].
 
     Valid when the shifted level stays in (0, 1); below that the
-    approximation has no meaning and a LevelRangeError is raised.
+    approximation has no meaning and a LevelRangeError is raised.  A count
+    law with E[N] = 0 raises UnsupportedModelError, and a VaR that is not
+    finite a ValueError.
     """
     en = model.frequency.mean()
     if en <= 0.0:
-        raise LevelRangeError("mean frequency must be positive")
+        raise UnsupportedModelError(f"the SLA needs a positive mean count, got E[N] = {en:g}")
     shifted = (1.0 - alpha) / en
     if shifted >= 1.0:
         raise LevelRangeError(
             f"(1-alpha)/E[N] = {shifted:.3g} >= 1; level too low for the SLA"
         )
-    return float(model.severity.isf(shifted))
+    return _finite_isf(model, alpha, shifted)
 
 
 def c_beta_constant(beta: float) -> float:
@@ -82,4 +97,4 @@ def sla_var_second_order(model: CompoundModel, alpha: float) -> float:
     factor = 1.0 + c_tilde * g1
     if factor <= 0.0:
         return q1
-    return float(sev.isf((1.0 - alpha) / model.frequency.mean() / factor))
+    return _finite_isf(model, alpha, (1.0 - alpha) / model.frequency.mean() / factor)

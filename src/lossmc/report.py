@@ -185,10 +185,12 @@ def _run_particle(model, cfg: ExperimentConfig):
     m = _method_values(cfg)
     width = m["grid_width"]
     x_max = _x_max(model, m)
-    if not (0.0 < 0.5 * width < x_max):
-        raise ValueError(f"need 0 < grid_width/2 < x_max so the grid has a point, "
-                         f"got grid_width {width}, x_max {x_max}")
-    grid = np.arange(width, x_max + 0.5 * width, width)
+    # a lone point has no neighbour to set its cell width, so its cell is
+    # the unit one around it and the measure misses the mass below it
+    grid = np.arange(width, x_max + 0.5 * width, width) if width > 0.0 else []
+    if len(grid) < 2:
+        raise ValueError(f"need grid_width > 0 and 1.5 grid_width < x_max so the grid has "
+                         f"two points, got grid_width {width}, x_max {x_max}")
     p_d = default_absorption(model) if m["p_d"] is None else m["p_d"]
     measure = estimate_density_grid(model, grid, m["n_per_point"], p_d, PcgStream(cfg.seed))
     locs, surv, se_surv = measure.survival()

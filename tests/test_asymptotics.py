@@ -56,7 +56,8 @@ def test_first_order_level_range_errors():
     with pytest.raises(LevelRangeError):
         sla_var_first_order(
             CompoundModel(PoissonFrequency(0.5), LogNormalSeverity(2.0, 0.5)), 0.3)
-    with pytest.raises(LevelRangeError):
+    # E[N] = 0 is no level's fault: the model is refused, not the level
+    with pytest.raises(UnsupportedModelError):
         sla_var_first_order(
             CompoundModel(PoissonFrequency(0.0), LogNormalSeverity(2.0, 0.5)), 0.99)
 

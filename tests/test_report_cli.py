@@ -604,6 +604,60 @@ def test_cli_sla_serves_a_level_whose_cdf_level_rounds_to_one(tmp_path, capsys,
     assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["3", "3"]
 
 
+_PARETO_HALF = {"kind": "pareto", "a": 0.5, "s": 1.0}
+_LN21 = {"kind": "lognormal", "mu": 2.0, "sigma": 1.0}
+
+
+@pytest.mark.parametrize("lam,severity,order,levels", [
+    # isf overflows: (5e-301)^(-2) and (1e-155)^(-2)
+    (1e300, _PARETO_HALF, 1, (0.5, 0.99)),
+    (1e150, _PARETO_HALF, 2, (0.99999,)),
+    # (1 - alpha)/E[N] underflows to 0, whose isf is inf
+    (1e308, _LN21, 1, (0.9999999999999999,)),
+], ids=["pareto-overflow", "pareto-overflow-order2", "survival-level-underflow"])
+def test_cli_sla_refuses_a_var_that_is_not_finite(tmp_path, capsys, lam, severity,
+                                                  order, levels):
+    """An infinite VaR was written as inf with exit 0; it exits 2 with one
+    JSON line that names the level, E[N] and the survival level."""
+    model = {"frequency": {"kind": "poisson", "lambda": lam}, "severity": severity}
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": order}, levels=levels, model=model)
+    rc = main(["sla", "--config", cfg, "--out", "json", "--path", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert f"alpha {levels[0]!r} is not finite: E[N] = {lam:g}" in doc["detail"]
+    assert "survival level" in doc["detail"]
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_cli_sla_serves_a_huge_mean_count_at_a_finite_var(tmp_path, capsys):
+    """E[N] = 1e308 at alpha 0.5 leaves a survival level of 5e-309, whose
+    lognormal isf is finite."""
+    model = {"frequency": {"kind": "poisson", "lambda": 1e308}, "severity": _LN21}
+    cfg = _write_config(tmp_path, {"kind": "sla"}, levels=(0.5,), model=model)
+    out = tmp_path / "x.json"
+    assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["1.51464e+17"]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_cli_sla_refuses_a_zero_mean_count(tmp_path, capsys, order):
+    """Poisson(0) used to drop every level and write a header-only report
+    with exit 0."""
+    model = dict(SIGMA05_MODEL, frequency={"kind": "poisson", "lambda": 0.0})
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": order}, model=model)
+    rc = main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "UnsupportedModelError"
+    assert "positive mean count" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_panjer_serves_underdispersed_generalized_poisson(tmp_path, capsys):
     """theta < 0 goes through the transform like every other count law,
     on the polynomial pgf of its finite support."""
@@ -710,6 +764,9 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     ("particle", {"kind": "particle", "x_max": 5.0, "n_per_point": 10,
                   "grid_width": -1.0}, "grid_width"),
     ("particle", {"kind": "particle", "x_max": 0.4, "n_per_point": 10}, "x_max"),
+    # grid [500]: a lone unit cell read VaR 0.5 = 0 with exit 0
+    ("particle", {"kind": "particle", "grid_width": 500.0, "x_max": 400.0,
+                  "n_per_point": 10}, "two points, got grid_width 500.0, x_max 400.0"),
     ("particle", {"kind": "particle", "x_max": -5.0, "n_per_point": 10}, "x_max"),
     ("particle", {"kind": "particle", "x_max": float("nan"), "n_per_point": 10},
      "x_max"),
@@ -766,7 +823,7 @@ def test_cli_rejects_misspelled_method_key(tmp_path, capsys, command, method, ty
     ("panjer", {"kind": "panjer", "step": 0.5, "x_max": 10.0,
                 "discretization": "local_moments"}, "unknown panjer method keys"),
 ], ids=["replicates-1", "mh_steps-negative", "beta_a-nan", "grid_width-0",
-        "grid_width-negative", "x_max-below-half-width", "x_max-negative",
+        "grid_width-negative", "x_max-below-half-width", "one-point-grid", "x_max-negative",
         "x_max-nan", "x_max-inf", "thresholds-nan", "thresholds-inf",
         "sla-order-5", "sla-order-0", "sla-order-negative", "T-fraction",
         "n_per_point-fraction", "n_particles-fraction", "mh_steps-fraction",
