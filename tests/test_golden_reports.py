@@ -29,9 +29,9 @@ _POISSON2 = {"kind": "poisson", "lambda": 2.0}
 _LEVELS = [0.5, 0.9, 0.99, 0.999]
 
 
-def _panjer(frequency):
-    return {"model": {"frequency": frequency, "severity": _LN05},
-            "method": {"kind": "panjer", "step": 0.05, "x_max": 150.0},
+def _panjer(frequency, severity=_LN05, step=0.05, x_max=150.0):
+    return {"model": {"frequency": frequency, "severity": severity},
+            "method": {"kind": "panjer", "step": step, "x_max": x_max},
             "levels": _LEVELS}
 
 
@@ -49,6 +49,9 @@ CONFIGS = {
                                      "severity": {"kind": "pareto", "a": 0.8, "s": 1.0}},
                            "method": {"kind": "sla", "order": 2},
                            "levels": _LEVELS + [0.9999]}),
+    "sla_order2_lognormal": ("sla", {"model": {"frequency": _POISSON2, "severity": _LN05},
+                                     "method": {"kind": "sla", "order": 2},
+                                     "levels": _LEVELS + [0.9999]}),
     "panjer_poisson": ("panjer", _panjer(_POISSON2)),
     "panjer_poisson0": ("panjer", _panjer({"kind": "poisson", "lambda": 0.0})),
     "panjer_binomial": ("panjer", _panjer({"kind": "binomial", "m": 5, "q": 0.4})),
@@ -58,6 +61,9 @@ CONFIGS = {
                                              "theta": 0.3})),
     "panjer_genpoisson_under": ("panjer", _panjer({"kind": "genpoisson", "lambda": 2.0,
                                                    "theta": -0.3})),
+    "panjer_pareto": ("panjer", _panjer(_POISSON2, {"kind": "pareto", "a": 2.0, "s": 1.0})),
+    "panjer_point_mass": ("panjer", _panjer(_POISSON2, {"kind": "degenerate", "atom": 2.0},
+                                            step=0.5, x_max=40.0)),
     "particle": ("particle", {"model": {"frequency": {"kind": "negbinomial", "r": 2.0,
                                                       "beta": 1.0},
                                         "severity": {"kind": "lognormal", "mu": 2.0,
@@ -71,6 +77,14 @@ CONFIGS = {
                                              "n_particles": 500, "mh_steps": 2,
                                              "replicates": 4},
                                   "levels": [0.9], "seed": 5}),
+    "rare_event_pareto": ("rare-event", {"model": {"frequency": _POISSON2,
+                                                   "severity": {"kind": "pareto", "a": 1.5,
+                                                                "s": 1.0}},
+                                         "method": {"kind": "rare-event",
+                                                    "thresholds": [10.0, 20.0, 40.0],
+                                                    "n_particles": 500, "mh_steps": 2,
+                                                    "replicates": 4},
+                                         "levels": [0.9], "seed": 5}),
 }
 # golden file -> table1 arguments
 TABLES = {
