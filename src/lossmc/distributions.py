@@ -428,43 +428,33 @@ class LogNormalSeverity(SeverityModel):
             raise ValueError("sigma must be positive")
 
     def _z(self, x):
-        return (np.log(x) - self.mu) / self.sigma
+        """(log x - mu)/sigma, the support clamp: -inf at x <= 0, where the
+        normal cdf and sf read exactly 0 and 1."""
+        with np.errstate(divide="ignore"):
+            return (np.log(np.maximum(x, 0.0)) - self.mu) / self.sigma
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = self._z(np.where(x > 0, x, 1.0))
-            out = np.where(x > 0, norm_pdf(z) / (np.where(x > 0, x, 1.0) * self.sigma), 0.0)
-        return out if out.ndim else float(out)
+        # phi(-inf) = 0 over an infinite divisor keeps 0/0 off x <= 0
+        return norm_pdf(self._z(x)) / (np.where(x > 0, x, np.inf) * self.sigma)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x > 0, norm_cdf(self._z(np.where(x > 0, x, 1.0))), 0.0)
-        return out if out.ndim else float(out)
+        return norm_cdf(self._z(x))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.all(x > 0):
-            out = norm_sf(self._z(x))
-        else:
-            out = np.where(x > 0, norm_sf(self._z(np.where(x > 0, x, 1.0))), 1.0)
-        return out if np.ndim(out) else float(out)
+        return norm_sf(self._z(x))
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma ** 2)
 
     def partial_expectation(self, x):
-        x = np.asarray(x, dtype=float)
-        shifted = self._z(np.where(x > 0, x, 1.0)) - self.sigma
-        out = np.where(x > 0, self.mean() * norm_cdf(shifted), 0.0)
-        return out if out.ndim else float(out)
+        return self.mean() * norm_cdf(self._z(x) - self.sigma)
 
     def interval_partial_expectation(self, edges):
-        edges = np.asarray(edges, dtype=float)
-        z = np.where(edges > 0, self._z(np.where(edges > 0, edges, 1.0)), -np.inf) - self.sigma
         # E[X; X <= x] = E[X] Phi(z(x) - sigma): the increments of the
         # shifted normal, whose median sits at x = exp(mu + sigma^2)
-        return self.mean() * _cell_increments(z, 0.0, norm_cdf, norm_sf)
+        return self.mean() * _cell_increments(self._z(edges) - self.sigma, 0.0,
+                                              norm_cdf, norm_sf)
 
     def isf(self, u):
         """exp(mu - sigma ndtri(u)); the endpoint u = 1 maps to exactly 0."""
@@ -496,14 +486,10 @@ class ParetoSeverity(SeverityModel):
         return out if out.ndim else float(out)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0, -np.expm1(-self.a * np.log1p(np.maximum(x, 0.0) / self.s)), 0.0)
-        return out if out.ndim else float(out)
+        return -np.expm1(-self.a * np.log1p(np.maximum(x, 0.0) / self.s))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= 0, (1.0 + np.maximum(x, 0.0) / self.s) ** (-self.a), 1.0)
-        return out if out.ndim else float(out)
+        return np.power(1.0 + np.maximum(x, 0.0) / self.s, -self.a)
 
     def mean(self) -> float:
         if self.a <= 1.0:
@@ -525,9 +511,7 @@ class ParetoSeverity(SeverityModel):
         return np.maximum(integ[1:] - integ[:-1] + xsf[:-1] - xsf[1:], 0.0)
 
     def isf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = self.s * (u ** (-1.0 / self.a) - 1.0)
-        return out if out.ndim else float(out)
+        return self.s * (np.power(u, -1.0 / self.a) - 1.0)
 
 
 @dataclass
@@ -542,14 +526,10 @@ class DegenerateSeverity(SeverityModel):
             raise ValueError("atom must be positive")
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.atom, 1.0, 0.0)
-        return out if out.ndim else float(out)
+        return np.greater_equal(x, self.atom).astype(float)
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.atom, 0.0, 1.0)
-        return out if out.ndim else float(out)
+        return 1.0 - self.cdf(x)
 
     def mean(self) -> float:
         return self.atom

@@ -16,8 +16,7 @@ norm_cdf = special.ndtr
 
 def norm_pdf(x):
     x = np.asarray(x, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return out if out.ndim else float(out)
+    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def norm_sf(x):
@@ -33,5 +32,4 @@ def norm_quantile(p):
     arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ValueError("normal quantile requires p in (0, 1)")
-    x = special.ndtri(arr)
-    return x if x.ndim else float(x)
+    return special.ndtri(arr)
