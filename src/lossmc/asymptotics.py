@@ -62,10 +62,20 @@ def c_beta_constant(beta: float) -> float:
 
 def _c_tilde(model: CompoundModel) -> float:
     """The second-order constant: E[X] E[(N-1)N] / E[N] for a finite-mean
-    severity, c_{1/a} E[(N-1)N] / E[N] for a power tail of index a < 1."""
+    severity, c_{1/a} E[(N-1)N] / E[N] for a power tail of index a < 1.
+
+    A count law whose E[N(N-1)] overflows a float raises
+    UnsupportedModelError."""
     ex = model.severity.mean()
-    fm2 = model.frequency.factorial_moment2()
-    en = model.frequency.mean()
+    freq = model.frequency
+    try:
+        fm2 = freq.factorial_moment2()
+    except OverflowError:  # a Python float power, such as Poisson's lam ** 2
+        fm2 = math.inf
+    if not math.isfinite(fm2):
+        raise UnsupportedModelError(f"the second-order SLA needs a finite E[N(N-1)], which "
+                                    f"overflows a float for the count law {freq}")
+    en = freq.mean()
     if math.isfinite(ex):
         return ex * fm2 / en
     a = model.severity.tail_index

@@ -75,6 +75,12 @@ def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> Sampl
     return SampleBatch(values=claim_sums(*sample_claims(model, T, rng)))
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, the bound of the refusals of work that
+    could never fit."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
                                threads: int = 1) -> SampleBatch:
     """Chunked simulation with one child stream per chunk of ``_CHUNK`` losses.
@@ -85,7 +91,7 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
     ``ValueError`` before any stream is spawned.
     """
     T = int(T)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     if 8 * T > memory:
         raise ValueError(f"T = {T} losses need {8 * T:.3g} bytes as float64, more than the "
                          f"{memory:.3g} bytes of physical memory")

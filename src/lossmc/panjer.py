@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
+from .compound import physical_memory
 from .distributions import (
     FrequencyModel,
     GeneralizedPoissonFrequency,
@@ -301,7 +302,10 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
     :func:`oracle_tail_stats`) for very deep levels.  A step above the
     severity median, which would put more than half the severity mass in
     the first cell, raises ``ValueError``: such a lattice cannot resolve
-    the severity.
+    the severity.  A lattice whose transform buffers alone would exceed
+    physical memory raises ``ValueError`` before anything is allocated: at
+    a length L >= 2(M+1), the rfft spectrum and the irfft output take at
+    least 32 (M+1) bytes.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -309,7 +313,14 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
     if step > median:
         raise ValueError(f"step {step:g} exceeds the severity median {median:.6g}; "
                          "the lattice would not resolve the severity")
-    M = int(math.ceil(x_max / step))
+    cells = x_max / step  # checked as a float, since it may overflow to inf
+    memory = physical_memory()
+    if 32.0 * (cells + 1.0) > memory:
+        raise ValueError(f"step {step:g} to x_max {x_max:g} makes M = {cells:.3g} "
+                         f"lattice cells, whose transform buffers need at least "
+                         f"{32.0 * (cells + 1.0):.3g} bytes, more than the {memory:.3g} bytes "
+                         "of physical memory")
+    M = int(math.ceil(cells))
     sev = discretize_severity(model.severity, step, M)
     return compound_pmf_transform(model.frequency, sev, M)
 

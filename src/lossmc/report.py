@@ -144,7 +144,16 @@ def _method_values(cfg: ExperimentConfig) -> dict:
 
 
 def _x_max(model, m: dict) -> float:
-    return 40.0 * max(model.mean(), 1.0) if m["x_max"] is None else m["x_max"]
+    """``x_max``, by default 40 max(E[Z], 1); a ValueError where that default
+    is not finite (E[Z] infinite, or NaN for E[N] = 0 times E[X] = inf)."""
+    if m["x_max"] is not None:
+        return m["x_max"]
+    mean = model.mean()
+    x_max = 40.0 * max(mean, 1.0)
+    if not math.isfinite(x_max):
+        raise ValueError(f"the default x_max = 40 max(E[Z], 1) is not finite at "
+                         f"E[Z] = {mean:g}; set x_max")
+    return x_max
 
 
 def _run_mc(model, cfg: ExperimentConfig):

@@ -71,9 +71,24 @@ def test_isf_sf_roundtrip_into_the_deep_tail():
 
 
 def test_cdf_plus_sf_is_one():
-    sev = LogNormalSeverity(2.0, 0.5)
-    for x in (0.5, 2.0, 7.0, 30.0, 100.0):
-        assert sev.cdf(x) + sev.sf(x) == pytest.approx(1.0, abs=1e-12)
+    """cdf + sf = 1 on the support, and the edges read exactly: 0 and 1 at
+    and below x = 0, 1 and 0 at +inf.  A scalar returns a float and an
+    array keeps its shape."""
+    for sev in (LogNormalSeverity(2.0, 0.5), ParetoSeverity(a=2.0, s=1.0),
+                ParetoSeverity(a=0.5, s=3.0), DegenerateSeverity(atom=3.0)):
+        for x in (0.5, 2.0, 7.0, 30.0, 100.0):
+            assert sev.cdf(x) + sev.sf(x) == pytest.approx(1.0, abs=1e-12)
+        for x in (-1.0, 0.0):
+            assert sev.cdf(x) == 0.0 and sev.sf(x) == 1.0
+        assert sev.cdf(math.inf) == 1.0 and sev.sf(math.inf) == 0.0
+        for fn in (sev.cdf, sev.sf):
+            assert isinstance(fn(2.0), float)
+            assert fn(np.full((2, 3), 2.0)).shape == (2, 3)
+    ln = LogNormalSeverity(2.0, 0.5)
+    for fn in (ln.pdf, ln.partial_expectation):
+        assert fn(-1.0) == 0.0 and fn(0.0) == 0.0
+        assert isinstance(fn(2.0), float)
+        assert fn(np.full((2, 3), 2.0)).shape == (2, 3)
 
 
 def test_degenerate_severity():

@@ -80,6 +80,17 @@ def test_oracle_refuses_a_step_above_the_severity_median(step):
     assert oracle_compound_pmf(sigma05_model(), step=7.38, x_max=200.0).masses.size == 29
 
 
+def test_oracle_memory_refusal_is_a_lower_bound(monkeypatch):
+    """The rfft spectrum and irfft output of M + 1 = 81 cells need at least
+    32 * 81 = 2592 bytes: a memory of exactly that serves, one byte less
+    refuses."""
+    monkeypatch.setattr(panjer, "physical_memory", lambda: 2592)
+    assert oracle_compound_pmf(sigma05_model(), step=0.5, x_max=40.0).masses.size == 81
+    monkeypatch.setattr(panjer, "physical_memory", lambda: 2591)
+    with pytest.raises(ValueError, match="makes M = 80 lattice cells, .* at least 2.59e"):
+        oracle_compound_pmf(sigma05_model(), step=0.5, x_max=40.0)
+
+
 def test_discrete_severity_validation():
     good = np.array([0.5, 0.5])
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from lossmc import (
     simulate_compound_parallel,
 )
 from lossmc import distributions
+from lossmc import panjer as panjer_module
 from lossmc import report as report_module
 from lossmc.asymptotics import _c_tilde
 from lossmc.cli import main
@@ -632,14 +633,36 @@ def test_cli_sla_refuses_a_var_that_is_not_finite(tmp_path, capsys, lam, severit
     assert not (tmp_path / "x.json").exists()
 
 
-def test_cli_sla_serves_a_huge_mean_count_at_a_finite_var(tmp_path, capsys):
+@pytest.mark.parametrize("lam,order,var", [
+    (1e308, 1, "1.51464e+17"),
+    # E[N(N-1)] = 1e300 still fits a float
+    (1e150, 2, "5.03279e+16"),
+], ids=["order1", "order2"])
+def test_cli_sla_serves_a_huge_mean_count_at_a_finite_var(tmp_path, capsys, lam, order, var):
     """E[N] = 1e308 at alpha 0.5 leaves a survival level of 5e-309, whose
     lognormal isf is finite."""
-    model = {"frequency": {"kind": "poisson", "lambda": 1e308}, "severity": _LN21}
-    cfg = _write_config(tmp_path, {"kind": "sla"}, levels=(0.5,), model=model)
+    model = {"frequency": {"kind": "poisson", "lambda": lam}, "severity": _LN21}
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": order}, levels=(0.5,), model=model)
     out = tmp_path / "x.json"
     assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
-    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["1.51464e+17"]
+    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == [var]
+
+
+@pytest.mark.parametrize("lam", [1e155, 1e200])
+def test_cli_second_order_sla_refuses_a_factorial_moment_that_overflows(tmp_path, capsys,
+                                                                         lam):
+    """lam ** 2 raised a bare OverflowError, '(34, 'Numerical result out of
+    range')'; it exits 2 naming E[N(N-1)] and the count law."""
+    model = {"frequency": {"kind": "poisson", "lambda": lam}, "severity": _LN21}
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": 2}, levels=(0.5,), model=model)
+    rc = main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "UnsupportedModelError"
+    assert "E[N(N-1)]" in doc["detail"] and f"PoissonFrequency(lam={lam:g})" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -687,6 +710,60 @@ def test_unset_x_max_defaults_to_forty_model_means(method):
         assert diagnostics["masses"] == math.ceil(x_max / 0.5) + 1
     else:
         assert diagnostics["x_max"] == x_max
+
+
+@pytest.mark.parametrize("command,method,lam,a,mean", [
+    ("panjer", {"kind": "panjer", "step": 0.05}, 2.0, 0.5, "inf"),
+    ("panjer", {"kind": "panjer", "step": 0.05}, 2.0, 1.0, "inf"),
+    # E[N] E[X] = 0 * inf
+    ("panjer", {"kind": "panjer", "step": 0.05}, 0.0, 0.5, "nan"),
+    ("particle", {"kind": "particle", "n_per_point": 2}, 2.0, 0.5, "inf"),
+], ids=["pareto-half", "pareto-one", "poisson0", "particle"])
+def test_cli_refuses_a_default_x_max_that_is_not_finite(tmp_path, capsys, command, method,
+                                                        lam, a, mean):
+    """40 max(E[Z], 1) with E[Z] infinite or NaN failed on a bare
+    OverflowError or numpy's 'Maximum allowed size exceeded'."""
+    model = {"frequency": {"kind": "poisson", "lambda": lam},
+             "severity": {"kind": "pareto", "a": a, "s": 1.0}}
+    cfg = _write_config(tmp_path, method, model=model)
+    rc = main([command, "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert f"x_max = 40 max(E[Z], 1) is not finite at E[Z] = {mean}" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_panjer_serves_an_infinite_mean_severity_at_a_set_x_max(tmp_path, capsys):
+    model = {"frequency": {"kind": "poisson", "lambda": 2.0},
+             "severity": {"kind": "pareto", "a": 0.5, "s": 1.0}}
+    cfg = _write_config(tmp_path, {"kind": "panjer", "step": 0.05, "x_max": 2000.0},
+                        levels=(0.5, 0.8), model=model)
+    out = tmp_path / "x.json"
+    assert main(["panjer", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["9.45", "93"]
+
+
+def test_cli_refuses_a_panjer_lattice_larger_than_memory(tmp_path, capsys, monkeypatch):
+    """Poisson(1e6) puts the default x_max at 4.9e8, M = 4.9e10 cells of
+    step 0.01: numpy failed to allocate, or the process was killed.  It
+    exits 2 at once, before the lattice is formed."""
+    def no_lattice(*args):
+        raise AssertionError("formed the lattice")
+    monkeypatch.setattr(panjer_module, "discretize_severity", no_lattice)
+    model = {"frequency": {"kind": "poisson", "lambda": 1e6}, "severity": _LN21}
+    cfg = _write_config(tmp_path, {"kind": "panjer"}, model=model)
+    rc = main(["panjer", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert "step 0.01 to x_max 4.873e+08 makes M = 4.87e+10" in doc["detail"]
+    assert "physical memory" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("x_max", [0, -5.0])
