@@ -17,6 +17,13 @@ and the oracle's step check read it too.  A table is inverted
 through a guide table (:func:`_guided_search`), which finds the entry of
 a draw in O(1) expected steps instead of a binary search; the splitting
 selection step uses the same lookup for its ancestors.
+
+Each severity guards its support once.  The lognormal's ``_z`` clamps x
+at 0 before the log, so z = -inf below the support, where the normal cdf
+and sf read exactly 0 and 1; Pareto clamps x at 0 the same way.  Their
+cdf, sf and partial expectations are plain numpy expressions: a scalar
+input returns a numpy float (a ``float``), an array keeps its shape, and
+a NaN input gives NaN.
 """
 from __future__ import annotations
 
@@ -500,10 +507,8 @@ class ParetoSeverity(SeverityModel):
         """Integral of the survival function over (0, x]."""
         x = np.asarray(x, dtype=float)
         if self.a == 1.0:
-            out = self.s * np.log1p(x / self.s)
-        else:
-            out = self.s / (self.a - 1.0) * (1.0 - (1.0 + x / self.s) ** (1.0 - self.a))
-        return out if out.ndim else float(out)
+            return self.s * np.log1p(x / self.s)
+        return self.s / (self.a - 1.0) * (1.0 - (1.0 + x / self.s) ** (1.0 - self.a))
 
     def interval_partial_expectation(self, edges):
         edges = np.asarray(edges, dtype=float)
