@@ -76,8 +76,8 @@ def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> Sampl
 
 
 def physical_memory() -> int:
-    """Bytes of physical memory, the bound of the refusals of work that
-    could never fit."""
+    """Bytes of physical memory: a run that would need more is refused
+    before it allocates."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
