@@ -26,7 +26,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _LN05 = {"kind": "lognormal", "mu": 2.0, "sigma": 0.5}
 _POISSON2 = {"kind": "poisson", "lambda": 2.0}
+_NEGBIN = {"kind": "negbinomial", "r": 2.0, "beta": 1.0}
 _LEVELS = [0.5, 0.9, 0.99, 0.999]
+
+
+def _simulate(frequency):
+    return {"model": {"frequency": frequency, "severity": _LN05},
+            "method": {"kind": "mc", "T": 20_000},
+            "levels": _LEVELS, "seed": 11}
+
+
+def _rare_event(frequency, severity=_LN05, thresholds=(40.0, 60.0, 80.0)):
+    return {"model": {"frequency": frequency, "severity": severity},
+            "method": {"kind": "rare-event", "thresholds": list(thresholds),
+                       "n_particles": 500, "mh_steps": 2, "replicates": 4},
+            "levels": [0.9], "seed": 5}
 
 
 def _panjer(frequency, severity=_LN05, step=0.05, x_max=150.0):
@@ -38,14 +52,17 @@ def _panjer(frequency, severity=_LN05, step=0.05, x_max=150.0):
 # golden file stem -> (subcommand, config); each config runs in well under
 # a second
 CONFIGS = {
-    "simulate": ("simulate", {"model": {"frequency": _POISSON2, "severity": _LN05},
-                              "method": {"kind": "mc", "T": 20_000},
-                              "levels": _LEVELS, "seed": 11}),
+    "simulate": ("simulate", _simulate(_POISSON2)),
+    "simulate_binomial": ("simulate", _simulate({"kind": "binomial", "m": 5, "q": 0.4})),
+    "simulate_negbinomial": ("simulate", _simulate(_NEGBIN)),
+    "simulate_genpoisson": ("simulate", _simulate({"kind": "genpoisson", "lambda": 1.5,
+                                                   "theta": 0.3})),
+    "simulate_genpoisson_under": ("simulate", _simulate({"kind": "genpoisson",
+                                                         "lambda": 1.8, "theta": -0.36})),
     "sla_order1": ("sla", {"model": {"frequency": _POISSON2, "severity": _LN05},
                            "method": {"kind": "sla", "order": 1},
                            "levels": _LEVELS + [0.9999]}),
-    "sla_order2": ("sla", {"model": {"frequency": {"kind": "negbinomial", "r": 2.0,
-                                                   "beta": 1.0},
+    "sla_order2": ("sla", {"model": {"frequency": _NEGBIN,
                                      "severity": {"kind": "pareto", "a": 0.8, "s": 1.0}},
                            "method": {"kind": "sla", "order": 2},
                            "levels": _LEVELS + [0.9999]}),
@@ -55,8 +72,7 @@ CONFIGS = {
     "panjer_poisson": ("panjer", _panjer(_POISSON2)),
     "panjer_poisson0": ("panjer", _panjer({"kind": "poisson", "lambda": 0.0})),
     "panjer_binomial": ("panjer", _panjer({"kind": "binomial", "m": 5, "q": 0.4})),
-    "panjer_negbinomial": ("panjer", _panjer({"kind": "negbinomial", "r": 2.0,
-                                              "beta": 1.0})),
+    "panjer_negbinomial": ("panjer", _panjer(_NEGBIN)),
     "panjer_genpoisson": ("panjer", _panjer({"kind": "genpoisson", "lambda": 1.5,
                                              "theta": 0.3})),
     "panjer_genpoisson_under": ("panjer", _panjer({"kind": "genpoisson", "lambda": 2.0,
@@ -64,27 +80,17 @@ CONFIGS = {
     "panjer_pareto": ("panjer", _panjer(_POISSON2, {"kind": "pareto", "a": 2.0, "s": 1.0})),
     "panjer_point_mass": ("panjer", _panjer(_POISSON2, {"kind": "degenerate", "atom": 2.0},
                                             step=0.5, x_max=40.0)),
-    "particle": ("particle", {"model": {"frequency": {"kind": "negbinomial", "r": 2.0,
-                                                      "beta": 1.0},
+    "particle": ("particle", {"model": {"frequency": _NEGBIN,
                                         "severity": {"kind": "lognormal", "mu": 2.0,
                                                      "sigma": 1.0}},
                               "method": {"kind": "particle", "grid_width": 2.0,
                                          "x_max": 200.0, "n_per_point": 200},
                               "levels": [0.5, 0.9, 0.99, 0.9999], "seed": 7}),
-    "rare_event": ("rare-event", {"model": {"frequency": _POISSON2, "severity": _LN05},
-                                  "method": {"kind": "rare-event",
-                                             "thresholds": [40.0, 60.0, 80.0],
-                                             "n_particles": 500, "mh_steps": 2,
-                                             "replicates": 4},
-                                  "levels": [0.9], "seed": 5}),
-    "rare_event_pareto": ("rare-event", {"model": {"frequency": _POISSON2,
-                                                   "severity": {"kind": "pareto", "a": 1.5,
-                                                                "s": 1.0}},
-                                         "method": {"kind": "rare-event",
-                                                    "thresholds": [10.0, 20.0, 40.0],
-                                                    "n_particles": 500, "mh_steps": 2,
-                                                    "replicates": 4},
-                                         "levels": [0.9], "seed": 5}),
+    "rare_event": ("rare-event", _rare_event(_POISSON2)),
+    "rare_event_negbinomial": ("rare-event", _rare_event(_NEGBIN)),
+    "rare_event_pareto": ("rare-event", _rare_event(_POISSON2, {"kind": "pareto", "a": 1.5,
+                                                                "s": 1.0},
+                                                    (10.0, 20.0, 40.0))),
 }
 # golden file -> table1 arguments
 TABLES = {
