@@ -18,12 +18,20 @@ through a guide table (:func:`_guided_search`), which finds the entry of
 a draw in O(1) expected steps instead of a binary search; the splitting
 selection step uses the same lookup for its ancestors.
 
+Each count law states its pmf once, as ``_log_pmf`` on its support
+0..``_support_max`` (the binomial's m, the last count of positive rate
+for the generalized Poisson with theta < 0, infinite otherwise); the one
+``FrequencyModel.pmf`` masks that support and exponentiates, and the
+theta < 0 pgf polynomial and the sampling table end at the same bound.
+
 Each severity guards its support once.  The lognormal's ``_z`` clamps x
 at 0 before the log, so z = -inf below the support, where the normal cdf
-and sf read exactly 0 and 1; Pareto clamps x at 0 the same way.  Their
-cdf, sf and partial expectations are plain numpy expressions: a scalar
-input returns a numpy float (a ``float``), an array keeps its shape, and
-a NaN input gives NaN.
+and sf read exactly 0 and 1; Pareto clamps x at 0 the same way.  The
+lognormal pdf clamps log x the same way inside one exponential,
+exp(c - h^2) with h = (z + sigma)/sqrt(2), which needs no division by x
+and is the density the particle kernel reads.  Their cdf, sf and partial
+expectations are plain numpy expressions: a scalar input returns a numpy
+float (a ``float``), an array keeps its shape, and a NaN input gives NaN.
 """
 from __future__ import annotations
 
@@ -35,9 +43,10 @@ from scipy import special
 
 from .config import COUNT, REAL, REQUIRED, read_block
 from .errors import UnsupportedModelError
-from .normal import norm_cdf, norm_pdf, norm_sf
-# no caller here: benchmarks/tracing.py patches distributions.norm_quantile by name
-from .normal import norm_quantile  # noqa: F401
+from .normal import norm_cdf, norm_sf
+# no caller here: benchmarks/tracing.py patches distributions.norm_pdf and
+# distributions.norm_quantile by name
+from .normal import norm_pdf, norm_quantile  # noqa: F401
 from .rng import UniformStream
 
 _TABLE_TAIL = 1e-12  # truncation point for inverse-cdf sampling tables
@@ -113,16 +122,25 @@ def _guided_search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndar
 class FrequencyModel:
     """Common interface for the counting laws.
 
-    Subclasses provide ``pmf`` (vectorized in n), the first two
-    factorial moments, the probability generating function, sampling
-    from a uniform stream, and -- for (a, b, 0) members -- the Panjer
-    parameters.
+    Subclasses provide the log pmf on their support (``_log_pmf``) and its
+    last count (``_support_max``), the first two factorial moments, the
+    probability generating function, and -- for (a, b, 0) members -- the
+    Panjer parameters; the pmf and sampling are shared.
     """
 
     kind: str = "abstract"
+    _support_max = math.inf  # the last count with positive mass
+
+    def _log_pmf(self, n):
+        """log p_n for n in 0.._support_max."""
+        raise NotImplementedError
 
     def pmf(self, n):
-        raise NotImplementedError
+        """p_n, vectorized in n: 0 off 0.._support_max, a float for a scalar."""
+        n = np.asarray(n)
+        valid = (n >= 0) & (n <= self._support_max)
+        out = np.where(valid, np.exp(self._log_pmf(np.where(valid, n, 0))), 0.0)
+        return out if out.ndim else float(out)
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -200,13 +218,9 @@ class PoissonFrequency(FrequencyModel):
         if self.lam < 0.0:
             raise ValueError("rate must be nonnegative")
 
-    def pmf(self, n):
-        n = np.asarray(n)
-        nn = np.where(n >= 0, n, 0)
+    def _log_pmf(self, n):
         # xlogy(0, 0) = 0: lam = 0 puts unit mass at n = 0
-        out = np.where(n < 0, 0.0, np.exp(special.xlogy(nn, self.lam) - self.lam
-                                          - special.gammaln(nn + 1.0)))
-        return out if out.ndim else float(out)
+        return special.xlogy(n, self.lam) - self.lam - special.gammaln(n + 1.0)
 
     def mean(self) -> float:
         return self.lam
@@ -233,17 +247,12 @@ class BinomialFrequency(FrequencyModel):
             raise ValueError("m must be a positive integer")
         if not (0.0 < self.q < 1.0):
             raise ValueError("q must lie in (0, 1)")
-        self.m = int(self.m)
+        self.m = self._support_max = int(self.m)
 
-    def pmf(self, n):
-        n = np.asarray(n)
-        valid = (n >= 0) & (n <= self.m)
-        nn = np.where(valid, n, 0)
-        logpm = (special.gammaln(self.m + 1.0) - special.gammaln(nn + 1.0)
-                 - special.gammaln(self.m - nn + 1.0)
-                 + nn * math.log(self.q) + (self.m - nn) * math.log1p(-self.q))
-        out = np.where(valid, np.exp(logpm), 0.0)
-        return out if out.ndim else float(out)
+    def _log_pmf(self, n):
+        return (special.gammaln(self.m + 1.0) - special.gammaln(n + 1.0)
+                - special.gammaln(self.m - n + 1.0)
+                + n * math.log(self.q) + (self.m - n) * math.log1p(-self.q))
 
     def mean(self) -> float:
         return self.m * self.q
@@ -272,14 +281,11 @@ class NegativeBinomialFrequency(FrequencyModel):
         if self.r <= 0.0 or self.beta <= 0.0:
             raise ValueError("r and beta must be positive")
 
-    def pmf(self, n):
-        n = np.asarray(n)
+    def _log_pmf(self, n):
         pr = self.beta / (1.0 + self.beta)
-        logpm = (special.gammaln(self.r + n) - special.gammaln(self.r)
-                 - special.gammaln(n + 1.0)
-                 + n * math.log(pr) - self.r * math.log1p(self.beta))
-        out = np.where(n < 0, 0.0, np.exp(logpm))
-        return out if out.ndim else float(out)
+        return (special.gammaln(self.r + n) - special.gammaln(self.r)
+                - special.gammaln(n + 1.0)
+                + n * math.log(pr) - self.r * math.log1p(self.beta))
 
     def mean(self) -> float:
         return self.r * self.beta
@@ -322,24 +328,22 @@ class GeneralizedPoissonFrequency(FrequencyModel):
             raise ValueError("dispersion must be < 1")
         if self.theta < 0.0 and self.theta < max(-1.0, -self.lam / 4.0):
             raise ValueError("dispersion below the admissible region")
+        if self.theta < 0.0:
+            # the last n whose rate lam + n theta, in the float arithmetic of
+            # _log_pmf, is positive: the rate falls with n, so bisect
+            lo, hi = 0, 2 ** 63
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if self.lam + mid * self.theta > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            self._support_max = lo
 
-    def _support_cap(self):
-        if self.theta >= 0.0:
-            return None
-        # largest n with lam + n*theta > 0
-        return int(np.ceil(self.lam / -self.theta)) - 1
-
-    def pmf(self, n):
-        n = np.asarray(n)
+    def _log_pmf(self, n):
         lam, th = self.lam, self.theta
-        rate = lam + n * th
-        valid = (n >= 0) & (rate > 0.0)
-        nn = np.where(valid, n, 0)
-        rr = np.where(valid, rate, 1.0)
-        logpm = (math.log(lam) + (nn - 1) * np.log(rr) - lam - nn * th
-                 - special.gammaln(nn + 1.0))
-        out = np.where(valid, np.exp(logpm), 0.0)
-        return out if out.ndim else float(out)
+        return (math.log(lam) + (n - 1) * np.log(lam + n * th) - lam - n * th
+                - special.gammaln(n + 1.0))
 
     def mean(self) -> float:
         return self.lam / (1.0 - self.theta)
@@ -357,7 +361,7 @@ class GeneralizedPoissonFrequency(FrequencyModel):
         s = np.asarray(s)
         lam, th = self.lam, self.theta
         if th < 0.0:
-            return np.polyval(self.pmf(np.arange(self._support_cap() + 1))[::-1], s)
+            return np.polyval(self.pmf(np.arange(self._support_max + 1))[::-1], s)
         if th == 0.0:
             return np.exp(lam * (s - 1.0))
         b = special.lambertw(-th * math.exp(-th) * s) / -th
@@ -441,9 +445,16 @@ class LogNormalSeverity(SeverityModel):
             return (np.log(np.maximum(x, 0.0)) - self.mu) / self.sigma
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        # phi(-inf) = 0 over an infinite divisor keeps 0/0 off x <= 0
-        return norm_pdf(self._z(x)) / (np.where(x > 0, x, np.inf) * self.sigma)
+        """phi(z) / (x sigma) in one exponential, exp(c - h^2) with h = (z +
+        sigma)/sqrt(2) = log(x) sqrt(1/2)/sigma + sqrt(1/2)(sigma - mu/sigma)
+        and c = sigma^2/2 - mu - log(sigma sqrt(2 pi)): no division by x, and
+        log x clamped at 0 gives h = -inf, so exactly 0 at x <= 0."""
+        mu, sigma = self.mu, self.sigma
+        c = 0.5 * sigma * sigma - mu - math.log(sigma * math.sqrt(2.0 * math.pi))
+        with np.errstate(divide="ignore"):
+            h = (np.log(np.maximum(x, 0.0)) * (math.sqrt(0.5) / sigma)
+                 + math.sqrt(0.5) * (sigma - mu / sigma))
+        return np.exp(c - h * h)
 
     def cdf(self, x):
         return norm_cdf(self._z(x))

@@ -12,7 +12,9 @@ with the mass beyond the grid from paths started in the severity tail,
 form the measure that quantiles and risk functionals are read from.
 The route accepts the Poisson and negative binomial counts, the
 (a, b, 0) members whose kernel is nonnegative, with a lognormal
-severity; every other model is rejected.
+severity; every other model is rejected.  The kernel reads the
+severity's own density, ``LogNormalSeverity.pdf``: f_X in k and in
+g = p_1 f_X.
 
 The grid estimator and the tail start run one propagator,
 ``_propagate``, which advances a whole set of particles by one
@@ -124,26 +126,6 @@ class VolterraKernel:
     b: float
 
 
-def _lognormal_pdf(sev: LogNormalSeverity, factor: float = 1.0):
-    """x -> factor * f_X(x) in one expression.
-
-    With z = (ln x - mu)/sigma, phi(z) / (x sigma) equals
-    exp(sigma^2/2 - mu - (z + sigma)^2/2) / (sigma sqrt(2 pi)), which
-    needs no branch: at x = 0, where numpy's log gives -inf with a divide
-    warning, it is exactly 0.
-    """
-    mu, sigma = sev.mu, sev.sigma
-    scale = factor * math.exp(0.5 * sigma * sigma - mu) / (sigma * math.sqrt(2.0 * math.pi))
-    # h = (z + sigma) / sqrt(2) = slope ln x + shift
-    slope, shift = math.sqrt(0.5) / sigma, math.sqrt(0.5) * (sigma - mu / sigma)
-
-    def pdf(x):
-        h = np.log(x) * slope + shift
-        return scale * np.exp(-h * h)
-
-    return pdf
-
-
 def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
     """Kernel for a Poisson or negative binomial count and a lognormal severity.
 
@@ -167,7 +149,8 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
         )
     if not isinstance(sev, LogNormalSeverity):
         raise UnsupportedModelError("the particle route is implemented for lognormal severity")
-    f = _lognormal_pdf(sev)
+    f = sev.pdf
+    p1 = float(freq.pmf(1))
 
     def k(x, x1):
         x = np.asarray(x, dtype=float)
@@ -176,7 +159,10 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
             out = np.where(u > 0.0, (a + b * u / x) * f(u), 0.0)
         return out if out.ndim else float(out)
 
-    return VolterraKernel(g=_lognormal_pdf(sev, float(freq.pmf(1))), k=k, f=f, a=a, b=b)
+    def g(x):
+        return p1 * f(x)
+
+    return VolterraKernel(g=g, k=k, f=f, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -612,24 +598,23 @@ def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
     particle i; later moves take none.
     """
     active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
-    with np.errstate(divide="ignore"):  # g(0) = 0 goes through log(0) = -inf
-        while active.size:
-            u = _uniforms(streams, owner, active)
-            if strata > 1:  # the first step only
-                u = (active % strata + u) / strata
-                strata = 1
-            moving = u > p_d
-            active = active[moving]
-            if not active.size:
-                break
-            x1, ratio = _checked_move(proposal, x[active], (u[moving] - p_d) / (1.0 - p_d),
-                                      kernel, 1.0 - p_d,
-                                      None if tables is None else tables.at(owner[active]))
-            tables = None
-            w[active] *= ratio
-            x[active] = x1
-            acc[active] += w[active] * kernel.g(x1)
-            active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
+    while active.size:
+        u = _uniforms(streams, owner, active)
+        if strata > 1:  # the first step only
+            u = (active % strata + u) / strata
+            strata = 1
+        moving = u > p_d
+        active = active[moving]
+        if not active.size:
+            break
+        x1, ratio = _checked_move(proposal, x[active], (u[moving] - p_d) / (1.0 - p_d),
+                                  kernel, 1.0 - p_d,
+                                  None if tables is None else tables.at(owner[active]))
+        tables = None
+        w[active] *= ratio
+        x[active] = x1
+        acc[active] += w[active] * kernel.g(x1)
+        active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
 
 
 def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
