@@ -60,9 +60,11 @@ def c_beta_constant(beta: float) -> float:
     return float((1.0 - beta) * g1 * g1 / (2.0 * g2))
 
 
-def _c_tilde(model: CompoundModel) -> float:
-    """The second-order constant: E[X] E[(N-1)N] / E[N] for a finite-mean
-    severity, c_{1/a} E[(N-1)N] / E[N] for a power tail of index a < 1.
+def _c_tilde(model: CompoundModel) -> tuple[float, float]:
+    """The second-order constant c_tilde as the pair (k, E[(N-1)N] / E[N])
+    whose product it is: k = E[X] for a finite-mean severity, c_{1/a} for
+    a power tail of index a < 1.  The product is left to the caller, since
+    it can overflow where c_tilde g1 does not.
 
     A count law whose E[N(N-1)] overflows a float raises
     UnsupportedModelError."""
@@ -75,14 +77,14 @@ def _c_tilde(model: CompoundModel) -> float:
     if not math.isfinite(fm2):
         raise UnsupportedModelError(f"the second-order SLA needs a finite E[N(N-1)], which "
                                     f"overflows a float for the count law {freq}")
-    en = freq.mean()
+    ratio = fm2 / freq.mean()
     if math.isfinite(ex):
-        return ex * fm2 / en
+        return ex, ratio
     a = model.severity.tail_index
     if a is None or a >= 1.0:
         raise UnsupportedModelError("infinite-mean branch requires a power tail "
                                     "with index < 1")
-    return c_beta_constant(1.0 / a) * fm2 / en
+    return c_beta_constant(1.0 / a), ratio
 
 
 def sla_var_second_order(model: CompoundModel, alpha: float) -> float:
@@ -94,7 +96,7 @@ def sla_var_second_order(model: CompoundModel, alpha: float) -> float:
     """
     sev = model.severity
     q1 = sla_var_first_order(model, alpha)
-    c_tilde = _c_tilde(model)
+    k, ratio = _c_tilde(model)
     sf_q1 = float(sev.sf(q1))
     if sf_q1 <= 0.0:
         raise UnsupportedModelError("second-order SLA needs severity survival above the "
@@ -104,7 +106,9 @@ def sla_var_second_order(model: CompoundModel, alpha: float) -> float:
         g1 = pdf_q1 / sf_q1
     else:
         g1 = pdf_q1 * float(sev.integrated_survival(q1)) / sf_q1
-    factor = 1.0 + c_tilde * g1
+    # c_tilde g1 = ratio (k g1): E[X] E[N(N-1)] alone overflows on Poisson(1e5)
+    # x LN(700, 1), where E[X] g1 = 0.092
+    factor = 1.0 + ratio * (k * g1)
     if factor <= 0.0:
         return q1
     return _finite_isf(model, alpha, (1.0 - alpha) / model.frequency.mean() / factor)

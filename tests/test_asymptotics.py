@@ -76,13 +76,13 @@ def test_c_beta_reference_values():
 
 
 def test_constants_finite_mean_branch():
-    assert _c_tilde(sigma05_model()) == pytest.approx(16.74579497625453, rel=1e-12)
+    assert math.prod(_c_tilde(sigma05_model())) == pytest.approx(16.74579497625453, rel=1e-12)
 
 
 def test_constants_infinite_mean_branch():
     model = CompoundModel(NegativeBinomialFrequency(0.5, 10.0),
                           ParetoSeverity(a=0.25, s=1.0))
-    assert _c_tilde(model) == pytest.approx(-19.06229440786452, rel=1e-12)
+    assert math.prod(_c_tilde(model)) == pytest.approx(-19.06229440786452, rel=1e-12)
 
 
 def test_constants_reject_unit_index_infinite_mean():
@@ -100,7 +100,7 @@ def test_second_order_pareto_poisson_values():
     assert sla_var_first_order(model, 0.999) == pytest.approx(math.sqrt(2000.0) - 1.0,
                                                               rel=1e-12)
     assert sla_var_second_order(model, 0.999) == pytest.approx(45.67853294824316, rel=1e-6)
-    assert _c_tilde(model) == pytest.approx(2.0, rel=1e-12)
+    assert math.prod(_c_tilde(model)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_second_order_collapses_without_contagion():

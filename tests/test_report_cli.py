@@ -591,7 +591,8 @@ def test_cli_sla_serves_a_level_whose_cdf_level_rounds_to_one(tmp_path, capsys,
             shifted = (1.0 - level) / en
             if order == 2:
                 q1 = sev.isf(shifted)
-                shifted /= 1.0 + _c_tilde(built) * sev.pdf(q1) / sev.sf(q1)
+                k, ratio = _c_tilde(built)
+                shifted /= 1.0 + ratio * (k * (sev.pdf(q1) / sev.sf(q1)))
             assert level == 0.5 or 1.0 - shifted == 1.0
             expected.append(f"{float(sev.isf(shifted)):.6g}")
         rows = [row["var"] for row in json.loads(out.read_text())["rows"]]
@@ -646,6 +647,18 @@ def test_cli_sla_serves_a_huge_mean_count_at_a_finite_var(tmp_path, capsys, lam,
     out = tmp_path / "x.json"
     assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
     assert [row["var"] for row in json.loads(out.read_text())["rows"]] == [var]
+
+
+def test_cli_second_order_sla_serves_a_model_whose_c_tilde_overflows(tmp_path, capsys):
+    """c_tilde = E[X] E[N(N-1)] / E[N] = 1.67e304 x 1e5 overflows, yet
+    E[X] g1 = 0.092: the factor 9203 leaves the survival level 5.43e-10,
+    where the run exited 2 on 'severity survival level 0'."""
+    model = {"frequency": {"kind": "poisson", "lambda": 1e5},
+             "severity": {"kind": "lognormal", "mu": 700.0, "sigma": 1.0}}
+    cfg = _write_config(tmp_path, {"kind": "sla", "order": 2}, levels=(0.5,), model=model)
+    out = tmp_path / "x.json"
+    assert main(["sla", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    assert [row["var"] for row in json.loads(out.read_text())["rows"]] == ["4.50461e+306"]
 
 
 @pytest.mark.parametrize("lam", [1e155, 1e200])
