@@ -779,6 +779,23 @@ def test_cli_refuses_a_panjer_lattice_larger_than_memory(tmp_path, capsys, monke
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("x_max,points", [(1e12, "1e+12"), (1e20, "1e+20")])
+def test_cli_refuses_a_particle_grid_larger_than_memory(tmp_path, capsys, x_max, points):
+    """x_max 1e20 failed on numpy's 'Maximum allowed size exceeded', and
+    1e12 points would start allocating; both exit 2 before the grid is
+    formed, naming grid_width, x_max and the point count."""
+    cfg = _write_config(tmp_path, {"kind": "particle", "x_max": x_max, "n_per_point": 2})
+    rc = main(["particle", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError"
+    assert f"grid_width 1 to x_max {x_max:g} makes {points} grid points" in doc["detail"]
+    assert "physical memory" in doc["detail"]
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("x_max", [0, -5.0])
 def test_cli_rejects_empty_panjer_lattice(tmp_path, capsys, x_max):
     """x_max <= 0 leaves no lattice cell; it must not fall back to the default."""
