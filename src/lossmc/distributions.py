@@ -26,12 +26,11 @@ theta < 0 pgf polynomial and the sampling table end at the same bound.
 
 Each severity guards its support once.  The lognormal's ``_z`` clamps x
 at 0 before the log, so z = -inf below the support, where the normal cdf
-and sf read exactly 0 and 1; Pareto clamps x at 0 the same way.  The
-lognormal pdf clamps log x the same way inside one exponential,
-exp(c - h^2) with h = (z + sigma)/sqrt(2), which needs no division by x
-and is the density the particle kernel reads.  Their cdf, sf and partial
-expectations are plain numpy expressions: a scalar input returns a numpy
-float (a ``float``), an array keeps its shape, and a NaN input gives NaN.
+and sf read exactly 0 and 1; Pareto clamps x at 0 the same way.  Their
+cdf, sf and partial expectations are plain numpy expressions: a scalar
+input returns a numpy float (a ``float``), an array keeps its shape, and
+a NaN input gives NaN.  The lognormal pdf is also the density the
+particle kernel reads.
 """
 from __future__ import annotations
 
@@ -43,10 +42,9 @@ from scipy import special
 
 from .config import COUNT, REAL, REQUIRED, read_block
 from .errors import UnsupportedModelError
-from .normal import norm_cdf, norm_sf
-# no caller here: benchmarks/tracing.py patches distributions.norm_pdf and
-# distributions.norm_quantile by name
-from .normal import norm_pdf, norm_quantile  # noqa: F401
+from .normal import norm_cdf, norm_pdf, norm_sf
+# no caller here: benchmarks/tracing.py patches distributions.norm_quantile by name
+from .normal import norm_quantile  # noqa: F401
 from .rng import UniformStream
 
 _TABLE_TAIL = 1e-12  # truncation point for inverse-cdf sampling tables
@@ -445,16 +443,9 @@ class LogNormalSeverity(SeverityModel):
             return (np.log(np.maximum(x, 0.0)) - self.mu) / self.sigma
 
     def pdf(self, x):
-        """phi(z) / (x sigma) in one exponential, exp(c - h^2) with h = (z +
-        sigma)/sqrt(2) = log(x) sqrt(1/2)/sigma + sqrt(1/2)(sigma - mu/sigma)
-        and c = sigma^2/2 - mu - log(sigma sqrt(2 pi)): no division by x, and
-        log x clamped at 0 gives h = -inf, so exactly 0 at x <= 0."""
-        mu, sigma = self.mu, self.sigma
-        c = 0.5 * sigma * sigma - mu - math.log(sigma * math.sqrt(2.0 * math.pi))
-        with np.errstate(divide="ignore"):
-            h = (np.log(np.maximum(x, 0.0)) * (math.sqrt(0.5) / sigma)
-                 + math.sqrt(0.5) * (sigma - mu / sigma))
-        return np.exp(c - h * h)
+        x = np.asarray(x, dtype=float)
+        # phi(-inf) = 0 over an infinite divisor keeps 0/0 off x <= 0
+        return norm_pdf(self._z(x)) / (np.where(x > 0, x, np.inf) * self.sigma)
 
     def cdf(self, x):
         return norm_cdf(self._z(x))

@@ -66,9 +66,8 @@ def test_every_import_is_read_or_patched_by_the_tracer():
               if path.name != "__init__.py"
               for name in _unread_imports(path)}
     assert unread <= patched, sorted(unread - patched)
-    # the three hooks kept for the tracer alone: the parse does see them
+    # the two hooks kept for the tracer alone: the parse does see them
     assert {("lossmc.rare_event", "simulate_compound"),
-            ("lossmc.distributions", "norm_pdf"),
             ("lossmc.distributions", "norm_quantile")} <= unread
 
 
