@@ -308,24 +308,25 @@ def test_generalized_poisson_negative_dispersion_truncates():
     assert pm.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("freq,top", [
-    (GeneralizedPoissonFrequency(1.5, -0.3), 4),
+@pytest.mark.parametrize("freq,top,deficit,top_drawn", [
+    (GeneralizedPoissonFrequency(1.5, -0.3), 4, True, True),
     # the rate at n = 5 rounds to 2.2e-16 > 0, past the old ceil formula's 4
-    (GeneralizedPoissonFrequency(1.8, -0.36), 5),
+    (GeneralizedPoissonFrequency(1.8, -0.36), 5, True, True),
     # the rate at n = 7 is exactly 0, which the old ceil formula admitted
-    (GeneralizedPoissonFrequency(2.1, -0.3), 6),
-    (GeneralizedPoissonFrequency(0.9, -0.18), 5),
-    (GeneralizedPoissonFrequency(19.8, -0.09), 219),
-    (BinomialFrequency(5, 0.4), 5),
+    (GeneralizedPoissonFrequency(2.1, -0.3), 6, True, True),
+    # tables whose totals round to 1 or above, and whose last count has
+    # too little mass to be drawn
+    (GeneralizedPoissonFrequency(0.9, -0.18), 5, False, False),
+    (GeneralizedPoissonFrequency(19.8, -0.09), 219, False, False),
+    (BinomialFrequency(5, 0.4), 5, False, True),
 ], ids=["gp-1.5", "gp-1.8", "gp-2.1", "gp-0.9", "gp-19.8", "binomial"])
-def test_truncated_generalized_poisson_draws_stay_in_support(freq, top):
+def test_truncated_generalized_poisson_draws_stay_in_support(freq, top, deficit, top_drawn):
     """The pmf, the pgf and the count table read one support, 0 to
     ``_support_max``: the pmf is 0 just outside it and finite on it, the
     pgf at 1 sums the pmf over it, and no draw passes it.  The table ends
-    at the last count with positive mass, so keys above its total, the
-    unrenormalized deficit, draw that count instead of one past it (GP
-    (0.9, -0.18) and (19.8, -0.09) have no deficit: their totals round to
-    1 or above)."""
+    at the last count with positive mass, so where its total falls short
+    of 1, keys above the total, the unrenormalized deficit, draw that
+    count instead of one past it."""
     assert freq._support_max == top
     pm = freq.pmf(np.arange(-1, top + 2))
     assert pm[0] == pm[-1] == freq.pmf(-1) == freq.pmf(top + 1) == 0.0
@@ -333,8 +334,13 @@ def test_truncated_generalized_poisson_draws_stay_in_support(freq, top):
     assert freq.pgf(1.0) == pytest.approx(pm.sum(), rel=1e-14)
     table, guide = freq._cdf_table()
     assert len(table) - 1 == np.flatnonzero(pm)[-1] - 1 <= top
-    assert freq.sample(PcgStream(1), 1_000_000).max() <= top
-    if table[-1] < 1.0:  # uniforms above a deficient total
+    draws = freq.sample(PcgStream(1), 1_000_000)
+    if top_drawn:
+        assert draws.max() == len(table) - 1
+    else:
+        assert draws.max() <= top
+    if deficit:
+        assert table[-1] < 1.0
         above = np.array([np.nextafter(table[-1], 2.0), 0.5 * (table[-1] + 1.0), 1.0])
         assert np.array_equal(_guided_search(table, guide, above), [len(table) - 1] * 3)
 
