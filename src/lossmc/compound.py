@@ -77,8 +77,18 @@ def simulate_compound(model: CompoundModel, T: int, rng: UniformStream) -> Sampl
 
 def physical_memory() -> int:
     """Bytes of physical memory: a run that would need more is refused
-    before it allocates."""
+    before it allocates (``require_memory``)."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(nbytes: float, clause: str, memory: int | None = None) -> None:
+    """Raise ``ValueError`` when a run needs at least ``nbytes`` bytes, more
+    than ``memory`` (by default ``physical_memory()``).  ``clause`` says
+    what needs them, naming the config keys that set it."""
+    memory = physical_memory() if memory is None else memory
+    if nbytes > memory:
+        raise ValueError(f"{clause} need at least {nbytes:.3g} bytes, more than the "
+                         f"{memory:.3g} bytes of physical memory")
 
 
 def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
@@ -91,10 +101,7 @@ def simulate_compound_parallel(model: CompoundModel, T: int, seed: int,
     ``ValueError`` before any stream is spawned.
     """
     T = int(T)
-    memory = physical_memory()
-    if 8 * T > memory:
-        raise ValueError(f"T = {T} losses need {8 * T:.3g} bytes as float64, more than the "
-                         f"{memory:.3g} bytes of physical memory")
+    require_memory(8 * T, f"T = {T} losses as float64")
     n_chunks = max(1, (T + _CHUNK - 1) // _CHUNK)
     streams = PcgStream(seed).spawn(n_chunks)
     sizes = [_CHUNK] * (n_chunks - 1) + [T - _CHUNK * (n_chunks - 1)]

@@ -21,8 +21,9 @@ selection step uses the same lookup for its ancestors.
 Each count law states its pmf once, as ``_log_pmf`` on its support
 0..``_support_max`` (the binomial's m, the last count of positive rate
 for the generalized Poisson with theta < 0, infinite otherwise); the one
-``FrequencyModel.pmf`` masks that support and exponentiates, and the
-theta < 0 pgf polynomial and the sampling table end at the same bound.
+``FrequencyModel.pmf`` masks that support and exponentiates.  The
+theta < 0 pgf polynomial ends where the sampling table ends: at the last
+count of positive mass, or sooner where the mass left is below 1e-12.
 
 Each severity guards its support once.  The lognormal's ``_z`` clamps x
 at 0 before the log, so z = -inf below the support, where the normal cdf
@@ -355,11 +356,13 @@ class GeneralizedPoissonFrequency(FrequencyModel):
         """exp(lam (B(s) - 1)) for theta in [0, 1): a Poisson(lam) number of
         Borel(theta) clusters, whose size pgf B solves B = s e^{theta (B - 1)},
         so B = -W(-theta s e^{-theta}) / theta with W the principal Lambert W.
-        For theta < 0 the support is finite and the pgf is its polynomial."""
+        For theta < 0 the support is finite and the pgf is its polynomial,
+        over the counts of the sampling table: past them the pmf sums to
+        less than 1e-12."""
         s = np.asarray(s)
         lam, th = self.lam, self.theta
         if th < 0.0:
-            return np.polyval(self.pmf(np.arange(self._support_max + 1))[::-1], s)
+            return np.polyval(self.pmf(np.arange(len(self._cdf_table()[0])))[::-1], s)
         if th == 0.0:
             return np.exp(lam * (s - 1.0))
         b = special.lambertw(-th * math.exp(-th) * s) / -th
@@ -454,7 +457,11 @@ class LogNormalSeverity(SeverityModel):
         return norm_sf(self._z(x))
 
     def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma ** 2)
+        try:
+            return math.exp(self.mu + 0.5 * self.sigma ** 2)
+        except OverflowError:
+            raise ValueError(f"lognormal E[X] = exp(mu + sigma^2/2) overflows the float range "
+                             f"at mu = {self.mu:g}, sigma = {self.sigma:g}") from None
 
     def partial_expectation(self, x):
         return self.mean() * norm_cdf(self._z(x) - self.sigma)

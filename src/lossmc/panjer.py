@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .compound import physical_memory
+from .compound import physical_memory, require_memory
 from .distributions import (
     FrequencyModel,
     GeneralizedPoissonFrequency,
@@ -314,12 +314,8 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
         raise ValueError(f"step {step:g} exceeds the severity median {median:.6g}; "
                          "the lattice would not resolve the severity")
     cells = x_max / step  # checked as a float, since it may overflow to inf
-    memory = physical_memory()
-    if 32.0 * (cells + 1.0) > memory:
-        raise ValueError(f"step {step:g} to x_max {x_max:g} makes M = {cells:.3g} "
-                         f"lattice cells, whose transform buffers need at least "
-                         f"{32.0 * (cells + 1.0):.3g} bytes, more than the {memory:.3g} bytes "
-                         "of physical memory")
+    require_memory(32.0 * (cells + 1.0), f"step {step:g} to x_max {x_max:g} makes M = "
+                   f"{cells:.3g} lattice cells, whose transform buffers", physical_memory())
     M = int(math.ceil(cells))
     sev = discretize_severity(model.severity, step, M)
     return compound_pmf_transform(model.frequency, sev, M)

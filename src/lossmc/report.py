@@ -21,7 +21,7 @@ from .asymptotics import sla_var_first_order, sla_var_second_order
 from .compound import (
     CompoundModel,
     empirical_quantile_ci,
-    physical_memory,
+    require_memory,
     simulate_compound_parallel,
 )
 from .config import COUNT, REAL, REALS, REQUIRED, check_keys, read_block, read_value
@@ -30,12 +30,9 @@ from .errors import LevelRangeError, TruncationError
 from .panjer import oracle_compound_pmf, oracle_tail_stats
 from .rare_event import LevelSequence, replicate_smc
 from .rng import PcgStream
-from .volterra import (
-    default_absorption,
-    estimate_density_grid,
-    quantile_from_measure,
-    risk_measures_from_measure,
-)
+from .volterra import default_absorption, estimate_density_grid, risk_measures_from_measure
+# no caller here: benchmarks/tracing.py patches report.quantile_from_measure by name
+from .volterra import quantile_from_measure  # noqa: F401
 
 # key -> (kind, default) of each method block besides "kind"; a default of
 # None is the model's own (see the runner)
@@ -200,11 +197,8 @@ def _run_particle(model, cfg: ExperimentConfig):
     width = m["grid_width"]
     x_max = _x_max(model, m)
     points = x_max / width if width > 0.0 else 0.0  # a float: it may overflow to inf
-    memory = physical_memory()
-    if _GRID_POINT_BYTES * points > memory:
-        raise ValueError(f"grid_width {width:g} to x_max {x_max:g} makes {points:.3g} grid "
-                         f"points, which need at least {_GRID_POINT_BYTES * points:.3g} bytes, "
-                         f"more than the {memory:.3g} bytes of physical memory")
+    require_memory(_GRID_POINT_BYTES * points, f"grid_width {width:g} to x_max {x_max:g} "
+                   f"makes {points:.3g} grid points, which")
     # a lone point has no neighbour to set its cell width, so its cell is
     # the unit one around it and the measure misses the mass below it
     grid = np.arange(width, x_max + 0.5 * width, width) if width > 0.0 else []
@@ -213,14 +207,7 @@ def _run_particle(model, cfg: ExperimentConfig):
                          f"two points, got grid_width {width}, x_max {x_max}")
     p_d = default_absorption(model) if m["p_d"] is None else m["p_d"]
     measure = estimate_density_grid(model, grid, m["n_per_point"], p_d, PcgStream(cfg.seed))
-    locs, surv, se_surv = measure.survival()
-
-    def read(level):
-        try:
-            return quantile_from_measure(measure, min(level, 1.0))
-        except TruncationError:
-            return float(locs[-1])
-
+    knots, surv, se_surv = measure.survival()
     rows = []
     # zero mass + cells + tail mass, 1 for a measure that holds the whole
     # law; its SE is that of the survival above the atom at zero
@@ -229,24 +216,15 @@ def _run_particle(model, cfg: ExperimentConfig):
             "mass_balance_stderr": float(se_surv[0])}
     for alpha in cfg.levels:
         try:
-            var, es, es_se = risk_measures_from_measure(measure, alpha)
+            row = risk_measures_from_measure(measure, alpha)
         except TruncationError:
-            # the quantile lies beyond x_max; report the top of the grid
-            # (a lower bound) with no spread
-            rows.append(ReportRow(alpha=alpha, method="particle",
-                                  var=float(locs[-1])))
+            # the quantile lies beyond the grid; report its top (a lower
+            # bound) with no spread
+            rows.append(ReportRow(alpha=alpha, method="particle", var=float(knots[-1])))
             continue
-        i = int(np.searchsorted(locs, var))
-        dens = max(float(measure.weights[i - 1]) if i else measure.zero_mass, 1e-300)
-        # delta-method standard error of the quantile: SE of the right-tail
-        # sum P(Z > var) over the density there
-        se_f = float(se_surv[i])
-        rows.append(ReportRow(alpha=alpha, method="particle", var=var,
-                              var_lo=read(max(alpha - 1.96 * se_f, 1e-9)),
-                              var_hi=read(alpha + 1.96 * se_f),
-                              es=es, stderr=se_f / dens))
         # ``stderr`` is the VaR's; the ES's goes with the diagnostics
-        diag[f"es_stderr_{alpha:g}"] = es_se
+        diag[f"es_stderr_{alpha:g}"] = row.pop("es_stderr")
+        rows.append(ReportRow(alpha=alpha, method="particle", **row))
     return rows, diag
 
 

@@ -55,12 +55,14 @@ contributes exactly one Neumann term in expectation, so the sum is
 unbiased without the 1/P_d inflation of scoring the absorption state
 alone.
 
-Quantiles are read from the right.  The grid estimator also estimates
-the mass beyond its last cell from paths started in the severity tail
-(``estimate_tail_probability``), and ``quantile_from_measure`` sums
-survival down from there, so the noise of the bulk cells stays out of a
-tail quantile.  A ``TruncationError`` then means that the quantile lies
-beyond the grid's x_max.
+Every report row is read off one survival curve.  The grid estimator
+also estimates the mass beyond its last cell from paths started in the
+severity tail (``estimate_tail_probability``), and
+``WeightedParticleMeasure.survival`` sums down from there to each cell
+edge, so the noise of the bulk cells stays out of a tail answer.  The
+curve is linear between edges; ``risk_measures_from_measure`` reads a
+row's VaR, band, ES and their SEs off it between grid points, and a
+``TruncationError`` means that the quantile lies beyond the grid's top.
 """
 from __future__ import annotations
 
@@ -414,11 +416,6 @@ def _cell_widths(locations: np.ndarray) -> np.ndarray:
     return np.gradient(locations)
 
 
-def _grid_top(locations: np.ndarray) -> float:
-    """Upper edge of the last cell, where the tail start begins."""
-    return float(locations[-1] + 0.5 * _cell_widths(locations)[-1])
-
-
 def _check_grid(locations: np.ndarray) -> None:
     """Cells between grid points have positive widths only when the points
     are positive and strictly increasing (NaN fails both tests)."""
@@ -464,72 +461,81 @@ class WeightedParticleMeasure:
         if np.any(self.weights < 0.0):
             raise ValueError("weights must be nonnegative")
 
-    def probability_atoms(self):
-        """(locations, probability weights) including the atom at zero."""
-        locs = np.concatenate(([0.0], self.locations))
-        w = np.concatenate(([self.zero_mass], self.weights * _cell_widths(self.locations)))
-        return locs, w
-
     def survival(self):
-        """(locations, P(Z > location), its standard error) over the atoms.
+        """(knots, P(Z > knot), its standard error) at the cell edges: the
+        first cell's lower edge, then each cell's upper edge; linear between
+        knots, as a cell spreads its mass evenly.  Survival sums
+        ``tail_mass`` and the cells above, and its variance theirs, so a
+        tail answer carries only the noise of the tail."""
+        widths = _cell_widths(self.locations)
+        knots = np.append(self.locations[0] - 0.5 * widths[0], self.locations + 0.5 * widths)
+        surv = self.tail_mass + _sum_above(np.append(0.0, self.weights * widths))
+        var = np.append(0.0, (self.stderr * widths) ** 2)
+        return knots, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
 
-        Survival is summed from the right: ``tail_mass`` plus the atoms
-        above, so a tail answer carries only the noise of the tail.  The
-        standard error adds the variances of the grid cells above and of
-        the tail mass.
-        """
-        locs, w = self.probability_atoms()
-        surv = self.tail_mass + _sum_above(w)
-        var = np.concatenate(([0.0], (self.stderr * _cell_widths(self.locations)) ** 2))
-        return locs, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
+
+def _invert(knots: np.ndarray, surv: np.ndarray, p: float):
+    """(v, i): the p-quantile v of the curve (knots, surv), linear between
+    knots, and the first knot i with surv <= 1 - p; v = 0 at i = 0, in the
+    atom at zero.  Raises ``TruncationError`` past the last knot."""
+    i = int(np.searchsorted(-surv, p - 1.0, side="left"))
+    if i == len(knots):
+        raise TruncationError(f"particle mass {surv[-1]:.6g} lies beyond the grid top "
+                              f"{knots[-1]:.6g}, more than 1 - p for p = {p}; widen the grid")
+    if i == 0:
+        return 0.0, 0
+    t = (surv[i - 1] + (p - 1.0)) / (surv[i - 1] - surv[i])
+    return float(knots[i - 1] + t * (knots[i] - knots[i - 1])), i
 
 
 def quantile_from_measure(measure: WeightedParticleMeasure, p: float) -> float:
-    """The p-quantile read from the right.
-
-    The smallest atom location whose estimated survival P(Z > location)
-    (``WeightedParticleMeasure.survival``) is at most 1 - p.  Raises
-    ``TruncationError`` when the mass beyond the last atom alone exceeds
-    1 - p: the quantile then lies beyond the grid's x_max.
-    """
+    """The p-quantile read off ``WeightedParticleMeasure.survival``, linear
+    inside its cell; ``TruncationError`` when the mass beyond the grid's
+    top alone exceeds 1 - p."""
     if not (0.0 < p <= 1.0):
         raise ValueError("quantile level must lie in (0, 1]")
-    locs, surv, _ = measure.survival()
-    if surv[-1] > 1.0 - p:
-        raise TruncationError(
-            f"particle mass {surv[-1]:.6g} lies beyond the last point {locs[-1]:.6g}, "
-            f"more than 1 - p for p = {p}; the quantile lies beyond it, widen the grid"
-        )
-    return float(locs[np.searchsorted(-surv, p - 1.0, side="left")])
+    return _invert(*measure.survival()[:2], p)[0]
 
 
-def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float):
-    """(VaR, ES, ES standard error) read off the particle measure, all
-    from the right.
+def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float) -> dict:
+    """One report row off the survival curve S (``survival``): ``var``,
+    ``var_lo``, ``var_hi``, ``es``, ``stderr`` (the VaR's) and ``es_stderr``.
+    A VaR beyond the grid's top raises ``TruncationError``.
 
-    ES_alpha = v + E[(Z - v)+] / (1 - alpha) at the VaR v, where the
-    stop-loss E[(Z - v)+] sums (z - v) times the atoms above v, (top - v)
-    times the mass beyond the grid's upper edge ``top``, and the tail
-    start's E[(Z - top)+].  The standard error holds v fixed: the grid
-    points run on their own substreams, so the cells' variances
-    (z - v)^2 (width SE)^2 add, while the two tail-start terms come from
-    the same paths and are bounded as fully correlated,
-    (top - v) ``tail_stderr`` + ``tail_excess_stderr``.  Raises
-    ``TruncationError`` as ``quantile_from_measure`` does.
+    The VaR v is the alpha-quantile; its SE is the SE of S(v) over the
+    density of v's cell (over P(N = 0) at v = 0), and the band reads S at
+    alpha -+ 1.96 SE(S(v)), clamped to [1e-9, 1], or the grid top past it.
+    ES = v + (integral of S from v to the top + ``tail_excess``) / (1 -
+    alpha), and its SE holds v fixed.  The cells run on their own
+    substreams, so their mass variances add, each times its weight in the
+    integral squared: (midpoint - v) above v, (u - v)^2 / (2 w) for v's
+    cell [u - w, u].  The two tail-start terms share paths, so their SEs
+    add: (top - v) ``tail_stderr`` + ``tail_excess_stderr``.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("ES level must lie in (0, 1)")
-    var = quantile_from_measure(measure, alpha)
-    locs, w = measure.probability_atoms()
-    above = locs > var
-    over = _grid_top(measure.locations) - var
-    stop_loss = (float(np.dot(locs[above] - var, w[above]))
-                 + over * measure.tail_mass + measure.tail_excess)
-    # the atom at zero is exact and never above a VaR
-    cell_se = (locs[above] - var) * (measure.stderr * _cell_widths(measure.locations))[above[1:]]
-    tail_se = over * measure.tail_stderr + measure.tail_excess_stderr
-    stop_loss_se = math.sqrt(float(cell_se @ cell_se) + tail_se * tail_se)
-    return var, var + stop_loss / (1.0 - alpha), stop_loss_se / (1.0 - alpha)
+    knots, surv, se = measure.survival()
+    var, i = _invert(knots, surv, alpha)
+    cell_se = measure.stderr * _cell_widths(measure.locations)
+    if i:
+        width = knots[i] - knots[i - 1]
+        share = (knots[i] - var) / width  # the part of v's cell above v
+        surv_v, dens = 1.0 - alpha, (surv[i - 1] - surv[i]) / width
+        surv_se = math.hypot(se[i], share * cell_se[i - 1])
+        partial_se = 0.5 * (knots[i] - var) * share * cell_se[i - 1]
+    else:  # S is flat at S(0) from zero up to the first cell
+        surv_v, dens, surv_se, partial_se = surv[0], max(measure.zero_mass, 1e-300), se[0], 0.0
+    stop_loss = float(0.5 * (surv_v + surv[i]) * (knots[i] - var) + measure.tail_excess
+                      + 0.5 * np.dot(surv[i:-1] + surv[i + 1:], np.diff(knots[i:])))
+    cells_se = (0.5 * (knots[i:-1] + knots[i + 1:]) - var) * cell_se[i:]
+    tail_se = (knots[-1] - var) * measure.tail_stderr + measure.tail_excess_stderr
+    es_se = math.sqrt(float(cells_se @ cells_se) + partial_se ** 2 + tail_se ** 2)
+    levels = (max(alpha - 1.96 * surv_se, 1e-9), min(alpha + 1.96 * surv_se, 1.0))
+    var_lo, var_hi = (float(knots[-1]) if surv[-1] > 1.0 - p else _invert(knots, surv, p)[0]
+                      for p in levels)
+    return {"var": var, "var_lo": var_lo, "var_hi": var_hi,
+            "es": var + stop_loss / (1.0 - alpha), "stderr": float(surv_se / dens),
+            "es_stderr": es_se / (1.0 - alpha)}
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +763,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
             # successive differences in rank order: stratum neighbours
             se[lo:hi] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
                                 / (2.0 * n * (n - 1)))
-    top = _grid_top(grid)
+    top = float(grid[-1] + 0.5 * _cell_widths(grid)[-1])  # the last cell's upper edge
     n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
     tail_mass, tail_stderr, tail_excess, tail_excess_stderr = estimate_tail_probability(
         model, top, n_tail, p_d, streams[-1])

@@ -4,8 +4,9 @@ for byte.
 ``test_repeated_runs_emit_identical_bytes`` checks that one run repeats
 itself; these files check that a change to the code leaves the bytes of
 every route's report as they were.  They pin bytes, not correctness: a
-known fault that shows in a report (such as the particle grid's rounding
-of a quantile to a grid point) is pinned with the rest.
+known fault that shows in a report is pinned with the rest, and its file
+changes when the fault is mended (the particle rows moved when they came
+to be read between grid points instead of at them).
 
 A change that is meant to move a report regenerates the files with
 

@@ -150,14 +150,14 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
 def test_particle_interval_top_is_clamped_at_unit_mass():
     """At this seed the tail start puts more mass beyond x_max than the
     0.9999 row's upper CI level leaves, so that quantile lies beyond the
-    grid and the bound reads the grid top."""
+    grid and the bound reads the grid top, the last cell's upper edge."""
     method = {"kind": "particle", "x_max": 400.0, "n_per_point": 200}
     report = run_experiment(_config(model=SIGMA1_MODEL, method=method,
                                     levels=[0.5, 0.9, 0.99, 0.999, 0.9999], seed=10))
     assert len(report.rows) == 5
     for row in report.rows:
         assert math.isfinite(row.var) and row.var_lo <= row.var <= row.var_hi
-    assert report.rows[-1].var_hi == 400.0
+    assert report.rows[-1].var_hi == 400.5
 
 
 def test_particle_rows_leave_spectral_measure_unset(tmp_path):
@@ -172,10 +172,10 @@ def test_particle_rows_leave_spectral_measure_unset(tmp_path):
 
 
 def test_particle_diagnostics_carry_the_es_stderr():
-    """Each particle row's ES has its standard error in the diagnostics,
-    as ``risk_measures_from_measure`` reads it, since ``stderr`` is the
-    VaR's; a row whose quantile lies beyond the grid has no ES and no
-    entry."""
+    """Each particle row is the one ``risk_measures_from_measure`` reads,
+    and its ES has its standard error in the diagnostics, since
+    ``stderr`` is the VaR's; a row whose quantile lies beyond the grid has
+    no ES and no entry, and reads the grid top."""
     method = {"kind": "particle", "x_max": 400.0, "n_per_point": 200}
     cfg = _config(model=SIGMA1_MODEL, method=method, levels=[0.5, 0.99, 0.99999], seed=10)
     report = run_experiment(cfg)
@@ -186,9 +186,11 @@ def test_particle_diagnostics_carry_the_es_stderr():
     measure = estimate_density_grid(cfg.build_model(), np.arange(1.0, 400.5),
                                     200, diag["p_d"], PcgStream(10))
     for row, alpha in zip(report.rows, (0.5, 0.99)):
-        var, es, es_se = risk_measures_from_measure(measure, alpha)
-        assert (row.var, row.es, diag[f"es_stderr_{alpha:g}"]) == (var, es, es_se)
-        assert 0.0 < es_se < math.inf
+        read = risk_measures_from_measure(measure, alpha)
+        assert diag[f"es_stderr_{alpha:g}"] == read.pop("es_stderr")
+        assert (row.var, row.var_lo, row.var_hi, row.es, row.stderr) == tuple(read.values())
+        assert 0.0 < diag[f"es_stderr_{alpha:g}"] < math.inf
+    assert report.rows[-1].var == 400.5
     # the tail's ES is the noisier
     assert diag["es_stderr_0.99"] > diag["es_stderr_0.5"]
 
@@ -312,8 +314,8 @@ def test_readme_config_table_lists_the_reader_tables():
 
 def test_readme_python_examples_run():
     """Both python blocks run in order in one namespace, as a reader would,
-    and the particle quick start's 0.9995 quantile lies within one grid
-    width of the recursion oracle's."""
+    and the particle quick start's 0.9995 quantile, read between grid
+    points, lies within one grid width of the recursion oracle's."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     assert len(blocks) == 2
@@ -321,7 +323,6 @@ def test_readme_python_examples_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), ns)
     assert ns["lo"] <= ns["q99"] <= ns["hi"]
-    assert ns["q9995"] in ns["grid"]
     assert abs(ns["q9995"] - oracle_tail_stats(ns["pmf"], [0.9995])[0][0]) <= 1.0
 
 
@@ -709,6 +710,26 @@ def test_cli_panjer_serves_underdispersed_generalized_poisson(tmp_path, capsys):
     assert 0.0 < rows[0].var < rows[1].var < rows[1].es < 200.0
 
 
+def test_cli_panjer_serves_generalized_poisson_with_a_vanishing_negative_theta(tmp_path,
+                                                                             capsys):
+    """GP(2, -1e-10) has 2e10 counts of positive rate: a pgf polynomial over
+    all of them asked for 149 GiB.  It ends where the sampling table ends,
+    at 205 counts, and the run answers near Poisson(2)'s 14.41 at 0.5."""
+    model = dict(SIGMA05_MODEL, frequency={"kind": "genpoisson", "lambda": 2.0,
+                                           "theta": -1e-10})
+    cfg = _write_config(tmp_path, {"kind": "panjer"}, levels=[0.5, 0.9, 0.99, 0.999],
+                        model=model)
+    out = tmp_path / "x.json"
+    assert main(["panjer", "--config", cfg, "--out", "json", "--path", str(out)]) == 0
+    rows = parse_report(str(out), "json").rows
+    var = [row.var for row in rows]
+    assert all(math.isfinite(v) for row in rows for v in (row.var, row.es))
+    assert var == sorted(set(var)) and all(row.var < row.es for row in rows)
+    assert var[0] == pytest.approx(14.41, abs=0.01)
+    built = ExperimentConfig(model=model, method={"kind": "sla"}, levels=[0.5]).build_model()
+    assert built.frequency._cdf_table()[0].size == 205
+
+
 @pytest.mark.parametrize("method", [
     {"kind": "panjer", "step": 0.5},
     {"kind": "particle", "n_per_point": 2},
@@ -983,23 +1004,34 @@ def test_cli_rejects_bool_string_and_nan_for_every_method_key(tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("model,message", [
+_LN_0_40 = {"severity": {"kind": "lognormal", "mu": 0.0, "sigma": 40.0}}
+_LN_MEAN_OVERFLOW = "E[X] = exp(mu + sigma^2/2) overflows the float range at mu = 0, sigma = 40"
+
+
+@pytest.mark.parametrize("model,message,method", [
     # float(true) is 1.0 and float("2") is 2.0: both used to run
-    ({"frequency": {"kind": "poisson", "lambda": True}}, "lambda must be a number"),
-    ({"frequency": {"kind": "poisson", "lambda": "2"}}, "lambda must be a number"),
+    ({"frequency": {"kind": "poisson", "lambda": True}}, "lambda must be a number", None),
+    ({"frequency": {"kind": "poisson", "lambda": "2"}}, "lambda must be a number", None),
     # int(2.7) used to run as m = 2
-    ({"frequency": {"kind": "binomial", "m": 2.7, "q": 0.3}}, "m must be a whole number"),
+    ({"frequency": {"kind": "binomial", "m": 2.7, "q": 0.3}}, "m must be a whole number",
+     None),
     # keys the law does not read used to be dropped without a word
     ({"frequency": {"kind": "poisson", "lambda": 2.0, "theta": 0.3}},
-     "unknown poisson frequency keys ['theta']"),
+     "unknown poisson frequency keys ['theta']", None),
     ({"severity": {"kind": "lognormal", "mu": 2.0, "sigm": 0.5}},
-     "unknown lognormal severity keys ['sigm']"),
-    ({"copula": "gumbel"}, "unknown model keys ['copula']"),
+     "unknown lognormal severity keys ['sigm']", None),
+    ({"copula": "gumbel"}, "unknown model keys ['copula']", None),
+    # a bare OverflowError, 'math range error', named no parameter
+    (_LN_0_40, _LN_MEAN_OVERFLOW, {"kind": "sla", "order": 2}),
+    (_LN_0_40, _LN_MEAN_OVERFLOW, {"kind": "particle", "n_per_point": 2}),
 ], ids=["lambda-bool", "lambda-string", "binomial-m-fraction", "poisson-theta",
-        "sigma-typo", "model-extra-key"])
-def test_cli_rejects_bad_model_values(tmp_path, capsys, model, message):
-    cfg = _write_config(tmp_path, {"kind": "sla"}, model={**SIGMA05_MODEL, **model})
-    rc = main(["sla", "--config", cfg, "--path", str(tmp_path / "x.csv")])
+        "sigma-typo", "model-extra-key", "lognormal-mean-overflow-sla2",
+        "lognormal-mean-overflow-particle"])
+def test_cli_rejects_bad_model_values(tmp_path, capsys, model, message, method):
+    """Each case runs the sla method unless it names its own."""
+    method = method or {"kind": "sla"}
+    cfg = _write_config(tmp_path, method, model={**SIGMA05_MODEL, **model})
+    rc = main([method["kind"], "--config", cfg, "--path", str(tmp_path / "x.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1

@@ -545,8 +545,9 @@ def test_deep_tail_z_scores_do_not_lean(kind):
 @pytest.mark.parametrize("preset", ["sigma05", "sigma1"])
 def test_particle_report_rows_match_oracle(preset):
     """Every particle report row of the table1 presets, at the benchmark
-    budget of 5000 paths per point, lies within 4 reported SE plus one grid
-    width of the oracle quantile."""
+    budget of 5000 paths per point, lies within 4 reported SE of the oracle
+    quantile: rows are read between grid points, so no grid width is
+    allowed for."""
     sigma, x_max, seed = (0.5, 120.0, 82_106) if preset == "sigma05" else (1.0, 400.0, 82_111)
     model_block = {"frequency": {"kind": "poisson", "lambda": 2.0},
                    "severity": {"kind": "lognormal", "mu": 2.0, "sigma": sigma}}
@@ -559,7 +560,40 @@ def test_particle_report_rows_match_oracle(preset):
     assert [row.alpha for row in report.rows] == list(QUANTILE_LEVELS)
     for row in report.rows:
         [(q, _)] = oracle_tail_stats(pmf, [row.alpha])
-        assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr + 1.0, (row, q)
+        assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr, (row, q)
+
+
+@pytest.fixture(scope="module")
+def benchmark_particle_reports():
+    """The benchmark's particle op (sigma = 1, Poisson(2), grid 1..400 at
+    width 1, 5000 paths per point) at its seeds 83111-83115, with the
+    oracle at step 0.0025 to 400 for VaR and at step 0.01 to 3000 for ES,
+    where the mass left out moves ES at 0.9995 by about 1e-3."""
+    model_block = {"frequency": {"kind": "poisson", "lambda": 2.0},
+                   "severity": {"kind": "lognormal", "mu": 2.0, "sigma": 1.0}}
+    method = {"kind": "particle", "grid_width": 1.0, "x_max": 400.0, "n_per_point": 5000}
+    reports = [run_experiment(ExperimentConfig(model=model_block, method=method,
+                                               levels=list(QUANTILE_LEVELS), seed=seed))
+               for seed in range(83_111, 83_116)]
+    var_ref = [q for q, _ in oracle_tail_stats(
+        oracle_compound_pmf(sigma1_model(), step=0.0025, x_max=400.0), QUANTILE_LEVELS)]
+    es_ref = [es for _, es in oracle_tail_stats(
+        oracle_compound_pmf(sigma1_model(), step=0.01, x_max=3000.0), QUANTILE_LEVELS)]
+    return reports, var_ref, es_ref
+
+
+def test_benchmark_particle_rows_lie_within_four_se_of_the_oracle(benchmark_particle_reports):
+    """Every VaR row lies within 4 of its own SE of the oracle and every ES
+    row within 4 of its ES SE, with no allowance for the grid: rows are
+    read between grid points.  Read at grid points, 18 of 42 VaR rows at
+    seeds 83111-83116 lay beyond 4 SE, up to 13.3 SE off."""
+    reports, var_ref, es_ref = benchmark_particle_reports
+    for report in reports:
+        diag = report.meta["diagnostics"]
+        for row, q, es in zip(report.rows, var_ref, es_ref):
+            assert row.stderr is not None and abs(row.var - q) <= 4.0 * row.stderr, (row, q)
+            es_se = diag[f"es_stderr_{row.alpha:g}"]
+            assert abs(row.es - es) <= 4.0 * es_se, (row, es, es_se)
 
 
 def _single_point_contributions(x0, n, kernel, proposal, pd, stream, table):
@@ -697,8 +731,8 @@ def test_reduced_grid_median_in_benchmark_bracket(sigma05_grid_reduced):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the oracle's 99% quantile is 129.47, so the grid's estimate "
-           "is right and the published bracket [119, 127] disagrees",
+    reason="the oracle's 99% quantile is 129.47 and the grid's linear read "
+           "129.45 matches it, so the published bracket [119, 127] disagrees",
 )
 def test_full_grid_99_percent_in_published_bracket(sigma1_grid_full):
     q = quantile_from_measure(sigma1_grid_full, 0.99)
@@ -749,9 +783,14 @@ def test_density_grid_rejects_unsorted_points():
 
 
 def test_single_atom_measure_quantile_and_risk():
+    """One unit cell [4.5, 5.5] holding all the mass: survival falls
+    linearly from 1 to 0 across it, the 0.7-quantile is 5.2 and the 0.5-ES
+    is the mean of the cell's upper half, 5.25, all without spread."""
     meas = _measure([5.0], [1.0])
-    assert quantile_from_measure(meas, 0.7) == 5.0
-    assert risk_measures_from_measure(meas, 0.5) == (5.0, 5.0, 0.0)
+    assert quantile_from_measure(meas, 0.7) == pytest.approx(5.2, rel=1e-12)
+    assert risk_measures_from_measure(meas, 0.5) == {
+        "var": 5.0, "var_lo": 5.0, "var_hi": 5.0, "es": 5.25, "stderr": 0.0,
+        "es_stderr": 0.0}
     with pytest.raises(ValueError):
         quantile_from_measure(meas, 0.0)
     with pytest.raises(ValueError):
@@ -759,20 +798,21 @@ def test_single_atom_measure_quantile_and_risk():
 
 
 def test_grid_atoms_include_zero_mass():
-    """Cells of width 3 at 2 and 5: the atoms are P(N = 0) at zero and
-    density times width at each point; survival sums them from the right,
-    with the mass beyond the grid on top, and its variance sums the
-    cells' (3 SE)^2 above and the tail's SE^2."""
+    """Cells of width 3 at 2 and 5 hold density times width, 0.3 and 0.15;
+    survival at the cell edges 0.5, 3.5 and 6.5 sums them from the right,
+    with the mass beyond the grid on top, and its variance sums the cells'
+    (3 SE)^2 above and the tail's SE^2.  With P(N = 0) at zero the measure
+    holds the whole law.  The 0.15-quantile is a sixth of the way into the
+    first cell."""
     meas = _measure([2.0, 5.0], [0.1, 0.05], stderr=[0.01, 0.02], tail_mass=0.45,
                     tail_stderr=0.04, zero_mass=0.1)
-    locs, w = meas.probability_atoms()
-    assert np.array_equal(locs, [0.0, 2.0, 5.0])
-    assert np.allclose(w, [0.1, 0.3, 0.15])
-    _, surv, se = meas.survival()
+    knots, surv, se = meas.survival()
+    assert meas.zero_mass + surv[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(knots, [0.5, 3.5, 6.5])
     assert np.allclose(surv, [0.9, 0.6, 0.45])
     assert np.allclose(se, np.sqrt([0.0016 + 0.0009 + 0.0036, 0.0016 + 0.0036, 0.0016]))
-    assert quantile_from_measure(meas, 0.15) == 2.0
-    with pytest.raises(TruncationError):
+    assert quantile_from_measure(meas, 0.15) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(TruncationError, match="beyond the grid top 6.5"):
         quantile_from_measure(meas, 0.9)
 
 
@@ -786,9 +826,11 @@ def test_short_grid_cannot_answer_deep_quantiles():
 
 
 def test_grid_mean_matches_model(sigma05_grid_full):
-    """The mean of the grid's probability atoms is the model mean."""
-    locs, w = sigma05_grid_full.probability_atoms()
-    mean = float(np.dot(locs, w) / w.sum())
+    """The mean of the grid's cells and the atom P(N = 0) at zero is the
+    model mean."""
+    locs, w = sigma05_grid_full.locations, sigma05_grid_full.weights
+    w = w * np.gradient(locs)
+    mean = float(np.dot(locs, w) / (sigma05_grid_full.zero_mass + w.sum()))
     mean_ref = 2.0 * math.exp(2.125)
     se = math.sqrt(np.sum(((sigma05_grid_full.locations - mean)
                            * sigma05_grid_full.stderr) ** 2))
@@ -803,57 +845,86 @@ def sigma1_deep_pmf():
 
 
 def _es_stderr(measure, var, alpha):
-    """Standard error of the right-read ES: the cells above the VaR are
+    """Standard error of the ES read off the survival curve, v held fixed:
+    a cell above the VaR weighs its mass SE by (its point - v), the cell
+    [u - w, u] that holds v by (u - v)^2 / (2 w), and the cells are
     independent of the tail start, whose mass and stop-loss terms come
     from the same paths and are added as if fully correlated, an upper
     bound."""
-    x, se_w = measure.locations, measure.stderr * np.gradient(measure.locations)
-    cells = math.sqrt(np.sum(((x - var) * se_w)[x > var] ** 2))
-    top = x[-1] + 0.5 * (x[-1] - x[-2])
-    tail = (top - var) * measure.tail_stderr + measure.tail_excess_stderr
+    x, w = measure.locations, np.gradient(measure.locations)
+    upper = x + 0.5 * w
+    weight = np.where(upper - w >= var, x - var,
+                      np.where(upper > var, (upper - var) ** 2 / (2.0 * w), 0.0))
+    cells = math.sqrt(np.sum((weight * measure.stderr * w) ** 2))
+    tail = (upper[-1] - var) * measure.tail_stderr + measure.tail_excess_stderr
     return math.hypot(cells, tail) / (1.0 - alpha)
 
 
 @pytest.mark.parametrize("preset, alpha", [("sigma1", 0.99), ("sigma1", 0.999),
                                            ("sigma1", 0.9995), ("sigma05", 0.99)])
 def test_grid_expected_shortfall_matches_oracle(request, preset, alpha):
-    """ES read from the right, v + E[(Z - v)+] / (1 - alpha), lies within
-    4 SE plus half a grid cell of the oracle's; the stop-loss counts the
-    mass and the excess beyond the grid.  Averaging the grid cells at and
-    beyond the VaR alone read 2.5-10 % low at sigma = 1."""
+    """ES read off the survival curve, v + E[(Z - v)+] / (1 - alpha), lies
+    within 4 SE of the oracle's; the stop-loss counts the mass and the
+    excess beyond the grid.  Averaging the grid cells at and beyond the VaR
+    alone read 2.5-10 % low at sigma = 1."""
     if preset == "sigma1":
         measure, pmf = (request.getfixturevalue("sigma1_grid_full"),
                         request.getfixturevalue("sigma1_deep_pmf"))
     else:
         measure, pmf = (request.getfixturevalue("sigma05_grid_full"),
                         request.getfixturevalue("sigma05_pmf"))
-    var, es, es_se = risk_measures_from_measure(measure, alpha)
-    assert es_se == pytest.approx(_es_stderr(measure, var, alpha), rel=1e-12)
+    row = risk_measures_from_measure(measure, alpha)
+    assert row["es_stderr"] == pytest.approx(_es_stderr(measure, row["var"], alpha), rel=1e-12)
     [(_, ref)] = oracle_tail_stats(pmf, [alpha])
-    assert abs(es - ref) <= 4.0 * es_se + 0.5, (es, ref)
+    assert abs(row["es"] - ref) <= 4.0 * row["es_stderr"], (row, ref)
 
 
 def test_expected_shortfall_adds_the_mass_beyond_the_grid():
-    """Cells of width 1 at 1, 2 and 3 with masses 0.5, 0.3 and 0.15, and
-    0.05 beyond the upper edge 3.5 with stop-loss 0.1 there: the 0.75-VaR
-    is 2 and E[(Z - 2)+] = 1 x 0.15 + 1.5 x 0.05 + 0.1."""
+    """Cells [0.5, 1.5], [1.5, 2.5] and [2.5, 3.5] with masses 0.5, 0.3 and
+    0.15, and 0.05 beyond the top 3.5 with stop-loss 0.1 there: survival
+    at the edges is 1, 0.5, 0.2 and 0.05, so the 0.75-VaR lies 5/6 of the
+    way into the second cell, at 7/3.  The integral of survival above it
+    is a trapezoid of (0.25 + 0.2)/2 x 1/6 in that cell and
+    (0.2 + 0.05)/2 in the last, and the stop-loss adds 0.1."""
     meas = _measure([1.0, 2.0, 3.0], [0.5, 0.3, 0.15], tail_mass=0.05, tail_excess=0.1)
-    var, es, _ = risk_measures_from_measure(meas, 0.75)
-    assert var == 2.0
-    assert es == pytest.approx(2.0 + (0.15 + 0.075 + 0.1) / 0.25, rel=1e-12)
+    row = risk_measures_from_measure(meas, 0.75)
+    assert row["var"] == pytest.approx(7.0 / 3.0, rel=1e-12)
+    stop_loss = 0.225 / 6.0 + 0.125 + 0.1
+    assert row["es"] == pytest.approx(7.0 / 3.0 + stop_loss / 0.25, rel=1e-12)
     with pytest.raises(ValueError):
         risk_measures_from_measure(meas, 1.0)
 
 
 def test_expected_shortfall_stderr_hand_trace():
     """The measure above with density SEs 0.1, 0.2, 0.3, tail-mass SE 0.01
-    and stop-loss SE 0.02: only the cell at 3 lies above the VaR 2, giving
-    (3 - 2) x 0.3, and the tail start's terms add as fully correlated,
-    (3.5 - 2) x 0.01 + 0.02; the sum in quadrature over 1 - 0.75."""
+    and stop-loss SE 0.02.  v = 7/3 holds fixed: the cell at 3 lies above
+    it, giving (3 - 7/3) x 0.3; the cell [1.5, 2.5] holding it weighs its
+    0.2 by (2.5 - 7/3)^2 / 2 = 1/72; and the tail start's terms add as
+    fully correlated, (3.5 - 7/3) x 0.01 + 0.02.  The sum in quadrature
+    goes over 1 - 0.75."""
     meas = _measure([1.0, 2.0, 3.0], [0.5, 0.3, 0.15], stderr=np.array([0.1, 0.2, 0.3]),
                     tail_mass=0.05, tail_stderr=0.01, tail_excess=0.1,
                     tail_excess_stderr=0.02)
-    var, _, es_se = risk_measures_from_measure(meas, 0.75)
-    assert var == 2.0
-    assert es_se == pytest.approx(math.hypot(0.3, 1.5 * 0.01 + 0.02) / 0.25, rel=1e-12)
-    assert es_se == pytest.approx(_es_stderr(meas, var, 0.75), rel=1e-12)
+    row = risk_measures_from_measure(meas, 0.75)
+    assert row["var"] == pytest.approx(7.0 / 3.0, rel=1e-12)
+    cells = math.hypot(2.0 / 3.0 * 0.3, 0.2 / 72.0)
+    es_se = math.hypot(cells, 7.0 / 6.0 * 0.01 + 0.02) / 0.25
+    assert row["es_stderr"] == pytest.approx(es_se, rel=1e-12)
+    assert row["es_stderr"] == pytest.approx(_es_stderr(meas, row["var"], 0.75), rel=1e-12)
+
+
+def test_var_stderr_and_band_hand_trace():
+    """The measure above: S(7/3) = 0.25 has the variance of the survival
+    at 2.5, 0.3^2 + 0.01^2, plus a sixth of the cell [1.5, 2.5]'s 0.2,
+    squared; over that cell's density 0.3 it is the VaR's SE.  The band
+    reads the curve at 0.75 -+ 1.96 x 0.302: the lower level's quantile
+    lies in the first cell, and the upper level, clamped at 1, lies
+    beyond the grid, so the band ends at its top 3.5."""
+    meas = _measure([1.0, 2.0, 3.0], [0.5, 0.3, 0.15], stderr=np.array([0.1, 0.2, 0.3]),
+                    tail_mass=0.05, tail_stderr=0.01, tail_excess=0.1)
+    row = risk_measures_from_measure(meas, 0.75)
+    surv_se = math.sqrt(0.3 ** 2 + 0.01 ** 2 + (0.2 / 6.0) ** 2)
+    assert row["stderr"] == pytest.approx(surv_se / 0.3, rel=1e-12)
+    lo_level = 0.75 - 1.96 * surv_se
+    assert row["var_lo"] == pytest.approx(0.5 + lo_level / 0.5, rel=1e-12)
+    assert row["var_hi"] == 3.5
