@@ -81,11 +81,11 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def require_memory(nbytes: float, clause: str, memory: int | None = None) -> None:
+def require_memory(nbytes: float, clause: str) -> None:
     """Raise ``ValueError`` when a run needs at least ``nbytes`` bytes, more
-    than ``memory`` (by default ``physical_memory()``).  ``clause`` says
-    what needs them, naming the config keys that set it."""
-    memory = physical_memory() if memory is None else memory
+    than ``physical_memory()``.  ``clause`` says what needs them, naming
+    the config keys that set it."""
+    memory = physical_memory()
     if nbytes > memory:
         raise ValueError(f"{clause} need at least {nbytes:.3g} bytes, more than the "
                          f"{memory:.3g} bytes of physical memory")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .compound import physical_memory, require_memory
+from .compound import require_memory
 from .distributions import (
     FrequencyModel,
     GeneralizedPoissonFrequency,
@@ -315,7 +315,7 @@ def oracle_compound_pmf(model, step: float, x_max: float) -> CompoundPmf:
                          "the lattice would not resolve the severity")
     cells = x_max / step  # checked as a float, since it may overflow to inf
     require_memory(32.0 * (cells + 1.0), f"step {step:g} to x_max {x_max:g} makes M = "
-                   f"{cells:.3g} lattice cells, whose transform buffers", physical_memory())
+                   f"{cells:.3g} lattice cells, whose transform buffers")
     M = int(math.ceil(cells))
     sev = discretize_severity(model.severity, step, M)
     return compound_pmf_transform(model.frequency, sev, M)

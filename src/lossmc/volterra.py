@@ -416,6 +416,14 @@ def _cell_widths(locations: np.ndarray) -> np.ndarray:
     return np.gradient(locations)
 
 
+def _cell_edges(locations: np.ndarray) -> np.ndarray:
+    """Edges that tile the grid on any spacing: the midpoints between
+    points, and half an end cell's width past each end, clamped at 0."""
+    half = 0.5 * _cell_widths(locations)
+    mids = 0.5 * (locations[:-1] + locations[1:])
+    return np.concatenate(([max(locations[0] - half[0], 0.0)], mids, [locations[-1] + half[-1]]))
+
+
 def _check_grid(locations: np.ndarray) -> None:
     """Cells between grid points have positive widths only when the points
     are positive and strictly increasing (NaN fails both tests)."""
@@ -462,16 +470,14 @@ class WeightedParticleMeasure:
             raise ValueError("weights must be nonnegative")
 
     def survival(self):
-        """(knots, P(Z > knot), its standard error) at the cell edges: the
-        first cell's lower edge, then each cell's upper edge; linear between
-        knots, as a cell spreads its mass evenly.  Survival sums
-        ``tail_mass`` and the cells above, and its variance theirs, so a
-        tail answer carries only the noise of the tail."""
+        """(knots, P(Z > knot), its standard error) at the cell edges
+        (``_cell_edges``); linear between knots, as a cell spreads its mass
+        evenly.  Survival sums ``tail_mass`` and the cells above, and its
+        variance theirs, so a tail answer carries only its tail's noise."""
         widths = _cell_widths(self.locations)
-        knots = np.append(self.locations[0] - 0.5 * widths[0], self.locations + 0.5 * widths)
         surv = self.tail_mass + _sum_above(np.append(0.0, self.weights * widths))
         var = np.append(0.0, (self.stderr * widths) ** 2)
-        return knots, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
+        return _cell_edges(self.locations), surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
 
 
 def _invert(knots: np.ndarray, surv: np.ndarray, p: float):
@@ -763,7 +769,7 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
             # successive differences in rank order: stratum neighbours
             se[lo:hi] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
                                 / (2.0 * n * (n - 1)))
-    top = float(grid[-1] + 0.5 * _cell_widths(grid)[-1])  # the last cell's upper edge
+    top = float(_cell_edges(grid)[-1])
     n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
     tail_mass, tail_stderr, tail_excess, tail_excess_stderr = estimate_tail_probability(
         model, top, n_tail, p_d, streams[-1])

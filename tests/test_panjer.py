@@ -19,7 +19,7 @@ from lossmc import (
     oracle_tail_stats,
     panjer_discrete,
 )
-from lossmc import panjer
+from lossmc import compound, panjer
 from lossmc.panjer import DiscreteSeverity
 
 from conftest import lattice_density, sigma05_model, sigma1_model
@@ -84,9 +84,9 @@ def test_oracle_memory_refusal_is_a_lower_bound(monkeypatch):
     """The rfft spectrum and irfft output of M + 1 = 81 cells need at least
     32 * 81 = 2592 bytes: a memory of exactly that serves, one byte less
     refuses."""
-    monkeypatch.setattr(panjer, "physical_memory", lambda: 2592)
+    monkeypatch.setattr(compound, "physical_memory", lambda: 2592)
     assert oracle_compound_pmf(sigma05_model(), step=0.5, x_max=40.0).masses.size == 81
-    monkeypatch.setattr(panjer, "physical_memory", lambda: 2591)
+    monkeypatch.setattr(compound, "physical_memory", lambda: 2591)
     with pytest.raises(ValueError, match="makes M = 80 lattice cells, .* at least 2.59e"):
         oracle_compound_pmf(sigma05_model(), step=0.5, x_max=40.0)
 
