@@ -94,14 +94,14 @@ DEFENSIVE_SHARE = 0.2
 # 83112: 0.0043 with no table; 0.0028 for 64 to 1024 cells at shares 0.5
 # and 0.7; 0.0030 at a share of 0.3.
 TABLE_SHARE = 0.5
-TABLE_CELLS = 256  # a power of two: ``FirstMoveTable.draw`` searches by halving
+TABLE_CELLS = 256
 # The tail start runs one path per this many paths of the grid: 1e5 on the
-# sigma=1 grid of 400 points x 5000 paths, about 0.06 s on 2 vCPU.
+# sigma=1 grid of 400 points x 5000 paths, about 0.03 s on 2 vCPU.
 _GRID_PATHS_PER_TAIL_PATH = 20
 # Particles one block of grid points starts with, at most.  On the sigma=1
 # grid of 400 points x 5000 paths (2 vCPU, numpy 2.4) one point per block
-# took 1.45 s, 2^15 particles 1.0 s and 2^17 0.9 s; against one point per
-# block, 2^15 raised peak memory by 2 MB and 2^17 by 12 MB.
+# took 1.13 s, 2^15 particles 0.65 s and 2^17 0.63 s; against one point per
+# block, 2^15 raised peak memory by 3.5 MB and 2^17 by 16 MB.
 _BLOCK_PARTICLES = 1 << 15
 
 
@@ -167,6 +167,11 @@ def build_volterra_kernel(model: CompoundModel) -> VolterraKernel:
     return VolterraKernel(g=g, k=k, f=f, a=a, b=b)
 
 
+def _run_starts(v: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal entries of v."""
+    return np.flatnonzero(np.concatenate(([v.size > 0], v[1:] != v[:-1])))
+
+
 # ---------------------------------------------------------------------------
 # Decrement proposal
 # ---------------------------------------------------------------------------
@@ -209,7 +214,11 @@ class SizeBiasedProposal:
         from .normal import norm_cdf
 
         sev = self.severity
-        return norm_cdf((np.log(x) - sev.mu - sev.sigma ** 2) / sev.sigma)
+        z = np.log(x)
+        z -= sev.mu
+        z -= sev.sigma ** 2
+        z /= sev.sigma
+        return norm_cdf(z)
 
     def sample(self, x, u, cap) -> np.ndarray:
         """New states of the size-biased share, one per entry of ``x``, from
@@ -218,10 +227,14 @@ class SizeBiasedProposal:
 
         sev = self.severity
         x = np.asarray(x, dtype=float)
-        p = np.clip(u * cap, 1e-300, 1.0 - 1e-16)
+        p = u * cap
+        np.clip(p, 1e-300, 1.0 - 1e-16, out=p)
         z = norm_quantile(p)
-        decrement = np.exp(sev.mu + sev.sigma ** 2 + sev.sigma * z)
-        return x - np.minimum(decrement, x)
+        z *= sev.sigma
+        z += sev.mu + sev.sigma ** 2
+        decrement = np.exp(z, out=z)
+        np.minimum(decrement, x, out=decrement)
+        return np.subtract(x, decrement, out=decrement)
 
     def density(self, x, x1) -> np.ndarray:
         """The mixture density q(x, x1), zero outside [0, x]."""
@@ -238,11 +251,14 @@ class SizeBiasedProposal:
         """New states of the mixture from the uniforms ``u``: u <= 1 - pi
         passes u / (1 - pi) to ``sample``, and u > 1 - pi gives
         x (u - (1 - pi)) / pi, uniform on [0, x]."""
-        # every entry is drawn both ways, which is cheaper than splitting the
-        # arrays; ``sample`` clips the uniforms above 1 of the other share
-        return np.where(u <= 1.0 - DEFENSIVE_SHARE,
-                        self.sample(x, u / (1.0 - DEFENSIVE_SHARE), cap),
-                        x * ((u - (1.0 - DEFENSIVE_SHARE)) / DEFENSIVE_SHARE))
+        # every entry is drawn both ways, cheaper than splitting the arrays, so
+        # ``sample`` sees every entry and clips the uniforms above 1 of the other share
+        x1 = u - (1.0 - DEFENSIVE_SHARE)
+        x1 /= DEFENSIVE_SHARE
+        x1 *= x
+        np.copyto(x1, self.sample(x, u / (1.0 - DEFENSIVE_SHARE), cap),
+                  where=u <= 1.0 - DEFENSIVE_SHARE)
+        return x1
 
     def move(self, x, u, kernel: VolterraKernel, mass: float,
              table: FirstMoveTable | None = None):
@@ -271,29 +287,40 @@ class SizeBiasedProposal:
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        cap = self._cap(x)
         if table is None:
+            cap = self._cap(x)
             x1 = self._draw(x, u, cap)
         else:
+            # a first move's entries sit at a few start points: one cap each
+            runs = _run_starts(x)
+            cap = np.repeat(self._cap(x[runs]), np.diff(runs, append=x.size))
             share = table.share[table.rows]
             tabled = u <= share
-            rest = ~tabled
+            on, rest = np.flatnonzero(tabled), np.flatnonzero(~tabled)
             x1, q_t = np.empty_like(x), np.empty_like(x)
-            x1[tabled], q_t[tabled] = table.draw(u[tabled] / share[tabled],
-                                                 table.rows[tabled], x[tabled])
+            x1[on], q_t[on] = table.draw(u[on] / share[on], table.rows[on], x[on])
             x1[rest] = self._draw(x[rest], (u[rest] - share[rest]) / (1.0 - share[rest]),
                                   cap[rest])
             q_t[rest] = table.density_at(x1[rest], table.rows[rest], x[rest])
         d = x - x1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             f_d = kernel.f(d)
-            mass_q_per_f = ((mass * (1.0 - DEFENSIVE_SHARE) / self.severity.mean()) * d / cap
-                            + (mass * DEFENSIVE_SHARE) / (x * f_d))
+            # c1 d / cap + c2 / (x f_X(d)), in place and in that order
+            mass_q_per_f = d * (mass * (1.0 - DEFENSIVE_SHARE) / self.severity.mean())
+            mass_q_per_f /= cap
+            uniform = np.multiply(x, f_d)
+            mass_q_per_f += np.divide(mass * DEFENSIVE_SHARE, uniform, out=uniform)
             if table is not None:
                 mass_q_per_f *= 1.0 - share
-                mass_q_per_f += mass * np.where(q_t > 0.0, q_t / f_d, 0.0)
-            ratio = (kernel.a + kernel.b * d / x) / mass_q_per_f
-        return x1, np.where(d > 0.0, ratio, 0.0)
+                np.divide(q_t, f_d, out=q_t, where=q_t > 0.0)
+                q_t *= mass
+                mass_q_per_f += q_t
+            ratio = d * kernel.b
+            ratio /= x
+            ratio += kernel.a
+            ratio /= mass_q_per_f
+        np.copyto(ratio, 0.0, where=~(d > 0.0))
+        return x1, ratio
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +385,14 @@ class FirstMoveTable:
     def draw(self, s: np.ndarray, rows: np.ndarray, x: np.ndarray):
         """(x1, density) from the uniforms s in (0, 1] of entries at x: the
         row's first cell j with edges[row, j + 1] >= s, by inversion of its
-        cell probabilities, and x1 linear in s inside it."""
-        # halving search within each entry's own row for the last edge
-        # below s, so that a point's draws do not depend on its row
+        cell probabilities, one sorted search per run of entries in the same
+        row, and x1 linear in s inside it."""
+        # searching the row alone keeps a point's draws independent of its row
+        j = np.empty(len(s), dtype=np.intp)
+        runs = _run_starts(rows)
+        for a, b in zip(runs, np.append(runs[1:], len(s))):
+            j[a:b] = np.searchsorted(self.edges[rows[a]], s[a:b]) - 1
         edges, base = self.edges.ravel(), rows * (TABLE_CELLS + 1)
-        j = np.zeros(len(s), dtype=np.intp)
-        half = TABLE_CELLS // 2
-        while half:
-            j += half * (edges[base + j + half] < s)
-            half //= 2
         lo, hi = edges[base + j], edges[base + j + 1]
         frac = np.minimum((s - lo) / (hi - lo), 1.0)
         return x * ((j + frac) / TABLE_CELLS), self.density.ravel()[rows * TABLE_CELLS + j]
@@ -615,7 +641,7 @@ def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
         if strata > 1:  # the first step only
             u = (active % strata + u) / strata
             strata = 1
-        moving = u > p_d
+        moving = np.flatnonzero(u > p_d)
         active = active[moving]
         if not active.size:
             break
@@ -623,10 +649,14 @@ def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
                                   kernel, 1.0 - p_d,
                                   None if tables is None else tables.at(owner[active]))
         tables = None
-        w[active] *= ratio
+        wa = w[active]
+        wa *= ratio
+        w[active] = wa
         x[active] = x1
-        acc[active] += w[active] * kernel.g(x1)
-        active = active[(w[active] > 0.0) & (x[active] > _DEAD_FLOOR)]
+        g = kernel.g(x1)
+        g *= wa
+        acc[active] += g
+        active = active[np.flatnonzero((wa > 0.0) & (x1 > _DEAD_FLOOR))]
 
 
 def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,

@@ -50,6 +50,14 @@ def _panjer(frequency, severity=_LN05, step=0.05, x_max=150.0):
             "levels": _LEVELS}
 
 
+def _particle(frequency):
+    return {"model": {"frequency": frequency,
+                      "severity": {"kind": "lognormal", "mu": 2.0, "sigma": 1.0}},
+            "method": {"kind": "particle", "grid_width": 2.0, "x_max": 200.0,
+                       "n_per_point": 200},
+            "levels": [0.5, 0.9, 0.99, 0.9999], "seed": 7}
+
+
 # golden file stem -> (subcommand, config); each config runs in well under
 # a second
 CONFIGS = {
@@ -81,12 +89,9 @@ CONFIGS = {
     "panjer_pareto": ("panjer", _panjer(_POISSON2, {"kind": "pareto", "a": 2.0, "s": 1.0})),
     "panjer_point_mass": ("panjer", _panjer(_POISSON2, {"kind": "degenerate", "atom": 2.0},
                                             step=0.5, x_max=40.0)),
-    "particle": ("particle", {"model": {"frequency": _NEGBIN,
-                                        "severity": {"kind": "lognormal", "mu": 2.0,
-                                                     "sigma": 1.0}},
-                              "method": {"kind": "particle", "grid_width": 2.0,
-                                         "x_max": 200.0, "n_per_point": 200},
-                              "levels": [0.5, 0.9, 0.99, 0.9999], "seed": 7}),
+    "particle": ("particle", _particle(_NEGBIN)),
+    # the Poisson count (a = 0) through the particle route's weight ratio
+    "particle_poisson": ("particle", _particle(_POISSON2)),
     "rare_event": ("rare-event", _rare_event(_POISSON2)),
     "rare_event_negbinomial": ("rare-event", _rare_event(_NEGBIN)),
     "rare_event_pareto": ("rare-event", _rare_event(_POISSON2, {"kind": "pareto", "a": 1.5,

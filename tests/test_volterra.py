@@ -30,6 +30,7 @@ from lossmc import (
     risk_measures_from_measure,
     run_experiment,
 )
+import lossmc.volterra as volterra
 from lossmc.volterra import (
     _BLOCK_PARTICLES,
     _DEAD_FLOOR,
@@ -37,6 +38,7 @@ from lossmc.volterra import (
     DEFENSIVE_SHARE,
     TABLE_CELLS,
     TABLE_SHARE,
+    FirstMoveTable,
     _checked_move,
     _first_move_tables,
     _positive_sum_moments,
@@ -425,6 +427,48 @@ def test_first_move_table_draws_do_not_depend_on_the_row():
     assert np.array_equal(got[0], x1) and np.array_equal(got[1], density)
 
 
+def _halving_draw(table, s, rows, x):
+    """``FirstMoveTable.draw`` by a halving search over each entry's own row
+    for the last edge below s: the reference its sorted search must match."""
+    edges, base = table.edges.ravel(), rows * (TABLE_CELLS + 1)
+    j = np.zeros(len(s), dtype=np.intp)
+    half = TABLE_CELLS // 2
+    while half:
+        j += half * (edges[base + j + half] < s)
+        half //= 2
+    lo, hi = edges[base + j], edges[base + j + 1]
+    frac = np.minimum((s - lo) / (hi - lo), 1.0)
+    return x * ((j + frac) / TABLE_CELLS), table.density.ravel()[rows * TABLE_CELLS + j]
+
+
+def test_first_move_table_search_matches_halving():
+    """Hand-made rows, with zero-mass cells (repeated edges) at the start,
+    inside and at the end, and one row whose mass sits in a single cell:
+    the draws equal the halving search's bit for bit, with uniforms on
+    every edge, one ulp above them, s = 1 and s = 1e-300, for entries
+    point-major and interleaved, and for an empty draw."""
+    cells = np.arange(TABLE_CELLS + 1)
+    even = cells / TABLE_CELLS
+    gaps = np.clip((cells - 10.0) / 200.0, 0.0, 1.0)
+    gaps[100:120] = gaps[100]
+    lump = (cells >= 100).astype(float)
+    edges = np.array([even, gaps, lump])
+    x0 = np.array([3.0, 40.0, 250.0])
+    density = np.diff(edges, axis=1) * (TABLE_SHARE * TABLE_CELLS / x0[:, None])
+    table = FirstMoveTable(edges, density, np.full(x0.size, TABLE_SHARE))
+    per_row = [np.concatenate([PcgStream(31 + r).uniforms(500), e[e > 0.0],
+                               np.nextafter(e[(e > 0.0) & (e < 1.0)], 2.0), [1.0, 1e-300]])
+               for r, e in enumerate(edges)]
+    s = np.concatenate(per_row)
+    rows = np.repeat(np.arange(x0.size), [v.size for v in per_row])
+    for order in (np.arange(s.size), PcgStream(9).uniforms(s.size).argsort()):
+        got = table.draw(s[order], rows[order], x0[rows[order]])
+        want = _halving_draw(table, s[order], rows[order], x0[rows[order]])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    none = np.array([], dtype=np.intp)
+    assert [v.shape for v in table.draw(np.array([]), none, np.array([]))] == [(0,), (0,)]
+
+
 def test_first_move_is_finite_where_table_or_severity_underflows():
     """sigma = 0.5, x0 -> 0: up to about 3e-6 every table weight underflows
     and the point moves by the default mixture alone; above it some cells
@@ -631,8 +675,8 @@ def test_grid_blocks_match_single_points():
     measure = estimate_density_grid(model, grid, n, p_d, PcgStream(77))
     streams = PcgStream(77).spawn(len(grid) + 1)
     est, se = _single_point_grid(model, grid, n, streams[:-1])
-    assert np.allclose(measure.weights, est, rtol=1e-13, atol=0.0)
-    assert np.allclose(measure.stderr, se, rtol=1e-13, atol=0.0)
+    assert np.array_equal(measure.weights, est)
+    assert np.array_equal(measure.stderr, se)
     tail = estimate_tail_probability(model, grid[-1] + 4.5,
                                      len(grid) * n // _GRID_PATHS_PER_TAIL_PATH, p_d,
                                      streams[-1])
@@ -670,6 +714,34 @@ def test_first_step_is_stratified_by_rank(monkeypatch):
     assert np.array_equal(grid_v, ((u - pd) / (1.0 - pd)).ravel())
     # the tail start reads two start uniforms, then one per path and step
     assert np.array_equal(tail_v, (streams[-1].uniforms(4)[2:] - pd) / (1.0 - pd))
+
+
+def test_proposal_sample_sees_every_move_but_the_tabled(monkeypatch):
+    """``SizeBiasedProposal.sample``, whose output the benchmark trace sums
+    into its move count, gets once per ``_checked_move`` call exactly the
+    entries that call moves, less those that a first-move table draws, on
+    a small grid and its tail start."""
+    moves, samples, tabled = [], [], []
+    checked_move, sample = volterra._checked_move, SizeBiasedProposal.sample
+
+    def recording_move(proposal, x, u, kernel, mass, table=None):
+        rest = np.ones(x.size, dtype=bool) if table is None else u > table.share[table.rows]
+        moves.append(x[rest])
+        tabled.append(x.size - moves[-1].size)
+        return checked_move(proposal, x, u, kernel, mass, table)
+
+    def recording_sample(self, x, u, cap):
+        samples.append(np.array(x))
+        return sample(self, x, u, cap)
+
+    monkeypatch.setattr(volterra, "_checked_move", recording_move)
+    monkeypatch.setattr(SizeBiasedProposal, "sample", recording_sample)
+    model = sigma1_model()
+    estimate_density_grid(model, [5.0, 50.0, 300.0], 400, default_absorption(model),
+                          PcgStream(12))
+    assert len(samples) == len(moves) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(samples, moves))
+    assert tabled[0] > 0 and sum(tabled) == tabled[0]  # the grid's first move only
 
 
 @pytest.mark.parametrize("sigma,x0", [(1.0, 300.0), (0.5, 10.0)],
