@@ -27,9 +27,10 @@ def norm_quantile(p):
     """Inverse of the standard normal cdf.
 
     Accepts a scalar or array of probabilities in the open interval
-    (0, 1); raises ``ValueError`` outside it.
+    (0, 1); raises ``ValueError`` outside it or at NaN.
     """
     arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # one pass each; a NaN makes both NaN, which fails the test
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise ValueError("normal quantile requires p in (0, 1)")
     return special.ndtri(arr)

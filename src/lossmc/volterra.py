@@ -17,17 +17,23 @@ severity's own density, ``LogNormalSeverity.pdf``: f_X in k and in
 g = p_1 f_X.
 
 The grid estimator and the tail start run one propagator,
-``_propagate``, which advances a whole set of particles by one
-absorb-or-move step at a time, on one uniform per particle and step:
+``_propagate``, which advances one pool of live paths by one
+absorb-or-move step at a time, on one uniform per path and step:
 u <= P_d absorbs, and otherwise (u - P_d) / (1 - P_d) drives the move.
-Each particle carries the id of the grid point it belongs to, and each
-point draws its uniforms from its own spawned substream, so the grid
-estimator steps a block of consecutive points together while every
-point sees exactly the draws it would see alone.  All n paths of a grid
-point start at the point, so their first step is stratified: path r
-uses (r + u) / n, in (r/n, (r+1)/n], and the point's standard error is
-taken from successive differences in rank order.  The tail start's
-draws stay iid.  The estimators take the move from the model's
+The pool holds each path's state, weight and id; path id belongs to
+grid point id // n, and each point draws its uniforms from its own
+spawned substream, in id order, so every point sees exactly the draws
+it would see alone however the pool mixes points.  The grid hands the
+pool its points in blocks of at most ``_BLOCK_PARTICLES`` paths and
+admits the next block when fewer than ``_LOW_WATER`` of a block are
+live: a block's last steps, each moving a few paths, run with the next
+block's first, and only the admitting step mixes first moves with later
+ones.  The tail start admits its next chunk only once the pool is
+empty, so its chunks draw from its one stream in turn.  All n paths of
+a grid point start at the point, so their first step is stratified:
+path r uses (r + u) / n, in (r/n, (r+1)/n], and the point's standard
+error is taken from successive differences in rank order.  The tail
+start's draws stay iid.  The estimators take the move from the model's
 severity: ``SizeBiasedProposal``, whose ``move`` turns a batch of
 uniforms into new states and their weight ratios, is a defensive
 mixture of a size-biased decrement and, with probability
@@ -42,7 +48,7 @@ The zero-variance first move is proportional to k(x0, x1) f(x1)
 (Spanier & Gelbard 1969); the default mixture alone lands the paths that
 carry most of a tail point's estimate by its uniform share, and the
 table lands them where f is.  A table depends only on its point and the
-model, so estimates stay unbiased and blocks still equal single points;
+model, so estimates stay unbiased and the pool still equals single points;
 its ratio keeps the default mixture's share, which bounds the weights
 (Owen & Zhou 2000).  Later moves and the tail start take no table.
 
@@ -98,11 +104,19 @@ TABLE_CELLS = 256
 # The tail start runs one path per this many paths of the grid: 1e5 on the
 # sigma=1 grid of 400 points x 5000 paths, about 0.03 s on 2 vCPU.
 _GRID_PATHS_PER_TAIL_PATH = 20
-# Particles one block of grid points starts with, at most.  On the sigma=1
-# grid of 400 points x 5000 paths (2 vCPU, numpy 2.4) one point per block
-# took 1.13 s, 2^15 particles 0.65 s and 2^17 0.63 s; against one point per
-# block, 2^15 raised peak memory by 3.5 MB and 2^17 by 16 MB.
+# Paths one block of grid points starts with, at most.  On the sigma=1 grid
+# of 400 points x 5000 paths (2 vCPU, numpy 2.4; median of 8 grids, taken
+# in turn in one process) one point per block took 1.18 s, 2^15 paths
+# 0.73 s and 2^17 0.91 s; peak memory rose over the process before the
+# run by 4.1, 4.5-4.9 and 18.5-19 MB.
 _BLOCK_PARTICLES = 1 << 15
+# The pool of live paths takes in the next block when fewer than this share
+# of a block's paths are live.  On the same grid and 2^15-path blocks, 1/4,
+# 1/8 and 1/16 took 0.68, 0.73 and 0.73 s (14 more grids in turn put them
+# within 4 % of each other) in 375, 507 and 581 steps, against 1454 steps
+# when a block joins only an empty pool; peak memory rose by 5.0-5.3,
+# 4.5-4.9 and 4.2 MB.
+_LOW_WATER = 1 / 8
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +588,20 @@ def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float) -
 # Vectorized estimators
 # ---------------------------------------------------------------------------
 
-def _uniforms(streams, owner, idx: np.ndarray) -> np.ndarray:
-    """One uniform per particle in ``idx`` (ascending), each drawn from the
-    stream of the point that owns it, point after point.
+def _uniforms(streams, ids: np.ndarray, n: int) -> np.ndarray:
+    """One uniform per path in ``ids`` (ascending), each drawn from the
+    stream of its point ``streams[id // n]``, point after point.
 
-    ``owner`` is nondecreasing in the particle index, so the draws line up
-    with ``idx``, and every point takes from its stream exactly the
-    uniforms it would take if it ran alone.
+    The draws line up with ``ids``, and every point takes from its stream
+    exactly the uniforms it would take if it ran alone.
     """
-    if len(streams) == 1:
-        return streams[0].uniforms(idx.size)
-    counts = np.bincount(owner[idx], minlength=len(streams))
-    return np.concatenate([s.uniforms(c) for s, c in zip(streams, counts) if c])
+    first, last = int(ids[0]) // n, int(ids[-1]) // n
+    if first == last:
+        return streams[first].uniforms(ids.size)
+    # point p's paths are ids[cuts[p - first]:cuts[p - first + 1]]
+    cuts = np.searchsorted(ids, np.arange(first, last + 2) * n).tolist()
+    return np.concatenate([streams[p].uniforms(b - a)
+                           for p, a, b in zip(range(first, last + 1), cuts, cuts[1:]) if b > a])
 
 
 def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float, table=None):
@@ -613,68 +629,95 @@ def _checked_move(proposal, x, u, kernel: VolterraKernel, mass: float, table=Non
     return x1, ratio
 
 
-def _propagate(x, w, acc, kernel: VolterraKernel, proposal: SizeBiasedProposal,
-               p_d: float, streams, owner, strata: int,
-               tables: FirstMoveTable | None = None) -> None:
-    """Run every particle's path to absorption, updating x, w and acc in place.
+def _propagate(blocks, kernel: VolterraKernel, proposal: SizeBiasedProposal, p_d: float,
+               streams, n: int, strata: int, low: int):
+    """Run the paths of ``blocks`` to absorption in one pool of live paths,
+    and yield each block's ``(lo, acc)`` once none of its paths is live.
 
-    Each step draws one uniform u per live particle from its owner's
-    stream (``owner[i]`` indexes ``streams``; None with a single stream):
-    u <= p_d absorbs, and otherwise v = (u - p_d) / (1 - p_d), again
-    uniform on (0, 1], drives the proposal's move.  A moved particle
-    multiplies its weight by k / ((1 - p_d) q) and adds the new weight
-    times g at the new state to ``acc``.  Particles whose weight or state
-    underflows stop contributing.
+    A block is ``(x0, w0, acc, table)``: its paths start at the states x0
+    with the weights w0 and add to their entries of ``acc``.  They get the
+    ids lo, lo + 1, ..., where lo counts the paths of the blocks before.
+    The pool holds each live path's state, weight and id, in id order.  It
+    takes in the next block whenever fewer than ``low`` of its paths are
+    live, so a block's last, thin steps run with the next block's first.
 
-    The first step is stratified over ``strata`` consecutive particles:
-    particle i takes (i mod strata + u) / strata, which lies in
-    (r / strata, (r + 1) / strata] for its rank r = i mod strata and is
-    still one uniform per particle.  The grid passes its paths per point,
-    so each point's first absorb-or-move draws cover (0, 1] evenly; with
-    ``strata`` = 1 every draw is u itself.  The first move also takes
-    ``tables`` (``FirstMoveTable``), whose row ``owner[i]`` belongs to
-    particle i; later moves take none.
+    Each step draws one uniform u per live path from the stream of its
+    point, ``streams[id // n]`` (``_uniforms``): u <= p_d absorbs, and
+    otherwise v = (u - p_d) / (1 - p_d), again uniform on (0, 1], drives
+    the proposal's move.  A moved path multiplies its weight by
+    k / ((1 - p_d) q) and adds the new weight times g at the new state to
+    its sum.  Paths whose weight or state underflows stop contributing.
+
+    A block's paths take their first step in the step that admits it.  It
+    is stratified over ``strata`` consecutive ids: path id takes
+    (id mod strata + u) / strata, which lies in (r / strata, (r + 1) /
+    strata] for its rank r = id mod strata and is still one uniform per
+    path.  The grid passes its paths per point, so each point's first
+    absorb-or-move draws cover (0, 1] evenly; with ``strata`` = 1 every
+    draw is u itself.  The block's first moves also take its ``table``
+    (``FirstMoveTable``), whose row for path id is id // n - lo // n; the
+    paths carried from earlier blocks move in a call of their own, without
+    a table.
     """
-    active = np.flatnonzero((w > 0.0) & (x > _DEAD_FLOOR))
-    while active.size:
-        u = _uniforms(streams, owner, active)
-        if strata > 1:  # the first step only
-            u = (active % strata + u) / strata
-            strata = 1
+    mass = 1.0 - p_d
+    ids, x, w = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+    pending = []  # (lo, acc) of each admitted block not yet yielded, by lo
+    blocks, end = iter(blocks), 0  # end: the id of the next block's first path
+    while True:
+        while pending and not (ids.size and ids[0] < pending[0][0] + pending[0][1].size):
+            yield pending.pop(0)
+        fresh, table = ids.size, None  # an admitted block's paths are ids[fresh:]
+        if ids.size < low:
+            block = next(blocks, None)
+            if block is None and not ids.size:
+                return
+            if block is not None:
+                x0, w0, acc, table = block
+                new = _drop_dead(np.arange(end, end + x0.size), x0, w0)
+                ids, x, w = (np.concatenate(pair) for pair in zip((ids, x, w), new))
+                pending.append((end, acc))
+                end += acc.size
+                del block, x0, w0, new  # the pool holds what the steps need of them
+        if not ids.size:
+            continue
+        u = _uniforms(streams, ids, n)
+        if strata > 1 and fresh < ids.size:
+            u[fresh:] = (ids[fresh:] % strata + u[fresh:]) / strata
         moving = np.flatnonzero(u > p_d)
-        active = active[moving]
-        if not active.size:
-            break
-        x1, ratio = _checked_move(proposal, x[active], (u[moving] - p_d) / (1.0 - p_d),
-                                  kernel, 1.0 - p_d,
-                                  None if tables is None else tables.at(owner[active]))
-        tables = None
-        wa = w[active]
-        wa *= ratio
-        w[active] = wa
-        x[active] = x1
+        ids, x, w = ids[moving], x[moving], w[moving]
+        if not ids.size:
+            continue
+        v = u[moving]
+        v -= p_d
+        v /= mass
+        if table is None:
+            x1, ratio = _checked_move(proposal, x, v, kernel, mass)
+        else:
+            base = pending[-1][0]
+            m = int(np.searchsorted(ids, base))  # the carried paths come first
+            x1, ratio = map(np.concatenate, zip(*(
+                _checked_move(proposal, x[a:b], v[a:b], kernel, mass, t)
+                for a, b, t in ((0, m, None), (m, ids.size, table.at(ids[m:] // n - base // n)))
+                if a < b)))
+        w *= ratio
         g = kernel.g(x1)
-        g *= wa
-        acc[active] += g
-        active = active[np.flatnonzero((wa > 0.0) & (x1 > _DEAD_FLOOR))]
+        g *= w
+        # each pending block's live paths are a run of ids
+        cuts = [0, *np.searchsorted(ids, [lo for lo, _ in pending[1:]]).tolist(), ids.size]
+        for (lo, acc), a, b in zip(pending, cuts, cuts[1:]):
+            acc[ids[a:b] - lo] += g[a:b]
+        ids, x, w = _drop_dead(ids, x1, w)
+        del u, moving, v, x1, ratio, g  # before the next step's move
 
 
-def _run_point_block(x0: np.ndarray, n: int, kernel: VolterraKernel,
-                     proposal: SizeBiasedProposal, p_d: float, streams, proxy) -> np.ndarray:
-    """Per-particle density contributions for a block of start points.
-
-    Point ``j`` owns particles ``j*n`` to ``(j+1)*n - 1``, draws from
-    ``streams[j]`` and makes its first move with row ``j`` of the block's
-    tables, built with ``proxy``; the result has the same layout.
-    """
-    owner = np.repeat(np.arange(len(x0)), n)
-    x, w = np.repeat(x0, n), np.ones(owner.size)
-    # every path starts from the deterministic n = 0 term g(x0)
-    acc = np.repeat(kernel.g(x0), n)
-    # point j's particles are j*n .. j*n + n - 1, so index mod n is the rank
-    _propagate(x, w, acc, kernel, proposal, p_d, streams, owner, n,
-               _first_move_tables(kernel, proxy, x0))
-    return acc
+def _drop_dead(ids, x, w):
+    """The paths (ids, x, w) less those whose weight or state underflows,
+    which contribute nothing more; as given when none does."""
+    live = (w > 0.0) & (x > _DEAD_FLOOR)
+    if live.all():
+        return ids, x, w
+    live = np.flatnonzero(live)
+    return ids[live], x[live], w[live]
 
 
 def _path_sampler(model: CompoundModel, p_d: float):
@@ -716,8 +759,9 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
     (t, inf), with no grid past t, and the mean of each sum times
     (x0 - t) the stop-loss integral of (z - t) f(z) over it, with no
     further draws.  Paths absorb with probability
-    ``p_d`` per step and run in chunks of at most ``_BLOCK_PARTICLES``,
-    one chunk after another on ``rng``.
+    ``p_d`` per step and start in chunks of at most ``_BLOCK_PARTICLES``,
+    drawn from ``rng`` one after another: ``_propagate`` admits the next
+    chunk once the last one's paths have all absorbed.
     """
     t = float(t)
     if not (0.0 < t < math.inf):
@@ -730,17 +774,21 @@ def estimate_tail_probability(model: CompoundModel, t: float, n_paths: int,
     sf_t = float(sev.sf(t))
     if sf_t == 0.0:
         return 0.0, 0.0, 0.0, 0.0  # no severity mass beyond t in double precision
+    over = {}  # x0 - t of each chunk, by its first id
+
+    def chunks():
+        for lo in range(0, n, _BLOCK_PARTICLES):
+            # the uniform is the draw's survival probability, scaled to (0, sf(t)]
+            x0 = sev.isf(sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo)))
+            over[lo] = x0 - t
+            w = sf_t / kernel.f(x0)
+            yield x0, w, w * kernel.g(x0), None
+
     mass, excess = [], []  # _chunk_stats of each chunk
-    for lo in range(0, n, _BLOCK_PARTICLES):
-        # the uniform is the draw's survival probability, scaled to (0, sf(t)]
-        x0 = sev.isf(sf_t * rng.uniforms(min(_BLOCK_PARTICLES, n - lo)))
-        over = x0 - t  # before _propagate moves x0
-        w = sf_t / kernel.f(x0)
-        acc = w * kernel.g(x0)
-        _propagate(x0, w, acc, kernel, proposal, p_d, [rng], None, 1)
+    # admitting a chunk only into an empty pool keeps the stream's draws in order
+    for lo, acc in _propagate(chunks(), kernel, proposal, p_d, [rng], n, 1, 1):
         mass.append(_chunk_stats(acc))
-        over *= acc
-        excess.append(_chunk_stats(over))
+        excess.append(_chunk_stats(over.pop(lo) * acc))
     return (*_pooled_mean_se(mass, n), *_pooled_mean_se(excess, n))
 
 
@@ -754,13 +802,15 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
 
     Each grid point gets its own batch of ``n_per_point`` particles and
     its own substream spawned from ``rng``, so a point's estimate depends
-    only on its position in the grid and the seed.  Points run in blocks
-    of consecutive points holding at most ``_BLOCK_PARTICLES`` particles,
-    all advanced by one propagation step at a time; within a step each
-    point draws its uniforms from its own substream, so the draws and the
-    estimates are those of a loop over single points.  Per-point
-    accumulation relies on numpy's pairwise summation, which keeps
-    results independent of the blocking.
+    only on its position in the grid and the seed.  Points join one pool
+    of live paths (``_propagate``) in blocks of consecutive points holding
+    at most ``_BLOCK_PARTICLES`` paths, the next block once fewer than
+    ``_LOW_WATER`` of a block's paths are live; within a step each point
+    draws its uniforms from its own substream, in path order, and every
+    move is element-wise, so the draws and the estimates are those of a
+    loop over single points.  A block's means and SEs are taken, one row
+    per point, once none of its paths is live; numpy's pairwise summation
+    gives each row the sum it would get alone.
 
     A point's first step is stratified over its paths (``_propagate``):
     path r draws its first uniform from (r/n, (r+1)/n].  The iid
@@ -788,17 +838,22 @@ def estimate_density_grid(model: CompoundModel, grid, n_per_point: int,
     proxy = _sum_proxy(model)
     # a block's tables hold TABLE_CELLS entries per point
     per_block = max(1, _BLOCK_PARTICLES // max(n, TABLE_CELLS))
+    # point j's paths have the ids j*n .. j*n + n - 1, so id mod n is the rank;
+    # every path starts from the deterministic n = 0 term g(x0)
+    blocks = ((np.repeat(x0, n), np.ones(x0.size * n), np.repeat(kernel.g(x0), n),
+               _first_move_tables(kernel, proxy, x0))
+              for x0 in (grid[lo:lo + per_block] for lo in range(0, len(grid), per_block)))
     est = np.empty(len(grid))
     se = np.zeros(len(grid))
-    for lo in range(0, len(grid), per_block):
-        hi = min(lo + per_block, len(grid))
-        contrib = _run_point_block(grid[lo:hi], n, kernel, proposal, p_d,
-                                   streams[lo:hi], proxy).reshape(hi - lo, n)
-        est[lo:hi] = contrib.mean(axis=1)
+    for lo, acc in _propagate(blocks, kernel, proposal, p_d, streams, n, n,
+                              max(1, int(_LOW_WATER * per_block * n))):
+        contrib = acc.reshape(-1, n)
+        points = slice(lo // n, lo // n + len(contrib))
+        est[points] = contrib.mean(axis=1)
         if n > 1:
             # successive differences in rank order: stratum neighbours
-            se[lo:hi] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
-                                / (2.0 * n * (n - 1)))
+            se[points] = np.sqrt(np.sum(np.diff(contrib, axis=1) ** 2, axis=1)
+                                 / (2.0 * n * (n - 1)))
     top = float(_cell_edges(grid)[-1])
     n_tail = -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH)
     tail_mass, tail_stderr, tail_excess, tail_excess_stderr = estimate_tail_probability(

@@ -17,6 +17,7 @@ from lossmc import (
     build_frequency,
     build_severity,
     norm_cdf,
+    norm_quantile,
     norm_sf,
 )
 from lossmc.distributions import _guide_table, _guided_search
@@ -137,6 +138,23 @@ def test_shared_edge_cells_match_per_cell_differences(sev, edges):
     assert np.array_equal(sev.interval_masses(edges), _per_cell_masses(sev, edges))
     assert np.array_equal(sev.interval_partial_expectation(edges),
                           _per_cell_partial_expectation(sev, edges))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan, -0.5, 1.5, [0.5, 0.0], [0.3, math.nan, 0.7],
+                               [0.5, 1.0], [-math.inf, 0.5]],
+                         ids=["zero", "one", "nan", "below", "above", "array-zero", "array-nan",
+                              "array-one", "array-minus-inf"])
+def test_normal_quantile_refuses_p_outside_open_unit_interval(p):
+    with pytest.raises(ValueError):
+        norm_quantile(p)
+
+
+def test_normal_quantile_is_ndtri_inside_unit_interval():
+    p = np.array([1e-300, 0.25, 0.5, 1.0 - 1e-16])
+    assert np.array_equal(norm_quantile(p), ndtri(p))
+    assert norm_quantile(0.975) == ndtri(0.975) and np.ndim(norm_quantile(0.975)) == 0
+    empty = norm_quantile(np.array([]))
+    assert empty.shape == (0,) and empty.dtype == float
 
 
 # ---------------------------------------------------------------------------

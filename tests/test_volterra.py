@@ -651,37 +651,159 @@ def _single_point_contributions(x0, n, kernel, proposal, pd, stream, table):
     return acc
 
 
-def _single_point_grid(model, grid, n, streams):
+def _single_point_grid(model, grid, n, streams, pd=None):
     kernel = build_volterra_kernel(model)
-    proposal, pd = SizeBiasedProposal(model.severity), default_absorption(model)
+    proposal = SizeBiasedProposal(model.severity)
+    pd = default_absorption(model) if pd is None else pd
     proxy = _sum_proxy(model)
     contrib = [_single_point_contributions(x0, n, kernel, proposal, pd, s,
                                            _first_move_tables(kernel, proxy, np.array([x0])))
                for x0, s in zip(grid, streams)]
     return (np.array([c.mean() for c in contrib]),
-            np.array([math.sqrt(np.sum(np.diff(c) ** 2) / (2.0 * n * (n - 1)))
+            np.array([math.sqrt(np.sum(np.diff(c) ** 2) / (2.0 * n * (n - 1))) if n > 1 else 0.0
                       for c in contrib]))
 
 
-def test_grid_blocks_match_single_points():
-    """Blocks of grid points give the estimates of one point at a time,
-    each on its own spawned substream and with its own first-move table;
-    the tail start runs on the next substream."""
-    model = sigma1_model()
-    n = 1500
-    grid = np.arange(2.0, 400.0, 9.0)
-    assert 1 < _BLOCK_PARTICLES // n < len(grid)
-    p_d = default_absorption(model)
-    measure = estimate_density_grid(model, grid, n, p_d, PcgStream(77))
-    streams = PcgStream(77).spawn(len(grid) + 1)
-    est, se = _single_point_grid(model, grid, n, streams[:-1])
+def _record_steps(monkeypatch):
+    """Wrap ``_uniforms`` and ``_checked_move``: every propagation step
+    appends (the ids of its live paths, the tables of its move calls, None
+    for a move without one) to the list returned."""
+    steps = []
+    uniforms, checked_move = volterra._uniforms, volterra._checked_move
+
+    def recording_uniforms(streams, ids, n):
+        steps.append((np.array(ids), []))
+        return uniforms(streams, ids, n)
+
+    def recording_move(proposal, x, u, kernel, mass, table=None):
+        steps[-1][1].append(table)
+        return checked_move(proposal, x, u, kernel, mass, table)
+
+    monkeypatch.setattr(volterra, "_uniforms", recording_uniforms)
+    monkeypatch.setattr(volterra, "_checked_move", recording_move)
+    return steps
+
+
+def _admissions(steps, block_paths):
+    """The move calls of each step that admits a block of ``block_paths``
+    ids while paths of an earlier block are live: "carried" for a call
+    without a table, "fresh" for the new block's first moves."""
+    seen, out = set(), []
+    for ids, tables in steps:
+        blocks = set(ids // block_paths)
+        if blocks - seen and len(blocks) > 1:
+            out.append(tuple("carried" if t is None else "fresh" for t in tables))
+        seen |= blocks
+    return out
+
+
+def _assert_grid_matches_single_points(model, grid, n, p_d, streams, measure):
+    """``measure``, the grid estimate, against one point at a time on the
+    first ``len(grid)`` of ``streams`` and the tail start on the last."""
+    est, se = _single_point_grid(model, grid, n, streams[:-1], p_d)
     assert np.array_equal(measure.weights, est)
     assert np.array_equal(measure.stderr, se)
-    tail = estimate_tail_probability(model, grid[-1] + 4.5,
-                                     len(grid) * n // _GRID_PATHS_PER_TAIL_PATH, p_d,
+    tail = estimate_tail_probability(model, volterra._cell_edges(grid)[-1],
+                                     -(-len(grid) * n // _GRID_PATHS_PER_TAIL_PATH), p_d,
                                      streams[-1])
     assert (measure.tail_mass, measure.tail_stderr,
             measure.tail_excess, measure.tail_excess_stderr) == tail
+
+
+@pytest.mark.parametrize("n,grid,p_d,blocks,carried", [
+    (1500, np.arange(2.0, 400.0, 9.0), None, 3, True),
+    (300, np.linspace(1.0, 400.0, 300), 1.0, 3, False),
+    (1, np.linspace(1.0, 400.0, 300), None, 3, True),
+    (300, np.linspace(1.0, 400.0, 5), None, 1, False),
+], ids=["pooled", "absorb-at-first-draw", "one-path-per-point", "one-block"])
+def test_grid_blocks_match_single_points(monkeypatch, n, grid, p_d, blocks, carried):
+    """The pooled blocks of grid points give the estimates of one point at
+    a time, each on its own spawned substream and with its own first-move
+    table; the tail start runs on the next substream.  With ``carried``
+    some step admits a block while paths of the one before are live, and
+    both parts move in it; without, no step holds two blocks: at p_d = 1
+    every path absorbs at its first draw, and the last grid is one block."""
+    model = sigma1_model()
+    p_d = default_absorption(model) if p_d is None else p_d
+    per_block = _BLOCK_PARTICLES // max(n, TABLE_CELLS)
+    assert -(-len(grid) // per_block) == blocks
+    steps = _record_steps(monkeypatch)
+    measure = estimate_density_grid(model, grid, n, p_d, PcgStream(77))
+    admissions = _admissions(steps, per_block * n)
+    assert (("carried", "fresh") in admissions) if carried else admissions == []
+    _assert_grid_matches_single_points(model, grid, n, p_d, PcgStream(77).spawn(len(grid) + 1),
+                                       measure)
+
+
+class _ListStreams:
+    """A root stream whose spawned children replay one list of draws each;
+    ``children`` keeps the last ones spawned."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def spawn(self, n):
+        assert n == len(self.draws)
+        self.children = [SequenceStream(d) for d in self.draws]
+        return self.children
+
+
+@pytest.mark.parametrize("carried_u,fresh_u", [(0.995, 0.5), (0.5, 0.95), (0.5, 0.5),
+                                               (0.995, 0.95)],
+                         ids=["carried-only", "fresh-only", "none", "both"])
+def test_admitting_step_moves_either_part_alone(monkeypatch, carried_u, fresh_u):
+    """Blocks of two points of 8 paths at p_d = 0.99: a path moves only on
+    a draw above 0.99, so on its first step only at rank 7, with u > 0.92.
+    Block 1 leaves one path live, and the step that admits block 2 holds
+    it too; its draws make either part of that step move, or both, or
+    neither.  The estimates are still those of one point at a time, and
+    both read every draw."""
+    monkeypatch.setattr(volterra, "_BLOCK_PARTICLES", 2 * TABLE_CELLS)
+    model, n, p_d, grid = sigma05_model(), 8, 0.99, np.array([10.0, 20.0, 30.0, 40.0])
+    assert int(volterra._LOW_WATER * 2 * n) == 2  # block 2 joins one live path
+
+    def point(first_u, *later):  # ranks 0-6 absorb; a moved path absorbs at its next draw
+        draws = [0.5] * 7 + [first_u]
+        moved = (7.0 + first_u) / n > p_d
+        for u in later:
+            draws += [u] * moved
+            moved = moved and u > p_d
+        return draws + [0.5] * moved
+
+    draws = [point(0.95, carried_u), point(0.5), point(fresh_u), point(0.5), [0.5] * 4]
+    steps = _record_steps(monkeypatch)
+    rng = _ListStreams(draws)
+    measure = estimate_density_grid(model, grid, n, p_d, rng)
+    assert _admissions(steps, 2 * n) == [("carried",) * (carried_u > p_d)
+                                         + ("fresh",) * (fresh_u > 0.92)]
+    assert all(s.remaining == 0 for s in rng.children)
+    monkeypatch.undo()
+    rng = _ListStreams(draws)
+    _assert_grid_matches_single_points(model, grid, n, p_d, rng.spawn(len(draws)), measure)
+    assert all(s.remaining == 0 for s in rng.children)
+
+
+def test_pool_takes_fewer_steps_for_the_same_moves(monkeypatch):
+    """Admitting the next block while the pool runs low cuts the steps of
+    the grid and its tail start, counted as ``SizeBiasedProposal.sample``
+    calls (the benchmark trace's ``volterra.steps``), and leaves the moves
+    as they were: their summed sizes (``volterra.moves``) are those of
+    running the three blocks one after another, 85 calls and 118947 moves."""
+    calls, moves = [], []
+    sample = SizeBiasedProposal.sample
+
+    def counting_sample(self, x, u, cap):
+        out = sample(self, x, u, cap)
+        calls.append(1)
+        moves.append(out.size)
+        return out
+
+    monkeypatch.setattr(SizeBiasedProposal, "sample", counting_sample)
+    model = sigma1_model()
+    estimate_density_grid(model, np.arange(2.0, 400.0, 9.0), 1500, default_absorption(model),
+                          PcgStream(77))
+    assert len(calls) < 85
+    assert sum(moves) == 118947
 
 
 def test_first_step_is_stratified_by_rank(monkeypatch):
