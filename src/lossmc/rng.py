@@ -44,8 +44,9 @@ class PcgStream(UniformStream):
         return 1.0 - self._gen.random()
 
     def uniforms(self, n: int) -> np.ndarray:
-        # Generator.random() covers [0, 1); flip to (0, 1].
-        return 1.0 - self._gen.random(int(n))
+        # Generator.random() covers [0, 1); flip to (0, 1] in place.
+        u = self._gen.random(int(n))
+        return np.subtract(1.0, u, out=u)
 
     def spawn(self, n: int) -> list["PcgStream"]:
         """Create ``n`` independent child streams."""

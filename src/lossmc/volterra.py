@@ -28,8 +28,9 @@ pool its points in blocks of at most ``_BLOCK_PARTICLES`` paths and
 admits the next block when fewer than ``_LOW_WATER`` of a block are
 live: a block's last steps, each moving a few paths, run with the next
 block's first, and only the admitting step mixes first moves with later
-ones.  The tail start admits its next chunk only once the pool is
-empty, so its chunks draw from its one stream in turn.  All n paths of
+ones, in one call: the later read a table row of share 0.  The tail
+start admits its next chunk only once the pool is empty, so its chunks
+draw from its one stream in turn.  All n paths of
 a grid point start at the point, so their first step is stratified:
 path r uses (r + u) / n, in (r/n, (r+1)/n], and the point's standard
 error is taken from successive differences in rank order.  The tail
@@ -290,14 +291,15 @@ class SizeBiasedProposal:
         k / q does to within rounding, not NaN.  At d = 0, where k
         vanishes, it is 0.
 
-        With a ``table`` (a grid point's first move, every entry at its
-        row's start point) the move mixes the table, with the weight
-        pi_t = ``table.share`` of the entry's row, and the move above:
-        u <= pi_t inverts the table with u / pi_t, and u > pi_t passes
-        (u - pi_t) / (1 - pi_t) to ``_draw``, so no entry is drawn both
-        ways.  The density becomes pi_t q_t + (1 - pi_t) q, and the ratio
-        is formed as above, with pi_t q_t / f_X(d) added to (1 - pi_t)
-        times the denominator; that term is 0 where q_t is.
+        With a ``table`` (a block's first moves, each at its row's start
+        point, and carried paths on its zero row) the move mixes the
+        table, with the weight pi_t = ``table.share`` of the entry's row,
+        and the move above: u <= pi_t inverts the table with u / pi_t,
+        and u > pi_t passes (u - pi_t) / (1 - pi_t) to ``_draw``, so no
+        entry is drawn both ways.  The density becomes pi_t q_t + (1 -
+        pi_t) q, and the ratio is formed as above, with pi_t q_t / f_X(d)
+        added to (1 - pi_t) times the denominator; that term is 0 where
+        q_t is.
         """
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
@@ -305,7 +307,7 @@ class SizeBiasedProposal:
             cap = self._cap(x)
             x1 = self._draw(x, u, cap)
         else:
-            # a first move's entries sit at a few start points: one cap each
+            # first moves sit at a few start points: one cap per run of equal states
             runs = _run_starts(x)
             cap = np.repeat(self._cap(x[runs]), np.diff(runs, append=x.size))
             share = table.share[table.rows]
@@ -383,8 +385,9 @@ class FirstMoveTable:
     ``density[r]`` each cell's density times ``share[r]``, the row's
     weight in the move's mixture: ``TABLE_SHARE``, or 0 for a point whose
     table weights all vanish, which then moves by the default mixture
-    alone.  ``rows`` names each entry's row when the table is handed to
-    a move (``at``).
+    alone.  The last row, the zero row, is all zero with share 0 too: an
+    entry on it moves exactly as without a table.  ``rows`` names each
+    entry's row when the table is handed to a move (``at``).
     """
 
     edges: np.ndarray
@@ -420,18 +423,20 @@ class FirstMoveTable:
 def _first_move_tables(kernel: VolterraKernel, proxy, x0: np.ndarray) -> FirstMoveTable:
     """One table per start point: cell j of [0, x0] gets weight
     k(x0, y_j) h(y_j) at its midpoint y_j, for the proxy h (``_sum_proxy``)
-    of the density the path goes on to estimate, normalized per row."""
+    of the density the path goes on to estimate, normalized per row, and
+    then the zero row (``FirstMoveTable``) at index ``len(x0)``."""
     x0 = np.asarray(x0, dtype=float)[:, None]
     y = x0 * ((np.arange(TABLE_CELLS) + 0.5) / TABLE_CELLS)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cum = np.cumsum(kernel.k(x0, y) * proxy(y), axis=1)
     total = cum[:, -1:]
     usable = (total > 0.0) & (total < math.inf)
-    edges = np.zeros((len(x0), TABLE_CELLS + 1))
+    edges = np.zeros((len(x0) + 1, TABLE_CELLS + 1))
     # cum / cum[-1] makes the last edge exactly 1
-    np.divide(cum, total, out=edges[:, 1:], where=usable)
-    share = np.where(usable[:, 0], TABLE_SHARE, 0.0)
-    density = np.diff(edges, axis=1) * (share[:, None] * TABLE_CELLS / x0)
+    np.divide(cum, total, out=edges[:-1, 1:], where=usable)
+    share = np.append(np.where(usable[:, 0], TABLE_SHARE, 0.0), 0.0)
+    # any positive width gives the zero row, of share 0, density 0
+    density = np.diff(edges, axis=1) * (share * TABLE_CELLS / np.append(x0, 1.0))[:, None]
     return FirstMoveTable(edges, density, share)
 
 
@@ -596,8 +601,6 @@ def _uniforms(streams, ids: np.ndarray, n: int) -> np.ndarray:
     exactly the uniforms it would take if it ran alone.
     """
     first, last = int(ids[0]) // n, int(ids[-1]) // n
-    if first == last:
-        return streams[first].uniforms(ids.size)
     # point p's paths are ids[cuts[p - first]:cuts[p - first + 1]]
     cuts = np.searchsorted(ids, np.arange(first, last + 2) * n).tolist()
     return np.concatenate([streams[p].uniforms(b - a)
@@ -656,8 +659,8 @@ def _propagate(blocks, kernel: VolterraKernel, proposal: SizeBiasedProposal, p_d
     absorb-or-move draws cover (0, 1] evenly; with ``strata`` = 1 every
     draw is u itself.  The block's first moves also take its ``table``
     (``FirstMoveTable``), whose row for path id is id // n - lo // n; the
-    paths carried from earlier blocks move in a call of their own, without
-    a table.
+    paths carried from earlier blocks read its zero row, of share 0, and
+    move in the same call exactly as without a table.
     """
     mass = 1.0 - p_d
     ids, x, w = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
@@ -681,8 +684,7 @@ def _propagate(blocks, kernel: VolterraKernel, proposal: SizeBiasedProposal, p_d
         if not ids.size:
             continue
         u = _uniforms(streams, ids, n)
-        if strata > 1 and fresh < ids.size:
-            u[fresh:] = (ids[fresh:] % strata + u[fresh:]) / strata
+        u[fresh:] = (ids[fresh:] % strata + u[fresh:]) / strata
         moving = np.flatnonzero(u > p_d)
         ids, x, w = ids[moving], x[moving], w[moving]
         if not ids.size:
@@ -690,15 +692,11 @@ def _propagate(blocks, kernel: VolterraKernel, proposal: SizeBiasedProposal, p_d
         v = u[moving]
         v -= p_d
         v /= mass
-        if table is None:
-            x1, ratio = _checked_move(proposal, x, v, kernel, mass)
-        else:
+        if table is not None:
             base = pending[-1][0]
-            m = int(np.searchsorted(ids, base))  # the carried paths come first
-            x1, ratio = map(np.concatenate, zip(*(
-                _checked_move(proposal, x[a:b], v[a:b], kernel, mass, t)
-                for a, b, t in ((0, m, None), (m, ids.size, table.at(ids[m:] // n - base // n)))
-                if a < b)))
+            # the carried paths read the zero row
+            table = table.at(np.where(ids < base, table.share.size - 1, ids // n - base // n))
+        x1, ratio = _checked_move(proposal, x, v, kernel, mass, table)
         w *= ratio
         g = kernel.g(x1)
         g *= w

@@ -385,15 +385,19 @@ def test_proxy_moments_match_oracle(frequency):
 
 
 def test_first_move_table_integrates_to_one_and_its_draws_follow_it():
-    """Each row's density integrates to its share of the move, and its
-    fixed-seed draws follow the table's cdf, linear between the cell
-    edges, and increase with their uniforms (inversion)."""
+    """Each point's row density integrates to its share of the move, and
+    its fixed-seed draws follow the table's cdf, linear between the cell
+    edges, and increase with their uniforms (inversion).  The last row,
+    the one carried paths read, is all zero with share 0."""
     model = sigma1_model()
     x0 = np.array([5.0, 60.0, 300.0])
     table = _first_move_tables(build_volterra_kernel(model), _sum_proxy(model), x0)
-    assert np.array_equal(table.share, np.full(x0.size, TABLE_SHARE))
-    assert np.all(table.edges[:, 0] == 0.0) and np.all(table.edges[:, -1] == 1.0)
-    assert np.allclose(table.density.sum(axis=1) * x0 / TABLE_CELLS, TABLE_SHARE,
+    assert table.edges.shape == (x0.size + 1, TABLE_CELLS + 1)
+    assert table.density.shape == (x0.size + 1, TABLE_CELLS)
+    assert np.array_equal(table.share, [*np.full(x0.size, TABLE_SHARE), 0.0])
+    assert not table.edges[-1].any() and not table.density[-1].any()
+    assert np.all(table.edges[:-1, 0] == 0.0) and np.all(table.edges[:-1, -1] == 1.0)
+    assert np.allclose(table.density[:-1].sum(axis=1) * x0 / TABLE_CELLS, TABLE_SHARE,
                        rtol=1e-13, atol=0.0)
     n = 20_000
     rows = np.repeat(np.arange(x0.size), n)
@@ -478,7 +482,7 @@ def test_first_move_is_finite_where_table_or_severity_underflows():
     kernel = build_volterra_kernel(model)
     x0 = np.geomspace(1e-9, 1.0, 19)
     table = _first_move_tables(kernel, _sum_proxy(model), x0)
-    assert table.share[0] == 0.0 and table.share[-1] == TABLE_SHARE
+    assert table.share[0] == 0.0 and table.share[x0.size - 1] == TABLE_SHARE
     assert np.all(np.isfinite(table.density))
     assert np.any(table.density[table.share > 0.0] == 0.0)
     u = np.array([1e-12, 0.1, 0.25, 0.5, 0.6, 0.8, 0.9, 1.0 - 1e-6, 1.0])
@@ -489,6 +493,33 @@ def test_first_move_is_finite_where_table_or_severity_underflows():
     assert np.any(under) and np.all(ratio[under] == 0.0)
     measure = estimate_density_grid(model, x0, 200, default_absorption(model), PcgStream(3))
     assert np.all(np.isfinite(measure.weights)) and np.all(np.isfinite(measure.stderr))
+
+
+def test_zero_row_moves_carried_paths_as_the_untabled_move():
+    """In one call with a block's first moves, entries on the zero row take
+    exactly the untabled move's (x1, ratio), for states from 1e-100 to 1e6
+    and uniforms down to 1e-300 and up to 1: share 0 tables none of them,
+    passes v itself to the default mixture and adds nothing to the ratio.
+    The first moves are those of a call without the zero row."""
+    model = sigma1_model()
+    kernel = build_volterra_kernel(model)
+    proposal = SizeBiasedProposal(model.severity)
+    mass = 1.0 - default_absorption(model)
+    x0 = np.array([5.0, 60.0, 300.0])
+    table = _first_move_tables(kernel, _sum_proxy(model), x0)
+    us = np.array([1e-300, 1e-12, 0.3, 0.5, 0.8, 0.9, 1.0 - 1e-12, 1.0])
+    x, u = (a.ravel() for a in np.meshgrid(np.geomspace(1e-100, 1e6, 80), us))
+    rows = np.repeat(np.arange(x0.size), us.size)
+    fresh_u = np.tile(us, x0.size)
+    carried = proposal.move(x, u, kernel, mass)
+    fresh = proposal.move(x0[rows], fresh_u, kernel, mass, table.at(rows))
+    mixed = proposal.move(np.concatenate([x, x0[rows]]), np.concatenate([u, fresh_u]), kernel,
+                          mass, table.at(np.concatenate([np.full(x.size, x0.size), rows])))
+    for got, want in zip(mixed, carried):
+        assert np.array_equal(got[:x.size], want)
+    for got, want in zip(mixed, fresh):
+        assert np.array_equal(got[x.size:], want)
+    assert np.any(carried[1] > 0.0) and np.any(carried[0] == 0.0)
 
 
 def test_first_move_table_cuts_tail_point_rse():
@@ -685,14 +716,17 @@ def _record_steps(monkeypatch):
 
 
 def _admissions(steps, block_paths):
-    """The move calls of each step that admits a block of ``block_paths``
-    ids while paths of an earlier block are live: "carried" for a call
-    without a table, "fresh" for the new block's first moves."""
+    """What each step that admits a block of ``block_paths`` ids while
+    paths of an earlier block are live moves, by the rows of its table:
+    "carried" if some entries read the zero row, the table's last, and
+    "fresh" if some take the new block's first moves."""
     seen, out = set(), []
     for ids, tables in steps:
         blocks = set(ids // block_paths)
         if blocks - seen and len(blocks) > 1:
-            out.append(tuple("carried" if t is None else "fresh" for t in tables))
+            zero = [t.rows == t.share.size - 1 for t in tables]
+            out.append(("carried",) * any(z.any() for z in zero)
+                       + ("fresh",) * any((~z).any() for z in zero))
         seen |= blocks
     return out
 
@@ -722,13 +756,16 @@ def test_grid_blocks_match_single_points(monkeypatch, n, grid, p_d, blocks, carr
     table; the tail start runs on the next substream.  With ``carried``
     some step admits a block while paths of the one before are live, and
     both parts move in it; without, no step holds two blocks: at p_d = 1
-    every path absorbs at its first draw, and the last grid is one block."""
+    every path absorbs at its first draw, and the last grid is one block.
+    A step makes one move call, or none where every path absorbs (at
+    p_d = 1, every step)."""
     model = sigma1_model()
     p_d = default_absorption(model) if p_d is None else p_d
     per_block = _BLOCK_PARTICLES // max(n, TABLE_CELLS)
     assert -(-len(grid) // per_block) == blocks
     steps = _record_steps(monkeypatch)
     measure = estimate_density_grid(model, grid, n, p_d, PcgStream(77))
+    assert max(len(tables) for _, tables in steps) == (p_d < 1.0)
     admissions = _admissions(steps, per_block * n)
     assert (("carried", "fresh") in admissions) if carried else admissions == []
     _assert_grid_matches_single_points(model, grid, n, p_d, PcgStream(77).spawn(len(grid) + 1),
@@ -756,8 +793,8 @@ def test_admitting_step_moves_either_part_alone(monkeypatch, carried_u, fresh_u)
     a draw above 0.99, so on its first step only at rank 7, with u > 0.92.
     Block 1 leaves one path live, and the step that admits block 2 holds
     it too; its draws make either part of that step move, or both, or
-    neither.  The estimates are still those of one point at a time, and
-    both read every draw."""
+    neither, in one move call.  The estimates are still those of one point
+    at a time, and both read every draw."""
     monkeypatch.setattr(volterra, "_BLOCK_PARTICLES", 2 * TABLE_CELLS)
     model, n, p_d, grid = sigma05_model(), 8, 0.99, np.array([10.0, 20.0, 30.0, 40.0])
     assert int(volterra._LOW_WATER * 2 * n) == 2  # block 2 joins one live path
@@ -774,6 +811,7 @@ def test_admitting_step_moves_either_part_alone(monkeypatch, carried_u, fresh_u)
     steps = _record_steps(monkeypatch)
     rng = _ListStreams(draws)
     measure = estimate_density_grid(model, grid, n, p_d, rng)
+    assert max(len(tables) for _, tables in steps) == 1
     assert _admissions(steps, 2 * n) == [("carried",) * (carried_u > p_d)
                                          + ("fresh",) * (fresh_u > 0.92)]
     assert all(s.remaining == 0 for s in rng.children)
@@ -828,7 +866,7 @@ def test_first_step_is_stratified_by_rank(monkeypatch):
     (grid_v, grid_table), (tail_v, tail_table) = seen
     assert tail_table is None
     assert np.array_equal(grid_table.rows, np.repeat(np.arange(len(grid)), n))
-    assert np.array_equal(grid_table.share, np.full(len(grid), TABLE_SHARE))
+    assert np.array_equal(grid_table.share, [*np.full(len(grid), TABLE_SHARE), 0.0])
     streams = PcgStream(5).spawn(len(grid) + 1)
     rank = np.arange(n)
     u = (rank + np.array([s.uniforms(n) for s in streams[:-1]])) / n
