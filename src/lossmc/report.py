@@ -164,8 +164,8 @@ def _run_mc(model, cfg: ExperimentConfig):
     rows = []
     stats = empirical_quantile_ci(batch, cfg.levels, m["ci_level"])
     for alpha, (point, lo, hi) in zip(cfg.levels, stats):
-        tail = batch.values[batch.values >= point]
-        es = float(tail.mean()) if tail.size else None
+        # the VaR is a sample value, so the tail holds it at least
+        es = float(batch.values[batch.values >= point].mean())
         rows.append(ReportRow(alpha=alpha, method="mc", var=point,
                               var_lo=lo, var_hi=hi, es=es))
     return rows, m

@@ -48,10 +48,12 @@ lognormal with the first two moments of the compound law given a claim.
 The zero-variance first move is proportional to k(x0, x1) f(x1)
 (Spanier & Gelbard 1969); the default mixture alone lands the paths that
 carry most of a tail point's estimate by its uniform share, and the
-table lands them where f is.  A table depends only on its point and the
-model, so estimates stay unbiased and the pool still equals single points;
-its ratio keeps the default mixture's share, which bounds the weights
-(Owen & Zhou 2000).  Later moves and the tail start take no table.
+table lands them where f is.  A row holds cell probabilities that depend
+only on its point and the model, scaled by its share times
+``TABLE_CELLS`` / x on a move from x, so estimates stay unbiased and the
+pool still equals single points; its ratio keeps the default mixture's
+share, which bounds the weights (Owen & Zhou 2000).  Later moves and the
+tail start take no table.
 
 Every move is checked (``_checked_move``): a new state that is NaN or
 outside [0, x] raises ``ProposalSupportError``, a negative or
@@ -328,6 +330,8 @@ class SizeBiasedProposal:
             mass_q_per_f += np.divide(mass * DEFENSIVE_SHARE, uniform, out=uniform)
             if table is not None:
                 mass_q_per_f *= 1.0 - share
+                share *= TABLE_CELLS  # not read again: q_t takes the scale share TABLE_CELLS / x
+                q_t *= np.divide(share, x, out=share)
                 np.divide(q_t, f_d, out=q_t, where=q_t > 0.0)
                 q_t *= mass
                 mass_q_per_f += q_t
@@ -378,32 +382,32 @@ def _sum_proxy(model: CompoundModel):
 
 @dataclass
 class FirstMoveTable:
-    """Piecewise-constant first-move densities, one row per start point x0.
+    """Piecewise-constant first-move densities, one row per start point.
 
-    Row r splits [0, x0] into ``TABLE_CELLS`` equal cells; ``edges[r]``
-    holds the cumulative cell probabilities from 0 to exactly 1,
-    ``density[r]`` each cell's density times ``share[r]``, the row's
-    weight in the move's mixture: ``TABLE_SHARE``, or 0 for a point whose
-    table weights all vanish, which then moves by the default mixture
-    alone.  The last row, the zero row, is all zero with share 0 too: an
-    entry on it moves exactly as without a table.  ``rows`` names each
-    entry's row when the table is handed to a move (``at``).
+    Row r splits [0, x] into ``TABLE_CELLS`` equal cells; ``edges[r]``
+    holds the cumulative cell probabilities from 0 to exactly 1, and
+    ``share[r]`` the row's weight in the move's mixture: ``TABLE_SHARE``,
+    or 0 for a point whose table weights all vanish, which then moves by
+    the default mixture alone.  A row keeps no scale: a move from x gives
+    a cell of probability P the density P ``TABLE_CELLS`` / x.  The last
+    row, the zero row, is all zero with share 0 too: an entry on it moves
+    exactly as without a table.  ``rows`` names each entry's row when the
+    table is handed to a move (``at``).
     """
 
     edges: np.ndarray
-    density: np.ndarray
     share: np.ndarray
     rows: np.ndarray | None = None
 
     def at(self, rows: np.ndarray) -> "FirstMoveTable":
         """The same table, for move entries whose rows are ``rows``."""
-        return FirstMoveTable(self.edges, self.density, self.share, rows)
+        return FirstMoveTable(self.edges, self.share, rows)
 
     def draw(self, s: np.ndarray, rows: np.ndarray, x: np.ndarray):
-        """(x1, density) from the uniforms s in (0, 1] of entries at x: the
-        row's first cell j with edges[row, j + 1] >= s, by inversion of its
-        cell probabilities, one sorted search per run of entries in the same
-        row, and x1 linear in s inside it."""
+        """(x1, P) from the uniforms s in (0, 1] of entries at x: the row's
+        first cell j with edges[row, j + 1] >= s, by inversion of its cell
+        probabilities, one sorted search per run of entries in the same
+        row, x1 linear in s inside it, and P the cell's probability."""
         # searching the row alone keeps a point's draws independent of its row
         j = np.empty(len(s), dtype=np.intp)
         runs = _run_starts(rows)
@@ -411,13 +415,14 @@ class FirstMoveTable:
             j[a:b] = np.searchsorted(self.edges[rows[a]], s[a:b]) - 1
         edges, base = self.edges.ravel(), rows * (TABLE_CELLS + 1)
         lo, hi = edges[base + j], edges[base + j + 1]
-        frac = np.minimum((s - lo) / (hi - lo), 1.0)
-        return x * ((j + frac) / TABLE_CELLS), self.density.ravel()[rows * TABLE_CELLS + j]
+        prob = hi - lo
+        frac = np.minimum((s - lo) / prob, 1.0)
+        return x * ((j + frac) / TABLE_CELLS), prob
 
     def density_at(self, x1: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The table density times the share at x1 in [0, x]."""
+        """The probability of the row's cell that holds x1 in [0, x]."""
         cell = np.minimum((x1 / x * TABLE_CELLS).astype(np.intp), TABLE_CELLS - 1)
-        return self.density.ravel()[rows * TABLE_CELLS + cell]
+        return np.diff(self.edges, axis=1).ravel()[rows * TABLE_CELLS + cell]
 
 
 def _first_move_tables(kernel: VolterraKernel, proxy, x0: np.ndarray) -> FirstMoveTable:
@@ -435,9 +440,7 @@ def _first_move_tables(kernel: VolterraKernel, proxy, x0: np.ndarray) -> FirstMo
     # cum / cum[-1] makes the last edge exactly 1
     np.divide(cum, total, out=edges[:-1, 1:], where=usable)
     share = np.append(np.where(usable[:, 0], TABLE_SHARE, 0.0), 0.0)
-    # any positive width gives the zero row, of share 0, density 0
-    density = np.diff(edges, axis=1) * (share * TABLE_CELLS / np.append(x0, 1.0))[:, None]
-    return FirstMoveTable(edges, density, share)
+    return FirstMoveTable(edges, share)
 
 
 def default_absorption(model: CompoundModel) -> float:
@@ -454,17 +457,11 @@ def _sum_above(v: np.ndarray) -> np.ndarray:
     return np.append(np.cumsum(v[:0:-1])[::-1], 0.0)
 
 
-def _cell_widths(locations: np.ndarray) -> np.ndarray:
-    """Width of each grid point's cell; a single point gets width 1."""
-    if len(locations) == 1:
-        return np.array([1.0])
-    return np.gradient(locations)
-
-
 def _cell_edges(locations: np.ndarray) -> np.ndarray:
-    """Edges that tile the grid on any spacing: the midpoints between
-    points, and half an end cell's width past each end, clamped at 0."""
-    half = 0.5 * _cell_widths(locations)
+    """Edges that tile the grid on any spacing, whose gaps are the cells'
+    widths: the midpoints between points, and half the end gap past each
+    end (a unit cell around a single point), the first clamped at 0."""
+    half = 0.5 * (np.diff(locations) if len(locations) > 1 else np.ones(1))
     mids = 0.5 * (locations[:-1] + locations[1:])
     return np.concatenate(([max(locations[0] - half[0], 0.0)], mids, [locations[-1] + half[-1]]))
 
@@ -482,7 +479,7 @@ class WeightedParticleMeasure:
 
     There is one atom per grid point (the points positive and strictly
     increasing) whose weight is the estimated density there; times its
-    cell width it is the cell's probability.
+    cell's width (``_cell_edges``) it is the cell's probability.
     ``stderr`` holds each estimate's standard error; on a grid it is the
     successive-difference estimate over the point's rank-ordered,
     stratified paths (``estimate_density_grid``), conservative for
@@ -519,10 +516,11 @@ class WeightedParticleMeasure:
         (``_cell_edges``); linear between knots, as a cell spreads its mass
         evenly.  Survival sums ``tail_mass`` and the cells above, and its
         variance theirs, so a tail answer carries only its tail's noise."""
-        widths = _cell_widths(self.locations)
+        knots = _cell_edges(self.locations)
+        widths = np.diff(knots)
         surv = self.tail_mass + _sum_above(np.append(0.0, self.weights * widths))
         var = np.append(0.0, (self.stderr * widths) ** 2)
-        return _cell_edges(self.locations), surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
+        return knots, surv, np.sqrt(self.tail_stderr ** 2 + _sum_above(var))
 
 
 def _invert(knots: np.ndarray, surv: np.ndarray, p: float):
@@ -567,17 +565,17 @@ def risk_measures_from_measure(measure: WeightedParticleMeasure, alpha: float) -
         raise ValueError("ES level must lie in (0, 1)")
     knots, surv, se = measure.survival()
     var, i = _invert(knots, surv, alpha)
-    cell_se = measure.stderr * _cell_widths(measure.locations)
+    widths = np.diff(knots)
+    cell_se = measure.stderr * widths
     if i:
-        width = knots[i] - knots[i - 1]
-        share = (knots[i] - var) / width  # the part of v's cell above v
-        surv_v, dens = 1.0 - alpha, (surv[i - 1] - surv[i]) / width
+        share = (knots[i] - var) / widths[i - 1]  # the part of v's cell above v
+        surv_v, dens = 1.0 - alpha, (surv[i - 1] - surv[i]) / widths[i - 1]
         surv_se = math.hypot(se[i], share * cell_se[i - 1])
         partial_se = 0.5 * (knots[i] - var) * share * cell_se[i - 1]
     else:  # S is flat at S(0) from zero up to the first cell
         surv_v, dens, surv_se, partial_se = surv[0], max(measure.zero_mass, 1e-300), se[0], 0.0
     stop_loss = float(0.5 * (surv_v + surv[i]) * (knots[i] - var) + measure.tail_excess
-                      + 0.5 * np.dot(surv[i:-1] + surv[i + 1:], np.diff(knots[i:])))
+                      + 0.5 * np.dot(surv[i:-1] + surv[i + 1:], widths[i:]))
     cells_se = (0.5 * (knots[i:-1] + knots[i + 1:]) - var) * cell_se[i:]
     tail_se = (knots[-1] - var) * measure.tail_stderr + measure.tail_excess_stderr
     es_se = math.sqrt(float(cells_se @ cells_se) + partial_se ** 2 + tail_se ** 2)

@@ -3,10 +3,13 @@
 ``benchmarks/tracing.py`` looks up every function and method it wraps by
 name, so renaming or deleting one of them breaks only a ``--trace 1``
 benchmark run.  This guard enters and exits both patch sets and checks
-that each patched name exists and is put back as it was.  A second guard
-keeps the package free of unread imports, bar those the tracer patches.
+that each patched name exists and is put back as it was.  The benchmark
+also reads fields of what those names return, so a third guard runs one
+tiny config per route it checks and reads them.  A second guard keeps the
+package free of unread imports, bar those the tracer patches.
 """
 import ast
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -38,6 +41,35 @@ def test_traced_benchmark_hooks_exist_and_restore():
              _enter_and_exit(tracing.instrument(tracing.Tracer()))}
     assert (lossmc.panjer, "panjer_discrete") in hooks
     assert (lossmc.panjer, "gpd_panjer_discrete") in hooks
+
+
+def test_captured_objects_carry_what_the_benchmark_reads():
+    """One tiny particle, mc and panjer run under ``Capture`` and the
+    tracer: the captured measure, batch and pmf hold the fields that
+    ``workloads.check_op`` and the tracer's counters read, and the tracer
+    rebuilt the particle kernel around its ``g`` and ``k``."""
+    from lossmc import ExperimentConfig, run_experiment
+
+    model = {"frequency": {"kind": "poisson", "lambda": 2.0},
+             "severity": {"kind": "lognormal", "mu": 2.0, "sigma": 1.0}}
+    methods = [{"kind": "particle", "grid_width": 5.0, "x_max": 60.0, "n_per_point": 20},
+               {"kind": "mc", "T": 2000},
+               {"kind": "panjer", "step": 0.5, "x_max": 200.0}]
+    tracer = tracing.Tracer()
+    with tracing.Capture() as capture, tracing.instrument(tracer):
+        for method in methods:
+            run_experiment(ExperimentConfig(model=model, method=method, levels=[0.5], seed=3))
+    seen = capture.take()
+    measure, batch, [pmf] = seen["measure"], seen["batch"], seen["pmfs"]
+    assert measure.locations.shape == measure.weights.shape == measure.stderr.shape == (12,)
+    assert batch.count == batch.values.size == 2000
+    assert pmf.step == 0.5 and pmf.masses.size > 1
+    assert {"g", "k"} <= {f.name for f in dataclasses.fields(lossmc.volterra.VolterraKernel)}
+    names = {span[0] for span in tracer.spans}
+    assert {"volterra.kernel", "volterra.grid", "compound.simulate_parallel",
+            "panjer.oracle"} <= names
+    assert tracer.counts["volterra.paths"] == 12 * 20 and tracer.counts["volterra.moves"] > 0
+    assert tracer.counts["compound.losses"] >= 2000
 
 
 def _unread_imports(path: Path) -> set:

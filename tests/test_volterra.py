@@ -385,25 +385,30 @@ def test_proxy_moments_match_oracle(frequency):
 
 
 def test_first_move_table_integrates_to_one_and_its_draws_follow_it():
-    """Each point's row density integrates to its share of the move, and
-    its fixed-seed draws follow the table's cdf, linear between the cell
-    edges, and increase with their uniforms (inversion).  The last row,
-    the one carried paths read, is all zero with share 0."""
+    """Each point's row density, its cell probabilities times share times
+    ``TABLE_CELLS`` / x0, integrates to its share of the move, and its
+    fixed-seed draws follow the table's cdf, linear between the cell
+    edges, and increase with their uniforms (inversion); each draw's cell
+    probability is that of the cell it lands in.  The last row, the one
+    carried paths read, is all zero with share 0."""
     model = sigma1_model()
     x0 = np.array([5.0, 60.0, 300.0])
     table = _first_move_tables(build_volterra_kernel(model), _sum_proxy(model), x0)
     assert table.edges.shape == (x0.size + 1, TABLE_CELLS + 1)
-    assert table.density.shape == (x0.size + 1, TABLE_CELLS)
     assert np.array_equal(table.share, [*np.full(x0.size, TABLE_SHARE), 0.0])
-    assert not table.edges[-1].any() and not table.density[-1].any()
+    assert not table.edges[-1].any()
     assert np.all(table.edges[:-1, 0] == 0.0) and np.all(table.edges[:-1, -1] == 1.0)
-    assert np.allclose(table.density[:-1].sum(axis=1) * x0 / TABLE_CELLS, TABLE_SHARE,
+    prob = np.diff(table.edges, axis=1)
+    density = prob[:-1] * (table.share[:-1] * TABLE_CELLS / x0)[:, None]
+    assert np.allclose(density.sum(axis=1) * x0 / TABLE_CELLS, TABLE_SHARE,
                        rtol=1e-13, atol=0.0)
     n = 20_000
     rows = np.repeat(np.arange(x0.size), n)
     s = PcgStream(4242).uniforms(rows.size)
-    x1, density = table.draw(s, rows, x0[rows])
-    assert np.array_equal(density, table.density_at(x1, rows, x0[rows]))
+    x1, drawn = table.draw(s, rows, x0[rows])
+    assert np.array_equal(drawn, table.density_at(x1, rows, x0[rows]))
+    cell = np.minimum((x1 / x0[rows] * TABLE_CELLS).astype(np.intp), TABLE_CELLS - 1)
+    assert np.array_equal(drawn, prob[rows, cell])
     for r, x in enumerate(x0):
         mine = rows == r
         assert np.all(np.diff(x1[mine][np.argsort(s[mine])]) >= 0.0)
@@ -412,10 +417,10 @@ def test_first_move_table_integrates_to_one_and_its_draws_follow_it():
 
 
 def test_first_move_table_draws_do_not_depend_on_the_row():
-    """A point's draws, x1 and density, are bit-identical whether its table
-    is row 0 of its own or row k of the sigma=1 grid's, uniforms on the
-    cell edges and one ulp above them included: s + k would round those
-    onto the edge."""
+    """A point's draws, x1 and cell probability, are bit-identical whether
+    its table is row 0 of its own or row k of the sigma=1 grid's, uniforms
+    on the cell edges and one ulp above them included: s + k would round
+    those onto the edge."""
     model = sigma1_model()
     kernel, proxy = build_volterra_kernel(model), _sum_proxy(model)
     grid = np.arange(1.0, 401.0)
@@ -442,7 +447,7 @@ def _halving_draw(table, s, rows, x):
         half //= 2
     lo, hi = edges[base + j], edges[base + j + 1]
     frac = np.minimum((s - lo) / (hi - lo), 1.0)
-    return x * ((j + frac) / TABLE_CELLS), table.density.ravel()[rows * TABLE_CELLS + j]
+    return x * ((j + frac) / TABLE_CELLS), hi - lo
 
 
 def test_first_move_table_search_matches_halving():
@@ -458,8 +463,7 @@ def test_first_move_table_search_matches_halving():
     lump = (cells >= 100).astype(float)
     edges = np.array([even, gaps, lump])
     x0 = np.array([3.0, 40.0, 250.0])
-    density = np.diff(edges, axis=1) * (TABLE_SHARE * TABLE_CELLS / x0[:, None])
-    table = FirstMoveTable(edges, density, np.full(x0.size, TABLE_SHARE))
+    table = FirstMoveTable(edges, np.full(x0.size, TABLE_SHARE))
     per_row = [np.concatenate([PcgStream(31 + r).uniforms(500), e[e > 0.0],
                                np.nextafter(e[(e > 0.0) & (e < 1.0)], 2.0), [1.0, 1e-300]])
                for r, e in enumerate(edges)]
@@ -476,15 +480,15 @@ def test_first_move_table_search_matches_halving():
 def test_first_move_is_finite_where_table_or_severity_underflows():
     """sigma = 0.5, x0 -> 0: up to about 3e-6 every table weight underflows
     and the point moves by the default mixture alone; above it some cells
-    hold density 0, and a move where f_X(d) underflows gives ratio 0.
+    hold probability 0, and a move where f_X(d) underflows gives ratio 0.
     Every ratio passes the check, and the estimates are finite."""
     model = sigma05_model()
     kernel = build_volterra_kernel(model)
     x0 = np.geomspace(1e-9, 1.0, 19)
     table = _first_move_tables(kernel, _sum_proxy(model), x0)
     assert table.share[0] == 0.0 and table.share[x0.size - 1] == TABLE_SHARE
-    assert np.all(np.isfinite(table.density))
-    assert np.any(table.density[table.share > 0.0] == 0.0)
+    assert np.all(np.isfinite(table.edges))
+    assert np.any(np.diff(table.edges[table.share > 0.0], axis=1) == 0.0)
     u = np.array([1e-12, 0.1, 0.25, 0.5, 0.6, 0.8, 0.9, 1.0 - 1e-6, 1.0])
     rows = np.repeat(np.arange(x0.size), u.size)
     x1, ratio = _checked_move(SizeBiasedProposal(model.severity), x0[rows],
@@ -520,6 +524,33 @@ def test_zero_row_moves_carried_paths_as_the_untabled_move():
     for got, want in zip(mixed, fresh):
         assert np.array_equal(got[x.size:], want)
     assert np.any(carried[1] > 0.0) and np.any(carried[0] == 0.0)
+
+
+def test_table_row_is_scale_free():
+    """A row built at x0 = 60 moves entries at x = 30 and x = 120 by its
+    cell probabilities P scaled to the entry's own x: a tabled x1 lands at
+    the same fraction of [0, x] as from 60, and the ratio is
+    k / (mass (pi_t q_t + (1 - pi_t) q)) with q_t = P ``TABLE_CELLS`` / x
+    at x1's cell and q the default mixture's density."""
+    model = sigma1_model()
+    kernel = build_volterra_kernel(model)
+    proposal = SizeBiasedProposal(model.severity)
+    mass = 1.0 - default_absorption(model)
+    table = _first_move_tables(kernel, _sum_proxy(model), np.array([60.0]))
+    u = PcgStream(606).uniforms(4000)
+    rows = np.zeros(u.size, dtype=np.intp)
+    tabled = u <= TABLE_SHARE
+    from_60 = proposal.move(np.full(u.size, 60.0), u, kernel, mass, table.at(rows))[0]
+    prob = np.diff(table.edges[0])
+    for x in (30.0, 120.0):
+        xs = np.full(u.size, x)
+        x1, ratio = proposal.move(xs, u, kernel, mass, table.at(rows))
+        assert np.allclose(x1[tabled] / x, from_60[tabled] / 60.0, rtol=1e-14, atol=0.0)
+        cell = np.minimum((x1 / x * TABLE_CELLS).astype(np.intp), TABLE_CELLS - 1)
+        q_t = prob[cell] * TABLE_CELLS / x
+        q = TABLE_SHARE * q_t + (1.0 - TABLE_SHARE) * proposal.density(xs, x1)
+        assert np.allclose(ratio, kernel.k(xs, x1) / (mass * q), rtol=1e-12, atol=0.0)
+        assert np.any(ratio[tabled] > 0.0) and np.any(ratio[~tabled] > 0.0)
 
 
 def test_first_move_table_cuts_tail_point_rse():
@@ -1035,21 +1066,28 @@ def test_grid_atoms_include_zero_mass():
 
 def test_uneven_grid_cells_tile_without_overlap():
     """On the grid 1, 10, 10.5 the edges are the midpoints 5.5 and 10.25,
-    the top lies half the last width past 10.5 and the first edge, 3.5
+    the top lies half the last gap past 10.5 and the first edge, 3.5
     below 1, is clamped at 0: the knots increase, and every row reads a
-    nonnegative VaR and a positive SE.  The cells hold 0.05 times the
-    widths 9, 4.75 and 0.5, so the 0.2-quantile lies 0.0125 / 0.45 of the
-    way into [0, 5.5] and the 0.89-quantile 0.6 of the way into the last
-    cell."""
+    nonnegative VaR and a positive SE.  A cell's width is the gap between
+    its knots, so the cells hold 0.05 times 5.5, 4.75 and 0.5 and the
+    curve counts no mass below 0: S(0) = 0.1 + 0.5375 = 0.6375, and with
+    P(N = 0) = 0.3625 the law sums to 1.  The 0.2-quantile lies in the
+    atom at zero, the 0.5-quantile (0.6375 - 0.5) / 0.275 = 1/2 of the way
+    into [0, 5.5], at 2.75, and the 0.89-quantile (0.125 - 0.11) / 0.025
+    = 0.6 of the way into the last cell [10.25, 10.75], at 10.55."""
     meas = _measure([1.0, 10.0, 10.5], [0.05] * 3, stderr=[0.01] * 3, tail_mass=0.1,
-                    tail_stderr=0.01, zero_mass=0.1875)
+                    tail_stderr=0.01, zero_mass=0.3625)
     knots, surv, _ = meas.survival()
     assert np.array_equal(knots, [0.0, 5.5, 10.25, 10.75])
-    assert np.allclose(surv, [0.8125, 0.3625, 0.125, 0.1])
-    assert quantile_from_measure(meas, 0.2) == pytest.approx(5.5 / 36.0, rel=1e-12)
-    for alpha, var in ((0.2, 5.5 / 36.0), (0.89, 10.55)):
+    assert np.allclose(surv, [0.6375, 0.3625, 0.125, 0.1])
+    cells = float(np.dot(meas.weights, np.diff(knots)))
+    assert meas.zero_mass + surv[0] == pytest.approx(meas.zero_mass + cells + meas.tail_mass,
+                                                     rel=1e-12)
+    assert meas.zero_mass + surv[0] == pytest.approx(1.0, rel=1e-12)
+    assert quantile_from_measure(meas, 0.2) == 0.0
+    for alpha, var in ((0.2, 0.0), (0.5, 2.75), (0.89, 10.55)):
         row = risk_measures_from_measure(meas, alpha)
-        assert row["var"] == pytest.approx(var, rel=1e-12)
+        assert row["var"] == pytest.approx(var, rel=1e-12, abs=0.0)
         assert 0.0 <= row["var_lo"] <= row["var"] <= row["var_hi"] <= 10.75
         assert row["stderr"] > 0.0 and row["es_stderr"] > 0.0 and row["es"] > row["var"]
 
