@@ -27,6 +27,7 @@ replicated run.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,7 +99,9 @@ class ClaimPopulation:
     ``severities[starts[i]:starts[i] + counts[i]]``, and its loss, the
     value the levels test, in ``states[i]``.  The layout is ragged, so
     memory follows the total number of claims, not N times the largest
-    count.
+    count.  ``_row``, each claim's particle, is built on first use and
+    kept, since counts never change; both potentials read the claims
+    around their pick through it (:meth:`_around`).
     """
 
     counts: np.ndarray
@@ -108,6 +111,24 @@ class ClaimPopulation:
     def __post_init__(self):
         self.starts = np.cumsum(self.counts) - self.counts
         self.has_claims = self.counts > 0
+
+    @functools.cached_property
+    def _row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    def _around(self, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest claim before its claim at ``at`` (A) and after
+        it (B), 0 where there is none, by one maximum over 2N + 1 bins: 2i
+        for row i's claims before, 2i + 1 after, 2N for the claims at
+        ``at`` (read in rows with claims only)."""
+        row = self._row
+        after = np.arange(row.size) > at[row]
+        bins = 2 * row
+        bins += after
+        bins[at[self.has_claims]] = 2 * len(self.counts)
+        split = np.zeros(2 * len(self.counts) + 1)
+        np.maximum.at(split, bins, self.severities)
+        return split[:-1:2], split[1::2]
 
     @classmethod
     def sample(cls, model: CompoundModel, n: int, rng: UniformStream) -> "ClaimPopulation":
@@ -169,7 +190,9 @@ class ClaimPopulation:
 
         Given its other claims and Z > t', particle i's largest claim has
         the law X | X > max(t' - R, M), where R = Z - X_max and M is the
-        largest other claim (0 for a single claim).  With t = ``threshold``,
+        largest other claim (0 for a single claim).  The claim that moves
+        is the row's last tied maximum, and M = max(A, B) around it, read
+        by :meth:`_around` over the row index.  With t = ``threshold``,
         t' = ``previous`` (-inf at the first level) and M- the largest
         double below M, so that a claim tied with M stays admissible (M-
         is 0 where M is 0: a positive severity has sf(x) = 1 for x <= 0),
@@ -188,23 +211,15 @@ class ClaimPopulation:
         Reads no uniform.
         """
         n = len(self.states)
-        sev = self.severities
-        row = np.repeat(np.arange(n), self.counts)
+        row = self._row
         top = np.zeros(n)
-        np.maximum.at(top, row, sev)
-        # one of a row's largest claims moves; a tie stays among the others
+        np.maximum.at(top, row, self.severities)
+        # the last of a row's largest claims moves; a tie stays among the others
         at = np.zeros(n, dtype=np.intp)
-        tops = np.flatnonzero(sev == top[row])
+        tops = np.flatnonzero(self.severities == top[row])
         at[row[tops]] = tops
-        # the runner-up is the row maximum with the moving claim set to 0,
-        # which is put back at once
-        moving = at[self.has_claims]
-        sev[moving] = 0.0
-        runner_up = np.zeros(n)
-        np.maximum.at(runner_up, row, sev)
-        sev[moving] = top[self.has_claims]
         # M- where there is a runner-up; elsewhere 0, where sf is 1 as at M-
-        floor = _below(runner_up)
+        floor = _below(np.maximum(*self._around(at)))
         rest = self.states - top
         low = np.maximum(previous - rest, floor)
         # sf is 1 at or below 0
@@ -226,7 +241,8 @@ class ClaimPopulation:
         Reads N uniforms u.  Particle i picks claim j = ceil(u_i N_i) of
         its N_i claims, as :meth:`gibbs_step` picks.  With R = Z - X_j, A
         the largest claim before j in its row, B the largest after it (0
-        where there is none) and B- the largest double below B,
+        where there is none; both read by :meth:`_around` over the row
+        index) and B- the largest double below B,
 
             G_i = N_i sf(max(A, B-, t - R)):
 
@@ -255,15 +271,8 @@ class ClaimPopulation:
         # starts - 1); its tail is set to 0 below
         at = self.starts + offset
         rest = self.states - sev[at]
-        # one maximum over 2N + 1 bins: the claims before j in row i go to
-        # bin 2i, those after it to 2i + 1, and each picked claim to 2N
-        row = np.repeat(np.arange(n), self.counts)
-        bins = 2 * row
-        bins += np.arange(sev.size) > at[row]
-        bins[at[self.has_claims]] = 2 * n
-        split = np.zeros(2 * n + 1)
-        np.maximum.at(split, bins, sev)
-        floor = np.maximum(split[:-1:2], _below(split[1::2]))
+        before, after = self._around(at)
+        floor = np.maximum(before, _below(after))
         tail = severity.sf(np.maximum(threshold - rest, floor))
         tail *= self.has_claims
         g = np.where(self.has_claims, self.counts * tail, indicator)

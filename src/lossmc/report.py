@@ -71,7 +71,7 @@ class ExperimentConfig:
         kind = self.method.get("kind") if isinstance(self.method, dict) else None
         if kind not in _METHODS:
             raise ValueError(f"method.kind must be one of {tuple(_METHODS)}, got {kind!r}")
-        # values are read when the run starts (_method_values)
+        # values are read when the run starts (run_experiment)
         check_keys(self.method, _METHODS[kind], f"{kind} method", kinded=True)
         for key, vkind in _CONFIG.items():
             setattr(self, key, read_value(getattr(self, key), vkind, key))
@@ -140,11 +140,6 @@ def _sig6(value):
 # Method runners
 # ---------------------------------------------------------------------------
 
-def _method_values(cfg: ExperimentConfig) -> dict:
-    kind = cfg.method["kind"]
-    return read_block(cfg.method, _METHODS[kind], f"{kind} method", kinded=True)
-
-
 def _x_max(model, m: dict) -> float:
     """``x_max``, by default 40 max(E[Z], 1); a ValueError where that default
     is not finite (E[Z] infinite, or NaN for E[N] = 0 times E[X] = inf)."""
@@ -158,8 +153,7 @@ def _x_max(model, m: dict) -> float:
     return x_max
 
 
-def _run_mc(model, cfg: ExperimentConfig):
-    m = _method_values(cfg)
+def _run_mc(model, cfg: ExperimentConfig, m: dict):
     batch = simulate_compound_parallel(model, m["T"], cfg.seed, threads=cfg.threads)
     rows = []
     stats = empirical_quantile_ci(batch, cfg.levels, m["ci_level"])
@@ -171,8 +165,7 @@ def _run_mc(model, cfg: ExperimentConfig):
     return rows, m
 
 
-def _run_sla(model, cfg: ExperimentConfig):
-    m = _method_values(cfg)
+def _run_sla(model, cfg: ExperimentConfig, m: dict):
     sla = sla_var_second_order if m["order"] == 2 else sla_var_first_order
     rows = []
     for alpha in cfg.levels:
@@ -184,16 +177,14 @@ def _run_sla(model, cfg: ExperimentConfig):
     return rows, m
 
 
-def _run_panjer(model, cfg: ExperimentConfig):
-    m = _method_values(cfg)
+def _run_panjer(model, cfg: ExperimentConfig, m: dict):
     pmf = oracle_compound_pmf(model, m["step"], _x_max(model, m))
     rows = [ReportRow(alpha=alpha, method="panjer", var=q, es=es)
             for alpha, (q, es) in zip(cfg.levels, oracle_tail_stats(pmf, cfg.levels))]
     return rows, {"step": m["step"], "masses": len(pmf.masses)}
 
 
-def _run_particle(model, cfg: ExperimentConfig):
-    m = _method_values(cfg)
+def _run_particle(model, cfg: ExperimentConfig, m: dict):
     width = m["grid_width"]
     x_max = _x_max(model, m)
     points = x_max / width if width > 0.0 else 0.0  # a float: it may overflow to inf
@@ -228,14 +219,12 @@ def _run_particle(model, cfg: ExperimentConfig):
     return rows, diag
 
 
-def _run_rare_event(model, cfg: ExperimentConfig):
-    m = _method_values(cfg)
+def _run_rare_event(model, cfg: ExperimentConfig, m: dict):
     levels = LevelSequence(thresholds=m["thresholds"])
-    rows = []
-    diag = {}
     estimates, pilot = replicate_smc(model, levels, m["mh_steps"], m["n_particles"],
                                      PcgStream(cfg.seed), m["replicates"])
-    diag.update({f"pilot_{key}": value for key, value in pilot.items()})
+    rows = []
+    diag = {f"pilot_{key}": value for key, value in pilot.items()}
     for z, (p_exceed, rse) in zip(levels.thresholds, estimates):
         rows.append(ReportRow(alpha=1.0 - p_exceed, method="rare-event", var=float(z)))
         diag[f"p_exceed_{z:g}"] = p_exceed
@@ -258,7 +247,8 @@ def run_experiment(config: ExperimentConfig) -> RiskReport:
         "rare-event": _run_rare_event,
     }[kind]
     try:
-        rows, diagnostics = runner(model, config)
+        values = read_block(config.method, _METHODS[kind], f"{kind} method", kinded=True)
+        rows, diagnostics = runner(model, config, values)
     except Exception as exc:
         # set by hand: BaseException.add_note is Python 3.11+
         exc.__notes__ = [*getattr(exc, "__notes__", ()), f"{kind} run failed"]

@@ -1163,7 +1163,7 @@ def test_runner_errors_keep_class_and_fields(tmp_path, capsys, monkeypatch,
     """run_experiment re-raises the runner's own exception object."""
     raised = []
 
-    def failing_runner(model, cfg):
+    def failing_runner(model, cfg, values):
         raised.append(make())
         raise raised[-1]
 
