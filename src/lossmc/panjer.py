@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .compound import require_memory
 from .distributions import (
@@ -234,6 +233,21 @@ def _transform_pass(freq: FrequencyModel, f: np.ndarray, x: np.ndarray,
     return buf[:n] * untilt, floor * untilt, wrapped
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a positive n: a length the FFT factors
+    into radices 2, 3 and 5 (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5  # 3^b 5^c
+        while odd < best:
+            # the least power of two times odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
                            M: int) -> CompoundPmf:
     """Compound masses g_0..g_M by the discrete Fourier transform.
@@ -257,7 +271,7 @@ def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
     f = sev.masses[:M + 1]
     x = sev.step * np.arange(M + 1)
     cum = np.concatenate(([0.0], np.cumsum(f)))
-    L = sp_fft.next_fast_len(2 * (M + 1), real=True)
+    L = _fast_len(2 * (M + 1))
     damp = 0.0
     while True:
         if not _certain_to_wrap(freq, cum, L, M + 1):
@@ -268,7 +282,7 @@ def compound_pmf_transform(freq: FrequencyModel, sev: DiscreteSeverity,
             damp = -math.log(EPS) / (L * sev.step)
             g, floor, _ = _transform_pass(freq, f, x, -damp, L)
             break
-        L = sp_fft.next_fast_len(2 * L, real=True)
+        L = _fast_len(2 * L)
     theta = _tilt(f, sev.step, freq.pgf_radius())
     if math.exp(-(theta - damp) * x[-1]) == 0.0:
         theta = 0.0

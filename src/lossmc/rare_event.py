@@ -154,33 +154,32 @@ class ClaimPopulation:
         src = np.repeat(self.starts[idx] - starts, counts) + np.arange(int(counts.sum()))
         return ClaimPopulation(counts, self.severities[src], self.states[idx])
 
+    def _pick(self, u: np.ndarray) -> np.ndarray:
+        """Each row's offset ceil(u_i N_i) - 1 of the claim that u_i in
+        (0, 1] picks uniformly among its N_i; -1 in a row without claims."""
+        return np.ceil(u * self.counts).astype(np.intp) - 1
+
     def gibbs_step(self, severity, threshold: float, rng: UniformStream) -> int:
         """Move one claim of every particle; return how many particles moved.
 
-        Reads 2N uniforms, u then v.  Particle i picks claim j uniformly
-        among its ``counts[i]`` by u_i and redraws it by inversion from
-        X | X > c, the claim's exact law given the other claims and
-        Z > t: with c = t - (Z - X_j), X_j' = isf(v_i sf(max(c, 0))).  The
-        move therefore needs no proposal loop and leaves the base law
-        restricted to {Z > t} invariant.
-
-        A particle keeps its claim when it has none, when v sf(c)
-        underflows to 0, or when rounding puts its new loss at or below
-        t.  Counts never change.
+        Reads 2N uniforms: N picks u (:meth:`_pick`), then the N of
+        :meth:`redraw_picked_claims`.  Particle i picks claim j uniformly
+        among its ``counts[i]`` by u_i and redraws it from X | X > c, the
+        claim's exact law given the other claims and Z > t: with
+        c = t - (Z - X_j), the redraw's tail is sf(max(c, 0)), 1 where
+        c <= 0.  The move therefore needs no proposal loop and leaves the
+        base law restricted to {Z > t} invariant.
         """
         n = len(self.states)
-        u = rng.uniforms(2 * n)
-        if not self.severities.size:
-            return 0
-        # a particle without claims reads a neighbour's claim here (at =
-        # starts - 1) and is left out of ``moved`` below
-        at = np.ceil(u[:n] * self.counts).astype(np.intp)
-        at += self.starts - 1
-        rest = self.states - self.severities[at]
-        q = u[n:]  # v sf(max(c, 0)), and sf(max(c, 0)) = 1 where c <= 0
-        above = np.flatnonzero(rest < threshold)
-        q[above] *= severity.sf(threshold - rest[above])
-        return self._redraw(severity, threshold, at, rest, q)
+        offset = self._pick(rng.uniforms(n))
+        tail = np.ones(n)
+        if self.severities.size:
+            # a particle without claims reads a neighbour's claim here and
+            # does not move in the redraw
+            rest = self.states - self.severities[self.starts + offset]
+            above = np.flatnonzero(rest < threshold)
+            tail[above] = severity.sf(threshold - rest[above])
+        return self.redraw_picked_claims(severity, threshold, tail, offset, rng)
 
     def largest_claim_potential(self, severity, threshold: float,
                                 previous: float = -math.inf):
@@ -205,10 +204,9 @@ class ClaimPopulation:
         denominator underflows to 0; a point mass gives the indicator
         too, since its ties make the denominator 1.
 
-        Returns ``(g, tail, rest, offset)``, each of length N: the
-        potentials, the numerator sf(max(t - R, M-)) (0 where G is the
-        indicator), R, and the largest claim's position in its row.
-        Reads no uniform.
+        Returns ``(g, tail, offset)``, each of length N: the potentials,
+        the numerator sf(max(t - R, M-)) (0 where G is the indicator) and
+        the largest claim's position in its row.  Reads no uniform.
         """
         n = len(self.states)
         row = self._row
@@ -231,7 +229,7 @@ class ClaimPopulation:
         tail *= adapted
         g = (self.states > threshold).astype(float)
         np.divide(tail, den, out=g, where=adapted)
-        return g, tail, rest, at - self.starts
+        return g, tail, at - self.starts
 
     def random_claim_potential(self, severity, threshold: float, rng: UniformStream):
         """N_i times the chance that a redraw of a uniformly picked claim of
@@ -239,10 +237,10 @@ class ClaimPopulation:
         ``threshold``, with what the redraw needs.
 
         Reads N uniforms u.  Particle i picks claim j = ceil(u_i N_i) of
-        its N_i claims, as :meth:`gibbs_step` picks.  With R = Z - X_j, A
-        the largest claim before j in its row, B the largest after it (0
-        where there is none; both read by :meth:`_around` over the row
-        index) and B- the largest double below B,
+        its N_i claims by :meth:`_pick`, as :meth:`gibbs_step` does.  With
+        R = Z - X_j, A the largest claim before j in its row, B the largest
+        after it (0 where there is none; both read by :meth:`_around` over
+        the row index) and B- the largest double below B,
 
             G_i = N_i sf(max(A, B-, t - R)):
 
@@ -255,18 +253,17 @@ class ClaimPopulation:
         move.  G can exceed 1.  A particle without claims gets
         1{Z > t}.
 
-        Returns ``(g, tail, rest, offset)`` as
-        :meth:`largest_claim_potential` does: the numerator
-        sf(max(A, B-, t - R)) (0 for a particle without claims), R and the
-        picked claim's position in its row.
+        Returns ``(g, tail, offset)`` as :meth:`largest_claim_potential`
+        does: the numerator sf(max(A, B-, t - R)) (0 for a particle
+        without claims) and the picked claim's position in its row.
         """
         n = len(self.states)
         u = rng.uniforms(n)
         sev = self.severities
         indicator = (self.states > threshold).astype(float)
         if not sev.size:
-            return indicator, np.zeros(n), self.states.copy(), np.zeros(n, dtype=np.intp)
-        offset = np.ceil(u * self.counts).astype(np.intp) - 1
+            return indicator, np.zeros(n), np.zeros(n, dtype=np.intp)
+        offset = self._pick(u)
         # a particle without claims reads a neighbour's claim here (at =
         # starts - 1); its tail is set to 0 below
         at = self.starts + offset
@@ -276,33 +273,30 @@ class ClaimPopulation:
         tail = severity.sf(np.maximum(threshold - rest, floor))
         tail *= self.has_claims
         g = np.where(self.has_claims, self.counts * tail, indicator)
-        return g, tail, rest, offset
+        return g, tail, offset
 
     def redraw_picked_claims(self, severity, threshold: float, tail: np.ndarray,
-                             rest: np.ndarray, offset: np.ndarray,
-                             rng: UniformStream) -> int:
-        """After selection on :meth:`largest_claim_potential` or
-        :meth:`random_claim_potential`, whose outputs ``tail``, ``rest``
-        and ``offset`` were taken along with the particles: redraw each
-        particle's picked claim, at ``offset`` in its row, above the
-        potential's floor, and return how many particles moved.
+                             offset: np.ndarray, rng: UniformStream) -> int:
+        """Redraw each particle's claim at ``offset`` in its row above the
+        floor whose survival is ``tail``; return how many particles moved.
 
-        Reads N uniforms u; the new claim is isf(u tail), a Gibbs move
-        that leaves the base law invariant and, given the selection, puts
-        the population in {Z > t}.  A particle keeps its claims where
-        u tail is 0 (its potential was the indicator) or where rounding
-        puts its new loss at or below t.
+        This is every move of the pipeline: the redraw after selection on
+        :meth:`largest_claim_potential` or :meth:`random_claim_potential`,
+        whose ``tail`` and ``offset`` were taken along with the particles,
+        and the second half of :meth:`gibbs_step`.  Reads N uniforms u; the
+        new claim is isf(u tail) and the new loss R + isf(u tail), with
+        R = Z - X the loss less the claim it replaces: a Gibbs move that
+        leaves the base law invariant and puts the particle in {Z > t}.
+        A particle keeps its claims where it has none, where u tail is 0
+        (its potential was the indicator, or the tail underflowed) or where
+        rounding puts its new loss at or below t.
         """
         q = rng.uniforms(len(self.states))
+        if not self.severities.size:
+            return 0
         q *= tail
-        return self._redraw(severity, threshold, self.starts + offset, rest, q)
-
-    def _redraw(self, severity, threshold: float, at, rest, q) -> int:
-        """Give each particle the claim isf(q) at ``at`` and the loss
-        ``rest`` plus it; return how many particles moved.
-
-        A particle keeps its claims where it has none, where q is 0 or
-        where its new loss is at or below ``threshold``."""
+        at = self.starts + offset
+        rest = self.states - self.severities[at]
         drawn = q > 0.0
         moved = self.has_claims
         if not drawn.all():
@@ -429,9 +423,9 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     potential's floor (:meth:`ClaimPopulation.redraw_picked_claims`),
     which the selection needs to land in the level set, so a level makes
     it even with ``mutation_steps`` 0.  Every other move is a sweep of an
-    exact random-scan Gibbs sampler: each particle redraws one uniformly
-    chosen claim X_j from its law given the others and Z > t, by
-    inversion (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's
+    exact random-scan Gibbs sampler: each particle picks one claim X_j
+    uniformly and redraws it from its law given the others and Z > t by
+    the same redraw (:meth:`ClaimPopulation.gibbs_step`; Botev & Kroese's
     generalized splitting).  A level's ``acceptance_rate`` counts the
     redraw with the sweeps; it is near 1, and counts never change.
 
@@ -455,9 +449,9 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
     for p, threshold in enumerate(thresholds):
         last = p + 1 == len(thresholds)
         if p == 0 and first_potential == "random":
-            g, tail, rest, offset = pop.random_claim_potential(severity, threshold, rng)
+            g, tail, offset = pop.random_claim_potential(severity, threshold, rng)
         else:
-            g, tail, rest, offset = pop.largest_claim_potential(severity, threshold, previous)
+            g, tail, offset = pop.largest_claim_potential(severity, threshold, previous)
         total = float(g.sum())
         frac = total / N
         fractions.append(frac)
@@ -477,7 +471,7 @@ def smc_rare_event(model: CompoundModel, levels: LevelSequence, mutation_steps: 
         ancestors = selection_transition(g / top if top > 1.0 else g, rng)
         pop = pop.take(ancestors)
         accepted = pop.redraw_picked_claims(severity, threshold, tail[ancestors],
-                                            rest[ancestors], offset[ancestors], rng)
+                                            offset[ancestors], rng)
         _confined(pop.states, threshold, "selection")
         sweeps = max(mutation_steps - 1, 0)
         for _ in range(sweeps):

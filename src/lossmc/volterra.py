@@ -111,7 +111,10 @@ _GRID_PATHS_PER_TAIL_PATH = 20
 # of 400 points x 5000 paths (2 vCPU, numpy 2.4; median of 8 grids, taken
 # in turn in one process) one point per block took 1.18 s, 2^15 paths
 # 0.73 s and 2^17 0.91 s; peak memory rose over the process before the
-# run by 4.1, 4.5-4.9 and 18.5-19 MB.
+# run by 4.1, 4.5-4.9 and 18.5-19 MB.  The constant also sets the tail
+# start's chunk size: shrinking it to 1 to time one grid point per block
+# runs the 1e5-path tail start as 1e5 one-path chunks.  To time one point
+# per block, set ``per_block`` in ``volterra_density_grid`` to 1 instead.
 _BLOCK_PARTICLES = 1 << 15
 # The pool of live paths takes in the next block when fewer than this share
 # of a block's paths are live.  On the same grid and 2^15-path blocks, 1/4,

@@ -376,6 +376,16 @@ def test_length_skip_is_exact(monkeypatch, case):
         assert passes[-1][1] < 0.0
 
 
+def test_fast_len_is_scipy_next_fast_len():
+    """The transform length is the least 2^a 3^b 5^c at or above n, as
+    scipy's real-input ``next_fast_len`` gives it, over a range and at
+    the lengths the benchmark lattices reach."""
+    from scipy.fft import next_fast_len
+
+    for n in [*range(1, 20001), 80002, 80190, 160380, 162000, 10**6, 6 * 10**6 + 1]:
+        assert panjer._fast_len(n) == next_fast_len(n, real=True), n
+
+
 # ---------------------------------------------------------------------------
 # benchmark values
 # ---------------------------------------------------------------------------

@@ -291,13 +291,13 @@ def test_estimate_is_product_of_level_fractions():
     potentials = []
     previous = -math.inf
     for t in thresholds:
-        g, tail, rest, offset = pop.largest_claim_potential(sev, t, previous)
+        g, tail, offset = pop.largest_claim_potential(sev, t, previous)
         assert np.allclose(g, _look_ahead_reference(pop, sev, t, previous),
                            rtol=1e-12, atol=0.0)
         potentials.append(g)
         idx = selection_transition(g, rng)
         pop = pop.take(idx)
-        pop.redraw_picked_claims(sev, t, tail[idx], rest[idx], offset[idx], rng)
+        pop.redraw_picked_claims(sev, t, tail[idx], offset[idx], rng)
         for _ in range(2):
             pop.gibbs_step(sev, t, rng)
         previous = t
@@ -544,6 +544,18 @@ def test_claim_gibbs_step_keeps_a_claim_whose_floor_underflows():
     assert pop.severities.tolist() == [1e20]
 
 
+def test_claim_gibbs_step_without_claims_reads_its_2n_uniforms():
+    """A population with no claim at all moves nothing, but the sweep
+    still reads its N picks and its N redraw uniforms, so the draws of
+    the sweeps after it stay where they would be."""
+    pop = ClaimPopulation(counts=np.array([0, 0, 0]), severities=np.array([]),
+                          states=np.array([0.0, 0.0, 0.0]))
+    rng = SequenceStream([0.5] * 7)
+    assert pop.gibbs_step(LogNormalSeverity(2.0, 1.0), -1.0, rng) == 0
+    assert rng.remaining == 1
+    assert pop.severities.size == 0 and pop.states.tolist() == [0.0, 0.0, 0.0]
+
+
 def test_largest_claim_look_ahead_hand_trace():
     """t = 10.  Particle 0 has no claim: G = 1{0 > 10} = 0.  Particle 1
     has one claim, so R = 0 and no runner-up: G = sf(10).  Particle 2
@@ -555,16 +567,17 @@ def test_largest_claim_look_ahead_hand_trace():
     pop = ClaimPopulation(counts=np.array([0, 1, 3]),
                           severities=np.array([4.0, 2.0, 6.0, 1.0]),
                           states=np.array([0.0, 4.0, 9.0]))
-    g, tail, rest, offset = pop.largest_claim_potential(sev, 10.0)
+    g, tail, offset = pop.largest_claim_potential(sev, 10.0)
     below_2 = np.nextafter(2.0, -np.inf)
     assert g[0] == 0.0 and g[1] == sev.sf(10.0)
     assert g[2] == sev.sf(7.0) / sev.sf(below_2) and 0.0 < g[2] < 1.0
     assert tail.tolist() == [0.0, sev.sf(10.0), sev.sf(7.0)]
-    assert rest.tolist() == [0.0, 0.0, 3.0] and offset[1:].tolist() == [0, 1]
+    rest = pop.states - pop.severities[pop.starts + offset]
+    assert rest[1:].tolist() == [0.0, 3.0] and offset[1:].tolist() == [0, 1]
 
     idx = np.array([2, 1, 2])
     out = pop.take(idx)
-    moved = out.redraw_picked_claims(sev, 10.0, tail[idx], rest[idx], offset[idx],
+    moved = out.redraw_picked_claims(sev, 10.0, tail[idx], offset[idx],
                                       SequenceStream([0.5, 0.25, 0.75]))
     assert moved == 3
     x0, x1, x2 = (sev.isf(u * sev.sf(c)) for u, c in ((0.5, 7.0), (0.25, 10.0), (0.75, 7.0)))
@@ -604,12 +617,12 @@ def test_atom_ties_give_indicator_potentials():
                                (poisson_units, 2.5, 4.5), (poisson_units, 0.5, 1.5)):
         pop = ClaimPopulation.sample(model, 1000, PcgStream(2121))
         pop = pop.take(np.flatnonzero(pop.states > previous))
-        g, tail, rest, offset = pop.largest_claim_potential(model.severity, t, previous)
+        g, tail, offset = pop.largest_claim_potential(model.severity, t, previous)
         assert np.array_equal(g, (pop.states > t).astype(float))
         assert np.array_equal(g, _look_ahead_reference(pop, model.severity, t, previous))
         live = np.flatnonzero(g)
         out = pop.take(live)
-        out.redraw_picked_claims(model.severity, t, tail[live], rest[live], offset[live],
+        out.redraw_picked_claims(model.severity, t, tail[live], offset[live],
                                   PcgStream(2222))
         assert np.array_equal(out.severities, np.ones(out.severities.size))
         assert np.array_equal(out.states, pop.states[live])
@@ -625,11 +638,11 @@ def test_runner_up_survival_underflow_gives_the_indicator():
                           states=np.array([2e20, 4e20, 5.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, tail, rest, offset = pop.largest_claim_potential(sev, 3e20)
+        g, tail, offset = pop.largest_claim_potential(sev, 3e20)
         assert g.tolist() == [0.0, 1.0, sev.sf(3e20)]
         assert tail[:2].tolist() == [0.0, 0.0]
         out = pop.take(np.array([1]))
-        assert out.redraw_picked_claims(sev, 3e20, tail[[1]], rest[[1]], offset[[1]],
+        assert out.redraw_picked_claims(sev, 3e20, tail[[1]], offset[[1]],
                                          SequenceStream([0.5])) == 0
     assert out.severities.tolist() == [1e20, 3e20]
 
@@ -671,7 +684,7 @@ def test_claims_around_a_pick_match_a_row_loop(claims, pick):
         at = pop.starts + np.ceil(u * pop.counts).astype(np.intp) - 1
     else:
         at = _last_maximum(pop)
-        offset = pop.largest_claim_potential(sigma1_model().severity, 20.0)[3]
+        offset = pop.largest_claim_potential(sigma1_model().severity, 20.0)[2]
         has = pop.has_claims
         assert np.array_equal(offset[has], (at - pop.starts)[has])
     before, after = pop._around(at)
@@ -711,17 +724,18 @@ def test_random_claim_potential_hand_trace():
     pop = ClaimPopulation(counts=np.array([0, 1, 4, 3]),
                           severities=np.array([4.0, 2.0, 6.0, 1.0, 6.0, 7.0, 3.0, 2.0]),
                           states=np.array([0.0, 4.0, 15.0, 12.0]))
-    g, tail, rest, offset = pop.random_claim_potential(
+    g, tail, offset = pop.random_claim_potential(
         sev, 10.0, SequenceStream([0.3, 0.9, 0.5, 1.0]))
     below_6 = np.nextafter(6.0, 0.0)
     assert tail.tolist() == [0.0, sev.sf(10.0), sev.sf(below_6), sev.sf(7.0)]
     assert g.tolist() == [0.0, sev.sf(10.0), 4 * sev.sf(below_6), 3 * sev.sf(7.0)]
     assert g[2] > 1.0
+    rest = pop.states - pop.severities[pop.starts + offset]
     assert rest[1:].tolist() == [0.0, 9.0, 10.0] and offset[1:].tolist() == [0, 1, 2]
 
     idx = np.array([1, 2, 3])
     out = pop.take(idx)
-    moved = out.redraw_picked_claims(sev, 10.0, tail[idx], rest[idx], offset[idx],
+    moved = out.redraw_picked_claims(sev, 10.0, tail[idx], offset[idx],
                                      SequenceStream([0.5, 0.25, 0.75]))
     assert moved == 3
     x1, x2, x3 = (sev.isf(u * t) for u, t in zip((0.5, 0.25, 0.75), tail[idx]))
@@ -735,7 +749,7 @@ def test_random_claim_potential_hand_trace():
     # no claim in the whole population: the indicator, and nothing to redraw
     empty = ClaimPopulation(counts=np.array([0, 0]), severities=np.array([]),
                             states=np.array([0.0, 0.0]))
-    g, tail, _, _ = empty.random_claim_potential(sev, -1.0, SequenceStream([0.5, 0.5]))
+    g, tail, _ = empty.random_claim_potential(sev, -1.0, SequenceStream([0.5, 0.5]))
     assert g.tolist() == [1.0, 1.0] and tail.tolist() == [0.0, 0.0]
 
 
@@ -746,12 +760,12 @@ def test_random_claim_potential_keeps_first_maximum_ties():
     model = CompoundModel(PoissonFrequency(2.0), DegenerateSeverity(atom=1.0))
     pop = ClaimPopulation.sample(model, 2000, PcgStream(77))
     rng = PcgStream(78)
-    g, tail, rest, offset = pop.random_claim_potential(model.severity, 2.5, rng)
+    g, tail, offset = pop.random_claim_potential(model.severity, 2.5, rng)
     picks = np.ceil(PcgStream(78).uniforms(2000) * pop.counts)
     assert np.array_equal(g, pop.counts * ((picks == 1) & (pop.states > 2.5)))
     live = np.flatnonzero(g)
     out = pop.take(live)
-    out.redraw_picked_claims(model.severity, 2.5, tail[live], rest[live], offset[live], rng)
+    out.redraw_picked_claims(model.severity, 2.5, tail[live], offset[live], rng)
     assert np.array_equal(out.severities, np.ones(out.severities.size))
 
 
