@@ -20,15 +20,12 @@ import json
 import sys
 from dataclasses import replace
 
-from .report import ExperimentConfig, emit_report, reproduce_table1, run_experiment
+from .report import (
+    _METHODS, _TABLE1, ExperimentConfig, emit_report, reproduce_table1, run_experiment,
+)
 
-_SUBCOMMAND_KIND = {
-    "simulate": "mc",
-    "sla": "sla",
-    "panjer": "panjer",
-    "particle": "particle",
-    "rare-event": "rare-event",
-}
+# subcommand -> method kind; crude Monte Carlo runs as "simulate"
+_SUBCOMMAND_KIND = {("simulate" if kind == "mc" else kind): kind for kind in _METHODS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=None,
                            help="worker threads for the simulation")
     t1 = sub.add_parser("table1", help="three-method benchmark comparison")
-    t1.add_argument("--preset", choices=("sigma05", "sigma1"), required=True)
+    t1.add_argument("--preset", choices=tuple(_TABLE1), required=True)
     t1.add_argument("--scale", type=float, default=1.0,
                     help="budget multiplier in (0, 1]")
     _add_output(t1)

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -34,17 +34,6 @@ from .volterra import default_absorption, estimate_density_grid, risk_measures_f
 # no caller here: benchmarks/tracing.py patches report.quantile_from_measure by name
 from .volterra import quantile_from_measure  # noqa: F401
 
-# key -> (kind, default) of each method block besides "kind"; a default of
-# None is the model's own (see the runner)
-_METHODS = {
-    "mc": {"T": (COUNT, 1_000_000), "ci_level": (REAL, 0.95)},
-    "sla": {"order": ((1, 2), 1)},
-    "panjer": {"step": (REAL, 0.01), "x_max": (REAL, None)},
-    "particle": {"grid_width": (REAL, 1.0), "x_max": (REAL, None),
-                 "n_per_point": (COUNT, 50_000), "p_d": (REAL, None)},
-    "rare-event": {"thresholds": (REALS, REQUIRED), "n_particles": (COUNT, 10_000),
-                   "mh_steps": (COUNT, 5), "replicates": (COUNT, 16)},
-}
 # Bytes a particle grid point needs at least: the grid and the estimate
 # and SE arrays (8 B each) and its spawned PcgStream, about 1000 B by
 # tracemalloc over 20,000 spawns (numpy 2.4).
@@ -53,6 +42,8 @@ _MODEL = {"frequency": (build_frequency, REQUIRED), "severity": (build_severity,
 # kind of each top-level config value besides the model and method blocks
 _CONFIG = {"levels": REALS, "seed": COUNT, "output": ("csv", "json"), "threads": COUNT}
 _LEVELS_TABLE1 = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9995)
+# table1 preset -> (lognormal sigma, particle x_max, seed)
+_TABLE1 = {"sigma05": (0.5, 120.0, 821_05), "sigma1": (1.0, 400.0, 821_10)}
 
 
 @dataclass
@@ -72,7 +63,7 @@ class ExperimentConfig:
         if kind not in _METHODS:
             raise ValueError(f"method.kind must be one of {tuple(_METHODS)}, got {kind!r}")
         # values are read when the run starts (run_experiment)
-        check_keys(self.method, _METHODS[kind], f"{kind} method", kinded=True)
+        check_keys(self.method, _METHODS[kind][1], f"{kind} method", kinded=True)
         for key, vkind in _CONFIG.items():
             setattr(self, key, read_value(getattr(self, key), vkind, key))
         if any(not (0.0 < a < 1.0) for a in self.levels):
@@ -90,7 +81,7 @@ class ExperimentConfig:
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             doc = json.load(fh)
-        unknown = set(doc) - {"model", "method", *_CONFIG}
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**doc)
@@ -232,6 +223,20 @@ def _run_rare_event(model, cfg: ExperimentConfig, m: dict):
     return rows, diag
 
 
+# kind -> (runner, {key: (kind, default)} of the method block besides "kind");
+# a default of None is the model's own (see the runner)
+_METHODS = {
+    "mc": (_run_mc, {"T": (COUNT, 1_000_000), "ci_level": (REAL, 0.95)}),
+    "sla": (_run_sla, {"order": ((1, 2), 1)}),
+    "panjer": (_run_panjer, {"step": (REAL, 0.01), "x_max": (REAL, None)}),
+    "particle": (_run_particle, {"grid_width": (REAL, 1.0), "x_max": (REAL, None),
+                                 "n_per_point": (COUNT, 50_000), "p_d": (REAL, None)}),
+    "rare-event": (_run_rare_event, {"thresholds": (REALS, REQUIRED),
+                                     "n_particles": (COUNT, 10_000),
+                                     "mh_steps": (COUNT, 5), "replicates": (COUNT, 16)}),
+}
+
+
 def run_experiment(config: ExperimentConfig) -> RiskReport:
     """Dispatch one configured run and assemble the report.
 
@@ -239,15 +244,9 @@ def run_experiment(config: ExperimentConfig) -> RiskReport:
     note naming the method kind."""
     model = config.build_model()
     kind = config.method["kind"]
-    runner = {
-        "mc": _run_mc,
-        "sla": _run_sla,
-        "panjer": _run_panjer,
-        "particle": _run_particle,
-        "rare-event": _run_rare_event,
-    }[kind]
+    runner, table = _METHODS[kind]
     try:
-        values = read_block(config.method, _METHODS[kind], f"{kind} method", kinded=True)
+        values = read_block(config.method, table, f"{kind} method", kinded=True)
         rows, diagnostics = runner(model, config, values)
     except Exception as exc:
         # set by hand: BaseException.add_note is Python 3.11+
@@ -273,18 +272,16 @@ def reproduce_table1(preset: str, scale: float = 1.0) -> RiskReport:
     mislabeled 99.5% row of the original comparison; see the particle
     module notes.
     """
-    if preset not in ("sigma05", "sigma1"):
-        raise ValueError("preset must be sigma05 or sigma1")
+    if preset not in _TABLE1:
+        raise ValueError(f"preset must be {' or '.join(_TABLE1)}")
     if not (0.0 < scale <= 1.0):
         raise ValueError("scale must lie in (0, 1]")
-    sigma = 0.5 if preset == "sigma05" else 1.0
-    x_max = 120.0 if preset == "sigma05" else 400.0
+    sigma, x_max, seed = _TABLE1[preset]
     model_block = {
         "frequency": {"kind": "poisson", "lambda": 2.0},
         "severity": {"kind": "lognormal", "mu": 2.0, "sigma": sigma},
     }
     levels = list(_LEVELS_TABLE1)
-    seed = 821_05 if preset == "sigma05" else 821_10
 
     mc_cfg = ExperimentConfig(model=model_block,
                               method={"kind": "mc", "T": max(1000, int(5e7 * scale))},
@@ -316,15 +313,14 @@ def reproduce_table1(preset: str, scale: float = 1.0) -> RiskReport:
 # Serialization
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "alpha,method,var,var_lo,var_hi,es,srm,stderr"
+_COLUMNS = fields(ReportRow)
 
 
 def _format_rows(report: RiskReport):
+    """Each row as {column: text}, the numbers at 6 significant digits."""
     for row in report.rows:
-        yield [
-            _sig6(row.alpha), row.method, _sig6(row.var), _sig6(row.var_lo),
-            _sig6(row.var_hi), _sig6(row.es), _sig6(row.srm), _sig6(row.stderr),
-        ]
+        values = {col.name: getattr(row, col.name) for col in _COLUMNS}
+        yield {k: v if isinstance(v, str) else _sig6(v) for k, v in values.items()}
 
 
 def emit_report(report: RiskReport, format: str, path: str) -> None:
@@ -332,10 +328,9 @@ def emit_report(report: RiskReport, format: str, path: str) -> None:
     floats, so identical reports serialize to identical bytes."""
     if format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for fields in _format_rows(report):
-            writer.writerow(fields)
+        writer = csv.DictWriter(buf, [col.name for col in _COLUMNS], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_format_rows(report))
         text = buf.getvalue()
     elif format == "json":
         def clean_meta(obj):
@@ -348,9 +343,8 @@ def emit_report(report: RiskReport, format: str, path: str) -> None:
             return obj
         doc = {
             "meta": clean_meta(report.meta),
-            "rows": [dict(zip(CSV_HEADER.split(","),
-                              [f if f != "n/a" else None for f in fields]))
-                     for fields in _format_rows(report)],
+            "rows": [{k: None if v == "n/a" else v for k, v in rec.items()}
+                     for rec in _format_rows(report)],
         }
         text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
     else:
@@ -361,15 +355,16 @@ def emit_report(report: RiskReport, format: str, path: str) -> None:
 
 def parse_report(path: str, format: str) -> RiskReport:
     """Read back an emitted report (for round-trip checks)."""
-    def undo(v):
-        if v in (None, "n/a", ""):
-            return None
-        return float(v)
+    def read(col, v):
+        if col.type == "str":
+            return v
+        # float() fails on a blank or n/a value in a column with no default
+        if col.default is MISSING or v not in (None, "n/a", ""):
+            return float(v)
+        return None
 
     def row(rec):
-        return ReportRow(alpha=float(rec["alpha"]), method=rec["method"],
-                         var=float(rec["var"]),
-                         **{k: undo(rec[k]) for k in ("var_lo", "var_hi", "es", "srm", "stderr")})
+        return ReportRow(**{col.name: read(col, rec[col.name]) for col in _COLUMNS})
 
     with open(path) as fh:
         if format == "csv":

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import dataclasses
 import json
@@ -31,7 +32,7 @@ from lossmc import distributions
 from lossmc import panjer as panjer_module
 from lossmc import report as report_module
 from lossmc.asymptotics import _c_tilde
-from lossmc.cli import main
+from lossmc.cli import build_parser, main
 from lossmc.config import REQUIRED
 from lossmc.errors import ExtinctionError
 
@@ -304,7 +305,7 @@ def test_readme_config_table_lists_the_reader_tables():
                  for key, kind in report_module._CONFIG.items()]
     expected += [("model", key, f"{key} block", "required") for key in report_module._MODEL]
     expected += [(method, key, _readme_kind(kind), _readme_default(default))
-                 for method, table in report_module._METHODS.items()
+                 for method, (_, table) in report_module._METHODS.items()
                  for key, (kind, default) in table.items()]
     expected += [(law, key, kind, "required")
                  for laws in (distributions._FREQUENCIES, distributions._SEVERITIES)
@@ -364,6 +365,39 @@ def test_json_layout_and_round_trip(tmp_path):
     for row, orig in zip(back.rows, report.rows):
         assert row.var == pytest.approx(orig.var, rel=1e-5)
         assert row.var_lo == pytest.approx(orig.var_lo, rel=1e-5)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_column_round_trips_at_six_digits(tmp_path, fmt):
+    """A row with every optional column filled comes back from its file as
+    each value read at 6 significant digits."""
+    rows = [ReportRow(alpha=0.99, method="mc", var=123.4567891, var_lo=120.0000049,
+                      var_hi=127.1234567, es=150.9876543, srm=140.5555555,
+                      stderr=1.234567891),
+            ReportRow(alpha=0.9995, method="mc", var=1.234567891e5, var_lo=1e-7 / 3,
+                      var_hi=2.718281828e5, es=3.141592653e5, srm=2.5e5 + 0.5,
+                      stderr=0.1 + 0.2)]
+    path = tmp_path / f"report.{fmt}"
+    emit_report(RiskReport(rows=rows), fmt, str(path))
+    back = parse_report(str(path), fmt).rows
+    assert [row.method for row in back] == ["mc", "mc"]
+    for row, orig in zip(back, rows):
+        for col in dataclasses.fields(ReportRow):
+            value = getattr(orig, col.name)
+            if col.name != "method":
+                assert getattr(row, col.name) == float(f"{value:.6g}"), col.name
+
+
+def test_readme_quotes_the_emitted_csv_header(tmp_path):
+    """The column list the README's command-line section quotes is the
+    header emit_report writes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("## Command line"):readme.index("## Testing")]
+    quoted = re.search(r"emitted as CSV \(`([^`]*)`\)", section).group(1)
+    path = tmp_path / "report.csv"
+    emit_report(RiskReport(rows=[ReportRow(alpha=0.5, method="sla", var=1.0)]), "csv",
+                str(path))
+    assert path.read_text().splitlines()[0] == quoted
 
 
 def test_emission_is_bit_stable(tmp_path):
@@ -467,6 +501,20 @@ def test_cli_usage_errors_print_one_json_line(capsys, argv, detail):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert json.loads(captured.err) == {"error": "ArgumentError", "detail": detail}
+
+
+def test_cli_surface_is_pinned():
+    """The subcommands, in order; --threads on simulate alone; and the two
+    table1 presets."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["simulate", "sla", "panjer", "particle", "rare-event",
+                                 "table1"]
+    with_threads = [name for name, p in sub.choices.items()
+                    if any("--threads" in a.option_strings for a in p._actions)]
+    assert with_threads == ["simulate"]
+    preset = next(a for a in sub.choices["table1"]._actions if "--preset" in a.option_strings)
+    assert list(preset.choices) == ["sigma05", "sigma1"]
 
 
 def test_cli_help_exits_zero(capsys):
@@ -985,7 +1033,7 @@ _VALID_METHODS = {
 @pytest.mark.parametrize("command,key,bad", [
     pytest.param(command, key, bad, id=f"{command}-{key}-{json.dumps(bad)}")
     for command, method in _VALID_METHODS.items()
-    for key, (kind, _) in report_module._METHODS[method["kind"]].items()
+    for key, (kind, _) in report_module._METHODS[method["kind"]][1].items()
     for bad in ([[True], ["20"], [float("nan")]] if kind == "reals"
                 else [True, "1", float("nan")] + ([1e300] if kind == "count" else []))
 ])
@@ -1167,7 +1215,8 @@ def test_runner_errors_keep_class_and_fields(tmp_path, capsys, monkeypatch,
         raised.append(make())
         raise raised[-1]
 
-    monkeypatch.setattr(report_module, "_run_sla", failing_runner)
+    monkeypatch.setitem(report_module._METHODS, "sla",
+                        (failing_runner, report_module._METHODS["sla"][1]))
     with pytest.raises(Exception) as info:
         run_experiment(_config())
     assert info.value is raised[-1]
